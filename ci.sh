@@ -99,7 +99,7 @@ if grep -q "scale pruning: VIOLATED" /tmp/qcc-fedscale.out; then
 fi
 grep -q "scale pruning: OK" /tmp/qcc-fedscale.out
 
-echo "==> bench smoke: midquery_reroute (remainder re-dispatch recovers, baseline fails)"
+echo "==> bench smoke: midquery_reroute (remainder re-dispatch recovers without a whole-query retry)"
 cargo bench -q --offline -p qcc-bench --bench midquery_reroute \
     | tee /tmp/qcc-reroute.out
 if grep -q "reroute recovery: VIOLATED" /tmp/qcc-reroute.out; then
@@ -107,6 +107,23 @@ if grep -q "reroute recovery: VIOLATED" /tmp/qcc-reroute.out; then
     exit 1
 fi
 grep -q "reroute recovery: OK" /tmp/qcc-reroute.out
+
+echo "==> benchmark package: builds against the workspace, unit tests, four smoke workloads"
+# qcc-perf/ is its own workspace, so nothing above compiles it: deleting
+# public API it uses would otherwise only surface in the benchmark driver.
+cargo test -q --offline --manifest-path qcc-perf/Cargo.toml
+for w in paper_phases coordinator_hot fleet_adhoc overload_faults; do
+    cargo run --release --offline -q --manifest-path qcc-perf/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 15 --smoke | tail -n 1 > /tmp/qcc-perf-smoke.json
+    if ! grep -q '"correct": true' /tmp/qcc-perf-smoke.json; then
+        echo "qcc-perf $w: smoke run did not report \"correct\": true" >&2
+        exit 1
+    fi
+    # --check-repeat prints its own verdict line instead of the JSON and
+    # exits non-zero when an exact metric differs between two runs.
+    cargo run --release --offline -q --manifest-path qcc-perf/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 15 --smoke --check-repeat
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --check

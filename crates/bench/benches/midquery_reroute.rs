@@ -1,21 +1,19 @@
 //! Mid-query failover recovery (PR 10's tentpole): one wide-scan query on
-//! a replicated fleet whose source crashes mid-stream, measured three
-//! ways on the same virtual timeline:
+//! a replicated fleet whose source crashes mid-stream, measured twice on
+//! the same virtual timeline:
 //!
 //! * **fault-free** — the streamed execution with no fault, the latency
 //!   floor;
 //! * **adaptive** — the crash interrupts the stream, the coordinator
 //!   cancels and re-dispatches the *remainder* (cursor position) to a
-//!   within-band replica, and the query completes;
-//! * **no-adaptivity baseline** — same crash with remainder re-dispatch
-//!   disabled (`reroute_limit = 0`) and no whole-query retries: the
-//!   interrupt surfaces as a query failure.
+//!   within-band replica, and the query completes.
 //!
 //! The machine-checkable verdict (`reroute recovery: OK|VIOLATED`)
-//! asserts the adaptive run really rerouted, completed within 2x the
-//! fault-free latency, returned the exact fault-free row count, and that
-//! the baseline failed — recovery is attributable to the reroute path,
-//! not to masking. `ci.sh` greps the verdict.
+//! asserts the adaptive run really rerouted (`reroute_dispatch >= 1`)
+//! without burning a whole-query retry (`retries_total == 0`), completed
+//! within 2x the fault-free latency, and returned the exact fault-free
+//! row count — so recovery is attributable to the remainder re-dispatch
+//! itself, not to the ban-and-re-plan fallback. `ci.sh` greps the verdict.
 
 use qcc_common::{FieldValue, SimTime};
 use qcc_core::QccConfig;
@@ -81,7 +79,7 @@ fn main() {
     // Adaptive run: sweep the crash instant across the fragment until the
     // interrupt actually costs delivered chunks (a mid-stream cut), then
     // measure the rerouted completion.
-    let mut adaptive: Option<(f64, usize, u64, f64)> = None;
+    let mut adaptive: Option<(usize, u64, u64, f64)> = None;
     for frac in [0.55, 0.65, 0.75, 0.85, 0.45, 0.35, 0.25] {
         let cut = frag_start + frac * frag_ms;
         let s = scenario();
@@ -91,49 +89,35 @@ fn main() {
         let Ok(out) = s.federation.submit(SQL) else {
             continue;
         };
-        let reroutes = s.obs.events_of("reroute_dispatch").len();
+        let reroutes = s.obs.events_of("reroute_dispatch").len() as u64;
         if reroutes >= 1 {
-            adaptive = Some((cut, out.rows.len(), reroutes as u64, out.response_ms));
+            let retries = s.obs.counter_value("retries_total", &[]);
+            adaptive = Some((out.rows.len(), reroutes, retries, out.response_ms));
             break;
         }
     }
-    let Some((cut, adaptive_rows, reroutes, adaptive_ms)) = adaptive else {
+    let Some((adaptive_rows, reroutes, retries, adaptive_ms)) = adaptive else {
         println!("reroute recovery: VIOLATED (no crash placement produced a reroute)");
         std::process::exit(1);
     };
-    println!("adaptive: {adaptive_ms:.3} ms ({adaptive_rows} rows, {reroutes} reroute(s))");
-
-    // No-adaptivity baseline: the same crash with remainder re-dispatch
-    // and whole-query retries disabled — the mid-stream loss is fatal.
-    let mut base = scenario();
-    base.federation.config_mut().reroute_limit = 0;
-    base.federation.config_mut().retry_limit = 0;
-    base.server(&victim)
-        .availability()
-        .add_outage(SimTime::from_millis(cut), SimTime::from_millis(1e12));
-    let baseline = base.federation.submit(SQL);
-    match &baseline {
-        Ok(out) => println!(
-            "no-adaptivity baseline: completed {:.3} ms ({} rows) — crash was not in the stream",
-            out.response_ms,
-            out.rows.len()
-        ),
-        Err(e) => println!("no-adaptivity baseline: failed ({e})"),
-    }
+    println!(
+        "adaptive: {adaptive_ms:.3} ms ({adaptive_rows} rows, {reroutes} reroute(s), \
+         {retries} whole-query retries)"
+    );
 
     let exact = adaptive_rows == clean_out.rows.len();
     let bounded = adaptive_ms <= 2.0 * clean_out.response_ms;
-    let baseline_fails = baseline.is_err();
-    if exact && bounded && baseline_fails {
+    let no_retry = retries == 0;
+    if exact && bounded && no_retry {
         println!(
             "reroute recovery: OK (adaptive {adaptive_ms:.3} ms <= 2x fault-free {:.3} ms, \
-             exact rows, baseline fails without reroute)",
+             exact rows, no whole-query retry)",
             clean_out.response_ms
         );
     } else {
         println!(
             "reroute recovery: VIOLATED (exact_rows={exact} bounded={bounded} \
-             baseline_fails={baseline_fails})"
+             no_retry={no_retry})"
         );
         std::process::exit(1);
     }

@@ -15,7 +15,7 @@ use crate::records::{ErrorRecord, FragmentCompileRecord, FragmentRunRecord};
 use crate::Qcc;
 use qcc_common::{Cost, FragmentId, QccError, QueryId, Result, ServerId, SimDuration, SimTime};
 use qcc_federation::{Deferred, FragmentCandidate, GlobalCandidate, Middleware, DEFAULT_UNCOSTED};
-use qcc_wrapper::{FragmentPlan, StreamOutcome, Wrapper, WrapperResult, WrapperStream};
+use qcc_wrapper::{FragmentPlan, StreamOutcome, Wrapper, WrapperStream};
 use std::sync::Arc;
 
 /// Middleware implementation binding a [`Qcc`] into the federation.
@@ -128,52 +128,6 @@ impl Middleware for MetaWrapper {
         Ok((candidates, took))
     }
 
-    fn execute_fragment(
-        &self,
-        wrapper: &dyn Wrapper,
-        query: QueryId,
-        fragment: FragmentId,
-        plan: &FragmentPlan,
-        at: SimTime,
-        effects: &mut Deferred,
-    ) -> Result<WrapperResult> {
-        let server = wrapper.server_id().clone();
-        match wrapper.execute(plan, at) {
-            Ok(result) => {
-                let observed = result.response_time.as_millis();
-                // Record item (e): the fragment's observed response time,
-                // and feed the calibration window with the observed ÷
-                // raw-estimate pair.
-                // Uncosted fragments (file sources) calibrate against the
-                // DEFAULT_UNCOSTED baseline — the only way such sources
-                // ever become cost-comparable (§2: "when wrappers do not
-                // provide cost estimation").
-                let est = plan.cost.map(|c| c.total()).unwrap_or(DEFAULT_UNCOSTED);
-                let run = FragmentRunRecord {
-                    query,
-                    fragment,
-                    server: server.clone(),
-                    signature: plan.signature.clone(),
-                    estimated_total: Some(est),
-                    observed_ms: observed,
-                    at,
-                };
-                let qcc = self.qcc.clone();
-                effects.defer(move || {
-                    qcc.reliability.record_success(&run.server);
-                    qcc.calibration
-                        .record_fragment(&run.server, &run.signature, est, observed);
-                    qcc.records.record_run(run);
-                });
-                Ok(result)
-            }
-            Err(e) => {
-                self.defer_failure(effects, &server, &e, at);
-                Err(e)
-            }
-        }
-    }
-
     fn execute_fragment_stream(
         &self,
         wrapper: &dyn Wrapper,
@@ -220,9 +174,14 @@ impl Middleware for MetaWrapper {
         at: SimTime,
         effects: &mut Deferred,
     ) {
-        // Same recording as a call-and-wait success: the coordinator only
-        // acknowledges full, uncancelled completions, so the observed
-        // time is an honest whole-fragment sample.
+        // Record item (e): the fragment's observed response time, and
+        // feed the calibration window with the observed ÷ raw-estimate
+        // pair. The coordinator only acknowledges full, uncancelled
+        // completions, so the observed time is an honest whole-fragment
+        // sample. Uncosted fragments (file sources) calibrate against the
+        // DEFAULT_UNCOSTED baseline — the only way such sources ever
+        // become cost-comparable (§2: "when wrappers do not provide cost
+        // estimation").
         let est = plan.cost.map(|c| c.total()).unwrap_or(DEFAULT_UNCOSTED);
         let run = FragmentRunRecord {
             query,

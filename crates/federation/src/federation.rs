@@ -8,14 +8,15 @@ use crate::patroller::QueryPatroller;
 use parking_lot::Mutex;
 use qcc_admission::AdmissionController;
 use qcc_catalog::ReplicaCatalog;
+use qcc_common::obs::reroute_events as ev;
 use qcc_common::{
-    scatter_indexed, Cost, FragmentId, Obs, QccError, QueryId, Result, Row, ServerId, SimDuration,
-    SimTime,
+    scatter_indexed, Cost, FieldValue, FragmentId, Obs, QccError, QueryId, Result, Row, ServerId,
+    SimDuration, SimTime,
 };
 use qcc_engine::Engine;
 use qcc_netsim::{slowdown, LoadProfile, ServerLoad, SimClock};
 use qcc_storage::{Catalog, ColumnStats, Table, TableStats};
-use qcc_wrapper::{StreamChunk, StreamOutcome, Wrapper, WrapperResult, WrapperStream};
+use qcc_wrapper::{FragmentPlan, StreamOutcome, Wrapper, WrapperResult, WrapperStream};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -34,25 +35,23 @@ pub struct FederationConfig {
     /// byte-identical for any value ≥ 1; this only trades wall-clock time
     /// (see DESIGN.md "Threading model").
     pub threads: usize,
-    /// Mid-query adaptivity switch (DESIGN.md §15). `0.0` — the default
-    /// sentinel — disables it entirely: fragments execute call-and-wait
-    /// exactly as before, byte-identical journals included. Any positive
-    /// value enables streamed fragment execution with a stall detector:
-    /// a fragment still incomplete after `stall_factor ×` its calibrated
-    /// estimate (or whose source dies mid-stream) is cancelled and its
-    /// *remainder* re-dispatched to a within-band replica at the cursor.
+    /// Slow-cancel multiplier of the stall detector (DESIGN.md §15): a
+    /// healthy stream still incomplete after `stall_factor ×` its
+    /// calibrated estimate is cancelled and its *remainder* re-dispatched
+    /// to a within-band replica at the cursor. `0.0` — the default — never
+    /// cancels a healthy stream for slowness. Interrupt rescue (the source
+    /// dies mid-stream) does not depend on this value: it is always on.
     pub stall_factor: f64,
-    /// Virtual-time lag between a mid-stream interrupt and the stall
-    /// detector noticing it (one probe interval).
-    pub reroute_probe_ms: f64,
-    /// How many remainder re-dispatches one fragment may attempt before
-    /// the failure surfaces to the whole-query retry loop.
-    pub reroute_limit: usize,
-    /// Replica selection band: a remainder only re-dispatches to an
-    /// alternate whose calibrated cost is within `reroute_band ×` the
-    /// cancelled primary's estimate.
-    pub reroute_band: f64,
 }
+
+/// Virtual-time lag between a mid-stream interrupt and the stall detector
+/// noticing it (one probe interval).
+pub const REROUTE_PROBE_MS: f64 = 1.0;
+
+/// Replica selection band: a remainder only re-dispatches to an alternate
+/// whose calibrated cost is within this multiple of the cancelled
+/// primary's estimate.
+pub const REROUTE_BAND: f64 = 2.0;
 
 impl Default for FederationConfig {
     fn default() -> Self {
@@ -62,9 +61,6 @@ impl Default for FederationConfig {
             retry_limit: 2,
             threads: qcc_common::default_threads(),
             stall_factor: 0.0,
-            reroute_probe_ms: 1.0,
-            reroute_limit: 1,
-            reroute_band: 2.0,
         }
     }
 }
@@ -171,13 +167,6 @@ impl Federation {
         self.catalog.as_ref()
     }
 
-    /// Mutable access to the routing knobs. Benches and tests use this to
-    /// flip individual policies (e.g. `reroute_limit = 0` for a
-    /// no-recovery baseline) on an already-assembled federation.
-    pub fn config_mut(&mut self) -> &mut FederationConfig {
-        &mut self.config
-    }
-
     /// Attach an observability handle; the patroller journals through the
     /// same one.
     pub fn set_obs(&mut self, obs: Obs) {
@@ -244,7 +233,303 @@ impl Federation {
         compiled
     }
 
-    fn compile(
+    /// Submit a federated query: compile, choose a global plan, execute
+    /// the fragments remotely (in parallel), merge locally, and log it all.
+    pub fn submit(&self, sql: &str) -> Result<QueryOutcome> {
+        let submitted = self.clock.now();
+        let qid = self.patroller.record_submit(sql, submitted);
+        let mut effects = Deferred::new();
+        let result = self.run(qid, sql, &self.clock, &mut effects, None);
+        effects.apply();
+        match result {
+            Ok(outcome) => {
+                self.patroller.record_complete(qid, self.clock.now());
+                Ok(outcome)
+            }
+            Err(e) => {
+                self.patroller
+                    .record_failure(qid, self.clock.now(), e.to_string());
+                Err(e)
+            }
+        }
+    }
+
+    /// Submit a batch of federated queries that logically start at the
+    /// same instant, spread across the scatter worker pool.
+    ///
+    /// Each query runs against a private clock forked from the shared
+    /// snapshot ([`SimClock::at`]); the coordinator gathers in
+    /// submission-index order, applying each query's deferred side
+    /// effects and patroller completion before the next query's, then
+    /// advances the shared clock once — to the latest per-query end time.
+    /// Every query in the batch therefore routes against the same frozen
+    /// adaptive state (load balancer, calibration, reliability):
+    /// adaptation happens at batch granularity, and the outcomes are
+    /// byte-identical for any `threads` setting, including 1.
+    pub fn submit_batch(&self, sqls: &[String]) -> Vec<Result<QueryOutcome>> {
+        self.submit_batch_with_budgets(sqls, &[])
+    }
+
+    /// [`Federation::submit_batch`] with an optional remaining deadline
+    /// budget per query (virtual ms from dispatch, as handed out by the
+    /// admission queue). A query's effective execution deadline is the
+    /// smaller of the configured `exec_deadline_ms` and its budget, so a
+    /// ticket that spent most of its budget queueing gets a proportionally
+    /// tighter retry/hedge horizon. `budgets` may be empty (no budgets) or
+    /// must match `sqls` in length; `None` entries mean "no budget".
+    pub fn submit_batch_with_budgets(
+        &self,
+        sqls: &[String],
+        budgets: &[Option<f64>],
+    ) -> Vec<Result<QueryOutcome>> {
+        let t0 = self.clock.now();
+        let qids: Vec<QueryId> = sqls
+            .iter()
+            .map(|sql| self.patroller.record_submit(sql, t0))
+            .collect();
+        let outcomes = scatter_indexed(sqls.len(), self.config.threads, |i| {
+            let clock = SimClock::at(t0);
+            let mut local = Deferred::new();
+            let budget = budgets.get(i).copied().flatten();
+            let result = self.run(qids[i], &sqls[i], &clock, &mut local, budget);
+            (result, local, clock.now())
+        });
+        let mut latest = t0;
+        let mut out = Vec::with_capacity(sqls.len());
+        for (i, (result, local, end)) in outcomes.into_iter().enumerate() {
+            local.apply();
+            match &result {
+                Ok(_) => self.patroller.record_complete(qids[i], end),
+                Err(e) => self.patroller.record_failure(qids[i], end, e.to_string()),
+            }
+            if end > latest {
+                latest = end;
+            }
+            out.push(result);
+        }
+        self.clock.advance_to(latest);
+        out
+    }
+
+    fn run(
+        &self,
+        qid: QueryId,
+        sql: &str,
+        clock: &SimClock,
+        effects: &mut Deferred,
+        budget_ms: Option<f64>,
+    ) -> Result<QueryOutcome> {
+        let submitted = clock.now();
+        let (decomposed, mut candidates) = self.compile(qid, sql, clock, effects)?;
+        if candidates.is_empty() {
+            return Err(QccError::NoViablePlan("no global candidates".into()));
+        }
+        let mut banned: BTreeSet<ServerId> = BTreeSet::new();
+        // Effective execution deadline: the configured per-dispatch limit,
+        // tightened by whatever remains of the ticket's arrival-relative
+        // budget. A ticket dispatched with (almost) nothing left keeps a
+        // hair of budget so the deadline machinery stays armed rather than
+        // reading 0.0 as "disabled".
+        let configured = self
+            .admission
+            .as_ref()
+            .map(|a| a.config().exec_deadline_ms)
+            .unwrap_or(0.0);
+        let exec_deadline_ms = match budget_ms {
+            Some(budget) => {
+                let budget = budget.max(0.001);
+                if configured > 0.0 {
+                    configured.min(budget)
+                } else {
+                    budget
+                }
+            }
+            None => configured,
+        };
+
+        // The retry *budget*: up to `retry_limit` re-routes, but the
+        // execution deadline can forfeit whatever budget remains.
+        for attempt in 0..=self.config.retry_limit {
+            if attempt > 0 && exec_deadline_ms > 0.0 {
+                let elapsed = clock.now().since(submitted).as_millis();
+                if elapsed > exec_deadline_ms {
+                    self.obs
+                        .counter_inc("deadline_exceeded_total", &[("stage", "retry")]);
+                    self.journal(effects, clock.now(), "deadline_exceeded", || {
+                        vec![
+                            ("query", qid.0.into()),
+                            ("stage", "retry".into()),
+                            ("attempt", (attempt as u64).into()),
+                            ("elapsed_ms", elapsed.into()),
+                            ("deadline_ms", exec_deadline_ms.into()),
+                        ]
+                    });
+                    return Err(QccError::DeadlineExceeded(format!(
+                        "retry budget forfeited after {elapsed:.3}ms (deadline {exec_deadline_ms}ms)"
+                    )));
+                }
+            }
+            // Filter candidates avoiding servers that already failed.
+            let viable: Vec<&GlobalCandidate> = candidates
+                .iter()
+                .filter(|c| c.server_set().is_disjoint(&banned))
+                .collect();
+            if viable.is_empty() {
+                break;
+            }
+            // Token gate: a plan is admissible only if every server it
+            // touches has concurrency tokens in the frozen snapshot. A
+            // nonempty blocked set means the router steered around a
+            // token-exhausted server (a "token wait" — in virtual time the
+            // wait materializes as a reroute, never a sleep).
+            let (viable, blocked_count) = match &self.admission {
+                Some(admission) => {
+                    let (admissible, blocked): (Vec<&GlobalCandidate>, Vec<&GlobalCandidate>) =
+                        viable.into_iter().partition(|c| {
+                            c.server_set().iter().all(|s| admission.capacity(s) > 0)
+                        });
+                    (admissible, blocked.len())
+                }
+                None => (viable, 0),
+            };
+            if blocked_count > 0 {
+                self.obs.counter_inc("token_waits_total", &[]);
+                self.journal(effects, clock.now(), "token_wait", || {
+                    vec![
+                        ("query", qid.0.into()),
+                        ("attempt", (attempt as u64).into()),
+                        ("blocked_candidates", blocked_count.into()),
+                    ]
+                });
+            }
+            if viable.is_empty() {
+                // Every surviving plan needs a token-exhausted server:
+                // shed before any fragment work rather than pile on.
+                if let Some(admission) = &self.admission {
+                    admission.note_shed("no_tokens");
+                }
+                return Err(QccError::Shed(
+                    "no token-admissible global plan (all candidate servers exhausted)".into(),
+                ));
+            }
+            let viable_owned: Vec<GlobalCandidate> = viable.into_iter().cloned().collect();
+            let idx = self
+                .middleware
+                .choose_global(&decomposed.template_signature, &viable_owned, effects)
+                .min(viable_owned.len() - 1);
+            let chosen = &viable_owned[idx];
+            // Inline (not deferred) by design: within one batch every
+            // query sees the same frozen routing state, so same-template
+            // queries write the same winner — the table's contents are
+            // deterministic even though the write order is not.
+            self.explain_table
+                .lock()
+                .insert(decomposed.template_signature.clone(), chosen.signature());
+
+            let remaining_ms = (exec_deadline_ms > 0.0)
+                .then(|| exec_deadline_ms - clock.now().since(submitted).as_millis());
+            let executed = self.dispatch_fragments(
+                qid,
+                &decomposed,
+                chosen,
+                &candidates,
+                &banned,
+                remaining_ms,
+                clock,
+                effects,
+            );
+            match executed {
+                Ok((rows, fragment_times)) => {
+                    let response_ms = clock.now().since(submitted).as_millis();
+                    if exec_deadline_ms > 0.0 && response_ms > exec_deadline_ms {
+                        // Completed, but late: the result still counts, the
+                        // goodput accounting does not.
+                        self.obs.counter_inc("deadline_misses_total", &[]);
+                        self.journal(effects, clock.now(), "deadline_exceeded", || {
+                            vec![
+                                ("query", qid.0.into()),
+                                ("stage", "completion".into()),
+                                ("elapsed_ms", response_ms.into()),
+                                ("deadline_ms", exec_deadline_ms.into()),
+                            ]
+                        });
+                    }
+                    self.middleware.observe_query(
+                        qid,
+                        &decomposed.template_signature,
+                        chosen.total_cost(),
+                        response_ms,
+                        effects,
+                    );
+                    // A success after at least one ban is a reroute: the
+                    // retry loop found a plan avoiding the failed servers.
+                    if !banned.is_empty() {
+                        self.journal(effects, clock.now(), "reroute", || {
+                            vec![
+                                ("query", qid.0.into()),
+                                ("attempt", (attempt as u64).into()),
+                                ("servers", join_servers(&chosen.server_set()).into()),
+                            ]
+                        });
+                    }
+                    return Ok(QueryOutcome {
+                        id: qid,
+                        rows,
+                        response_ms,
+                        chosen_signature: chosen.signature(),
+                        servers: chosen.server_set(),
+                        fragment_times,
+                        estimated_cost: chosen.total_cost(),
+                    });
+                }
+                Err(QccError::ServerUnavailable(s))
+                | Err(QccError::ServerFault { server: s, .. }) => {
+                    // The fallback of last resort: slot-level recovery
+                    // (hedge, remainder re-dispatch) could not save the
+                    // fragment, so ban the failed server and re-plan the
+                    // whole query. The middleware has already recorded the
+                    // failure (reliability input).
+                    self.obs.counter_inc("retries_total", &[]);
+                    self.journal(effects, clock.now(), "server_banned", || {
+                        vec![
+                            ("query", qid.0.into()),
+                            ("server", s.to_string().into()),
+                            ("attempt", (attempt as u64).into()),
+                        ]
+                    });
+                    banned.insert(s);
+                    candidates.retain(|c| c.server_set().is_disjoint(&banned));
+                    continue;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Err(QccError::NoViablePlan(format!(
+            "all retries exhausted; unavailable servers: {banned:?}"
+        )))
+    }
+
+    /// Journal one event through the deferred buffer — `run` and everything
+    /// below it execute on scatter workers under `submit_batch`, so journal
+    /// appends must wait for the gather barrier (L9). `fields` is only
+    /// built when the journal is on.
+    fn journal(
+        &self,
+        effects: &mut Deferred,
+        at: SimTime,
+        kind: &'static str,
+        fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
+    ) {
+        if self.obs.is_enabled() {
+            let obs = self.obs.clone();
+            let fields = fields();
+            effects.defer(move || obs.event(at, kind, fields));
+        }
+    }
+}
+
+impl Federation {
+    pub(super) fn compile(
         &self,
         qid: QueryId,
         sql: &str,
@@ -496,597 +781,615 @@ impl Federation {
             _ => Cost::fixed(1.0),
         }
     }
+}
 
-    /// Submit a federated query: compile, choose a global plan, execute
-    /// the fragments remotely (in parallel), merge locally, and log it all.
-    pub fn submit(&self, sql: &str) -> Result<QueryOutcome> {
-        let submitted = self.clock.now();
-        let qid = self.patroller.record_submit(sql, submitted);
-        let mut effects = Deferred::new();
-        let result = self.run(qid, sql, &self.clock, &mut effects, None);
-        effects.apply();
-        match result {
-            Ok(outcome) => {
-                self.patroller.record_complete(qid, self.clock.now());
-                Ok(outcome)
-            }
-            Err(e) => {
-                self.patroller
-                    .record_failure(qid, self.clock.now(), e.to_string());
-                Err(e)
-            }
-        }
+/// One stream of a slot's race: the primary, or its hedge replica.
+pub(super) struct Run<'a> {
+    pub(super) cand: &'a FragmentCandidate,
+    pub(super) stream: WrapperStream,
+    pub(super) hedge: bool,
+}
+
+impl Run<'_> {
+    pub(super) fn is_complete(&self) -> bool {
+        self.stream.outcome == StreamOutcome::Complete
     }
+}
 
-    /// Submit a batch of federated queries that logically start at the
-    /// same instant, spread across the scatter worker pool.
-    ///
-    /// Each query runs against a private clock forked from the shared
-    /// snapshot ([`SimClock::at`]); the coordinator gathers in
-    /// submission-index order, applying each query's deferred side
-    /// effects and patroller completion before the next query's, then
-    /// advances the shared clock once — to the latest per-query end time.
-    /// Every query in the batch therefore routes against the same frozen
-    /// adaptive state (load balancer, calibration, reliability):
-    /// adaptation happens at batch granularity, and the outcomes are
-    /// byte-identical for any `threads` setting, including 1.
-    pub fn submit_batch(&self, sqls: &[String]) -> Vec<Result<QueryOutcome>> {
-        self.submit_batch_with_budgets(sqls, &[])
-    }
-
-    /// [`Federation::submit_batch`] with an optional remaining deadline
-    /// budget per query (virtual ms from dispatch, as handed out by the
-    /// admission queue). A query's effective execution deadline is the
-    /// smaller of the configured `exec_deadline_ms` and its budget, so a
-    /// ticket that spent most of its budget queueing gets a proportionally
-    /// tighter retry/hedge horizon. `budgets` may be empty (no budgets) or
-    /// must match `sqls` in length; `None` entries mean "no budget".
-    pub fn submit_batch_with_budgets(
-        &self,
-        sqls: &[String],
-        budgets: &[Option<f64>],
-    ) -> Vec<Result<QueryOutcome>> {
-        let t0 = self.clock.now();
-        let qids: Vec<QueryId> = sqls
-            .iter()
-            .map(|sql| self.patroller.record_submit(sql, t0))
-            .collect();
-        let outcomes = scatter_indexed(sqls.len(), self.config.threads, |i| {
-            let clock = SimClock::at(t0);
-            let mut local = Deferred::new();
-            let budget = budgets.get(i).copied().flatten();
-            let result = self.run(qids[i], &sqls[i], &clock, &mut local, budget);
-            (result, local, clock.now())
-        });
-        let mut latest = t0;
-        let mut out = Vec::with_capacity(sqls.len());
-        for (i, (result, local, end)) in outcomes.into_iter().enumerate() {
-            local.apply();
-            match &result {
-                Ok(_) => self.patroller.record_complete(qids[i], end),
-                Err(e) => self.patroller.record_failure(qids[i], end, e.to_string()),
-            }
-            if end > latest {
-                latest = end;
-            }
-            out.push(result);
-        }
-        self.clock.advance_to(latest);
-        out
-    }
-
-    fn run(
-        &self,
-        qid: QueryId,
-        sql: &str,
-        clock: &SimClock,
-        effects: &mut Deferred,
-        budget_ms: Option<f64>,
-    ) -> Result<QueryOutcome> {
-        let submitted = clock.now();
-        let (decomposed, mut candidates) = self.compile(qid, sql, clock, effects)?;
-        if candidates.is_empty() {
-            return Err(QccError::NoViablePlan("no global candidates".into()));
-        }
-        let mut banned: BTreeSet<ServerId> = BTreeSet::new();
-        // Effective execution deadline: the configured per-dispatch limit,
-        // tightened by whatever remains of the ticket's arrival-relative
-        // budget. A ticket dispatched with (almost) nothing left keeps a
-        // hair of budget so the deadline machinery stays armed rather than
-        // reading 0.0 as "disabled".
-        let configured = self
-            .admission
-            .as_ref()
-            .map(|a| a.config().exec_deadline_ms)
-            .unwrap_or(0.0);
-        let exec_deadline_ms = match budget_ms {
-            Some(budget) => {
-                let budget = budget.max(0.001);
-                if configured > 0.0 {
-                    configured.min(budget)
-                } else {
-                    budget
-                }
-            }
-            None => configured,
-        };
-
-        // The retry *budget*: up to `retry_limit` re-routes, but the
-        // execution deadline can forfeit whatever budget remains.
-        for attempt in 0..=self.config.retry_limit {
-            if attempt > 0 && exec_deadline_ms > 0.0 {
-                let elapsed = clock.now().since(submitted).as_millis();
-                if elapsed > exec_deadline_ms {
-                    self.obs
-                        .counter_inc("deadline_exceeded_total", &[("stage", "retry")]);
-                    if self.obs.is_enabled() {
-                        let obs = self.obs.clone();
-                        let at = clock.now();
-                        effects.defer(move || {
-                            obs.event(
-                                at,
-                                "deadline_exceeded",
-                                vec![
-                                    ("query", qid.0.into()),
-                                    ("stage", "retry".into()),
-                                    ("attempt", (attempt as u64).into()),
-                                    ("elapsed_ms", elapsed.into()),
-                                    ("deadline_ms", exec_deadline_ms.into()),
-                                ],
-                            );
-                        });
-                    }
-                    return Err(QccError::DeadlineExceeded(format!(
-                        "retry budget forfeited after {elapsed:.3}ms (deadline {exec_deadline_ms}ms)"
-                    )));
-                }
-            }
-            // Filter candidates avoiding servers that already failed.
-            let viable: Vec<&GlobalCandidate> = candidates
-                .iter()
-                .filter(|c| c.server_set().is_disjoint(&banned))
-                .collect();
-            if viable.is_empty() {
-                break;
-            }
-            // Token gate: a plan is admissible only if every server it
-            // touches has concurrency tokens in the frozen snapshot. A
-            // nonempty blocked set means the router steered around a
-            // token-exhausted server (a "token wait" — in virtual time the
-            // wait materializes as a reroute, never a sleep).
-            let (viable, blocked_count) = match &self.admission {
-                Some(admission) => {
-                    let (admissible, blocked): (Vec<&GlobalCandidate>, Vec<&GlobalCandidate>) =
-                        viable.into_iter().partition(|c| {
-                            c.server_set().iter().all(|s| admission.capacity(s) > 0)
-                        });
-                    (admissible, blocked.len())
-                }
-                None => (viable, 0),
-            };
-            if blocked_count > 0 {
-                self.obs.counter_inc("token_waits_total", &[]);
-                if self.obs.is_enabled() {
-                    let obs = self.obs.clone();
-                    let at = clock.now();
-                    effects.defer(move || {
-                        obs.event(
-                            at,
-                            "token_wait",
-                            vec![
-                                ("query", qid.0.into()),
-                                ("attempt", (attempt as u64).into()),
-                                ("blocked_candidates", blocked_count.into()),
-                            ],
-                        );
-                    });
-                }
-            }
-            if viable.is_empty() {
-                // Every surviving plan needs a token-exhausted server:
-                // shed before any fragment work rather than pile on.
-                if let Some(admission) = &self.admission {
-                    admission.note_shed("no_tokens");
-                }
-                return Err(QccError::Shed(
-                    "no token-admissible global plan (all candidate servers exhausted)".into(),
-                ));
-            }
-            let viable_owned: Vec<GlobalCandidate> = viable.into_iter().cloned().collect();
-            let idx = self
-                .middleware
-                .choose_global(&decomposed.template_signature, &viable_owned, effects)
-                .min(viable_owned.len() - 1);
-            let chosen = &viable_owned[idx];
-            // Inline (not deferred) by design: within one batch every
-            // query sees the same frozen routing state, so same-template
-            // queries write the same winner — the table's contents are
-            // deterministic even though the write order is not.
-            self.explain_table
-                .lock()
-                .insert(decomposed.template_signature.clone(), chosen.signature());
-
-            // Hedged dispatch: when the remaining deadline budget is
-            // nearly exhausted relative to a fragment's calibrated
-            // estimate, line up a second within-band replica for that
-            // fragment. Both run concurrently; the faster result wins and
-            // the loser is suppressed at the merge.
-            let hedges = self.plan_hedges(chosen, &candidates, &banned, exec_deadline_ms, {
-                clock.now().since(submitted).as_millis()
-            });
-            for (slot, alt) in &hedges {
-                self.obs
-                    .counter_inc("hedges_total", &[("server", alt.plan.server.as_str())]);
-                if self.obs.is_enabled() {
-                    let obs = self.obs.clone();
-                    let at = clock.now();
-                    let primary = chosen.fragments[*slot].plan.server.to_string();
-                    let hedge = alt.plan.server.to_string();
-                    let est = chosen.fragments[*slot].effective_cost.total();
-                    let slot = *slot;
-                    effects.defer(move || {
-                        obs.event(
-                            at,
-                            "hedge",
-                            vec![
-                                ("query", qid.0.into()),
-                                ("fragment", slot.into()),
-                                ("primary", primary.into()),
-                                ("hedge", hedge.into()),
-                                ("est_ms", est.into()),
-                            ],
-                        );
-                    });
-                }
-            }
-
-            // Adaptivity on: streamed execution with stall detection and
-            // remainder re-dispatch. Off (stall_factor == 0): the original
-            // call-and-wait path, byte-identical.
-            let executed = if self.config.stall_factor > 0.0 {
-                self.execute_global_streaming(
-                    qid,
-                    &decomposed,
-                    chosen,
-                    &hedges,
-                    &candidates,
-                    &banned,
-                    clock,
-                    effects,
-                )
-            } else {
-                self.execute_global(qid, &decomposed, chosen, &hedges, clock, effects)
-            };
-            match executed {
-                Ok((rows, fragment_times)) => {
-                    let response_ms = clock.now().since(submitted).as_millis();
-                    if exec_deadline_ms > 0.0 && response_ms > exec_deadline_ms {
-                        // Completed, but late: the result still counts, the
-                        // goodput accounting does not.
-                        self.obs.counter_inc("deadline_misses_total", &[]);
-                        if self.obs.is_enabled() {
-                            let obs = self.obs.clone();
-                            let at = clock.now();
-                            effects.defer(move || {
-                                obs.event(
-                                    at,
-                                    "deadline_exceeded",
-                                    vec![
-                                        ("query", qid.0.into()),
-                                        ("stage", "completion".into()),
-                                        ("elapsed_ms", response_ms.into()),
-                                        ("deadline_ms", exec_deadline_ms.into()),
-                                    ],
-                                );
-                            });
-                        }
-                    }
-                    self.middleware.observe_query(
-                        qid,
-                        &decomposed.template_signature,
-                        chosen.total_cost(),
-                        response_ms,
-                        effects,
-                    );
-                    // A success after at least one ban is a reroute: the
-                    // retry loop found a plan avoiding the failed servers.
-                    if self.obs.is_enabled() && !banned.is_empty() {
-                        let obs = self.obs.clone();
-                        let at = clock.now();
-                        let servers = join_servers(&chosen.server_set());
-                        effects.defer(move || {
-                            obs.event(
-                                at,
-                                "reroute",
-                                vec![
-                                    ("query", qid.0.into()),
-                                    ("attempt", (attempt as u64).into()),
-                                    ("servers", servers.into()),
-                                ],
-                            );
-                        });
-                    }
-                    return Ok(QueryOutcome {
-                        id: qid,
-                        rows,
-                        response_ms,
-                        chosen_signature: chosen.signature(),
-                        servers: chosen.server_set(),
-                        fragment_times,
-                        estimated_cost: chosen.total_cost(),
-                    });
-                }
-                Err(QccError::ServerUnavailable(s))
-                | Err(QccError::ServerFault { server: s, .. }) => {
-                    // Ban the failed server and re-route. The middleware
-                    // has already recorded the failure (reliability input).
-                    self.obs.counter_inc("retries_total", &[]);
-                    if self.obs.is_enabled() {
-                        let obs = self.obs.clone();
-                        let at = clock.now();
-                        let srv = s.to_string();
-                        effects.defer(move || {
-                            obs.event(
-                                at,
-                                "server_banned",
-                                vec![
-                                    ("query", qid.0.into()),
-                                    ("server", srv.into()),
-                                    ("attempt", (attempt as u64).into()),
-                                ],
-                            );
-                        });
-                    }
-                    banned.insert(s);
-                    candidates.retain(|c| c.server_set().is_disjoint(&banned));
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(QccError::NoViablePlan(format!(
-            "all retries exhausted; unavailable servers: {banned:?}"
-        )))
-    }
-
-    /// Choose a hedge replica for every pressured fragment of `chosen`:
-    /// one whose remaining deadline budget (`exec_deadline_ms` minus
-    /// `elapsed_ms`) is below `hedge_slack_factor ×` its calibrated cost.
-    /// The replica is the cheapest alternate plan for the same fragment
-    /// slot from the enumerated candidate `pool` that sits on a different,
-    /// unbanned server with token capacity, within `hedge_band ×` the
-    /// primary's cost (ties broken by server id — fully deterministic
-    /// against the frozen admission snapshot).
-    fn plan_hedges(
-        &self,
-        chosen: &GlobalCandidate,
-        pool: &[GlobalCandidate],
-        banned: &BTreeSet<ServerId>,
-        exec_deadline_ms: f64,
-        elapsed_ms: f64,
-    ) -> BTreeMap<usize, FragmentCandidate> {
-        let mut hedges = BTreeMap::new();
-        let Some(admission) = &self.admission else {
-            return hedges;
-        };
-        let slack = admission.config().hedge_slack_factor;
-        if slack <= 0.0 || exec_deadline_ms <= 0.0 {
-            return hedges;
-        }
-        let remaining = exec_deadline_ms - elapsed_ms;
-        let band = admission.config().hedge_band.max(1.0);
-        for (slot, primary) in chosen.fragments.iter().enumerate() {
-            let est = primary.effective_cost.total();
-            if est <= 0.0 || remaining >= slack * est {
-                continue;
-            }
-            let limit = est * band;
-            let mut best: Option<&FragmentCandidate> = None;
-            for cand in pool {
-                let Some(alt) = cand.fragments.get(slot) else {
-                    continue;
-                };
-                if alt.plan.server == primary.plan.server
-                    || banned.contains(&alt.plan.server)
-                    || admission.capacity(&alt.plan.server) == 0
-                    || alt.effective_cost.total() > limit
-                {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some(b) => match alt
-                        .effective_cost
-                        .total()
-                        .total_cmp(&b.effective_cost.total())
-                    {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Greater => false,
-                        std::cmp::Ordering::Equal => alt.plan.server < b.plan.server,
-                    },
-                };
-                if better {
-                    best = Some(alt);
-                }
-            }
-            if let Some(alt) = best {
-                hedges.insert(slot, alt.clone());
-            }
-        }
-        hedges
-    }
-
-    /// Execute the fragments of a chosen global plan in parallel worker
-    /// threads — every fragment (and every hedge replica) stamped with the
-    /// shared `start` snapshot, results gathered in task-index order
-    /// (primaries first, then hedges), one coordinator-side clock advance
-    /// by the slowest *winning* fragment — then merge. Where a hedge ran,
-    /// the faster success wins its slot (ties favour the primary), the
-    /// loser's rows are suppressed at the merge, and a hedge that succeeds
-    /// where its primary failed rescues the query without burning a retry.
-    fn execute_global(
+impl Federation {
+    /// Execute the fragments of a chosen global plan — the only fragment
+    /// executor (DESIGN.md §15). The scatter fans out cursor-0 streams for
+    /// every fragment (and every hedge replica), all stamped with the
+    /// shared `start` snapshot; the gather then resolves slots
+    /// sequentially on the coordinator, advances the clock once by the
+    /// slowest slot, and merges. A stream that completed within the stall
+    /// threshold is accepted as-is; where a hedge ran, the fastest such
+    /// completion wins its slot (ties favour the primary) and a hedge that
+    /// succeeds where its primary failed rescues the query without burning
+    /// a retry. Otherwise the stall detector cancels the stream and
+    /// re-dispatches its *remainder* ([`Federation::resolve_stall`]).
+    /// Duplicate rows are impossible by construction: each chunk index is
+    /// merged from exactly one source.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn dispatch_fragments(
         &self,
         qid: QueryId,
         decomposed: &DecomposedQuery,
         chosen: &GlobalCandidate,
-        hedges: &BTreeMap<usize, FragmentCandidate>,
+        pool: &[GlobalCandidate],
+        banned: &BTreeSet<ServerId>,
+        remaining_ms: Option<f64>,
         clock: &SimClock,
         effects: &mut Deferred,
     ) -> Result<(Vec<Row>, FragmentTimes)> {
         let start = clock.now();
+        let hedges = self.plan_hedges(qid, chosen, pool, banned, remaining_ms, start, effects);
         let n = chosen.fragments.len();
-        let hedge_tasks: Vec<(usize, &FragmentCandidate)> =
-            hedges.iter().map(|(slot, cand)| (*slot, cand)).collect();
-        let task_candidate = |i: usize| -> &FragmentCandidate {
-            if i < n {
-                &chosen.fragments[i]
-            } else {
-                hedge_tasks[i - n].1
-            }
-        };
-        let outcomes = scatter_indexed(n + hedge_tasks.len(), self.config.threads, |i| {
-            let cand = task_candidate(i);
+        // Task order: primaries by slot, then hedges by slot.
+        let tasks: Vec<(usize, &FragmentCandidate)> = chosen
+            .fragments
+            .iter()
+            .enumerate()
+            .chain(hedges.iter().map(|(slot, cand)| (*slot, cand)))
+            .collect();
+        let outcomes = scatter_indexed(tasks.len(), self.config.threads, |i| {
+            let cand = tasks[i].1;
             let mut local = Deferred::new();
             let result = self.wrapper(&cand.plan.server).and_then(|wrapper| {
-                self.middleware.execute_fragment(
+                self.middleware.execute_fragment_stream(
                     wrapper.as_ref(),
                     qid,
                     cand.fragment,
                     &cand.plan,
                     start,
+                    0,
                     &mut local,
                 )
             });
             (result, local)
         });
 
-        // Gather barrier: every task ran, so every task's observations are
-        // merged (in index order: primaries, then hedges) before the first
-        // error — if any — is surfaced. Per slot the winner is the fastest
-        // success among primary and hedge.
-        let mut primary: Vec<Option<qcc_wrapper::WrapperResult>> = (0..n).map(|_| None).collect();
-        let mut hedge: Vec<Option<qcc_wrapper::WrapperResult>> = (0..n).map(|_| None).collect();
-        let mut first_err: Option<(usize, QccError)> = None;
+        // Gather barrier: merge every task's deferred observations in task
+        // order before any slot is resolved. Each primary keeps its own
+        // outcome; a failed hedge is merely absent insurance (the
+        // middleware recorded the failure).
+        let mut primary: Vec<Result<WrapperStream>> = Vec::with_capacity(n);
+        let mut hedge: BTreeMap<usize, WrapperStream> = BTreeMap::new();
         for (i, (result, local)) in outcomes.into_iter().enumerate() {
             effects.merge(local);
-            let cand = task_candidate(i);
-            let slot = if i < n { i } else { hedge_tasks[i - n].0 };
-            match result {
-                Ok(result) => {
-                    self.obs
-                        .counter_inc("fragments_total", &[("server", cand.plan.server.as_str())]);
-                    if self.obs.is_enabled() {
-                        let obs = self.obs.clone();
-                        let server = cand.plan.server.to_string();
-                        let signature = cand.plan.signature.clone();
-                        let ms = result.response_time.as_millis();
-                        effects.defer(move || {
-                            obs.event(
-                                start,
-                                "fragment",
-                                vec![
-                                    ("query", qid.0.into()),
-                                    ("server", server.into()),
-                                    ("signature", signature.into()),
-                                    ("ms", ms.into()),
-                                ],
-                            );
-                        });
-                    }
-                    if i < n {
-                        primary[slot] = Some(result);
-                    } else {
-                        hedge[slot] = Some(result);
-                    }
-                }
-                Err(e) => {
-                    // A failed primary may still be rescued by its hedge;
-                    // remember the earliest-slot primary error in case not.
-                    let rank = if i < n { slot } else { n + slot };
-                    if first_err.as_ref().map(|(r, _)| rank < *r).unwrap_or(true) {
-                        first_err = Some((rank, e));
-                    }
-                }
+            if i < n {
+                primary.push(result);
+            } else if let Ok(stream) = result {
+                hedge.insert(tasks[i].0, stream);
             }
         }
 
-        let mut results = Vec::with_capacity(n);
+        // Slot resolution runs on the coordinator, in slot order — fully
+        // deterministic for any thread count (everything past the barrier
+        // is sequential).
+        let mut results: Vec<WrapperResult> = Vec::with_capacity(n);
+        let mut fragment_times: FragmentTimes = Vec::with_capacity(n);
         let mut slowest = SimDuration::ZERO;
-        let mut fragment_times = Vec::new();
-        for slot in 0..n {
-            let p = primary[slot].take();
-            let h = hedge[slot].take();
-            let had_both = p.is_some() && h.is_some();
-            let (winner, hedged) = match (p, h) {
-                (Some(p), Some(h)) => {
-                    // Tie favours the primary: the hedge is insurance, not
-                    // a reroute.
-                    if h.response_time < p.response_time {
-                        (h, true)
-                    } else {
-                        (p, false)
-                    }
-                }
-                (Some(p), None) => (p, false),
-                (None, Some(h)) => (h, true),
-                (None, None) => {
-                    let (_, e) = first_err.take().unwrap_or((
-                        0,
-                        QccError::Execution(format!("fragment {slot} produced no result")),
-                    ));
-                    return Err(e);
-                }
+        for (slot, (primary_cand, p)) in chosen.fragments.iter().zip(primary).enumerate() {
+            let h = hedge.remove(&slot).map(|stream| Run {
+                cand: &hedges[&slot],
+                stream,
+                hedge: true,
+            });
+            let p = match p {
+                Ok(stream) => Some(Run {
+                    cand: primary_cand,
+                    stream,
+                    hedge: false,
+                }),
+                // Unrescued: surface this slot's own error, so the retry
+                // loop bans the server that actually failed it.
+                Err(e) if h.is_none() => return Err(e),
+                Err(_) => None,
             };
-            let winner_server = if hedged {
-                hedges[&slot].plan.server.clone()
+            let mut runs: Vec<Run<'_>> = p.into_iter().chain(h).collect();
+
+            let threshold_ms = match self.config.stall_factor * primary_cand.effective_cost.total()
+            {
+                t if t > 0.0 => t,
+                _ => f64::INFINITY,
+            };
+            // The fastest clean completion wins the slot; `min_by` keeps
+            // the first of equals, so ties favour the primary — the hedge
+            // is insurance, not a reroute.
+            let winner = runs
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| {
+                    r.is_complete() && r.stream.response_time.as_millis() <= threshold_ms
+                })
+                .min_by(|(_, a), (_, b)| {
+                    let ms = |r: &Run<'_>| r.stream.response_time.as_millis();
+                    ms(a).total_cmp(&ms(b))
+                })
+                .map(|(i, _)| i);
+            // No clean completion: the detector acts on a complete-but-slow
+            // stream first, then an interrupted primary, then an
+            // interrupted hedge.
+            let ix = winner.unwrap_or_else(|| runs.iter().position(Run::is_complete).unwrap_or(0));
+            let run = runs.remove(ix);
+            let other = runs.pop();
+            let duplicate = other.as_ref().filter(|o| o.is_complete());
+
+            let (result, server) = if winner.is_some() {
+                if run.hedge {
+                    self.obs.counter_inc("hedge_wins_total", &[]);
+                }
+                self.note_complete_stream(qid, run.cand, &run.stream, start, effects);
+                if let Some(dup) = duplicate {
+                    // The losing replica ran to completion uncancelled:
+                    // its rows are dropped below, but its whole-fragment
+                    // time is an honest calibration sample.
+                    self.note_complete_stream(qid, dup.cand, &dup.stream, start, effects);
+                }
+                let server = run.cand.plan.server.clone();
+                (stream_result(run.stream), server)
             } else {
-                chosen.fragments[slot].plan.server.clone()
+                self.resolve_stall(
+                    qid,
+                    slot,
+                    decomposed,
+                    primary_cand,
+                    run,
+                    other.as_ref().map(|o| &o.cand.plan.server),
+                    pool,
+                    banned,
+                    threshold_ms,
+                    start,
+                    effects,
+                )?
             };
-            if hedged {
-                self.obs.counter_inc("hedge_wins_total", &[]);
+            if let Some(dup) = duplicate {
+                // The one duplicate-suppression point: exactly one stream
+                // feeds the slot; a second that arrived in full is dropped
+                // here and journalled.
+                self.suppress_duplicate(qid, slot, &server, &dup.cand.plan.server, start, effects);
             }
-            if had_both {
-                // Duplicate suppression: exactly one of the two results
-                // feeds the merge; journal which replica was dropped.
-                self.obs
-                    .counter_inc("hedge_duplicates_suppressed_total", &[]);
-                if self.obs.is_enabled() {
-                    let obs = self.obs.clone();
-                    let winner = winner_server.to_string();
-                    let suppressed = if hedged {
-                        chosen.fragments[slot].plan.server.to_string()
-                    } else {
-                        hedges[&slot].plan.server.to_string()
-                    };
-                    effects.defer(move || {
-                        obs.event(
-                            start,
-                            "hedge_result",
-                            vec![
-                                ("query", qid.0.into()),
-                                ("fragment", slot.into()),
-                                ("winner", winner.into()),
-                                ("suppressed", suppressed.into()),
-                            ],
-                        );
-                    });
-                }
-            }
-            slowest = slowest.max(winner.response_time);
-            fragment_times.push((winner_server, winner.response_time.as_millis()));
-            results.push(winner);
+            slowest = slowest.max(result.response_time);
+            fragment_times.push((server, result.response_time.as_millis()));
+            results.push(result);
         }
         clock.advance(slowest);
         self.merge_global(qid, decomposed, results, fragment_times, clock, effects)
     }
 
-    /// Merge gathered fragment results at the integrator (shared tail of
-    /// the call-and-wait and streaming execution paths).
-    fn merge_global(
+    /// Hedged dispatch: choose (and journal) a hedge replica for every
+    /// pressured fragment of `chosen` — one whose remaining deadline
+    /// budget is below `hedge_slack_factor ×` its calibrated cost. The
+    /// replica is the cheapest alternate plan for the slot on a different,
+    /// unbanned server within `hedge_band ×` the primary's cost. Both run
+    /// concurrently; the faster result wins and the loser is suppressed.
+    #[allow(clippy::too_many_arguments)]
+    fn plan_hedges(
+        &self,
+        qid: QueryId,
+        chosen: &GlobalCandidate,
+        pool: &[GlobalCandidate],
+        banned: &BTreeSet<ServerId>,
+        remaining_ms: Option<f64>,
+        at: SimTime,
+        effects: &mut Deferred,
+    ) -> BTreeMap<usize, FragmentCandidate> {
+        let mut hedges = BTreeMap::new();
+        let (Some(admission), Some(remaining)) = (&self.admission, remaining_ms) else {
+            return hedges;
+        };
+        let slack = admission.config().hedge_slack_factor;
+        if slack <= 0.0 {
+            return hedges;
+        }
+        let band = admission.config().hedge_band.max(1.0);
+        for (slot, primary) in chosen.fragments.iter().enumerate() {
+            let est = primary.effective_cost.total();
+            if est <= 0.0 || remaining >= slack * est {
+                continue;
+            }
+            let Some(alt) = self.cheapest_alternate(slot, pool, est * band, |alt| {
+                alt.plan.server != primary.plan.server && !banned.contains(&alt.plan.server)
+            }) else {
+                continue;
+            };
+            self.obs
+                .counter_inc("hedges_total", &[("server", alt.plan.server.as_str())]);
+            self.journal(effects, at, "hedge", || {
+                vec![
+                    ("query", qid.0.into()),
+                    ("fragment", slot.into()),
+                    ("primary", primary.plan.server.to_string().into()),
+                    ("hedge", alt.plan.server.to_string().into()),
+                    ("est_ms", est.into()),
+                ]
+            });
+            hedges.insert(slot, alt.clone());
+        }
+        hedges
+    }
+
+    /// The within-band alternate picker, shared by hedge planning and
+    /// remainder re-dispatch: the cheapest plan for `slot` in the
+    /// enumerated candidate `pool` whose calibrated cost is at most
+    /// `limit`, whose server has token capacity in the frozen admission
+    /// snapshot, and which the caller finds `eligible`. Ties break by
+    /// server id — fully deterministic.
+    pub(super) fn cheapest_alternate<'a>(
+        &self,
+        slot: usize,
+        pool: &'a [GlobalCandidate],
+        limit: f64,
+        eligible: impl Fn(&FragmentCandidate) -> bool,
+    ) -> Option<&'a FragmentCandidate> {
+        pool.iter()
+            .filter_map(|cand| cand.fragments.get(slot))
+            .filter(|alt| {
+                alt.effective_cost.total() <= limit
+                    && self
+                        .admission
+                        .as_ref()
+                        .is_none_or(|a| a.capacity(&alt.plan.server) > 0)
+                    && eligible(alt)
+            })
+            .min_by(|a, b| {
+                let cost = |c: &FragmentCandidate| c.effective_cost.total();
+                cost(a)
+                    .total_cmp(&cost(b))
+                    .then_with(|| a.plan.server.cmp(&b.plan.server))
+            })
+    }
+
+    /// Accept a fully-completed, uncancelled stream: count it, journal the
+    /// fragment span, and acknowledge it to the middleware. This is the
+    /// only caller of [`Middleware::observe_fragment`], hence the single
+    /// rule for what feeds reliability and calibration — cancelled streams
+    /// and rescued remainders never reach it.
+    pub(super) fn note_complete_stream(
+        &self,
+        qid: QueryId,
+        cand: &FragmentCandidate,
+        stream: &WrapperStream,
+        start: SimTime,
+        effects: &mut Deferred,
+    ) {
+        let ms = stream.response_time.as_millis();
+        self.journal_fragment(qid, &cand.plan, ms, start, effects);
+        self.middleware
+            .observe_fragment(qid, cand.fragment, &cand.plan, ms, start, effects);
+    }
+
+    /// Count and journal one `plan` execution that delivered rows to the
+    /// merge (a whole fragment, or a resumed remainder).
+    pub(super) fn journal_fragment(
+        &self,
+        qid: QueryId,
+        plan: &FragmentPlan,
+        ms: f64,
+        at: SimTime,
+        effects: &mut Deferred,
+    ) {
+        self.obs
+            .counter_inc("fragments_total", &[("server", plan.server.as_str())]);
+        self.journal(effects, at, "fragment", || {
+            vec![
+                ("query", qid.0.into()),
+                ("server", plan.server.to_string().into()),
+                ("signature", plan.signature.clone().into()),
+                ("ms", ms.into()),
+            ]
+        });
+    }
+}
+
+/// A completed stream's chunks as the slot's merge input.
+pub(super) fn stream_result(stream: WrapperStream) -> WrapperResult {
+    WrapperResult {
+        bytes: stream.bytes,
+        response_time: stream.response_time,
+        batches: stream.chunks.into_iter().map(|c| c.batch).collect(),
+    }
+}
+
+impl Federation {
+    /// Cancel a stalled (or interrupted) base stream and re-dispatch its
+    /// remainder — the chunks past the cursor — to a within-band replica,
+    /// once. Returns the stitched slot result and the server that finished
+    /// it; if no replica can finish it, the failure surfaces to the
+    /// whole-query retry loop, which bans the server and re-plans.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn resolve_stall(
+        &self,
+        qid: QueryId,
+        slot: usize,
+        decomposed: &DecomposedQuery,
+        primary_cand: &FragmentCandidate,
+        base: Run<'_>,
+        also_excluded: Option<&ServerId>,
+        pool: &[GlobalCandidate],
+        banned: &BTreeSet<ServerId>,
+        threshold_ms: f64,
+        start: SimTime,
+        effects: &mut Deferred,
+    ) -> Result<(WrapperResult, ServerId)> {
+        let probe = SimDuration::from_millis(REROUTE_PROBE_MS);
+        let base_server = base.cand.plan.server.clone();
+        let mut excluded = banned.clone();
+        excluded.insert(base_server.clone());
+        excluded.extend(also_excluded.cloned());
+        let alt = self.pick_reroute_replica(slot, decomposed, primary_cand, pool, &excluded);
+
+        // The detection instant, the chunks the integrator keeps, and the
+        // late chunks it must suppress.
+        let total_chunks = base.stream.total_chunks;
+        let (cancel_at, reason, mut kept, fault_ms) = match base.stream.outcome {
+            StreamOutcome::Interrupted { at } => {
+                // The source died mid-stream; every delivered chunk
+                // precedes the transition, and detection costs one probe
+                // interval.
+                let fault_ms = Some(at.as_millis());
+                (at + probe, "interrupt", base.stream.chunks, fault_ms)
+            }
+            StreamOutcome::Complete => {
+                let cancel_at = start + SimDuration::from_millis(threshold_ms);
+                let late = base
+                    .stream
+                    .chunks
+                    .iter()
+                    .filter(|c| c.at > cancel_at)
+                    .count();
+                if late == 0 || alt.is_none() {
+                    // Every chunk beat the threshold (only the transfer
+                    // tail overran), or no within-band replica exists:
+                    // cancelling gains nothing, so the slow result is kept
+                    // whole.
+                    let why = if late == 0 { "tail" } else { "no_replica" };
+                    self.obs
+                        .counter_inc("reroute_declined_total", &[("reason", why)]);
+                    self.note_complete_stream(qid, base.cand, &base.stream, start, effects);
+                    return Ok((stream_result(base.stream), base_server));
+                }
+                self.obs
+                    .counter_add("reroute_chunks_suppressed_total", &[], late as u64);
+                let mut kept = base.stream.chunks;
+                kept.retain(|c| c.at <= cancel_at);
+                (cancel_at, "slow", kept, None)
+            }
+        };
+        self.journal_stall(
+            qid,
+            slot,
+            &base_server,
+            reason,
+            cancel_at,
+            start,
+            threshold_ms,
+            effects,
+        );
+        if reason == "slow" {
+            // A stall-cancel is soft reliability evidence; the interrupt
+            // case was already recorded (at the transition instant) by the
+            // middleware when the stream came back cut.
+            self.middleware.observe_fragment_cancel(
+                qid,
+                primary_cand.fragment,
+                &base_server,
+                cancel_at,
+                effects,
+            );
+        }
+        let Some(alt) = alt else {
+            self.obs.counter_inc("reroute_exhausted_total", &[]);
+            return Err(QccError::ServerUnavailable(base_server));
+        };
+
+        let alt_server = alt.plan.server.clone();
+        let cursor = kept.len();
+        // The remainder rides the slot's admission token — the picker
+        // consulted the frozen capacity snapshot, but nothing is consumed;
+        // journal the reuse.
+        if let Some(admission) = &self.admission {
+            admission.note_reroute_reuse(&alt_server);
+        }
+        self.obs.counter_inc(
+            "fragment_reroutes_total",
+            &[("server", alt_server.as_str())],
+        );
+        self.journal(effects, cancel_at, ev::REROUTE_DISPATCH, || {
+            let mut fields: Vec<(&'static str, FieldValue)> = vec![
+                ("query", qid.0.into()),
+                ("fragment", slot.into()),
+                ("from", base_server.to_string().into()),
+                ("to", alt_server.to_string().into()),
+                ("cursor", cursor.into()),
+                ("total_chunks", total_chunks.into()),
+                ("reason", reason.into()),
+                ("est_ms", primary_cand.effective_cost.total().into()),
+                ("frag_start_ms", start.as_millis().into()),
+            ];
+            if threshold_ms.is_finite() {
+                fields.push(("threshold_ms", threshold_ms.into()));
+            }
+            if let Some(f) = fault_ms {
+                fields.push(("fault_ms", f.into()));
+            }
+            fields
+        });
+        let resumed = self.wrapper(&alt_server).and_then(|wrapper| {
+            self.middleware.execute_fragment_stream(
+                wrapper.as_ref(),
+                qid,
+                primary_cand.fragment,
+                &alt.plan,
+                cancel_at,
+                cursor,
+                effects,
+            )
+        });
+        match resumed {
+            Ok(stream) if stream.outcome == StreamOutcome::Complete => {
+                let end = cancel_at + stream.response_time;
+                let ms = stream.response_time.as_millis();
+                self.obs
+                    .counter_inc("fragment_resumes_total", &[("server", alt_server.as_str())]);
+                // Journalled as a fragment, but never acknowledged to the
+                // middleware: a partial run is not a valid calibration
+                // sample for the whole-fragment estimate.
+                self.journal_fragment(qid, &alt.plan, ms, cancel_at, effects);
+                self.journal(effects, end, ev::FRAGMENT_RESUME, || {
+                    vec![
+                        ("query", qid.0.into()),
+                        ("fragment", slot.into()),
+                        ("server", alt_server.to_string().into()),
+                        ("cursor", cursor.into()),
+                        ("chunks", stream.delivered().into()),
+                        ("ms", ms.into()),
+                    ]
+                });
+                self.journal(effects, end, ev::FRAGMENT_STREAM, || {
+                    // Provenance "S1:0..k+S2:k..n" must tile the chunk range.
+                    let resumed = format!("{alt_server}:{cursor}..{}", stream.next_cursor());
+                    let sources = match cursor {
+                        0 => resumed,
+                        k => format!("{base_server}:0..{k}+{resumed}"),
+                    };
+                    vec![
+                        ("query", qid.0.into()),
+                        ("fragment", slot.into()),
+                        ("sources", sources.into()),
+                        ("total_chunks", total_chunks.into()),
+                    ]
+                });
+                kept.extend(stream.chunks);
+                let result = WrapperResult {
+                    bytes: kept.iter().map(|c| c.batch.byte_size()).sum(),
+                    response_time: end.since(start),
+                    batches: kept.into_iter().map(|c| c.batch).collect(),
+                };
+                return Ok((result, alt_server));
+            }
+            Ok(stream) => {
+                // The replica died mid-remainder too.
+                if let StreamOutcome::Interrupted { at } = stream.outcome {
+                    self.journal_stall(
+                        qid,
+                        slot,
+                        &alt_server,
+                        "interrupt",
+                        at + probe,
+                        start,
+                        threshold_ms,
+                        effects,
+                    );
+                }
+            }
+            // Dead on arrival (recorded by the middleware).
+            Err(QccError::ServerUnavailable(_)) | Err(QccError::ServerFault { .. }) => {}
+            Err(e) => return Err(e),
+        }
+        self.obs.counter_inc("reroute_exhausted_total", &[]);
+        Err(QccError::ServerUnavailable(alt_server))
+    }
+
+    /// The replica a cancelled fragment's remainder re-dispatches to: the
+    /// cheapest alternate for the slot ([`Federation::cheapest_alternate`])
+    /// outside `excluded`, within [`REROUTE_BAND`] of the primary's
+    /// estimate, with the *same plan signature and SQL* (so the cursor
+    /// protocol's chunk schedule lines up); when a replica catalog is
+    /// attached the alternate must also be a registered sibling on every
+    /// nickname the fragment scans (fail open for unregistered fragments,
+    /// as compile does).
+    fn pick_reroute_replica<'a>(
+        &self,
+        slot: usize,
+        decomposed: &DecomposedQuery,
+        primary: &FragmentCandidate,
+        pool: &'a [GlobalCandidate],
+        excluded: &BTreeSet<ServerId>,
+    ) -> Option<&'a FragmentCandidate> {
+        let limit = match primary.effective_cost.total() {
+            est if est > 0.0 => est * REROUTE_BAND,
+            _ => f64::INFINITY,
+        };
+        let nicknames = &decomposed.fragments[slot].nicknames;
+        self.cheapest_alternate(slot, pool, limit, |alt| {
+            !excluded.contains(&alt.plan.server)
+                && alt.plan.signature == primary.plan.signature
+                && alt.plan.sql == primary.plan.sql
+                && self.catalog.as_ref().is_none_or(|catalog| {
+                    nicknames.iter().all(|nn| {
+                        catalog.replicas(nn).is_empty()
+                            || catalog
+                                .siblings(nn, &primary.plan.server)
+                                .contains(&alt.plan.server)
+                    })
+                })
+        })
+    }
+
+    /// Count and journal a stall-detector cancellation.
+    #[allow(clippy::too_many_arguments)]
+    fn journal_stall(
+        &self,
+        qid: QueryId,
+        slot: usize,
+        server: &ServerId,
+        reason: &'static str,
+        cancel_at: SimTime,
+        start: SimTime,
+        threshold_ms: f64,
+        effects: &mut Deferred,
+    ) {
+        self.obs.counter_inc(
+            "fragment_stalls_total",
+            &[("server", server.as_str()), ("reason", reason)],
+        );
+        self.journal(effects, cancel_at, ev::FRAGMENT_STALL, || {
+            let mut fields: Vec<(&'static str, FieldValue)> = vec![
+                ("query", qid.0.into()),
+                ("fragment", slot.into()),
+                ("server", server.to_string().into()),
+                ("reason", reason.into()),
+                ("elapsed_ms", cancel_at.since(start).as_millis().into()),
+            ];
+            if threshold_ms.is_finite() {
+                fields.push(("threshold_ms", threshold_ms.into()));
+            }
+            fields
+        });
+    }
+
+    /// Count and journal a suppressed duplicate slot result.
+    pub(super) fn suppress_duplicate(
+        &self,
+        qid: QueryId,
+        slot: usize,
+        winner: &ServerId,
+        suppressed: &ServerId,
+        start: SimTime,
+        effects: &mut Deferred,
+    ) {
+        self.obs
+            .counter_inc("hedge_duplicates_suppressed_total", &[]);
+        self.journal(effects, start, "hedge_result", || {
+            vec![
+                ("query", qid.0.into()),
+                ("fragment", slot.into()),
+                ("winner", winner.to_string().into()),
+                ("suppressed", suppressed.to_string().into()),
+            ]
+        });
+    }
+}
+
+impl Federation {
+    /// Merge gathered fragment results at the integrator.
+    pub(super) fn merge_global(
         &self,
         qid: QueryId,
         decomposed: &DecomposedQuery,
-        results: Vec<qcc_wrapper::WrapperResult>,
+        results: Vec<WrapperResult>,
         fragment_times: FragmentTimes,
         clock: &SimClock,
         effects: &mut Deferred,
@@ -1119,732 +1422,12 @@ impl Federation {
                 let rho = self.ii_load.utilization(merge_start);
                 let merge_ms = work.cpu_units / self.config.ii_speed * slowdown(rho, 1.0);
                 clock.advance(SimDuration::from_millis(merge_ms));
-                if self.obs.is_enabled() {
-                    let obs = self.obs.clone();
-                    effects.defer(move || {
-                        obs.event(
-                            merge_start,
-                            "merge",
-                            vec![("query", qid.0.into()), ("ms", merge_ms.into())],
-                        );
-                    });
-                }
+                self.journal(effects, merge_start, "merge", || {
+                    vec![("query", qid.0.into()), ("ms", merge_ms.into())]
+                });
                 Ok((rows, fragment_times))
             }
         }
-    }
-
-    /// Streamed execution with mid-query adaptivity (DESIGN.md §15). The
-    /// scatter fans out cursor-0 streams for every fragment (and hedge
-    /// replica); the gather then resolves slots sequentially on the
-    /// coordinator. A stream that completed within `stall_factor ×` its
-    /// calibrated estimate is accepted as-is — the fast path matches the
-    /// call-and-wait semantics. Otherwise the stall detector cancels the
-    /// stream (at the threshold instant, or one probe interval after a
-    /// mid-stream interrupt) and re-dispatches the *remainder* — the
-    /// cursor position, not the whole fragment — to a within-band replica.
-    /// Duplicate rows are impossible by construction: each chunk index is
-    /// merged from exactly one source, and late chunks of a cancelled
-    /// stream are counted as suppressed, never merged.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_global_streaming(
-        &self,
-        qid: QueryId,
-        decomposed: &DecomposedQuery,
-        chosen: &GlobalCandidate,
-        hedges: &BTreeMap<usize, FragmentCandidate>,
-        pool: &[GlobalCandidate],
-        banned: &BTreeSet<ServerId>,
-        clock: &SimClock,
-        effects: &mut Deferred,
-    ) -> Result<(Vec<Row>, FragmentTimes)> {
-        let start = clock.now();
-        let n = chosen.fragments.len();
-        let hedge_tasks: Vec<(usize, &FragmentCandidate)> =
-            hedges.iter().map(|(slot, cand)| (*slot, cand)).collect();
-        let task_candidate = |i: usize| -> &FragmentCandidate {
-            if i < n {
-                &chosen.fragments[i]
-            } else {
-                hedge_tasks[i - n].1
-            }
-        };
-        let outcomes = scatter_indexed(n + hedge_tasks.len(), self.config.threads, |i| {
-            let cand = task_candidate(i);
-            let mut local = Deferred::new();
-            let result = self.wrapper(&cand.plan.server).and_then(|wrapper| {
-                self.middleware.execute_fragment_stream(
-                    wrapper.as_ref(),
-                    qid,
-                    cand.fragment,
-                    &cand.plan,
-                    start,
-                    0,
-                    &mut local,
-                )
-            });
-            (result, local)
-        });
-
-        // Gather barrier: merge every task's deferred observations in task
-        // order (primaries, then hedges) before any slot is resolved.
-        let mut primary: Vec<Option<WrapperStream>> = (0..n).map(|_| None).collect();
-        let mut hedge: Vec<Option<WrapperStream>> = (0..n).map(|_| None).collect();
-        let mut first_err: Option<(usize, QccError)> = None;
-        for (i, (result, local)) in outcomes.into_iter().enumerate() {
-            effects.merge(local);
-            let slot = if i < n { i } else { hedge_tasks[i - n].0 };
-            match result {
-                Ok(stream) => {
-                    if i < n {
-                        primary[slot] = Some(stream);
-                    } else {
-                        hedge[slot] = Some(stream);
-                    }
-                }
-                Err(e) => {
-                    let rank = if i < n { slot } else { n + slot };
-                    if first_err.as_ref().map(|(r, _)| rank < *r).unwrap_or(true) {
-                        first_err = Some((rank, e));
-                    }
-                }
-            }
-        }
-
-        // Slot resolution runs on the coordinator, in slot order — fully
-        // deterministic for any thread count (everything past the barrier
-        // is sequential).
-        let mut results: Vec<WrapperResult> = Vec::with_capacity(n);
-        let mut fragment_times: FragmentTimes = Vec::new();
-        let mut slowest = SimDuration::ZERO;
-        for slot in 0..n {
-            let primary_cand = &chosen.fragments[slot];
-            let est = primary_cand.effective_cost.total();
-            let threshold_ms = if est > 0.0 {
-                self.config.stall_factor * est
-            } else {
-                f64::INFINITY
-            };
-            let p = primary[slot].take();
-            let h = hedge[slot].take();
-            let clean = |s: &WrapperStream| {
-                s.outcome == StreamOutcome::Complete && s.response_time.as_millis() <= threshold_ms
-            };
-            // Classify the slot once: `Ok` carries the clean winner (plus
-            // the losing stream and whether the winner was the hedge),
-            // `Err` hands both streams to the stall path untouched.
-            let picked = match (p, h) {
-                (Some(pp), Some(hh)) => match (clean(&pp), clean(&hh)) {
-                    // PR 8's hedge race, now on streams: the fastest clean
-                    // completion wins its slot, ties favour the primary.
-                    (true, true) => {
-                        if hh.response_time < pp.response_time {
-                            Ok((hh, Some(pp), true))
-                        } else {
-                            Ok((pp, Some(hh), false))
-                        }
-                    }
-                    (true, false) => Ok((pp, Some(hh), false)),
-                    (false, true) => Ok((hh, Some(pp), true)),
-                    (false, false) => Err((Some(pp), Some(hh))),
-                },
-                (Some(pp), None) if clean(&pp) => Ok((pp, None, false)),
-                (None, Some(hh)) if clean(&hh) => Ok((hh, None, true)),
-                (pp, hh) => Err((pp, hh)),
-            };
-            match picked {
-                Ok((winner, loser, use_hedge)) => {
-                    let winner_cand = if use_hedge {
-                        &hedges[&slot]
-                    } else {
-                        primary_cand
-                    };
-                    if use_hedge {
-                        self.obs.counter_inc("hedge_wins_total", &[]);
-                    }
-                    self.note_complete_stream(qid, winner_cand, &winner, start, effects);
-                    if let Some(loser) = loser {
-                        if loser.outcome == StreamOutcome::Complete {
-                            // A full duplicate arrived; suppress it at the
-                            // merge, but keep its honest whole-fragment sample
-                            // for calibration (as the call-and-wait path did).
-                            let loser_cand = if use_hedge {
-                                primary_cand
-                            } else {
-                                &hedges[&slot]
-                            };
-                            self.note_complete_stream(qid, loser_cand, &loser, start, effects);
-                            self.defer_suppression(
-                                qid,
-                                slot,
-                                &winner_cand.plan.server,
-                                &loser_cand.plan.server,
-                                start,
-                                effects,
-                            );
-                        }
-                    }
-                    slowest = slowest.max(winner.response_time);
-                    fragment_times.push((
-                        winner_cand.plan.server.clone(),
-                        winner.response_time.as_millis(),
-                    ));
-                    results.push(stream_result(winner));
-                }
-                Err((p, h)) => {
-                    // No clean completion: pick the base stream the detector
-                    // acts on — a complete-but-slow stream first, then an
-                    // interrupted primary, then an interrupted hedge.
-                    let is_complete = |s: &Option<WrapperStream>| matches!(s, Some(s) if s.outcome == StreamOutcome::Complete);
-                    let p_complete = is_complete(&p);
-                    let h_complete = is_complete(&h);
-                    let (base_is_hedge, base, other) = match (p, h) {
-                        (Some(pp), hh) if p_complete => (false, pp, hh),
-                        (pp, Some(hh)) if h_complete => (true, hh, pp),
-                        (Some(pp), hh) => (false, pp, hh),
-                        (None, Some(hh)) => (true, hh, None),
-                        (None, None) => {
-                            let (_, e) = first_err.take().unwrap_or((
-                                0,
-                                QccError::Execution(format!("fragment {slot} produced no result")),
-                            ));
-                            return Err(e);
-                        }
-                    };
-                    let base_cand = if base_is_hedge {
-                        &hedges[&slot]
-                    } else {
-                        primary_cand
-                    };
-                    let other_server = other.as_ref().map(|_| {
-                        if base_is_hedge {
-                            primary_cand.plan.server.clone()
-                        } else {
-                            hedges[&slot].plan.server.clone()
-                        }
-                    });
-                    let other_complete = other
-                        .as_ref()
-                        .map(|s| s.outcome == StreamOutcome::Complete)
-                        .unwrap_or(false);
-                    let (result, server) = self.resolve_stall(
-                        qid,
-                        slot,
-                        decomposed,
-                        primary_cand,
-                        base_cand,
-                        base,
-                        other_server.clone(),
-                        pool,
-                        banned,
-                        threshold_ms,
-                        start,
-                        effects,
-                    )?;
-                    if other_complete {
-                        // The unused replica completed in full; its rows are
-                        // suppressed at the merge like any hedge duplicate.
-                        // (`other_complete` implies the replica stream exists,
-                        // so `other_server` was derived from it above.)
-                        if let Some(other_server) = other_server.as_ref() {
-                            self.defer_suppression(
-                                qid,
-                                slot,
-                                &server,
-                                other_server,
-                                start,
-                                effects,
-                            );
-                        }
-                    }
-                    slowest = slowest.max(result.response_time);
-                    fragment_times.push((server, result.response_time.as_millis()));
-                    results.push(result);
-                }
-            }
-        }
-        clock.advance(slowest);
-        self.merge_global(qid, decomposed, results, fragment_times, clock, effects)
-    }
-
-    /// Cancel a stalled (or interrupted) base stream and re-dispatch its
-    /// remainder — the chunks past the cursor — to within-band replicas,
-    /// chaining across further interrupts up to `reroute_limit` attempts.
-    /// Returns the stitched slot result and the server that finished it.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_stall(
-        &self,
-        qid: QueryId,
-        slot: usize,
-        decomposed: &DecomposedQuery,
-        primary_cand: &FragmentCandidate,
-        base_cand: &FragmentCandidate,
-        base: WrapperStream,
-        exclude_also: Option<ServerId>,
-        pool: &[GlobalCandidate],
-        banned: &BTreeSet<ServerId>,
-        threshold_ms: f64,
-        start: SimTime,
-        effects: &mut Deferred,
-    ) -> Result<(WrapperResult, ServerId)> {
-        use qcc_common::obs::reroute_events as ev;
-        let probe = SimDuration::from_millis(self.config.reroute_probe_ms.max(0.0));
-        let base_server = base_cand.plan.server.clone();
-        let mut excluded = banned.clone();
-        excluded.insert(base_server.clone());
-        if let Some(s) = exclude_also {
-            excluded.insert(s);
-        }
-
-        if base.outcome == StreamOutcome::Complete {
-            let cancel_at = start + SimDuration::from_millis(threshold_ms);
-            let tail_only = base.chunks.iter().all(|c| c.at <= cancel_at);
-            if tail_only
-                || self
-                    .pick_reroute_replica(slot, decomposed, primary_cand, pool, &excluded)
-                    .is_none()
-            {
-                // Every chunk beat the threshold (only the transfer tail
-                // overran), or no within-band replica exists: cancelling
-                // gains nothing, so the slow result is kept whole.
-                self.obs.counter_inc(
-                    "reroute_declined_total",
-                    &[("reason", if tail_only { "tail" } else { "no_replica" })],
-                );
-                self.note_complete_stream(qid, base_cand, &base, start, effects);
-                let server = base_cand.plan.server.clone();
-                return Ok((stream_result(base), server));
-            }
-        }
-
-        // The detection instant, the chunks the integrator keeps, and the
-        // late chunks it must suppress.
-        let (cancel_at, mut reason, kept, suppressed_late, mut fault_ms) = match base.outcome {
-            StreamOutcome::Interrupted { at } => {
-                // The source died mid-stream; every delivered chunk
-                // precedes the transition, and detection costs one probe
-                // interval.
-                (
-                    at + probe,
-                    "interrupt",
-                    base.chunks,
-                    0usize,
-                    Some(at.as_millis()),
-                )
-            }
-            StreamOutcome::Complete => {
-                let cancel_at = start + SimDuration::from_millis(threshold_ms);
-                let (kept, late): (Vec<StreamChunk>, Vec<StreamChunk>) =
-                    base.chunks.into_iter().partition(|c| c.at <= cancel_at);
-                (cancel_at, "slow", kept, late.len(), None)
-            }
-        };
-        let total_chunks = base.total_chunks;
-        self.defer_stall_event(
-            qid,
-            slot,
-            &base_server,
-            reason,
-            cancel_at,
-            start,
-            threshold_ms,
-            effects,
-        );
-        if reason == "slow" {
-            // A stall-cancel is soft reliability evidence; the interrupt
-            // case was already recorded (at the transition instant) by the
-            // middleware when the stream came back cut.
-            self.middleware.observe_fragment_cancel(
-                qid,
-                primary_cand.fragment,
-                &base_server,
-                cancel_at,
-                effects,
-            );
-        }
-        if suppressed_late > 0 {
-            self.obs.counter_add(
-                "reroute_chunks_suppressed_total",
-                &[],
-                suppressed_late as u64,
-            );
-        }
-
-        let mut kept = kept;
-        let mut sources: Vec<(ServerId, usize, usize)> = Vec::new();
-        if !kept.is_empty() {
-            sources.push((base_server.clone(), 0, kept.len()));
-        }
-        let mut cursor = kept.len();
-        let mut now = cancel_at;
-        let mut last_failed = base_server.clone();
-        for _attempt in 0..self.config.reroute_limit {
-            let Some(alt) =
-                self.pick_reroute_replica(slot, decomposed, primary_cand, pool, &excluded)
-            else {
-                break;
-            };
-            let alt_server = alt.plan.server.clone();
-            // The remainder rides the slot's admission token — consult the
-            // frozen capacity snapshot (inside the picker) but consume
-            // nothing, and journal the reuse.
-            if let Some(admission) = &self.admission {
-                admission.note_reroute_reuse(&alt_server);
-            }
-            self.obs.counter_inc(
-                "fragment_reroutes_total",
-                &[("server", alt_server.as_str())],
-            );
-            if self.obs.is_enabled() {
-                let obs = self.obs.clone();
-                let (from, to) = (last_failed.to_string(), alt_server.to_string());
-                let est = primary_cand.effective_cost.total();
-                let frag_start_ms = start.as_millis();
-                let fault = fault_ms;
-                let finite_threshold = threshold_ms.is_finite().then_some(threshold_ms);
-                effects.defer(move || {
-                    let mut fields: Vec<(&'static str, qcc_common::FieldValue)> = vec![
-                        ("query", qid.0.into()),
-                        ("fragment", slot.into()),
-                        ("from", from.into()),
-                        ("to", to.into()),
-                        ("cursor", cursor.into()),
-                        ("total_chunks", total_chunks.into()),
-                        ("reason", reason.into()),
-                        ("est_ms", est.into()),
-                        ("frag_start_ms", frag_start_ms.into()),
-                    ];
-                    if let Some(t) = finite_threshold {
-                        fields.push(("threshold_ms", t.into()));
-                    }
-                    if let Some(f) = fault {
-                        fields.push(("fault_ms", f.into()));
-                    }
-                    obs.event(now, ev::REROUTE_DISPATCH, fields);
-                });
-            }
-            let Ok(wrapper) = self.wrapper(&alt_server) else {
-                excluded.insert(alt_server.clone());
-                last_failed = alt_server;
-                continue;
-            };
-            match self.middleware.execute_fragment_stream(
-                wrapper.as_ref(),
-                qid,
-                primary_cand.fragment,
-                &alt.plan,
-                now,
-                cursor,
-                effects,
-            ) {
-                Ok(stream) if stream.outcome == StreamOutcome::Complete => {
-                    let end = now + stream.response_time;
-                    self.obs
-                        .counter_inc("fragments_total", &[("server", alt_server.as_str())]);
-                    self.obs
-                        .counter_inc("fragment_resumes_total", &[("server", alt_server.as_str())]);
-                    sources.push((alt_server.clone(), cursor, stream.next_cursor()));
-                    // Note: no `observe_fragment` for the remainder — a
-                    // partial run is not a valid calibration sample for
-                    // the whole-fragment estimate.
-                    if self.obs.is_enabled() {
-                        let obs = self.obs.clone();
-                        let server = alt_server.to_string();
-                        let signature = alt.plan.signature.clone();
-                        let ms = stream.response_time.as_millis();
-                        let delivered = stream.delivered();
-                        let provenance = sources
-                            .iter()
-                            .map(|(s, a, b)| format!("{s}:{a}..{b}"))
-                            .collect::<Vec<_>>()
-                            .join("+");
-                        let resume_cursor = cursor;
-                        effects.defer(move || {
-                            obs.event(
-                                now,
-                                "fragment",
-                                vec![
-                                    ("query", qid.0.into()),
-                                    ("server", server.clone().into()),
-                                    ("signature", signature.into()),
-                                    ("ms", ms.into()),
-                                ],
-                            );
-                            obs.event(
-                                end,
-                                ev::FRAGMENT_RESUME,
-                                vec![
-                                    ("query", qid.0.into()),
-                                    ("fragment", slot.into()),
-                                    ("server", server.into()),
-                                    ("cursor", resume_cursor.into()),
-                                    ("chunks", delivered.into()),
-                                    ("ms", ms.into()),
-                                ],
-                            );
-                            obs.event(
-                                end,
-                                ev::FRAGMENT_STREAM,
-                                vec![
-                                    ("query", qid.0.into()),
-                                    ("fragment", slot.into()),
-                                    ("sources", provenance.into()),
-                                    ("total_chunks", total_chunks.into()),
-                                ],
-                            );
-                        });
-                    }
-                    kept.extend(stream.chunks);
-                    let response_time = end.since(start);
-                    let bytes = kept.iter().map(|c| c.batch.byte_size()).sum();
-                    let batches = kept.into_iter().map(|c| c.batch).collect();
-                    return Ok((
-                        WrapperResult {
-                            batches,
-                            response_time,
-                            bytes,
-                        },
-                        alt_server,
-                    ));
-                }
-                Ok(stream) => {
-                    // The replica died mid-remainder too: keep its chunks,
-                    // advance the cursor, and chain the reroute.
-                    let StreamOutcome::Interrupted { at } = stream.outcome else {
-                        unreachable!("complete streams are handled above");
-                    };
-                    if stream.delivered() > 0 {
-                        sources.push((alt_server.clone(), cursor, stream.next_cursor()));
-                    }
-                    cursor = stream.next_cursor();
-                    kept.extend(stream.chunks);
-                    reason = "interrupt";
-                    fault_ms = Some(at.as_millis());
-                    now = at + probe;
-                    self.defer_stall_event(
-                        qid,
-                        slot,
-                        &alt_server,
-                        "interrupt",
-                        now,
-                        start,
-                        threshold_ms,
-                        effects,
-                    );
-                    excluded.insert(alt_server.clone());
-                    last_failed = alt_server;
-                }
-                Err(QccError::ServerUnavailable(_)) | Err(QccError::ServerFault { .. }) => {
-                    // Dead on arrival (recorded by the middleware): try
-                    // the next replica from the detection instant.
-                    excluded.insert(alt_server.clone());
-                    last_failed = alt_server;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // Out of replicas or attempts: surface the failure to the
-        // whole-query retry loop, which bans the server and re-plans.
-        self.obs.counter_inc("reroute_exhausted_total", &[]);
-        Err(QccError::ServerUnavailable(last_failed))
-    }
-
-    /// The replica a cancelled fragment's remainder re-dispatches to: the
-    /// cheapest alternate plan for the same slot, on a different unbanned
-    /// server with token capacity, with the *same plan signature and SQL*
-    /// (so the cursor protocol's chunk schedule lines up), within
-    /// `reroute_band ×` the primary's estimate; when a replica catalog is
-    /// attached the alternate must also be a registered sibling on every
-    /// nickname the fragment scans (fail open for unregistered fragments,
-    /// as compile does). Ties break by server id.
-    fn pick_reroute_replica(
-        &self,
-        slot: usize,
-        decomposed: &DecomposedQuery,
-        primary: &FragmentCandidate,
-        pool: &[GlobalCandidate],
-        excluded: &BTreeSet<ServerId>,
-    ) -> Option<FragmentCandidate> {
-        let est = primary.effective_cost.total();
-        let limit = if est > 0.0 {
-            est * self.config.reroute_band.max(1.0)
-        } else {
-            f64::INFINITY
-        };
-        let empty: &[String] = &[];
-        let nicknames = decomposed
-            .fragments
-            .get(slot)
-            .map(|f| f.nicknames.as_slice())
-            .unwrap_or(empty);
-        let mut best: Option<&FragmentCandidate> = None;
-        for cand in pool {
-            let Some(alt) = cand.fragments.get(slot) else {
-                continue;
-            };
-            if excluded.contains(&alt.plan.server)
-                || alt.plan.signature != primary.plan.signature
-                || alt.plan.sql != primary.plan.sql
-                || alt.effective_cost.total() > limit
-            {
-                continue;
-            }
-            if let Some(admission) = &self.admission {
-                if admission.capacity(&alt.plan.server) == 0 {
-                    continue;
-                }
-            }
-            if let Some(catalog) = &self.catalog {
-                let sibling_ok = nicknames.iter().all(|nn| {
-                    catalog.replicas(nn).is_empty()
-                        || catalog
-                            .siblings(nn, &primary.plan.server)
-                            .contains(&alt.plan.server)
-                });
-                if !sibling_ok {
-                    continue;
-                }
-            }
-            let better = match best {
-                None => true,
-                Some(b) => match alt
-                    .effective_cost
-                    .total()
-                    .total_cmp(&b.effective_cost.total())
-                {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Greater => false,
-                    std::cmp::Ordering::Equal => alt.plan.server < b.plan.server,
-                },
-            };
-            if better {
-                best = Some(alt);
-            }
-        }
-        best.cloned()
-    }
-
-    /// Accept a fully-completed stream into the merge: count it, journal
-    /// the fragment span, and acknowledge it to the middleware — the only
-    /// place streamed successes feed reliability and calibration.
-    fn note_complete_stream(
-        &self,
-        qid: QueryId,
-        cand: &FragmentCandidate,
-        stream: &WrapperStream,
-        start: SimTime,
-        effects: &mut Deferred,
-    ) {
-        self.obs
-            .counter_inc("fragments_total", &[("server", cand.plan.server.as_str())]);
-        if self.obs.is_enabled() {
-            let obs = self.obs.clone();
-            let server = cand.plan.server.to_string();
-            let signature = cand.plan.signature.clone();
-            let ms = stream.response_time.as_millis();
-            effects.defer(move || {
-                obs.event(
-                    start,
-                    "fragment",
-                    vec![
-                        ("query", qid.0.into()),
-                        ("server", server.into()),
-                        ("signature", signature.into()),
-                        ("ms", ms.into()),
-                    ],
-                );
-            });
-        }
-        self.middleware.observe_fragment(
-            qid,
-            cand.fragment,
-            &cand.plan,
-            stream.response_time.as_millis(),
-            start,
-            effects,
-        );
-    }
-
-    /// Journal a stall-detector cancellation.
-    #[allow(clippy::too_many_arguments)]
-    fn defer_stall_event(
-        &self,
-        qid: QueryId,
-        slot: usize,
-        server: &ServerId,
-        reason: &'static str,
-        cancel_at: SimTime,
-        start: SimTime,
-        threshold_ms: f64,
-        effects: &mut Deferred,
-    ) {
-        self.obs.counter_inc(
-            "fragment_stalls_total",
-            &[("server", server.as_str()), ("reason", reason)],
-        );
-        if self.obs.is_enabled() {
-            let obs = self.obs.clone();
-            let server = server.to_string();
-            let elapsed_ms = cancel_at.since(start).as_millis();
-            let finite_threshold = threshold_ms.is_finite().then_some(threshold_ms);
-            effects.defer(move || {
-                let mut fields: Vec<(&'static str, qcc_common::FieldValue)> = vec![
-                    ("query", qid.0.into()),
-                    ("fragment", slot.into()),
-                    ("server", server.into()),
-                    ("reason", reason.into()),
-                    ("elapsed_ms", elapsed_ms.into()),
-                ];
-                if let Some(t) = finite_threshold {
-                    fields.push(("threshold_ms", t.into()));
-                }
-                obs.event(
-                    cancel_at,
-                    qcc_common::obs::reroute_events::FRAGMENT_STALL,
-                    fields,
-                );
-            });
-        }
-    }
-
-    /// Count and journal a suppressed duplicate slot result.
-    fn defer_suppression(
-        &self,
-        qid: QueryId,
-        slot: usize,
-        winner: &ServerId,
-        suppressed: &ServerId,
-        start: SimTime,
-        effects: &mut Deferred,
-    ) {
-        self.obs
-            .counter_inc("hedge_duplicates_suppressed_total", &[]);
-        if self.obs.is_enabled() {
-            let obs = self.obs.clone();
-            let winner = winner.to_string();
-            let suppressed = suppressed.to_string();
-            effects.defer(move || {
-                obs.event(
-                    start,
-                    "hedge_result",
-                    vec![
-                        ("query", qid.0.into()),
-                        ("fragment", slot.into()),
-                        ("winner", winner.into()),
-                        ("suppressed", suppressed.into()),
-                    ],
-                );
-            });
-        }
-    }
-}
-
-/// A completed stream's chunks as a call-and-wait style result.
-fn stream_result(stream: WrapperStream) -> WrapperResult {
-    WrapperResult {
-        bytes: stream.bytes,
-        response_time: stream.response_time,
-        batches: stream.chunks.into_iter().map(|c| c.batch).collect(),
     }
 }
 
@@ -2034,33 +1617,35 @@ mod tests {
         assert!(out.servers.contains(&ServerId::new("S2")));
     }
 
-    /// Two servers, each holding a full replica of a 5000-row `branches`
-    /// table (multi-chunk at BATCH_ROWS=1024), journal enabled, streaming
-    /// adaptivity at the given `stall_factor`.
-    fn streaming_fixture(stall_factor: f64) -> (Federation, Arc<RemoteServer>) {
-        let branches_schema = Schema::new(vec![Column::new("id", DataType::Int)]);
-        let mut branches = Table::new("branches", branches_schema.clone());
-        for i in 0..5000i64 {
-            branches.insert(Row::new(vec![Value::Int(i)])).unwrap();
-        }
-        let mut cat1 = Catalog::new();
-        cat1.register(branches.clone());
-        let mut cat2 = Catalog::new();
-        cat2.register(branches);
-        let s1 = RemoteServer::new(ServerProfile::new(ServerId::new("S1")), cat1);
-        let s2 = RemoteServer::new(ServerProfile::new(ServerId::new("S2")), cat2);
+    /// Servers S1..Sn on LAN links, `hosts[i]` naming the tables S(i+1)
+    /// holds — each a 5000-row table of one Int `id` column (multi-chunk at
+    /// BATCH_ROWS=1024) — with the journal enabled.
+    fn id_table_fleet(
+        hosts: &[&[&str]],
+        stall_factor: f64,
+    ) -> (Federation, Vec<Arc<RemoteServer>>) {
+        let schema = Schema::new(vec![Column::new("id", DataType::Int)]);
         let mut net = Network::new();
-        net.add_link(ServerId::new("S1"), Link::lan());
-        net.add_link(ServerId::new("S2"), Link::lan());
-        let net = Arc::new(net);
         let mut nicknames = NicknameCatalog::new();
-        nicknames.define("branches", branches_schema);
-        nicknames
-            .add_source("branches", ServerId::new("S1"), "branches")
-            .unwrap();
-        nicknames
-            .add_source("branches", ServerId::new("S2"), "branches")
-            .unwrap();
+        let mut servers = Vec::new();
+        for (i, tables) in hosts.iter().enumerate() {
+            let id = ServerId::new(format!("S{}", i + 1));
+            let mut catalog = Catalog::new();
+            for &name in *tables {
+                let mut table = Table::new(name, schema.clone());
+                for row in 0..5000i64 {
+                    table.insert(Row::new(vec![Value::Int(row)])).unwrap();
+                }
+                catalog.register(table);
+                if !nicknames.names().contains(&name) {
+                    nicknames.define(name, schema.clone());
+                }
+                nicknames.add_source(name, id.clone(), name).unwrap();
+            }
+            net.add_link(id.clone(), Link::lan());
+            servers.push(RemoteServer::new(ServerProfile::new(id), catalog));
+        }
+        let net = Arc::new(net);
         let mut fed = Federation::new(
             nicknames,
             SimClock::new(),
@@ -2071,12 +1656,20 @@ mod tests {
             },
         );
         fed.set_obs(Obs::new());
-        fed.add_wrapper(Arc::new(RelationalWrapper::new(
-            Arc::clone(&s1),
-            Arc::clone(&net),
-        )));
-        fed.add_wrapper(Arc::new(RelationalWrapper::new(s2, net)));
-        (fed, s1)
+        for server in &servers {
+            fed.add_wrapper(Arc::new(RelationalWrapper::new(
+                Arc::clone(server),
+                Arc::clone(&net),
+            )));
+        }
+        (fed, servers)
+    }
+
+    /// Two full `branches` replicas; returns S1's handle for fault
+    /// injection.
+    fn streaming_fixture(stall_factor: f64) -> (Federation, Arc<RemoteServer>) {
+        let (fed, servers) = id_table_fleet(&[&["branches"], &["branches"]], stall_factor);
+        (fed, Arc::clone(&servers[0]))
     }
 
     fn sorted_ids(rows: &[Row]) -> Vec<i64> {
@@ -2092,23 +1685,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_clean_path_matches_call_and_wait_exactly() {
-        // With no stalls and no faults the streamed path must reproduce
-        // the call-and-wait outcome bit for bit (same rows, same floats).
-        let (off, _) = streaming_fixture(0.0);
-        let (on, _) = streaming_fixture(1e6);
-        let a = off.submit("SELECT id FROM branches").unwrap();
-        let b = on.submit("SELECT id FROM branches").unwrap();
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(a.response_ms.to_bits(), b.response_ms.to_bits());
-        assert_eq!(a.fragment_times, b.fragment_times);
-    }
-
-    #[test]
     fn midquery_interrupt_reroutes_remainder_without_duplicates() {
         // Dry run on a healthy fleet to learn when the fragment executes
         // and how long it takes (all virtual time, fully deterministic).
-        let (dry, _) = streaming_fixture(1e6);
+        let (dry, _) = streaming_fixture(0.0);
         dry.submit("SELECT id FROM branches").unwrap();
         let frag = &dry.obs().events_of("fragment")[0];
         let t0 = frag.at.as_millis();
@@ -2119,7 +1699,7 @@ mod tests {
         // Fresh identical world where the serving replica crashes 30% of
         // the way into the fragment: the stream is cut mid-service and the
         // remainder must resume on the sibling at the cursor.
-        let (fed, s1) = streaming_fixture(1e6);
+        let (fed, s1) = streaming_fixture(0.0);
         s1.availability().add_outage(
             SimTime::from_millis(t0 + 0.3 * ms),
             SimTime::from_millis(1e12),
@@ -2320,5 +1900,56 @@ mod tests {
             1,
             "healthy world: both replicas answer, exactly one duplicate suppressed"
         );
+    }
+
+    #[test]
+    fn unrescued_slot_surfaces_its_own_error_not_a_rescued_slots() {
+        // Slot 0 (`branches`, two replicas) can hedge; slot 1 (`accounts`,
+        // one host) cannot.
+        const SQL: &str = "SELECT b.id FROM branches b JOIN accounts a ON a.id = b.id";
+        let build = || {
+            let (mut fed, servers) =
+                id_table_fleet(&[&["branches"], &["branches"], &["accounts"]], 0.0);
+            let admission = Arc::new(AdmissionController::new(qcc_admission::AdmissionConfig {
+                exec_deadline_ms: 50.0,
+                hedge_slack_factor: 1_000_000.0,
+                hedge_band: 10.0,
+                ..Default::default()
+            }));
+            for server in &servers {
+                admission.set_capacity(server.id(), 2, SimTime::ZERO);
+            }
+            fed.set_admission(admission);
+            (fed, servers)
+        };
+        // Dry run: learn the dispatch instant and slot 0's primary.
+        let (dry, _) = build();
+        dry.submit(SQL).unwrap();
+        let hedge = &dry.obs().events_of("hedge")[0];
+        assert_eq!(hedge.field("fragment"), Some(&FieldValue::U64(0)));
+        let primary0 = hedge.str_field("primary").unwrap().to_string();
+        let dispatched = hedge.at;
+
+        // Same world, but slot 0's primary and slot 1's only host both
+        // refuse the EXECUTE on arrival (up for the EXPLAIN, down from the
+        // dispatch instant on). The hedge rescues slot 0; nothing can
+        // rescue slot 1, so the server to ban is slot 1's.
+        let (fed, servers) = build();
+        for server in &servers {
+            if server.id().as_str() == primary0 || server.id().as_str() == "S3" {
+                server
+                    .availability()
+                    .add_outage(dispatched, SimTime::from_millis(1e12));
+            }
+        }
+        let err = fed.submit(SQL).unwrap_err();
+        assert!(matches!(err, QccError::NoViablePlan(_)), "{err}");
+        let bans = fed.obs().events_of("server_banned");
+        assert_eq!(
+            bans.len(),
+            1,
+            "one ban leaves no plan: accounts has one host"
+        );
+        assert_eq!(bans[0].str_field("server"), Some("S3"));
     }
 }

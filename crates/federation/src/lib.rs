@@ -30,7 +30,7 @@ pub mod plancache;
 pub mod report;
 
 pub use decompose::{decompose, DecomposedQuery, FragmentSpec, MergeSpec};
-pub use federation::{Federation, FederationConfig, QueryOutcome};
+pub use federation::{Federation, FederationConfig, QueryOutcome, REROUTE_BAND, REROUTE_PROBE_MS};
 pub use middleware::{
     Deferred, FragmentCandidate, GlobalCandidate, Middleware, PassthroughMiddleware,
     DEFAULT_UNCOSTED,

@@ -12,7 +12,7 @@
 //! provides the calibrating implementation.
 
 use qcc_common::{Cost, FragmentId, QueryId, Result, ServerId, SimDuration, SimTime};
-use qcc_wrapper::{FragmentPlan, Wrapper, WrapperResult, WrapperStream};
+use qcc_wrapper::{FragmentPlan, Wrapper, WrapperStream};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -154,45 +154,30 @@ pub trait Middleware: Send + Sync {
         effects: &mut Deferred,
     ) -> Result<(Vec<FragmentCandidate>, SimDuration)>;
 
-    /// Runtime: forward an EXECUTE to a wrapper. Implementations record
-    /// the observed response time (and errors, for the reliability factor).
-    fn execute_fragment(
+    /// Runtime: forward an EXECUTE to a wrapper — the one dispatch method,
+    /// a resumable stream starting at chunk `cursor` (the cursor protocol;
+    /// see `Wrapper::execute_stream`). Failures, including mid-stream
+    /// interrupts, are recorded here, at the time the integrator observes
+    /// them. Implementations must NOT record success-side observations
+    /// here: a stream the coordinator later cancels must not feed its
+    /// truncated response time into calibration. The coordinator
+    /// acknowledges each accepted completion once, through
+    /// [`Middleware::observe_fragment`], and reports mid-flight
+    /// cancellations through [`Middleware::observe_fragment_cancel`].
+    fn execute_fragment_stream(
         &self,
         wrapper: &dyn Wrapper,
         query: QueryId,
         fragment: FragmentId,
         plan: &FragmentPlan,
         at: SimTime,
-        effects: &mut Deferred,
-    ) -> Result<WrapperResult>;
-
-    /// Runtime: forward a resumable streamed EXECUTE to a wrapper (the
-    /// cursor protocol; see `Wrapper::execute_stream`). Unlike
-    /// [`Middleware::execute_fragment`], implementations must NOT record
-    /// success-side observations here: a stream the coordinator later
-    /// cancels must not feed its truncated response time into
-    /// calibration. The coordinator reports accepted completions through
-    /// [`Middleware::observe_fragment`] and mid-flight cancellations
-    /// through [`Middleware::observe_fragment_cancel`]. Failures
-    /// (including mid-stream interrupts) are still recorded here, at the
-    /// time the integrator observes them.
-    fn execute_fragment_stream(
-        &self,
-        wrapper: &dyn Wrapper,
-        _query: QueryId,
-        _fragment: FragmentId,
-        plan: &FragmentPlan,
-        at: SimTime,
         cursor: usize,
-        _effects: &mut Deferred,
-    ) -> Result<WrapperStream> {
-        wrapper.execute_stream(plan, at, cursor, true)
-    }
+        effects: &mut Deferred,
+    ) -> Result<WrapperStream>;
 
     /// Coordinator acknowledgement that a streamed fragment ran to
-    /// completion and its result was accepted into the merge. Feeds the
-    /// reliability and calibration windows exactly as a call-and-wait
-    /// success would. No-op by default.
+    /// completion uncancelled: an honest whole-fragment sample for the
+    /// reliability and calibration windows. No-op by default.
     fn observe_fragment(
         &self,
         _query: QueryId,
@@ -317,16 +302,17 @@ impl Middleware for PassthroughMiddleware {
         ))
     }
 
-    fn execute_fragment(
+    fn execute_fragment_stream(
         &self,
         wrapper: &dyn Wrapper,
         _query: QueryId,
         _fragment: FragmentId,
         plan: &FragmentPlan,
         at: SimTime,
+        cursor: usize,
         _effects: &mut Deferred,
-    ) -> Result<WrapperResult> {
-        wrapper.execute(plan, at)
+    ) -> Result<WrapperStream> {
+        wrapper.execute_stream(plan, at, cursor, true)
     }
 }
 

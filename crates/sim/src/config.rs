@@ -123,10 +123,10 @@ pub struct SimConfig {
     /// `0` = no catalog attached (the unpruned fleet). Ignored in
     /// classic mode.
     pub replication: usize,
-    /// Mid-query adaptivity: the federation's `stall_factor`. `0.0` (also
-    /// the value replay lines omit) keeps call-and-wait execution and
-    /// byte-identical legacy journals; > 0 streams fragments with
-    /// stall-cancel and remainder reroute (DESIGN.md §15).
+    /// The federation's `stall_factor`, the stall detector's slow-cancel
+    /// multiplier (DESIGN.md §15). `0.0` (also the value replay lines
+    /// omit) never cancels a healthy stream for slowness; interrupted
+    /// streams are rescued at any value.
     pub reroute: f64,
     /// The fault schedule.
     pub faults: Vec<FaultSpec>,
@@ -164,8 +164,8 @@ impl SimConfig {
                 self.fleet, self.replication
             );
         }
-        // The disabled sentinel is omitted so pre-adaptivity replay lines
-        // and their renders stay byte-identical.
+        // The default 0.0 is omitted so pre-adaptivity replay lines and
+        // their renders stay byte-identical.
         if self.reroute > 0.0 {
             let _ = write!(out, "reroute: {:?}, ", self.reroute);
         }
@@ -412,7 +412,7 @@ pub fn parse(s: &str) -> Result<SimConfig, String> {
         return Err("fleet mode requires an empty servers list".to_string());
     }
     // Optional reroute knob; absent (every pre-adaptivity line) means the
-    // disabled sentinel. "reroute" vs "faults" diverge at the first byte.
+    // default 0.0. "reroute" vs "faults" diverge at the first byte.
     let reroute = if p.peek_tag("reroute") {
         p.key("reroute")?;
         let reroute = p.f64()?;
@@ -707,7 +707,7 @@ mod tests {
 
     #[test]
     fn reroute_knob_round_trips_and_defaults_off() {
-        // Legacy lines (no reroute key) parse to the disabled sentinel and
+        // Legacy lines (no reroute key) parse to the default 0.0 and
         // render back without it.
         let legacy = "sim(seed: 1, servers: [(1.0, 0.1)], large_rows: 10, small_rows: 5, \
              arrivals: 2, rate_per_ms: 0.1, retry_limit: 1, faults: [])";

@@ -22,8 +22,8 @@
 //! * **bounded_retries** — no query exceeds its retry budget;
 //! * **no_dup_no_loss_reroute** — every rerouted fragment's stream
 //!   provenance tiles `[0, total_chunks)` exactly (no chunk delivered
-//!   twice, none lost), and with reroute disabled no adaptivity event
-//!   appears at all;
+//!   twice, none lost), and with `reroute` absent nothing is cancelled
+//!   for slowness;
 //! * **bounded_stall** — every stall cancel fires within the configured
 //!   stall threshold (slow cancels) or one probe interval of the
 //!   interrupt instant, and interrupts trace back to an injected crash

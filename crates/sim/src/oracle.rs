@@ -476,34 +476,30 @@ fn parse_stream_sources(s: &str) -> Option<Vec<(String, usize, usize)>> {
     Some(out)
 }
 
-/// Mid-query reroute row accounting (DESIGN.md §15). With the knob off,
-/// the streamed path must leave *zero* trace — any adaptivity event is a
-/// violation of the byte-identity sentinel. With it on, every journaled
+/// Mid-query reroute row accounting (DESIGN.md §15). Every journaled
 /// `fragment_stream` provenance must tile `[0, total_chunks)` exactly
 /// once: contiguous segments, starting at 0, ending at the total, no
 /// overlap and no gap — i.e. no chunk is delivered twice (duplicate rows)
-/// or never (lost rows) across the stitched sources.
+/// or never (lost rows) across the stitched sources. Interrupt rescue is
+/// always on, so this is checked on every run; with `reroute` absent the
+/// slow-cancel multiplier is 0, and only a `reason = slow` stall or
+/// dispatch is a violation.
 fn no_dup_no_loss_reroute(a: &RunArtifacts, config: &SimConfig, out: &mut Vec<Violation>) {
-    const REROUTE_EVENTS: [&str; 4] = [
-        "fragment_stall",
-        "reroute_dispatch",
-        "fragment_resume",
-        "fragment_stream",
-    ];
     if config.reroute <= 0.0 {
         for e in &a.journal {
-            if REROUTE_EVENTS.contains(&e.kind) {
+            if matches!(e.kind, "fragment_stall" | "reroute_dispatch")
+                && e.str_field("reason") == Some("slow")
+            {
                 out.push(Violation {
                     oracle: "no_dup_no_loss_reroute",
                     detail: format!(
-                        "adaptivity disabled but a {} event appears at {:.3}ms",
+                        "slow-cancel disabled but a slow {} appears at {:.3}ms",
                         e.kind,
                         e.at.as_millis()
                     ),
                 });
             }
         }
-        return;
     }
     for e in &a.journal {
         if e.kind != "fragment_stream" {
@@ -550,13 +546,8 @@ fn no_dup_no_loss_reroute(a: &RunArtifacts, config: &SimConfig, out: &mut Vec<Vi
 ///   transition by at most one probe interval, and that transition lies
 ///   inside an injected crash window (nothing else cuts a stream).
 fn bounded_stall(a: &RunArtifacts, config: &SimConfig, out: &mut Vec<Violation>) {
-    if config.reroute <= 0.0 {
-        return;
-    }
     const EPS: f64 = 1e-6;
-    // `world::build` leaves every adaptivity knob but `stall_factor` at
-    // its federation default, including the probe interval.
-    let probe_ms = qcc_federation::FederationConfig::default().reroute_probe_ms;
+    let probe_ms = qcc_federation::REROUTE_PROBE_MS;
     let crash_windows: Vec<(f64, f64)> = config
         .faults
         .iter()
@@ -748,18 +739,27 @@ mod tests {
     }
 
     #[test]
-    fn disabled_reroute_flags_any_adaptivity_event() {
-        // A clean disabled run has zero adaptivity events...
+    fn absent_reroute_flags_only_slow_cancels() {
+        // With `reroute` absent a crash may still cut a stream (interrupt
+        // rescue is always on), but nothing is ever cancelled for
+        // slowness...
         let config = tiny("crash(0, 20.0, 150.0)");
-        let a = run(&config, 1, &BugSwitches::none());
+        let mut a = run(&config, 1, &BugSwitches::none());
         assert!(!a
             .journal
             .iter()
-            .any(|e| e.kind == "reroute_dispatch" || e.kind == "fragment_stall"));
-        // ...so the sentinel branch of the oracle reports nothing.
+            .any(|e| e.str_field("reason") == Some("slow")));
         let mut v = Vec::new();
         no_dup_no_loss_reroute(&a, &config, &mut v);
         assert!(v.is_empty(), "{v:?}");
+        // ...so a slow stall in such a run is a violation.
+        a.journal.push(qcc_common::Event {
+            at: qcc_common::SimTime::from_millis(30.0),
+            kind: "fragment_stall",
+            fields: vec![("reason", "slow".into())],
+        });
+        no_dup_no_loss_reroute(&a, &config, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
     }
 
     #[test]

@@ -44,9 +44,9 @@ pub fn shrink(config: &SimConfig, bug: &BugSwitches, budget: usize) -> Shrunk {
             }
         }
 
-        // Disable mid-query adaptivity: if the failure reproduces with
-        // reroute off, the stall/reroute machinery is not implicated and
-        // the replay line shrinks to the legacy call-and-wait path.
+        // Drop the slow-cancel multiplier: if the failure reproduces with
+        // `reroute` absent, slow-cancel is not implicated and the replay
+        // line shrinks to the default configuration.
         if current.reroute > 0.0 && evaluated < budget {
             let mut candidate = current.clone();
             candidate.reroute = 0.0;
@@ -159,9 +159,9 @@ mod tests {
 
     #[test]
     fn shrink_disables_reroute_when_not_implicated() {
-        // drop_completion fails regardless of adaptivity, so the shrinker
-        // must turn the reroute knob off (the shrunk replay line then
-        // exercises the legacy call-and-wait path).
+        // drop_completion fails regardless of slow-cancel, so the shrinker
+        // must drop the reroute key (the shrunk replay line then runs the
+        // default configuration).
         let config = parse(
             "sim(seed: 3, servers: [], large_rows: 60, small_rows: 12, arrivals: 8, \
              rate_per_ms: 0.1, retry_limit: 2, fleet: 24, replication: 3, reroute: 3.0, \

@@ -13,7 +13,7 @@ use qcc_common::{FragmentId, QueryId, Result, ServerId, SimDuration, SimTime};
 use qcc_federation::{
     Deferred, FragmentCandidate, GlobalCandidate, Middleware, PassthroughMiddleware,
 };
-use qcc_wrapper::{FragmentPlan, Wrapper, WrapperResult};
+use qcc_wrapper::{FragmentPlan, Wrapper, WrapperStream};
 use std::collections::BTreeMap;
 
 /// The paper's registration-time assignment (Figure 10's baseline).
@@ -74,17 +74,18 @@ impl Middleware for FixedRoutingMiddleware {
             .plan_fragment(wrapper, query, fragment, sql, at, effects)
     }
 
-    fn execute_fragment(
+    fn execute_fragment_stream(
         &self,
         wrapper: &dyn Wrapper,
         query: QueryId,
         fragment: FragmentId,
         plan: &FragmentPlan,
         at: SimTime,
+        cursor: usize,
         effects: &mut Deferred,
-    ) -> Result<WrapperResult> {
+    ) -> Result<WrapperStream> {
         self.inner
-            .execute_fragment(wrapper, query, fragment, plan, at, effects)
+            .execute_fragment_stream(wrapper, query, fragment, plan, at, cursor, effects)
     }
 
     fn choose_global(

@@ -65,11 +65,10 @@ pub struct ScenarioConfig {
     /// EXPLAIN fan-out is pruned to at most this many replicas per
     /// fragment set.
     pub replication_factor: usize,
-    /// Mid-query adaptivity knob handed to
-    /// `FederationConfig::stall_factor`. 0.0 (the default sentinel) keeps
-    /// the call-and-wait execution path and byte-identical goldens; > 0
-    /// enables streamed fragments with stall-cancel and remainder reroute
-    /// (DESIGN.md §15).
+    /// Handed to `FederationConfig::stall_factor`, the stall detector's
+    /// slow-cancel multiplier (DESIGN.md §15). 0.0 (the default) never
+    /// cancels a healthy stream for slowness; interrupted streams are
+    /// rescued at any value.
     pub stall_factor: f64,
 }
 

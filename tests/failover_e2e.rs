@@ -1,7 +1,16 @@
-//! End-to-end failover: a server drops mid-batch, the retry loop bans it
-//! and reroutes, the availability daemon's fast re-probe detects recovery,
-//! and routing opens back up — with the whole story readable from the
-//! qcc-obs journal in causal order.
+//! End-to-end failover, both ways a server can drop out from under the
+//! coordinator, each readable from the qcc-obs journal in causal order:
+//!
+//! * the outage opens *mid-service*: the in-flight streams are cut at the
+//!   transition, the stall detector cancels them, and each remainder is
+//!   resumed on a replica — no query fails, no server is banned, no
+//!   whole-query retry is spent;
+//! * the outage opens *between batches*: nothing is in flight, so the next
+//!   batch's stale cached plans meet it as an arrival refusal — the retry
+//!   loop bans the server and re-plans the whole query.
+//!
+//! Either way the availability daemon's fast re-probe detects recovery
+//! and routing opens back up.
 //!
 //! This is also the regression test for the once-dead adaptive probe
 //! cycle: the configured probe interval (5 s) is far longer than the whole
@@ -9,7 +18,7 @@
 //! runs between measured batches and (b) a down server's re-probe interval
 //! is clamped to the fast bound instead of waiting out the stale schedule.
 
-use load_aware_federation::common::{FieldValue, ServerId, SimTime};
+use load_aware_federation::common::{FieldValue, Obs, ServerId, SimTime};
 use load_aware_federation::qcc::QccConfig;
 use load_aware_federation::workload::experiment::run_phases_on;
 use load_aware_federation::workload::{
@@ -36,54 +45,117 @@ fn schedule() -> PhaseSchedule {
     }
 }
 
-#[test]
-fn outage_mid_batch_bans_reroutes_and_restores() {
-    // Dry run to learn when the measured batches happen in virtual time
-    // (warm-up and cache warming occupy the first stretch of the phase).
-    // The runs are deterministic, so the disturbed run follows the same
-    // timeline up to the moment the outage begins.
+/// Dry run to learn when the measured batches happen in virtual time
+/// (warm-up and cache warming occupy the first stretch of the phase):
+/// returns the start of batch 2, the start of batch 3, and the gap between
+/// them. Batches of four queries are submitted together and batch b + 1
+/// starts the instant batch b has drained. The runs are deterministic, so
+/// a disturbed run follows the same timeline up to the moment its outage
+/// begins.
+fn batch_timeline() -> (SimTime, SimTime, f64) {
     let baseline = Scenario::build_with_qcc(qcc_config(), ScenarioConfig::tiny());
     run_phases_on(&baseline, Routing::Qcc, &schedule(), INSTANCES, 1);
     let submits = baseline.obs.events_of("query_submit");
     assert_eq!(submits.len(), (INSTANCES * 4) as usize);
-    // Batches of four queries are submitted together; batch b starts at
-    // the 4b-th submit.
-    let batch_at = |b: usize| submits[b * 4].at;
-    let gap = batch_at(3).since(batch_at(2)).as_millis();
+    let (batch2, batch3) = (submits[2 * 4].at, submits[3 * 4].at);
+    let gap = batch3.since(batch2).as_millis();
     assert!(gap > 0.0);
+    (batch2, batch3, gap)
+}
 
-    // S3 vanishes just before batch 3 compiles, and stays gone long
-    // enough that at least one between-batch probe finds it still down.
-    let outage_start = SimTime::from_millis(batch_at(2).as_millis() + 0.5 * gap);
-    let outage_end = SimTime::from_millis(outage_start.as_millis() + 2.6 * gap);
+/// Run phase 1 with S3 down over `[from, until)`. `run_phases_on` asserts
+/// every query succeeds, so returning at all means the outage was
+/// absorbed.
+fn run_with_s3_outage(from: SimTime, until: SimTime) -> Scenario {
     let scenario = Scenario::build_with_qcc(qcc_config(), ScenarioConfig::tiny());
-    let s3 = ServerId::new("S3");
-    scenario
-        .server("S3")
-        .availability()
-        .add_outage(outage_start, outage_end);
-
-    // run_phases_on asserts every query succeeds, so reaching this point
-    // at all means retry + failover actually absorbed the outage.
+    scenario.server("S3").availability().add_outage(from, until);
     let result = run_phases_on(&scenario, Routing::Qcc, &schedule(), INSTANCES, 1);
     assert_eq!(result.phases.len(), 1);
+    assert!(scenario.obs.events_of("query_failed").is_empty());
+    scenario
+}
 
+/// Time of the first `kind` event naming `server`.
+fn first_at(obs: &Obs, kind: &str, server: &str) -> Option<SimTime> {
+    obs.events_of(kind)
+        .into_iter()
+        .find(|e| e.str_field("server") == Some(server))
+        .map(|e| e.at)
+}
+
+#[test]
+fn outage_mid_service_cuts_streams_and_resumes_on_replica() {
+    // S3 vanishes halfway through batch 2, while it is serving fragments.
+    let (batch2, _, gap) = batch_timeline();
+    let outage_start = SimTime::from_millis(batch2.as_millis() + 0.5 * gap);
+    let outage_end = SimTime::from_millis(outage_start.as_millis() + 2.6 * gap);
+    let scenario = run_with_s3_outage(outage_start, outage_end);
     let obs = &scenario.obs;
-    let first_at = |kind: &str, server: Option<&str>| -> Option<SimTime> {
-        obs.events_of(kind)
-            .into_iter()
-            .find(|e| server.is_none_or(|s| e.str_field("server") == Some(s)))
-            .map(|e| e.at)
-    };
+
+    // Causal chain: the stream is cut at the transition (reliability marks
+    // S3 down at that very instant), the detector notices one probe
+    // interval later and cancels, the remainder is dispatched to a replica
+    // and resumes there.
+    let down_at = first_at(obs, "server_down", "S3").expect("S3 marked down at the cut");
+    let stall = obs
+        .events_of("fragment_stall")
+        .into_iter()
+        .next()
+        .expect("an in-flight stream was cut");
+    assert_eq!(stall.str_field("server"), Some("S3"));
+    assert_eq!(stall.str_field("reason"), Some("interrupt"));
+    let dispatch = obs
+        .events_of("reroute_dispatch")
+        .into_iter()
+        .next()
+        .expect("remainder re-dispatched");
+    assert_eq!(dispatch.str_field("from"), Some("S3"));
+    assert_ne!(dispatch.str_field("to"), Some("S3"));
+    let resume = obs
+        .events_of("fragment_resume")
+        .into_iter()
+        .next()
+        .expect("remainder resumed");
+    assert_eq!(resume.str_field("server"), dispatch.str_field("to"));
+    assert_eq!(down_at, outage_start, "server_down is stamped at the cut");
+    assert!(down_at < stall.at && stall.at <= dispatch.at && dispatch.at < resume.at);
+
+    // Slot-level recovery absorbed it all: no ban, no whole-query retry.
+    assert!(obs.events_of("server_banned").is_empty());
+    assert!(obs.events_of("reroute").is_empty());
+    assert_eq!(obs.counter_value("retries_total", &[]), 0);
+
+    let restored_at = first_at(obs, "server_restored", "S3").expect("probe saw S3 recover");
+    assert!(restored_at >= outage_end);
+}
+
+#[test]
+fn outage_between_batches_bans_reroutes_and_restores() {
+    // S3 vanishes the instant batch 2 has drained — nothing is mid-service
+    // — and stays gone long enough that at least one between-batch probe
+    // finds it still down.
+    let (_, outage_start, gap) = batch_timeline();
+    let outage_end = SimTime::from_millis(outage_start.as_millis() + 2.6 * gap);
+    let scenario = run_with_s3_outage(outage_start, outage_end);
+    let s3 = ServerId::new("S3");
+    let obs = &scenario.obs;
+    assert!(
+        obs.events_of("fragment_stall").is_empty(),
+        "no stream was in flight when the outage opened"
+    );
 
     // The journal tells the failover story in causal order: the stale
     // cached plan walks into the outage (ban), the retry succeeds
     // elsewhere (reroute), the fast re-probe sees the server come back
     // (restore).
-    let banned_at = first_at("server_banned", Some("S3")).expect("S3 banned during outage");
-    let reroute_at = first_at("reroute", None).expect("banned query rerouted");
-    let down_at = first_at("server_down", Some("S3")).expect("reliability marked S3 down");
-    let restored_at = first_at("server_restored", Some("S3")).expect("probe saw S3 recover");
+    let banned_at = first_at(obs, "server_banned", "S3").expect("S3 banned during outage");
+    let reroute_at = obs
+        .events_of("reroute")
+        .first()
+        .map(|e| e.at)
+        .expect("banned query rerouted");
+    let down_at = first_at(obs, "server_down", "S3").expect("reliability marked S3 down");
+    let restored_at = first_at(obs, "server_restored", "S3").expect("probe saw S3 recover");
     assert!(banned_at >= outage_start && banned_at < outage_end);
     assert!(banned_at <= reroute_at, "ban precedes the reroute");
     assert!(down_at <= restored_at);
