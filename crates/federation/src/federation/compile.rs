@@ -1,0 +1,269 @@
+//! Compile: decompose, source-select, fan out the EXPLAINs, enumerate and
+//! cost the global candidates.
+
+use super::{CompiledGlobal, Federation};
+use crate::decompose::{decompose, frag_table, DecomposedQuery, MergeSpec};
+use crate::middleware::{Deferred, FragmentCandidate, GlobalCandidate};
+use qcc_common::{
+    scatter_indexed, Cost, FragmentId, QccError, QueryId, Result, ServerId, SimDuration,
+};
+use qcc_engine::Engine;
+use qcc_netsim::SimClock;
+use qcc_storage::{Catalog, ColumnStats, Table, TableStats};
+use qcc_wrapper::Wrapper;
+use std::sync::Arc;
+
+impl Federation {
+    pub(super) fn compile(
+        &self,
+        qid: QueryId,
+        sql: &str,
+        clock: &SimClock,
+        effects: &mut Deferred,
+    ) -> Result<CompiledGlobal> {
+        let decomposed = decompose(sql, &self.nicknames)?;
+
+        // Source selection: when a replica catalog is attached, prune each
+        // fragment's candidate set *before* the EXPLAIN fan-out — dominated
+        // replicas (strictly worse calibrated cost AND reliability band
+        // than a surviving sibling) never win the cost race, so consulting
+        // them is pure network waste. Selection preserves candidate order
+        // and fails open on unregistered fragments, so a world without a
+        // catalog (or with an empty one) compiles exactly as before.
+        let selected: Vec<Vec<ServerId>> = decomposed
+            .fragments
+            .iter()
+            .map(|frag| match &self.catalog {
+                Some(catalog) => catalog.select_sources(&frag.nicknames, &frag.candidate_servers),
+                None => frag.candidate_servers.clone(),
+            })
+            .collect();
+        if self.catalog.is_some() {
+            let full: usize = decomposed
+                .fragments
+                .iter()
+                .map(|f| f.candidate_servers.len())
+                .sum();
+            let kept: usize = selected.iter().map(|s| s.len()).sum();
+            if kept < full {
+                // Commutative counter: safe inline on worker threads (L9).
+                self.obs
+                    .counter_add("catalog_candidates_pruned_total", &[], (full - kept) as u64);
+            }
+            if self.obs.is_enabled() {
+                let obs = self.obs.clone();
+                let at = clock.now();
+                effects.defer(move || {
+                    // Per-query candidate-set-size distribution (post-prune).
+                    obs.observe("catalog_candidate_set_size", &[], kept as f64);
+                    if kept < full {
+                        let mut fields: Vec<(&'static str, qcc_common::FieldValue)> = Vec::new();
+                        if qid.0 != u64::MAX {
+                            fields.push(("query", qid.0.into()));
+                        }
+                        fields.extend([("full", full.into()), ("kept", kept.into())]);
+                        obs.event(at, "catalog_prune", fields);
+                    }
+                });
+            }
+        }
+
+        // Scatter: every (fragment, candidate server) EXPLAIN is
+        // dispatched concurrently at one snapshot — the MW fans the
+        // requests out, so virtual time advances by the slowest round
+        // trip, not the sum. Results gather in (fragment, server) task
+        // order, making the outcome independent of the thread count.
+        struct ExplainTask<'a> {
+            slot: usize,
+            fid: FragmentId,
+            wrapper: &'a Arc<dyn Wrapper>,
+            frag_sql: String,
+        }
+        let mut tasks: Vec<ExplainTask<'_>> = Vec::new();
+        for (slot, frag) in decomposed.fragments.iter().enumerate() {
+            let fid = FragmentId::new(qid, frag.index);
+            for server in &selected[slot] {
+                let Ok(wrapper) = self.wrapper(server) else {
+                    continue;
+                };
+                tasks.push(ExplainTask {
+                    slot,
+                    fid,
+                    wrapper,
+                    frag_sql: frag.sql_for_server(&self.nicknames, server)?,
+                });
+            }
+        }
+        let at = clock.now();
+        let outcomes = scatter_indexed(tasks.len(), self.config.threads, |i| {
+            let t = &tasks[i];
+            let mut local = Deferred::new();
+            let result = self.middleware.plan_fragment(
+                t.wrapper.as_ref(),
+                qid,
+                t.fid,
+                &t.frag_sql,
+                at,
+                &mut local,
+            );
+            (result, local)
+        });
+
+        // Gather barrier: merge deferred effects and bucket candidates in
+        // task order; one clock advance for the whole EXPLAIN fan-out.
+        let mut per_fragment: Vec<Vec<FragmentCandidate>> =
+            decomposed.fragments.iter().map(|_| Vec::new()).collect();
+        let mut slowest = SimDuration::ZERO;
+        let mut fatal = None;
+        for (task, (result, local)) in tasks.iter().zip(outcomes) {
+            effects.merge(local);
+            match result {
+                Ok((plans, took)) => {
+                    slowest = slowest.max(took);
+                    per_fragment[task.slot].extend(plans);
+                }
+                Err(QccError::ServerUnavailable(_)) | Err(QccError::ServerFault { .. }) => {
+                    // A down server contributes no candidates; the MW has
+                    // recorded the failure.
+                }
+                Err(e) => {
+                    if fatal.is_none() {
+                        fatal = Some(e);
+                    }
+                }
+            }
+        }
+        clock.advance(slowest);
+        if let Some(e) = fatal {
+            return Err(e);
+        }
+
+        for (slot, frag) in decomposed.fragments.iter().enumerate() {
+            let candidates = &mut per_fragment[slot];
+            if candidates.is_empty() {
+                return Err(QccError::NoViablePlan(format!(
+                    "no server could plan fragment {} ({})",
+                    frag.index, frag.stmt
+                )));
+            }
+            // Drop candidates the calibrator pinned to infinity (downed
+            // servers), unless nothing else remains.
+            let finite: Vec<FragmentCandidate> = candidates
+                .iter()
+                .filter(|c| !c.effective_cost.is_infinite())
+                .cloned()
+                .collect();
+            if !finite.is_empty() {
+                *candidates = finite;
+            }
+            // Keep the cheapest plans first so candidate capping keeps the
+            // most promising combinations.
+            candidates.sort_by(|a, b| {
+                a.effective_cost
+                    .total()
+                    .total_cmp(&b.effective_cost.total())
+            });
+        }
+
+        // Capped Cartesian product, enumerated as index vectors in
+        // lexicographic order (rightmost fragment varies fastest — the
+        // same first-`cap` set the old combo-cloning loop produced);
+        // only the surviving combinations materialize candidate clones.
+        let cap = self.config.max_global_candidates;
+        let mut combos: Vec<Vec<FragmentCandidate>> = Vec::new();
+        let mut odometer = vec![0usize; per_fragment.len()];
+        'enumerate: while combos.len() < cap {
+            combos.push(
+                odometer
+                    .iter()
+                    .zip(&per_fragment)
+                    .map(|(&i, cands)| cands[i].clone())
+                    .collect(),
+            );
+            let mut pos = per_fragment.len();
+            loop {
+                if pos == 0 {
+                    break 'enumerate; // every combination enumerated
+                }
+                pos -= 1;
+                odometer[pos] += 1;
+                if odometer[pos] < per_fragment[pos].len() {
+                    break;
+                }
+                odometer[pos] = 0;
+            }
+        }
+
+        let mut candidates: Vec<GlobalCandidate> = combos
+            .into_iter()
+            .map(|fragments| {
+                let integration = self.estimate_integration(&decomposed, &fragments);
+                GlobalCandidate {
+                    integration_cost: self.middleware.calibrate_integration(integration),
+                    fragments,
+                }
+            })
+            .collect();
+        candidates.sort_by(|a, b| a.total_cost().total_cmp(&b.total_cost()));
+
+        // Compile span (covers the EXPLAIN fan-out): journaled via the
+        // deferred buffer because compile runs on worker threads under
+        // `submit_batch`.
+        if self.obs.is_enabled() {
+            let obs = self.obs.clone();
+            let template = decomposed.template_signature.clone();
+            let (explain_tasks, n_candidates) = (tasks.len(), candidates.len());
+            let end = clock.now();
+            effects.defer(move || {
+                let mut fields: Vec<(&'static str, qcc_common::FieldValue)> = Vec::new();
+                if qid.0 != u64::MAX {
+                    fields.push(("query", qid.0.into()));
+                }
+                fields.extend([
+                    ("template", template.into()),
+                    ("explain_tasks", explain_tasks.into()),
+                    ("candidates", n_candidates.into()),
+                ]);
+                obs.span("compile", at, end, fields);
+            });
+        }
+        Ok((decomposed, candidates))
+    }
+
+    /// Estimated merge cost at the integrator for one fragment-candidate
+    /// combination, using a virtual catalog whose table statistics come
+    /// from the fragments' estimated cardinalities.
+    fn estimate_integration(
+        &self,
+        decomposed: &DecomposedQuery,
+        fragments: &[FragmentCandidate],
+    ) -> Cost {
+        let MergeSpec::Merge { stmt } = &decomposed.merge else {
+            return Cost::ZERO;
+        };
+        let mut catalog = Catalog::new();
+        for (i, frag) in decomposed.fragments.iter().enumerate() {
+            let schema = frag.output_schema();
+            let card = fragments
+                .get(i)
+                .map(|f| f.effective_cost.cardinality)
+                .unwrap_or(1.0)
+                .max(1.0) as u64;
+            let columns = schema
+                .columns()
+                .iter()
+                .map(|_| ColumnStats {
+                    distinct: (card / 2).max(1),
+                    ..ColumnStats::default()
+                })
+                .collect();
+            let stats = TableStats::virtual_table(card, 8.0 * schema.len() as f64, columns);
+            catalog.register_virtual(Table::new(frag_table(i), schema), stats);
+        }
+        let engine = Engine::new(catalog);
+        match engine.explain(&stmt.to_string()) {
+            Ok(plans) if !plans.is_empty() => plans[0].cost.calibrate(1.0 / self.config.ii_speed),
+            _ => Cost::fixed(1.0),
+        }
+    }
+}

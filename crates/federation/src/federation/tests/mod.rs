@@ -1,0 +1,503 @@
+use super::*;
+use crate::middleware::PassthroughMiddleware;
+use qcc_common::{Column, DataType, Schema, Value};
+use qcc_netsim::{Link, Network};
+use qcc_remote::{RemoteServer, ServerProfile};
+use qcc_storage::{Catalog, Table};
+use qcc_wrapper::RelationalWrapper;
+
+/// Two servers: S1 hosts accounts+branches, S2 hosts a replica of
+/// branches only.
+fn setup() -> Federation {
+    let accounts_schema = Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::new("balance", DataType::Float),
+        Column::new("branch_id", DataType::Int),
+    ]);
+    let branches_schema = Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::new("city", DataType::Str),
+    ]);
+
+    let mut accounts = Table::new("accounts", accounts_schema.clone());
+    for i in 0..500i64 {
+        accounts
+            .insert(Row::new(vec![
+                Value::Int(i),
+                Value::Float((i % 100) as f64),
+                Value::Int(i % 10),
+            ]))
+            .unwrap();
+    }
+    let mut branches = Table::new("branches", branches_schema.clone());
+    for i in 0..10i64 {
+        branches
+            .insert(Row::new(vec![
+                Value::Int(i),
+                Value::Str(format!("city{i}")),
+            ]))
+            .unwrap();
+    }
+
+    let mut cat1 = Catalog::new();
+    cat1.register(accounts.clone());
+    cat1.register(branches.clone());
+    let mut cat2 = Catalog::new();
+    cat2.register(branches.clone());
+
+    let s1 = RemoteServer::new(ServerProfile::new(ServerId::new("S1")), cat1);
+    let s2 = RemoteServer::new(ServerProfile::new(ServerId::new("S2")), cat2);
+
+    let mut net = Network::new();
+    net.add_link(ServerId::new("S1"), Link::lan());
+    net.add_link(ServerId::new("S2"), Link::lan());
+    let net = Arc::new(net);
+
+    let mut nicknames = NicknameCatalog::new();
+    nicknames.define("accounts", accounts_schema);
+    nicknames.define("branches", branches_schema);
+    nicknames
+        .add_source("accounts", ServerId::new("S1"), "accounts")
+        .unwrap();
+    nicknames
+        .add_source("branches", ServerId::new("S1"), "branches")
+        .unwrap();
+    nicknames
+        .add_source("branches", ServerId::new("S2"), "branches")
+        .unwrap();
+
+    let mut fed = Federation::new(
+        nicknames,
+        SimClock::new(),
+        Arc::new(PassthroughMiddleware::default()),
+        FederationConfig::default(),
+    );
+    fed.add_wrapper(Arc::new(RelationalWrapper::new(s1, Arc::clone(&net))));
+    fed.add_wrapper(Arc::new(RelationalWrapper::new(s2, net)));
+    fed
+}
+
+#[test]
+fn single_source_query_round_trips() {
+    let fed = setup();
+    let out = fed
+        .submit("SELECT COUNT(*) FROM accounts WHERE balance > 50.0")
+        .unwrap();
+    assert_eq!(out.rows.len(), 1);
+    assert_eq!(out.rows[0].get(0), &Value::Int(245));
+    assert!(out.response_ms > 0.0);
+    assert_eq!(fed.patroller().len(), 1);
+}
+
+#[test]
+fn colocated_join_pushes_to_s1() {
+    let fed = setup();
+    let out = fed
+        .submit(
+            "SELECT b.city, COUNT(*) AS n FROM accounts a JOIN branches b \
+             ON a.branch_id = b.id GROUP BY b.city ORDER BY b.city",
+        )
+        .unwrap();
+    assert_eq!(out.rows.len(), 10);
+    assert_eq!(out.rows[0].get(1), &Value::Int(50));
+    assert!(out.servers.contains(&ServerId::new("S1")));
+    assert_eq!(out.servers.len(), 1, "join pushed to the coherent host");
+}
+
+#[test]
+fn replica_choice_exists_for_replicated_nickname() {
+    let fed = setup();
+    let (_, candidates) = fed.explain_global("SELECT COUNT(*) FROM branches").unwrap();
+    let servers: BTreeSet<String> = candidates
+        .iter()
+        .map(|c| c.server_set().iter().next().unwrap().to_string())
+        .collect();
+    assert!(servers.contains("S1") && servers.contains("S2"));
+}
+
+#[test]
+fn explain_table_records_winner() {
+    let fed = setup();
+    fed.submit("SELECT COUNT(*) FROM branches").unwrap();
+    assert_eq!(fed.explain_table().len(), 1);
+}
+
+#[test]
+fn failure_reroutes_to_replica() {
+    // Build a setup where we keep direct handles to the servers.
+    let branches_schema = Schema::new(vec![Column::new("id", DataType::Int)]);
+    let mut branches = Table::new("branches", branches_schema.clone());
+    for i in 0..10i64 {
+        branches.insert(Row::new(vec![Value::Int(i)])).unwrap();
+    }
+    let mut cat1 = Catalog::new();
+    cat1.register(branches.clone());
+    let mut cat2 = Catalog::new();
+    cat2.register(branches);
+    let s1 = RemoteServer::new(ServerProfile::new(ServerId::new("S1")), cat1);
+    let s2 = RemoteServer::new(ServerProfile::new(ServerId::new("S2")), cat2);
+    let mut net = Network::new();
+    net.add_link(ServerId::new("S1"), Link::lan());
+    net.add_link(ServerId::new("S2"), Link::lan());
+    let net = Arc::new(net);
+    let mut nicknames = NicknameCatalog::new();
+    nicknames.define("branches", branches_schema);
+    nicknames
+        .add_source("branches", ServerId::new("S1"), "branches")
+        .unwrap();
+    nicknames
+        .add_source("branches", ServerId::new("S2"), "branches")
+        .unwrap();
+    let mut fed = Federation::new(
+        nicknames,
+        SimClock::new(),
+        Arc::new(PassthroughMiddleware::default()),
+        FederationConfig::default(),
+    );
+    fed.add_wrapper(Arc::new(RelationalWrapper::new(
+        Arc::clone(&s1),
+        Arc::clone(&net),
+    )));
+    fed.add_wrapper(Arc::new(RelationalWrapper::new(s2, net)));
+
+    // S1 goes down *after compile time* is hard to time here; instead
+    // take it down for the whole run — compile skips it, S2 serves.
+    s1.availability()
+        .add_outage(SimTime::ZERO, SimTime::from_millis(1e12));
+    let out = fed.submit("SELECT COUNT(*) FROM branches").unwrap();
+    assert_eq!(out.rows[0].get(0), &Value::Int(10));
+    assert!(out.servers.contains(&ServerId::new("S2")));
+}
+
+/// Servers S1..Sn on LAN links, `hosts[i]` naming the tables S(i+1)
+/// holds — each a 5000-row table of one Int `id` column (multi-chunk at
+/// BATCH_ROWS=1024) — with the journal enabled.
+fn id_table_fleet(hosts: &[&[&str]], stall_factor: f64) -> (Federation, Vec<Arc<RemoteServer>>) {
+    let schema = Schema::new(vec![Column::new("id", DataType::Int)]);
+    let mut net = Network::new();
+    let mut nicknames = NicknameCatalog::new();
+    let mut servers = Vec::new();
+    for (i, tables) in hosts.iter().enumerate() {
+        let id = ServerId::new(format!("S{}", i + 1));
+        let mut catalog = Catalog::new();
+        for &name in *tables {
+            let mut table = Table::new(name, schema.clone());
+            for row in 0..5000i64 {
+                table.insert(Row::new(vec![Value::Int(row)])).unwrap();
+            }
+            catalog.register(table);
+            if !nicknames.names().contains(&name) {
+                nicknames.define(name, schema.clone());
+            }
+            nicknames.add_source(name, id.clone(), name).unwrap();
+        }
+        net.add_link(id.clone(), Link::lan());
+        servers.push(RemoteServer::new(ServerProfile::new(id), catalog));
+    }
+    let net = Arc::new(net);
+    let mut fed = Federation::new(
+        nicknames,
+        SimClock::new(),
+        Arc::new(PassthroughMiddleware::default()),
+        FederationConfig {
+            stall_factor,
+            ..FederationConfig::default()
+        },
+    );
+    fed.set_obs(Obs::new());
+    for server in &servers {
+        fed.add_wrapper(Arc::new(RelationalWrapper::new(
+            Arc::clone(server),
+            Arc::clone(&net),
+        )));
+    }
+    (fed, servers)
+}
+
+/// Two full `branches` replicas; returns S1's handle for fault
+/// injection.
+fn streaming_fixture(stall_factor: f64) -> (Federation, Arc<RemoteServer>) {
+    let (fed, servers) = id_table_fleet(&[&["branches"], &["branches"]], stall_factor);
+    (fed, Arc::clone(&servers[0]))
+}
+
+fn sorted_ids(rows: &[Row]) -> Vec<i64> {
+    let mut ids: Vec<i64> = rows
+        .iter()
+        .map(|r| match r.get(0) {
+            Value::Int(i) => *i,
+            v => panic!("unexpected value {v:?}"),
+        })
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+#[test]
+fn midquery_interrupt_reroutes_remainder_without_duplicates() {
+    // Dry run on a healthy fleet to learn when the fragment executes
+    // and how long it takes (all virtual time, fully deterministic).
+    let (dry, _) = streaming_fixture(0.0);
+    dry.submit("SELECT id FROM branches").unwrap();
+    let frag = &dry.obs().events_of("fragment")[0];
+    let t0 = frag.at.as_millis();
+    let Some(FieldValue::F64(ms)) = frag.field("ms") else {
+        panic!("fragment event lacks ms");
+    };
+
+    // Fresh identical world where the serving replica crashes 30% of
+    // the way into the fragment: the stream is cut mid-service and the
+    // remainder must resume on the sibling at the cursor.
+    let (fed, s1) = streaming_fixture(0.0);
+    s1.availability().add_outage(
+        SimTime::from_millis(t0 + 0.3 * ms),
+        SimTime::from_millis(1e12),
+    );
+    let out = fed.submit("SELECT id FROM branches").unwrap();
+    assert_eq!(
+        sorted_ids(&out.rows),
+        (0..5000).collect::<Vec<_>>(),
+        "every row exactly once: no duplicates, no loss"
+    );
+    let obs = fed.obs();
+    assert_eq!(obs.events_of("fragment_stall").len(), 1);
+    let stall = &obs.events_of("fragment_stall")[0];
+    assert_eq!(stall.str_field("reason"), Some("interrupt"));
+    assert_eq!(obs.events_of("reroute_dispatch").len(), 1);
+    assert_eq!(obs.events_of("fragment_resume").len(), 1);
+    let stream = &obs.events_of("fragment_stream")[0];
+    let sources = stream.str_field("sources").unwrap();
+    assert!(
+        sources.starts_with("S1:0..") && sources.contains("+S2:"),
+        "stitched provenance, got {sources}"
+    );
+    assert_eq!(out.fragment_times[0].0, ServerId::new("S2"));
+    assert_eq!(
+        obs.counter_value("fragment_reroutes_total", &[("server", "S2")]),
+        1
+    );
+    // The interrupt was detected mid-query, not burned as a whole-query
+    // retry.
+    assert_eq!(obs.counter_value("retries_total", &[]), 0);
+}
+
+#[test]
+fn stalled_fragment_cancels_and_reroutes_to_fast_replica() {
+    // S1 is crushed by background load (the estimate is load-blind,
+    // so its stream overruns stall_factor × estimate); S2 idles. The
+    // detector must cancel S1 at the threshold and finish on S2.
+    let (fed, s1) = streaming_fixture(3.0);
+    s1.load().set_background(LoadProfile::Constant(0.95));
+    let out = fed.submit("SELECT id FROM branches").unwrap();
+    assert_eq!(sorted_ids(&out.rows), (0..5000).collect::<Vec<_>>());
+    let obs = fed.obs();
+    let stall = &obs.events_of("fragment_stall")[0];
+    assert_eq!(stall.str_field("reason"), Some("slow"));
+    assert_eq!(obs.events_of("reroute_dispatch").len(), 1);
+    assert_eq!(out.fragment_times[0].0, ServerId::new("S2"));
+    // A slow-cancel feeds the reliability penalty hook, not a retry.
+    assert_eq!(obs.counter_value("retries_total", &[]), 0);
+}
+
+#[test]
+fn no_viable_plan_when_all_sources_down() {
+    let branches_schema = Schema::new(vec![Column::new("id", DataType::Int)]);
+    let mut cat = Catalog::new();
+    cat.register(Table::new("branches", branches_schema.clone()));
+    let s1 = RemoteServer::new(ServerProfile::new(ServerId::new("S1")), cat);
+    s1.availability()
+        .add_outage(SimTime::ZERO, SimTime::from_millis(1e12));
+    let mut net = Network::new();
+    net.add_link(ServerId::new("S1"), Link::lan());
+    let mut nicknames = NicknameCatalog::new();
+    nicknames.define("branches", branches_schema);
+    nicknames
+        .add_source("branches", ServerId::new("S1"), "branches")
+        .unwrap();
+    let mut fed = Federation::new(
+        nicknames,
+        SimClock::new(),
+        Arc::new(PassthroughMiddleware::default()),
+        FederationConfig::default(),
+    );
+    fed.add_wrapper(Arc::new(RelationalWrapper::new(s1, Arc::new(net))));
+    let err = fed.submit("SELECT COUNT(*) FROM branches").unwrap_err();
+    assert!(matches!(err, QccError::NoViablePlan(_)), "{err}");
+    assert_eq!(
+        fed.patroller().log()[0].status,
+        crate::patroller::QueryStatus::Failed(err.to_string())
+    );
+}
+
+#[test]
+fn clock_advances_with_execution() {
+    let fed = setup();
+    let before = fed.clock().now();
+    fed.submit("SELECT * FROM accounts WHERE id < 100").unwrap();
+    assert!(fed.clock().now() > before);
+}
+
+#[test]
+fn cross_source_merge_join_correct() {
+    // Force a split: accounts only on S1, branches only on S2.
+    let accounts_schema = Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::new("branch_id", DataType::Int),
+    ]);
+    let branches_schema = Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::new("city", DataType::Str),
+    ]);
+    let mut accounts = Table::new("accounts", accounts_schema.clone());
+    for i in 0..100i64 {
+        accounts
+            .insert(Row::new(vec![Value::Int(i), Value::Int(i % 5)]))
+            .unwrap();
+    }
+    let mut branches = Table::new("branches", branches_schema.clone());
+    for i in 0..5i64 {
+        branches
+            .insert(Row::new(vec![Value::Int(i), Value::Str(format!("c{i}"))]))
+            .unwrap();
+    }
+    let mut cat1 = Catalog::new();
+    cat1.register(accounts);
+    let mut cat2 = Catalog::new();
+    cat2.register(branches);
+    let s1 = RemoteServer::new(ServerProfile::new(ServerId::new("S1")), cat1);
+    let s2 = RemoteServer::new(ServerProfile::new(ServerId::new("S2")), cat2);
+    let mut net = Network::new();
+    net.add_link(ServerId::new("S1"), Link::lan());
+    net.add_link(ServerId::new("S2"), Link::lan());
+    let net = Arc::new(net);
+    let mut nicknames = NicknameCatalog::new();
+    nicknames.define("accounts", accounts_schema);
+    nicknames.define("branches", branches_schema);
+    nicknames
+        .add_source("accounts", ServerId::new("S1"), "accounts")
+        .unwrap();
+    nicknames
+        .add_source("branches", ServerId::new("S2"), "branches")
+        .unwrap();
+    let mut fed = Federation::new(
+        nicknames,
+        SimClock::new(),
+        Arc::new(PassthroughMiddleware::default()),
+        FederationConfig::default(),
+    );
+    fed.set_obs(Obs::new());
+    fed.add_wrapper(Arc::new(RelationalWrapper::new(s1, Arc::clone(&net))));
+    fed.add_wrapper(Arc::new(RelationalWrapper::new(s2, net)));
+
+    let out = fed
+        .submit(
+            "SELECT b.city, COUNT(*) AS n FROM accounts a JOIN branches b \
+             ON a.branch_id = b.id GROUP BY b.city ORDER BY b.city",
+        )
+        .unwrap();
+    assert_eq!(out.rows.len(), 5);
+    for r in &out.rows {
+        assert_eq!(r.get(1), &Value::Int(20));
+    }
+    assert_eq!(out.servers.len(), 2, "both sources touched");
+    assert_eq!(out.fragment_times.len(), 2);
+    // A cross-source split is the one shape that exercises the local
+    // merge, so this is where the "merge" journal event is pinned.
+    let merges = fed.obs().events_of("merge");
+    assert_eq!(merges.len(), 1);
+    assert!(merges[0].field("ms").is_some());
+    assert_eq!(fed.obs().events_of("fragment").len(), 2);
+}
+
+#[test]
+fn pressured_fragment_hedges_to_replica_and_suppresses_duplicate() {
+    let mut fed = setup();
+    fed.set_obs(Obs::new());
+    // A slack factor this large marks every fragment of a
+    // finite-deadline query as pressured, so the replicated nickname
+    // must hedge to its second host.
+    let admission = Arc::new(AdmissionController::new(qcc_admission::AdmissionConfig {
+        exec_deadline_ms: 50.0,
+        hedge_slack_factor: 1_000_000.0,
+        hedge_band: 10.0,
+        ..Default::default()
+    }));
+    admission.set_capacity(&ServerId::new("S1"), 2, SimTime::ZERO);
+    admission.set_capacity(&ServerId::new("S2"), 2, SimTime::ZERO);
+    fed.set_admission(Arc::clone(&admission));
+
+    let out = fed.submit("SELECT COUNT(*) FROM branches").unwrap();
+    assert_eq!(
+        out.rows[0].get(0),
+        &Value::Int(10),
+        "one merged result; the losing replica's rows are suppressed"
+    );
+    let hedges = fed.obs().events_of("hedge");
+    assert_eq!(hedges.len(), 1, "single-fragment plan hedges exactly once");
+    assert!(hedges[0].field("primary").is_some());
+    assert_ne!(
+        hedges[0].field("primary"),
+        hedges[0].field("hedge"),
+        "the hedge replica must sit on a different server"
+    );
+    let results = fed.obs().events_of("hedge_result");
+    assert_eq!(results.len(), 1);
+    assert!(results[0].field("winner").is_some());
+    assert_eq!(
+        fed.obs()
+            .counter_value("hedge_duplicates_suppressed_total", &[]),
+        1,
+        "healthy world: both replicas answer, exactly one duplicate suppressed"
+    );
+}
+
+#[test]
+fn unrescued_slot_surfaces_its_own_error_not_a_rescued_slots() {
+    // Slot 0 (`branches`, two replicas) can hedge; slot 1 (`accounts`,
+    // one host) cannot.
+    const SQL: &str = "SELECT b.id FROM branches b JOIN accounts a ON a.id = b.id";
+    let build = || {
+        let (mut fed, servers) =
+            id_table_fleet(&[&["branches"], &["branches"], &["accounts"]], 0.0);
+        let admission = Arc::new(AdmissionController::new(qcc_admission::AdmissionConfig {
+            exec_deadline_ms: 50.0,
+            hedge_slack_factor: 1_000_000.0,
+            hedge_band: 10.0,
+            ..Default::default()
+        }));
+        for server in &servers {
+            admission.set_capacity(server.id(), 2, SimTime::ZERO);
+        }
+        fed.set_admission(admission);
+        (fed, servers)
+    };
+    // Dry run: learn the dispatch instant and slot 0's primary.
+    let (dry, _) = build();
+    dry.submit(SQL).unwrap();
+    let hedge = &dry.obs().events_of("hedge")[0];
+    assert_eq!(hedge.field("fragment"), Some(&FieldValue::U64(0)));
+    let primary0 = hedge.str_field("primary").unwrap().to_string();
+    let dispatched = hedge.at;
+
+    // Same world, but slot 0's primary and slot 1's only host both
+    // refuse the EXECUTE on arrival (up for the EXPLAIN, down from the
+    // dispatch instant on). The hedge rescues slot 0; nothing can
+    // rescue slot 1, so the server to ban is slot 1's.
+    let (fed, servers) = build();
+    for server in &servers {
+        if server.id().as_str() == primary0 || server.id().as_str() == "S3" {
+            server
+                .availability()
+                .add_outage(dispatched, SimTime::from_millis(1e12));
+        }
+    }
+    let err = fed.submit(SQL).unwrap_err();
+    assert!(matches!(err, QccError::NoViablePlan(_)), "{err}");
+    let bans = fed.obs().events_of("server_banned");
+    assert_eq!(
+        bans.len(),
+        1,
+        "one ban leaves no plan: accounts has one host"
+    );
+    assert_eq!(bans[0].str_field("server"), Some("S3"));
+}
