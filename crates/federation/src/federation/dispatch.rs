@@ -287,8 +287,8 @@ impl Federation {
             .observe_fragment(qid, cand.fragment, &cand.plan, ms, start, effects);
     }
 
-    /// Count and journal one `plan` execution that delivered rows to the
-    /// merge (a whole fragment, or a resumed remainder).
+    /// Count and journal one `plan` execution that ran to completion (a
+    /// whole fragment, or a resumed remainder).
     pub(super) fn journal_fragment(
         &self,
         qid: QueryId,

@@ -7,7 +7,7 @@ use crate::decompose::DecomposedQuery;
 use crate::middleware::{Deferred, FragmentCandidate, GlobalCandidate};
 use qcc_common::obs::reroute_events as ev;
 use qcc_common::{FieldValue, QccError, QueryId, Result, ServerId, SimDuration, SimTime};
-use qcc_wrapper::{StreamOutcome, WrapperResult};
+use qcc_wrapper::{StreamOutcome, WrapperResult, WrapperStream};
 use std::collections::BTreeSet;
 
 /// Virtual-time lag between a mid-stream interrupt and the stall detector
@@ -45,18 +45,24 @@ impl Federation {
         let mut excluded = banned.clone();
         excluded.insert(base_server.clone());
         excluded.extend(also_excluded.cloned());
-        let alt = self.pick_reroute_replica(slot, decomposed, primary_cand, pool, &excluded);
+        let pick = || self.pick_reroute_replica(slot, decomposed, primary_cand, pool, &excluded);
 
         // The detection instant, the chunks the integrator keeps, and the
-        // late chunks it must suppress.
+        // replica that takes over.
         let total_chunks = base.stream.total_chunks;
-        let (cancel_at, reason, mut kept, fault_ms) = match base.stream.outcome {
+        let (cancel_at, reason, mut kept, fault_ms, alt) = match base.stream.outcome {
             StreamOutcome::Interrupted { at } => {
                 // The source died mid-stream; every delivered chunk
                 // precedes the transition, and detection costs one probe
                 // interval.
                 let fault_ms = Some(at.as_millis());
-                (at + probe, "interrupt", base.stream.chunks, fault_ms)
+                (
+                    at + probe,
+                    "interrupt",
+                    base.stream.chunks,
+                    fault_ms,
+                    pick(),
+                )
             }
             StreamOutcome::Complete => {
                 let cancel_at = start + SimDuration::from_millis(threshold_ms);
@@ -66,7 +72,8 @@ impl Federation {
                     .iter()
                     .filter(|c| c.at > cancel_at)
                     .count();
-                if late == 0 || alt.is_none() {
+                let alt = if late > 0 { pick() } else { None };
+                if alt.is_none() {
                     // Every chunk beat the threshold (only the transfer
                     // tail overran), or no within-band replica exists:
                     // cancelling gains nothing, so the slow result is kept
@@ -77,11 +84,12 @@ impl Federation {
                     self.note_complete_stream(qid, base.cand, &base.stream, start, effects);
                     return Ok((stream_result(base.stream), base_server));
                 }
+                // The late chunks are suppressed, never merged.
                 self.obs
                     .counter_add("reroute_chunks_suppressed_total", &[], late as u64);
                 let mut kept = base.stream.chunks;
                 kept.retain(|c| c.at <= cancel_at);
-                (cancel_at, "slow", kept, None)
+                (cancel_at, "slow", kept, None, alt)
             }
         };
         self.journal_stall(
@@ -155,7 +163,12 @@ impl Federation {
             )
         });
         match resumed {
-            Ok(stream) if stream.outcome == StreamOutcome::Complete => {
+            Ok(
+                stream @ WrapperStream {
+                    outcome: StreamOutcome::Complete,
+                    ..
+                },
+            ) => {
                 let end = cancel_at + stream.response_time;
                 let ms = stream.response_time.as_millis();
                 self.obs
@@ -196,21 +209,20 @@ impl Federation {
                 };
                 return Ok((result, alt_server));
             }
-            Ok(stream) => {
-                // The replica died mid-remainder too.
-                if let StreamOutcome::Interrupted { at } = stream.outcome {
-                    self.journal_stall(
-                        qid,
-                        slot,
-                        &alt_server,
-                        "interrupt",
-                        at + probe,
-                        start,
-                        threshold_ms,
-                        effects,
-                    );
-                }
-            }
+            // The replica died mid-remainder too.
+            Ok(WrapperStream {
+                outcome: StreamOutcome::Interrupted { at },
+                ..
+            }) => self.journal_stall(
+                qid,
+                slot,
+                &alt_server,
+                "interrupt",
+                at + probe,
+                start,
+                threshold_ms,
+                effects,
+            ),
             // Dead on arrival (recorded by the middleware).
             Err(QccError::ServerUnavailable(_)) | Err(QccError::ServerFault { .. }) => {}
             Err(e) => return Err(e),
