@@ -108,6 +108,15 @@ if grep -q "reroute recovery: VIOLATED" /tmp/qcc-reroute.out; then
 fi
 grep -q "reroute recovery: OK" /tmp/qcc-reroute.out
 
+echo "==> bench smoke: query_path (a warm statement adds no parse, decompose, merge-cost or wrapper EXPLAIN)"
+cargo bench -q --offline -p qcc-bench --bench query_path \
+    | tee /tmp/qcc-querypath.out
+if grep -q "query path: VIOLATED" /tmp/qcc-querypath.out; then
+    echo "query_path: a warm submit repeated compile work" >&2
+    exit 1
+fi
+grep -q "query path: OK" /tmp/qcc-querypath.out
+
 echo "==> benchmark package: builds against the workspace, unit tests, four smoke workloads"
 # qcc-perf/ is its own workspace, so nothing above compiles it: deleting
 # public API it uses would otherwise only surface in the benchmark driver.

@@ -266,13 +266,13 @@ mod tests {
                 .enumerate()
                 .map(|(i, (srv, cost, sig))| FragmentCandidate {
                     fragment: FragmentId::new(QueryId(0), i as u32),
-                    plan: FragmentPlan {
+                    plan: std::sync::Arc::new(FragmentPlan {
                         server: ServerId::new(srv),
                         sql: "SELECT 1".into(),
                         descriptor: None,
                         cost: Some(Cost::fixed(*cost)),
                         signature: (*sig).to_owned(),
-                    },
+                    }),
                     effective_cost: Cost::fixed(*cost),
                 })
                 .collect(),

@@ -14,7 +14,9 @@
 use crate::records::{ErrorRecord, FragmentCompileRecord, FragmentRunRecord};
 use crate::Qcc;
 use qcc_common::{Cost, FragmentId, QccError, QueryId, Result, ServerId, SimDuration, SimTime};
-use qcc_federation::{Deferred, FragmentCandidate, GlobalCandidate, Middleware, DEFAULT_UNCOSTED};
+use qcc_federation::{
+    share_plans, Deferred, FragmentCandidate, GlobalCandidate, Middleware, DEFAULT_UNCOSTED,
+};
 use qcc_wrapper::{FragmentPlan, StreamOutcome, Wrapper, WrapperStream};
 use std::sync::Arc;
 
@@ -42,7 +44,7 @@ impl Middleware for MetaWrapper {
         wrapper: &dyn Wrapper,
         query: QueryId,
         fragment: FragmentId,
-        sql: &str,
+        sql: &Arc<str>,
         at: SimTime,
         effects: &mut Deferred,
     ) -> Result<(Vec<FragmentCandidate>, SimDuration)> {
@@ -58,7 +60,7 @@ impl Middleware for MetaWrapper {
         // skip the round trip — calibration below still applies the
         // *current* factors (Figure 5's walkthrough).
         let cached = if self.qcc.config.plan_cache {
-            self.qcc.plan_cache.get(&server, sql)
+            self.qcc.plan_cache.get(&server, Arc::clone(sql))
         } else {
             None
         };
@@ -71,12 +73,12 @@ impl Middleware for MetaWrapper {
                     self.qcc
                         .obs
                         .counter_inc("explain_requests_total", &[("server", server.as_str())]);
-                    let plans = Arc::new(plans);
+                    let plans = share_plans(sql, plans);
                     let qcc = self.qcc.clone();
-                    let (srv, sql_key, stored) = (server.clone(), sql.to_owned(), plans.clone());
+                    let (srv, sql_key, stored) = (server.clone(), Arc::clone(sql), plans.clone());
                     effects.defer(move || {
                         if qcc.config.plan_cache {
-                            qcc.plan_cache.put_shared(&srv, &sql_key, stored);
+                            qcc.plan_cache.put_shared(&srv, sql_key, stored);
                         }
                         qcc.reliability.record_success(&srv);
                     });
@@ -93,18 +95,16 @@ impl Middleware for MetaWrapper {
         let mut compiles = Vec::with_capacity(plans.len());
         let candidates = plans
             .iter()
-            .cloned()
-            .map(|plan| {
+            .map(|cached| {
+                let plan = &cached.plan;
                 // Record item (c)+(d): outgoing fragments and mappings.
-                compiles.push(FragmentCompileRecord {
+                // The record shares the cached label; nothing is copied.
+                compiles.push(FragmentCompileRecord::new(
                     query,
                     fragment,
-                    server: server.clone(),
-                    sql: sql.to_owned(),
-                    signature: plan.signature.clone(),
-                    estimated: plan.cost,
+                    Arc::clone(&cached.label),
                     at,
-                });
+                ));
                 // Calibrate: raw estimate × fragment factor × reliability.
                 let raw = plan.cost.unwrap_or(Cost::fixed(DEFAULT_UNCOSTED));
                 let factor = self
@@ -114,7 +114,7 @@ impl Middleware for MetaWrapper {
                 let effective_cost = raw.calibrate(factor * reliability);
                 FragmentCandidate {
                     fragment,
-                    plan,
+                    plan: Arc::clone(plan),
                     effective_cost,
                 }
             })

@@ -8,25 +8,56 @@
 
 use parking_lot::Mutex;
 use qcc_common::{Cost, FragmentId, QueryId, ServerId, SimTime};
+use qcc_federation::PlanLabel;
 use std::sync::Arc;
 
-/// Compile-time record: one candidate fragment plan at one server.
+/// Compile-time record: one candidate fragment plan at one server. One
+/// is written per candidate per arrival, into an append-only store, so it
+/// holds no string of its own: it shares the plan's label with the plan
+/// cache (the label, not the plan — a record must not keep an evicted
+/// plan's descriptor alive). Read the mapping through the accessors.
 #[derive(Debug, Clone)]
 pub struct FragmentCompileRecord {
     /// Owning query.
     pub query: QueryId,
     /// Fragment id.
     pub fragment: FragmentId,
-    /// Target server.
-    pub server: ServerId,
-    /// Fragment SQL as sent to the wrapper.
-    pub sql: String,
-    /// Plan-shape signature.
-    pub signature: String,
-    /// The wrapper's raw estimated cost (None for file sources).
-    pub estimated: Option<Cost>,
-    /// When the EXPLAIN happened.
+    /// When the EXPLAIN happened (or was answered from the plan cache).
     pub at: SimTime,
+    plan: Arc<PlanLabel>,
+}
+
+impl FragmentCompileRecord {
+    /// Record the plan labelled `plan` as a candidate for `fragment` of
+    /// `query`.
+    pub fn new(query: QueryId, fragment: FragmentId, plan: Arc<PlanLabel>, at: SimTime) -> Self {
+        FragmentCompileRecord {
+            query,
+            fragment,
+            at,
+            plan,
+        }
+    }
+
+    /// Target server.
+    pub fn server(&self) -> &ServerId {
+        &self.plan.server
+    }
+
+    /// Fragment SQL as sent to the wrapper.
+    pub fn sql(&self) -> &str {
+        &self.plan.sql
+    }
+
+    /// Plan-shape signature.
+    pub fn signature(&self) -> &str {
+        &self.plan.signature
+    }
+
+    /// The wrapper's raw estimated cost (None for file sources).
+    pub fn estimated(&self) -> Option<Cost> {
+        self.plan.cost
+    }
 }
 
 /// Runtime record: one fragment execution.
@@ -211,15 +242,17 @@ mod tests {
     fn records_accumulate_and_filter() {
         let store = RecordStore::new();
         let q = QueryId(1);
-        store.record_compile(FragmentCompileRecord {
-            query: q,
-            fragment: FragmentId::new(q, 0),
-            server: ServerId::new("S1"),
-            sql: "SELECT 1".into(),
-            signature: "sig".into(),
-            estimated: Some(Cost::fixed(5.0)),
-            at: SimTime::ZERO,
-        });
+        store.record_compile(FragmentCompileRecord::new(
+            q,
+            FragmentId::new(q, 0),
+            Arc::new(PlanLabel {
+                server: ServerId::new("S1"),
+                sql: "SELECT 1".into(),
+                signature: "sig".into(),
+                cost: Some(Cost::fixed(5.0)),
+            }),
+            SimTime::ZERO,
+        ));
         for (srv, ms) in [("S1", 8.0), ("S2", 7.0), ("S1", 9.0)] {
             store.record_run(FragmentRunRecord {
                 query: q,
@@ -236,7 +269,14 @@ mod tests {
             message: "boom".into(),
             at: SimTime::ZERO,
         });
-        assert_eq!(store.compiles().len(), 1);
+        let compiles = store.compiles();
+        assert_eq!(compiles.len(), 1);
+        let c = &compiles[0];
+        assert_eq!(
+            (c.server().as_str(), c.sql(), c.signature()),
+            ("S1", "SELECT 1", "sig")
+        );
+        assert_eq!(c.estimated(), Some(Cost::fixed(5.0)));
         assert_eq!(store.run_count(), 3);
         assert_eq!(store.runs_for_server(&ServerId::new("S1")).len(), 2);
         assert_eq!(store.errors().len(), 1);

@@ -30,6 +30,7 @@ pub use planner::{plan_query, PlannerConfig};
 pub use rowexec::execute_rows;
 
 use qcc_common::{ColumnBatch, Cost, Result, Row};
+use qcc_sql::SelectStmt;
 use qcc_storage::Catalog;
 
 /// A candidate physical plan with its estimated cost.
@@ -78,8 +79,13 @@ impl Engine {
 
     /// EXPLAIN: candidate plans with estimated costs, cheapest first.
     pub fn explain(&self, sql: &str) -> Result<Vec<PlannedQuery>> {
-        let stmt = qcc_sql::parse_select(sql)?;
-        let plans = plan_query(&stmt, &self.catalog, &self.planner)?;
+        self.explain_stmt(&qcc_sql::parse_select(sql)?)
+    }
+
+    /// EXPLAIN an already-parsed statement (callers that hold the AST —
+    /// the integrator's merge statement — skip the text round trip).
+    pub fn explain_stmt(&self, stmt: &SelectStmt) -> Result<Vec<PlannedQuery>> {
+        let plans = plan_query(stmt, &self.catalog, &self.planner)?;
         let mut out: Vec<PlannedQuery> = plans
             .into_iter()
             .map(|plan| {
@@ -104,7 +110,12 @@ impl Engine {
 
     /// Convenience: plan with the default (cheapest) plan and execute.
     pub fn execute_sql(&self, sql: &str) -> Result<(Vec<Row>, Work)> {
-        let plans = self.explain(sql)?;
+        self.execute_stmt(&qcc_sql::parse_select(sql)?)
+    }
+
+    /// [`Engine::execute_sql`] for an already-parsed statement.
+    pub fn execute_stmt(&self, stmt: &SelectStmt) -> Result<(Vec<Row>, Work)> {
+        let plans = self.explain_stmt(stmt)?;
         let best = plans
             .first()
             .ok_or_else(|| qcc_common::QccError::Planning("no plan produced".into()))?;

@@ -90,12 +90,16 @@ pub enum MergeSpec {
     /// Execute this statement over temp tables `__frag0`, `__frag1`, ...
     /// (boxed: the statement is much larger than the other variant).
     Merge {
-        /// The merge statement.
+        /// The merge statement. The integrator costs and runs this AST as
+        /// it stands (`Engine::explain_stmt` / `execute_stmt`); it is never
+        /// printed and parsed back.
         stmt: Box<SelectStmt>,
     },
 }
 
-/// A decomposed federated query.
+/// A decomposed federated query: a pure function of the statement text and
+/// the nickname catalog, which is why the integrator computes it once per
+/// text and shares it by `Arc` (its compiled template, DESIGN.md §16).
 #[derive(Debug, Clone)]
 pub struct DecomposedQuery {
     /// The original statement, fully qualified.

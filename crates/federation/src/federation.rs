@@ -7,8 +7,10 @@ mod compile;
 mod dispatch;
 mod merge;
 mod recover;
+mod template;
 
 pub use recover::{REROUTE_BAND, REROUTE_PROBE_MS};
+pub use template::TEMPLATE_CACHE_CAPACITY;
 
 use crate::decompose::DecomposedQuery;
 use crate::middleware::{Deferred, GlobalCandidate, Middleware};
@@ -81,9 +83,10 @@ pub struct QueryOutcome {
     pub estimated_cost: f64,
 }
 
-/// A compiled federated query: its decomposition plus the enumerated
-/// global candidates, costed and sorted cheapest-first.
-pub type CompiledGlobal = (DecomposedQuery, Vec<GlobalCandidate>);
+/// A compiled federated query: its decomposition (shared with the
+/// statement's compiled template) plus the enumerated global candidates,
+/// costed and sorted cheapest-first.
+pub type CompiledGlobal = (Arc<DecomposedQuery>, Vec<GlobalCandidate>);
 
 /// Observed `(server, response ms)` pairs, one per executed fragment.
 pub type FragmentTimes = Vec<(ServerId, f64)>;
@@ -100,6 +103,9 @@ pub struct Federation {
     /// The explain table: query template → winning global plan signature
     /// (the paper stores the selected plan and its estimated costs here).
     explain_table: Mutex<BTreeMap<String, String>>,
+    /// Compiled templates by exact SQL text (DESIGN.md §16). Probed on the
+    /// query's own thread, inserted into through the `Deferred` buffers.
+    templates: template::TemplateCache,
     /// Observability handle (disabled unless [`Federation::set_obs`] is
     /// called). Worker-side journal emissions ride the `Deferred` buffers
     /// so snapshots stay thread-count independent.
@@ -134,6 +140,7 @@ impl Federation {
             ii_load: ServerLoad::new(LoadProfile::Constant(0.0), 0.02),
             config,
             explain_table: Mutex::new(BTreeMap::new()),
+            templates: template::new_cache(),
             obs: Obs::off(),
             admission: None,
             catalog: None,
@@ -365,12 +372,9 @@ impl Federation {
                     )));
                 }
             }
-            // Filter candidates avoiding servers that already failed.
-            let viable: Vec<&GlobalCandidate> = candidates
-                .iter()
-                .filter(|c| c.server_set().is_disjoint(&banned))
-                .collect();
-            if viable.is_empty() {
+            // `candidates` never holds a plan on a banned server: each ban
+            // below drops those plans before the next attempt.
+            if candidates.is_empty() {
                 break;
             }
             // Token gate: a plan is admissible only if every server it
@@ -378,16 +382,15 @@ impl Federation {
             // nonempty blocked set means the router steered around a
             // token-exhausted server (a "token wait" — in virtual time the
             // wait materializes as a reroute, never a sleep).
-            let (viable, blocked_count) = match &self.admission {
-                Some(admission) => {
-                    let (admissible, blocked): (Vec<&GlobalCandidate>, Vec<&GlobalCandidate>) =
-                        viable.into_iter().partition(|c| {
-                            c.server_set().iter().all(|s| admission.capacity(s) > 0)
-                        });
-                    (admissible, blocked.len())
-                }
-                None => (viable, 0),
-            };
+            let admissible: Option<Vec<GlobalCandidate>> = self.admission.as_ref().map(|a| {
+                candidates
+                    .iter()
+                    .filter(|c| c.servers().all(|s| a.capacity(s) > 0))
+                    .cloned()
+                    .collect()
+            });
+            let viable: &[GlobalCandidate] = admissible.as_deref().unwrap_or(&candidates);
+            let blocked_count = candidates.len() - viable.len();
             if blocked_count > 0 {
                 self.obs.counter_inc("token_waits_total", &[]);
                 self.journal(effects, clock.now(), "token_wait", || {
@@ -408,19 +411,26 @@ impl Federation {
                     "no token-admissible global plan (all candidate servers exhausted)".into(),
                 ));
             }
-            let viable_owned: Vec<GlobalCandidate> = viable.into_iter().cloned().collect();
             let idx = self
                 .middleware
-                .choose_global(&decomposed.template_signature, &viable_owned, effects)
-                .min(viable_owned.len() - 1);
-            let chosen = &viable_owned[idx];
+                .choose_global(&decomposed.template_signature, viable, effects)
+                .min(viable.len() - 1);
+            let chosen = &viable[idx];
+            let chosen_signature = chosen.signature();
             // Inline (not deferred) by design: within one batch every
             // query sees the same frozen routing state, so same-template
             // queries write the same winner — the table's contents are
-            // deterministic even though the write order is not.
-            self.explain_table
-                .lock()
-                .insert(decomposed.template_signature.clone(), chosen.signature());
+            // deterministic even though the write order is not. Written
+            // only when the winner changed.
+            {
+                let mut table = self.explain_table.lock();
+                if table.get(&decomposed.template_signature) != Some(&chosen_signature) {
+                    table.insert(
+                        decomposed.template_signature.clone(),
+                        chosen_signature.clone(),
+                    );
+                }
+            }
 
             let remaining_ms = (exec_deadline_ms > 0.0)
                 .then(|| exec_deadline_ms - clock.now().since(submitted).as_millis());
@@ -472,7 +482,7 @@ impl Federation {
                         id: qid,
                         rows,
                         response_ms,
-                        chosen_signature: chosen.signature(),
+                        chosen_signature,
                         servers: chosen.server_set(),
                         fragment_times,
                         estimated_cost: chosen.total_cost(),
@@ -493,8 +503,8 @@ impl Federation {
                             ("attempt", (attempt as u64).into()),
                         ]
                     });
+                    candidates.retain(|c| c.servers().all(|on| *on != s));
                     banned.insert(s);
-                    candidates.retain(|c| c.server_set().is_disjoint(&banned));
                     continue;
                 }
                 Err(e) => return Err(e),

@@ -1,16 +1,19 @@
-//! Compile: decompose, source-select, fan out the EXPLAINs, enumerate and
-//! cost the global candidates.
+//! Compile: fetch (or build) the statement's template, source-select, fan
+//! out the EXPLAINs, enumerate and cost the global candidates.
 
+use super::template::Learned;
 use super::{CompiledGlobal, Federation};
-use crate::decompose::{decompose, frag_table, DecomposedQuery, MergeSpec};
+use crate::decompose::{frag_table, DecomposedQuery, MergeSpec};
 use crate::middleware::{Deferred, FragmentCandidate, GlobalCandidate};
 use qcc_common::{
     scatter_indexed, Cost, FragmentId, QccError, QueryId, Result, ServerId, SimDuration,
 };
 use qcc_engine::Engine;
 use qcc_netsim::SimClock;
+use qcc_sql::SelectStmt;
 use qcc_storage::{Catalog, ColumnStats, Table, TableStats};
 use qcc_wrapper::Wrapper;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 impl Federation {
@@ -21,7 +24,11 @@ impl Federation {
         clock: &SimClock,
         effects: &mut Deferred,
     ) -> Result<CompiledGlobal> {
-        let decomposed = decompose(sql, &self.nicknames)?;
+        // Parse and decompose happen once per statement text; from here on
+        // a first arrival and a repeat run the same code.
+        let template = self.template(sql, effects)?;
+        let decomposed = &template.decomposed;
+        let mut learned = Learned::default();
 
         // Source selection: when a replica catalog is attached, prune each
         // fragment's candidate set *before* the EXPLAIN fan-out — dominated
@@ -30,12 +37,14 @@ impl Federation {
         // them is pure network waste. Selection preserves candidate order
         // and fails open on unregistered fragments, so a world without a
         // catalog (or with an empty one) compiles exactly as before.
-        let selected: Vec<Vec<ServerId>> = decomposed
+        let selected: Vec<Cow<'_, [ServerId]>> = decomposed
             .fragments
             .iter()
             .map(|frag| match &self.catalog {
-                Some(catalog) => catalog.select_sources(&frag.nicknames, &frag.candidate_servers),
-                None => frag.candidate_servers.clone(),
+                Some(catalog) => {
+                    Cow::Owned(catalog.select_sources(&frag.nicknames, &frag.candidate_servers))
+                }
+                None => Cow::Borrowed(frag.candidate_servers.as_slice()),
             })
             .collect();
         if self.catalog.is_some() {
@@ -77,20 +86,30 @@ impl Federation {
             slot: usize,
             fid: FragmentId,
             wrapper: &'a Arc<dyn Wrapper>,
-            frag_sql: String,
+            frag_sql: Arc<str>,
         }
         let mut tasks: Vec<ExplainTask<'_>> = Vec::new();
         for (slot, frag) in decomposed.fragments.iter().enumerate() {
             let fid = FragmentId::new(qid, frag.index);
-            for server in &selected[slot] {
+            for server in selected[slot].iter() {
                 let Ok(wrapper) = self.wrapper(server) else {
                     continue;
+                };
+                let frag_sql = match template.fragment_sql(slot, server) {
+                    Some(sql) => sql,
+                    None => {
+                        let sql: Arc<str> = frag.sql_for_server(&self.nicknames, server)?.into();
+                        learned
+                            .fragment_sql
+                            .push((slot, server.clone(), Arc::clone(&sql)));
+                        sql
+                    }
                 };
                 tasks.push(ExplainTask {
                     slot,
                     fid,
                     wrapper,
-                    frag_sql: frag.sql_for_server(&self.nicknames, server)?,
+                    frag_sql,
                 });
             }
         }
@@ -148,13 +167,8 @@ impl Federation {
             }
             // Drop candidates the calibrator pinned to infinity (downed
             // servers), unless nothing else remains.
-            let finite: Vec<FragmentCandidate> = candidates
-                .iter()
-                .filter(|c| !c.effective_cost.is_infinite())
-                .cloned()
-                .collect();
-            if !finite.is_empty() {
-                *candidates = finite;
+            if candidates.iter().any(|c| !c.effective_cost.is_infinite()) {
+                candidates.retain(|c| !c.effective_cost.is_infinite());
             }
             // Keep the cheapest plans first so candidate capping keeps the
             // most promising combinations.
@@ -168,7 +182,8 @@ impl Federation {
         // Capped Cartesian product, enumerated as index vectors in
         // lexicographic order (rightmost fragment varies fastest — the
         // same first-`cap` set the old combo-cloning loop produced);
-        // only the surviving combinations materialize candidate clones.
+        // only the surviving combinations materialize candidates, and a
+        // candidate clone shares its plan (a pointer, an id and a `Cost`).
         let cap = self.config.max_global_candidates;
         let mut combos: Vec<Vec<FragmentCandidate>> = Vec::new();
         let mut odometer = vec![0usize; per_fragment.len()];
@@ -194,10 +209,40 @@ impl Federation {
             }
         }
 
+        // Integration cost: estimated once per distinct vector of fragment
+        // cardinalities — combinations that differ only in *where* their
+        // fragments run merge the same amount of data — and remembered by
+        // the template uncalibrated; the II factor is applied per arrival.
+        // A vector first met in this compile is in `learned` until the
+        // gather barrier hands it to the template.
+        let merge_stmt = match &decomposed.merge {
+            MergeSpec::Merge { stmt } => Some(stmt.as_ref()),
+            MergeSpec::Passthrough => None,
+        };
+        let mut cardinalities: Vec<u64> = Vec::with_capacity(per_fragment.len());
         let mut candidates: Vec<GlobalCandidate> = combos
             .into_iter()
             .map(|fragments| {
-                let integration = self.estimate_integration(&decomposed, &fragments);
+                let integration = merge_stmt.map_or(Cost::ZERO, |stmt| {
+                    cardinalities.clear();
+                    cardinalities.extend(
+                        fragments
+                            .iter()
+                            .map(|f| f.effective_cost.cardinality.max(1.0) as u64),
+                    );
+                    let fresh = &mut learned.integration;
+                    template
+                        .integration(&cardinalities)
+                        .or_else(|| {
+                            let met = fresh.iter().find(|(known, _)| *known == cardinalities);
+                            met.map(|(_, cost)| *cost)
+                        })
+                        .unwrap_or_else(|| {
+                            let cost = self.estimate_integration(decomposed, stmt, &cardinalities);
+                            fresh.push((cardinalities.clone(), cost));
+                            cost
+                        })
+                });
                 GlobalCandidate {
                     integration_cost: self.middleware.calibrate_integration(integration),
                     fragments,
@@ -227,28 +272,27 @@ impl Federation {
                 obs.span("compile", at, end, fields);
             });
         }
-        Ok((decomposed, candidates))
+        if !learned.is_empty() {
+            let template = Arc::clone(&template);
+            effects.defer(move || template.learn(learned));
+        }
+        Ok((Arc::clone(decomposed), candidates))
     }
 
-    /// Estimated merge cost at the integrator for one fragment-candidate
-    /// combination, using a virtual catalog whose table statistics come
-    /// from the fragments' estimated cardinalities.
-    fn estimate_integration(
+    /// Estimated cost of running the merge statement at the integrator
+    /// over fragment results of the given estimated cardinalities (one per
+    /// fragment), planned against a virtual catalog carrying exactly those
+    /// statistics. A pure function of the template and the vector.
+    pub(super) fn estimate_integration(
         &self,
         decomposed: &DecomposedQuery,
-        fragments: &[FragmentCandidate],
+        stmt: &SelectStmt,
+        cardinalities: &[u64],
     ) -> Cost {
-        let MergeSpec::Merge { stmt } = &decomposed.merge else {
-            return Cost::ZERO;
-        };
+        self.obs.counter_inc("integration_estimates_total", &[]);
         let mut catalog = Catalog::new();
-        for (i, frag) in decomposed.fragments.iter().enumerate() {
+        for (i, (frag, &card)) in decomposed.fragments.iter().zip(cardinalities).enumerate() {
             let schema = frag.output_schema();
-            let card = fragments
-                .get(i)
-                .map(|f| f.effective_cost.cardinality)
-                .unwrap_or(1.0)
-                .max(1.0) as u64;
             let columns = schema
                 .columns()
                 .iter()
@@ -261,7 +305,7 @@ impl Federation {
             catalog.register_virtual(Table::new(frag_table(i), schema), stats);
         }
         let engine = Engine::new(catalog);
-        match engine.explain(&stmt.to_string()) {
+        match engine.explain_stmt(stmt) {
             Ok(plans) if !plans.is_empty() => plans[0].cost.calibrate(1.0 / self.config.ii_speed),
             _ => Cost::fixed(1.0),
         }

@@ -44,7 +44,7 @@ impl Federation {
                     catalog.register(table);
                 }
                 let engine = Engine::new(catalog);
-                let (rows, work) = engine.execute_sql(&stmt.to_string())?;
+                let (rows, work) = engine.execute_stmt(stmt)?;
                 let merge_start = clock.now();
                 let rho = self.ii_load.utilization(merge_start);
                 let merge_ms = work.cpu_units / self.config.ii_speed * slowdown(rho, 1.0);

@@ -1,0 +1,132 @@
+//! Compiled query templates (DESIGN.md §16): what the integrator keeps per
+//! statement text so that an arrival of a statement it has seen before is
+//! costed and routed without being parsed, decomposed or merge-planned
+//! again.
+//!
+//! Everything in a [`Template`] is a pure function of the SQL text and the
+//! nickname catalog (immutable once the [`Federation`] is built), so an
+//! entry can never go stale and there is nothing to invalidate. Whatever
+//! depends on the state of the world — plan lists, calibration,
+//! reliability, the load balancer's rotation, admission — is not in here
+//! and is evaluated on every arrival.
+
+use super::Federation;
+use crate::decompose::{decompose, DecomposedQuery};
+use crate::fifo::FifoMap;
+use crate::middleware::Deferred;
+use parking_lot::Mutex;
+use qcc_common::{Cost, Result, ServerId};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// Templates kept by a [`Federation`]. Sized for a working set of a few
+/// dozen statements (the paper's mix is 40); a stream of distinct ad-hoc
+/// statements costs one insert and one eviction each and leaves the
+/// resident set where it was.
+pub const TEMPLATE_CACHE_CAPACITY: usize = 128;
+
+/// Integration estimates kept per template: one per distinct vector of
+/// fragment cardinalities, of which a template sees a handful (replicas
+/// with equal statistics estimate equal cardinalities).
+const INTEGRATION_MEMO_CAPACITY: usize = 64;
+
+/// The compiled-template cache, keyed by the exact SQL text.
+pub(super) type TemplateCache = Arc<Mutex<FifoMap<String, Arc<Template>>>>;
+
+pub(super) fn new_cache() -> TemplateCache {
+    Arc::new(Mutex::new(FifoMap::new(TEMPLATE_CACHE_CAPACITY)))
+}
+
+/// One compiled statement.
+pub(super) struct Template {
+    /// The decomposition: fragments, their output schemas, the parsed
+    /// merge statement and the template signature.
+    pub(super) decomposed: Arc<DecomposedQuery>,
+    memo: Mutex<Memo>,
+}
+
+/// The parts of a template that fill in as arrivals need them.
+struct Memo {
+    /// Per fragment slot: the fragment SQL translated for each server that
+    /// reached the EXPLAIN fan-out.
+    fragment_sql: Vec<BTreeMap<ServerId, Arc<str>>>,
+    /// The *uncalibrated* integration estimate per vector of fragment
+    /// cardinalities.
+    integration: FifoMap<Vec<u64>, Cost>,
+}
+
+/// What one compile worked out that its template did not hold yet. It is
+/// handed back through the compile's [`Deferred`] buffer, so a template
+/// only changes at a gather barrier.
+#[derive(Default)]
+pub(super) struct Learned {
+    pub(super) fragment_sql: Vec<(usize, ServerId, Arc<str>)>,
+    pub(super) integration: Vec<(Vec<u64>, Cost)>,
+}
+
+impl Template {
+    fn new(decomposed: DecomposedQuery) -> Self {
+        let memo = Memo {
+            fragment_sql: vec![BTreeMap::new(); decomposed.fragments.len()],
+            integration: FifoMap::new(INTEGRATION_MEMO_CAPACITY),
+        };
+        Template {
+            decomposed: Arc::new(decomposed),
+            memo: Mutex::new(memo),
+        }
+    }
+
+    /// Fragment `slot`'s SQL as translated for `server`, if a compile has
+    /// translated it before.
+    pub(super) fn fragment_sql(&self, slot: usize, server: &ServerId) -> Option<Arc<str>> {
+        self.memo.lock().fragment_sql[slot].get(server).cloned()
+    }
+
+    /// The remembered integration estimate for `cardinalities`.
+    pub(super) fn integration(&self, cardinalities: &[u64]) -> Option<Cost> {
+        self.memo.lock().integration.get(cardinalities).copied()
+    }
+
+    /// Remember what a compile learned.
+    pub(super) fn learn(&self, learned: Learned) {
+        let mut memo = self.memo.lock();
+        for (slot, server, sql) in learned.fragment_sql {
+            memo.fragment_sql[slot].insert(server, sql);
+        }
+        for (cardinalities, cost) in learned.integration {
+            memo.integration.insert(cardinalities, cost);
+        }
+    }
+}
+
+impl Learned {
+    pub(super) fn is_empty(&self) -> bool {
+        self.fragment_sql.is_empty() && self.integration.is_empty()
+    }
+}
+
+impl Federation {
+    /// The compiled template of `sql`. A statement not in the cache is
+    /// decomposed here and its insert deferred: under `submit_batch` every
+    /// query of a batch therefore probes the cache as it stood when the
+    /// batch started, and inserts (with their FIFO evictions) happen at
+    /// the gather barrier in submission order — the same hits, misses and
+    /// evictions at any thread count.
+    pub(super) fn template(&self, sql: &str, effects: &mut Deferred) -> Result<Arc<Template>> {
+        if let Some(template) = self.templates.lock().get(sql) {
+            self.obs.counter_inc("compiled_template_hits_total", &[]);
+            return Ok(Arc::clone(template));
+        }
+        self.obs.counter_inc("compiled_template_misses_total", &[]);
+        let template = Arc::new(Template::new(decompose(sql, &self.nicknames)?));
+        let (cache, obs) = (Arc::clone(&self.templates), self.obs.clone());
+        let (key, stored) = (sql.to_owned(), Arc::clone(&template));
+        effects.defer(move || {
+            let evicted = cache.lock().insert(key, stored);
+            if evicted > 0 {
+                obs.counter_add("compiled_template_evictions_total", &[], evicted as u64);
+            }
+        });
+        Ok(template)
+    }
+}

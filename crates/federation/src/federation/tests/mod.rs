@@ -1,6 +1,6 @@
 use super::*;
 use crate::middleware::PassthroughMiddleware;
-use qcc_common::{Column, DataType, Schema, Value};
+use qcc_common::{Column, Cost, DataType, Schema, Value};
 use qcc_netsim::{Link, Network};
 use qcc_remote::{RemoteServer, ServerProfile};
 use qcc_storage::{Catalog, Table};
@@ -500,4 +500,82 @@ fn unrescued_slot_surfaces_its_own_error_not_a_rescued_slots() {
         "one ban leaves no plan: accounts has one host"
     );
     assert_eq!(bans[0].str_field("server"), Some("S3"));
+}
+
+/// `a` on S1/S2, `b` on S3/S4, journal on: a join across the two is two
+/// fragments (2 × 2 combinations) merged at the integrator.
+fn cross_source_fleet() -> Federation {
+    id_table_fleet(&[&["a"], &["a"], &["b"], &["b"]], 0.0).0
+}
+
+const CROSS_SOURCE: &str = "SELECT COUNT(*) FROM a x, b y WHERE x.id = y.id";
+
+#[test]
+fn repeated_statement_is_decomposed_and_merge_costed_once() {
+    let fed = cross_source_fleet();
+    let first = fed.submit(CROSS_SOURCE).unwrap();
+    assert_eq!(first.rows[0].get(0), &Value::Int(5000));
+    for _ in 1..100 {
+        assert_eq!(fed.submit(CROSS_SOURCE).unwrap().rows, first.rows);
+    }
+    let count = |name| fed.obs().counter_value(name, &[]);
+    // A miss is a decompose; the four combinations share one cardinality
+    // vector, hence one merge-cost EXPLAIN for all hundred arrivals.
+    assert_eq!(count("compiled_template_misses_total"), 1);
+    assert_eq!(count("compiled_template_hits_total"), 99);
+    assert_eq!(count("integration_estimates_total"), 1);
+    assert_eq!(count("compiled_template_evictions_total"), 0);
+}
+
+#[test]
+fn integration_memo_is_bit_identical_to_a_direct_estimate() {
+    let fed = cross_source_fleet();
+    let (decomposed, fresh) = fed.explain_global(CROSS_SOURCE).unwrap();
+    let (_, remembered) = fed.explain_global(CROSS_SOURCE).unwrap();
+    assert_eq!(
+        fed.obs().counter_value("integration_estimates_total", &[]),
+        1,
+        "the second compile answered from the memo"
+    );
+    let crate::MergeSpec::Merge { stmt } = &decomposed.merge else {
+        panic!("cross-source statement merges at the integrator");
+    };
+    assert_eq!(fresh.len(), 4);
+    for (a, b) in fresh.iter().zip(&remembered) {
+        let cardinalities: Vec<u64> = a
+            .fragments
+            .iter()
+            .map(|f| f.effective_cost.cardinality.max(1.0) as u64)
+            .collect();
+        let direct = fed.estimate_integration(&decomposed, stmt, &cardinalities);
+        let bits = |c: Cost| [c.first_tuple, c.next_tuple, c.cardinality].map(f64::to_bits);
+        // The passthrough middleware's II calibration is the identity.
+        assert_eq!(bits(a.integration_cost), bits(direct));
+        assert_eq!(bits(b.integration_cost), bits(direct));
+    }
+}
+
+#[test]
+fn template_cache_never_exceeds_its_capacity() {
+    let fed = cross_source_fleet();
+    let statements = 10 * TEMPLATE_CACHE_CAPACITY;
+    for i in 0..statements {
+        fed.explain_global(&format!("SELECT id FROM a WHERE id = {i}"))
+            .unwrap();
+        assert!(fed.templates.lock().len() <= TEMPLATE_CACHE_CAPACITY);
+    }
+    let count = |name| fed.obs().counter_value(name, &[]);
+    assert_eq!(fed.templates.lock().len(), TEMPLATE_CACHE_CAPACITY);
+    assert_eq!(count("compiled_template_misses_total"), statements as u64);
+    assert_eq!(
+        count("compiled_template_evictions_total"),
+        (statements - TEMPLATE_CACHE_CAPACITY) as u64,
+        "one insert and one eviction per distinct statement once full"
+    );
+    // Insertion order: the newest statements are resident, the first is not.
+    fed.explain_global(&format!("SELECT id FROM a WHERE id = {}", statements - 1))
+        .unwrap();
+    assert_eq!(count("compiled_template_hits_total"), 1);
+    fed.explain_global("SELECT id FROM a WHERE id = 0").unwrap();
+    assert_eq!(count("compiled_template_hits_total"), 1);
 }

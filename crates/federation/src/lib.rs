@@ -23,6 +23,7 @@
 
 pub mod decompose;
 pub mod federation;
+mod fifo;
 pub mod middleware;
 pub mod nickname;
 pub mod patroller;
@@ -37,5 +38,7 @@ pub use middleware::{
 };
 pub use nickname::{NicknameCatalog, NicknameDef, SourceMapping};
 pub use patroller::{QueryLogEntry, QueryPatroller, QueryStatus};
-pub use plancache::{PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
+pub use plancache::{
+    share_plans, CachedPlan, PlanCache, PlanLabel, SharedPlans, DEFAULT_PLAN_CACHE_CAPACITY,
+};
 pub use report::render_explain;

@@ -15,6 +15,7 @@ use qcc_common::{Cost, FragmentId, QueryId, Result, ServerId, SimDuration, SimTi
 use qcc_wrapper::{FragmentPlan, Wrapper, WrapperStream};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Deferred shared-state writes gathered during a scatter unit.
 ///
@@ -82,12 +83,16 @@ pub const DEFAULT_UNCOSTED: f64 = 10.0;
 
 /// One candidate execution of one fragment: a server, a concrete plan, and
 /// the (possibly calibrated) cost the optimizer will use.
+///
+/// Cloning a candidate copies a pointer, an id and a [`Cost`]: the plan
+/// is shared — with the plan cache entry it came from and with every
+/// global combination that uses it.
 #[derive(Debug, Clone)]
 pub struct FragmentCandidate {
     /// Which fragment of the decomposed query this is.
     pub fragment: FragmentId,
-    /// The wrapper-provided plan.
-    pub plan: FragmentPlan,
+    /// The wrapper-provided plan (shared, never deep-cloned).
+    pub plan: Arc<FragmentPlan>,
     /// The cost used for global optimization (calibrated when a QCC is
     /// attached; otherwise the wrapper's raw estimate).
     pub effective_cost: Cost,
@@ -115,12 +120,16 @@ impl GlobalCandidate {
         remote + self.integration_cost.total()
     }
 
+    /// The server of each fragment, in fragment order (repeats when two
+    /// fragments share a server). Allocation-free: what the per-attempt
+    /// filters walk instead of building a [`GlobalCandidate::server_set`].
+    pub fn servers(&self) -> impl Iterator<Item = &ServerId> {
+        self.fragments.iter().map(|f| &f.plan.server)
+    }
+
     /// The set of servers this plan touches.
     pub fn server_set(&self) -> BTreeSet<ServerId> {
-        self.fragments
-            .iter()
-            .map(|f| f.plan.server.clone())
-            .collect()
+        self.servers().cloned().collect()
     }
 
     /// A canonical signature of the plan: per-fragment server + plan shape.
@@ -143,13 +152,15 @@ impl GlobalCandidate {
 /// buffer and apply it immediately — the observable behaviour is the same.
 pub trait Middleware: Send + Sync {
     /// Compile time: forward an EXPLAIN to a wrapper. Implementations may
-    /// record the request and calibrate the returned costs.
+    /// record the request and calibrate the returned costs. `sql` is the
+    /// compiled template's translation for this server; caches and records
+    /// share it rather than copy it.
     fn plan_fragment(
         &self,
         wrapper: &dyn Wrapper,
         query: QueryId,
         fragment: FragmentId,
-        sql: &str,
+        sql: &Arc<str>,
         at: SimTime,
         effects: &mut Deferred,
     ) -> Result<(Vec<FragmentCandidate>, SimDuration)>;
@@ -252,14 +263,14 @@ pub trait Middleware: Send + Sync {
 /// middlewares isolate *routing* effects (see `qcc-workload`).
 #[derive(Debug, Default, Clone)]
 pub struct PassthroughMiddleware {
-    cache: Option<std::sync::Arc<crate::PlanCache>>,
+    cache: Option<Arc<crate::PlanCache>>,
 }
 
 impl PassthroughMiddleware {
     /// Baseline with a plan cache attached.
     pub fn with_cache() -> Self {
         PassthroughMiddleware {
-            cache: Some(std::sync::Arc::new(crate::PlanCache::new())),
+            cache: Some(Arc::new(crate::PlanCache::new())),
         }
     }
 }
@@ -270,20 +281,23 @@ impl Middleware for PassthroughMiddleware {
         wrapper: &dyn Wrapper,
         _query: QueryId,
         fragment: FragmentId,
-        sql: &str,
+        sql: &Arc<str>,
         at: SimTime,
         effects: &mut Deferred,
     ) -> Result<(Vec<FragmentCandidate>, SimDuration)> {
         let server = wrapper.server_id();
-        let cached = self.cache.as_deref().and_then(|c| c.get(server, sql));
+        let cached = self
+            .cache
+            .as_deref()
+            .and_then(|c| c.get(server, Arc::clone(sql)));
         let (plans, took) = match cached {
             Some(plans) => (plans, SimDuration::ZERO),
             None => {
                 let (plans, took) = wrapper.plan(sql, at)?;
-                let plans = std::sync::Arc::new(plans);
+                let plans = crate::plancache::share_plans(sql, plans);
                 if let Some(c) = self.cache.clone() {
-                    let (server, sql, plans) = (server.clone(), sql.to_owned(), plans.clone());
-                    effects.defer(move || c.put_shared(&server, &sql, plans));
+                    let (server, sql, plans) = (server.clone(), Arc::clone(sql), plans.clone());
+                    effects.defer(move || c.put_shared(&server, sql, plans));
                 }
                 (plans, took)
             }
@@ -291,11 +305,10 @@ impl Middleware for PassthroughMiddleware {
         Ok((
             plans
                 .iter()
-                .cloned()
-                .map(|plan| FragmentCandidate {
+                .map(|cached| FragmentCandidate {
                     fragment,
-                    effective_cost: plan.cost.unwrap_or(Cost::fixed(DEFAULT_UNCOSTED)),
-                    plan,
+                    effective_cost: cached.plan.cost.unwrap_or(Cost::fixed(DEFAULT_UNCOSTED)),
+                    plan: Arc::clone(&cached.plan),
                 })
                 .collect(),
             took,
@@ -323,13 +336,13 @@ mod tests {
     fn candidate(server: &str, cost: f64, sig: &str) -> FragmentCandidate {
         FragmentCandidate {
             fragment: FragmentId::new(QueryId(0), 0),
-            plan: FragmentPlan {
+            plan: Arc::new(FragmentPlan {
                 server: ServerId::new(server),
                 sql: "SELECT 1".into(),
                 descriptor: None,
                 cost: Some(Cost::fixed(cost)),
                 signature: sig.into(),
-            },
+            }),
             effective_cost: Cost::fixed(cost),
         }
     }
@@ -366,7 +379,6 @@ mod tests {
     #[test]
     fn deferred_applies_in_queue_order() {
         use parking_lot::Mutex;
-        use std::sync::Arc;
         let seen: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
         let mut a = Deferred::new();
         let mut b = Deferred::new();

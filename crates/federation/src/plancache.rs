@@ -7,21 +7,33 @@
 //! meta-wrapper re-applies the *current* calibration factors to the
 //! cached raw estimates and skips the network round trip entirely.
 //!
-//! Values are `Arc<Vec<FragmentPlan>>` so a hit is a pointer bump, not a
-//! deep clone of plan descriptors, and the hit/miss counters are lock-free
-//! atomics — under compile-time fan-out every worker thread probes the
-//! cache concurrently, so `get` takes exactly one short map lock.
+//! Values are [`SharedPlans`]: a hit is a pointer bump, and every
+//! [`crate::FragmentCandidate`] built from a response shares its plan
+//! with the cache by `Arc`, so neither a hit nor anything downstream of
+//! it (enumerating, filtering, choosing candidates) deep-clones a plan
+//! descriptor. Each cached plan also carries its [`PlanLabel`] — the
+//! plan minus its executable descriptor — which is what long-lived
+//! records share, so that a record neither copies strings per arrival
+//! nor keeps an evicted plan's descriptor tree alive. The fragment SQL
+//! is an `Arc<str>` end to end: the compiled template that translated
+//! it, the cache key (probing with it allocates nothing) and the labels
+//! all hold the one allocation. The hit/miss
+//! counters are lock-free atomics — under compile-time fan-out every
+//! worker thread probes the cache concurrently, so `get` takes exactly
+//! one short map lock.
 //!
 //! The cache is **bounded**: at most `capacity` entries, evicted in
-//! insertion order (FIFO) so the eviction sequence is deterministic — it
-//! depends only on the order of inserts, never on access patterns or
-//! thread interleavings that re-touch existing keys. Overwriting an
-//! existing key keeps its original queue position.
+//! insertion order by the shared [`FifoMap`] so the eviction sequence is
+//! deterministic — it depends only on the order of inserts, never on
+//! access patterns or thread interleavings that re-touch existing keys.
+//! Overwriting an existing key keeps its original queue position; an
+//! invalidated key leaves the queue with its entry, so it is never
+//! counted as an eviction later.
 
+use crate::fifo::FifoMap;
 use parking_lot::Mutex;
-use qcc_common::{Obs, ServerId};
+use qcc_common::{Cost, Obs, ServerId};
 use qcc_wrapper::FragmentPlan;
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -30,23 +42,55 @@ use std::sync::Arc;
 /// stream of distinct fragment SQLs cannot grow the cache forever.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 4096;
 
-#[derive(Debug, Default)]
-struct CacheState {
-    entries: BTreeMap<ServerId, BTreeMap<String, Arc<Vec<FragmentPlan>>>>,
-    /// Insertion order of live keys. May contain stale pairs for keys
-    /// already removed by `invalidate_server`/`clear`; eviction skips
-    /// those lazily (a stale pop is not an eviction).
-    order: VecDeque<(ServerId, String)>,
-    /// Live entry count (kept explicit so `len` is O(1) under the lock).
-    live: usize,
+/// What identifies a fragment plan once it no longer needs to run: a
+/// [`FragmentPlan`] without its descriptor.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanLabel {
+    /// The source server the plan executes on.
+    pub server: ServerId,
+    /// The fragment SQL the plan answers, as sent to the wrapper (shared
+    /// with the cache key).
+    pub sql: Arc<str>,
+    /// Canonical plan-shape signature.
+    pub signature: String,
+    /// The wrapper's raw cost estimate (`None` for file sources).
+    pub cost: Option<Cost>,
+}
+
+/// One plan of a wrapper's EXPLAIN response, in shareable form.
+#[derive(Debug, Clone)]
+pub struct CachedPlan {
+    /// The plan, as candidates share it.
+    pub plan: Arc<FragmentPlan>,
+    /// Its label, as records share it.
+    pub label: Arc<PlanLabel>,
+}
+
+/// One wrapper's EXPLAIN response, shared between the cache and every
+/// candidate and record built from it.
+pub type SharedPlans = Arc<[CachedPlan]>;
+
+/// Put the plans a wrapper just returned for `sql` in shareable form (the
+/// plans move; a label copies the signature once per EXPLAIN, not per use).
+pub fn share_plans(sql: &Arc<str>, plans: Vec<FragmentPlan>) -> SharedPlans {
+    plans
+        .into_iter()
+        .map(|plan| CachedPlan {
+            label: Arc::new(PlanLabel {
+                server: plan.server.clone(),
+                sql: Arc::clone(sql),
+                signature: plan.signature.clone(),
+                cost: plan.cost,
+            }),
+            plan: Arc::new(plan),
+        })
+        .collect()
 }
 
 /// Shared compile-time plan cache with a FIFO entry cap.
 #[derive(Debug)]
 pub struct PlanCache {
-    state: Mutex<CacheState>,
-    /// Maximum live entries; 0 means unbounded.
-    capacity: usize,
+    state: Mutex<FifoMap<(ServerId, Arc<str>), SharedPlans>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -68,8 +112,7 @@ impl PlanCache {
     /// Empty cache holding at most `capacity` entries (0 = unbounded).
     pub fn with_capacity(capacity: usize) -> Self {
         PlanCache {
-            state: Mutex::new(CacheState::default()),
-            capacity,
+            state: Mutex::new(FifoMap::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -85,19 +128,15 @@ impl PlanCache {
 
     /// The configured entry cap (0 = unbounded).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.state.lock().capacity()
     }
 
     /// Cached wrapper plans for this (server, fragment SQL), if any.
-    /// Hits share the stored vector; nothing is deep-cloned.
-    pub fn get(&self, server: &ServerId, sql: &str) -> Option<Arc<Vec<FragmentPlan>>> {
-        let found = self
-            .state
-            .lock()
-            .entries
-            .get(server)
-            .and_then(|per_server| per_server.get(sql))
-            .cloned();
+    /// Hits share the stored plans; nothing is deep-cloned, and probing
+    /// with an `Arc<str>` allocates nothing.
+    pub fn get(&self, server: &ServerId, sql: impl Into<Arc<str>>) -> Option<SharedPlans> {
+        let key = (server.clone(), sql.into());
+        let found = self.state.lock().get(&key).cloned();
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.obs.counter_inc("plan_cache_hits_total", &[]);
@@ -109,42 +148,20 @@ impl PlanCache {
     }
 
     /// Store a wrapper's EXPLAIN response.
-    pub fn put(&self, server: &ServerId, sql: &str, plans: Vec<FragmentPlan>) {
-        self.put_shared(server, sql, Arc::new(plans));
+    pub fn put(&self, server: &ServerId, sql: impl Into<Arc<str>>, plans: Vec<FragmentPlan>) {
+        let sql = sql.into();
+        let plans = share_plans(&sql, plans);
+        self.put_shared(server, sql, plans);
     }
 
-    /// Store an already-shared EXPLAIN response (avoids re-wrapping when
-    /// the caller keeps a handle too). May evict the oldest entries to
-    /// stay within the cap.
-    pub fn put_shared(&self, server: &ServerId, sql: &str, plans: Arc<Vec<FragmentPlan>>) {
-        let mut st = self.state.lock();
-        let fresh = st
-            .entries
-            .entry(server.clone())
-            .or_default()
-            .insert(sql.to_owned(), plans)
-            .is_none();
-        if !fresh {
-            return;
-        }
-        st.live += 1;
-        st.order.push_back((server.clone(), sql.to_owned()));
-        while self.capacity > 0 && st.live > self.capacity {
-            let Some((srv, key)) = st.order.pop_front() else {
-                break;
-            };
-            let mut removed = false;
-            if let Some(per_server) = st.entries.get_mut(&srv) {
-                removed = per_server.remove(&key).is_some();
-                if per_server.is_empty() {
-                    st.entries.remove(&srv);
-                }
-            }
-            if removed {
-                st.live -= 1;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.obs.counter_inc("plan_cache_evictions_total", &[]);
-            }
+    /// Store an already-shared EXPLAIN response (the caller keeps a handle
+    /// too). May evict the oldest entries to stay within the cap.
+    pub fn put_shared(&self, server: &ServerId, sql: Arc<str>, plans: SharedPlans) {
+        let evicted = self.state.lock().insert((server.clone(), sql), plans);
+        if evicted > 0 {
+            self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
+            self.obs
+                .counter_add("plan_cache_evictions_total", &[], evicted as u64);
         }
     }
 
@@ -152,10 +169,7 @@ impl PlanCache {
     /// its catalog may have changed while unreachable). Not counted as
     /// evictions.
     pub fn invalidate_server(&self, server: &ServerId) {
-        let mut st = self.state.lock();
-        if let Some(per_server) = st.entries.remove(server) {
-            st.live -= per_server.len();
-        }
+        self.state.lock().retain(|(s, _), _| s != server);
     }
 
     /// Drop the cached plans for `server` whose fragment SQL references
@@ -173,34 +187,18 @@ impl PlanCache {
             return 0;
         }
         let targets: Vec<String> = fragments.iter().map(|f| f.to_ascii_lowercase()).collect();
-        let mut st = self.state.lock();
-        let Some(per_server) = st.entries.get_mut(server) else {
-            return 0;
-        };
-        let doomed: Vec<String> = per_server
-            .keys()
-            .filter(|sql| {
-                let lower = sql.to_ascii_lowercase();
-                targets.iter().any(|t| references_identifier(&lower, t))
-            })
-            .cloned()
-            .collect();
-        for key in &doomed {
-            per_server.remove(key);
-        }
-        if per_server.is_empty() {
-            st.entries.remove(server);
-        }
-        st.live -= doomed.len();
-        doomed.len()
+        self.state.lock().retain(|(s, sql), _| {
+            if s != server {
+                return true;
+            }
+            let lower = sql.to_ascii_lowercase();
+            !targets.iter().any(|t| references_identifier(&lower, t))
+        })
     }
 
     /// Drop everything.
     pub fn clear(&self) {
-        let mut st = self.state.lock();
-        st.entries.clear();
-        st.order.clear();
-        st.live = 0;
+        self.state.lock().clear();
     }
 
     /// `(hits, misses)` counters.
@@ -218,7 +216,7 @@ impl PlanCache {
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.state.lock().live
+        self.state.lock().len()
     }
 
     /// True when nothing is cached.
@@ -272,13 +270,15 @@ mod tests {
     }
 
     #[test]
-    fn hits_share_the_stored_vector() {
+    fn hits_share_the_stored_plans() {
         let c = PlanCache::new();
         let s = ServerId::new("S1");
         c.put(&s, "q", vec![plan("S1")]);
         let a = c.get(&s, "q").unwrap();
         let b = c.get(&s, "q").unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a[0].plan, &b[0].plan));
+        assert_eq!(&*a[0].label.sql, "q");
     }
 
     #[test]
@@ -387,7 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_leaves_stale_queue_entries_harmless() {
+    fn invalidation_is_not_an_eviction() {
         let c = PlanCache::with_capacity(2);
         let s1 = ServerId::new("S1");
         let s2 = ServerId::new("S2");
@@ -395,8 +395,7 @@ mod tests {
         c.put(&s2, "q2", vec![plan("S2")]);
         c.invalidate_server(&s1);
         assert_eq!(c.len(), 1);
-        // Two inserts fit: the stale (S1, q1) queue entry is skipped by
-        // eviction without being counted.
+        // Two inserts fit: (S1, q1) left the queue with its entry.
         c.put(&s2, "q3", vec![plan("S2")]);
         assert_eq!((c.len(), c.evictions()), (2, 0));
         c.put(&s2, "q4", vec![plan("S2")]); // now a real eviction: q2
@@ -407,11 +406,29 @@ mod tests {
     }
 
     #[test]
+    fn invalidated_then_reinserted_key_is_the_newest() {
+        // Cap 3: put a, invalidate, put b, c, a, d. The stale queue used
+        // to pop a's *old* position and evict the just-inserted a while
+        // the older b survived.
+        let c = PlanCache::with_capacity(3);
+        let (s1, s2) = (ServerId::new("S1"), ServerId::new("S2"));
+        c.put(&s1, "a", vec![plan("S1")]);
+        c.invalidate_server(&s1);
+        c.put(&s2, "b", vec![plan("S2")]);
+        c.put(&s2, "c", vec![plan("S2")]);
+        c.put(&s1, "a", vec![plan("S1")]);
+        c.put(&s2, "d", vec![plan("S2")]);
+        assert!(c.get(&s2, "b").is_none(), "b was the oldest live entry");
+        assert!(c.get(&s1, "a").is_some());
+        assert_eq!((c.len(), c.evictions()), (3, 1));
+    }
+
+    #[test]
     fn zero_capacity_is_unbounded() {
         let c = PlanCache::with_capacity(0);
         let s = ServerId::new("S1");
         for i in 0..100 {
-            c.put(&s, &format!("q{i}"), vec![plan("S1")]);
+            c.put(&s, format!("q{i}"), vec![plan("S1")]);
         }
         assert_eq!((c.len(), c.evictions()), (100, 0));
     }

@@ -15,6 +15,7 @@ use qcc_federation::{
 };
 use qcc_wrapper::{FragmentPlan, Wrapper, WrapperStream};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The paper's registration-time assignment (Figure 10's baseline).
 #[allow(non_snake_case)]
@@ -66,7 +67,7 @@ impl Middleware for FixedRoutingMiddleware {
         wrapper: &dyn Wrapper,
         query: QueryId,
         fragment: FragmentId,
-        sql: &str,
+        sql: &Arc<str>,
         at: SimTime,
         effects: &mut Deferred,
     ) -> Result<(Vec<FragmentCandidate>, SimDuration)> {
@@ -102,10 +103,7 @@ impl Middleware for FixedRoutingMiddleware {
             if let Some((i, _)) = candidates
                 .iter()
                 .enumerate()
-                .filter(|(_, c)| {
-                    let set = c.server_set();
-                    set.len() == 1 && set.contains(target)
-                })
+                .filter(|(_, c)| c.servers().all(|s| s == target))
                 .min_by(|(_, a), (_, b)| a.total_cost().total_cmp(&b.total_cost()))
             {
                 return i;

@@ -196,6 +196,34 @@ impl Scenario {
     /// Build with a custom QCC configuration (ablations tune windows,
     /// bands, thresholds and balancing modes through this).
     pub fn build_with_qcc(qcc_config: QccConfig, config: ScenarioConfig) -> Scenario {
+        Scenario::build_qcc_over(qcc_config, config, |_table, n| 0..n)
+    }
+
+    /// [`Scenario::build_with_qcc`] with the *nicknames* partitioned:
+    /// `big_a` and `big_b` resolve to the first half of the servers, every
+    /// other table to the second half (each server still holds every
+    /// table). A statement over one half is a single pushed-down fragment
+    /// with that half's servers as replicas; a join across the halves
+    /// decomposes into two fragments merged at the integrator — the
+    /// coordinator-bound plan shapes the default world, where every
+    /// server hosts every nickname, never produces.
+    pub fn build_partitioned(qcc_config: QccConfig, config: ScenarioConfig) -> Scenario {
+        Scenario::build_qcc_over(qcc_config, config, |table, n| {
+            if matches!(table, "big_a" | "big_b") {
+                0..n / 2
+            } else {
+                n / 2..n
+            }
+        })
+    }
+
+    /// A QCC-routed world of `n` servers whose nickname `table` resolves
+    /// to the servers at indices `hosts(table, n)`.
+    fn build_qcc_over(
+        qcc_config: QccConfig,
+        config: ScenarioConfig,
+        hosts: fn(&str, usize) -> std::ops::Range<usize>,
+    ) -> Scenario {
         let threads = config.threads;
         let replication_factor = config.replication_factor;
         let stall_factor = config.stall_factor;
@@ -209,7 +237,7 @@ impl Scenario {
         // Rebuild the federation around the QCC middleware, reusing the
         // already-built servers and wrappers.
         let mut federation = Federation::new(
-            rebuild_nicknames(&scenario),
+            rebuild_nicknames(&scenario, hosts),
             scenario.clock.clone(),
             qcc.middleware(),
             FederationConfig {
@@ -391,8 +419,12 @@ fn build_replica_catalog(
     Some(Arc::new(catalog))
 }
 
-/// Re-derive the nickname catalog from an existing scenario's servers.
-fn rebuild_nicknames(scenario: &Scenario) -> NicknameCatalog {
+/// Re-derive the nickname catalog from an existing scenario's `n` servers,
+/// each table sourced from the servers at indices `hosts(table, n)`.
+fn rebuild_nicknames(
+    scenario: &Scenario,
+    hosts: fn(&str, usize) -> std::ops::Range<usize>,
+) -> NicknameCatalog {
     let mut nicknames = NicknameCatalog::new();
     for table in scenario.servers[0].engine().catalog().table_names() {
         let schema = scenario.servers[0]
@@ -404,7 +436,7 @@ fn rebuild_nicknames(scenario: &Scenario) -> NicknameCatalog {
             .schema()
             .clone();
         nicknames.define(table, schema);
-        for s in &scenario.servers {
+        for s in &scenario.servers[hosts(table, scenario.servers.len())] {
             nicknames
                 .add_source(table, s.id().clone(), table)
                 .expect("nickname defined above");

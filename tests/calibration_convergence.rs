@@ -181,6 +181,6 @@ fn records_pair_estimates_with_observations() {
     let compiles = w.qcc.records.compiles();
     // Both candidate servers were consulted at compile time.
     let servers: std::collections::BTreeSet<_> =
-        compiles.iter().map(|c| c.server.to_string()).collect();
+        compiles.iter().map(|c| c.server().to_string()).collect();
     assert_eq!(servers.len(), 2);
 }

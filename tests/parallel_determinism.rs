@@ -182,18 +182,18 @@ fn plan_cache_and_patroller_survive_concurrent_hammering() {
                 for i in 0..per_worker {
                     let server = ServerId::new(format!("S{}", i % 3));
                     let sql = format!("SELECT {}", i % 7);
-                    cache.put_shared(
+                    cache.put(
                         &server,
-                        &sql,
-                        Arc::new(vec![FragmentPlan {
+                        sql.as_str(),
+                        vec![FragmentPlan {
                             server: server.clone(),
                             sql: sql.clone(),
                             descriptor: None,
                             cost: Some(Cost::fixed(1.0)),
                             signature: format!("sig{}", i % 7),
-                        }]),
+                        }],
                     );
-                    let _ = cache.get(&server, &sql);
+                    let _ = cache.get(&server, sql.as_str());
                     if i % 50 == 49 {
                         cache.invalidate_server(&server);
                     }
@@ -222,9 +222,9 @@ fn plan_cache_and_patroller_survive_concurrent_hammering() {
     for server in ["S0", "S1", "S2"].map(ServerId::new) {
         for i in 0..7 {
             let sql = format!("SELECT {i}");
-            if let Some(plans) = cache.get(&server, &sql) {
-                assert_eq!(plans[0].sql, sql);
-                assert_eq!(plans[0].server, server);
+            if let Some(plans) = cache.get(&server, sql.as_str()) {
+                assert_eq!(plans[0].plan.sql, sql);
+                assert_eq!(plans[0].plan.server, server);
             }
         }
     }
