@@ -7,6 +7,19 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --offline
 
+echo "==> boundaries: one engine reachable from library code, one Work ledger"
+# The AST oracle lives in tests/support/naive.rs and the row reference is
+# for tests and benches: no library source outside the engine names either.
+if grep -rnE 'naive::|rowexec' crates/*/src | grep -v '^crates/engine/src/'; then
+    echo "boundary: library code outside crates/engine/src names the oracle or the row reference" >&2
+    exit 1
+fi
+# Every charge goes through the ledger (DESIGN.md §13).
+if grep -rnE 'cpu_units[[:space:]]*[-+]=' crates/engine/src | grep -v '^crates/engine/src/work\.rs:'; then
+    echo "boundary: cpu_units is charged outside crates/engine/src/work.rs" >&2
+    exit 1
+fi
+
 echo "==> cargo test -q (QCC_THREADS=1)"
 QCC_THREADS=1 cargo test -q --offline
 

@@ -5,9 +5,9 @@
 //! chunks ([`BATCH_ROWS`] rows each, except when a batch is adopted
 //! wholesale), and the execution engines stream [`ColumnBatch`]es between
 //! operators instead of materializing `Vec<Row>` per node. [`CellRef`] is
-//! the zero-copy view of one cell; its comparison and arithmetic semantics
-//! mirror [`Value`] *exactly* — bit-for-bit on floats — because the
-//! virtual-time `Work` accounting downstream depends on identical results.
+//! the zero-copy view of one cell, and the one place scalar SQL semantics
+//! (three-valued comparison, NULL-propagating arithmetic) are defined: an
+//! owned [`Value`] is evaluated through [`CellRef::of`].
 
 use crate::row::Row;
 use crate::value::{DataType, Value};
@@ -21,10 +21,9 @@ pub const BATCH_ROWS: usize = 1024;
 
 /// A borrowed view of one cell. Copyable; strings are borrowed.
 ///
-/// Every comparison/arithmetic method mirrors the corresponding [`Value`]
-/// method exactly (same NULL propagation, same `f64::total_cmp` usage,
-/// same integer-overflow widening), so evaluating an expression over cells
-/// and over materialized rows yields identical `Value`s.
+/// [`CellRef::total_cmp`] and [`Value::total_cmp`] are a mirrored pair on
+/// purpose (both sit on sort and index-build hot paths); every other
+/// comparison and arithmetic method exists here only.
 #[derive(Debug, Clone, Copy)]
 pub enum CellRef<'a> {
     /// SQL NULL.
@@ -113,7 +112,7 @@ impl<'a> CellRef<'a> {
         self.total_cmp(CellRef::of(other))
     }
 
-    /// Three-valued comparison mirroring [`Value::sql_cmp`].
+    /// SQL three-valued-logic comparison: `None` when either side is NULL.
     pub fn sql_cmp(self, other: CellRef<'_>) -> Option<Ordering> {
         if self.is_null() || other.is_null() {
             return None;
@@ -121,36 +120,38 @@ impl<'a> CellRef<'a> {
         Some(self.total_cmp(other))
     }
 
-    /// Three-valued equality mirroring [`Value::sql_eq`].
+    /// SQL three-valued-logic equality: NULL = anything is unknown (`None`).
     pub fn sql_eq(self, other: CellRef<'_>) -> Option<bool> {
-        if self.is_null() || other.is_null() {
-            return None;
-        }
-        Some(self.total_cmp(other) == Ordering::Equal)
+        self.sql_cmp(other).map(|ord| ord == Ordering::Equal)
     }
 
-    /// Addition mirroring [`Value::add`].
+    /// Addition with SQL NULL propagation; Int overflow widens to Float.
     pub fn add(self, other: CellRef<'a>) -> CellRef<'a> {
         numeric_binop(self, other, |a, b| a + b, |a, b| a.checked_add(b))
     }
 
-    /// Subtraction mirroring [`Value::sub`].
+    /// Subtraction with SQL NULL propagation; Int overflow widens to Float.
     pub fn sub(self, other: CellRef<'a>) -> CellRef<'a> {
         numeric_binop(self, other, |a, b| a - b, |a, b| a.checked_sub(b))
     }
 
-    /// Multiplication mirroring [`Value::mul`].
+    /// Multiplication with SQL NULL propagation; Int overflow widens to
+    /// Float.
     pub fn mul(self, other: CellRef<'a>) -> CellRef<'a> {
         numeric_binop(self, other, |a, b| a * b, |a, b| a.checked_mul(b))
     }
 
-    /// Division mirroring [`Value::div`]: anything over (float or int) zero
-    /// is NULL, Int/Int truncates, mixed operands divide as floats.
+    /// Division: anything over (float or int) zero is NULL (the permissive
+    /// behaviour the workload generators expect), Int/Int truncates —
+    /// widening to Float on the one overflow, `i64::MIN / -1` — and mixed
+    /// operands divide as floats.
     pub fn div(self, other: CellRef<'a>) -> CellRef<'a> {
         match (self.as_f64(), other.as_f64()) {
             (Some(_), Some(b)) if b == 0.0 => CellRef::Null,
             (Some(a), Some(b)) => match (self, other) {
-                (CellRef::Int(x), CellRef::Int(y)) => CellRef::Int(x / y),
+                (CellRef::Int(x), CellRef::Int(y)) => {
+                    x.checked_div(y).map_or(CellRef::Float(a / b), CellRef::Int)
+                }
                 _ => CellRef::Float(a / b),
             },
             _ => CellRef::Null,
@@ -462,26 +463,6 @@ impl ColumnBatch {
         ColumnBatch { columns, rows }
     }
 
-    /// Batch from materialized rows (used at row-oriented boundaries such
-    /// as the file wrapper). `arity` disambiguates the empty case.
-    pub fn from_rows(arity: usize, rows: Vec<Row>) -> ColumnBatch {
-        let n = rows.len();
-        let mut cols: Vec<ColumnVector> = (0..arity)
-            .map(|_| ColumnVector::Mixed(Vec::new()))
-            .collect();
-        for row in rows {
-            for (i, v) in row.into_values().into_iter().enumerate() {
-                if i < arity {
-                    cols[i].push(v);
-                }
-            }
-        }
-        ColumnBatch {
-            columns: cols.into_iter().map(Arc::new).collect(),
-            rows: n,
-        }
-    }
-
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
         self.rows
@@ -519,6 +500,7 @@ impl ColumnBatch {
 mod tests {
     use super::*;
 
+    /// The one mirrored pair that remains.
     #[test]
     fn cellref_mirrors_value_total_cmp() {
         let cases = [
@@ -538,36 +520,68 @@ mod tests {
                     a.total_cmp(b),
                     "total_cmp({a}, {b})"
                 );
-                assert_eq!(CellRef::of(a).sql_cmp(CellRef::of(b)), a.sql_cmp(b));
-                assert_eq!(CellRef::of(a).sql_eq(CellRef::of(b)), a.sql_eq(b));
             }
         }
     }
 
+    fn int(i: i64) -> CellRef<'static> {
+        CellRef::Int(i)
+    }
+
     #[test]
-    fn cellref_mirrors_value_arithmetic() {
-        let cases = [
-            Value::Null,
-            Value::Int(7),
-            Value::Int(2),
-            Value::Int(0),
-            Value::Int(i64::MAX),
-            Value::Float(1.5),
-            Value::Float(0.0),
-            Value::Str("x".into()),
-        ];
-        for a in &cases {
-            for b in &cases {
-                assert_eq!(CellRef::of(a).add(CellRef::of(b)).to_value(), a.add(b));
-                assert_eq!(CellRef::of(a).sub(CellRef::of(b)).to_value(), a.sub(b));
-                assert_eq!(CellRef::of(a).mul(CellRef::of(b)).to_value(), a.mul(b));
-                assert_eq!(
-                    CellRef::of(a).div(CellRef::of(b)).to_value(),
-                    a.div(b),
-                    "div({a}, {b})"
-                );
-            }
+    fn sql_eq_is_three_valued() {
+        assert_eq!(CellRef::Null.sql_eq(int(1)), None);
+        assert_eq!(int(1).sql_eq(CellRef::Null), None);
+        assert_eq!(int(1).sql_eq(int(1)), Some(true));
+        assert_eq!(int(1).sql_eq(int(2)), Some(false));
+        assert_eq!(int(1).sql_cmp(CellRef::Null), None);
+        assert_eq!(int(1).sql_cmp(CellRef::Float(1.5)), Some(Ordering::Less));
+    }
+
+    #[test]
+    fn arithmetic_null_propagation() {
+        assert!(CellRef::Null.add(int(1)).is_null());
+        assert!(int(1).mul(CellRef::Null).is_null());
+        assert!(int(1).sub(CellRef::Str("x")).is_null());
+        assert_eq!(int(2).add(int(3)).to_value(), Value::Int(5));
+        assert_eq!(
+            int(2).mul(CellRef::Float(1.5)).to_value(),
+            Value::Float(3.0)
+        );
+    }
+
+    #[test]
+    fn integer_overflow_widens_to_float() {
+        // `Value` equality is numeric across Int and Float; match the
+        // variant so a saturated `Int(i64::MAX)` cannot pass.
+        for c in [
+            int(i64::MAX).add(int(1)),
+            int(i64::MAX).sub(int(-1)),
+            int(i64::MIN).mul(int(-1)),
+            int(i64::MIN).div(int(-1)),
+        ] {
+            assert!(
+                matches!(c, CellRef::Float(f) if f == 9.223372036854775808e18),
+                "{c:?}"
+            );
         }
+    }
+
+    #[test]
+    fn division_by_zero_is_null() {
+        assert!(int(1).div(int(0)).is_null());
+        assert!(int(i64::MIN).div(int(0)).is_null());
+        assert!(CellRef::Float(1.0).div(CellRef::Float(0.0)).is_null());
+    }
+
+    #[test]
+    fn integer_division_truncates() {
+        assert_eq!(int(7).div(int(2)).to_value(), Value::Int(3));
+        assert_eq!(int(-7).div(int(2)).to_value(), Value::Int(-3));
+        assert_eq!(
+            int(7).div(CellRef::Float(2.0)).to_value(),
+            Value::Float(3.5)
+        );
     }
 
     #[test]
@@ -622,12 +636,21 @@ mod tests {
     }
 
     #[test]
-    fn batch_from_rows_roundtrip() {
+    fn batch_roundtrips_to_rows() {
         let rows = vec![
             Row::new(vec![Value::Int(1), Value::from("a")]),
             Row::new(vec![Value::Null, Value::from("b")]),
         ];
-        let batch = ColumnBatch::from_rows(2, rows.clone());
+        let mut cols = vec![
+            ColumnVector::new_for(Some(DataType::Int)),
+            ColumnVector::new_for(Some(DataType::Str)),
+        ];
+        for row in &rows {
+            for (col, v) in cols.iter_mut().zip(row.values()) {
+                col.push(v.clone());
+            }
+        }
+        let batch = ColumnBatch::new(cols.into_iter().map(Arc::new).collect(), rows.len());
         assert_eq!(batch.n_rows(), 2);
         assert_eq!(batch.to_rows(), rows);
         assert_eq!(
@@ -638,7 +661,8 @@ mod tests {
 
     #[test]
     fn empty_batch_keeps_arity_and_rows() {
-        let batch = ColumnBatch::from_rows(3, vec![]);
+        let cols = (0..3).map(|_| Arc::new(ColumnVector::new_for(None)));
+        let batch = ColumnBatch::new(cols.collect(), 0);
         assert_eq!(batch.n_rows(), 0);
         assert_eq!(batch.n_cols(), 3);
         assert!(batch.to_rows().is_empty());

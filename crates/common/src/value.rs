@@ -88,24 +88,11 @@ impl Value {
         }
     }
 
-    /// SQL three-valued-logic equality: NULL = anything is unknown (`None`).
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        if self.is_null() || other.is_null() {
-            return None;
-        }
-        Some(self.total_cmp(other) == Ordering::Equal)
-    }
-
-    /// SQL three-valued-logic comparison: `None` when either side is NULL.
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        if self.is_null() || other.is_null() {
-            return None;
-        }
-        Some(self.total_cmp(other))
-    }
-
     /// Total order over all values (NULLs first). Used for ORDER BY and for
-    /// grouping keys; distinct from [`Value::sql_cmp`], which is three-valued.
+    /// grouping keys; distinct from [`crate::CellRef::sql_cmp`], which is
+    /// three-valued. Scalar SQL semantics (comparison, arithmetic) are
+    /// defined on [`crate::CellRef`] only — view a value with
+    /// [`crate::CellRef::of`].
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
@@ -123,34 +110,6 @@ impl Value {
         }
     }
 
-    /// Arithmetic addition with SQL NULL propagation.
-    pub fn add(&self, other: &Value) -> Value {
-        numeric_binop(self, other, |a, b| a + b, |a, b| a.checked_add(b))
-    }
-
-    /// Arithmetic subtraction with SQL NULL propagation.
-    pub fn sub(&self, other: &Value) -> Value {
-        numeric_binop(self, other, |a, b| a - b, |a, b| a.checked_sub(b))
-    }
-
-    /// Arithmetic multiplication with SQL NULL propagation.
-    pub fn mul(&self, other: &Value) -> Value {
-        numeric_binop(self, other, |a, b| a * b, |a, b| a.checked_mul(b))
-    }
-
-    /// Arithmetic division. Division by zero yields NULL (matching the
-    /// permissive behaviour expected by the workload generators).
-    pub fn div(&self, other: &Value) -> Value {
-        match (self.as_f64(), other.as_f64()) {
-            (Some(_), Some(0.0)) => Value::Null,
-            (Some(a), Some(b)) => match (self, other) {
-                (Value::Int(x), Value::Int(y)) => Value::Int(x / y),
-                _ => Value::Float(a / b),
-            },
-            _ => Value::Null,
-        }
-    }
-
     /// Approximate in-memory width of the value in bytes, used by the
     /// network model to charge transfer time for shipped tuples.
     pub fn byte_width(&self) -> usize {
@@ -160,24 +119,6 @@ impl Value {
             Value::Float(_) => 8,
             Value::Str(s) => s.len(),
         }
-    }
-}
-
-fn numeric_binop(
-    a: &Value,
-    b: &Value,
-    f_float: impl Fn(f64, f64) -> f64,
-    f_int: impl Fn(i64, i64) -> Option<i64>,
-) -> Value {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => match f_int(*x, *y) {
-            Some(v) => Value::Int(v),
-            None => Value::Float(f_float(*x as f64, *y as f64)),
-        },
-        _ => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => Value::Float(f_float(x, y)),
-            _ => Value::Null,
-        },
     }
 }
 
@@ -298,44 +239,11 @@ mod tests {
     }
 
     #[test]
-    fn sql_eq_is_three_valued() {
-        assert_eq!(Value::Null.sql_eq(&Value::Int(1)), None);
-        assert_eq!(Value::Int(1).sql_eq(&Value::Null), None);
-        assert_eq!(Value::Int(1).sql_eq(&Value::Int(1)), Some(true));
-        assert_eq!(Value::Int(1).sql_eq(&Value::Int(2)), Some(false));
-    }
-
-    #[test]
     fn hash_consistent_with_eq_across_types() {
         let a = Value::Int(42);
         let b = Value::Float(42.0);
         assert_eq!(a, b);
         assert_eq!(hash_of(&a), hash_of(&b));
-    }
-
-    #[test]
-    fn arithmetic_null_propagation() {
-        assert!(Value::Null.add(&Value::Int(1)).is_null());
-        assert!(Value::Int(1).mul(&Value::Null).is_null());
-        assert_eq!(Value::Int(2).add(&Value::Int(3)), Value::Int(5));
-        assert_eq!(Value::Int(2).mul(&Value::Float(1.5)), Value::Float(3.0));
-    }
-
-    #[test]
-    fn integer_overflow_widens_to_float() {
-        let v = Value::Int(i64::MAX).add(&Value::Int(1));
-        assert!(matches!(v, Value::Float(_)));
-    }
-
-    #[test]
-    fn division_by_zero_is_null() {
-        assert!(Value::Int(1).div(&Value::Int(0)).is_null());
-        assert!(Value::Float(1.0).div(&Value::Float(0.0)).is_null());
-    }
-
-    #[test]
-    fn integer_division_truncates() {
-        assert_eq!(Value::Int(7).div(&Value::Int(2)), Value::Int(3));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cardinality triple so the federation layer and the QCC can calibrate
 //! the same quantities DB2 II exposes (§3).
 
-use crate::plan::{AggSpec, IndexPredicate, PlanNode};
+use crate::plan::{IndexPredicate, PlanNode};
 use qcc_common::{Cost, Schema};
 use qcc_sql::{BinaryOp, Expr};
 use qcc_storage::{Catalog, TableStats};
@@ -355,12 +355,6 @@ pub fn estimate_groups(input_rows: f64, key_distincts: &[f64]) -> f64 {
     }
     let product: f64 = key_distincts.iter().product();
     product.min(input_rows / 2.0).max(1.0)
-}
-
-/// Placeholder-free helper so `AggSpec` appears in this module's API surface
-/// (aggregate costing keys off the count of specs).
-pub fn agg_width(aggs: &[AggSpec]) -> usize {
-    aggs.len()
 }
 
 #[cfg(test)]

@@ -6,27 +6,24 @@
 //! only narrow the selection, and zone maps (per-chunk min/max summaries)
 //! skip whole chunks that cannot match a pushed-down predicate.
 //!
-//! Execution returns the result batches and a [`Work`] record describing
-//! how much CPU work was *accounted*, in the same optimizer units the cost
-//! model estimates. The remote-server simulation divides work by the
-//! server's speed and multiplies by its load slowdown to produce the
-//! virtual response time the meta-wrapper observes. The accounting is the
-//! virtual-time contract: every `cpu_units` add below replicates the
-//! row-at-a-time reference in [`crate::rowexec`] add-for-add (f64 addition
-//! is order-sensitive), and all adds use operator-level totals, so chunk
-//! pruning changes wall-clock time but never virtual time.
+//! Execution returns the result batches and a [`Work`] record of how much
+//! CPU work was *accounted*. The formulas live in [`crate::work`]; this
+//! executor's half of the virtual-time contract is to call the ledger in
+//! the same operator order as the row reference in [`crate::rowexec`],
+//! with operator-level totals or per-match events only — so chunk pruning
+//! changes wall-clock time but never virtual time.
 
 use crate::cost::CostModel;
 use crate::expr::{AggAccumulator, CompiledExpr};
-use crate::plan::{AggSpec, IndexPredicate, PlanNode};
-use crate::vexpr::{eval_cells, eval_predicate_cells, PairView, RowView};
+use crate::plan::{index_positions, AggSpec, PlanNode};
+use crate::vexpr::{cmp_holds, eval_cells, eval_predicate_cells, PairView, RowView};
+use crate::work::{Ledger, Work};
 use qcc_common::{CellRef, ColumnBatch, ColumnSummary, ColumnVector, QccError, Result, Row, Value};
 use qcc_sql::BinaryOp;
 use qcc_storage::Catalog;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::Bound;
 use std::sync::Arc;
 
 /// FNV-1a hasher for the executor's hot maps (join build tables,
@@ -59,28 +56,6 @@ impl Hasher for FnvHasher {
 
 type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 type FnvSet<K> = HashSet<K, BuildHasherDefault<FnvHasher>>;
-
-/// Actual work performed by an execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Work {
-    /// CPU work in optimizer units.
-    pub cpu_units: f64,
-    /// Rows read from base tables.
-    pub rows_scanned: u64,
-    /// Rows produced at the plan root.
-    pub rows_output: u64,
-    /// Approximate bytes of the produced result (for transfer costing).
-    pub result_bytes: u64,
-}
-
-impl Work {
-    /// Merge another work record into this one.
-    pub fn absorb(&mut self, other: Work) {
-        self.cpu_units += other.cpu_units;
-        self.rows_scanned += other.rows_scanned;
-        // rows_output / result_bytes describe the root and are set last.
-    }
-}
 
 /// Which rows of a chunk are live.
 enum Sel {
@@ -141,11 +116,8 @@ pub fn execute_batches(
     catalog: &Catalog,
     m: &CostModel,
 ) -> Result<(Vec<ColumnBatch>, Work)> {
-    let mut work = Work {
-        cpu_units: m.startup,
-        ..Work::default()
-    };
-    let chunks = exec_node(plan, catalog, m, &mut work)?;
+    let mut work = Ledger::start(m);
+    let chunks = exec_node(plan, catalog, &mut work)?;
     let mut batches = Vec::with_capacity(chunks.len());
     for chunk in chunks {
         let n = chunk.n_selected();
@@ -170,9 +142,9 @@ pub fn execute_batches(
             }
         }
     }
-    work.rows_output = batches.iter().map(|b| b.n_rows() as u64).sum();
-    work.result_bytes = batches.iter().map(ColumnBatch::byte_size).sum();
-    Ok((batches, work))
+    let rows_output = batches.iter().map(|b| b.n_rows() as u64).sum();
+    let result_bytes = batches.iter().map(ColumnBatch::byte_size).sum();
+    Ok((batches, work.finish(rows_output, result_bytes)))
 }
 
 /// Execute a plan against a catalog, materializing rows (the `Row`
@@ -186,20 +158,14 @@ pub fn execute(plan: &PlanNode, catalog: &Catalog, m: &CostModel) -> Result<(Vec
     Ok((rows, work))
 }
 
-fn exec_node(
-    plan: &PlanNode,
-    catalog: &Catalog,
-    m: &CostModel,
-    work: &mut Work,
-) -> Result<Vec<Chunk>> {
+fn exec_node(plan: &PlanNode, catalog: &Catalog, work: &mut Ledger<'_>) -> Result<Vec<Chunk>> {
     match plan {
         PlanNode::SeqScan {
             table, predicate, ..
         } => {
             let entry = catalog.entry(table)?;
             let total = entry.table.row_count();
-            work.rows_scanned += total as u64;
-            work.cpu_units += total as f64 * m.scan_row;
+            work.seq_scan(total, predicate.as_ref().map(CompiledExpr::node_count));
             let mut out: Vec<Chunk> = Vec::new();
             match predicate {
                 None => {
@@ -215,7 +181,6 @@ fn exec_node(
                     }
                 }
                 Some(p) => {
-                    work.cpu_units += total as f64 * p.node_count() as f64 * m.pred_node;
                     let fast = simple_cmp(p);
                     for ch in entry.table.chunks() {
                         if ch.is_empty() {
@@ -260,8 +225,7 @@ fn exec_node(
                     }
                 }
             }
-            let kept = total_selected(&out);
-            work.cpu_units += kept as f64 * m.output_row;
+            work.emit(total_selected(&out));
             Ok(out)
         }
         PlanNode::IndexScan {
@@ -272,32 +236,9 @@ fn exec_node(
             ..
         } => {
             let entry = catalog.entry(table)?;
-            let index = entry
-                .indexes
-                .iter()
-                .find(|i| i.column_name().eq_ignore_ascii_case(column))
-                .ok_or_else(|| {
-                    QccError::Execution(format!("index on {table}.{column} disappeared"))
-                })?;
-            work.cpu_units += m.index_probe;
-            let positions: Vec<u32> = match pred {
-                IndexPredicate::Eq(v) => index.lookup_eq(v).to_vec(),
-                IndexPredicate::Range { lo, hi } => {
-                    let lo_b = match lo {
-                        Some((v, true)) => Bound::Included(v),
-                        Some((v, false)) => Bound::Excluded(v),
-                        None => Bound::Unbounded,
-                    };
-                    let hi_b = match hi {
-                        Some((v, true)) => Bound::Included(v),
-                        Some((v, false)) => Bound::Excluded(v),
-                        None => Bound::Unbounded,
-                    };
-                    index.lookup_range(lo_b, hi_b)
-                }
-            };
-            work.rows_scanned += positions.len() as u64;
-            work.cpu_units += positions.len() as f64 * m.index_match_row;
+            work.index_probe();
+            let positions = index_positions(entry, table, column, pred)?;
+            work.index_matches(positions.len());
             let chunks = entry.table.chunks();
             let mut picks: Vec<(usize, usize)> = Vec::with_capacity(positions.len());
             for pos in positions {
@@ -305,7 +246,7 @@ fn exec_node(
                     QccError::Execution(format!("index position {pos} out of range"))
                 })?;
                 if let Some(p) = residual {
-                    work.cpu_units += p.node_count() as f64 * m.pred_node;
+                    work.residual_check(p.node_count());
                     let view = RowView {
                         cols: chunks[ci].columns(),
                         row: pi,
@@ -316,7 +257,7 @@ fn exec_node(
                 }
                 picks.push((ci, pi));
             }
-            work.cpu_units += picks.len() as f64 * m.output_row;
+            work.emit(picks.len());
             if picks.is_empty() {
                 return Ok(Vec::new());
             }
@@ -343,10 +284,9 @@ fn exec_node(
             residual,
             ..
         } => {
-            let build = exec_node(left, catalog, m, work)?;
-            let probe = exec_node(right, catalog, m, work)?;
-            work.cpu_units += total_selected(&build) as f64 * m.hash_build_row;
-            work.cpu_units += total_selected(&probe) as f64 * m.hash_probe_row;
+            let build = exec_node(left, catalog, work)?;
+            let probe = exec_node(right, catalog, work)?;
+            work.hash_join_sides(total_selected(&build), total_selected(&probe));
             // The scratch key is reused across rows (slice lookup via
             // `Borrow<[Value]>`); it is cloned only when a build key is
             // first inserted, never on the probe side.
@@ -391,7 +331,7 @@ fn exec_node(
                     if let Some(matches) = table.get(key.as_slice()) {
                         for &(bci, bpi) in matches {
                             if let Some(p) = residual {
-                                work.cpu_units += p.node_count() as f64 * m.pred_node;
+                                work.residual_check(p.node_count());
                                 let pair = PairView {
                                     left: &build[bci as usize].cols,
                                     lrow: bpi as usize,
@@ -402,7 +342,7 @@ fn exec_node(
                                     continue;
                                 }
                             }
-                            work.cpu_units += m.output_row;
+                            work.emit(1);
                             lpicks.push((bci, bpi));
                             rpicks.push((ci as u32, pi as u32));
                         }
@@ -417,14 +357,13 @@ fn exec_node(
             predicate,
             ..
         } => {
-            let outer = exec_node(left, catalog, m, work)?;
-            let inner = exec_node(right, catalog, m, work)?;
-            let pairs = total_selected(&outer) as f64 * total_selected(&inner) as f64;
-            work.cpu_units += pairs
-                * (m.hash_probe_row
-                    + predicate
-                        .as_ref()
-                        .map_or(0.0, |p| p.node_count() as f64 * m.pred_node));
+            let outer = exec_node(left, catalog, work)?;
+            let inner = exec_node(right, catalog, work)?;
+            work.nested_loop_pairs(
+                total_selected(&outer),
+                total_selected(&inner),
+                predicate.as_ref().map(CompiledExpr::node_count),
+            );
             let mut lpicks: Vec<(u32, u32)> = Vec::new();
             let mut rpicks: Vec<(u32, u32)> = Vec::new();
             for (oci, och) in outer.iter().enumerate() {
@@ -441,7 +380,7 @@ fn exec_node(
                                 eval_predicate_cells(p, &pair)
                             });
                             if keep {
-                                work.cpu_units += m.output_row;
+                                work.emit(1);
                                 lpicks.push((oci as u32, opi as u32));
                                 rpicks.push((ici as u32, ipi as u32));
                             }
@@ -454,9 +393,8 @@ fn exec_node(
         PlanNode::Filter {
             input, predicate, ..
         } => {
-            let chunks = exec_node(input, catalog, m, work)?;
-            let total = total_selected(&chunks);
-            work.cpu_units += total as f64 * predicate.node_count() as f64 * m.pred_node;
+            let chunks = exec_node(input, catalog, work)?;
+            work.filter(total_selected(&chunks), predicate.node_count());
             let mut out = Vec::with_capacity(chunks.len());
             for ch in chunks {
                 let ids: Vec<u32> = ch
@@ -487,10 +425,9 @@ fn exec_node(
             exprs,
             schema,
         } => {
-            let chunks = exec_node(input, catalog, m, work)?;
+            let chunks = exec_node(input, catalog, work)?;
             let nodes: usize = exprs.iter().map(CompiledExpr::node_count).sum();
-            let total = total_selected(&chunks);
-            work.cpu_units += total as f64 * nodes as f64 * m.pred_node;
+            work.project(total_selected(&chunks), nodes);
             let mut out = Vec::with_capacity(chunks.len());
             for ch in &chunks {
                 let k = ch.n_selected();
@@ -524,20 +461,18 @@ fn exec_node(
             schema,
             ..
         } => {
-            let chunks = exec_node(input, catalog, m, work)?;
-            let total = total_selected(&chunks);
-            work.cpu_units += total as f64 * (1 + aggs.len()) as f64 * m.agg_row;
-            exec_aggregate(&chunks, group_by, aggs, schema, m, work)
+            let chunks = exec_node(input, catalog, work)?;
+            work.aggregate_input(total_selected(&chunks), aggs.len());
+            exec_aggregate(&chunks, group_by, aggs, schema, work)
         }
         PlanNode::Sort { input, keys } => {
-            let chunks = exec_node(input, catalog, m, work)?;
+            let chunks = exec_node(input, catalog, work)?;
             let picks: Vec<(u32, u32)> = chunks
                 .iter()
                 .enumerate()
                 .flat_map(|(ci, ch)| ch.selected().map(move |pi| (ci as u32, pi as u32)))
                 .collect();
-            let n = picks.len().max(2) as f64;
-            work.cpu_units += m.sort_row_log * n * n.log2();
+            work.sort(picks.len());
             if picks.is_empty() {
                 return Ok(Vec::new());
             }
@@ -578,7 +513,7 @@ fn exec_node(
             }])
         }
         PlanNode::Limit { input, n } => {
-            let chunks = exec_node(input, catalog, m, work)?;
+            let chunks = exec_node(input, catalog, work)?;
             let mut remaining = *n as usize;
             let mut out = Vec::new();
             for ch in chunks {
@@ -602,9 +537,8 @@ fn exec_node(
             Ok(out)
         }
         PlanNode::Distinct { input, .. } => {
-            let chunks = exec_node(input, catalog, m, work)?;
-            let total = total_selected(&chunks);
-            work.cpu_units += total as f64 * m.hash_build_row;
+            let chunks = exec_node(input, catalog, work)?;
+            work.distinct(total_selected(&chunks));
             let mut seen: FnvSet<Vec<Value>> = FnvSet::default();
             let mut out = Vec::with_capacity(chunks.len());
             for ch in chunks {
@@ -811,21 +745,10 @@ fn flip(op: BinaryOp) -> BinaryOp {
     }
 }
 
-/// WHERE-keep decision for `cell <cmp> lit`, identical to evaluating the
-/// comparison through the expression tree (unknown rejects).
+/// WHERE-keep decision for `cell <cmp> lit`: the comparison as the
+/// expression tree evaluates it, unknown rejecting.
 fn cmp_keep(op: BinaryOp, c: CellRef<'_>, lit: CellRef<'_>) -> bool {
-    match c.sql_cmp(lit) {
-        None => false,
-        Some(ord) => match op {
-            BinaryOp::Eq => ord == Ordering::Equal,
-            BinaryOp::NotEq => ord != Ordering::Equal,
-            BinaryOp::Lt => ord == Ordering::Less,
-            BinaryOp::LtEq => ord != Ordering::Greater,
-            BinaryOp::Gt => ord == Ordering::Greater,
-            BinaryOp::GtEq => ord != Ordering::Less,
-            _ => false,
-        },
-    }
+    c.sql_cmp(lit).is_some_and(|ord| cmp_holds(op, ord))
 }
 
 fn exec_aggregate(
@@ -833,8 +756,7 @@ fn exec_aggregate(
     group_by: &[CompiledExpr],
     aggs: &[AggSpec],
     schema: &qcc_common::Schema,
-    m: &CostModel,
-    work: &mut Work,
+    work: &mut Ledger<'_>,
 ) -> Result<Vec<Chunk>> {
     // Group rows preserving first-seen key order for determinism.
     let mut order: Vec<Vec<Value>> = Vec::new();
@@ -861,7 +783,7 @@ fn exec_aggregate(
                 feed(&mut accs, aggs, &view);
             }
         }
-        work.cpu_units += m.output_row;
+        work.emit(1);
         for (b, acc) in builders.iter_mut().zip(&accs) {
             b.push(acc.finish());
         }
@@ -901,7 +823,7 @@ fn exec_aggregate(
             feed(&mut group_accs[gi], aggs, &view);
         }
     }
-    work.cpu_units += order.len() as f64 * m.output_row;
+    work.emit(order.len());
     let n = order.len();
     if n == 0 {
         return Ok(Vec::new());
@@ -1156,6 +1078,158 @@ mod tests {
                 assert_eq!(brows, rrows, "rows for {sql}");
                 assert_eq!(bwork, rwork, "work for {sql}");
             }
+        }
+    }
+
+    /// Both executors charge through one ledger (`work.rs`), so the
+    /// `exec == rowexec` checks above cannot see a changed formula. These
+    /// values can: `(plan signature, cpu_units bits, rows_scanned,
+    /// rows_output, result_bytes)` for every plan `explain` offers,
+    /// recorded at the last commit where each executor added its own
+    /// charges by hand. The last three statements cover the per-match
+    /// charging sites: a residual hash join, a nested-loop join and an
+    /// index range scan with a residual.
+    #[test]
+    fn work_is_pinned_for_every_offered_plan() {
+        type Pin = (&'static str, u64, u64, u64, u64);
+        let pinned: [(&str, &[Pin]); 11] = [
+            (
+                "SELECT * FROM sales WHERE amount >= 8",
+                &[("seqscan(sales,pred)", 0x3fe3a5e353f7ced9, 300, 60, 1220)],
+            ),
+            (
+                "SELECT * FROM sales WHERE id = 42",
+                &[
+                    ("idxscan(sales.id eq)", 0x3fe1a0e410b630aa, 1, 1, 20),
+                    ("seqscan(sales,pred)", 0x3fe34538ef34d6a1, 300, 1, 20),
+                ],
+            ),
+            (
+                "SELECT * FROM sales WHERE id >= 100 AND id < 110",
+                &[
+                    ("idxscan(sales.id range)", 0x3fe6d916872b025b, 200, 10, 203),
+                    ("seqscan(sales,pred)", 0x3fe47ae147ae147a, 300, 10, 203),
+                ],
+            ),
+            (
+                "SELECT s.id, r.manager FROM sales s JOIN regions r ON s.region = r.name",
+                &[(
+                    "proj(hj(seqscan(regions),seqscan(sales)))",
+                    0x3fe9c985f06f6909,
+                    303,
+                    300,
+                    3700,
+                )],
+            ),
+            (
+                "SELECT region, COUNT(*) AS n, SUM(amount) AS t FROM sales GROUP BY region",
+                &[(
+                    "proj(agg[1](seqscan(sales)))",
+                    0x3fefde2ac3222921,
+                    300,
+                    3,
+                    61,
+                )],
+            ),
+            (
+                "SELECT COUNT(*), AVG(amount) FROM sales",
+                &[(
+                    "proj(agg[0](seqscan(sales)))",
+                    0x3fefd92b7fe08af0,
+                    300,
+                    1,
+                    16,
+                )],
+            ),
+            (
+                "SELECT DISTINCT region FROM sales ORDER BY region DESC LIMIT 2",
+                &[(
+                    "limit[2](distinct(proj(sort(seqscan(sales)))))",
+                    0x3fee25d6313d2792,
+                    300,
+                    2,
+                    9,
+                )],
+            ),
+            (
+                "SELECT id * 2 + 1 AS x FROM sales WHERE id < 5 ORDER BY x DESC",
+                &[
+                    (
+                        "proj(sort(idxscan(sales.id range)))",
+                        0x3fe1c9e79f09dfbe,
+                        5,
+                        5,
+                        40,
+                    ),
+                    (
+                        "proj(sort(seqscan(sales,pred)))",
+                        0x3fe357a059d0f087,
+                        300,
+                        5,
+                        40,
+                    ),
+                ],
+            ),
+            (
+                "SELECT s.id FROM sales s JOIN regions r ON s.region = r.name \
+                 AND (s.amount > 5 OR r.manager = 'bob')",
+                &[(
+                    "proj(hj(seqscan(regions),seqscan(sales)))",
+                    0x3feaa1cac08312c0,
+                    303,
+                    180,
+                    1440,
+                )],
+            ),
+            (
+                "SELECT s.id, r.manager FROM sales s, regions r \
+                 WHERE s.id < 5 AND r.name > s.region",
+                &[
+                    (
+                        "proj(nlj(seqscan(regions),idxscan(sales.id range)))",
+                        0x3fe203afb7e90ffb,
+                        8,
+                        5,
+                        59,
+                    ),
+                    (
+                        "proj(nlj(seqscan(regions),seqscan(sales,pred)))",
+                        0x3fe3916872b020c4,
+                        303,
+                        5,
+                        59,
+                    ),
+                ],
+            ),
+            (
+                "SELECT * FROM sales WHERE id >= 100 AND id < 150 AND amount > 5",
+                &[
+                    ("idxscan(sales.id range)", 0x3fe7ae147ae1480d, 200, 20, 407),
+                    ("seqscan(sales,pred)", 0x3fe5b22d0e560418, 300, 20, 407),
+                ],
+            ),
+        ];
+        let e = engine();
+        for (sql, plans) in pinned {
+            let offered = e.explain(sql).unwrap();
+            let got: Vec<(String, u64, u64, u64, u64)> = offered
+                .iter()
+                .map(|p| {
+                    let (_, w) = e.execute_plan(&p.plan).unwrap();
+                    (
+                        p.plan.signature(),
+                        w.cpu_units.to_bits(),
+                        w.rows_scanned,
+                        w.rows_output,
+                        w.result_bytes,
+                    )
+                })
+                .collect();
+            let want: Vec<(String, u64, u64, u64, u64)> = plans
+                .iter()
+                .map(|&(sig, cpu, scanned, out, bytes)| (sig.to_owned(), cpu, scanned, out, bytes))
+                .collect();
+            assert_eq!(got, want, "{sql}");
         }
     }
 

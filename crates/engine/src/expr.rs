@@ -4,7 +4,12 @@
 //! build time, so row-at-a-time evaluation does no name lookups. Booleans
 //! are represented as `Value::Int(0 | 1)` with `Value::Null` as SQL's
 //! *unknown*; [`CompiledExpr::eval_predicate`] maps unknown to `false` (WHERE semantics).
+//!
+//! This module owns the expression tree; evaluating it is
+//! [`crate::vexpr`]'s job, and the `Row`-taking methods here are views
+//! over that one evaluator.
 
+use crate::vexpr::{cell_truth, eval_cells, eval_predicate_cells};
 use qcc_common::{CellRef, QccError, Result, Row, Schema, Value};
 use qcc_sql::{AggFunc, BinaryOp, Expr, UnaryOp};
 
@@ -134,89 +139,12 @@ impl CompiledExpr {
     /// Evaluate against a row. Booleans come back as `Int(0|1)`, unknown
     /// as `Null`.
     pub fn eval(&self, row: &Row) -> Value {
-        match self {
-            CompiledExpr::Column(i) => row.get(*i).clone(),
-            CompiledExpr::Literal(v) => v.clone(),
-            CompiledExpr::Binary { op, left, right } => {
-                eval_binary(*op, &left.eval(row), &right.eval(row))
-            }
-            CompiledExpr::Unary { op, expr } => {
-                let v = expr.eval(row);
-                match op {
-                    UnaryOp::Neg => match v {
-                        Value::Int(i) => Value::Int(-i),
-                        Value::Float(f) => Value::Float(-f),
-                        _ => Value::Null,
-                    },
-                    UnaryOp::Not => match truth(&v) {
-                        Some(b) => bool_value(!b),
-                        None => Value::Null,
-                    },
-                }
-            }
-            CompiledExpr::IsNull { expr, negated } => {
-                let isnull = expr.eval(row).is_null();
-                bool_value(isnull != *negated)
-            }
-            CompiledExpr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = expr.eval(row);
-                if v.is_null() {
-                    return Value::Null;
-                }
-                let mut saw_null = false;
-                for item in list {
-                    let member = item.eval(row);
-                    match v.sql_eq(&member) {
-                        Some(true) => return bool_value(!*negated),
-                        Some(false) => {}
-                        None => saw_null = true,
-                    }
-                }
-                if saw_null {
-                    Value::Null
-                } else {
-                    bool_value(*negated)
-                }
-            }
-            CompiledExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                let v = expr.eval(row);
-                let lo = low.eval(row);
-                let hi = high.eval(row);
-                let ge = v.sql_cmp(&lo).map(|o| o != std::cmp::Ordering::Less);
-                let le = v.sql_cmp(&hi).map(|o| o != std::cmp::Ordering::Greater);
-                match (ge, le) {
-                    (Some(a), Some(b)) => bool_value((a && b) != *negated),
-                    // Short-circuit definite falsity even with one NULL bound.
-                    (Some(false), _) | (_, Some(false)) => bool_value(*negated),
-                    _ => Value::Null,
-                }
-            }
-            CompiledExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let v = expr.eval(row);
-                match v.as_str() {
-                    Some(s) => bool_value(like_match(s, pattern) != *negated),
-                    None => Value::Null,
-                }
-            }
-        }
+        eval_cells(self, row).to_value()
     }
 
     /// Evaluate as a WHERE predicate: unknown (`NULL`) rejects the row.
     pub fn eval_predicate(&self, row: &Row) -> bool {
-        truth(&self.eval(row)).unwrap_or(false)
+        eval_predicate_cells(self, row)
     }
 
     /// Number of nodes (used for per-tuple CPU accounting).
@@ -238,54 +166,9 @@ impl CompiledExpr {
     }
 }
 
-fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Value {
-    use BinaryOp::*;
-    match op {
-        And => match (truth(l), truth(r)) {
-            (Some(false), _) | (_, Some(false)) => bool_value(false),
-            (Some(true), Some(true)) => bool_value(true),
-            _ => Value::Null,
-        },
-        Or => match (truth(l), truth(r)) {
-            (Some(true), _) | (_, Some(true)) => bool_value(true),
-            (Some(false), Some(false)) => bool_value(false),
-            _ => Value::Null,
-        },
-        Eq | NotEq | Lt | LtEq | Gt | GtEq => match l.sql_cmp(r) {
-            None => Value::Null,
-            Some(ord) => {
-                let b = match op {
-                    Eq => ord == std::cmp::Ordering::Equal,
-                    NotEq => ord != std::cmp::Ordering::Equal,
-                    Lt => ord == std::cmp::Ordering::Less,
-                    LtEq => ord != std::cmp::Ordering::Greater,
-                    Gt => ord == std::cmp::Ordering::Greater,
-                    GtEq => ord != std::cmp::Ordering::Less,
-                    _ => unreachable!(),
-                };
-                bool_value(b)
-            }
-        },
-        Add => l.add(r),
-        Sub => l.sub(r),
-        Mul => l.mul(r),
-        Div => l.div(r),
-    }
-}
-
 /// SQL truthiness of a value: nonzero numbers are true, NULL is unknown.
 pub fn truth(v: &Value) -> Option<bool> {
-    match v {
-        Value::Null => None,
-        Value::Int(i) => Some(*i != 0),
-        Value::Float(f) => Some(*f != 0.0),
-        Value::Str(_) => Some(false),
-    }
-}
-
-/// Boolean as a `Value`.
-pub fn bool_value(b: bool) -> Value {
-    Value::Int(if b { 1 } else { 0 })
+    cell_truth(CellRef::of(v))
 }
 
 /// SQL LIKE matching with `%` (any run) and `_` (any single char).
@@ -340,53 +223,12 @@ impl AggAccumulator {
 
     /// Feed one input value (`None` means `COUNT(*)`'s row marker).
     pub fn push(&mut self, v: Option<&Value>) {
-        let v = match v {
-            None => {
-                // COUNT(*) counts rows regardless of content.
-                self.count += 1;
-                return;
-            }
-            Some(v) => v,
-        };
-        if v.is_null() {
-            return; // Aggregates skip NULLs.
-        }
-        if self.distinct && !self.seen.insert(v.clone()) {
-            return;
-        }
-        self.count += 1;
-        if let Some(x) = v.as_f64() {
-            self.sum += x;
-            match v {
-                Value::Int(i) => {
-                    if let Some(s) = self.int_sum.checked_add(*i) {
-                        self.int_sum = s;
-                    } else {
-                        self.sum_is_int = false;
-                    }
-                }
-                _ => self.sum_is_int = false,
-            }
-        }
-        match &self.min {
-            None => self.min = Some(v.clone()),
-            Some(m) if v < m => self.min = Some(v.clone()),
-            _ => {}
-        }
-        match &self.max {
-            None => self.max = Some(v.clone()),
-            Some(m) if v > m => self.max = Some(v.clone()),
-            _ => {}
-        }
+        self.push_cell(v.map(CellRef::of));
     }
 
     /// Feed one input cell (`None` means `COUNT(*)`'s row marker).
-    ///
-    /// Cell-level twin of [`AggAccumulator::push`]: identical NULL
-    /// handling, DISTINCT gating and — critically — the same `f64`
-    /// accumulation, so a columnar execution produces bit-identical
-    /// aggregate state. Values are only materialized on the slow paths
-    /// (DISTINCT insertion, new MIN/MAX extremes).
+    /// Values are only materialized on the slow paths (DISTINCT
+    /// insertion, new MIN/MAX extremes).
     pub fn push_cell(&mut self, c: Option<CellRef<'_>>) {
         let c = match c {
             None => {

@@ -16,18 +16,18 @@
 pub mod cost;
 pub mod exec;
 pub mod expr;
-pub mod naive;
 pub mod plan;
 pub mod planner;
 pub mod rowexec;
 mod vexpr;
+pub mod work;
 
 pub use cost::{estimate_plan, CostModel};
-pub use exec::{execute, execute_batches, Work};
+pub use exec::{execute, execute_batches};
 pub use expr::{compile, CompiledExpr};
 pub use plan::{AggSpec, IndexPredicate, PlanNode};
 pub use planner::{plan_query, PlannerConfig};
-pub use rowexec::execute_rows;
+pub use work::Work;
 
 use qcc_common::{ColumnBatch, Cost, Result, Row};
 use qcc_sql::SelectStmt;

@@ -6,9 +6,11 @@
 //! first-tuple / next-tuple costs the federation layer consumes.
 
 use crate::expr::CompiledExpr;
-use qcc_common::{Schema, Value};
+use qcc_common::{QccError, Result, Schema, Value};
 use qcc_sql::AggFunc;
+use qcc_storage::catalog::CatalogEntry;
 use std::fmt;
+use std::ops::Bound;
 
 /// Predicate pushed into an index scan.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,6 +48,33 @@ impl fmt::Display for IndexPredicate {
             }
         }
     }
+}
+
+/// Probe the index on `table.column`: the positions of the rows `pred`
+/// selects, in index order. Shared by both executors, so an index scan
+/// reads the same rows in the same order whichever one runs it.
+pub(crate) fn index_positions(
+    entry: &CatalogEntry,
+    table: &str,
+    column: &str,
+    pred: &IndexPredicate,
+) -> Result<Vec<u32>> {
+    fn bound(b: &Option<(Value, bool)>) -> Bound<&Value> {
+        match b {
+            Some((v, true)) => Bound::Included(v),
+            Some((v, false)) => Bound::Excluded(v),
+            None => Bound::Unbounded,
+        }
+    }
+    let index = entry
+        .indexes
+        .iter()
+        .find(|i| i.column_name().eq_ignore_ascii_case(column))
+        .ok_or_else(|| QccError::Execution(format!("index on {table}.{column} disappeared")))?;
+    Ok(match pred {
+        IndexPredicate::Eq(v) => index.lookup_eq(v).to_vec(),
+        IndexPredicate::Range { lo, hi } => index.lookup_range(bound(lo), bound(hi)),
+    })
 }
 
 /// One aggregate output of a hash-aggregate node.

@@ -11,52 +11,41 @@
 //! * the `columnar_speedup` bench measures the wall-clock gap between the
 //!   two executors over the same columnar storage.
 //!
-//! The `Work` accounting below is the normative definition the vectorized
-//! executor must replicate add-for-add (f64 addition is order-sensitive).
+//! The operator algorithms here share nothing with `exec.rs`. What must
+//! agree to the bit is shared instead: the charge formulas
+//! ([`crate::work`]), the scalar evaluator ([`crate::vexpr`]) and the index
+//! probe. The order of the ledger calls below is the normative one.
 
 use crate::cost::CostModel;
-use crate::exec::Work;
 use crate::expr::{AggAccumulator, CompiledExpr};
-use crate::plan::{AggSpec, IndexPredicate, PlanNode};
+use crate::plan::{index_positions, AggSpec, PlanNode};
+use crate::work::{Ledger, Work};
 use qcc_common::{QccError, Result, Row, Value};
 use qcc_storage::Catalog;
 use std::collections::HashMap;
-use std::ops::Bound;
 
 /// Execute a plan row-at-a-time against a catalog.
 pub fn execute_rows(plan: &PlanNode, catalog: &Catalog, m: &CostModel) -> Result<(Vec<Row>, Work)> {
-    let mut work = Work {
-        cpu_units: m.startup,
-        ..Work::default()
-    };
-    let rows = exec_node(plan, catalog, m, &mut work)?;
-    work.rows_output = rows.len() as u64;
-    work.result_bytes = rows.iter().map(|r| r.byte_width() as u64).sum();
+    let mut work = Ledger::start(m);
+    let rows = exec_node(plan, catalog, &mut work)?;
+    let result_bytes = rows.iter().map(|r| r.byte_width() as u64).sum();
+    let work = work.finish(rows.len() as u64, result_bytes);
     Ok((rows, work))
 }
 
-fn exec_node(
-    plan: &PlanNode,
-    catalog: &Catalog,
-    m: &CostModel,
-    work: &mut Work,
-) -> Result<Vec<Row>> {
+fn exec_node(plan: &PlanNode, catalog: &Catalog, work: &mut Ledger<'_>) -> Result<Vec<Row>> {
     match plan {
         PlanNode::SeqScan {
             table, predicate, ..
         } => {
             let entry = catalog.entry(table)?;
             let base = entry.table.rows();
-            work.rows_scanned += base.len() as u64;
-            work.cpu_units += base.len() as f64 * m.scan_row;
+            work.seq_scan(base.len(), predicate.as_ref().map(CompiledExpr::node_count));
             let out: Vec<Row> = match predicate {
                 None => base,
-                Some(p) => {
-                    work.cpu_units += base.len() as f64 * p.node_count() as f64 * m.pred_node;
-                    base.into_iter().filter(|r| p.eval_predicate(r)).collect()
-                }
+                Some(p) => base.into_iter().filter(|r| p.eval_predicate(r)).collect(),
             };
-            work.cpu_units += out.len() as f64 * m.output_row;
+            work.emit(out.len());
             Ok(out)
         }
         PlanNode::IndexScan {
@@ -67,46 +56,23 @@ fn exec_node(
             ..
         } => {
             let entry = catalog.entry(table)?;
-            let index = entry
-                .indexes
-                .iter()
-                .find(|i| i.column_name().eq_ignore_ascii_case(column))
-                .ok_or_else(|| {
-                    QccError::Execution(format!("index on {table}.{column} disappeared"))
-                })?;
-            work.cpu_units += m.index_probe;
-            let positions: Vec<u32> = match pred {
-                IndexPredicate::Eq(v) => index.lookup_eq(v).to_vec(),
-                IndexPredicate::Range { lo, hi } => {
-                    let lo_b = match lo {
-                        Some((v, true)) => Bound::Included(v),
-                        Some((v, false)) => Bound::Excluded(v),
-                        None => Bound::Unbounded,
-                    };
-                    let hi_b = match hi {
-                        Some((v, true)) => Bound::Included(v),
-                        Some((v, false)) => Bound::Excluded(v),
-                        None => Bound::Unbounded,
-                    };
-                    index.lookup_range(lo_b, hi_b)
-                }
-            };
-            work.rows_scanned += positions.len() as u64;
-            work.cpu_units += positions.len() as f64 * m.index_match_row;
+            work.index_probe();
+            let positions = index_positions(entry, table, column, pred)?;
+            work.index_matches(positions.len());
             let mut out = Vec::with_capacity(positions.len());
             for pos in positions {
                 let row = entry.table.row_at(pos as usize).ok_or_else(|| {
                     QccError::Execution(format!("index position {pos} out of range"))
                 })?;
                 if let Some(p) = residual {
-                    work.cpu_units += p.node_count() as f64 * m.pred_node;
+                    work.residual_check(p.node_count());
                     if !p.eval_predicate(&row) {
                         continue;
                     }
                 }
                 out.push(row);
             }
-            work.cpu_units += out.len() as f64 * m.output_row;
+            work.emit(out.len());
             Ok(out)
         }
         PlanNode::HashJoin {
@@ -117,10 +83,9 @@ fn exec_node(
             residual,
             ..
         } => {
-            let build = exec_node(left, catalog, m, work)?;
-            let probe = exec_node(right, catalog, m, work)?;
-            work.cpu_units += build.len() as f64 * m.hash_build_row;
-            work.cpu_units += probe.len() as f64 * m.hash_probe_row;
+            let build = exec_node(left, catalog, work)?;
+            let probe = exec_node(right, catalog, work)?;
+            work.hash_join_sides(build.len(), probe.len());
             let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
             for row in &build {
                 let key: Vec<Value> = left_keys.iter().map(|k| k.eval(row)).collect();
@@ -139,12 +104,12 @@ fn exec_node(
                     for b in matches {
                         let joined = b.join(row);
                         if let Some(p) = residual {
-                            work.cpu_units += p.node_count() as f64 * m.pred_node;
+                            work.residual_check(p.node_count());
                             if !p.eval_predicate(&joined) {
                                 continue;
                             }
                         }
-                        work.cpu_units += m.output_row;
+                        work.emit(1);
                         out.push(joined);
                     }
                 }
@@ -157,21 +122,20 @@ fn exec_node(
             predicate,
             ..
         } => {
-            let outer = exec_node(left, catalog, m, work)?;
-            let inner = exec_node(right, catalog, m, work)?;
-            let pairs = outer.len() as f64 * inner.len() as f64;
-            work.cpu_units += pairs
-                * (m.hash_probe_row
-                    + predicate
-                        .as_ref()
-                        .map_or(0.0, |p| p.node_count() as f64 * m.pred_node));
+            let outer = exec_node(left, catalog, work)?;
+            let inner = exec_node(right, catalog, work)?;
+            work.nested_loop_pairs(
+                outer.len(),
+                inner.len(),
+                predicate.as_ref().map(CompiledExpr::node_count),
+            );
             let mut out = Vec::new();
             for l in &outer {
                 for r in &inner {
                     let joined = l.join(r);
                     let keep = predicate.as_ref().is_none_or(|p| p.eval_predicate(&joined));
                     if keep {
-                        work.cpu_units += m.output_row;
+                        work.emit(1);
                         out.push(joined);
                     }
                 }
@@ -181,17 +145,17 @@ fn exec_node(
         PlanNode::Filter {
             input, predicate, ..
         } => {
-            let rows = exec_node(input, catalog, m, work)?;
-            work.cpu_units += rows.len() as f64 * predicate.node_count() as f64 * m.pred_node;
+            let rows = exec_node(input, catalog, work)?;
+            work.filter(rows.len(), predicate.node_count());
             Ok(rows
                 .into_iter()
                 .filter(|r| predicate.eval_predicate(r))
                 .collect())
         }
         PlanNode::Project { input, exprs, .. } => {
-            let rows = exec_node(input, catalog, m, work)?;
+            let rows = exec_node(input, catalog, work)?;
             let nodes: usize = exprs.iter().map(CompiledExpr::node_count).sum();
-            work.cpu_units += rows.len() as f64 * nodes as f64 * m.pred_node;
+            work.project(rows.len(), nodes);
             Ok(rows
                 .iter()
                 .map(|r| Row::new(exprs.iter().map(|e| e.eval(r)).collect()))
@@ -203,14 +167,13 @@ fn exec_node(
             aggs,
             ..
         } => {
-            let rows = exec_node(input, catalog, m, work)?;
-            work.cpu_units += rows.len() as f64 * (1 + aggs.len()) as f64 * m.agg_row;
-            exec_aggregate(&rows, group_by, aggs, m, work)
+            let rows = exec_node(input, catalog, work)?;
+            work.aggregate_input(rows.len(), aggs.len());
+            exec_aggregate(&rows, group_by, aggs, work)
         }
         PlanNode::Sort { input, keys } => {
-            let mut rows = exec_node(input, catalog, m, work)?;
-            let n = rows.len().max(2) as f64;
-            work.cpu_units += m.sort_row_log * n * n.log2();
+            let mut rows = exec_node(input, catalog, work)?;
+            work.sort(rows.len());
             rows.sort_by(|a, b| {
                 for (k, desc) in keys {
                     let va = k.eval(a);
@@ -226,13 +189,13 @@ fn exec_node(
             Ok(rows)
         }
         PlanNode::Limit { input, n } => {
-            let mut rows = exec_node(input, catalog, m, work)?;
+            let mut rows = exec_node(input, catalog, work)?;
             rows.truncate(*n as usize);
             Ok(rows)
         }
         PlanNode::Distinct { input, .. } => {
-            let rows = exec_node(input, catalog, m, work)?;
-            work.cpu_units += rows.len() as f64 * m.hash_build_row;
+            let rows = exec_node(input, catalog, work)?;
+            work.distinct(rows.len());
             let mut seen = std::collections::HashSet::new();
             let mut out = Vec::new();
             for r in rows {
@@ -249,8 +212,7 @@ fn exec_aggregate(
     rows: &[Row],
     group_by: &[CompiledExpr],
     aggs: &[AggSpec],
-    m: &CostModel,
-    work: &mut Work,
+    work: &mut Ledger<'_>,
 ) -> Result<Vec<Row>> {
     // Group rows preserving first-seen key order for determinism.
     let mut order: Vec<Vec<Value>> = Vec::new();
@@ -268,7 +230,7 @@ fn exec_aggregate(
             feed(&mut accs, aggs, row);
         }
         let values: Vec<Value> = accs.iter().map(AggAccumulator::finish).collect();
-        work.cpu_units += m.output_row;
+        work.emit(1);
         return Ok(vec![Row::new(values)]);
     }
 
@@ -280,7 +242,7 @@ fn exec_aggregate(
         });
         feed(accs, aggs, row);
     }
-    work.cpu_units += order.len() as f64 * m.output_row;
+    work.emit(order.len());
     let mut out = Vec::with_capacity(order.len());
     for key in order {
         let accs = groups

@@ -1,18 +1,15 @@
-//! Vectorized expression evaluation over columnar cells.
+//! The scalar evaluator.
 //!
-//! [`eval_cells`] is the cell-level twin of [`CompiledExpr::eval`]: it
-//! walks the same expression tree with the same three-valued logic, NULL
-//! propagation and arithmetic (delegated to [`CellRef`], whose operations
-//! mirror `Value` bit-for-bit), but reads operands through a [`Cells`]
-//! view into column vectors instead of a materialized `Row`. Strings are
-//! borrowed, never cloned, during predicate evaluation.
-//!
-//! Any behavioral divergence from `CompiledExpr::eval` is a bug — the
-//! row-vs-columnar equivalence property in `tests/engine_vs_naive_prop.rs`
-//! exercises exactly this contract.
+//! [`eval_cells`] is the one implementation of expression evaluation —
+//! three-valued logic, NULL propagation, arithmetic (delegated to
+//! [`CellRef`]). It reads operands through a [`Cells`] view, so the same
+//! code serves a row of typed column vectors ([`RowView`], [`PairView`])
+//! and a materialized [`Row`]; [`CompiledExpr::eval`] is the `Row` view
+//! with the result made owned. Strings are borrowed, never cloned, during
+//! evaluation.
 
 use crate::expr::{like_match, CompiledExpr};
-use qcc_common::{CellRef, ColumnVector};
+use qcc_common::{CellRef, ColumnVector, Row};
 use qcc_sql::{BinaryOp, UnaryOp};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -59,7 +56,13 @@ impl Cells for PairView<'_> {
     }
 }
 
-/// SQL truthiness of a cell, mirroring `expr::truth`.
+impl Cells for Row {
+    fn col(&self, i: usize) -> CellRef<'_> {
+        CellRef::of(self.get(i))
+    }
+}
+
+/// SQL truthiness of a cell: nonzero numbers are true, NULL is unknown.
 pub(crate) fn cell_truth(c: CellRef<'_>) -> Option<bool> {
     match c {
         CellRef::Null => None,
@@ -73,9 +76,8 @@ fn bool_cell(b: bool) -> CellRef<'static> {
     CellRef::Int(if b { 1 } else { 0 })
 }
 
-/// Evaluate an expression over a cell view. Mirrors
-/// [`CompiledExpr::eval`] exactly, with booleans as `Int(0|1)` and unknown
-/// as `Null`.
+/// Evaluate an expression over a cell view, with booleans as `Int(0|1)`
+/// and unknown as `Null`.
 pub(crate) fn eval_cells<'a, C: Cells>(expr: &'a CompiledExpr, cells: &'a C) -> CellRef<'a> {
     match expr {
         CompiledExpr::Column(i) => cells.col(*i),
@@ -87,7 +89,10 @@ pub(crate) fn eval_cells<'a, C: Cells>(expr: &'a CompiledExpr, cells: &'a C) -> 
             let v = eval_cells(expr, cells);
             match op {
                 UnaryOp::Neg => match v {
-                    CellRef::Int(i) => CellRef::Int(-i),
+                    // `-i64::MIN` widens to Float, as binary arithmetic does.
+                    CellRef::Int(i) => i
+                        .checked_neg()
+                        .map_or(CellRef::Float(-(i as f64)), CellRef::Int),
                     CellRef::Float(f) => CellRef::Float(-f),
                     _ => CellRef::Null,
                 },
@@ -170,25 +175,28 @@ fn eval_binary<'a>(op: BinaryOp, l: CellRef<'a>, r: CellRef<'a>) -> CellRef<'a> 
             (Some(false), Some(false)) => bool_cell(false),
             _ => CellRef::Null,
         },
-        Eq | NotEq | Lt | LtEq | Gt | GtEq => match l.sql_cmp(r) {
-            None => CellRef::Null,
-            Some(ord) => {
-                let b = match op {
-                    Eq => ord == Ordering::Equal,
-                    NotEq => ord != Ordering::Equal,
-                    Lt => ord == Ordering::Less,
-                    LtEq => ord != Ordering::Greater,
-                    Gt => ord == Ordering::Greater,
-                    GtEq => ord != Ordering::Less,
-                    _ => Ordering::Equal == Ordering::Less, // unreachable; false
-                };
-                bool_cell(b)
-            }
-        },
+        Eq | NotEq | Lt | LtEq | Gt | GtEq => l
+            .sql_cmp(r)
+            .map_or(CellRef::Null, |ord| bool_cell(cmp_holds(op, ord))),
         Add => l.add(r),
         Sub => l.sub(r),
         Mul => l.mul(r),
         Div => l.div(r),
+    }
+}
+
+/// Whether comparison operator `op` holds for operands ordered `ord`
+/// (false for a non-comparison operator).
+#[inline]
+pub(crate) fn cmp_holds(op: BinaryOp, ord: Ordering) -> bool {
+    match op {
+        BinaryOp::Eq => ord == Ordering::Equal,
+        BinaryOp::NotEq => ord != Ordering::Equal,
+        BinaryOp::Lt => ord == Ordering::Less,
+        BinaryOp::LtEq => ord != Ordering::Greater,
+        BinaryOp::Gt => ord == Ordering::Greater,
+        BinaryOp::GtEq => ord != Ordering::Less,
+        _ => false,
     }
 }
 
@@ -216,8 +224,11 @@ mod tests {
         crate::expr::compile(stmt.where_clause.as_ref().unwrap(), &schema()).unwrap()
     }
 
-    /// Cell-level evaluation must agree with row-level evaluation on every
-    /// predicate shape and NULL pattern the expression language supports.
+    /// `CompiledExpr::eval` is this evaluator over the `Row` view, so this
+    /// pins the two kinds of view against each other: typed column
+    /// vectors (`RowView`) and a materialized `Row` must hand the
+    /// evaluator the same cells, on every predicate shape and NULL
+    /// pattern the expression language supports.
     #[test]
     fn eval_cells_agrees_with_eval() {
         let predicates = [

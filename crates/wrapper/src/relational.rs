@@ -1,7 +1,7 @@
 //! Relational wrapper over a simulated remote DBMS.
 
 use crate::traits::{
-    FragmentPlan, StreamChunk, StreamOutcome, Wrapper, WrapperKind, WrapperResult, WrapperStream,
+    FragmentPlan, StreamChunk, StreamOutcome, Wrapper, WrapperKind, WrapperStream,
 };
 use qcc_common::{QccError, Result, ServerId, SimDuration, SimTime};
 use qcc_netsim::Network;
@@ -75,25 +75,6 @@ impl Wrapper for RelationalWrapper {
         Ok((fragment_plans, request + response))
     }
 
-    fn execute(&self, plan: &FragmentPlan, at: SimTime) -> Result<WrapperResult> {
-        let descriptor = plan.descriptor.as_ref().ok_or_else(|| {
-            QccError::Execution("relational fragment plan without descriptor".into())
-        })?;
-        let id = self.server.id().clone();
-        let request = self.network.transfer_time(&id, REQUEST_BYTES, at)?;
-        let arrived = at + request;
-        let result = self.server.execute(descriptor, arrived)?;
-        let served = arrived + result.elapsed;
-        let response = self
-            .network
-            .transfer_time(&id, result.result_bytes, served)?;
-        Ok(WrapperResult {
-            bytes: result.result_bytes,
-            batches: result.batches,
-            response_time: request + result.elapsed + response,
-        })
-    }
-
     fn execute_stream(
         &self,
         plan: &FragmentPlan,
@@ -120,8 +101,8 @@ impl Wrapper for RelationalWrapper {
             .collect();
         let (outcome, response_time) = match stream.status {
             RemoteStreamStatus::Complete => {
-                // Same charge as the call-and-wait path: one result
-                // transfer for the delivered bytes, issued at service end.
+                // One result transfer for the delivered bytes, issued at
+                // service end.
                 let served = arrived + stream.elapsed;
                 let response = self
                     .network
@@ -222,22 +203,41 @@ mod tests {
         assert!(rl.response_time > rs.response_time);
     }
 
+    /// `execute` is the collapsed cursor-0 stream, so comparing the two
+    /// would compare a method with its own definition. What `execute`
+    /// charges for `SELECT * FROM t WHERE a > 100` at time zero (request +
+    /// service + one result transfer) is pinned instead, recorded at the
+    /// last commit that wrote that charge out separately.
+    const EXECUTE_MS_BITS: u64 = 0x4046505bc01a36e3;
+    const EXECUTE_BYTES: u64 = 39192;
+
     #[test]
-    fn stream_totals_match_execute_and_interrupt_surfaces_at_transition() {
+    fn execute_charges_are_pinned() {
         let w = setup(1.0);
         let (plans, _) = w
             .plan("SELECT * FROM t WHERE a > 100", SimTime::ZERO)
             .unwrap();
         let one_shot = w.execute(&plans[0], SimTime::ZERO).unwrap();
+        assert_eq!(
+            one_shot.response_time.as_millis().to_bits(),
+            EXECUTE_MS_BITS
+        );
+        assert_eq!(one_shot.bytes, EXECUTE_BYTES);
+        assert_eq!(one_shot.n_rows(), 4899);
+    }
+
+    #[test]
+    fn interrupt_surfaces_at_transition_and_resumes_elsewhere() {
+        let w = setup(1.0);
+        let (plans, _) = w
+            .plan("SELECT * FROM t WHERE a > 100", SimTime::ZERO)
+            .unwrap();
         let stream = w.execute_stream(&plans[0], SimTime::ZERO, 0, true).unwrap();
         assert_eq!(stream.outcome, StreamOutcome::Complete);
-        assert_eq!(
-            stream.response_time.as_millis().to_bits(),
-            one_shot.response_time.as_millis().to_bits()
-        );
-        assert_eq!(stream.bytes, one_shot.bytes);
-        assert_eq!(stream.rows(), one_shot.rows());
         assert!(stream.total_chunks >= 2, "need a multi-chunk result");
+        // Armed but never fired, the interrupt changes no total.
+        assert_eq!(stream.response_time.as_millis().to_bits(), EXECUTE_MS_BITS);
+        assert_eq!(stream.bytes, EXECUTE_BYTES);
 
         // Cut the stream mid-service and check the interrupt instant.
         let mid_chunk = &stream.chunks[stream.total_chunks / 2];
@@ -250,7 +250,7 @@ mod tests {
         assert!(cut.delivered() < stream.total_chunks);
         assert!(cut.chunks.iter().all(|c| c.at < cut_at));
         // Resume elsewhere (fresh identical source): remainder rows equal
-        // the one-shot suffix.
+        // the uninterrupted suffix.
         let fresh = setup(1.0);
         let rest = fresh
             .execute_stream(&plans[0], cut_at, cut.next_cursor(), true)
@@ -258,7 +258,7 @@ mod tests {
         assert_eq!(rest.outcome, StreamOutcome::Complete);
         let mut rows = cut.rows();
         rows.extend(rest.rows());
-        assert_eq!(rows, one_shot.rows());
+        assert_eq!(rows, stream.rows());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The wrapper abstraction.
 
-use qcc_common::{ColumnBatch, Cost, Result, Row, ServerId, SimDuration, SimTime};
+use qcc_common::{ColumnBatch, Cost, QccError, Result, Row, ServerId, SimDuration, SimTime};
 use qcc_engine::PlanNode;
 
 /// The two wrapper families the paper distinguishes.
@@ -92,16 +92,48 @@ pub struct WrapperStream {
     pub cursor: usize,
     /// Total chunks in the full (cursor-0) result.
     pub total_chunks: usize,
-    /// For a complete stream: end-to-end response time (request transfer
-    /// + remaining service + result transfer), identical to the
-    /// call-and-wait path when `cursor` is 0. For an interrupted stream:
-    /// time until the interrupt surfaced at the integrator.
+    /// For a complete stream: end-to-end response time (request
+    /// transfer, remaining service, result transfer); at `cursor` 0 it is
+    /// what [`Wrapper::execute`] reports. For an interrupted stream: time
+    /// until the interrupt surfaced at the integrator.
     pub response_time: SimDuration,
     /// Bytes of the delivered chunks.
     pub bytes: u64,
 }
 
 impl WrapperStream {
+    /// The stream of a source that cannot pipeline (a file wrapper
+    /// re-scans wholesale): chunks `cursor..` of `batches`, all landing
+    /// when the full result does, at `at + response_time`.
+    pub fn one_shot(
+        batches: Vec<ColumnBatch>,
+        response_time: SimDuration,
+        at: SimTime,
+        cursor: usize,
+        server: &ServerId,
+    ) -> Result<WrapperStream> {
+        let total_chunks = batches.len();
+        if cursor > total_chunks {
+            return Err(QccError::Execution(format!(
+                "stream cursor {cursor} past end ({total_chunks} chunks) at {server}"
+            )));
+        }
+        let done = at + response_time;
+        let chunks: Vec<StreamChunk> = batches
+            .into_iter()
+            .skip(cursor)
+            .map(|batch| StreamChunk { batch, at: done })
+            .collect();
+        Ok(WrapperStream {
+            bytes: chunks.iter().map(|c| c.batch.byte_size()).sum(),
+            chunks,
+            outcome: StreamOutcome::Complete,
+            cursor,
+            total_chunks,
+            response_time,
+        })
+    }
+
     /// Number of chunks delivered by this call.
     pub fn delivered(&self) -> usize {
         self.chunks.len()
@@ -134,52 +166,29 @@ pub trait Wrapper: Send + Sync + std::fmt::Debug {
     /// virtual time the EXPLAIN round trip itself consumed.
     fn plan(&self, sql: &str, at: SimTime) -> Result<(Vec<FragmentPlan>, SimDuration)>;
 
-    /// Runtime: execute a fragment plan.
-    fn execute(&self, plan: &FragmentPlan, at: SimTime) -> Result<WrapperResult>;
-
     /// Runtime: execute chunks `cursor..` of a fragment plan as a
-    /// resumable stream. When `interruptible` is set, a source crash
-    /// opening mid-service cuts the stream instead of going unnoticed
-    /// until the next arrival-time liveness check.
-    ///
-    /// The default delegates to [`Wrapper::execute`] (one shot, all
-    /// chunks land when the full result does) so non-streaming sources
-    /// — e.g. file wrappers, which re-scan wholesale — still satisfy the
-    /// cursor protocol.
+    /// resumable stream. This is the method a wrapper implements; the
+    /// coordinator dispatches every fragment through it. When
+    /// `interruptible` is set, a source crash opening mid-service cuts the
+    /// stream instead of going unnoticed until the next arrival-time
+    /// liveness check. A source that cannot pipeline builds its answer
+    /// with [`WrapperStream::one_shot`].
     fn execute_stream(
         &self,
         plan: &FragmentPlan,
         at: SimTime,
         cursor: usize,
-        _interruptible: bool,
-    ) -> Result<WrapperStream> {
-        let result = self.execute(plan, at)?;
-        let total_chunks = result.batches.len();
-        if cursor > total_chunks {
-            return Err(qcc_common::QccError::Execution(format!(
-                "stream cursor {cursor} past end ({total_chunks} chunks) at {}",
-                self.server_id()
-            )));
-        }
-        let done = at + result.response_time;
-        let chunks: Vec<StreamChunk> = result
-            .batches
-            .into_iter()
-            .skip(cursor)
-            .map(|batch| StreamChunk { batch, at: done })
-            .collect();
-        let bytes = if cursor == 0 {
-            result.bytes
-        } else {
-            chunks.iter().map(|c| c.batch.byte_size()).sum()
-        };
-        Ok(WrapperStream {
-            chunks,
-            outcome: StreamOutcome::Complete,
-            cursor,
-            total_chunks,
-            response_time: result.response_time,
-            bytes,
+        interruptible: bool,
+    ) -> Result<WrapperStream>;
+
+    /// Runtime: execute a fragment plan and wait for the whole result —
+    /// the complete cursor-0 stream, not interruptible, collapsed.
+    fn execute(&self, plan: &FragmentPlan, at: SimTime) -> Result<WrapperResult> {
+        let stream = self.execute_stream(plan, at, 0, false)?;
+        Ok(WrapperResult {
+            batches: stream.chunks.into_iter().map(|c| c.batch).collect(),
+            response_time: stream.response_time,
+            bytes: stream.bytes,
         })
     }
 

@@ -2,8 +2,11 @@
 //! single local engine (and the naive reference evaluator) produces over
 //! the same data, regardless of routing, replication, or decomposition.
 
+#[path = "support/naive.rs"]
+mod naive;
+
 use load_aware_federation::common::{Column, DataType, Row, Schema, ServerId, Value};
-use load_aware_federation::engine::{naive, Engine};
+use load_aware_federation::engine::Engine;
 use load_aware_federation::federation::{
     Federation, FederationConfig, NicknameCatalog, PassthroughMiddleware,
 };

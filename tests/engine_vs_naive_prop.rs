@@ -5,8 +5,11 @@
 //! Driven by the workspace's deterministic `Pcg32` so the suite runs
 //! offline and failures reproduce from the fixed seeds.
 
+#[path = "support/naive.rs"]
+mod naive;
+
 use load_aware_federation::common::{Column, ColumnBatch, DataType, Pcg32, Row, Schema, Value};
-use load_aware_federation::engine::{execute_batches, naive, rowexec, Engine};
+use load_aware_federation::engine::{execute_batches, rowexec, Engine};
 use load_aware_federation::storage::{Catalog, ColumnSpec, Table, TableSpec};
 use qcc_sql::parse_select;
 
@@ -353,5 +356,95 @@ fn columnar_engine_matches_row_engine_on_scenario_templates() {
                 assert_eq!(bwork, rwork, "{qt}#{instance} plan {pi}: Work");
             }
         }
+    }
+}
+
+/// The oracle itself against answers worked out by hand (it has no unit
+/// tests of its own: it is linked only into the suites that use it), and
+/// the engine against the same answers.
+#[test]
+fn oracle_and_engine_match_hand_computed_answers() {
+    let mut t = Table::new(
+        "t",
+        Schema::new(vec![
+            Column::new("a", DataType::Int),
+            Column::new("b", DataType::Int),
+        ]),
+    );
+    for i in 0..20i64 {
+        t.insert(Row::new(vec![Value::Int(i), Value::Int(i % 4)]))
+            .unwrap();
+    }
+    let mut catalog = Catalog::new();
+    catalog.register(t);
+    let engine = Engine::new(catalog);
+    let int_rows = |rows: &[&[i64]]| -> Vec<Row> {
+        rows.iter()
+            .map(|r| Row::new(r.iter().map(|&v| Value::Int(v)).collect()))
+            .collect()
+    };
+    let cases = [
+        (
+            "SELECT a FROM t WHERE a < 3 ORDER BY a",
+            int_rows(&[&[0], &[1], &[2]]),
+        ),
+        (
+            "SELECT b, COUNT(*) FROM t GROUP BY b HAVING COUNT(*) > 0 ORDER BY b",
+            int_rows(&[&[0, 5], &[1, 5], &[2, 5], &[3, 5]]),
+        ),
+        (
+            "SELECT x.a, y.a FROM t x, t y WHERE x.a = y.a AND x.a < 2 ORDER BY x.a",
+            int_rows(&[&[0, 0], &[1, 1]]),
+        ),
+        ("SELECT SUM(a) + COUNT(*) FROM t", int_rows(&[&[190 + 20]])),
+    ];
+    for (sql, expected) in cases {
+        let stmt = parse_select(sql).expect("parses");
+        let oracle = naive::evaluate(&stmt, engine.catalog()).expect("oracle runs");
+        assert_eq!(oracle, expected, "oracle: {sql}");
+        let (actual, _) = engine.execute_sql(sql).expect("engine runs");
+        assert_eq!(actual, expected, "engine: {sql}");
+    }
+}
+
+/// Integer overflow reachable from SQL text widens to `Float` — the rule
+/// `+`, `-`, `*` and `SUM` already follow — instead of panicking
+/// (`i64::MIN / -1` in any build, `-i64::MIN` in debug) or wrapping to a
+/// negative `Int` (`-i64::MIN` in release). Checked through the batch
+/// engine, the row reference and the oracle; run it with `--release` too.
+#[test]
+fn integer_overflow_widens_to_float_through_every_executor() {
+    let mut t = Table::new("t", Schema::new(vec![Column::new("a", DataType::Int)]));
+    t.insert(Row::new(vec![Value::Int(1)])).unwrap();
+    let mut catalog = Catalog::new();
+    catalog.register(t);
+    let engine = Engine::new(catalog);
+    let widened = vec![Row::new(vec![Value::Float(9.223372036854775808e18)])];
+    let cases = [
+        (
+            "SELECT (0 - 9223372036854775807 - 1) / (0 - 1) FROM t",
+            &widened,
+        ),
+        ("SELECT -(0 - 9223372036854775807 - 1) FROM t", &widened),
+        // Division by zero stays NULL, also for the overflowing dividend.
+        (
+            "SELECT (0 - 9223372036854775807 - 1) / 0 FROM t",
+            &vec![Row::new(vec![Value::Null])],
+        ),
+    ];
+    // `Value` equality is numeric across Int and Float, so compare the
+    // `Debug` form: the result must *be* a Float, not merely equal one.
+    for (sql, expected) in cases {
+        let expected = format!("{expected:?}");
+        let (batch, _) = engine.execute_sql(sql).expect("batch engine runs");
+        assert_eq!(format!("{batch:?}"), expected, "batch engine: {sql}");
+        for p in engine.explain(sql).expect("plans") {
+            let (rows, _) = rowexec::execute_rows(&p.plan, engine.catalog(), engine.cost_model())
+                .expect("row reference runs");
+            assert_eq!(format!("{rows:?}"), expected, "row reference: {sql}");
+        }
+        let stmt = parse_select(sql).expect("parses");
+        let oracle = naive::evaluate(&stmt, engine.catalog()).expect("oracle runs");
+        assert_eq!(format!("{oracle:?}"), expected, "oracle: {sql}");
     }
 }

@@ -59,13 +59,15 @@ fn world() -> (Federation, Arc<Qcc>) {
     let network = Arc::new(network);
 
     let file_wrapper = FileWrapper::new(ServerId::new("FS1"), Arc::clone(&network));
-    file_wrapper.add_file(
-        "logs",
-        FlatFile {
-            schema: logs_schema.clone(),
-            rows: log_rows,
-        },
-    );
+    file_wrapper
+        .add_file(
+            "logs",
+            FlatFile {
+                schema: logs_schema.clone(),
+                rows: log_rows,
+            },
+        )
+        .unwrap();
 
     let mut nicknames = NicknameCatalog::new();
     nicknames.define("machines", machines_schema);

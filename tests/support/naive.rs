@@ -1,12 +1,16 @@
-//! Reference evaluator.
+//! Reference evaluator (test support: `#[path]`-included by the suites
+//! that use it, linked by no library crate).
 //!
 //! A deliberately simple (and slow) implementation of the same SQL subset:
-//! cross-join all FROM tables, filter, group, project, sort. Used by the
-//! test suites — including cross-crate property tests — as the ground truth
-//! the optimized engine must agree with.
+//! cross-join all FROM tables, filter, group, project, sort — an AST
+//! interpreter with no planner, no plan tree and no operators, which is
+//! what makes it an oracle for the engine's. Scalar expressions and
+//! aggregate accumulators are the engine's own (`qcc_engine::expr`): SQL
+//! scalar semantics have one definition, and this file does not re-derive
+//! them.
 
-use crate::expr::{compile, AggAccumulator};
 use qcc_common::{QccError, Result, Row, Schema, Value};
+use qcc_engine::expr::{compile, truth, AggAccumulator, CompiledExpr};
 use qcc_sql::{Expr, SelectItem, SelectStmt};
 use qcc_storage::Catalog;
 
@@ -52,7 +56,7 @@ pub fn evaluate(stmt: &SelectStmt, catalog: &Catalog) -> Result<Vec<Row>> {
     let mut out: Vec<Row>;
 
     if has_agg {
-        (out, _) = aggregate(stmt, &schema, &rows)?;
+        out = aggregate(stmt, &schema, &rows)?;
     } else {
         if stmt.having.is_some() {
             return Err(QccError::Planning("HAVING without aggregation".into()));
@@ -70,7 +74,7 @@ pub fn evaluate(stmt: &SelectStmt, catalog: &Catalog) -> Result<Vec<Row>> {
             })
             .collect();
         if !stmt.order_by.is_empty() {
-            let keys: Vec<(crate::expr::CompiledExpr, bool)> = stmt
+            let keys: Vec<(CompiledExpr, bool)> = stmt
                 .order_by
                 .iter()
                 .map(|o| {
@@ -89,7 +93,7 @@ pub fn evaluate(stmt: &SelectStmt, catalog: &Catalog) -> Result<Vec<Row>> {
                 match item {
                     SelectItem::Wildcard => {
                         for i in 0..schema.len() {
-                            exprs.push(crate::expr::CompiledExpr::Column(i));
+                            exprs.push(CompiledExpr::Column(i));
                         }
                     }
                     SelectItem::Expr { expr, .. } => exprs.push(compile(expr, &schema)?),
@@ -121,7 +125,7 @@ fn substitute(expr: &Expr, aliases: &[(String, Expr)]) -> Expr {
     expr.clone()
 }
 
-fn sort_rows(rows: &mut [Row], keys: &[(crate::expr::CompiledExpr, bool)]) {
+fn sort_rows(rows: &mut [Row], keys: &[(CompiledExpr, bool)]) {
     rows.sort_by(|a, b| {
         for (k, desc) in keys {
             let ord = k.eval(a).total_cmp(&k.eval(b));
@@ -139,8 +143,8 @@ type GroupMap = std::collections::HashMap<Vec<Value>, Vec<Row>>;
 
 /// Grouped / global aggregation, HAVING, ORDER BY and projection for the
 /// aggregate case. Returns projected rows.
-fn aggregate(stmt: &SelectStmt, schema: &Schema, rows: &[Row]) -> Result<(Vec<Row>, Schema)> {
-    let group_exprs: Vec<crate::expr::CompiledExpr> = stmt
+fn aggregate(stmt: &SelectStmt, schema: &Schema, rows: &[Row]) -> Result<Vec<Row>> {
+    let group_exprs: Vec<CompiledExpr> = stmt
         .group_by
         .iter()
         .map(|g| compile(g, schema))
@@ -208,19 +212,19 @@ fn aggregate(stmt: &SelectStmt, schema: &Schema, rows: &[Row]) -> Result<(Vec<Ro
                 let r = eval_group(right, stmt, schema, key, members)?;
                 // Reuse the row-expression machinery on a synthetic row.
                 let synth = Row::new(vec![l, r]);
-                let e = crate::expr::CompiledExpr::Binary {
+                let e = CompiledExpr::Binary {
                     op: *op,
-                    left: Box::new(crate::expr::CompiledExpr::Column(0)),
-                    right: Box::new(crate::expr::CompiledExpr::Column(1)),
+                    left: Box::new(CompiledExpr::Column(0)),
+                    right: Box::new(CompiledExpr::Column(1)),
                 };
                 Ok(e.eval(&synth))
             }
             Expr::Unary { op, expr } => {
                 let v = eval_group(expr, stmt, schema, key, members)?;
                 let synth = Row::new(vec![v]);
-                let e = crate::expr::CompiledExpr::Unary {
+                let e = CompiledExpr::Unary {
                     op: *op,
-                    expr: Box::new(crate::expr::CompiledExpr::Column(0)),
+                    expr: Box::new(CompiledExpr::Column(0)),
                 };
                 Ok(e.eval(&synth))
             }
@@ -241,7 +245,7 @@ fn aggregate(stmt: &SelectStmt, schema: &Schema, rows: &[Row]) -> Result<(Vec<Ro
             .ok_or_else(|| QccError::Execution("aggregation group vanished".into()))?;
         if let Some(h) = &stmt.having {
             let v = eval_group(h, stmt, schema, key, members)?;
-            if crate::expr::truth(&v) != Some(true) {
+            if truth(&v) != Some(true) {
                 continue;
             }
         }
@@ -299,63 +303,5 @@ fn aggregate(stmt: &SelectStmt, schema: &Schema, rows: &[Row]) -> Result<(Vec<Ro
         }
         out.push(Row::new(values));
     }
-    Ok((out, Schema::empty()))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use qcc_common::{Column, DataType};
-    use qcc_sql::parse_select;
-    use qcc_storage::Table;
-
-    fn catalog() -> Catalog {
-        let mut c = Catalog::new();
-        let mut t = Table::new(
-            "t",
-            Schema::new(vec![
-                Column::new("a", DataType::Int),
-                Column::new("b", DataType::Int),
-            ]),
-        );
-        for i in 0..20i64 {
-            t.insert(Row::new(vec![Value::Int(i), Value::Int(i % 4)]))
-                .unwrap();
-        }
-        c.register(t);
-        c
-    }
-
-    #[test]
-    fn filter_and_project() {
-        let stmt = parse_select("SELECT a FROM t WHERE a < 3 ORDER BY a").unwrap();
-        let rows = evaluate(&stmt, &catalog()).unwrap();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[2].get(0), &Value::Int(2));
-    }
-
-    #[test]
-    fn aggregate_matches_hand_count() {
-        let stmt =
-            parse_select("SELECT b, COUNT(*) FROM t GROUP BY b HAVING COUNT(*) > 0 ORDER BY b")
-                .unwrap();
-        let rows = evaluate(&stmt, &catalog()).unwrap();
-        assert_eq!(rows.len(), 4);
-        assert!(rows.iter().all(|r| r.get(1) == &Value::Int(5)));
-    }
-
-    #[test]
-    fn self_join_via_aliases() {
-        let stmt =
-            parse_select("SELECT x.a, y.a FROM t x, t y WHERE x.a = y.a AND x.a < 2").unwrap();
-        let rows = evaluate(&stmt, &catalog()).unwrap();
-        assert_eq!(rows.len(), 2);
-    }
-
-    #[test]
-    fn arithmetic_over_aggregates() {
-        let stmt = parse_select("SELECT SUM(a) + COUNT(*) FROM t").unwrap();
-        let rows = evaluate(&stmt, &catalog()).unwrap();
-        assert_eq!(rows[0].get(0), &Value::Int(190 + 20));
-    }
+    Ok(out)
 }
