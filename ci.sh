@@ -85,7 +85,7 @@ QCC_LARGE_ROWS=2000 QCC_SMALL_ROWS=100 QCC_INSTANCES=2 QCC_WARMUP=1 \
 echo "==> row vs columnar equivalence property (exact rows + bit-exact Work)"
 cargo test -q --offline --test engine_vs_naive_prop
 
-echo "==> bench smoke: columnar_speedup (tiny scale; digest must be identical)"
+echo "==> bench smoke: columnar_speedup (tiny scale; digest must be identical, hashing operators must not allocate per row)"
 QCC_LARGE_ROWS=2000 QCC_SMALL_ROWS=100 \
     cargo bench -q --offline -p qcc-bench --bench columnar_speedup \
     | tee /tmp/qcc-colspeed.out
@@ -93,6 +93,11 @@ if grep -q DIVERGED /tmp/qcc-colspeed.out; then
     echo "columnar_speedup: virtual-time digest diverged" >&2
     exit 1
 fi
+if grep -q "columnar allocations: VIOLATED" /tmp/qcc-colspeed.out; then
+    echo "columnar_speedup: a hashing operator allocates per row" >&2
+    exit 1
+fi
+grep -q "columnar allocations: OK" /tmp/qcc-colspeed.out
 
 echo "==> bench smoke: admission_overload (default scale; admission-on must dominate)"
 cargo bench -q --offline -p qcc-bench --bench admission_overload \

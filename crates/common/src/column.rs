@@ -10,7 +10,7 @@
 //! owned [`Value`] is evaluated through [`CellRef::of`].
 
 use crate::row::Row;
-use crate::value::{DataType, Value};
+use crate::value::{int_float_cmp, DataType, Value, TWO_63};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -89,8 +89,7 @@ impl<'a> CellRef<'a> {
     }
 
     /// Total order mirroring [`Value::total_cmp`]: NULLs first, numbers
-    /// compared across Int/Float via `f64::total_cmp`, numbers before
-    /// strings.
+    /// compared exactly across Int/Float, numbers before strings.
     pub fn total_cmp(self, other: CellRef<'_>) -> Ordering {
         use CellRef::*;
         match (self, other) {
@@ -99,11 +98,43 @@ impl<'a> CellRef<'a> {
             (_, Null) => Ordering::Greater,
             (Int(a), Int(b)) => a.cmp(&b),
             (Float(a), Float(b)) => a.total_cmp(&b),
-            (Int(a), Float(b)) => (a as f64).total_cmp(&b),
-            (Float(a), Int(b)) => a.total_cmp(&(b as f64)),
+            (Int(a), Float(b)) => int_float_cmp(a, b),
+            (Float(a), Int(b)) => int_float_cmp(b, a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Int(_) | Float(_), Str(_)) => Ordering::Less,
             (Str(_), Int(_) | Float(_)) => Ordering::Greater,
+        }
+    }
+
+    /// 64-bit hash consistent with [`CellRef::total_cmp`]: cells that
+    /// compare `Equal` hash alike, so a float holding an integer hashes as
+    /// that integer. The one hash definition: `Value`'s `Hash` feeds this
+    /// to its hasher, and the engine's row-id table keys on it directly.
+    #[inline]
+    pub fn hash64(self) -> u64 {
+        match self {
+            CellRef::Null => 0x6e75_6c6c_6e75_6c6c,
+            CellRef::Int(i) => mix(i as u64),
+            CellRef::Float(f) if f.fract() == 0.0 && (-TWO_63..TWO_63).contains(&f) => {
+                mix(f as i64 as u64)
+            }
+            CellRef::Float(f) => mix(f.to_bits() ^ 0xf10a_7f10_a7f1_0a7f),
+            CellRef::Str(s) => {
+                // Eight bytes a step; the length goes in first so a
+                // zero-padded tail cannot collide with a longer string.
+                let word = |bytes: &[u8]| {
+                    bytes
+                        .iter()
+                        .rev()
+                        .fold(0u64, |w, &b| (w << 8) | u64::from(b))
+                };
+                let mut words = s.as_bytes().chunks_exact(8);
+                let mut h = mix(s.len() as u64 ^ 0x5712_5712_5712_5712);
+                for w in &mut words {
+                    h = mix(h ^ word(w));
+                }
+                mix(h ^ word(words.remainder()))
+            }
         }
     }
 
@@ -159,6 +190,14 @@ impl<'a> CellRef<'a> {
     }
 }
 
+/// One multiply-xorshift round: cheap enough for a per-row key loop, and
+/// it spreads dense integer keys over the low bits a table masks with.
+#[inline]
+fn mix(x: u64) -> u64 {
+    let h = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    h ^ (h >> 32)
+}
+
 fn numeric_binop<'a>(
     a: CellRef<'a>,
     b: CellRef<'a>,
@@ -202,8 +241,10 @@ pub enum ColumnVector {
     },
     /// String vector with null mask.
     Str {
-        /// Cell payloads (empty where null).
-        data: Vec<String>,
+        /// Cell payloads (empty where null). Shared, so an operator that
+        /// copies rows (a join's output, a sort) copies a string cell by
+        /// bumping a count, not by allocating.
+        data: Vec<Arc<str>>,
         /// Null mask, parallel to `data`.
         nulls: Vec<bool>,
     },
@@ -284,6 +325,52 @@ impl ColumnVector {
         }
     }
 
+    /// Call `f` on the cells at `rows`, in order. The representation is
+    /// matched once, outside the loop, so over a typed vector `f` runs in
+    /// a loop over the payload and null-mask slices with the cell's
+    /// variant known.
+    #[inline]
+    pub fn for_each_cell<'a>(
+        &'a self,
+        rows: impl Iterator<Item = usize>,
+        mut f: impl FnMut(CellRef<'a>),
+    ) {
+        match self {
+            ColumnVector::Int { data, nulls } => {
+                for r in rows {
+                    f(if nulls[r] {
+                        CellRef::Null
+                    } else {
+                        CellRef::Int(data[r])
+                    });
+                }
+            }
+            ColumnVector::Float { data, nulls } => {
+                for r in rows {
+                    f(if nulls[r] {
+                        CellRef::Null
+                    } else {
+                        CellRef::Float(data[r])
+                    });
+                }
+            }
+            ColumnVector::Str { data, nulls } => {
+                for r in rows {
+                    f(if nulls[r] {
+                        CellRef::Null
+                    } else {
+                        CellRef::Str(&data[r])
+                    });
+                }
+            }
+            ColumnVector::Mixed(vals) => {
+                for r in rows {
+                    f(CellRef::of(&vals[r]));
+                }
+            }
+        }
+    }
+
     /// Owned clone of cell `i`.
     pub fn value(&self, i: usize) -> Value {
         self.cell(i).to_value()
@@ -310,11 +397,11 @@ impl ColumnVector {
                 nulls.push(true);
             }
             (ColumnVector::Str { data, nulls }, Value::Str(s)) => {
-                data.push(s);
+                data.push(s.into());
                 nulls.push(false);
             }
             (ColumnVector::Str { data, nulls }, Value::Null) => {
-                data.push(String::new());
+                data.push(Arc::default());
                 nulls.push(true);
             }
             (ColumnVector::Mixed(vals), v) => vals.push(v),
@@ -347,11 +434,11 @@ impl ColumnVector {
                 nulls.push(true);
             }
             (ColumnVector::Str { data, nulls }, CellRef::Str(s)) => {
-                data.push(s.to_owned());
+                data.push(s.into());
                 nulls.push(false);
             }
             (ColumnVector::Str { data, nulls }, CellRef::Null) => {
-                data.push(String::new());
+                data.push(Arc::default());
                 nulls.push(true);
             }
             (ColumnVector::Mixed(vals), c) => vals.push(c.to_value()),
@@ -362,6 +449,66 @@ impl ColumnVector {
                 }
             }
         }
+    }
+
+    /// The cells `(source, row)` of `srcs` in pick order, as one fresh
+    /// vector — the copy every operator that reorders or combines rows
+    /// goes through. Sources of one typed representation are copied by a
+    /// typed loop; a mix of representations is appended cell by cell,
+    /// demoting as [`ColumnVector::push_cell`] does.
+    pub fn gather(
+        srcs: &[&ColumnVector],
+        picks: impl ExactSizeIterator<Item = (usize, usize)>,
+    ) -> ColumnVector {
+        fn copy<T: Clone>(
+            srcs: &[(&[T], &[bool])],
+            picks: impl ExactSizeIterator<Item = (usize, usize)>,
+        ) -> (Vec<T>, Vec<bool>) {
+            let mut data = Vec::with_capacity(picks.len());
+            let mut nulls = Vec::with_capacity(picks.len());
+            for (s, r) in picks {
+                let (d, n) = srcs[s];
+                data.push(d[r].clone());
+                nulls.push(n[r]);
+            }
+            (data, nulls)
+        }
+        // The typed copy, if every source is a `$variant` vector.
+        macro_rules! typed {
+            ($variant:ident) => {
+                let slices: Option<Vec<_>> = srcs
+                    .iter()
+                    .map(|c| match c {
+                        ColumnVector::$variant { data, nulls } => Some((&data[..], &nulls[..])),
+                        _ => None,
+                    })
+                    .collect();
+                if let Some(slices) = slices {
+                    let (data, nulls) = copy(&slices, picks);
+                    return ColumnVector::$variant { data, nulls };
+                }
+            };
+        }
+        let Some(first) = srcs.first() else {
+            return ColumnVector::Mixed(Vec::new());
+        };
+        match first {
+            ColumnVector::Int { .. } => {
+                typed!(Int);
+            }
+            ColumnVector::Float { .. } => {
+                typed!(Float);
+            }
+            ColumnVector::Str { .. } => {
+                typed!(Str);
+            }
+            ColumnVector::Mixed(_) => {}
+        }
+        let mut out = first.empty_like();
+        for (s, r) in picks {
+            out.push_cell(srcs[s].cell(r));
+        }
+        out
     }
 
     fn demote_to_mixed(&mut self) {
@@ -500,19 +647,64 @@ impl ColumnBatch {
 mod tests {
     use super::*;
 
+    /// Every kind of cell, and the places where `Int` meets `Float`: the
+    /// 2^53 neighbourhood (where `i64 as f64` starts rounding), the ends
+    /// of `i64`, both zeros, the infinities and both NaNs.
+    fn cross_type_corpus() -> Vec<Value> {
+        const P53: i64 = 1 << 53;
+        let mut cases = vec![
+            Value::Null,
+            Value::Str("a".into()),
+            Value::Str("b".into()),
+            Value::Str("a longer string than eight bytes".into()),
+            Value::Str("a longer string than eight bytex".into()),
+        ];
+        for i in [
+            -3,
+            0,
+            3,
+            P53 - 1,
+            P53,
+            P53 + 1,
+            P53 + 2,
+            -P53,
+            -P53 - 1,
+            i64::MAX - 1,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ] {
+            cases.push(Value::Int(i));
+        }
+        for f in [
+            -3.0,
+            -0.0,
+            0.0,
+            0.5,
+            3.0,
+            P53 as f64 - 1.0,
+            P53 as f64,
+            P53 as f64 + 2.0,
+            -(P53 as f64),
+            -(P53 as f64) - 2.0,
+            9_223_372_036_854_775_808.0,  // 2^63 = i64::MAX + 1
+            9_223_372_036_854_774_784.0,  // the largest float below it
+            -9_223_372_036_854_775_808.0, // i64::MIN
+            -9_223_372_036_854_777_856.0, // the next float below it
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            cases.push(Value::Float(f));
+        }
+        cases
+    }
+
     /// The one mirrored pair that remains.
     #[test]
     fn cellref_mirrors_value_total_cmp() {
-        let cases = [
-            Value::Null,
-            Value::Int(-3),
-            Value::Int(3),
-            Value::Float(3.0),
-            Value::Float(f64::NAN),
-            Value::Float(f64::INFINITY),
-            Value::Str("a".into()),
-            Value::Str("b".into()),
-        ];
+        let cases = cross_type_corpus();
         for a in &cases {
             for b in &cases {
                 assert_eq!(
@@ -522,6 +714,90 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `Int` against `Float` is compared exactly: the order is a total
+    /// order (it was not transitive while `2^53 + 1` rounded to `2^53`),
+    /// and NaN and the zeros sit where `f64::total_cmp` puts them.
+    #[test]
+    fn total_cmp_is_a_total_order_across_int_and_float() {
+        const P53: i64 = 1 << 53;
+        let cmp = |a: Value, b: Value| a.total_cmp(&b);
+        assert_eq!(
+            cmp(Value::Int(P53 + 1), Value::Float(P53 as f64)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            cmp(Value::Float(P53 as f64), Value::Int(P53 + 1)),
+            Ordering::Less
+        );
+        assert_eq!(
+            cmp(Value::Int(P53), Value::Float(P53 as f64)),
+            Ordering::Equal
+        );
+        assert_eq!(
+            cmp(Value::Int(i64::MAX), Value::Float(i64::MAX as f64)),
+            Ordering::Less,
+            "i64::MAX as f64 is 2^63"
+        );
+        assert_eq!(
+            cmp(Value::Int(i64::MIN), Value::Float(i64::MIN as f64)),
+            Ordering::Equal
+        );
+        assert_eq!(cmp(Value::Int(0), Value::Float(0.0)), Ordering::Equal);
+        assert_eq!(cmp(Value::Int(0), Value::Float(-0.0)), Ordering::Greater);
+        assert_eq!(
+            cmp(Value::Int(i64::MAX), Value::Float(f64::NAN)),
+            Ordering::Less
+        );
+        assert_eq!(
+            cmp(Value::Int(i64::MIN), Value::Float(-f64::NAN)),
+            Ordering::Greater
+        );
+        let cases = cross_type_corpus();
+        for a in &cases {
+            for b in &cases {
+                assert_eq!(a.total_cmp(b), b.total_cmp(a).reverse(), "{a} vs {b}");
+                for c in &cases {
+                    if a.total_cmp(b) != Ordering::Greater && b.total_cmp(c) != Ordering::Greater {
+                        assert_ne!(a.total_cmp(c), Ordering::Greater, "{a} <= {b} <= {c}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `Hash`/`Eq` contract hash joins rest on, for `Value` under a
+    /// std hasher and for the cell hash the engine's table uses.
+    #[test]
+    fn equal_cells_hash_alike() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let std_hash = BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
+        let cases = cross_type_corpus();
+        let mut equal_across_types = 0;
+        for a in &cases {
+            for b in &cases {
+                if a.total_cmp(b) != Ordering::Equal {
+                    continue;
+                }
+                assert_eq!(
+                    CellRef::of(a).hash64(),
+                    CellRef::of(b).hash64(),
+                    "hash64({a}) vs hash64({b})"
+                );
+                assert_eq!(std_hash.hash_one(a), std_hash.hash_one(b), "{a} vs {b}");
+                equal_across_types += usize::from(a.data_type() != b.data_type());
+            }
+        }
+        assert!(equal_across_types >= 10, "{equal_across_types}");
+        // Not a constant function: the corpus's unequal strings and the
+        // 2^53 neighbours hash apart.
+        let h = |v: &Value| CellRef::of(v).hash64();
+        assert_ne!(
+            h(&Value::Int((1 << 53) + 1)),
+            h(&Value::Float((1u64 << 53) as f64))
+        );
+        assert_ne!(h(&cases[3]), h(&cases[4]));
     }
 
     fn int(i: i64) -> CellRef<'static> {

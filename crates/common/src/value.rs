@@ -4,6 +4,7 @@
 //! type system — 64-bit integers, 64-bit floats, UTF-8 strings, and NULL —
 //! which is all the paper's experimental workload (§5) requires.
 
+use crate::column::CellRef;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -32,9 +33,10 @@ impl fmt::Display for DataType {
 /// A single SQL scalar value.
 ///
 /// `Value` implements a *total* order (needed for sorting and grouping):
-/// NULL sorts first, then integers and floats (compared numerically across
-/// the two types), then strings. `NaN` floats compare equal to each other
-/// and greater than every other float so that ordering stays total.
+/// NULL sorts first, then integers and floats (compared numerically, and
+/// exactly, across the two types), then strings. `NaN` floats compare
+/// equal to each other and greater than every other float so that ordering
+/// stays total.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
@@ -100,9 +102,9 @@ impl Value {
             (Null, _) => Ordering::Less,
             (_, Null) => Ordering::Greater,
             (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => f64_total_cmp(*a, *b),
-            (Int(a), Float(b)) => f64_total_cmp(*a as f64, *b),
-            (Float(a), Int(b)) => f64_total_cmp(*a, *b as f64),
+            (Float(a), Float(b)) => a.total_cmp(b),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             // Numbers sort before strings.
             (Int(_) | Float(_), Str(_)) => Ordering::Less,
@@ -122,8 +124,30 @@ impl Value {
     }
 }
 
-fn f64_total_cmp(a: f64, b: f64) -> Ordering {
-    a.total_cmp(&b)
+/// 2^63: the floats in `[-TWO_63, TWO_63)` are the ones whose integral
+/// part is an `i64`.
+pub(crate) const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// `Int(a)` against `Float(b)`, exactly. Casting the integer is lossy above
+/// 2^53 (`9007199254740993 as f64 == 9007199254740992.0`), which made
+/// equality non-transitive and disagree with the hash, so the cast is used
+/// only where it is exact; NaN and ±0.0 keep `f64::total_cmp`'s places.
+pub(crate) fn int_float_cmp(a: i64, b: f64) -> Ordering {
+    const EXACT: i64 = 1 << 53;
+    if (-EXACT..=EXACT).contains(&a) || b.is_nan() {
+        return (a as f64).total_cmp(&b);
+    }
+    if b >= TWO_63 {
+        return Ordering::Less;
+    }
+    if b < -TWO_63 {
+        return Ordering::Greater;
+    }
+    // `b` is in [-2^63, 2^63): its integral part is an exact i64, and what
+    // is left decides a tie.
+    let whole = b.trunc();
+    a.cmp(&(whole as i64))
+        .then_with(|| 0.0f64.total_cmp(&(b - whole)))
 }
 
 impl PartialEq for Value {
@@ -148,28 +172,7 @@ impl Ord for Value {
 
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            Value::Null => 0u8.hash(state),
-            Value::Int(i) => {
-                1u8.hash(state);
-                i.hash(state);
-            }
-            Value::Float(f) => {
-                // Hash must be consistent with the total order, where
-                // Int(i) == Float(i as f64). Hash integral floats as ints.
-                if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
-                    1u8.hash(state);
-                    (*f as i64).hash(state);
-                } else {
-                    2u8.hash(state);
-                    f.to_bits().hash(state);
-                }
-            }
-            Value::Str(s) => {
-                3u8.hash(state);
-                s.hash(state);
-            }
-        }
+        state.write_u64(CellRef::of(self).hash64());
     }
 }
 

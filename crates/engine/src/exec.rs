@@ -4,58 +4,35 @@
 //! vectors plus a selection vector — instead of materializing a `Vec<Row>`
 //! at every plan node. Scans are zero-copy views of table storage, filters
 //! only narrow the selection, and zone maps (per-chunk min/max summaries)
-//! skip whole chunks that cannot match a pushed-down predicate.
+//! skip whole chunks that cannot match a pushed-down predicate. Hash join,
+//! hash aggregate and DISTINCT share one row-id hash table
+//! ([`crate::rowtable`]), and an operator that copies rows (join output,
+//! index-scan and sort gathers) copies only the columns its parent reads
+//! ([`required_columns`]).
 //!
 //! Execution returns the result batches and a [`Work`] record of how much
 //! CPU work was *accounted*. The formulas live in [`crate::work`]; this
 //! executor's half of the virtual-time contract is to call the ledger in
 //! the same operator order as the row reference in [`crate::rowexec`],
 //! with operator-level totals or per-match events only — so chunk pruning
-//! changes wall-clock time but never virtual time.
+//! changes wall-clock time but never virtual time — and to emit the same
+//! list of output chunks, which the remote cursor turns into offsets.
 
 use crate::cost::CostModel;
 use crate::expr::{AggAccumulator, CompiledExpr};
 use crate::plan::{index_positions, AggSpec, PlanNode};
+use crate::rowtable::{RowTable, Rows};
 use crate::vexpr::{cmp_holds, eval_cells, eval_predicate_cells, PairView, RowView};
 use crate::work::{Ledger, Work};
-use qcc_common::{CellRef, ColumnBatch, ColumnSummary, ColumnVector, QccError, Result, Row, Value};
+use qcc_common::{
+    CellRef, ColumnBatch, ColumnSummary, ColumnVector, DataType, QccError, Result, Row, Schema,
+    Value,
+};
 use qcc_sql::BinaryOp;
 use qcc_storage::Catalog;
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
-
-/// FNV-1a hasher for the executor's hot maps (join build tables,
-/// aggregation groups, distinct sets). Engine-internal keys only, so
-/// DoS resistance is irrelevant; map iteration order never reaches the
-/// output (first-seen order vectors, probe order), so swapping the
-/// hasher cannot change results.
-struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
-type FnvSet<K> = HashSet<K, BuildHasherDefault<FnvHasher>>;
 
 /// Which rows of a chunk are live.
 enum Sel {
@@ -66,42 +43,29 @@ enum Sel {
 }
 
 /// A unit of columnar data flowing between operators: shared column
-/// vectors of `len` physical rows, narrowed by a selection.
+/// vectors of `len` physical rows, narrowed by a selection. A column the
+/// parent operator does not read may be an empty placeholder.
 struct Chunk {
     cols: Vec<Arc<ColumnVector>>,
     len: usize,
     sel: Sel,
 }
 
-enum SelIter<'a> {
-    All(std::ops::Range<usize>),
-    Ids(std::slice::Iter<'a, u32>),
-}
-
-impl Iterator for SelIter<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        match self {
-            SelIter::All(r) => r.next(),
-            SelIter::Ids(it) => it.next().map(|&i| i as usize),
-        }
-    }
-}
-
 impl Chunk {
     fn n_selected(&self) -> usize {
-        match &self.sel {
-            Sel::All => self.len,
-            Sel::Ids(v) => v.len(),
-        }
+        self.rows().len()
     }
 
-    fn selected(&self) -> SelIter<'_> {
+    /// The live rows' physical indices, in order.
+    fn selected(&self) -> impl Iterator<Item = usize> + '_ {
+        let rows = self.rows();
+        (0..rows.len()).map(move |i| rows.get(i))
+    }
+
+    fn rows(&self) -> Rows<'_> {
         match &self.sel {
-            Sel::All => SelIter::All(0..self.len),
-            Sel::Ids(v) => SelIter::Ids(v.iter()),
+            Sel::All => Rows::All(self.len),
+            Sel::Ids(v) => Rows::Ids(v),
         }
     }
 }
@@ -116,35 +80,7 @@ pub fn execute_batches(
     catalog: &Catalog,
     m: &CostModel,
 ) -> Result<(Vec<ColumnBatch>, Work)> {
-    let mut work = Ledger::start(m);
-    let chunks = exec_node(plan, catalog, &mut work)?;
-    let mut batches = Vec::with_capacity(chunks.len());
-    for chunk in chunks {
-        let n = chunk.n_selected();
-        if n == 0 {
-            continue;
-        }
-        match chunk.sel {
-            Sel::All => batches.push(ColumnBatch::new(chunk.cols, chunk.len)),
-            Sel::Ids(ids) => {
-                let cols: Vec<Arc<ColumnVector>> = chunk
-                    .cols
-                    .iter()
-                    .map(|c| {
-                        let mut b = c.empty_like();
-                        for &i in &ids {
-                            b.push_cell(c.cell(i as usize));
-                        }
-                        Arc::new(b)
-                    })
-                    .collect();
-                batches.push(ColumnBatch::new(cols, n));
-            }
-        }
-    }
-    let rows_output = batches.iter().map(|b| b.n_rows() as u64).sum();
-    let result_bytes = batches.iter().map(ColumnBatch::byte_size).sum();
-    Ok((batches, work.finish(rows_output, result_bytes)))
+    run(plan, catalog, m, required_columns)
 }
 
 /// Execute a plan against a catalog, materializing rows (the `Row`
@@ -158,447 +94,676 @@ pub fn execute(plan: &PlanNode, catalog: &Catalog, m: &CostModel) -> Result<(Vec
     Ok((rows, work))
 }
 
-fn exec_node(plan: &PlanNode, catalog: &Catalog, work: &mut Ledger<'_>) -> Result<Vec<Chunk>> {
+/// Given the output columns of `plan` its parent reads (`needed`, one
+/// flag per column), the columns each child must therefore produce: what
+/// passes through `plan`, plus what `plan` itself evaluates. One entry per
+/// child, build/outer side first; none for a scan. Column positions never
+/// change — an operator that copies rows leaves an empty placeholder where
+/// a column is not needed — so plans execute as compiled.
+fn required_columns(plan: &PlanNode, needed: &[bool]) -> Vec<Vec<bool>> {
+    fn marked<'e>(
+        mut used: Vec<bool>,
+        exprs: impl IntoIterator<Item = &'e CompiledExpr>,
+    ) -> Vec<bool> {
+        exprs.into_iter().for_each(|e| e.mark_columns(&mut used));
+        used
+    }
+    let none_of = |input: &PlanNode| vec![false; input.schema().len()];
+    // A join's condition is compiled against left ++ right, its keys
+    // against their own side.
+    let join = |left: &PlanNode,
+                condition: &Option<CompiledExpr>,
+                left_keys: &[CompiledExpr],
+                right_keys: &[CompiledExpr]| {
+        let mut l = marked(needed.to_vec(), condition);
+        let r = l.split_off(left.schema().len());
+        vec![marked(l, left_keys), marked(r, right_keys)]
+    };
     match plan {
-        PlanNode::SeqScan {
-            table, predicate, ..
-        } => {
-            let entry = catalog.entry(table)?;
-            let total = entry.table.row_count();
-            work.seq_scan(total, predicate.as_ref().map(CompiledExpr::node_count));
-            let mut out: Vec<Chunk> = Vec::new();
-            match predicate {
-                None => {
-                    for ch in entry.table.chunks() {
-                        if ch.is_empty() {
-                            continue;
-                        }
-                        out.push(Chunk {
-                            cols: ch.columns().to_vec(),
-                            len: ch.len(),
-                            sel: Sel::All,
-                        });
-                    }
-                }
-                Some(p) => {
-                    let fast = simple_cmp(p);
-                    for ch in entry.table.chunks() {
-                        if ch.is_empty() {
-                            continue;
-                        }
-                        match zone_verdict(p, ch.summaries()) {
-                            Verdict::SkipAll => {}
-                            Verdict::KeepAll => out.push(Chunk {
-                                cols: ch.columns().to_vec(),
-                                len: ch.len(),
-                                sel: Sel::All,
-                            }),
-                            Verdict::Eval => {
-                                let ids: Vec<u32> = match fast {
-                                    Some((op, i, lit)) => {
-                                        let col = &ch.columns()[i];
-                                        let lit = CellRef::of(lit);
-                                        (0..ch.len())
-                                            .filter(|&r| cmp_keep(op, col.cell(r), lit))
-                                            .map(|r| r as u32)
-                                            .collect()
-                                    }
-                                    None => {
-                                        let cols = ch.columns();
-                                        (0..ch.len())
-                                            .filter(|&r| {
-                                                eval_predicate_cells(p, &RowView { cols, row: r })
-                                            })
-                                            .map(|r| r as u32)
-                                            .collect()
-                                    }
-                                };
-                                if !ids.is_empty() {
-                                    out.push(Chunk {
-                                        cols: ch.columns().to_vec(),
-                                        len: ch.len(),
-                                        sel: Sel::Ids(ids),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            work.emit(total_selected(&out));
-            Ok(out)
-        }
-        PlanNode::IndexScan {
-            table,
-            column,
-            pred,
-            residual,
-            ..
-        } => {
-            let entry = catalog.entry(table)?;
-            work.index_probe();
-            let positions = index_positions(entry, table, column, pred)?;
-            work.index_matches(positions.len());
-            let chunks = entry.table.chunks();
-            let mut picks: Vec<(usize, usize)> = Vec::with_capacity(positions.len());
-            for pos in positions {
-                let (ci, pi) = entry.table.locate(pos as usize).ok_or_else(|| {
-                    QccError::Execution(format!("index position {pos} out of range"))
-                })?;
-                if let Some(p) = residual {
-                    work.residual_check(p.node_count());
-                    let view = RowView {
-                        cols: chunks[ci].columns(),
-                        row: pi,
-                    };
-                    if !eval_predicate_cells(p, &view) {
-                        continue;
-                    }
-                }
-                picks.push((ci, pi));
-            }
-            work.emit(picks.len());
-            if picks.is_empty() {
-                return Ok(Vec::new());
-            }
-            let arity = chunks[picks[0].0].columns().len();
-            let mut builders: Vec<ColumnVector> = (0..arity)
-                .map(|j| chunks[picks[0].0].columns()[j].empty_like())
-                .collect();
-            for &(ci, pi) in &picks {
-                for (j, b) in builders.iter_mut().enumerate() {
-                    b.push_cell(chunks[ci].columns()[j].cell(pi));
-                }
-            }
-            Ok(vec![Chunk {
-                cols: builders.into_iter().map(Arc::new).collect(),
-                len: picks.len(),
-                sel: Sel::All,
-            }])
-        }
+        PlanNode::SeqScan { .. } | PlanNode::IndexScan { .. } => Vec::new(),
         PlanNode::HashJoin {
             left,
-            right,
             left_keys,
             right_keys,
             residual,
             ..
-        } => {
-            let build = exec_node(left, catalog, work)?;
-            let probe = exec_node(right, catalog, work)?;
-            work.hash_join_sides(total_selected(&build), total_selected(&probe));
-            // The scratch key is reused across rows (slice lookup via
-            // `Borrow<[Value]>`); it is cloned only when a build key is
-            // first inserted, never on the probe side.
-            let mut table: FnvMap<Vec<Value>, Vec<(u32, u32)>> = FnvMap::default();
-            let mut key: Vec<Value> = Vec::with_capacity(left_keys.len());
-            for (ci, ch) in build.iter().enumerate() {
-                for pi in ch.selected() {
-                    let view = RowView {
-                        cols: &ch.cols,
-                        row: pi,
-                    };
-                    key.clear();
-                    for k in left_keys {
-                        key.push(eval_cells(k, &view).to_value());
-                    }
-                    if key.iter().any(Value::is_null) {
-                        continue; // NULL keys never join.
-                    }
-                    match table.get_mut(key.as_slice()) {
-                        Some(hits) => hits.push((ci as u32, pi as u32)),
-                        None => {
-                            table.insert(key.clone(), vec![(ci as u32, pi as u32)]);
-                        }
-                    }
-                }
-            }
-            let mut lpicks: Vec<(u32, u32)> = Vec::new();
-            let mut rpicks: Vec<(u32, u32)> = Vec::new();
-            for (ci, ch) in probe.iter().enumerate() {
-                for pi in ch.selected() {
-                    let view = RowView {
-                        cols: &ch.cols,
-                        row: pi,
-                    };
-                    key.clear();
-                    for k in right_keys {
-                        key.push(eval_cells(k, &view).to_value());
-                    }
-                    if key.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    if let Some(matches) = table.get(key.as_slice()) {
-                        for &(bci, bpi) in matches {
-                            if let Some(p) = residual {
-                                work.residual_check(p.node_count());
-                                let pair = PairView {
-                                    left: &build[bci as usize].cols,
-                                    lrow: bpi as usize,
-                                    right: &ch.cols,
-                                    rrow: pi,
-                                };
-                                if !eval_predicate_cells(p, &pair) {
-                                    continue;
-                                }
-                            }
-                            work.emit(1);
-                            lpicks.push((bci, bpi));
-                            rpicks.push((ci as u32, pi as u32));
-                        }
-                    }
-                }
-            }
-            Ok(join_output(&build, &lpicks, &probe, &rpicks))
-        }
+        } => join(left, residual, left_keys, right_keys),
         PlanNode::NestedLoopJoin {
-            left,
-            right,
-            predicate,
-            ..
-        } => {
-            let outer = exec_node(left, catalog, work)?;
-            let inner = exec_node(right, catalog, work)?;
-            work.nested_loop_pairs(
-                total_selected(&outer),
-                total_selected(&inner),
-                predicate.as_ref().map(CompiledExpr::node_count),
-            );
-            let mut lpicks: Vec<(u32, u32)> = Vec::new();
-            let mut rpicks: Vec<(u32, u32)> = Vec::new();
-            for (oci, och) in outer.iter().enumerate() {
-                for opi in och.selected() {
-                    for (ici, ich) in inner.iter().enumerate() {
-                        for ipi in ich.selected() {
-                            let keep = predicate.as_ref().is_none_or(|p| {
-                                let pair = PairView {
-                                    left: &och.cols,
-                                    lrow: opi,
-                                    right: &ich.cols,
-                                    rrow: ipi,
-                                };
-                                eval_predicate_cells(p, &pair)
-                            });
-                            if keep {
-                                work.emit(1);
-                                lpicks.push((oci as u32, opi as u32));
-                                rpicks.push((ici as u32, ipi as u32));
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(join_output(&outer, &lpicks, &inner, &rpicks))
-        }
-        PlanNode::Filter {
-            input, predicate, ..
-        } => {
-            let chunks = exec_node(input, catalog, work)?;
-            work.filter(total_selected(&chunks), predicate.node_count());
-            let mut out = Vec::with_capacity(chunks.len());
-            for ch in chunks {
-                let ids: Vec<u32> = ch
-                    .selected()
-                    .filter(|&r| {
-                        eval_predicate_cells(
-                            predicate,
-                            &RowView {
-                                cols: &ch.cols,
-                                row: r,
-                            },
-                        )
-                    })
-                    .map(|r| r as u32)
-                    .collect();
-                if !ids.is_empty() {
-                    out.push(Chunk {
-                        cols: ch.cols,
-                        len: ch.len,
-                        sel: Sel::Ids(ids),
-                    });
-                }
-            }
-            Ok(out)
-        }
-        PlanNode::Project {
-            input,
-            exprs,
-            schema,
-        } => {
-            let chunks = exec_node(input, catalog, work)?;
-            let nodes: usize = exprs.iter().map(CompiledExpr::node_count).sum();
-            work.project(total_selected(&chunks), nodes);
-            let mut out = Vec::with_capacity(chunks.len());
-            for ch in &chunks {
-                let k = ch.n_selected();
-                if k == 0 {
-                    continue;
-                }
-                let mut builders: Vec<ColumnVector> = (0..exprs.len())
-                    .map(|j| ColumnVector::new_for(schema.columns().get(j).map(|c| c.ty)))
-                    .collect();
-                for r in ch.selected() {
-                    let view = RowView {
-                        cols: &ch.cols,
-                        row: r,
-                    };
-                    for (j, e) in exprs.iter().enumerate() {
-                        builders[j].push_cell(eval_cells(e, &view));
-                    }
-                }
-                out.push(Chunk {
-                    cols: builders.into_iter().map(Arc::new).collect(),
-                    len: k,
-                    sel: Sel::All,
-                });
-            }
-            Ok(out)
-        }
+            left, predicate, ..
+        } => join(left, predicate, &[], &[]),
+        PlanNode::Filter { predicate, .. } => vec![marked(needed.to_vec(), [predicate])],
+        PlanNode::Project { input, exprs, .. } => vec![marked(none_of(input), exprs)],
         PlanNode::HashAggregate {
             input,
             group_by,
             aggs,
-            schema,
             ..
         } => {
-            let chunks = exec_node(input, catalog, work)?;
-            work.aggregate_input(total_selected(&chunks), aggs.len());
-            exec_aggregate(&chunks, group_by, aggs, schema, work)
+            let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+            vec![marked(none_of(input), group_by.iter().chain(args))]
         }
-        PlanNode::Sort { input, keys } => {
-            let chunks = exec_node(input, catalog, work)?;
-            let picks: Vec<(u32, u32)> = chunks
-                .iter()
-                .enumerate()
-                .flat_map(|(ci, ch)| ch.selected().map(move |pi| (ci as u32, pi as u32)))
-                .collect();
-            work.sort(picks.len());
-            if picks.is_empty() {
-                return Ok(Vec::new());
+        PlanNode::Sort { keys, .. } => {
+            vec![marked(needed.to_vec(), keys.iter().map(|(k, _)| k))]
+        }
+        PlanNode::Limit { .. } => vec![needed.to_vec()],
+        // Two rows are duplicates only if every column agrees.
+        PlanNode::Distinct { input, .. } => vec![vec![true; input.schema().len()]],
+    }
+}
+
+/// [`required_columns`]' signature.
+type ChildNeeds = fn(&PlanNode, &[bool]) -> Vec<Vec<bool>>;
+
+/// One execution: where the data is, the `Work` so far, and how column
+/// requirements flow down the plan.
+struct Exec<'a> {
+    catalog: &'a Catalog,
+    work: Ledger<'a>,
+    /// [`required_columns`], except in the test that pins it against
+    /// requiring everything.
+    child_needs: ChildNeeds,
+    /// Stands in for every column nobody reads. It is empty, so a read
+    /// that should not happen fails instead of returning stale cells.
+    pruned: Arc<ColumnVector>,
+}
+
+fn run(
+    plan: &PlanNode,
+    catalog: &Catalog,
+    m: &CostModel,
+    child_needs: ChildNeeds,
+) -> Result<(Vec<ColumnBatch>, Work)> {
+    let mut exec = Exec {
+        catalog,
+        work: Ledger::start(m),
+        child_needs,
+        pruned: Arc::new(ColumnVector::Mixed(Vec::new())),
+    };
+    // The caller reads every column of the root.
+    let chunks = exec.node(plan, &vec![true; plan.schema().len()])?;
+    let mut batches = Vec::with_capacity(chunks.len());
+    for chunk in chunks {
+        let n = chunk.n_selected();
+        if n == 0 {
+            continue;
+        }
+        match chunk.sel {
+            Sel::All => batches.push(ColumnBatch::new(chunk.cols, chunk.len)),
+            Sel::Ids(ids) => {
+                let cols = chunk
+                    .cols
+                    .iter()
+                    .map(|c| {
+                        let picks = ids.iter().map(|&i| (0, i as usize));
+                        Arc::new(ColumnVector::gather(&[c], picks))
+                    })
+                    .collect();
+                batches.push(ColumnBatch::new(cols, n));
             }
-            // Evaluate each sort key once per row into key columns, then
-            // stably sort the row indices. The comparator is identical to
-            // the row engine's, and both sorts are stable, so the
-            // permutation matches row-at-a-time execution exactly.
-            let mut keycols: Vec<ColumnVector> = keys
-                .iter()
-                .map(|_| ColumnVector::Mixed(Vec::new()))
-                .collect();
-            for &(ci, pi) in &picks {
-                let view = RowView {
-                    cols: &chunks[ci as usize].cols,
-                    row: pi as usize,
-                };
-                for ((k, _), col) in keys.iter().zip(keycols.iter_mut()) {
-                    col.push(eval_cells(k, &view).to_value());
-                }
-            }
-            let mut order: Vec<u32> = (0..picks.len() as u32).collect();
-            order.sort_by(|&a, &b| {
-                for ((_, desc), col) in keys.iter().zip(&keycols) {
-                    let ord = col.cell(a as usize).total_cmp(col.cell(b as usize));
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != Ordering::Equal {
-                        return ord;
+        }
+    }
+    let rows_output = batches.iter().map(|b| b.n_rows() as u64).sum();
+    let result_bytes = batches.iter().map(ColumnBatch::byte_size).sum();
+    Ok((batches, exec.work.finish(rows_output, result_bytes)))
+}
+
+/// `expr` evaluated at each `(columns, row)`, as a typed column.
+fn evaluated<'c>(
+    expr: &CompiledExpr,
+    rows: impl Iterator<Item = (&'c [Arc<ColumnVector>], usize)>,
+) -> ColumnVector {
+    let mut col = None;
+    for (cols, row) in rows {
+        let view = RowView { cols, row };
+        let cell = eval_cells(expr, &view);
+        col.get_or_insert_with(|| builder_for(cell)).push_cell(cell);
+    }
+    col.unwrap_or_else(|| ColumnVector::new_for(None))
+}
+
+/// `expr` over every physical row of `ch`, as a column: the chunk's own
+/// column for a bare column reference (the usual key), a freshly
+/// evaluated one otherwise.
+fn eval_column<'a>(expr: &CompiledExpr, ch: &'a Chunk) -> Cow<'a, ColumnVector> {
+    match expr {
+        CompiledExpr::Column(i) => Cow::Borrowed(&ch.cols[*i]),
+        _ => Cow::Owned(evaluated(expr, (0..ch.len).map(|r| (&ch.cols[..], r)))),
+    }
+}
+
+fn eval_columns<'a>(exprs: &[CompiledExpr], ch: &'a Chunk) -> Vec<Cow<'a, ColumnVector>> {
+    exprs.iter().map(|e| eval_column(e, ch)).collect()
+}
+
+fn borrowed<'a>(cols: &'a [Cow<'_, ColumnVector>]) -> Vec<&'a ColumnVector> {
+    cols.iter().map(|c| &**c).collect()
+}
+
+/// An empty vector of the representation that holds `first`. (`Int` for
+/// NULL; a later cell of another type demotes it, as for any column.)
+fn builder_for(first: CellRef<'_>) -> ColumnVector {
+    ColumnVector::new_for(Some(match first {
+        CellRef::Float(_) => DataType::Float,
+        CellRef::Str(_) => DataType::Str,
+        CellRef::Int(_) | CellRef::Null => DataType::Int,
+    }))
+}
+
+impl Exec<'_> {
+    /// Run `plan`, producing at least the output columns flagged in
+    /// `needed`.
+    fn node(&mut self, plan: &PlanNode, needed: &[bool]) -> Result<Vec<Chunk>> {
+        let needs = (self.child_needs)(plan, needed);
+        match plan {
+            PlanNode::SeqScan {
+                table, predicate, ..
+            } => {
+                let entry = self.catalog.entry(table)?;
+                let total = entry.table.row_count();
+                self.work
+                    .seq_scan(total, predicate.as_ref().map(CompiledExpr::node_count));
+                let mut out: Vec<Chunk> = Vec::new();
+                match predicate {
+                    None => {
+                        for ch in entry.table.chunks() {
+                            if ch.is_empty() {
+                                continue;
+                            }
+                            out.push(Chunk {
+                                cols: ch.columns().to_vec(),
+                                len: ch.len(),
+                                sel: Sel::All,
+                            });
+                        }
+                    }
+                    Some(p) => {
+                        let fast = simple_cmp(p);
+                        for ch in entry.table.chunks() {
+                            if ch.is_empty() {
+                                continue;
+                            }
+                            match zone_verdict(p, ch.summaries()) {
+                                Verdict::SkipAll => {}
+                                Verdict::KeepAll => out.push(Chunk {
+                                    cols: ch.columns().to_vec(),
+                                    len: ch.len(),
+                                    sel: Sel::All,
+                                }),
+                                Verdict::Eval => {
+                                    let ids: Vec<u32> = match fast {
+                                        Some((op, i, lit)) => {
+                                            let lit = CellRef::of(lit);
+                                            let mut ids = Vec::new();
+                                            let mut r = 0;
+                                            ch.columns()[i].for_each_cell(0..ch.len(), |c| {
+                                                if cmp_keep(op, c, lit) {
+                                                    ids.push(r);
+                                                }
+                                                r += 1;
+                                            });
+                                            ids
+                                        }
+                                        None => {
+                                            let cols = ch.columns();
+                                            (0..ch.len())
+                                                .filter(|&r| {
+                                                    eval_predicate_cells(
+                                                        p,
+                                                        &RowView { cols, row: r },
+                                                    )
+                                                })
+                                                .map(|r| r as u32)
+                                                .collect()
+                                        }
+                                    };
+                                    if !ids.is_empty() {
+                                        out.push(Chunk {
+                                            cols: ch.columns().to_vec(),
+                                            len: ch.len(),
+                                            sel: Sel::Ids(ids),
+                                        });
+                                    }
+                                }
+                            }
+                        }
                     }
                 }
-                Ordering::Equal
-            });
-            let permuted: Vec<(u32, u32)> = order.iter().map(|&i| picks[i as usize]).collect();
-            let cols = gather_columns(&chunks, &permuted);
-            Ok(vec![Chunk {
-                cols,
-                len: permuted.len(),
-                sel: Sel::All,
-            }])
-        }
-        PlanNode::Limit { input, n } => {
-            let chunks = exec_node(input, catalog, work)?;
-            let mut remaining = *n as usize;
-            let mut out = Vec::new();
-            for ch in chunks {
-                if remaining == 0 {
-                    break;
-                }
-                let k = ch.n_selected();
-                if k <= remaining {
-                    remaining -= k;
-                    out.push(ch);
-                } else {
-                    let ids: Vec<u32> = ch.selected().take(remaining).map(|r| r as u32).collect();
-                    out.push(Chunk {
-                        cols: ch.cols,
-                        len: ch.len,
-                        sel: Sel::Ids(ids),
-                    });
-                    remaining = 0;
-                }
+                self.work.emit(total_selected(&out));
+                Ok(out)
             }
-            Ok(out)
-        }
-        PlanNode::Distinct { input, .. } => {
-            let chunks = exec_node(input, catalog, work)?;
-            work.distinct(total_selected(&chunks));
-            let mut seen: FnvSet<Vec<Value>> = FnvSet::default();
-            let mut out = Vec::with_capacity(chunks.len());
-            for ch in chunks {
-                // Order-preserving: first occurrence wins.
-                let ids: Vec<u32> = ch
-                    .selected()
-                    .filter(|&r| {
-                        let key: Vec<Value> = ch.cols.iter().map(|c| c.value(r)).collect();
-                        seen.insert(key)
-                    })
-                    .map(|r| r as u32)
+            PlanNode::IndexScan {
+                table,
+                column,
+                pred,
+                residual,
+                ..
+            } => {
+                let entry = self.catalog.entry(table)?;
+                self.work.index_probe();
+                let positions = index_positions(entry, table, column, pred)?;
+                self.work.index_matches(positions.len());
+                let chunks = entry.table.chunks();
+                let mut picks: Vec<(u32, u32)> = Vec::with_capacity(positions.len());
+                for pos in positions {
+                    let (ci, pi) = entry.table.locate(pos as usize).ok_or_else(|| {
+                        QccError::Execution(format!("index position {pos} out of range"))
+                    })?;
+                    if let Some(p) = residual {
+                        self.work.residual_check(p.node_count());
+                        let view = RowView {
+                            cols: chunks[ci].columns(),
+                            row: pi,
+                        };
+                        if !eval_predicate_cells(p, &view) {
+                            continue;
+                        }
+                    }
+                    picks.push((ci as u32, pi as u32));
+                }
+                self.work.emit(picks.len());
+                if picks.is_empty() {
+                    return Ok(Vec::new());
+                }
+                let column = |j: usize| chunks.iter().map(|c| &*c.columns()[j]).collect();
+                Ok(vec![Chunk {
+                    cols: self.gather_columns(needed, column, &picks),
+                    len: picks.len(),
+                    sel: Sel::All,
+                }])
+            }
+            PlanNode::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                residual,
+                ..
+            } => {
+                let build = self.node(left, &needs[0])?;
+                let probe = self.node(right, &needs[1])?;
+                let n_build = total_selected(&build);
+                self.work.hash_join_sides(n_build, total_selected(&probe));
+                let mut table = RowTable::for_rows(n_build);
+                // Table row id → the build row it stands for.
+                let mut build_rows: Vec<(u32, u32)> = Vec::with_capacity(n_build);
+                for (ci, ch) in build.iter().enumerate() {
+                    let keys = eval_columns(left_keys, ch);
+                    table.insert_chunk(&borrowed(&keys), ch.rows(), |pi| {
+                        build_rows.push((ci as u32, pi as u32));
+                    });
+                }
+                table.link();
+                let mut lpicks: Vec<(u32, u32)> = Vec::new();
+                let mut rpicks: Vec<(u32, u32)> = Vec::new();
+                for (ci, ch) in probe.iter().enumerate() {
+                    let keys = eval_columns(right_keys, ch);
+                    table.probe_chunk(&borrowed(&keys), ch.rows(), |id, pi| {
+                        let (bci, bpi) = build_rows[id as usize];
+                        if let Some(p) = residual {
+                            self.work.residual_check(p.node_count());
+                            let pair = PairView {
+                                left: &build[bci as usize].cols,
+                                lrow: bpi as usize,
+                                right: &ch.cols,
+                                rrow: pi,
+                            };
+                            if !eval_predicate_cells(p, &pair) {
+                                return;
+                            }
+                        }
+                        self.work.emit(1);
+                        lpicks.push((bci, bpi));
+                        rpicks.push((ci as u32, pi as u32));
+                    });
+                }
+                Ok(self.join_output(&build, &lpicks, &probe, &rpicks, needed))
+            }
+            PlanNode::NestedLoopJoin {
+                left,
+                right,
+                predicate,
+                ..
+            } => {
+                let outer = self.node(left, &needs[0])?;
+                let inner = self.node(right, &needs[1])?;
+                self.work.nested_loop_pairs(
+                    total_selected(&outer),
+                    total_selected(&inner),
+                    predicate.as_ref().map(CompiledExpr::node_count),
+                );
+                let mut lpicks: Vec<(u32, u32)> = Vec::new();
+                let mut rpicks: Vec<(u32, u32)> = Vec::new();
+                for (oci, och) in outer.iter().enumerate() {
+                    for opi in och.selected() {
+                        for (ici, ich) in inner.iter().enumerate() {
+                            for ipi in ich.selected() {
+                                let keep = predicate.as_ref().is_none_or(|p| {
+                                    let pair = PairView {
+                                        left: &och.cols,
+                                        lrow: opi,
+                                        right: &ich.cols,
+                                        rrow: ipi,
+                                    };
+                                    eval_predicate_cells(p, &pair)
+                                });
+                                if keep {
+                                    self.work.emit(1);
+                                    lpicks.push((oci as u32, opi as u32));
+                                    rpicks.push((ici as u32, ipi as u32));
+                                }
+                            }
+                        }
+                    }
+                }
+                Ok(self.join_output(&outer, &lpicks, &inner, &rpicks, needed))
+            }
+            PlanNode::Filter {
+                input, predicate, ..
+            } => {
+                let chunks = self.node(input, &needs[0])?;
+                self.work
+                    .filter(total_selected(&chunks), predicate.node_count());
+                let mut out = Vec::with_capacity(chunks.len());
+                for ch in chunks {
+                    let ids: Vec<u32> = ch
+                        .selected()
+                        .filter(|&r| {
+                            eval_predicate_cells(
+                                predicate,
+                                &RowView {
+                                    cols: &ch.cols,
+                                    row: r,
+                                },
+                            )
+                        })
+                        .map(|r| r as u32)
+                        .collect();
+                    if !ids.is_empty() {
+                        out.push(Chunk {
+                            cols: ch.cols,
+                            len: ch.len,
+                            sel: Sel::Ids(ids),
+                        });
+                    }
+                }
+                Ok(out)
+            }
+            PlanNode::Project {
+                input,
+                exprs,
+                schema,
+            } => {
+                let chunks = self.node(input, &needs[0])?;
+                let nodes: usize = exprs.iter().map(CompiledExpr::node_count).sum();
+                self.work.project(total_selected(&chunks), nodes);
+                let mut out = Vec::with_capacity(chunks.len());
+                for ch in &chunks {
+                    let k = ch.n_selected();
+                    if k == 0 {
+                        continue;
+                    }
+                    let mut builders = builders_for(schema, exprs.len());
+                    for r in ch.selected() {
+                        let view = RowView {
+                            cols: &ch.cols,
+                            row: r,
+                        };
+                        for (j, e) in exprs.iter().enumerate() {
+                            builders[j].push_cell(eval_cells(e, &view));
+                        }
+                    }
+                    out.push(Chunk {
+                        cols: builders.into_iter().map(Arc::new).collect(),
+                        len: k,
+                        sel: Sel::All,
+                    });
+                }
+                Ok(out)
+            }
+            PlanNode::HashAggregate {
+                input,
+                group_by,
+                aggs,
+                schema,
+                ..
+            } => {
+                let chunks = self.node(input, &needs[0])?;
+                self.work
+                    .aggregate_input(total_selected(&chunks), aggs.len());
+                Ok(self.aggregate(&chunks, group_by, aggs, schema))
+            }
+            PlanNode::Sort { input, keys } => {
+                let chunks = self.node(input, &needs[0])?;
+                let picks: Vec<(u32, u32)> = chunks
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(ci, ch)| ch.selected().map(move |pi| (ci as u32, pi as u32)))
                     .collect();
-                if !ids.is_empty() {
-                    out.push(Chunk {
-                        cols: ch.cols,
-                        len: ch.len,
-                        sel: Sel::Ids(ids),
-                    });
+                self.work.sort(picks.len());
+                if picks.is_empty() {
+                    return Ok(Vec::new());
+                }
+                // Evaluate each sort key once per row into a typed key
+                // column, then stably sort the row indices. The comparator
+                // is identical to the row engine's, and both sorts are
+                // stable, so the permutation matches row-at-a-time
+                // execution exactly.
+                let keycols: Vec<ColumnVector> = keys
+                    .iter()
+                    .map(|(k, _)| match k {
+                        CompiledExpr::Column(j) => ColumnVector::gather(
+                            &column(&chunks, *j),
+                            picks.iter().map(|&(c, r)| (c as usize, r as usize)),
+                        ),
+                        _ => evaluated(
+                            k,
+                            picks
+                                .iter()
+                                .map(|&(c, r)| (&chunks[c as usize].cols[..], r as usize)),
+                        ),
+                    })
+                    .collect();
+                let mut order: Vec<u32> = (0..picks.len() as u32).collect();
+                order.sort_by(|&a, &b| {
+                    for ((_, desc), col) in keys.iter().zip(&keycols) {
+                        let ord = col.cell(a as usize).total_cmp(col.cell(b as usize));
+                        let ord = if *desc { ord.reverse() } else { ord };
+                        if ord != Ordering::Equal {
+                            return ord;
+                        }
+                    }
+                    Ordering::Equal
+                });
+                let permuted: Vec<(u32, u32)> = order.iter().map(|&i| picks[i as usize]).collect();
+                Ok(vec![Chunk {
+                    cols: self.gather_columns(needed, |j| column(&chunks, j), &permuted),
+                    len: permuted.len(),
+                    sel: Sel::All,
+                }])
+            }
+            PlanNode::Limit { input, n } => {
+                let chunks = self.node(input, &needs[0])?;
+                let mut remaining = *n as usize;
+                let mut out = Vec::new();
+                for ch in chunks {
+                    if remaining == 0 {
+                        break;
+                    }
+                    let k = ch.n_selected();
+                    if k <= remaining {
+                        remaining -= k;
+                        out.push(ch);
+                    } else {
+                        let ids: Vec<u32> =
+                            ch.selected().take(remaining).map(|r| r as u32).collect();
+                        out.push(Chunk {
+                            cols: ch.cols,
+                            len: ch.len,
+                            sel: Sel::Ids(ids),
+                        });
+                        remaining = 0;
+                    }
+                }
+                Ok(out)
+            }
+            PlanNode::Distinct { input, .. } => {
+                let chunks = self.node(input, &needs[0])?;
+                self.work.distinct(total_selected(&chunks));
+                // The row-id table keyed on every column: ids are handed
+                // out in first-seen order, so the row that introduces the
+                // next unseen id is a first occurrence.
+                let mut table = RowTable::for_rows(total_selected(&chunks));
+                let mut group = Vec::new();
+                let mut out = Vec::with_capacity(chunks.len());
+                for ch in chunks {
+                    let cols: Vec<&ColumnVector> = ch.cols.iter().map(|c| &**c).collect();
+                    let mut unseen = table.len() as u32;
+                    table.group_ids(&cols, ch.rows(), &mut group);
+                    let ids: Vec<u32> = ch
+                        .selected()
+                        .zip(&group)
+                        .filter(|&(_, &g)| {
+                            let first = g == unseen;
+                            unseen += u32::from(first);
+                            first
+                        })
+                        .map(|(r, _)| r as u32)
+                        .collect();
+                    if !ids.is_empty() {
+                        out.push(Chunk {
+                            cols: ch.cols,
+                            len: ch.len,
+                            sel: Sel::Ids(ids),
+                        });
+                    }
+                }
+                Ok(out)
+            }
+        }
+    }
+
+    /// One output column per flag of `needed`: the picked `(chunk, row)`
+    /// cells of the column's `sources` (one vector per chunk) where the
+    /// parent reads it, the placeholder where it does not.
+    fn gather_columns<'c>(
+        &self,
+        needed: &[bool],
+        sources: impl Fn(usize) -> Vec<&'c ColumnVector>,
+        picks: &[(u32, u32)],
+    ) -> Vec<Arc<ColumnVector>> {
+        needed
+            .iter()
+            .enumerate()
+            .map(|(j, &read)| {
+                if !read {
+                    return Arc::clone(&self.pruned);
+                }
+                let picks = picks.iter().map(|&(c, r)| (c as usize, r as usize));
+                Arc::new(ColumnVector::gather(&sources(j), picks))
+            })
+            .collect()
+    }
+
+    /// Materialize a join result: left-side columns then right-side columns.
+    fn join_output(
+        &self,
+        left: &[Chunk],
+        lpicks: &[(u32, u32)],
+        right: &[Chunk],
+        rpicks: &[(u32, u32)],
+        needed: &[bool],
+    ) -> Vec<Chunk> {
+        let Some(&(l0, _)) = lpicks.first() else {
+            return Vec::new();
+        };
+        let (lneeded, rneeded) = needed.split_at(left[l0 as usize].cols.len());
+        let mut cols = self.gather_columns(lneeded, |j| column(left, j), lpicks);
+        cols.extend(self.gather_columns(rneeded, |j| column(right, j), rpicks));
+        vec![Chunk {
+            cols,
+            len: lpicks.len(),
+            sel: Sel::All,
+        }]
+    }
+
+    fn aggregate(
+        &mut self,
+        chunks: &[Chunk],
+        group_by: &[CompiledExpr],
+        aggs: &[AggSpec],
+        schema: &Schema,
+    ) -> Vec<Chunk> {
+        let fresh: Vec<AggAccumulator> = aggs
+            .iter()
+            .map(|a| AggAccumulator::new(a.func, a.distinct))
+            .collect();
+        // accs[j][g]: aggregate j of group g. Groups are numbered by the
+        // row-id table in first-seen key order; a global aggregation is
+        // one group that exists whatever the input.
+        let global = group_by.is_empty();
+        let mut accs: Vec<Vec<AggAccumulator>> = fresh
+            .iter()
+            .map(|f| Vec::from_iter(global.then(|| f.clone())))
+            .collect();
+        let mut table = RowTable::for_rows(if global { 0 } else { total_selected(chunks) });
+        let mut group: Vec<u32> = Vec::new();
+        for ch in chunks {
+            if global {
+                group.clear();
+                group.resize(ch.n_selected(), 0);
+            } else {
+                let keys = eval_columns(group_by, ch);
+                table.group_ids(&borrowed(&keys), ch.rows(), &mut group);
+            }
+            // One aggregate at a time, rows in order: each accumulator
+            // sees its inputs in the order row-at-a-time execution feeds
+            // them, so float sums keep their bits.
+            for ((accs, spec), fresh) in accs.iter_mut().zip(aggs).zip(&fresh) {
+                if !global {
+                    accs.resize_with(table.len(), || fresh.clone());
+                }
+                let mut group = group.iter().map(|&g| g as usize);
+                match &spec.arg {
+                    None => group.for_each(|g| accs[g].push_cell(None)),
+                    Some(e) => ch.rows().cells(&eval_column(e, ch), |c| {
+                        if let Some(g) = group.next() {
+                            accs[g].push_cell(Some(c));
+                        }
+                    }),
                 }
             }
-            Ok(out)
         }
+        let n = if global { 1 } else { table.len() };
+        self.work.emit(n);
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut cols: Vec<Arc<ColumnVector>> =
+            table.into_keys().into_iter().map(Arc::new).collect();
+        let results = builders_for(schema, group_by.len() + aggs.len());
+        for (mut col, accs) in results.into_iter().skip(group_by.len()).zip(&accs) {
+            accs.iter().for_each(|acc| col.push(acc.finish()));
+            cols.push(Arc::new(col));
+        }
+        vec![Chunk {
+            cols,
+            len: n,
+            sel: Sel::All,
+        }]
     }
 }
 
-/// Gather picked rows of `chunks` into fresh columns, one per source
-/// column, preserving pick order.
-fn gather_columns(chunks: &[Chunk], picks: &[(u32, u32)]) -> Vec<Arc<ColumnVector>> {
-    let Some(&(c0, _)) = picks.first() else {
-        return Vec::new();
-    };
-    let arity = chunks[c0 as usize].cols.len();
-    let mut out = Vec::with_capacity(arity);
-    for j in 0..arity {
-        let mut b = chunks[c0 as usize].cols[j].empty_like();
-        for &(ci, pi) in picks {
-            b.push_cell(chunks[ci as usize].cols[j].cell(pi as usize));
-        }
-        out.push(Arc::new(b));
-    }
-    out
+/// Column `j` of every chunk.
+fn column(chunks: &[Chunk], j: usize) -> Vec<&ColumnVector> {
+    chunks.iter().map(|c| &*c.cols[j]).collect()
 }
 
-/// Materialize a join result: left-side columns then right-side columns.
-fn join_output(
-    left: &[Chunk],
-    lpicks: &[(u32, u32)],
-    right: &[Chunk],
-    rpicks: &[(u32, u32)],
-) -> Vec<Chunk> {
-    if lpicks.is_empty() {
-        return Vec::new();
-    }
-    let mut cols = gather_columns(left, lpicks);
-    cols.extend(gather_columns(right, rpicks));
-    vec![Chunk {
-        cols,
-        len: lpicks.len(),
-        sel: Sel::All,
-    }]
+/// Empty output vectors for the first `arity` columns of `schema`, typed
+/// as declared.
+fn builders_for(schema: &Schema, arity: usize) -> Vec<ColumnVector> {
+    (0..arity)
+        .map(|j| ColumnVector::new_for(schema.columns().get(j).map(|c| c.ty)))
+        .collect()
 }
 
 /// What a chunk's zone map says about a pushed-down predicate.
@@ -749,107 +914,6 @@ fn flip(op: BinaryOp) -> BinaryOp {
 /// expression tree evaluates it, unknown rejecting.
 fn cmp_keep(op: BinaryOp, c: CellRef<'_>, lit: CellRef<'_>) -> bool {
     c.sql_cmp(lit).is_some_and(|ord| cmp_holds(op, ord))
-}
-
-fn exec_aggregate(
-    chunks: &[Chunk],
-    group_by: &[CompiledExpr],
-    aggs: &[AggSpec],
-    schema: &qcc_common::Schema,
-    work: &mut Ledger<'_>,
-) -> Result<Vec<Chunk>> {
-    // Group rows preserving first-seen key order for determinism.
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: FnvMap<Vec<Value>, usize> = FnvMap::default();
-    let make_accs = || -> Vec<AggAccumulator> {
-        aggs.iter()
-            .map(|a| AggAccumulator::new(a.func, a.distinct))
-            .collect()
-    };
-    let arity = group_by.len() + aggs.len();
-    let mut builders: Vec<ColumnVector> = (0..arity)
-        .map(|j| ColumnVector::new_for(schema.columns().get(j).map(|c| c.ty)))
-        .collect();
-
-    if group_by.is_empty() {
-        // Global aggregation always yields exactly one row.
-        let mut accs = make_accs();
-        for ch in chunks {
-            for r in ch.selected() {
-                let view = RowView {
-                    cols: &ch.cols,
-                    row: r,
-                };
-                feed(&mut accs, aggs, &view);
-            }
-        }
-        work.emit(1);
-        for (b, acc) in builders.iter_mut().zip(&accs) {
-            b.push(acc.finish());
-        }
-        return Ok(vec![Chunk {
-            cols: builders.into_iter().map(Arc::new).collect(),
-            len: 1,
-            sel: Sel::All,
-        }]);
-    }
-
-    // Accumulators live in a dense per-group vector; the map only holds
-    // key → group index. The scratch key is reused across rows (slice
-    // lookup via `Borrow<[Value]>`), so steady-state rows hash without
-    // allocating — keys are cloned once per distinct group, not per row.
-    let mut group_accs: Vec<Vec<AggAccumulator>> = Vec::new();
-    let mut key: Vec<Value> = Vec::with_capacity(group_by.len());
-    for ch in chunks {
-        for r in ch.selected() {
-            let view = RowView {
-                cols: &ch.cols,
-                row: r,
-            };
-            key.clear();
-            for k in group_by {
-                key.push(eval_cells(k, &view).to_value());
-            }
-            let gi = match groups.get(key.as_slice()) {
-                Some(&gi) => gi,
-                None => {
-                    let gi = group_accs.len();
-                    groups.insert(key.clone(), gi);
-                    order.push(key.clone());
-                    group_accs.push(make_accs());
-                    gi
-                }
-            };
-            feed(&mut group_accs[gi], aggs, &view);
-        }
-    }
-    work.emit(order.len());
-    let n = order.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    for (key, accs) in order.into_iter().zip(group_accs) {
-        for (j, v) in key.into_iter().enumerate() {
-            builders[j].push(v);
-        }
-        for (j, acc) in accs.iter().enumerate() {
-            builders[group_by.len() + j].push(acc.finish());
-        }
-    }
-    Ok(vec![Chunk {
-        cols: builders.into_iter().map(Arc::new).collect(),
-        len: n,
-        sel: Sel::All,
-    }])
-}
-
-fn feed<C: crate::vexpr::Cells>(accs: &mut [AggAccumulator], aggs: &[AggSpec], view: &C) {
-    for (acc, spec) in accs.iter_mut().zip(aggs) {
-        match &spec.arg {
-            None => acc.push_cell(None),
-            Some(e) => acc.push_cell(Some(eval_cells(e, view))),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1231,6 +1295,137 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "{sql}");
         }
+    }
+
+    /// The statements of `work_is_pinned_for_every_offered_plan`.
+    const PINNED_STATEMENTS: [&str; 11] = [
+        "SELECT * FROM sales WHERE amount >= 8",
+        "SELECT * FROM sales WHERE id = 42",
+        "SELECT * FROM sales WHERE id >= 100 AND id < 110",
+        "SELECT s.id, r.manager FROM sales s JOIN regions r ON s.region = r.name",
+        "SELECT region, COUNT(*) AS n, SUM(amount) AS t FROM sales GROUP BY region",
+        "SELECT COUNT(*), AVG(amount) FROM sales",
+        "SELECT DISTINCT region FROM sales ORDER BY region DESC LIMIT 2",
+        "SELECT id * 2 + 1 AS x FROM sales WHERE id < 5 ORDER BY x DESC",
+        "SELECT s.id FROM sales s JOIN regions r ON s.region = r.name \
+         AND (s.amount > 5 OR r.manager = 'bob')",
+        "SELECT s.id, r.manager FROM sales s, regions r \
+         WHERE s.id < 5 AND r.name > s.region",
+        "SELECT * FROM sales WHERE id >= 100 AND id < 150 AND amount > 5",
+    ];
+
+    /// An operator's output chunk list is part of the virtual-time
+    /// contract: `RemoteServer::execute_stream` derives cursor offsets and
+    /// resume points from the root batch list. Per-batch row counts of
+    /// every plan offered for the pinned statements, in `explain` order,
+    /// recorded at the commit before the row-id hash table and column
+    /// pruning went in (`tests/engine_vs_naive_prop.rs` pins multi-batch
+    /// roots at scenario scale).
+    #[test]
+    fn batch_row_counts_are_pinned_for_every_offered_plan() {
+        let pinned: [&[&[usize]]; 11] = [
+            &[&[60]],
+            &[&[1], &[1]],
+            &[&[10], &[10]],
+            &[&[300]],
+            &[&[3]],
+            &[&[1]],
+            &[&[2]],
+            &[&[5], &[5]],
+            &[&[180]],
+            &[&[5], &[5]],
+            &[&[20], &[20]],
+        ];
+        let e = engine();
+        for (sql, want) in PINNED_STATEMENTS.iter().zip(pinned) {
+            let got: Vec<Vec<usize>> = e
+                .explain(sql)
+                .unwrap()
+                .iter()
+                .map(|p| {
+                    let (batches, _) = e.execute_plan_batches(&p.plan).unwrap();
+                    batches.iter().map(ColumnBatch::n_rows).collect()
+                })
+                .collect();
+            assert_eq!(got, want, "{sql}");
+        }
+    }
+
+    /// Column requirements that prune nothing: every child produces every
+    /// column, as it did before `required_columns` existed.
+    fn every_column(plan: &PlanNode, _needed: &[bool]) -> Vec<Vec<bool>> {
+        let children: Vec<&PlanNode> = match plan {
+            PlanNode::SeqScan { .. } | PlanNode::IndexScan { .. } => vec![],
+            PlanNode::HashJoin { left, right, .. }
+            | PlanNode::NestedLoopJoin { left, right, .. } => vec![left, right],
+            PlanNode::Filter { input, .. }
+            | PlanNode::Project { input, .. }
+            | PlanNode::HashAggregate { input, .. }
+            | PlanNode::Sort { input, .. }
+            | PlanNode::Limit { input, .. }
+            | PlanNode::Distinct { input, .. } => vec![input],
+        };
+        children
+            .iter()
+            .map(|c| vec![true; c.schema().len()])
+            .collect()
+    }
+
+    /// A pruned column is an empty placeholder, so an operator that read
+    /// one would panic or lose cells. For every plan offered for the
+    /// pinned statements and for the equivalence suites' corpus — NULL
+    /// keys, FLOAT = INT and string keys, two keys, residuals, several
+    /// chunks per table — execution with pruning returns the batches and
+    /// the `Work` of execution with every column required.
+    #[test]
+    fn pruning_equals_requiring_every_column() {
+        use crate::corpus;
+        use qcc_common::Pcg32;
+        let mut plans_checked = 0;
+        let mut check = |e: &Engine, sql: &str| {
+            for p in e.explain(sql).unwrap() {
+                let run_with = |needs: ChildNeeds| {
+                    let (batches, work) = run(&p.plan, e.catalog(), e.cost_model(), needs).unwrap();
+                    // `Debug`, not `==`: `Value` equality is numeric
+                    // across `Int` and `Float`.
+                    let batches: Vec<String> = batches
+                        .iter()
+                        .map(|b| format!("{:?}", b.to_rows()))
+                        .collect();
+                    (batches, work)
+                };
+                assert_eq!(
+                    run_with(required_columns),
+                    run_with(every_column),
+                    "{} for {sql}",
+                    p.plan.signature()
+                );
+                plans_checked += 1;
+            }
+        };
+        let e = engine();
+        for sql in PINNED_STATEMENTS {
+            check(&e, sql);
+        }
+        let mut rng = Pcg32::seed_from(304);
+        for _ in 0..64 {
+            let e = Engine::new(corpus::random_catalog(&mut rng));
+            check(&e, &corpus::random_query(&mut rng));
+        }
+        for _ in 0..64 {
+            let (rows_a, rows_b) = (rng.range_u64(0, 60), rng.range_u64(0, 60));
+            let e = Engine::new(corpus::nullable_catalog(&mut rng, rows_a, rows_b));
+            check(&e, &corpus::nullable_query(&mut rng));
+        }
+        let (rows_a, rows_b) = (
+            corpus::multi_chunk_rows(&mut rng),
+            corpus::multi_chunk_rows(&mut rng),
+        );
+        let e = Engine::new(corpus::nullable_catalog(&mut rng, rows_a, rows_b));
+        for _ in 0..24 {
+            check(&e, &corpus::nullable_query(&mut rng));
+        }
+        assert!(plans_checked > 150, "{plans_checked}");
     }
 
     /// Zone maps over a clustered column prune most chunks without

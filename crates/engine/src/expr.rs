@@ -12,6 +12,8 @@
 use crate::vexpr::{cell_truth, eval_cells, eval_predicate_cells};
 use qcc_common::{CellRef, QccError, Result, Row, Schema, Value};
 use qcc_sql::{AggFunc, BinaryOp, Expr, UnaryOp};
+use std::cmp::Ordering;
+use std::collections::HashSet;
 
 /// An expression with all column references resolved to row positions.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,6 +149,32 @@ impl CompiledExpr {
         eval_predicate_cells(self, row)
     }
 
+    /// Set `used[i]` for every column `i` the expression reads.
+    pub(crate) fn mark_columns(&self, used: &mut [bool]) {
+        match self {
+            CompiledExpr::Column(i) => used[*i] = true,
+            CompiledExpr::Literal(_) => {}
+            CompiledExpr::Binary { left, right, .. } => {
+                left.mark_columns(used);
+                right.mark_columns(used);
+            }
+            CompiledExpr::Unary { expr, .. }
+            | CompiledExpr::IsNull { expr, .. }
+            | CompiledExpr::Like { expr, .. } => expr.mark_columns(used),
+            CompiledExpr::InList { expr, list, .. } => {
+                expr.mark_columns(used);
+                list.iter().for_each(|e| e.mark_columns(used));
+            }
+            CompiledExpr::Between {
+                expr, low, high, ..
+            } => {
+                expr.mark_columns(used);
+                low.mark_columns(used);
+                high.mark_columns(used);
+            }
+        }
+    }
+
     /// Number of nodes (used for per-tuple CPU accounting).
     pub fn node_count(&self) -> usize {
         match self {
@@ -190,34 +218,93 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
     rec(&s, &p)
 }
 
-/// Aggregate accumulator used by the hash-aggregate operator and by the
-/// federation-level merge aggregation.
+/// Aggregate accumulator used by both executors' hash aggregates and by
+/// the test oracle. Each variant holds the state of the function it
+/// computes and nothing else.
 #[derive(Debug, Clone)]
-pub struct AggAccumulator {
-    func: AggFunc,
-    distinct: bool,
-    seen: std::collections::HashSet<Value>,
+pub enum AggAccumulator {
+    /// `COUNT(*)` / `COUNT(x)`: rows, or non-NULL inputs.
+    Count(u64),
+    /// `SUM(x)`.
+    Sum(NumericSum),
+    /// `AVG(x)`.
+    Avg(NumericSum),
+    /// `MIN(x)` / `MAX(x)`: the extreme so far, and which side of it a
+    /// new input must fall on to replace it.
+    Extreme {
+        /// The extreme among the inputs seen, `None` before the first.
+        best: Option<Value>,
+        /// `Less` for MIN, `Greater` for MAX.
+        replaces: Ordering,
+    },
+    /// `f(DISTINCT x)`: `inner` sees each distinct input once.
+    Distinct {
+        /// Inputs already forwarded.
+        seen: HashSet<Value>,
+        /// The function being computed.
+        inner: Box<AggAccumulator>,
+    },
+}
+
+/// Running sum of the numeric inputs, exact in `i64` until it overflows
+/// (or meets a float) and widens to the `f64` kept alongside.
+#[derive(Debug, Clone)]
+pub struct NumericSum {
     count: u64,
     sum: f64,
-    sum_is_int: bool,
     int_sum: i64,
-    min: Option<Value>,
-    max: Option<Value>,
+    is_int: bool,
+}
+
+impl NumericSum {
+    fn add(&mut self, c: CellRef<'_>) {
+        self.count += 1;
+        match c {
+            CellRef::Int(i) => {
+                self.sum += i as f64;
+                match self.int_sum.checked_add(i) {
+                    Some(s) => self.int_sum = s,
+                    None => self.is_int = false,
+                }
+            }
+            CellRef::Float(f) => {
+                self.sum += f;
+                self.is_int = false;
+            }
+            _ => {}
+        }
+    }
 }
 
 impl AggAccumulator {
     /// Fresh accumulator for a function.
     pub fn new(func: AggFunc, distinct: bool) -> Self {
-        AggAccumulator {
-            func,
-            distinct,
-            seen: std::collections::HashSet::new(),
+        let sum = || NumericSum {
             count: 0,
             sum: 0.0,
-            sum_is_int: true,
             int_sum: 0,
-            min: None,
-            max: None,
+            is_int: true,
+        };
+        let acc = match func {
+            AggFunc::Count => AggAccumulator::Count(0),
+            AggFunc::Sum => AggAccumulator::Sum(sum()),
+            AggFunc::Avg => AggAccumulator::Avg(sum()),
+            AggFunc::Min | AggFunc::Max => AggAccumulator::Extreme {
+                best: None,
+                replaces: if func == AggFunc::Min {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                },
+            },
+        };
+        if distinct {
+            AggAccumulator::Distinct {
+                seen: HashSet::new(),
+                inner: Box::new(acc),
+            }
+        } else {
+            acc
         }
     }
 
@@ -226,76 +313,52 @@ impl AggAccumulator {
         self.push_cell(v.map(CellRef::of));
     }
 
-    /// Feed one input cell (`None` means `COUNT(*)`'s row marker).
-    /// Values are only materialized on the slow paths (DISTINCT
-    /// insertion, new MIN/MAX extremes).
+    /// Feed one input cell (`None` means `COUNT(*)`'s row marker, which
+    /// counts the row whatever it holds). Values are only materialized on
+    /// the slow paths (DISTINCT insertion, new MIN/MAX extremes).
+    #[inline]
     pub fn push_cell(&mut self, c: Option<CellRef<'_>>) {
         let c = match c {
+            Some(CellRef::Null) => return, // Aggregates skip NULLs.
+            Some(c) => c,
             None => {
-                // COUNT(*) counts rows regardless of content.
-                self.count += 1;
+                match self {
+                    AggAccumulator::Count(n) => *n += 1,
+                    AggAccumulator::Distinct { inner, .. } => inner.push_cell(None),
+                    _ => {}
+                }
                 return;
             }
-            Some(c) => c,
         };
-        if c.is_null() {
-            return; // Aggregates skip NULLs.
-        }
-        if self.distinct && !self.seen.insert(c.to_value()) {
-            return;
-        }
-        self.count += 1;
-        if let Some(x) = c.as_f64() {
-            self.sum += x;
-            match c {
-                CellRef::Int(i) => {
-                    if let Some(s) = self.int_sum.checked_add(i) {
-                        self.int_sum = s;
-                    } else {
-                        self.sum_is_int = false;
-                    }
+        match self {
+            AggAccumulator::Count(n) => *n += 1,
+            AggAccumulator::Sum(s) | AggAccumulator::Avg(s) => s.add(c),
+            AggAccumulator::Extreme { best, replaces } => {
+                if best
+                    .as_ref()
+                    .is_none_or(|b| c.total_cmp_value(b) == *replaces)
+                {
+                    *best = Some(c.to_value());
                 }
-                _ => self.sum_is_int = false,
             }
-        }
-        match &self.min {
-            None => self.min = Some(c.to_value()),
-            Some(m) if c.total_cmp_value(m) == std::cmp::Ordering::Less => {
-                self.min = Some(c.to_value())
+            AggAccumulator::Distinct { seen, inner } => {
+                if seen.insert(c.to_value()) {
+                    inner.push_cell(Some(c));
+                }
             }
-            _ => {}
-        }
-        match &self.max {
-            None => self.max = Some(c.to_value()),
-            Some(m) if c.total_cmp_value(m) == std::cmp::Ordering::Greater => {
-                self.max = Some(c.to_value())
-            }
-            _ => {}
         }
     }
 
     /// Final aggregate value.
     pub fn finish(&self) -> Value {
-        match self.func {
-            AggFunc::Count => Value::Int(self.count as i64),
-            AggFunc::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else if self.sum_is_int {
-                    Value::Int(self.int_sum)
-                } else {
-                    Value::Float(self.sum)
-                }
-            }
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(self.sum / self.count as f64)
-                }
-            }
-            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
-            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
+        match self {
+            AggAccumulator::Count(n) => Value::Int(*n as i64),
+            AggAccumulator::Sum(s) | AggAccumulator::Avg(s) if s.count == 0 => Value::Null,
+            AggAccumulator::Sum(s) if s.is_int => Value::Int(s.int_sum),
+            AggAccumulator::Sum(s) => Value::Float(s.sum),
+            AggAccumulator::Avg(s) => Value::Float(s.sum / s.count as f64),
+            AggAccumulator::Extreme { best, .. } => best.clone().unwrap_or(Value::Null),
+            AggAccumulator::Distinct { inner, .. } => inner.finish(),
         }
     }
 }

@@ -19,8 +19,15 @@ pub mod expr;
 pub mod plan;
 pub mod planner;
 pub mod rowexec;
+mod rowtable;
 mod vexpr;
 pub mod work;
+
+/// The equivalence suites' random catalogs and statements
+/// (`tests/engine_vs_naive_prop.rs`), for the executor's unit tests.
+#[cfg(test)]
+#[path = "../../../tests/support/corpus.rs"]
+mod corpus;
 
 pub use cost::{estimate_plan, CostModel};
 pub use exec::{execute, execute_batches};

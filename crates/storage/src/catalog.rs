@@ -4,6 +4,7 @@ use crate::index::Index;
 use crate::stats::TableStats;
 use crate::table::Table;
 use qcc_common::{QccError, Result};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A table plus everything the optimizer knows about it.
@@ -25,6 +26,17 @@ pub struct Catalog {
     entries: BTreeMap<String, CatalogEntry>,
 }
 
+/// The key a table name is stored under: the name lower-cased. Plans and
+/// fragments spell names the way the catalog lists them, so the usual
+/// lookup — one per scan node per execution and per EXPLAIN — borrows.
+fn key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
 impl Catalog {
     /// An empty catalog.
     pub fn new() -> Self {
@@ -36,7 +48,7 @@ impl Catalog {
     pub fn register(&mut self, table: Table) {
         let stats = TableStats::analyze(&table);
         self.entries.insert(
-            table.name().to_ascii_lowercase(),
+            key(table.name()).into_owned(),
             CatalogEntry {
                 table,
                 stats,
@@ -50,7 +62,7 @@ impl Catalog {
     /// they are the substance of the simulated federated system.
     pub fn register_virtual(&mut self, table: Table, stats: TableStats) {
         self.entries.insert(
-            table.name().to_ascii_lowercase(),
+            key(table.name()).into_owned(),
             CatalogEntry {
                 table,
                 stats,
@@ -74,20 +86,20 @@ impl Catalog {
     /// Look up a table entry.
     pub fn entry(&self, name: &str) -> Result<&CatalogEntry> {
         self.entries
-            .get(&name.to_ascii_lowercase())
+            .get(&*key(name))
             .ok_or_else(|| QccError::UnknownTable(name.to_owned()))
     }
 
     /// Mutable lookup.
     pub fn entry_mut(&mut self, name: &str) -> Result<&mut CatalogEntry> {
         self.entries
-            .get_mut(&name.to_ascii_lowercase())
+            .get_mut(&*key(name))
             .ok_or_else(|| QccError::UnknownTable(name.to_owned()))
     }
 
     /// True if a table with this name exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(&name.to_ascii_lowercase())
+        self.entries.contains_key(&*key(name))
     }
 
     /// All table names (lowercased), sorted.

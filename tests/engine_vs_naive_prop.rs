@@ -5,6 +5,8 @@
 //! Driven by the workspace's deterministic `Pcg32` so the suite runs
 //! offline and failures reproduce from the fixed seeds.
 
+#[path = "support/corpus.rs"]
+mod corpus;
 #[path = "support/naive.rs"]
 mod naive;
 
@@ -13,94 +15,34 @@ use load_aware_federation::engine::{execute_batches, rowexec, Engine};
 use load_aware_federation::storage::{Catalog, ColumnSpec, Table, TableSpec};
 use qcc_sql::parse_select;
 
-/// Random small tables `ta(a, b, s)` and `tb(a, c)`.
-fn random_catalog(rng: &mut Pcg32) -> Catalog {
-    let mut ta = Table::new(
-        "ta",
-        Schema::new(vec![
-            Column::new("a", DataType::Int),
-            Column::new("b", DataType::Int),
-            Column::new("s", DataType::Str),
-        ]),
-    );
-    let n_a = rng.range_u64(0, 40);
-    for _ in 0..n_a {
-        ta.insert(Row::new(vec![
-            Value::Int(rng.range_i64(0, 20)),
-            Value::Int(rng.range_i64(-5, 5)),
-            Value::Str((*rng.choose(b"abc") as char).to_string()),
-        ]))
-        .unwrap();
+/// The corpus: the 128 cases each suite always drew, then — from the same
+/// stream, so those keep their draws — 96 cases over NULL-bearing tables
+/// with FLOAT, string and two-column keys, and 24 statements over one
+/// catalog of several chunks per table. The oracle cross-joins, so its
+/// multi-chunk catalog keeps `tb` small.
+fn cases(seed: u64, big_b: bool) -> Vec<(Catalog, String)> {
+    let mut rng = Pcg32::seed_from(seed);
+    let mut out = Vec::new();
+    for _ in 0..128 {
+        let catalog = corpus::random_catalog(&mut rng);
+        out.push((catalog, corpus::random_query(&mut rng)));
     }
-    let mut tb = Table::new(
-        "tb",
-        Schema::new(vec![
-            Column::new("a", DataType::Int),
-            Column::new("c", DataType::Int),
-        ]),
-    );
-    let n_b = rng.range_u64(0, 40);
-    for _ in 0..n_b {
-        tb.insert(Row::new(vec![
-            Value::Int(rng.range_i64(0, 20)),
-            Value::Int(rng.range_i64(-5, 5)),
-        ]))
-        .unwrap();
+    for _ in 0..96 {
+        let (rows_a, rows_b) = (rng.range_u64(0, 60), rng.range_u64(0, 60));
+        let catalog = corpus::nullable_catalog(&mut rng, rows_a, rows_b);
+        out.push((catalog, corpus::nullable_query(&mut rng)));
     }
-    let mut catalog = Catalog::new();
-    catalog.register(ta);
-    catalog.register(tb);
-    catalog.create_index("ta", "a").unwrap();
-    catalog
-}
-
-fn random_predicate(rng: &mut Pcg32) -> String {
-    match rng.range_u64(0, 7) {
-        0 => format!("ta.a > {}", rng.range_i64(0, 20)),
-        1 => format!("ta.a = {}", rng.range_i64(0, 20)),
-        2 => format!("ta.b <= {}", rng.range_i64(-5, 5)),
-        3 => format!(
-            "ta.a BETWEEN {} AND {}",
-            rng.range_i64(0, 10),
-            rng.range_i64(5, 20)
-        ),
-        4 => "ta.s IN ('a', 'b')".to_string(),
-        5 => "ta.s LIKE 'a%'".to_string(),
-        _ => format!(
-            "ta.a < {} OR ta.b = {}",
-            rng.range_i64(0, 20),
-            rng.range_i64(-5, 5)
-        ),
+    let rows_a = corpus::multi_chunk_rows(&mut rng);
+    let rows_b = if big_b {
+        corpus::multi_chunk_rows(&mut rng)
+    } else {
+        rng.range_u64(30, 60)
+    };
+    let big = corpus::nullable_catalog(&mut rng, rows_a, rows_b);
+    for _ in 0..24 {
+        out.push((big.clone(), corpus::nullable_query(&mut rng)));
     }
-}
-
-/// Random queries over the two tables, spanning scans, joins, predicates,
-/// grouping, ordering and limits.
-fn random_query(rng: &mut Pcg32) -> String {
-    let p = random_predicate(rng);
-    match rng.range_u64(0, 6) {
-        0 => {
-            let mut q = format!("SELECT ta.a, ta.b FROM ta WHERE {p} ORDER BY ta.a, ta.b, ta.s");
-            if rng.next_f64() < 0.5 {
-                q.push_str(&format!(" LIMIT {}", rng.range_u64(0, 10)));
-            }
-            q
-        }
-        1 => format!(
-            "SELECT ta.a, tb.c FROM ta JOIN tb ON ta.a = tb.a WHERE {p} \
-             ORDER BY ta.a, tb.c, ta.b"
-        ),
-        2 => format!(
-            "SELECT ta.s, COUNT(*) AS n, SUM(ta.b) AS t, MIN(ta.a) AS lo \
-             FROM ta WHERE {p} GROUP BY ta.s ORDER BY ta.s"
-        ),
-        3 => format!(
-            "SELECT ta.s, COUNT(*) AS n, AVG(tb.c) AS m FROM ta JOIN tb ON ta.a = tb.a \
-             WHERE {p} GROUP BY ta.s HAVING COUNT(*) > 1 ORDER BY ta.s"
-        ),
-        4 => "SELECT DISTINCT ta.s FROM ta ORDER BY ta.s".to_string(),
-        _ => "SELECT COUNT(*), SUM(ta.b), MAX(ta.a), COUNT(DISTINCT ta.s) FROM ta".to_string(),
-    }
+    out
 }
 
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
@@ -110,10 +52,7 @@ fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
 
 #[test]
 fn engine_agrees_with_naive() {
-    let mut rng = Pcg32::seed_from(301);
-    for case in 0..128 {
-        let catalog = random_catalog(&mut rng);
-        let sql = random_query(&mut rng);
+    for (case, (catalog, sql)) in cases(301, false).into_iter().enumerate() {
         let engine = Engine::new(catalog);
         let stmt = parse_select(&sql).expect("generated SQL parses");
         let expected = naive::evaluate(&stmt, engine.catalog())
@@ -142,13 +81,10 @@ fn engine_agrees_with_naive() {
 
 #[test]
 fn every_offered_plan_is_equivalent() {
-    let mut rng = Pcg32::seed_from(302);
     let mut multi_plan_cases = 0;
-    for case in 0..128 {
+    for (case, (catalog, sql)) in cases(302, true).into_iter().enumerate() {
         // All alternative plans the engine offers (seq vs index paths)
         // must produce identical results.
-        let catalog = random_catalog(&mut rng);
-        let sql = random_query(&mut rng);
         let engine = Engine::new(catalog);
         let plans = engine.explain(&sql).expect("plans");
         if plans.len() <= 1 {
@@ -184,16 +120,14 @@ fn batch_rows(batches: &[ColumnBatch]) -> Vec<Row> {
 
 /// The columnar executor must be observationally identical to the
 /// row-at-a-time reference: same rows IN THE SAME ORDER (both executors
-/// preserve scan/probe/first-seen order) and the exact same virtual-time
+/// preserve scan/probe/first-seen order — most of the newer statements
+/// have no `ORDER BY` to hide behind) and the exact same virtual-time
 /// `Work` (bit-identical f64 accounting — zone-map pruning and batching
 /// may change wall-clock time but never virtual time).
 #[test]
 fn columnar_engine_matches_row_engine() {
-    let mut rng = Pcg32::seed_from(303);
     let mut plans_checked = 0usize;
-    for case in 0..128 {
-        let catalog = random_catalog(&mut rng);
-        let sql = random_query(&mut rng);
+    for (case, (catalog, sql)) in cases(303, true).into_iter().enumerate() {
         let engine = Engine::new(catalog);
         let plans = engine.explain(&sql).expect("plans");
         for (pi, p) in plans.iter().enumerate() {
@@ -446,5 +380,154 @@ fn integer_overflow_widens_to_float_through_every_executor() {
         let stmt = parse_select(sql).expect("parses");
         let oracle = naive::evaluate(&stmt, engine.catalog()).expect("oracle runs");
         assert_eq!(format!("{oracle:?}"), expected, "oracle: {sql}");
+    }
+}
+
+/// `Int` against `Float` is compared exactly, so equality is what the hash
+/// says it is. Above 2^53 the old cast rounded the integer: the hash join
+/// (keyed on a hash that told `2^53 + 1` from `2^53.0`) and the
+/// nested-loop join (comparing through the cast, which did not) returned
+/// different rows for the same condition.
+#[test]
+fn int_float_equality_is_exact_through_every_join_and_executor() {
+    const P53: i64 = 1 << 53;
+    let mut a = Table::new("a", Schema::new(vec![Column::new("k", DataType::Int)]));
+    a.insert(Row::new(vec![Value::Int(P53 + 1)])).unwrap();
+    a.insert(Row::new(vec![Value::Int(P53)])).unwrap();
+    let mut b = Table::new("b", Schema::new(vec![Column::new("k", DataType::Float)]));
+    b.insert(Row::new(vec![Value::Float(P53 as f64)])).unwrap();
+    let mut catalog = Catalog::new();
+    catalog.register(a);
+    catalog.register(b);
+    let engine = Engine::new(catalog);
+    // Only 2^53 = 2^53.0; 2^53 + 1 is no float.
+    let expected = vec![Row::new(vec![Value::Int(P53), Value::Float(P53 as f64)])];
+    for (sql, join) in [
+        ("SELECT * FROM a JOIN b ON a.k = b.k", "hj("),
+        ("SELECT * FROM a, b WHERE a.k >= b.k AND a.k <= b.k", "nlj("),
+    ] {
+        let plans = engine.explain(sql).expect("plans");
+        assert!(
+            plans.iter().any(|p| p.plan.signature().contains(join)),
+            "{sql}: no {join} plan offered"
+        );
+        for p in &plans {
+            let sig = p.plan.signature();
+            let (rows, _) = engine.execute_plan(&p.plan).expect("batch engine runs");
+            assert_eq!(rows, expected, "batch engine, {sig}: {sql}");
+            let (rows, _) = rowexec::execute_rows(&p.plan, engine.catalog(), engine.cost_model())
+                .expect("row reference runs");
+            assert_eq!(rows, expected, "row reference, {sig}: {sql}");
+        }
+        let stmt = parse_select(sql).expect("parses");
+        let oracle = naive::evaluate(&stmt, engine.catalog()).expect("oracle runs");
+        assert_eq!(oracle, expected, "oracle: {sql}");
+    }
+}
+
+/// The row count of every root batch, for each plan offered for QT1–QT4
+/// and five statements with multi-batch roots, at `Scenario::tiny` scale
+/// (2 000 / 100 rows). `RemoteServer::execute_stream` turns this list into
+/// cursor offsets, resume points and interrupt cuts, so it is part of the
+/// virtual-time contract like `Work` is. Recorded at the commit before the
+/// row-id hash table and column pruning went in.
+#[test]
+fn root_batch_row_counts_are_pinned_at_tiny_scale() {
+    let scenario = qcc_workload::Scenario::tiny_for_tests();
+    let engine = scenario.server("S1").engine();
+    let qt = |i: usize| qcc_workload::ALL_QUERY_TYPES[i].sql(0);
+    let pinned: [(String, &[(&str, &[usize])]); 9] = [
+        (
+            qt(0),
+            &[
+                (
+                    "proj(agg[1](hj(seqscan(big_a,pred),seqscan(big_b))))",
+                    &[100],
+                ),
+                (
+                    "proj(agg[1](hj(idxscan(big_a.sel range),seqscan(big_b))))",
+                    &[100],
+                ),
+            ],
+        ),
+        (
+            qt(1),
+            &[(
+                "proj(agg[1](hj(seqscan(small_s,pred),seqscan(big_a))))",
+                &[10],
+            )],
+        ),
+        (
+            qt(2),
+            &[
+                (
+                    "proj(agg[1](hj(idxscan(big_d.sel range),seqscan(big_b))))",
+                    &[11],
+                ),
+                (
+                    "proj(agg[1](hj(seqscan(big_d,pred),seqscan(big_b))))",
+                    &[11],
+                ),
+            ],
+        ),
+        (
+            qt(3),
+            &[
+                (
+                    "proj(agg[0](hj(hj(idxscan(big_c.flag eq),seqscan(big_b)),seqscan(big_a))))",
+                    &[1],
+                ),
+                (
+                    "proj(agg[0](hj(hj(seqscan(big_c,pred),seqscan(big_b)),seqscan(big_a))))",
+                    &[1],
+                ),
+            ],
+        ),
+        (
+            "SELECT * FROM big_a WHERE big_a.sel > 5000".into(),
+            &[
+                ("seqscan(big_a,pred)", &[494, 494]),
+                ("idxscan(big_a.sel range)", &[988]),
+            ],
+        ),
+        (
+            "SELECT DISTINCT big_a.grp FROM big_a".into(),
+            &[("distinct(proj(seqscan(big_a)))", &[100])],
+        ),
+        (
+            "SELECT big_b.id FROM big_b LIMIT 1500".into(),
+            &[("limit[1500](proj(seqscan(big_b)))", &[1024, 476])],
+        ),
+        (
+            "SELECT a.id, b.qty FROM big_a a JOIN big_b b ON b.a_id = a.id WHERE a.sel > 9000"
+                .into(),
+            &[
+                ("proj(hj(idxscan(big_a.sel range),seqscan(big_b)))", &[201]),
+                ("proj(hj(seqscan(big_a,pred),seqscan(big_b)))", &[201]),
+            ],
+        ),
+        (
+            "SELECT big_a.id * 2 AS x FROM big_a WHERE big_a.val > 50.0".into(),
+            &[("proj(seqscan(big_a,pred))", &[501, 475])],
+        ),
+    ];
+    for (sql, plans) in pinned {
+        let got: Vec<(String, Vec<usize>)> = engine
+            .explain(&sql)
+            .expect("plans")
+            .iter()
+            .map(|p| {
+                let (batches, _) = engine.execute_plan_batches(&p.plan).expect("runs");
+                (
+                    p.plan.signature(),
+                    batches.iter().map(ColumnBatch::n_rows).collect(),
+                )
+            })
+            .collect();
+        let want: Vec<(String, Vec<usize>)> = plans
+            .iter()
+            .map(|&(sig, counts)| (sig.to_owned(), counts.to_vec()))
+            .collect();
+        assert_eq!(got, want, "{sql}");
     }
 }

@@ -1,0 +1,216 @@
+//! The random catalogs and statements of the executor equivalence suites:
+//! `tests/engine_vs_naive_prop.rs` (batch engine vs row reference vs
+//! oracle) and the batch engine's own pruning-equivalence unit test, which
+//! `#[path]`-includes this file.
+//!
+//! Two generations. The first — small NULL-free `Int`-keyed tables, one
+//! equi-join key, `ORDER BY` on every grouped statement — is what the
+//! suites always drew, and keeps its draws so the old cases stay the old
+//! cases. The second reaches what a hash table must get right: NULLs in
+//! every column (join and group keys included), a `FLOAT` key joined to an
+//! `INT` one, string keys, two keys, a residual, duplicate build keys,
+//! first-seen group order, and tables of several chunks.
+
+#![allow(dead_code)]
+
+use qcc_common::{Column, DataType, Pcg32, Row, Schema, Value, BATCH_ROWS};
+use qcc_storage::{Catalog, Table};
+
+/// Random small tables `ta(a, b, s)` and `tb(a, c)`.
+pub fn random_catalog(rng: &mut Pcg32) -> Catalog {
+    let mut ta = Table::new(
+        "ta",
+        Schema::new(vec![
+            Column::new("a", DataType::Int),
+            Column::new("b", DataType::Int),
+            Column::new("s", DataType::Str),
+        ]),
+    );
+    let n_a = rng.range_u64(0, 40);
+    for _ in 0..n_a {
+        ta.insert(Row::new(vec![
+            Value::Int(rng.range_i64(0, 20)),
+            Value::Int(rng.range_i64(-5, 5)),
+            Value::Str((*rng.choose(b"abc") as char).to_string()),
+        ]))
+        .unwrap();
+    }
+    let mut tb = Table::new(
+        "tb",
+        Schema::new(vec![
+            Column::new("a", DataType::Int),
+            Column::new("c", DataType::Int),
+        ]),
+    );
+    let n_b = rng.range_u64(0, 40);
+    for _ in 0..n_b {
+        tb.insert(Row::new(vec![
+            Value::Int(rng.range_i64(0, 20)),
+            Value::Int(rng.range_i64(-5, 5)),
+        ]))
+        .unwrap();
+    }
+    let mut catalog = Catalog::new();
+    catalog.register(ta);
+    catalog.register(tb);
+    catalog.create_index("ta", "a").unwrap();
+    catalog
+}
+
+fn random_predicate(rng: &mut Pcg32) -> String {
+    match rng.range_u64(0, 7) {
+        0 => format!("ta.a > {}", rng.range_i64(0, 20)),
+        1 => format!("ta.a = {}", rng.range_i64(0, 20)),
+        2 => format!("ta.b <= {}", rng.range_i64(-5, 5)),
+        3 => format!(
+            "ta.a BETWEEN {} AND {}",
+            rng.range_i64(0, 10),
+            rng.range_i64(5, 20)
+        ),
+        4 => "ta.s IN ('a', 'b')".to_string(),
+        5 => "ta.s LIKE 'a%'".to_string(),
+        _ => format!(
+            "ta.a < {} OR ta.b = {}",
+            rng.range_i64(0, 20),
+            rng.range_i64(-5, 5)
+        ),
+    }
+}
+
+/// Random queries over the two tables, spanning scans, joins, predicates,
+/// grouping, ordering and limits.
+pub fn random_query(rng: &mut Pcg32) -> String {
+    let p = random_predicate(rng);
+    match rng.range_u64(0, 6) {
+        0 => {
+            let mut q = format!("SELECT ta.a, ta.b FROM ta WHERE {p} ORDER BY ta.a, ta.b, ta.s");
+            if rng.next_f64() < 0.5 {
+                q.push_str(&format!(" LIMIT {}", rng.range_u64(0, 10)));
+            }
+            q
+        }
+        1 => format!(
+            "SELECT ta.a, tb.c FROM ta JOIN tb ON ta.a = tb.a WHERE {p} \
+             ORDER BY ta.a, tb.c, ta.b"
+        ),
+        2 => format!(
+            "SELECT ta.s, COUNT(*) AS n, SUM(ta.b) AS t, MIN(ta.a) AS lo \
+             FROM ta WHERE {p} GROUP BY ta.s ORDER BY ta.s"
+        ),
+        3 => format!(
+            "SELECT ta.s, COUNT(*) AS n, AVG(tb.c) AS m FROM ta JOIN tb ON ta.a = tb.a \
+             WHERE {p} GROUP BY ta.s HAVING COUNT(*) > 1 ORDER BY ta.s"
+        ),
+        4 => "SELECT DISTINCT ta.s FROM ta ORDER BY ta.s".to_string(),
+        _ => "SELECT COUNT(*), SUM(ta.b), MAX(ta.a), COUNT(DISTINCT ta.s) FROM ta".to_string(),
+    }
+}
+
+/// More rows than two storage chunks hold, so scans, joins and grouping
+/// over such a table see several chunks and non-trivial selections.
+pub fn multi_chunk_rows(rng: &mut Pcg32) -> u64 {
+    2 * BATCH_ROWS as u64 + rng.range_u64(1, 400)
+}
+
+/// `ta(a, b, s, f)` and `tb(a, c, s)` of the given sizes, about one cell
+/// in ten NULL in every column. Key domains grow with the tables, so a
+/// key keeps a handful of duplicates whatever the size; `f` is a FLOAT
+/// column of whole and half numbers over `a`'s domain, so `ta.f = tb.a`
+/// joins a FLOAT key to an INT one. (Halves keep every float sum exact:
+/// the oracle adds in another order.)
+pub fn nullable_catalog(rng: &mut Pcg32, rows_a: u64, rows_b: u64) -> Catalog {
+    let keys = (rows_a.max(rows_b) as i64 / 2).max(20);
+    let strings = (rows_a.max(rows_b) as i64 / 50).max(3);
+    fn or_null(rng: &mut Pcg32, v: Value) -> Value {
+        if rng.next_f64() < 0.1 {
+            Value::Null
+        } else {
+            v
+        }
+    }
+    let mut ta = Table::new(
+        "ta",
+        Schema::new(vec![
+            Column::new("a", DataType::Int),
+            Column::new("b", DataType::Int),
+            Column::new("s", DataType::Str),
+            Column::new("f", DataType::Float),
+        ]),
+    );
+    for _ in 0..rows_a {
+        let row = vec![
+            Value::Int(rng.range_i64(0, keys)),
+            Value::Int(rng.range_i64(-5, 5)),
+            Value::Str(format!("s{}", rng.range_i64(0, strings))),
+            Value::Float(rng.range_i64(0, 2 * keys) as f64 / 2.0),
+        ];
+        ta.insert(Row::new(row.into_iter().map(|v| or_null(rng, v)).collect()))
+            .unwrap();
+    }
+    let mut tb = Table::new(
+        "tb",
+        Schema::new(vec![
+            Column::new("a", DataType::Int),
+            Column::new("c", DataType::Int),
+            Column::new("s", DataType::Str),
+        ]),
+    );
+    for _ in 0..rows_b {
+        let row = vec![
+            Value::Int(rng.range_i64(0, keys)),
+            Value::Int(rng.range_i64(-5, 5)),
+            Value::Str(format!("s{}", rng.range_i64(0, strings + 1))),
+        ];
+        tb.insert(Row::new(row.into_iter().map(|v| or_null(rng, v)).collect()))
+            .unwrap();
+    }
+    let mut catalog = Catalog::new();
+    catalog.register(ta);
+    catalog.register(tb);
+    catalog.create_index("ta", "a").unwrap();
+    catalog
+}
+
+/// Statements over [`nullable_catalog`]. None of the joins and grouped
+/// statements has an `ORDER BY`: match order (probe order × build order)
+/// and first-seen group order are part of what is compared.
+pub fn nullable_query(rng: &mut Pcg32) -> String {
+    let p = match rng.range_u64(0, 5) {
+        0 => format!("ta.a > {}", rng.range_i64(0, 15)),
+        1 => format!("ta.b <= {}", rng.range_i64(-5, 5)),
+        2 => "ta.s IN ('s0', 's1')".to_string(),
+        3 => "ta.f IS NOT NULL".to_string(),
+        _ => format!(
+            "ta.a < {} OR ta.b = {}",
+            rng.range_i64(0, 20),
+            rng.range_i64(-5, 5)
+        ),
+    };
+    match rng.range_u64(0, 10) {
+        0 => format!("SELECT ta.a, ta.f, tb.c FROM ta JOIN tb ON ta.f = tb.a WHERE {p}"),
+        1 => format!("SELECT ta.a, ta.s, tb.c FROM ta JOIN tb ON ta.s = tb.s WHERE {p}"),
+        2 => "SELECT ta.a, ta.b, tb.s FROM ta JOIN tb ON ta.a = tb.a AND ta.b = tb.c".to_string(),
+        3 => "SELECT ta.b, tb.c, ta.s FROM ta JOIN tb ON ta.a = tb.a \
+              AND (ta.b > tb.c OR ta.s = 's0')"
+            .to_string(),
+        4 => format!(
+            "SELECT ta.s, COUNT(*) AS n, SUM(ta.b) AS t, MIN(ta.s) AS lo, MAX(ta.s) AS hi, \
+             AVG(ta.f) AS m, COUNT(DISTINCT ta.b) AS d FROM ta WHERE {p} GROUP BY ta.s"
+        ),
+        5 => "SELECT ta.f, ta.s, COUNT(*) AS n, AVG(ta.f) AS m, MAX(ta.a) AS hi \
+              FROM ta GROUP BY ta.f, ta.s"
+            .to_string(),
+        6 => format!(
+            "SELECT tb.s, COUNT(*) AS n, MIN(ta.s) AS lo, AVG(ta.f) AS m, SUM(tb.c) AS t \
+             FROM ta JOIN tb ON ta.a = tb.a WHERE {p} GROUP BY tb.s"
+        ),
+        7 => "SELECT DISTINCT ta.s, ta.b FROM ta".to_string(),
+        8 => format!(
+            "SELECT COUNT(*), COUNT(DISTINCT ta.s), MIN(ta.s), MAX(ta.s), AVG(ta.f), \
+             SUM(ta.f), COUNT(ta.a) FROM ta WHERE {p}"
+        ),
+        _ => format!(
+            "SELECT ta.s, ta.a, ta.f FROM ta WHERE {p} ORDER BY ta.s DESC, ta.a + ta.b, ta.f, ta.a"
+        ),
+    }
+}
