@@ -78,10 +78,6 @@ QCC_THREADS=8 cargo test -q --offline --test midquery_reroute_e2e
 echo "==> stream cancel/resume property (byte-identical rows + bit-exact Work)"
 cargo test -q --offline --test stream_resume_prop
 
-echo "==> bench smoke: scatter_speedup (tiny scale)"
-QCC_LARGE_ROWS=2000 QCC_SMALL_ROWS=100 QCC_INSTANCES=2 QCC_WARMUP=1 \
-    cargo bench -q --offline -p qcc-bench --bench scatter_speedup
-
 echo "==> row vs columnar equivalence property (exact rows + bit-exact Work)"
 cargo test -q --offline --test engine_vs_naive_prop
 

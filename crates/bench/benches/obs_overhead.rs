@@ -9,7 +9,7 @@
 //!
 //! Virtual time must be bit-identical between the two — instrumentation
 //! observes the simulation, it never participates — so the table carries
-//! the same determinism column as `scatter_speedup`.
+//! a determinism column.
 
 use qcc_bench::BenchScale;
 use qcc_common::WallStopwatch;

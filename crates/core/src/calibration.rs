@@ -80,13 +80,14 @@ pub struct CalibrationTable {
     min_fragment_obs: usize,
     /// Per-server factor windows.
     per_server: Mutex<BTreeMap<ServerId, RatioWindow>>,
-    /// Per-(server, fragment signature) windows.
-    per_fragment: Mutex<BTreeMap<(ServerId, String), RatioWindow>>,
-    /// Integrator workload factor windows, per query template — "the table
-    /// maintained in QCC for II query cost calibration factors is different
-    /// from the table maintained for query fragment processing cost
-    /// calibration factors" (§3.2).
-    ii: Mutex<BTreeMap<String, RatioWindow>>,
+    /// Per-(server, fragment signature) windows, nested so a lookup
+    /// borrows both parts of the key.
+    per_fragment: Mutex<BTreeMap<ServerId, BTreeMap<String, RatioWindow>>>,
+    /// Integrator workload factor window — "the table maintained in QCC
+    /// for II query cost calibration factors is different from the table
+    /// maintained for query fragment processing cost calibration factors"
+    /// (§3.2).
+    ii: Mutex<RatioWindow>,
     /// Manual seeds (from daemon probes) used until real data arrives.
     seeds: Mutex<BTreeMap<ServerId, f64>>,
     obs: Obs,
@@ -100,7 +101,7 @@ impl CalibrationTable {
             min_fragment_obs: config.min_fragment_observations,
             per_server: Mutex::new(BTreeMap::new()),
             per_fragment: Mutex::new(BTreeMap::new()),
-            ii: Mutex::new(BTreeMap::new()),
+            ii: Mutex::new(RatioWindow::new(config.calibration_window)),
             seeds: Mutex::new(BTreeMap::new()),
             obs: Obs::off(),
         }
@@ -130,7 +131,9 @@ impl CalibrationTable {
             .push(observed_ms, estimated_total);
         self.per_fragment
             .lock()
-            .entry((server.clone(), signature.to_owned()))
+            .entry(server.clone())
+            .or_default()
+            .entry(signature.to_owned())
             .or_insert_with(|| RatioWindow::new(self.window))
             .push(observed_ms, estimated_total);
         self.obs
@@ -156,7 +159,7 @@ impl CalibrationTable {
     pub fn fragment_factor(&self, server: &ServerId, signature: &str) -> f64 {
         {
             let frag = self.per_fragment.lock();
-            if let Some(w) = frag.get(&(server.clone(), signature.to_owned())) {
+            if let Some(w) = frag.get(server).and_then(|of| of.get(signature)) {
                 if w.len() >= self.min_fragment_obs {
                     if let Some(f) = w.factor() {
                         return f;
@@ -184,25 +187,16 @@ impl CalibrationTable {
     }
 
     /// Record an end-to-end observation for the integrator workload factor.
-    pub fn record_ii(&self, template: &str, estimated_total: f64, observed_ms: f64) {
+    pub fn record_ii(&self, estimated_total: f64, observed_ms: f64) {
         if estimated_total <= 0.0 || !observed_ms.is_finite() {
             return;
         }
-        self.ii
-            .lock()
-            .entry(template.to_owned())
-            .or_insert_with(|| RatioWindow::new(self.window))
-            .push(observed_ms, estimated_total);
+        self.ii.lock().push(observed_ms, estimated_total);
     }
 
-    /// The integrator workload calibration factor for a query template
-    /// (1.0 when unknown).
-    pub fn ii_factor(&self, template: &str) -> f64 {
-        self.ii
-            .lock()
-            .get(template)
-            .and_then(RatioWindow::factor)
-            .unwrap_or(1.0)
+    /// The integrator workload calibration factor (1.0 when unknown).
+    pub fn ii_factor(&self) -> f64 {
+        self.ii.lock().factor().unwrap_or(1.0)
     }
 
     /// Every server with calibration state (window or seed) and its
@@ -235,7 +229,7 @@ impl CalibrationTable {
     /// stale).
     pub fn reset_server(&self, server: &ServerId) {
         self.per_server.lock().remove(server);
-        self.per_fragment.lock().retain(|(s, _), _| s != server);
+        self.per_fragment.lock().remove(server);
         self.seeds.lock().remove(server);
     }
 }
@@ -332,13 +326,13 @@ mod tests {
     }
 
     #[test]
-    fn ii_factor_per_template() {
+    fn ii_factor_is_one_ratio_of_averages() {
         let t = table();
-        t.record_ii("q_a", 100.0, 150.0);
-        t.record_ii("q_b", 100.0, 90.0);
-        assert!((t.ii_factor("q_a") - 1.5).abs() < 1e-12);
-        assert!((t.ii_factor("q_b") - 0.9).abs() < 1e-12);
-        assert_eq!(t.ii_factor("q_c"), 1.0);
+        assert_eq!(t.ii_factor(), 1.0);
+        t.record_ii(100.0, 150.0);
+        t.record_ii(100.0, 90.0);
+        t.record_ii(0.0, 90.0);
+        assert!((t.ii_factor() - 1.2).abs() < 1e-12);
     }
 
     #[test]

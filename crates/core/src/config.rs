@@ -38,19 +38,6 @@ pub struct QccConfig {
     /// Expected ping latency of a healthy unloaded server; the daemon
     /// seeds calibration factors from the ratio of measured to expected.
     pub expected_ping_ms: f64,
-    /// Cost inflation per observed recent error (reliability factor):
-    /// `factor = 1 + reliability_penalty × error_rate`.
-    pub reliability_penalty: f64,
-    /// Window length for reliability error-rate tracking.
-    pub reliability_window: usize,
-    /// Cache wrapper EXPLAIN responses per (server, fragment SQL), so
-    /// repeated fragments skip the network round trip (Figure 5's "MW can
-    /// compute the calibrated runtime cost without having to consult the
-    /// wrapper").
-    pub plan_cache: bool,
-    /// Maximum plan-cache entries before deterministic insertion-order
-    /// eviction kicks in (0 = unbounded).
-    pub plan_cache_capacity: usize,
     /// Re-calibration exploration: every Nth query of a template is
     /// routed to the best *alternative* server so its factor stays fresh
     /// (0 disables). Without this, a server the router abandons can never
@@ -76,10 +63,6 @@ impl Default for QccConfig {
             probe_interval_ms: 1_000.0,
             probe_interval_bounds_ms: (100.0, 10_000.0),
             expected_ping_ms: 1.0,
-            reliability_penalty: 4.0,
-            reliability_window: 16,
-            plan_cache: true,
-            plan_cache_capacity: qcc_federation::DEFAULT_PLAN_CACHE_CAPACITY,
             exploration_interval: 8,
             retry_limit: 2,
         }

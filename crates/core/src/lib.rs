@@ -5,9 +5,12 @@
 //! seam and, without modifying the optimizer, makes it load- and
 //! network-aware:
 //!
-//! * **Recording** ([`records`]): the meta-wrapper records every fragment
+//! * **Recording** ([`metawrapper`]): the meta-wrapper sees every fragment
 //!   statement, its estimated cost, its server mapping, and its observed
-//!   runtime response time (paper §2, items a–e).
+//!   runtime response time (paper §2, items a–e). It keeps no log of its
+//!   own: estimate/observation pairs go straight into the calibration
+//!   windows, errors into the reliability rings, and the history of a run
+//!   is the `Obs` journal (DESIGN.md "Where the paper's records live").
 //! * **Calibration** ([`calibration`]): per-server (and, with enough
 //!   observations, per-fragment-signature) calibration factors — the ratio
 //!   of average observed to average estimated cost — scale all future
@@ -32,7 +35,6 @@ pub mod daemon;
 pub mod loadbalance;
 pub mod metawrapper;
 pub mod placement;
-pub mod records;
 pub mod reliability;
 pub mod whatif;
 
@@ -43,9 +45,6 @@ pub use loadbalance::LoadBalancer;
 pub use metawrapper::MetaWrapper;
 pub use placement::{PlacementAdvisor, PlacementRecommendation};
 pub use qcc_federation::PlanCache;
-pub use records::{
-    ErrorRecord, FragmentCompileRecord, FragmentRunRecord, RecordStore, ServerSummary,
-};
 pub use reliability::ReliabilityTracker;
 pub use whatif::SimulatedFederation;
 
@@ -57,14 +56,12 @@ use qcc_catalog::ReplicaCatalog;
 use qcc_common::{Obs, ServerId, SimTime};
 use std::sync::Arc;
 
-/// The assembled QCC: recording + calibration + reliability + load
-/// distribution, exposed to the federation as a [`Middleware`].
+/// The assembled QCC: calibration + reliability + load distribution,
+/// exposed to the federation as a [`Middleware`].
 #[derive(Debug)]
 pub struct Qcc {
     /// Tuning knobs.
     pub config: QccConfig,
-    /// The meta-wrapper's record store.
-    pub records: RecordStore,
     /// Calibration factors.
     pub calibration: CalibrationTable,
     /// Availability / reliability state.
@@ -96,11 +93,10 @@ impl Qcc {
     /// [`Obs::off`] to disable instrumentation entirely).
     pub fn with_obs(config: QccConfig, obs: Obs) -> Arc<Self> {
         Arc::new(Qcc {
-            records: RecordStore::new(),
             calibration: CalibrationTable::new(&config).with_obs(obs.clone()),
-            reliability: ReliabilityTracker::new(&config).with_obs(obs.clone()),
+            reliability: ReliabilityTracker::new().with_obs(obs.clone()),
             load_balancer: LoadBalancer::new(&config).with_obs(obs.clone()),
-            plan_cache: PlanCache::with_capacity(config.plan_cache_capacity).with_obs(obs.clone()),
+            plan_cache: PlanCache::new().with_obs(obs.clone()),
             obs,
             config,
             catalog: Mutex::new(None),

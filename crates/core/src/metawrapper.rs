@@ -1,19 +1,18 @@
-//! The meta-wrapper: the middleware that records everything and calibrates
-//! costs on the way through (paper §2, Figures 3–5).
+//! The meta-wrapper: the middleware that observes every fragment and
+//! calibrates costs on the way through (paper §2, Figures 3–5).
 //!
 //! Under scatter-gather parallelism the meta-wrapper is called from worker
 //! threads, so it follows the frozen-state/deferred-effects discipline
 //! (DESIGN.md "Threading model"): every *read* (reliability factors,
 //! calibration factors, plan-cache probes, load-balancer peeks) sees the
-//! state frozen at scatter time, and every *write* (records, calibration
+//! state frozen at scatter time, and every *write* (calibration
 //! samples, reliability outcomes, cache inserts, balancer commits) is
 //! pushed into the caller's [`Deferred`] buffer and applied at the gather
 //! barrier in task order. Each observation defers exactly one closure —
 //! one lock acquisition sequence per observation, not per field.
 
-use crate::records::{ErrorRecord, FragmentCompileRecord, FragmentRunRecord};
 use crate::Qcc;
-use qcc_common::{Cost, FragmentId, QccError, QueryId, Result, ServerId, SimDuration, SimTime};
+use qcc_common::{Cost, FragmentId, QccError, Result, ServerId, SimDuration, SimTime};
 use qcc_federation::{
     share_plans, Deferred, FragmentCandidate, GlobalCandidate, Middleware, DEFAULT_UNCOSTED,
 };
@@ -42,7 +41,6 @@ impl Middleware for MetaWrapper {
     fn plan_fragment(
         &self,
         wrapper: &dyn Wrapper,
-        query: QueryId,
         fragment: FragmentId,
         sql: &Arc<str>,
         at: SimTime,
@@ -59,12 +57,7 @@ impl Middleware for MetaWrapper {
         // Plan-cache hit: reuse the wrapper's earlier EXPLAIN response and
         // skip the round trip — calibration below still applies the
         // *current* factors (Figure 5's walkthrough).
-        let cached = if self.qcc.config.plan_cache {
-            self.qcc.plan_cache.get(&server, Arc::clone(sql))
-        } else {
-            None
-        };
-        let (plans, took) = match cached {
+        let (plans, took) = match self.qcc.plan_cache.get(&server, Arc::clone(sql)) {
             Some(plans) => (plans, SimDuration::ZERO),
             None => match wrapper.plan(sql, at) {
                 Ok((plans, took)) => {
@@ -73,13 +66,11 @@ impl Middleware for MetaWrapper {
                     self.qcc
                         .obs
                         .counter_inc("explain_requests_total", &[("server", server.as_str())]);
-                    let plans = share_plans(sql, plans);
+                    let plans = share_plans(plans);
                     let qcc = self.qcc.clone();
                     let (srv, sql_key, stored) = (server.clone(), Arc::clone(sql), plans.clone());
                     effects.defer(move || {
-                        if qcc.config.plan_cache {
-                            qcc.plan_cache.put_shared(&srv, sql_key, stored);
-                        }
+                        qcc.plan_cache.put_shared(&srv, sql_key, stored);
                         qcc.reliability.record_success(&srv);
                     });
                     (plans, took)
@@ -91,48 +82,29 @@ impl Middleware for MetaWrapper {
             },
         };
 
+        // Calibrate: raw estimate × fragment factor × reliability.
         let reliability = self.qcc.reliability.factor(&server);
-        let mut compiles = Vec::with_capacity(plans.len());
         let candidates = plans
             .iter()
-            .map(|cached| {
-                let plan = &cached.plan;
-                // Record item (c)+(d): outgoing fragments and mappings.
-                // The record shares the cached label; nothing is copied.
-                compiles.push(FragmentCompileRecord::new(
-                    query,
-                    fragment,
-                    Arc::clone(&cached.label),
-                    at,
-                ));
-                // Calibrate: raw estimate × fragment factor × reliability.
+            .map(|plan| {
                 let raw = plan.cost.unwrap_or(Cost::fixed(DEFAULT_UNCOSTED));
                 let factor = self
                     .qcc
                     .calibration
                     .fragment_factor(&server, &plan.signature);
-                let effective_cost = raw.calibrate(factor * reliability);
                 FragmentCandidate {
                     fragment,
                     plan: Arc::clone(plan),
-                    effective_cost,
+                    effective_cost: raw.calibrate(factor * reliability),
                 }
             })
             .collect();
-        let qcc = self.qcc.clone();
-        effects.defer(move || {
-            for record in compiles {
-                qcc.records.record_compile(record);
-            }
-        });
         Ok((candidates, took))
     }
 
     fn execute_fragment_stream(
         &self,
         wrapper: &dyn Wrapper,
-        _query: QueryId,
-        _fragment: FragmentId,
         plan: &FragmentPlan,
         at: SimTime,
         cursor: usize,
@@ -165,50 +137,25 @@ impl Middleware for MetaWrapper {
         }
     }
 
-    fn observe_fragment(
-        &self,
-        query: QueryId,
-        fragment: FragmentId,
-        plan: &FragmentPlan,
-        observed_ms: f64,
-        at: SimTime,
-        effects: &mut Deferred,
-    ) {
-        // Record item (e): the fragment's observed response time, and
-        // feed the calibration window with the observed ÷ raw-estimate
-        // pair. The coordinator only acknowledges full, uncancelled
-        // completions, so the observed time is an honest whole-fragment
-        // sample. Uncosted fragments (file sources) calibrate against the
-        // DEFAULT_UNCOSTED baseline — the only way such sources ever
-        // become cost-comparable (§2: "when wrappers do not provide cost
-        // estimation").
+    fn observe_fragment(&self, plan: &FragmentPlan, observed_ms: f64, effects: &mut Deferred) {
+        // Item (e): feed the calibration window with the observed ÷
+        // raw-estimate pair. The coordinator only acknowledges full,
+        // uncancelled completions, so the observed time is an honest
+        // whole-fragment sample. Uncosted fragments (file sources)
+        // calibrate against the DEFAULT_UNCOSTED baseline — the only way
+        // such sources ever become cost-comparable (§2: "when wrappers do
+        // not provide cost estimation").
         let est = plan.cost.map(|c| c.total()).unwrap_or(DEFAULT_UNCOSTED);
-        let run = FragmentRunRecord {
-            query,
-            fragment,
-            server: plan.server.clone(),
-            signature: plan.signature.clone(),
-            estimated_total: Some(est),
-            observed_ms,
-            at,
-        };
+        let (server, signature) = (plan.server.clone(), plan.signature.clone());
         let qcc = self.qcc.clone();
         effects.defer(move || {
-            qcc.reliability.record_success(&run.server);
+            qcc.reliability.record_success(&server);
             qcc.calibration
-                .record_fragment(&run.server, &run.signature, est, observed_ms);
-            qcc.records.record_run(run);
+                .record_fragment(&server, &signature, est, observed_ms);
         });
     }
 
-    fn observe_fragment_cancel(
-        &self,
-        _query: QueryId,
-        _fragment: FragmentId,
-        server: &ServerId,
-        _at: SimTime,
-        effects: &mut Deferred,
-    ) {
+    fn observe_fragment_cancel(&self, server: &ServerId, effects: &mut Deferred) {
         // A stall-cancel is soft evidence against the server: penalize
         // its reliability factor (like a transient fault) so routing
         // shifts away, but feed nothing into the calibration windows —
@@ -222,10 +169,7 @@ impl Middleware for MetaWrapper {
     }
 
     fn calibrate_integration(&self, cost: Cost) -> Cost {
-        // The workload factor is tracked per template; as the template is
-        // not known at this call site, the global fallback ("") applies
-        // here and per-template refinement happens in observe_query.
-        cost.calibrate(self.qcc.calibration.ii_factor(""))
+        cost.calibrate(self.qcc.calibration.ii_factor())
     }
 
     fn choose_global(
@@ -244,21 +188,9 @@ impl Middleware for MetaWrapper {
         pick
     }
 
-    fn observe_query(
-        &self,
-        _query: QueryId,
-        query_sig: &str,
-        estimated_total: f64,
-        observed_ms: f64,
-        effects: &mut Deferred,
-    ) {
+    fn observe_query(&self, estimated_total: f64, observed_ms: f64, effects: &mut Deferred) {
         let qcc = self.qcc.clone();
-        let sig = query_sig.to_owned();
-        effects.defer(move || {
-            qcc.calibration
-                .record_ii(&sig, estimated_total, observed_ms);
-            qcc.calibration.record_ii("", estimated_total, observed_ms);
-        });
+        effects.defer(move || qcc.calibration.record_ii(estimated_total, observed_ms));
     }
 }
 
@@ -267,27 +199,21 @@ impl MetaWrapper {
         self.qcc
             .obs
             .counter_inc("fragment_failures_total", &[("server", server.as_str())]);
-        let record = ErrorRecord {
-            server: server.clone(),
-            message: e.to_string(),
-            at,
-        };
-        let unreachable = matches!(e, QccError::ServerUnavailable(_));
-        let fault = matches!(e, QccError::ServerFault { .. });
         let qcc = self.qcc.clone();
-        effects.defer(move || {
-            let server = record.server.clone();
-            qcc.records.record_error(record);
-            if unreachable {
+        let server = server.clone();
+        match e {
+            QccError::ServerUnavailable(_) => effects.defer(move || {
                 qcc.reliability.record_unreachable(&server, at);
                 // While unreachable the server's catalog may change;
                 // cached plans routing through its fragments are no
                 // longer trustworthy (scoped by the replica catalog
                 // when one is attached).
                 qcc.invalidate_down_plans(&server);
-            } else if fault {
-                qcc.reliability.record_fault(&server);
+            }),
+            QccError::ServerFault { .. } => {
+                effects.defer(move || qcc.reliability.record_fault(&server))
             }
-        });
+            _ => {}
+        }
     }
 }

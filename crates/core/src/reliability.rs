@@ -6,37 +6,33 @@
 //!   reliability factor > 1: *"QCC influences II to access not only high
 //!   performance but also highly available remote servers."*
 
-use crate::config::QccConfig;
 use parking_lot::Mutex;
 use qcc_common::{Obs, ServerId, SimTime};
 use std::collections::BTreeMap;
 
-#[derive(Debug)]
+/// Cost inflation per unit of recent error rate:
+/// `factor = 1 + RELIABILITY_PENALTY × error_rate`.
+const RELIABILITY_PENALTY: f64 = 4.0;
+/// Request outcomes remembered per server for the error rate.
+const RELIABILITY_WINDOW: usize = 16;
+
+#[derive(Debug, Default)]
 struct ServerHealth {
     /// Believed down since (None = believed up).
     down_since: Option<SimTime>,
-    /// Ring of recent request outcomes (true = success).
+    /// Ring of the last [`RELIABILITY_WINDOW`] request outcomes (true =
+    /// success).
     outcomes: Vec<bool>,
     next: usize,
-    capacity: usize,
 }
 
 impl ServerHealth {
-    fn new(capacity: usize) -> Self {
-        ServerHealth {
-            down_since: None,
-            outcomes: Vec::with_capacity(capacity),
-            next: 0,
-            capacity,
-        }
-    }
-
     fn push(&mut self, ok: bool) {
-        if self.outcomes.len() < self.capacity {
+        if self.outcomes.len() < RELIABILITY_WINDOW {
             self.outcomes.push(ok);
         } else {
             self.outcomes[self.next] = ok;
-            self.next = (self.next + 1) % self.capacity;
+            self.next = (self.next + 1) % RELIABILITY_WINDOW;
         }
     }
 
@@ -50,23 +46,16 @@ impl ServerHealth {
 }
 
 /// Shared availability / reliability state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ReliabilityTracker {
-    penalty: f64,
-    window: usize,
     state: Mutex<BTreeMap<ServerId, ServerHealth>>,
     obs: Obs,
 }
 
 impl ReliabilityTracker {
     /// Fresh tracker.
-    pub fn new(config: &QccConfig) -> Self {
-        ReliabilityTracker {
-            penalty: config.reliability_penalty,
-            window: config.reliability_window,
-            state: Mutex::new(BTreeMap::new()),
-            obs: Obs::off(),
-        }
+    pub fn new() -> Self {
+        ReliabilityTracker::default()
     }
 
     /// Attach an observability handle (up/down transition counters and
@@ -82,9 +71,7 @@ impl ReliabilityTracker {
     /// flag (the server evidently answered).
     pub fn record_success(&self, server: &ServerId) {
         let mut st = self.state.lock();
-        let h = st
-            .entry(server.clone())
-            .or_insert_with(|| ServerHealth::new(self.window));
+        let h = st.entry(server.clone()).or_default();
         h.push(true);
         let was_down = h.down_since.take().is_some();
         drop(st);
@@ -97,9 +84,7 @@ impl ReliabilityTracker {
     /// Record a transient fault (server answered with an error).
     pub fn record_fault(&self, server: &ServerId) {
         let mut st = self.state.lock();
-        st.entry(server.clone())
-            .or_insert_with(|| ServerHealth::new(self.window))
-            .push(false);
+        st.entry(server.clone()).or_default().push(false);
         drop(st);
         self.obs
             .counter_inc("server_faults_total", &[("server", server.as_str())]);
@@ -108,9 +93,7 @@ impl ReliabilityTracker {
     /// Record that the server did not answer at all: mark it down.
     pub fn record_unreachable(&self, server: &ServerId, at: SimTime) {
         let mut st = self.state.lock();
-        let h = st
-            .entry(server.clone())
-            .or_insert_with(|| ServerHealth::new(self.window));
+        let h = st.entry(server.clone()).or_default();
         h.push(false);
         let went_down = h.down_since.is_none();
         h.down_since.get_or_insert(at);
@@ -147,7 +130,7 @@ impl ReliabilityTracker {
         match st.get(server) {
             None => 1.0,
             Some(h) if h.down_since.is_some() => f64::INFINITY,
-            Some(h) => 1.0 + self.penalty * h.error_rate(),
+            Some(h) => 1.0 + RELIABILITY_PENALTY * h.error_rate(),
         }
     }
 
@@ -178,7 +161,7 @@ mod tests {
     use super::*;
 
     fn tracker() -> ReliabilityTracker {
-        ReliabilityTracker::new(&QccConfig::default())
+        ReliabilityTracker::new()
     }
 
     #[test]
@@ -244,7 +227,7 @@ mod tests {
     #[test]
     fn transitions_counted_once_not_per_record() {
         let obs = Obs::new();
-        let t = ReliabilityTracker::new(&QccConfig::default()).with_obs(obs.clone());
+        let t = ReliabilityTracker::new().with_obs(obs.clone());
         let s = ServerId::new("S1");
         t.record_success(&s); // up → up: no transition
         t.record_unreachable(&s, SimTime::ZERO);

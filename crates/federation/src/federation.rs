@@ -16,7 +16,6 @@ use crate::decompose::DecomposedQuery;
 use crate::middleware::{Deferred, GlobalCandidate, Middleware};
 use crate::nickname::NicknameCatalog;
 use crate::patroller::QueryPatroller;
-use parking_lot::Mutex;
 use qcc_admission::AdmissionController;
 use qcc_catalog::ReplicaCatalog;
 use qcc_common::{
@@ -100,9 +99,6 @@ pub struct Federation {
     clock: SimClock,
     ii_load: ServerLoad,
     config: FederationConfig,
-    /// The explain table: query template → winning global plan signature
-    /// (the paper stores the selected plan and its estimated costs here).
-    explain_table: Mutex<BTreeMap<String, String>>,
     /// Compiled templates by exact SQL text (DESIGN.md §16). Probed on the
     /// query's own thread, inserted into through the `Deferred` buffers.
     templates: template::TemplateCache,
@@ -139,7 +135,6 @@ impl Federation {
             clock,
             ii_load: ServerLoad::new(LoadProfile::Constant(0.0), 0.02),
             config,
-            explain_table: Mutex::new(BTreeMap::new()),
             templates: template::new_cache(),
             obs: Obs::off(),
             admission: None,
@@ -192,11 +187,6 @@ impl Federation {
         &self.nicknames
     }
 
-    /// The query patroller (its log is the QCC's runtime feed).
-    pub fn patroller(&self) -> &QueryPatroller {
-        &self.patroller
-    }
-
     /// The shared virtual clock.
     pub fn clock(&self) -> &SimClock {
         &self.clock
@@ -217,11 +207,6 @@ impl Federation {
         self.wrappers
             .get(server)
             .ok_or_else(|| QccError::Config(format!("no wrapper for server {server}")))
-    }
-
-    /// Snapshot of the explain table (template → winning plan signature).
-    pub fn explain_table(&self) -> BTreeMap<String, String> {
-        self.explain_table.lock().clone()
     }
 
     /// Compile a query: decompose and enumerate global candidates with
@@ -416,21 +401,6 @@ impl Federation {
                 .choose_global(&decomposed.template_signature, viable, effects)
                 .min(viable.len() - 1);
             let chosen = &viable[idx];
-            let chosen_signature = chosen.signature();
-            // Inline (not deferred) by design: within one batch every
-            // query sees the same frozen routing state, so same-template
-            // queries write the same winner — the table's contents are
-            // deterministic even though the write order is not. Written
-            // only when the winner changed.
-            {
-                let mut table = self.explain_table.lock();
-                if table.get(&decomposed.template_signature) != Some(&chosen_signature) {
-                    table.insert(
-                        decomposed.template_signature.clone(),
-                        chosen_signature.clone(),
-                    );
-                }
-            }
 
             let remaining_ms = (exec_deadline_ms > 0.0)
                 .then(|| exec_deadline_ms - clock.now().since(submitted).as_millis());
@@ -460,13 +430,8 @@ impl Federation {
                             ]
                         });
                     }
-                    self.middleware.observe_query(
-                        qid,
-                        &decomposed.template_signature,
-                        chosen.total_cost(),
-                        response_ms,
-                        effects,
-                    );
+                    self.middleware
+                        .observe_query(chosen.total_cost(), response_ms, effects);
                     // A success after at least one ban is a reroute: the
                     // retry loop found a plan avoiding the failed servers.
                     if !banned.is_empty() {
@@ -482,7 +447,7 @@ impl Federation {
                         id: qid,
                         rows,
                         response_ms,
-                        chosen_signature,
+                        chosen_signature: chosen.signature(),
                         servers: chosen.server_set(),
                         fragment_times,
                         estimated_cost: chosen.total_cost(),

@@ -119,7 +119,6 @@ impl Federation {
             let mut local = Deferred::new();
             let result = self.middleware.plan_fragment(
                 t.wrapper.as_ref(),
-                qid,
                 t.fid,
                 &t.frag_sql,
                 at,

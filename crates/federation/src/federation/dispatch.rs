@@ -65,8 +65,6 @@ impl Federation {
             let result = self.wrapper(&cand.plan.server).and_then(|wrapper| {
                 self.middleware.execute_fragment_stream(
                     wrapper.as_ref(),
-                    qid,
-                    cand.fragment,
                     &cand.plan,
                     start,
                     0,
@@ -283,8 +281,7 @@ impl Federation {
     ) {
         let ms = stream.response_time.as_millis();
         self.journal_fragment(qid, &cand.plan, ms, start, effects);
-        self.middleware
-            .observe_fragment(qid, cand.fragment, &cand.plan, ms, start, effects);
+        self.middleware.observe_fragment(&cand.plan, ms, effects);
     }
 
     /// Count and journal one `plan` execution that ran to completion (a

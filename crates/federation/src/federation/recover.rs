@@ -106,13 +106,8 @@ impl Federation {
             // A stall-cancel is soft reliability evidence; the interrupt
             // case was already recorded (at the transition instant) by the
             // middleware when the stream came back cut.
-            self.middleware.observe_fragment_cancel(
-                qid,
-                primary_cand.fragment,
-                &base_server,
-                cancel_at,
-                effects,
-            );
+            self.middleware
+                .observe_fragment_cancel(&base_server, effects);
         }
         let Some(alt) = alt else {
             self.obs.counter_inc("reroute_exhausted_total", &[]);
@@ -154,8 +149,6 @@ impl Federation {
         let resumed = self.wrapper(&alt_server).and_then(|wrapper| {
             self.middleware.execute_fragment_stream(
                 wrapper.as_ref(),
-                qid,
-                primary_cand.fragment,
                 &alt.plan,
                 cancel_at,
                 cursor,

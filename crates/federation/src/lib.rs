@@ -11,11 +11,11 @@
 //!    costs from the wrappers (through a pluggable [`Middleware`] — the
 //!    seam where the paper's meta-wrapper and QCC attach),
 //! 4. performs global cost-based optimization over the combinations
-//!    ([`Federation::explain_global`]), storing the winner in the explain
-//!    table,
+//!    ([`Federation::explain_global`]),
 //! 5. executes the chosen fragments at the remote servers and merges the
 //!    results locally with a real relational engine, and
-//! 6. logs submission/completion times in the [`QueryPatroller`].
+//! 6. journals each submission and completion through the
+//!    [`QueryPatroller`].
 //!
 //! Without a calibrating middleware this behaves like the paper's baseline
 //! prototype: cost functions reflect statistics only, never load or
@@ -37,8 +37,6 @@ pub use middleware::{
     DEFAULT_UNCOSTED,
 };
 pub use nickname::{NicknameCatalog, NicknameDef, SourceMapping};
-pub use patroller::{QueryLogEntry, QueryPatroller, QueryStatus};
-pub use plancache::{
-    share_plans, CachedPlan, PlanCache, PlanLabel, SharedPlans, DEFAULT_PLAN_CACHE_CAPACITY,
-};
+pub use patroller::QueryPatroller;
+pub use plancache::{share_plans, PlanCache, SharedPlans, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use report::render_explain;

@@ -11,7 +11,7 @@
 //! baseline II behaviour (no recording, no calibration); the QCC crate
 //! provides the calibrating implementation.
 
-use qcc_common::{Cost, FragmentId, QueryId, Result, ServerId, SimDuration, SimTime};
+use qcc_common::{Cost, FragmentId, Result, ServerId, SimDuration, SimTime};
 use qcc_wrapper::{FragmentPlan, Wrapper, WrapperStream};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// state directly — at one thread the scatter runs inline (earlier tasks'
 /// writes would be visible to later tasks), at eight threads it
 /// interleaves, and the results would differ. Instead, every side effect
-/// (statistics records, calibration samples, plan-cache inserts, load
+/// (journal events, calibration samples, plan-cache inserts, load
 /// balancer commits) is pushed into a `Deferred` buffer; the coordinator
 /// applies the buffers **at the gather barrier, in task-index order**, so
 /// the sequence of shared-state mutations is identical for any thread
@@ -152,13 +152,11 @@ impl GlobalCandidate {
 /// buffer and apply it immediately — the observable behaviour is the same.
 pub trait Middleware: Send + Sync {
     /// Compile time: forward an EXPLAIN to a wrapper. Implementations may
-    /// record the request and calibrate the returned costs. `sql` is the
-    /// compiled template's translation for this server; caches and records
-    /// share it rather than copy it.
+    /// calibrate the returned costs. `sql` is the compiled template's
+    /// translation for this server; caches share it rather than copy it.
     fn plan_fragment(
         &self,
         wrapper: &dyn Wrapper,
-        query: QueryId,
         fragment: FragmentId,
         sql: &Arc<str>,
         at: SimTime,
@@ -178,8 +176,6 @@ pub trait Middleware: Send + Sync {
     fn execute_fragment_stream(
         &self,
         wrapper: &dyn Wrapper,
-        query: QueryId,
-        fragment: FragmentId,
         plan: &FragmentPlan,
         at: SimTime,
         cursor: usize,
@@ -189,30 +185,13 @@ pub trait Middleware: Send + Sync {
     /// Coordinator acknowledgement that a streamed fragment ran to
     /// completion uncancelled: an honest whole-fragment sample for the
     /// reliability and calibration windows. No-op by default.
-    fn observe_fragment(
-        &self,
-        _query: QueryId,
-        _fragment: FragmentId,
-        _plan: &FragmentPlan,
-        _observed_ms: f64,
-        _at: SimTime,
-        _effects: &mut Deferred,
-    ) {
-    }
+    fn observe_fragment(&self, _plan: &FragmentPlan, _observed_ms: f64, _effects: &mut Deferred) {}
 
     /// Coordinator notice that a streamed fragment was cancelled
     /// mid-flight (stall detector fired). Implementations may penalize
     /// the server's reliability factor; they must NOT feed the truncated
     /// response time into calibration. No-op by default.
-    fn observe_fragment_cancel(
-        &self,
-        _query: QueryId,
-        _fragment: FragmentId,
-        _server: &ServerId,
-        _at: SimTime,
-        _effects: &mut Deferred,
-    ) {
-    }
+    fn observe_fragment_cancel(&self, _server: &ServerId, _effects: &mut Deferred) {}
 
     /// Calibrate the integrator-side merge cost (the paper's workload cost
     /// calibration factor, §3.2). Identity by default. Read-only.
@@ -243,15 +222,7 @@ pub trait Middleware: Send + Sync {
     /// Record the end-to-end outcome of a federated query (submit-to-merge
     /// response time vs. the chosen plan's estimate). Feeds the II workload
     /// calibration factor. No-op by default.
-    fn observe_query(
-        &self,
-        _query: QueryId,
-        _query_sig: &str,
-        _estimated_total: f64,
-        _observed_ms: f64,
-        _effects: &mut Deferred,
-    ) {
-    }
+    fn observe_query(&self, _estimated_total: f64, _observed_ms: f64, _effects: &mut Deferred) {}
 }
 
 /// Baseline middleware: forwards requests untouched. This is the paper's
@@ -279,7 +250,6 @@ impl Middleware for PassthroughMiddleware {
     fn plan_fragment(
         &self,
         wrapper: &dyn Wrapper,
-        _query: QueryId,
         fragment: FragmentId,
         sql: &Arc<str>,
         at: SimTime,
@@ -294,7 +264,7 @@ impl Middleware for PassthroughMiddleware {
             Some(plans) => (plans, SimDuration::ZERO),
             None => {
                 let (plans, took) = wrapper.plan(sql, at)?;
-                let plans = crate::plancache::share_plans(sql, plans);
+                let plans = crate::plancache::share_plans(plans);
                 if let Some(c) = self.cache.clone() {
                     let (server, sql, plans) = (server.clone(), Arc::clone(sql), plans.clone());
                     effects.defer(move || c.put_shared(&server, sql, plans));
@@ -305,10 +275,10 @@ impl Middleware for PassthroughMiddleware {
         Ok((
             plans
                 .iter()
-                .map(|cached| FragmentCandidate {
+                .map(|plan| FragmentCandidate {
                     fragment,
-                    effective_cost: cached.plan.cost.unwrap_or(Cost::fixed(DEFAULT_UNCOSTED)),
-                    plan: Arc::clone(&cached.plan),
+                    effective_cost: plan.cost.unwrap_or(Cost::fixed(DEFAULT_UNCOSTED)),
+                    plan: Arc::clone(plan),
                 })
                 .collect(),
             took,
@@ -318,8 +288,6 @@ impl Middleware for PassthroughMiddleware {
     fn execute_fragment_stream(
         &self,
         wrapper: &dyn Wrapper,
-        _query: QueryId,
-        _fragment: FragmentId,
         plan: &FragmentPlan,
         at: SimTime,
         cursor: usize,
@@ -332,6 +300,7 @@ impl Middleware for PassthroughMiddleware {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcc_common::QueryId;
 
     fn candidate(server: &str, cost: f64, sig: &str) -> FragmentCandidate {
         FragmentCandidate {

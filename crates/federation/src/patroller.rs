@@ -2,40 +2,18 @@
 //!
 //! Per the paper (§1): the patroller intercepts every user query, records
 //! the statement and submission time, and after execution records the
-//! completion time "in the log for future use" — the QCC mines this log.
+//! completion time "in the log for future use". Here that log is the
+//! `Obs` journal (`query_submit` / `query_complete` / `query_failed`
+//! events); the patroller itself holds only what it needs to write the
+//! next event — the id counter and the submit times of queries in flight.
 
 use parking_lot::Mutex;
 use qcc_common::{Obs, QueryId, SimTime};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Terminal status of a logged query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QueryStatus {
-    /// Still executing.
-    Running,
-    /// Completed successfully.
-    Completed,
-    /// Failed with an error message.
-    Failed(String),
-}
-
-/// One log entry.
-#[derive(Debug, Clone)]
-pub struct QueryLogEntry {
-    /// Assigned query id.
-    pub id: QueryId,
-    /// The federated SQL text.
-    pub sql: String,
-    /// Submission time.
-    pub submitted: SimTime,
-    /// Completion time (when finished).
-    pub completed: Option<SimTime>,
-    /// Status.
-    pub status: QueryStatus,
-}
-
-/// The patroller: id assignment plus an append-only log. Clones share
-/// the log.
+/// The patroller: id assignment plus the query lifecycle events and
+/// metrics. Clones share the state.
 #[derive(Debug, Clone, Default)]
 pub struct QueryPatroller {
     inner: Arc<Mutex<PatrollerState>>,
@@ -44,7 +22,8 @@ pub struct QueryPatroller {
 #[derive(Debug, Default)]
 struct PatrollerState {
     next_id: u64,
-    log: Vec<QueryLogEntry>,
+    /// Submit time of every query not yet finished.
+    in_flight: BTreeMap<QueryId, SimTime>,
     /// Journal handle. The federation calls the patroller only from
     /// coordinator-sequential code (submits before the scatter, finishes
     /// at the gather barrier in task order), so direct journal emission
@@ -68,13 +47,7 @@ impl QueryPatroller {
         let mut st = self.inner.lock();
         let id = QueryId(st.next_id);
         st.next_id += 1;
-        st.log.push(QueryLogEntry {
-            id,
-            sql: sql.to_owned(),
-            submitted: at,
-            completed: None,
-            status: QueryStatus::Running,
-        });
+        st.in_flight.insert(id, at);
         st.obs.event(
             at,
             "query_submit",
@@ -85,30 +58,25 @@ impl QueryPatroller {
 
     /// Record successful completion.
     pub fn record_complete(&self, id: QueryId, at: SimTime) {
-        self.finish(id, at, QueryStatus::Completed);
+        self.finish(id, at, None);
     }
 
     /// Record failure.
     pub fn record_failure(&self, id: QueryId, at: SimTime, error: String) {
-        self.finish(id, at, QueryStatus::Failed(error));
+        self.finish(id, at, Some(error));
     }
 
-    fn finish(&self, id: QueryId, at: SimTime, status: QueryStatus) {
+    fn finish(&self, id: QueryId, at: SimTime, error: Option<String>) {
         let mut st = self.inner.lock();
-        // Ids are assigned densely from 0 and the log is append-only, so
-        // entry `i` holds QueryId(i) — O(1) under concurrent completion
-        // traffic instead of a scan per finished query.
-        let finished = {
-            let Some(e) = st.log.get_mut(id.0 as usize).filter(|e| e.id == id) else {
-                return;
-            };
-            e.completed = Some(at);
-            e.status = status;
-            (at.since(e.submitted).as_millis(), e.status.clone())
+        let Some(submitted) = st.in_flight.remove(&id) else {
+            return;
         };
-        let (ms, status) = finished;
-        match &status {
-            QueryStatus::Completed => {
+        if !st.obs.is_enabled() {
+            return;
+        }
+        match error {
+            None => {
+                let ms = at.since(submitted).as_millis();
                 st.obs.event(
                     at,
                     "query_complete",
@@ -117,8 +85,7 @@ impl QueryPatroller {
                 st.obs.observe("query_response_ms", &[], ms);
                 st.obs.counter_inc("queries_total", &[("status", "ok")]);
             }
-            QueryStatus::Failed(error) => {
-                let error = error.clone();
+            Some(error) => {
                 st.obs.event(
                     at,
                     "query_failed",
@@ -126,49 +93,41 @@ impl QueryPatroller {
                 );
                 st.obs.counter_inc("queries_total", &[("status", "failed")]);
             }
-            QueryStatus::Running => {}
         }
-    }
-
-    /// Snapshot of the log.
-    pub fn log(&self) -> Vec<QueryLogEntry> {
-        self.inner.lock().log.clone()
-    }
-
-    /// Number of logged queries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().log.len()
-    }
-
-    /// True when nothing has been logged.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcc_common::SimDuration;
+    use qcc_common::{FieldValue, SimDuration};
+
+    fn patroller() -> (QueryPatroller, Obs) {
+        let (p, obs) = (QueryPatroller::new(), Obs::new());
+        p.set_obs(obs.clone());
+        (p, obs)
+    }
 
     #[test]
     fn submit_complete_cycle() {
-        let p = QueryPatroller::new();
+        let (p, obs) = patroller();
         let t0 = SimTime::ZERO;
         let id = p.record_submit("SELECT 1", t0);
         let t1 = t0 + SimDuration::from_millis(42.0);
         p.record_complete(id, t1);
-        let log = p.log();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log[0].status, QueryStatus::Completed);
         assert_eq!(
-            log[0]
-                .completed
-                .unwrap()
-                .since(log[0].submitted)
-                .as_millis(),
-            42.0
+            obs.events_of("query_submit")[0].str_field("sql"),
+            Some("SELECT 1")
         );
+        let done = obs.events_of("query_complete");
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].at, t1);
+        assert_eq!(done[0].field("ms"), Some(&FieldValue::F64(42.0)));
+        assert_eq!(obs.counter_value("queries_total", &[("status", "ok")]), 1);
+        // Finished means forgotten: a second finish of the same id is a
+        // no-op, not a second event.
+        p.record_complete(id, t1);
+        assert_eq!(obs.events_of("query_complete").len(), 1);
     }
 
     #[test]
@@ -181,17 +140,23 @@ mod tests {
 
     #[test]
     fn failures_recorded() {
-        let p = QueryPatroller::new();
+        let (p, obs) = patroller();
         let id = p.record_submit("bad", SimTime::ZERO);
         p.record_failure(id, SimTime::ZERO, "server down".into());
-        assert!(matches!(p.log()[0].status, QueryStatus::Failed(_)));
+        let failed = obs.events_of("query_failed");
+        assert_eq!(failed.len(), 1);
+        assert_eq!(failed[0].str_field("error"), Some("server down"));
+        assert_eq!(
+            obs.counter_value("queries_total", &[("status", "failed")]),
+            1
+        );
     }
 
     #[test]
-    fn clones_share_log() {
+    fn clones_share_state() {
         let p = QueryPatroller::new();
         let q = p.clone();
-        p.record_submit("x", SimTime::ZERO);
-        assert_eq!(q.len(), 1);
+        let a = p.record_submit("x", SimTime::ZERO);
+        assert!(q.record_submit("y", SimTime::ZERO) > a);
     }
 }

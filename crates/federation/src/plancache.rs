@@ -11,13 +11,9 @@
 //! [`crate::FragmentCandidate`] built from a response shares its plan
 //! with the cache by `Arc`, so neither a hit nor anything downstream of
 //! it (enumerating, filtering, choosing candidates) deep-clones a plan
-//! descriptor. Each cached plan also carries its [`PlanLabel`] — the
-//! plan minus its executable descriptor — which is what long-lived
-//! records share, so that a record neither copies strings per arrival
-//! nor keeps an evicted plan's descriptor tree alive. The fragment SQL
-//! is an `Arc<str>` end to end: the compiled template that translated
-//! it, the cache key (probing with it allocates nothing) and the labels
-//! all hold the one allocation. The hit/miss
+//! descriptor. The fragment SQL is an `Arc<str>` end to end: the compiled
+//! template that translated it and the cache key hold the one allocation,
+//! so probing with it allocates nothing. The hit/miss
 //! counters are lock-free atomics — under compile-time fan-out every
 //! worker thread probes the cache concurrently, so `get` takes exactly
 //! one short map lock.
@@ -32,59 +28,24 @@
 
 use crate::fifo::FifoMap;
 use parking_lot::Mutex;
-use qcc_common::{Cost, Obs, ServerId};
+use qcc_common::{Obs, ServerId};
 use qcc_wrapper::FragmentPlan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default entry cap (see `QccConfig::plan_cache_capacity`). Far above
-/// the workloads simulated here; the bound exists so a production-scale
-/// stream of distinct fragment SQLs cannot grow the cache forever.
+/// Default entry cap. Far above the workloads simulated here; the bound
+/// exists so a production-scale stream of distinct fragment SQLs cannot
+/// grow the cache forever.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 4096;
 
-/// What identifies a fragment plan once it no longer needs to run: a
-/// [`FragmentPlan`] without its descriptor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanLabel {
-    /// The source server the plan executes on.
-    pub server: ServerId,
-    /// The fragment SQL the plan answers, as sent to the wrapper (shared
-    /// with the cache key).
-    pub sql: Arc<str>,
-    /// Canonical plan-shape signature.
-    pub signature: String,
-    /// The wrapper's raw cost estimate (`None` for file sources).
-    pub cost: Option<Cost>,
-}
-
-/// One plan of a wrapper's EXPLAIN response, in shareable form.
-#[derive(Debug, Clone)]
-pub struct CachedPlan {
-    /// The plan, as candidates share it.
-    pub plan: Arc<FragmentPlan>,
-    /// Its label, as records share it.
-    pub label: Arc<PlanLabel>,
-}
-
 /// One wrapper's EXPLAIN response, shared between the cache and every
-/// candidate and record built from it.
-pub type SharedPlans = Arc<[CachedPlan]>;
+/// candidate built from it.
+pub type SharedPlans = Arc<[Arc<FragmentPlan>]>;
 
-/// Put the plans a wrapper just returned for `sql` in shareable form (the
-/// plans move; a label copies the signature once per EXPLAIN, not per use).
-pub fn share_plans(sql: &Arc<str>, plans: Vec<FragmentPlan>) -> SharedPlans {
-    plans
-        .into_iter()
-        .map(|plan| CachedPlan {
-            label: Arc::new(PlanLabel {
-                server: plan.server.clone(),
-                sql: Arc::clone(sql),
-                signature: plan.signature.clone(),
-                cost: plan.cost,
-            }),
-            plan: Arc::new(plan),
-        })
-        .collect()
+/// Put the plans a wrapper just returned in shareable form (the plans
+/// move; nothing is copied).
+pub fn share_plans(plans: Vec<FragmentPlan>) -> SharedPlans {
+    plans.into_iter().map(Arc::new).collect()
 }
 
 /// Shared compile-time plan cache with a FIFO entry cap.
@@ -149,9 +110,7 @@ impl PlanCache {
 
     /// Store a wrapper's EXPLAIN response.
     pub fn put(&self, server: &ServerId, sql: impl Into<Arc<str>>, plans: Vec<FragmentPlan>) {
-        let sql = sql.into();
-        let plans = share_plans(&sql, plans);
-        self.put_shared(server, sql, plans);
+        self.put_shared(server, sql.into(), share_plans(plans));
     }
 
     /// Store an already-shared EXPLAIN response (the caller keeps a handle
@@ -277,8 +236,7 @@ mod tests {
         let a = c.get(&s, "q").unwrap();
         let b = c.get(&s, "q").unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert!(Arc::ptr_eq(&a[0].plan, &b[0].plan));
-        assert_eq!(&*a[0].label.sql, "q");
+        assert!(Arc::ptr_eq(&a[0], &b[0]));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! distribution is to pick S3 as the default server" (Figure 11).
 
 use crate::querytypes::QueryType;
-use qcc_common::{FragmentId, QueryId, Result, ServerId, SimDuration, SimTime};
+use qcc_common::{FragmentId, Result, ServerId, SimDuration, SimTime};
 use qcc_federation::{
     Deferred, FragmentCandidate, GlobalCandidate, Middleware, PassthroughMiddleware,
 };
@@ -65,28 +65,25 @@ impl Middleware for FixedRoutingMiddleware {
     fn plan_fragment(
         &self,
         wrapper: &dyn Wrapper,
-        query: QueryId,
         fragment: FragmentId,
         sql: &Arc<str>,
         at: SimTime,
         effects: &mut Deferred,
     ) -> Result<(Vec<FragmentCandidate>, SimDuration)> {
         self.inner
-            .plan_fragment(wrapper, query, fragment, sql, at, effects)
+            .plan_fragment(wrapper, fragment, sql, at, effects)
     }
 
     fn execute_fragment_stream(
         &self,
         wrapper: &dyn Wrapper,
-        query: QueryId,
-        fragment: FragmentId,
         plan: &FragmentPlan,
         at: SimTime,
         cursor: usize,
         effects: &mut Deferred,
     ) -> Result<WrapperStream> {
         self.inner
-            .execute_fragment_stream(wrapper, query, fragment, plan, at, cursor, effects)
+            .execute_fragment_stream(wrapper, plan, at, cursor, effects)
     }
 
     fn choose_global(

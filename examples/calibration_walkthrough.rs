@@ -107,24 +107,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
               FROM inventory i JOIN suppliers s ON i.part_id = s.part_id \
               WHERE i.warehouse = 3 GROUP BY s.name ORDER BY total DESC LIMIT 5";
     println!("Q1: {q1}\n");
+    // Compile time (Figure 3): the wrappers' plans and estimated costs.
+    let (_, candidates) = federation.explain_global(q1)?;
     let out = federation.submit(q1)?;
     println!("Q1 executed on {:?}; fragment response times:", out.servers);
     for (server, ms) in &out.fragment_times {
         println!("   {server}: observed {ms:.2} ms");
     }
 
-    // The meta-wrapper recorded estimated vs observed per fragment; the
-    // QCC turned them into per-server calibration factors (Figure 4's
-    // 8/5 = 1.6 and 7/5 = 1.4 computation, with our numbers).
-    println!("\nMeta-wrapper runtime records:");
-    for r in qcc.records.runs() {
+    // The meta-wrapper paired each fragment's estimate with its observed
+    // time; the QCC turned the pairs into per-server calibration factors
+    // (Figure 4's 8/5 = 1.6 and 7/5 = 1.4 computation, with our numbers).
+    let executed = candidates
+        .iter()
+        .find(|c| c.signature() == out.chosen_signature)
+        .ok_or("the executed plan was not among the compiled candidates")?;
+    println!("\nEstimated vs observed, per fragment of the executed plan:");
+    for (i, (f, (server, observed))) in executed
+        .fragments
+        .iter()
+        .zip(&out.fragment_times)
+        .enumerate()
+    {
+        let estimated = f.plan.cost.map(|c| c.total()).unwrap_or(f64::NAN);
         println!(
-            "   {} @ {}: estimated {:.2}, observed {:.2} → ratio {:.2}",
-            r.fragment,
-            r.server,
-            r.estimated_total.unwrap_or(f64::NAN),
-            r.observed_ms,
-            r.observed_ms / r.estimated_total.unwrap_or(f64::NAN)
+            "   fragment {i} @ {server}: estimated {estimated:.2}, observed {observed:.2} → ratio {:.2}",
+            observed / estimated
         );
     }
     for id in ["S1", "S2"] {

@@ -1,5 +1,5 @@
 //! Availability-aware routing (§3.3): a remote source goes down
-//! mid-workload; the QCC detects it (error records + daemon probes), pins
+//! mid-workload; the QCC detects it (failed fragments + daemon probes), pins
 //! its cost to infinity so no fragments route there, and re-admits it once
 //! probes see it back up. The whole story is replayed from the qcc-obs
 //! journal and metrics registry at the end (DESIGN.md §9).
@@ -117,9 +117,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // factor (§3.3) penalizes the recently-flaky server until its error
     // window washes out: "access not only high performance but also
     // highly available remote servers."
-    println!("\nError records the meta-wrapper captured:");
-    for e in qcc.records.errors() {
-        println!("   [{}] {}: {}", e.at, e.server, e.message);
+    println!("\nErrors the meta-wrapper captured:");
+    for name in ["primary", "backup"] {
+        println!(
+            "   {name}: {} failed fragment requests",
+            obs.counter_value("fragment_failures_total", &[("server", name)])
+        );
+    }
+    for e in obs.events_of("server_down") {
+        let server = e.str_field("server").unwrap_or_default();
+        println!("   [{}] {server}: marked down", e.at);
+    }
+    for e in obs.events_of("query_failed") {
+        let error = e.str_field("error").unwrap_or_default();
+        println!("   [{}] query failed: {error}", e.at);
     }
 
     // The same story, machine-readable: every ban, reroute, probe and

@@ -58,7 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     nicknames.add_source("events", ServerId::new("fast"), "events")?;
     nicknames.add_source("events", ServerId::new("slow"), "events")?;
 
-    // 5. The QCC middleware plus the federation.
+    // 5. The QCC middleware plus the federation, journaling into the
+    // QCC's observability handle.
     let qcc = Qcc::new(QccConfig::default());
     let clock = SimClock::new();
     let mut federation = Federation::new(
@@ -67,6 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         qcc.middleware(),
         FederationConfig::default(),
     );
+    federation.set_obs(qcc.obs.clone());
     federation.add_wrapper(Arc::new(RelationalWrapper::new(
         Arc::clone(&fast),
         Arc::clone(&network),
@@ -119,10 +121,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 8. The patroller kept the full log.
+    // 8. The journal kept the run's history; the counters keep the tallies.
     println!(
-        "--- patroller logged {} queries, virtual time is {} ---",
-        federation.patroller().len(),
+        "--- {} queries answered, {} journal events, virtual time is {} ---",
+        qcc.obs.counter_value("queries_total", &[("status", "ok")]),
+        qcc.obs.journal_len(),
         clock.now()
     );
     Ok(())

@@ -12,7 +12,7 @@
 //!
 //! Commands also work non-interactively: `echo "phase 4" | qcc-demo`.
 
-use load_aware_federation::common::ServerId;
+use load_aware_federation::common::{FieldValue, ServerId};
 use load_aware_federation::federation::render_explain;
 use load_aware_federation::netsim::LoadProfile;
 use load_aware_federation::workload::{
@@ -28,8 +28,8 @@ commands:
   phase <1..8>         apply a Table-1 load phase to all servers
   clear                clear all load
   factors              show current calibration factors per server
-  summary              per-server history from the meta-wrapper records
-  log [n]              show the last n patroller entries (default 5)
+  summary              per-server fragments, failures and factors so far
+  log [n]              show the last n query lifecycle events of the journal (default 5)
   help                 this text
   quit                 exit";
 
@@ -151,25 +151,45 @@ fn main() {
             }
             "summary" => {
                 let qcc = scenario.qcc.as_ref().expect("QCC scenario");
-                for s in qcc.records.server_summaries() {
+                let obs = &scenario.obs;
+                let mut observed = 0;
+                for s in &scenario.servers {
+                    let server = [("server", s.id().as_str())];
+                    let fragments = obs.counter_value("fragments_total", &server);
+                    observed += fragments;
                     println!(
-                        "  {}: {} obs, mean {:.2} ms, mean ratio {:.2}, {} errors",
-                        s.server, s.observations, s.mean_observed_ms, s.mean_ratio, s.errors
+                        "  {}: {fragments} fragments, {} failures, calibration {:.3} over {} samples, reliability {:.3}",
+                        s.id(),
+                        obs.counter_value("fragment_failures_total", &server),
+                        qcc.calibration.server_factor(s.id()),
+                        obs.counter_value("calibration_samples_total", &server),
+                        qcc.reliability.factor(s.id()),
                     );
                 }
-                if qcc.records.run_count() == 0 {
+                if observed == 0 {
                     println!("  (no runtime observations yet — submit some queries)");
                 }
             }
             "log" => {
                 let n = rest.parse::<usize>().unwrap_or(5);
-                let log = scenario.federation.patroller().log();
-                for e in log.iter().rev().take(n).rev() {
-                    let took = e
-                        .completed
-                        .map(|c| format!("{:.2} ms", c.since(e.submitted).as_millis()))
-                        .unwrap_or_else(|| "running".into());
-                    println!("  {} [{:?}] {} — {}", e.id, e.status, took, e.sql);
+                let lifecycle: Vec<_> = scenario
+                    .obs
+                    .journal()
+                    .into_iter()
+                    .filter(|e| {
+                        matches!(e.kind, "query_submit" | "query_complete" | "query_failed")
+                    })
+                    .collect();
+                for e in &lifecycle[lifecycle.len().saturating_sub(n)..] {
+                    let Some(FieldValue::U64(query)) = e.field("query") else {
+                        continue;
+                    };
+                    let detail = match (e.kind, e.field("ms")) {
+                        ("query_submit", _) => e.str_field("sql").unwrap_or_default().to_owned(),
+                        (_, Some(FieldValue::F64(ms))) => format!("{ms:.2} ms"),
+                        _ => e.str_field("error").unwrap_or_default().to_owned(),
+                    };
+                    println!("  [{}] Q{query} {} — {detail}", e.at, e.kind);
                 }
             }
             other => println!("unknown command '{other}' — try 'help'"),

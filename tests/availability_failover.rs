@@ -167,13 +167,12 @@ fn flaky_server_is_penalized_until_reliable() {
         backup_hits > 0,
         "reliability penalty should divert some traffic to backup"
     );
-    // Errors are in the MW record store for later analysis.
-    assert!(w
+    // The meta-wrapper counted the failed requests against the server.
+    let failures = w
         .qcc
-        .records
-        .errors()
-        .iter()
-        .any(|e| e.server == ServerId::new("primary")));
+        .obs
+        .counter_value("fragment_failures_total", &[("server", "primary")]);
+    assert!(failures >= 1, "primary's failures are counted");
 }
 
 #[test]
@@ -205,9 +204,13 @@ fn runtime_fault_fails_over_within_the_same_query() {
         "failed over to {:?}",
         out.servers
     );
-    // The fault is in the record store and the reliability state.
+    // The fault is in the failure counter and the reliability state.
     assert!(w.qcc.reliability.error_rate(&ServerId::new("primary")) > 0.0);
-    assert!(!w.qcc.records.errors().is_empty());
+    let failures = w
+        .qcc
+        .obs
+        .counter_value("fragment_failures_total", &[("server", "primary")]);
+    assert!(failures >= 1, "primary's failed EXECUTE is counted");
 }
 
 #[test]

@@ -1,0 +1,121 @@
+//! The coordinator's memory is a function of the state routing needs, not
+//! of the number of queries it has served (ROADMAP "Bounded coordinator
+//! state"). With the journal off, a warmed-up coordinator repeating the
+//! paper's forty statements must not grow its live heap at all; with the
+//! journal on, the journal is the only thing that grows.
+//!
+//! This binary wraps the system allocator in a live-byte counter, so the
+//! assertions are on bytes actually held, not on RSS.
+
+use load_aware_federation::qcc::QccConfig;
+use load_aware_federation::workload::{Scenario, ScenarioConfig, ALL_QUERY_TYPES};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+const WARMUP: usize = 1_000;
+const MEASURED: usize = 2_000;
+
+/// Live-heap growth allowed per query with the journal off. Measured:
+/// 0.0 B. With the record store, the patroller log, the explain table and
+/// the per-template II windows still in place this world grew by 1 090 B
+/// per query.
+const MAX_GROWTH_OBS_OFF: f64 = 16.0;
+
+/// Live-heap growth allowed per query with the journal on. The journal
+/// alone measures 1 736 B per query here (its `Vec` doubles inside the
+/// window); with the four histories beside it the same run measured
+/// 2 826 B. The bound sits between the two, so it fails if a per-query
+/// history reappears next to the journal.
+const MAX_GROWTH_OBS_ON: f64 = 2_300.0;
+
+/// The system allocator, counting live bytes.
+struct Counting;
+
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a relaxed atomic that
+// publishes nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.realloc`'s.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.dealloc`'s.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The two tests share the process-wide counter, so they take turns.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// Live-heap bytes gained per query over `MEASURED` submits of the forty
+/// paper statements (QT1–QT4 × 10 instances), after `WARMUP` submits of
+/// the same, on the coordinator-bound world of `qcc-perf`'s
+/// `coordinator_hot`: six servers, partitioned nicknames, trivial tables.
+fn growth_per_query(obs_enabled: bool) -> f64 {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let scenario = Scenario::build_partitioned(
+        QccConfig::default(),
+        ScenarioConfig {
+            obs_enabled,
+            replication_factor: 0,
+            ..ScenarioConfig::scale(6)
+        },
+    );
+    let statements: Vec<String> = ALL_QUERY_TYPES
+        .iter()
+        .flat_map(|qt| (0..10).map(move |i| qt.sql(i)))
+        .collect();
+    let submit = |n: usize| {
+        for sql in statements.iter().cycle().take(n) {
+            scenario.federation.submit(sql).expect("statement answers");
+        }
+    };
+    submit(WARMUP);
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    submit(MEASURED);
+    let after = LIVE_BYTES.load(Ordering::Relaxed);
+    (after as f64 - before as f64) / MEASURED as f64
+}
+
+#[test]
+fn journal_off_a_warm_coordinator_does_not_grow() {
+    let growth = growth_per_query(false);
+    println!("live heap growth, journal off: {growth:.1} B/query");
+    assert!(
+        growth <= MAX_GROWTH_OBS_OFF,
+        "coordinator state grows with queries served: {growth:.1} B/query"
+    );
+}
+
+#[test]
+fn journal_on_only_the_journal_grows() {
+    let growth = growth_per_query(true);
+    println!("live heap growth, journal on: {growth:.1} B/query");
+    assert!(
+        growth <= MAX_GROWTH_OBS_ON,
+        "something besides the journal keeps a per-query history: {growth:.1} B/query"
+    );
+}

@@ -240,12 +240,20 @@ fn meta_wrapper_records_cover_all_rotated_servers() {
         QccConfig::with_load_balance(LoadBalanceMode::GlobalLevel),
     );
     let _ = server_sets(&fed, 12);
-    let runs = qcc.records.runs();
-    let servers: BTreeSet<String> = runs.iter().map(|r| r.server.to_string()).collect();
+    // A calibration sample is counted only for a completed fragment whose
+    // estimate was positive, so the counter pairs both facts per server.
+    let servers: Vec<&str> = w
+        .servers
+        .iter()
+        .map(|s| s.id().as_str())
+        .filter(|id| {
+            qcc.obs
+                .counter_value("calibration_samples_total", &[("server", id)])
+                > 0
+        })
+        .collect();
     assert!(
         servers.len() >= 3,
-        "runtime records should span rotated servers: {servers:?}"
+        "runtime observations should span rotated servers: {servers:?}"
     );
-    // Every record carries the estimate it was costed with.
-    assert!(runs.iter().all(|r| r.estimated_total.is_some()));
 }

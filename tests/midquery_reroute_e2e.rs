@@ -198,32 +198,52 @@ fn cancelled_partial_delivery_never_feeds_calibration() {
     let obs = &ep.scenario.obs;
     let qcc = ep.scenario.qcc.as_ref().expect("qcc routing");
 
-    // Run records are the calibration input log (observe_fragment records
-    // a run and a calibration sample in the same deferred effect), so the
-    // truncated episode is pinned here: the victim contributes nothing at
-    // or after the interrupt instant.
-    let runs = qcc.records.runs();
-    assert!(
-        runs.iter().all(|r| r.server != ep.victim || r.at < ep.cut),
-        "an interrupted fragment must not record a (truncated) run sample"
+    // `calibration_samples_total` counts exactly what the calibration
+    // windows took in (it is incremented where the sample is pushed), and
+    // a `fragment` event is journalled at the fragment's start instant for
+    // every execution that ran to completion. The truncated episode is
+    // pinned here: the victim's samples are its completions that started
+    // before the interrupt instant, nothing more.
+    let samples =
+        |server: &str| obs.counter_value("calibration_samples_total", &[("server", server)]);
+    let fragments = obs.events_of("fragment");
+    let victim_before_cut = fragments
+        .iter()
+        .filter(|e| e.str_field("server") == Some(ep.victim.as_str()) && e.at < ep.cut)
+        .count() as u64;
+    assert_eq!(
+        samples(ep.victim.as_str()),
+        victim_before_cut,
+        "an interrupted fragment must not record a (truncated) calibration sample"
     );
     // Full completions are acknowledged exactly once each; the rescued
     // remainder is journalled as a resumed fragment but is *not* a
     // calibration sample (its response time covers only the tail).
-    let fragment_events = obs.events_of("fragment").len();
     let resumes = obs.events_of("fragment_resume").len();
     assert!(resumes >= 1, "the episode must actually reroute");
+    let total_samples: u64 = ep
+        .scenario
+        .servers
+        .iter()
+        .map(|s| samples(s.id().as_str()))
+        .sum();
     assert_eq!(
-        runs.len(),
-        fragment_events - resumes,
+        total_samples as usize,
+        fragments.len() - resumes,
         "calibration samples = full fragment completions, excluding resumed remainders"
     );
     // Every surviving calibration input is a finite, positive,
     // whole-fragment observation.
-    for r in &runs {
+    for e in &fragments {
+        let ms = ms_field(e);
         assert!(
-            r.observed_ms > 0.0 && r.observed_ms.is_finite(),
+            ms > 0.0 && ms.is_finite(),
             "calibration samples stay finite and positive"
         );
     }
+    assert!(qcc
+        .calibration
+        .server_factors()
+        .values()
+        .all(|f| f.is_finite() && *f > 0.0));
 }

@@ -1,6 +1,6 @@
 //! The scatter-gather layer's headline guarantee: **determinism under
-//! parallelism**. Routing decisions, calibration factors, explain-table
-//! contents and result rows must be byte-identical for any worker-pool
+//! parallelism**. Routing decisions, calibration factors, the journal
+//! and result rows must be byte-identical for any worker-pool
 //! width — threads is purely a wall-clock knob (DESIGN.md "Threading
 //! model").
 //!
@@ -28,10 +28,11 @@ fn config(threads: usize) -> ScenarioConfig {
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
     phases: Vec<(usize, [u64; 4], [String; 4], u64)>,
-    explain_table: Vec<(String, String)>,
     server_factors: Vec<(String, u64)>,
-    ii_factors: Vec<(String, u64)>,
-    patroller: Vec<(String, u64, Option<u64>)>,
+    ii_factor: u64,
+    /// Every submit, compile, fragment and completion with its virtual
+    /// timestamp, as JSONL.
+    journal: String,
 }
 
 fn fingerprint(scenario: &Scenario, routing: Routing) -> Fingerprint {
@@ -54,8 +55,6 @@ fn fingerprint(scenario: &Scenario, routing: Routing) -> Fingerprint {
             )
         })
         .collect();
-    let explain_table: Vec<(String, String)> =
-        scenario.federation.explain_table().into_iter().collect();
     let qcc = scenario.qcc.as_ref().expect("QCC routing");
     let server_factors = scenario
         .servers
@@ -67,40 +66,11 @@ fn fingerprint(scenario: &Scenario, routing: Routing) -> Fingerprint {
             )
         })
         .collect();
-    // The explain table is keyed by template signature — reuse those keys
-    // to read back every per-template II workload factor.
-    let ii_factors = explain_table
-        .iter()
-        .map(|(template, _)| {
-            (
-                template.clone(),
-                qcc.calibration.ii_factor(template).to_bits(),
-            )
-        })
-        .chain(std::iter::once((
-            "".to_string(),
-            qcc.calibration.ii_factor("").to_bits(),
-        )))
-        .collect();
-    let patroller = scenario
-        .federation
-        .patroller()
-        .log()
-        .into_iter()
-        .map(|e| {
-            (
-                e.sql,
-                e.submitted.as_millis().to_bits(),
-                e.completed.map(|t| t.as_millis().to_bits()),
-            )
-        })
-        .collect();
     Fingerprint {
         phases,
-        explain_table,
         server_factors,
-        ii_factors,
-        patroller,
+        ii_factor: qcc.calibration.ii_factor().to_bits(),
+        journal: scenario.obs.journal_snapshot(),
     }
 }
 
@@ -109,7 +79,7 @@ fn phase_run_is_byte_identical_across_thread_counts() {
     let routing = Routing::Qcc;
     let reference = fingerprint(&Scenario::build_with(routing, config(1)), routing);
     assert!(
-        !reference.explain_table.is_empty() && !reference.patroller.is_empty(),
+        reference.journal.contains("\"kind\":\"query_complete\""),
         "reference run must actually route queries"
     );
     for threads in &THREAD_COUNTS[1..] {
@@ -165,12 +135,14 @@ fn batch_outcomes_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn plan_cache_and_patroller_survive_concurrent_hammering() {
-    use load_aware_federation::common::{Cost, ServerId, SimTime};
-    use load_aware_federation::federation::{PlanCache, QueryPatroller, QueryStatus};
+    use load_aware_federation::common::{Cost, FieldValue, Obs, ServerId, SimTime};
+    use load_aware_federation::federation::{PlanCache, QueryPatroller};
     use load_aware_federation::wrapper::FragmentPlan;
 
     let cache = Arc::new(PlanCache::new());
     let patroller = Arc::new(QueryPatroller::new());
+    let obs = Obs::new();
+    patroller.set_obs(obs.clone());
     let workers = 8;
     let per_worker = 200;
 
@@ -207,10 +179,19 @@ fn plan_cache_and_patroller_survive_concurrent_hammering() {
 
     // Every submit got a unique id and a completion; no entry was lost or
     // corrupted by interleaving.
-    let log = patroller.log();
-    assert_eq!(log.len(), workers * per_worker);
-    assert!(log.iter().all(|e| e.status == QueryStatus::Completed));
-    assert!(log.iter().all(|e| e.completed.is_some()));
+    let ids: std::collections::BTreeSet<u64> = obs
+        .events_of("query_submit")
+        .iter()
+        .map(|e| match e.field("query") {
+            Some(FieldValue::U64(id)) => *id,
+            other => panic!("query field: {other:?}"),
+        })
+        .collect();
+    assert_eq!(ids.len(), workers * per_worker);
+    assert_eq!(
+        obs.counter_value("queries_total", &[("status", "ok")]) as usize,
+        workers * per_worker
+    );
     let (hits, misses) = cache.stats();
     assert_eq!(
         (hits + misses) as usize,
@@ -223,8 +204,8 @@ fn plan_cache_and_patroller_survive_concurrent_hammering() {
         for i in 0..7 {
             let sql = format!("SELECT {i}");
             if let Some(plans) = cache.get(&server, sql.as_str()) {
-                assert_eq!(plans[0].plan.sql, sql);
-                assert_eq!(plans[0].plan.server, server);
+                assert_eq!(plans[0].sql, sql);
+                assert_eq!(plans[0].server, server);
             }
         }
     }

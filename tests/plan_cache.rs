@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 const SQL: &str = "SELECT COUNT(*) FROM t WHERE v > 3";
 
-fn world(plan_cache: bool) -> (Federation, Arc<Qcc>) {
+fn world() -> (Federation, Arc<Qcc>) {
     let schema = Schema::new(vec![
         Column::new("id", DataType::Int),
         Column::new("v", DataType::Int),
@@ -34,10 +34,7 @@ fn world(plan_cache: bool) -> (Federation, Arc<Qcc>) {
     let mut nicknames = NicknameCatalog::new();
     nicknames.define("t", schema);
     nicknames.add_source("t", ServerId::new("S1"), "t").unwrap();
-    let qcc = Qcc::new(QccConfig {
-        plan_cache,
-        ..QccConfig::default()
-    });
+    let qcc = Qcc::new(QccConfig::default());
     let mut fed = Federation::new(
         nicknames,
         SimClock::new(),
@@ -50,7 +47,7 @@ fn world(plan_cache: bool) -> (Federation, Arc<Qcc>) {
 
 #[test]
 fn repeated_statement_skips_the_explain_round_trip() {
-    let (fed, qcc) = world(true);
+    let (fed, qcc) = world();
     let first = fed.submit(SQL).unwrap();
     let second = fed.submit(SQL).unwrap();
     assert!(
@@ -67,22 +64,8 @@ fn repeated_statement_skips_the_explain_round_trip() {
 }
 
 #[test]
-fn cache_disabled_repays_the_round_trip_every_time() {
-    let (fed, qcc) = world(false);
-    let first = fed.submit(SQL).unwrap();
-    let second = fed.submit(SQL).unwrap();
-    assert!(
-        (first.response_ms - second.response_ms).abs() < 1.0,
-        "no cache: compile cost recurs ({} vs {})",
-        first.response_ms,
-        second.response_ms
-    );
-    assert_eq!(qcc.plan_cache.stats(), (0, 0));
-}
-
-#[test]
 fn cached_plans_are_recalibrated_with_fresh_factors() {
-    let (fed, qcc) = world(true);
+    let (fed, qcc) = world();
     fed.submit(SQL).unwrap();
     let factor_before = qcc.calibration.server_factor(&ServerId::new("S1"));
     // Force a very different factor and recompile from cache: the
