@@ -1,11 +1,13 @@
 //! The per-arrival query path, gated on counts (DESIGN.md §16).
 //!
 //! Once a statement has been submitted, submitting it again must be
-//! costing and routing only: no parse or decompose (a compiled-template
-//! miss), no merge-cost EXPLAIN at the integrator, no EXPLAIN round trip
-//! to a wrapper. Four fixed plan shapes, one bench each — the shapes
-//! differ in what compile has to enumerate, so a regression that only
-//! bites multi-fragment or multi-replica plans still shows:
+//! costing, routing and executing only: no parse or decompose (a
+//! compiled-template miss), no merge-cost EXPLAIN at the integrator, no
+//! planning of the merge it runs there (ANALYZE of the gathered results,
+//! plan enumeration, costing), no EXPLAIN round trip to a wrapper. Four
+//! fixed plan shapes, one bench each — the shapes differ in what compile
+//! has to enumerate, so a regression that only bites multi-fragment or
+//! multi-replica plans still shows:
 //!
 //! * single-source pushdown — one fragment, one source;
 //! * co-located join — one fragment holding the join, one source;
@@ -16,10 +18,11 @@
 //!
 //! After one warm-up submit per shape, `SUBMITS` further submits must add
 //! nothing to `compiled_template_misses_total`,
-//! `integration_estimates_total` and `explain_requests_total`. The
-//! verdict line (`query path: OK|VIOLATED`) rests on those counts alone
-//! and `ci.sh` greps it; the µs/submit column is printed for information
-//! and never gates (wall time on a shared single-core host is noise).
+//! `integration_estimates_total`, `merge_plans_total` and
+//! `explain_requests_total`. The verdict line (`query path: OK|VIOLATED`)
+//! rests on those counts alone and `ci.sh` greps it; the µs/submit column
+//! is printed for information and never gates (wall time on a shared
+//! single-core host is noise).
 
 use qcc_common::WallStopwatch;
 use qcc_core::QccConfig;
@@ -30,9 +33,10 @@ use qcc_workload::{Scenario, ScenarioConfig};
 const SUBMITS: usize = 200;
 
 /// Counters that must not move once a statement is warm.
-const FROZEN: [&str; 3] = [
+const FROZEN: [&str; 4] = [
     "compiled_template_misses_total",
     "integration_estimates_total",
+    "merge_plans_total",
     "explain_requests_total",
 ];
 
@@ -93,8 +97,8 @@ fn world(servers: usize) -> Scenario {
     )
 }
 
-/// `[template misses, integration estimates, explain requests]` so far.
-fn frozen_counts(scenario: &Scenario) -> [u64; 3] {
+/// The [`FROZEN`] counters so far, in that order.
+fn frozen_counts(scenario: &Scenario) -> [u64; 4] {
     FROZEN.map(|name| {
         let per_server: u64 = scenario
             .servers
@@ -112,7 +116,8 @@ fn frozen_counts(scenario: &Scenario) -> [u64; 3] {
 fn main() {
     println!(
         "query path: {SUBMITS} submits per shape after one warm-up submit; \
-         a warm statement must not be parsed, decomposed, merge-costed or EXPLAINed again"
+         a warm statement must not be parsed, decomposed, merge-costed, merge-planned or \
+         EXPLAINed again"
     );
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut violations: Vec<String> = Vec::new();
@@ -155,6 +160,7 @@ fn main() {
             added[0].to_string(),
             added[1].to_string(),
             added[2].to_string(),
+            added[3].to_string(),
             format!("{us_per_submit:.1}"),
         ]);
     }
@@ -165,6 +171,7 @@ fn main() {
             "fragments x sources".to_string(),
             "template misses".to_string(),
             "merge-cost EXPLAINs".to_string(),
+            "merge plans".to_string(),
             "wrapper EXPLAINs".to_string(),
             "us/submit (info)".to_string(),
         ],
@@ -172,8 +179,8 @@ fn main() {
     );
     if violations.is_empty() {
         println!(
-            "query path: OK (0 template misses, 0 merge-cost EXPLAINs, 0 wrapper EXPLAINs \
-             over {SUBMITS} warm submits of each of {} shapes)",
+            "query path: OK (0 template misses, 0 merge-cost EXPLAINs, 0 merge plans, \
+             0 wrapper EXPLAINs over {SUBMITS} warm submits of each of {} shapes)",
             SHAPES.len()
         );
     } else {

@@ -137,7 +137,7 @@ impl Middleware for MetaWrapper {
         }
     }
 
-    fn observe_fragment(&self, plan: &FragmentPlan, observed_ms: f64, effects: &mut Deferred) {
+    fn observe_fragment(&self, plan: &Arc<FragmentPlan>, observed_ms: f64, effects: &mut Deferred) {
         // Item (e): feed the calibration window with the observed ÷
         // raw-estimate pair. The coordinator only acknowledges full,
         // uncancelled completions, so the observed time is an honest
@@ -146,12 +146,11 @@ impl Middleware for MetaWrapper {
         // such sources ever become cost-comparable (§2: "when wrappers do
         // not provide cost estimation").
         let est = plan.cost.map(|c| c.total()).unwrap_or(DEFAULT_UNCOSTED);
-        let (server, signature) = (plan.server.clone(), plan.signature.clone());
-        let qcc = self.qcc.clone();
+        let (qcc, plan) = (self.qcc.clone(), Arc::clone(plan));
         effects.defer(move || {
-            qcc.reliability.record_success(&server);
+            qcc.reliability.record_success(&plan.server);
             qcc.calibration
-                .record_fragment(&server, &signature, est, observed_ms);
+                .record_fragment(&plan.server, &plan.signature, est, observed_ms);
         });
     }
 

@@ -218,7 +218,7 @@ impl Federation {
         let mut effects = Deferred::new();
         let compiled = self.compile(qid, sql, &self.clock, &mut effects);
         effects.apply();
-        compiled
+        compiled.map(|(template, candidates)| (Arc::clone(&template.decomposed), candidates))
     }
 
     /// Submit a federated query: compile, choose a global plan, execute
@@ -308,7 +308,7 @@ impl Federation {
         budget_ms: Option<f64>,
     ) -> Result<QueryOutcome> {
         let submitted = clock.now();
-        let (decomposed, mut candidates) = self.compile(qid, sql, clock, effects)?;
+        let (template, mut candidates) = self.compile(qid, sql, clock, effects)?;
         if candidates.is_empty() {
             return Err(QccError::NoViablePlan("no global candidates".into()));
         }
@@ -398,7 +398,7 @@ impl Federation {
             }
             let idx = self
                 .middleware
-                .choose_global(&decomposed.template_signature, viable, effects)
+                .choose_global(&template.decomposed.template_signature, viable, effects)
                 .min(viable.len() - 1);
             let chosen = &viable[idx];
 
@@ -406,7 +406,7 @@ impl Federation {
                 .then(|| exec_deadline_ms - clock.now().since(submitted).as_millis());
             let executed = self.dispatch_fragments(
                 qid,
-                &decomposed,
+                &template,
                 chosen,
                 &candidates,
                 &banned,

@@ -1,9 +1,9 @@
 //! Compile: fetch (or build) the statement's template, source-select, fan
 //! out the EXPLAINs, enumerate and cost the global candidates.
 
-use super::template::Learned;
-use super::{CompiledGlobal, Federation};
-use crate::decompose::{frag_table, DecomposedQuery, MergeSpec};
+use super::template::{Learned, Template};
+use super::Federation;
+use crate::decompose::{frag_table, MergeSpec};
 use crate::middleware::{Deferred, FragmentCandidate, GlobalCandidate};
 use qcc_common::{
     scatter_indexed, Cost, FragmentId, QccError, QueryId, Result, ServerId, SimDuration,
@@ -23,7 +23,7 @@ impl Federation {
         sql: &str,
         clock: &SimClock,
         effects: &mut Deferred,
-    ) -> Result<CompiledGlobal> {
+    ) -> Result<(Arc<Template>, Vec<GlobalCandidate>)> {
         // Parse and decompose happen once per statement text; from here on
         // a first arrival and a repeat run the same code.
         let template = self.template(sql, effects)?;
@@ -237,7 +237,7 @@ impl Federation {
                             met.map(|(_, cost)| *cost)
                         })
                         .unwrap_or_else(|| {
-                            let cost = self.estimate_integration(decomposed, stmt, &cardinalities);
+                            let cost = self.estimate_integration(&template, stmt, &cardinalities);
                             fresh.push((cardinalities.clone(), cost));
                             cost
                         })
@@ -275,7 +275,7 @@ impl Federation {
             let template = Arc::clone(&template);
             effects.defer(move || template.learn(learned));
         }
-        Ok((Arc::clone(decomposed), candidates))
+        Ok((template, candidates))
     }
 
     /// Estimated cost of running the merge statement at the integrator
@@ -284,14 +284,13 @@ impl Federation {
     /// statistics. A pure function of the template and the vector.
     pub(super) fn estimate_integration(
         &self,
-        decomposed: &DecomposedQuery,
+        template: &Template,
         stmt: &SelectStmt,
         cardinalities: &[u64],
     ) -> Cost {
         self.obs.counter_inc("integration_estimates_total", &[]);
         let mut catalog = Catalog::new();
-        for (i, (frag, &card)) in decomposed.fragments.iter().zip(cardinalities).enumerate() {
-            let schema = frag.output_schema();
+        for (i, (schema, &card)) in template.schemas.iter().zip(cardinalities).enumerate() {
             let columns = schema
                 .columns()
                 .iter()
@@ -301,7 +300,7 @@ impl Federation {
                 })
                 .collect();
             let stats = TableStats::virtual_table(card, 8.0 * schema.len() as f64, columns);
-            catalog.register_virtual(Table::new(frag_table(i), schema), stats);
+            catalog.register_virtual(Table::new(frag_table(i), Arc::clone(schema)), stats);
         }
         let engine = Engine::new(catalog);
         match engine.explain_stmt(stmt) {

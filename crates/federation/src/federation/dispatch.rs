@@ -2,13 +2,14 @@
 //! resolve each slot — plus hedge planning and the within-band alternate
 //! picker it shares with remainder re-dispatch.
 
+use super::template::Template;
 use super::{Federation, FragmentTimes};
-use crate::decompose::DecomposedQuery;
 use crate::middleware::{Deferred, FragmentCandidate, GlobalCandidate};
 use qcc_common::{scatter_indexed, QueryId, Result, Row, ServerId, SimDuration, SimTime};
 use qcc_netsim::SimClock;
 use qcc_wrapper::{FragmentPlan, StreamOutcome, WrapperResult, WrapperStream};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// One stream of a slot's race: the primary, or its hedge replica.
 pub(super) struct Run<'a> {
@@ -41,7 +42,7 @@ impl Federation {
     pub(super) fn dispatch_fragments(
         &self,
         qid: QueryId,
-        decomposed: &DecomposedQuery,
+        template: &Arc<Template>,
         chosen: &GlobalCandidate,
         pool: &[GlobalCandidate],
         banned: &BTreeSet<ServerId>,
@@ -158,7 +159,7 @@ impl Federation {
                 self.resolve_stall(
                     qid,
                     slot,
-                    decomposed,
+                    &template.decomposed,
                     primary_cand,
                     run,
                     other.as_ref().map(|o| &o.cand.plan.server),
@@ -180,7 +181,7 @@ impl Federation {
             results.push(result);
         }
         clock.advance(slowest);
-        self.merge_global(qid, decomposed, results, fragment_times, clock, effects)
+        self.merge_global(qid, template, results, fragment_times, clock, effects)
     }
 
     /// Hedged dispatch: choose (and journal) a hedge replica for every

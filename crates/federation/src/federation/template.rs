@@ -1,21 +1,24 @@
 //! Compiled query templates (DESIGN.md §16): what the integrator keeps per
 //! statement text so that an arrival of a statement it has seen before is
-//! costed and routed without being parsed, decomposed or merge-planned
-//! again.
+//! costed, routed and merged without being parsed, decomposed or
+//! merge-planned again.
 //!
 //! Everything in a [`Template`] is a pure function of the SQL text and the
-//! nickname catalog (immutable once the [`Federation`] is built), so an
-//! entry can never go stale and there is nothing to invalidate. Whatever
-//! depends on the state of the world — plan lists, calibration,
-//! reliability, the load balancer's rotation, admission — is not in here
-//! and is evaluated on every arrival.
+//! nickname catalog (immutable once the [`Federation`] is built) — and,
+//! for the planned merge, of the fragment results the text gathers, which
+//! the memo tells apart by their row counts — so an entry can never go
+//! stale and there is nothing to invalidate. Whatever depends on the state
+//! of the world — plan lists, calibration, reliability, the load
+//! balancer's rotation, admission — is not in here and is evaluated on
+//! every arrival.
 
 use super::Federation;
-use crate::decompose::{decompose, DecomposedQuery};
+use crate::decompose::{decompose, DecomposedQuery, MergeSpec};
 use crate::fifo::FifoMap;
 use crate::middleware::Deferred;
 use parking_lot::Mutex;
-use qcc_common::{Cost, Result, ServerId};
+use qcc_common::{Cost, Result, Schema, ServerId};
+use qcc_engine::PlanNode;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -30,6 +33,11 @@ pub const TEMPLATE_CACHE_CAPACITY: usize = 128;
 /// with equal statistics estimate equal cardinalities).
 const INTEGRATION_MEMO_CAPACITY: usize = 64;
 
+/// Planned merges kept per template: one per distinct vector of *gathered*
+/// fragment row counts — one per routing of a statement whose replicas
+/// differ in size, one in all when they do not.
+pub(super) const MERGE_PLAN_MEMO_CAPACITY: usize = 16;
+
 /// The compiled-template cache, keyed by the exact SQL text.
 pub(super) type TemplateCache = Arc<Mutex<FifoMap<String, Arc<Template>>>>;
 
@@ -42,6 +50,9 @@ pub(super) struct Template {
     /// The decomposition: fragments, their output schemas, the parsed
     /// merge statement and the template signature.
     pub(super) decomposed: Arc<DecomposedQuery>,
+    /// Per fragment slot: the schema its shipped result is adopted under
+    /// at the merge. Empty for a passthrough template, which never merges.
+    pub(super) schemas: Vec<Arc<Schema>>,
     memo: Mutex<Memo>,
 }
 
@@ -53,15 +64,19 @@ struct Memo {
     /// The *uncalibrated* integration estimate per vector of fragment
     /// cardinalities.
     integration: FifoMap<Vec<u64>, Cost>,
+    /// The plan the engine's planner picked for the merge statement the
+    /// first time this vector of gathered fragment row counts arrived.
+    merge_plan: FifoMap<Vec<u64>, Arc<PlanNode>>,
 }
 
-/// What one compile worked out that its template did not hold yet. It is
-/// handed back through the compile's [`Deferred`] buffer, so a template
+/// What one arrival worked out that its template did not hold yet. It is
+/// handed back through the arrival's [`Deferred`] buffer, so a template
 /// only changes at a gather barrier.
 #[derive(Default)]
 pub(super) struct Learned {
     pub(super) fragment_sql: Vec<(usize, ServerId, Arc<str>)>,
     pub(super) integration: Vec<(Vec<u64>, Cost)>,
+    pub(super) merge_plan: Option<(Vec<u64>, Arc<PlanNode>)>,
 }
 
 impl Template {
@@ -69,8 +84,17 @@ impl Template {
         let memo = Memo {
             fragment_sql: vec![BTreeMap::new(); decomposed.fragments.len()],
             integration: FifoMap::new(INTEGRATION_MEMO_CAPACITY),
+            merge_plan: FifoMap::new(MERGE_PLAN_MEMO_CAPACITY),
+        };
+        let schemas = match decomposed.merge {
+            MergeSpec::Merge { .. } => {
+                let fragments = decomposed.fragments.iter();
+                fragments.map(|f| Arc::new(f.output_schema())).collect()
+            }
+            MergeSpec::Passthrough => Vec::new(),
         };
         Template {
+            schemas,
             decomposed: Arc::new(decomposed),
             memo: Mutex::new(memo),
         }
@@ -87,7 +111,17 @@ impl Template {
         self.memo.lock().integration.get(cardinalities).copied()
     }
 
-    /// Remember what a compile learned.
+    /// The remembered merge plan for fragment results of `rows` rows.
+    pub(super) fn merge_plan(&self, rows: &[u64]) -> Option<Arc<PlanNode>> {
+        self.memo.lock().merge_plan.get(rows).cloned()
+    }
+
+    #[cfg(test)]
+    pub(super) fn merge_plans_held(&self) -> usize {
+        self.memo.lock().merge_plan.len()
+    }
+
+    /// Remember what an arrival learned.
     pub(super) fn learn(&self, learned: Learned) {
         let mut memo = self.memo.lock();
         for (slot, server, sql) in learned.fragment_sql {
@@ -96,12 +130,15 @@ impl Template {
         for (cardinalities, cost) in learned.integration {
             memo.integration.insert(cardinalities, cost);
         }
+        if let Some((rows, plan)) = learned.merge_plan {
+            memo.merge_plan.insert(rows, plan);
+        }
     }
 }
 
 impl Learned {
     pub(super) fn is_empty(&self) -> bool {
-        self.fragment_sql.is_empty() && self.integration.is_empty()
+        self.fragment_sql.is_empty() && self.integration.is_empty() && self.merge_plan.is_none()
     }
 }
 

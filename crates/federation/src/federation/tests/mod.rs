@@ -1,10 +1,11 @@
 use super::*;
 use crate::middleware::PassthroughMiddleware;
-use qcc_common::{Column, Cost, DataType, Schema, Value};
+use qcc_common::{Column, ColumnBatch, ColumnVector, Cost, DataType, Schema, SimDuration, Value};
+use qcc_engine::Engine;
 use qcc_netsim::{Link, Network};
 use qcc_remote::{RemoteServer, ServerProfile};
 use qcc_storage::{Catalog, Table};
-use qcc_wrapper::RelationalWrapper;
+use qcc_wrapper::{RelationalWrapper, WrapperResult};
 
 /// Two servers: S1 hosts accounts+branches, S2 hosts a replica of
 /// branches only.
@@ -171,16 +172,26 @@ fn failure_reroutes_to_replica() {
 /// holds — each a 5000-row table of one Int `id` column (multi-chunk at
 /// BATCH_ROWS=1024) — with the journal enabled.
 fn id_table_fleet(hosts: &[&[&str]], stall_factor: f64) -> (Federation, Vec<Arc<RemoteServer>>) {
+    let sized: Vec<(&[&str], i64)> = hosts.iter().map(|tables| (*tables, 5000)).collect();
+    sized_id_table_fleet(&sized, stall_factor)
+}
+
+/// [`id_table_fleet`] with a row count per server: its tables hold ids
+/// `0..rows`.
+fn sized_id_table_fleet(
+    hosts: &[(&[&str], i64)],
+    stall_factor: f64,
+) -> (Federation, Vec<Arc<RemoteServer>>) {
     let schema = Schema::new(vec![Column::new("id", DataType::Int)]);
     let mut net = Network::new();
     let mut nicknames = NicknameCatalog::new();
     let mut servers = Vec::new();
-    for (i, tables) in hosts.iter().enumerate() {
+    for (i, &(tables, rows)) in hosts.iter().enumerate() {
         let id = ServerId::new(format!("S{}", i + 1));
         let mut catalog = Catalog::new();
-        for &name in *tables {
+        for &name in tables {
             let mut table = Table::new(name, schema.clone());
-            for row in 0..5000i64 {
+            for row in 0..rows {
                 table.insert(Row::new(vec![Value::Int(row)])).unwrap();
             }
             catalog.register(table);
@@ -519,24 +530,27 @@ fn repeated_statement_is_decomposed_and_merge_costed_once() {
     }
     let count = |name| fed.obs().counter_value(name, &[]);
     // A miss is a decompose; the four combinations share one cardinality
-    // vector, hence one merge-cost EXPLAIN for all hundred arrivals.
+    // vector, hence one merge-cost EXPLAIN for all hundred arrivals; and
+    // every replica ships 5000 rows, hence one planned merge.
     assert_eq!(count("compiled_template_misses_total"), 1);
     assert_eq!(count("compiled_template_hits_total"), 99);
     assert_eq!(count("integration_estimates_total"), 1);
+    assert_eq!(count("merge_plans_total"), 1);
     assert_eq!(count("compiled_template_evictions_total"), 0);
 }
 
 #[test]
 fn integration_memo_is_bit_identical_to_a_direct_estimate() {
     let fed = cross_source_fleet();
-    let (decomposed, fresh) = fed.explain_global(CROSS_SOURCE).unwrap();
+    let (_, fresh) = fed.explain_global(CROSS_SOURCE).unwrap();
     let (_, remembered) = fed.explain_global(CROSS_SOURCE).unwrap();
+    let template = fed.template(CROSS_SOURCE, &mut Deferred::new()).unwrap();
     assert_eq!(
         fed.obs().counter_value("integration_estimates_total", &[]),
         1,
         "the second compile answered from the memo"
     );
-    let crate::MergeSpec::Merge { stmt } = &decomposed.merge else {
+    let crate::MergeSpec::Merge { stmt } = &template.decomposed.merge else {
         panic!("cross-source statement merges at the integrator");
     };
     assert_eq!(fresh.len(), 4);
@@ -546,12 +560,122 @@ fn integration_memo_is_bit_identical_to_a_direct_estimate() {
             .iter()
             .map(|f| f.effective_cost.cardinality.max(1.0) as u64)
             .collect();
-        let direct = fed.estimate_integration(&decomposed, stmt, &cardinalities);
+        let direct = fed.estimate_integration(&template, stmt, &cardinalities);
         let bits = |c: Cost| [c.first_tuple, c.next_tuple, c.cardinality].map(f64::to_bits);
         // The passthrough middleware's II calibration is the identity.
         assert_eq!(bits(a.integration_cost), bits(direct));
         assert_eq!(bits(b.integration_cost), bits(direct));
     }
+}
+
+/// What a cold engine — full ANALYZE, fresh plan — answers for
+/// `CROSS_SOURCE`'s merge over the fragment results `a_from` and `b_from`
+/// ship, and the `Work` it charges.
+fn cold_merge(
+    fed: &Federation,
+    a_from: &RemoteServer,
+    b_from: &RemoteServer,
+) -> (Vec<Row>, qcc_engine::Work) {
+    let (decomposed, _) = fed.explain_global(CROSS_SOURCE).unwrap();
+    let crate::MergeSpec::Merge { stmt } = &decomposed.merge else {
+        panic!("cross-source statement merges at the integrator");
+    };
+    let mut catalog = Catalog::new();
+    for (i, (frag, server)) in decomposed
+        .fragments
+        .iter()
+        .zip([a_from, b_from])
+        .enumerate()
+    {
+        let sql = frag.sql_for_server(fed.nicknames(), server.id()).unwrap();
+        let plan = server.engine().explain(&sql).unwrap().remove(0).plan;
+        let (batches, _) = server.engine().execute_plan_batches(&plan).unwrap();
+        let name = crate::decompose::frag_table(i);
+        catalog.register(Table::from_batches(name, frag.output_schema(), batches).unwrap());
+    }
+    Engine::new(catalog).execute_stmt(stmt).unwrap()
+}
+
+#[test]
+fn merge_is_planned_once_per_gathered_row_count_vector() {
+    // `a` is 3000 rows on S1 and 5000 on S2: the cheaper S1 serves until
+    // it goes down, then S2 does — a second vector for the same text.
+    let (fed, servers) =
+        sized_id_table_fleet(&[(&["a"], 3000), (&["a"], 5000), (&["b"], 5000)], 0.0);
+    let merge_ms = || -> Vec<u64> {
+        let merges = fed.obs().events_of("merge");
+        let ms = merges.iter().map(|e| match e.field("ms") {
+            Some(FieldValue::F64(ms)) => ms.to_bits(),
+            other => panic!("merge event without ms: {other:?}"),
+        });
+        ms.collect()
+    };
+    for (a_from, plans) in [(0, 1), (1, 2)] {
+        let (rows, work) = cold_merge(&fed, &servers[a_from], &servers[2]);
+        let before = merge_ms().len();
+        for _ in 0..5 {
+            let out = fed.submit(CROSS_SOURCE).unwrap();
+            assert!(out.servers.contains(servers[a_from].id()));
+            assert_eq!(out.rows, rows);
+        }
+        // The integrator is idle at full speed: a merge's ms is its Work.
+        assert_eq!(merge_ms()[before..], [work.cpu_units.to_bits(); 5]);
+        assert_eq!(fed.obs().counter_value("merge_plans_total", &[]), plans);
+        servers[a_from]
+            .availability()
+            .add_outage(fed.clock().now(), SimTime::from_millis(1e12));
+    }
+}
+
+/// `ids` as one shipped single-column fragment result.
+fn id_result(ids: std::ops::Range<i64>, columns: usize) -> WrapperResult {
+    let mut column = ColumnVector::new_for(Some(DataType::Int));
+    ids.clone().for_each(|id| column.push(Value::Int(id)));
+    let batch = ColumnBatch::new(vec![Arc::new(column); columns], ids.count());
+    WrapperResult {
+        batches: vec![batch],
+        response_time: SimDuration::ZERO,
+        bytes: 0,
+    }
+}
+
+#[test]
+fn merge_plan_memo_is_bounded_and_a_hit_still_checks_its_batches() {
+    use template::MERGE_PLAN_MEMO_CAPACITY;
+    let fed = cross_source_fleet();
+    let template = fed.template(CROSS_SOURCE, &mut Deferred::new()).unwrap();
+    let merge = |results: Vec<WrapperResult>| {
+        let mut effects = Deferred::new();
+        let merged = fed.merge_global(
+            QueryId(0),
+            &template,
+            results,
+            vec![],
+            fed.clock(),
+            &mut effects,
+        );
+        effects.apply();
+        merged.map(|(rows, _)| rows)
+    };
+    for round in 0..3 * MERGE_PLAN_MEMO_CAPACITY as i64 {
+        let rows = merge(vec![id_result(0..round + 1, 1), id_result(0..8, 1)]).unwrap();
+        assert_eq!(rows[0].get(0), &Value::Int((round + 1).min(8)));
+        assert!(template.merge_plans_held() <= MERGE_PLAN_MEMO_CAPACITY);
+    }
+    assert_eq!(template.merge_plans_held(), MERGE_PLAN_MEMO_CAPACITY);
+    let planned = || fed.obs().counter_value("merge_plans_total", &[]);
+    assert_eq!(planned(), 3 * MERGE_PLAN_MEMO_CAPACITY as u64);
+
+    // The newest vector is resident: a hit. A batch of the wrong arity
+    // with that row count is a typed error, never a panic in the executor.
+    let newest = 3 * MERGE_PLAN_MEMO_CAPACITY as i64;
+    merge(vec![id_result(0..newest, 1), id_result(0..8, 1)]).unwrap();
+    let err = merge(vec![id_result(0..newest, 1), id_result(0..8, 2)]).unwrap_err();
+    assert!(
+        matches!(&err, QccError::Execution(m) if m.starts_with("fragment 1 result mismatch")),
+        "{err}"
+    );
+    assert_eq!(planned(), 3 * MERGE_PLAN_MEMO_CAPACITY as u64);
 }
 
 #[test]

@@ -184,8 +184,15 @@ pub trait Middleware: Send + Sync {
 
     /// Coordinator acknowledgement that a streamed fragment ran to
     /// completion uncancelled: an honest whole-fragment sample for the
-    /// reliability and calibration windows. No-op by default.
-    fn observe_fragment(&self, _plan: &FragmentPlan, _observed_ms: f64, _effects: &mut Deferred) {}
+    /// reliability and calibration windows. `plan` is the candidate's
+    /// shared handle, so deferring it copies a pointer. No-op by default.
+    fn observe_fragment(
+        &self,
+        _plan: &Arc<FragmentPlan>,
+        _observed_ms: f64,
+        _effects: &mut Deferred,
+    ) {
+    }
 
     /// Coordinator notice that a streamed fragment was cancelled
     /// mid-flight (stall detector fired). Implementations may penalize

@@ -10,13 +10,12 @@
 use parking_lot::Mutex;
 use qcc_common::{Obs, QueryId, SimTime};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// The patroller: id assignment plus the query lifecycle events and
-/// metrics. Clones share the state.
-#[derive(Debug, Clone, Default)]
+/// metrics.
+#[derive(Debug, Default)]
 pub struct QueryPatroller {
-    inner: Arc<Mutex<PatrollerState>>,
+    inner: Mutex<PatrollerState>,
 }
 
 #[derive(Debug, Default)]
@@ -150,13 +149,5 @@ mod tests {
             obs.counter_value("queries_total", &[("status", "failed")]),
             1
         );
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let p = QueryPatroller::new();
-        let q = p.clone();
-        let a = p.record_submit("x", SimTime::ZERO);
-        assert!(q.record_submit("y", SimTime::ZERO) > a);
     }
 }

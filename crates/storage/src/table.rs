@@ -64,7 +64,9 @@ impl TableChunk {
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
-    schema: Schema,
+    /// Shared: adopting batches under a schema somebody already holds (the
+    /// integrator's merge, once per query) copies a pointer, not the names.
+    schema: Arc<Schema>,
     chunks: Vec<TableChunk>,
     /// Starting global row position of each chunk (parallel to `chunks`).
     starts: Vec<usize>,
@@ -73,10 +75,10 @@ pub struct Table {
 
 impl Table {
     /// An empty table.
-    pub fn new(name: impl Into<String>, schema: Schema) -> Self {
+    pub fn new(name: impl Into<String>, schema: impl Into<Arc<Schema>>) -> Self {
         Table {
             name: name.into(),
-            schema,
+            schema: schema.into(),
             chunks: Vec::new(),
             starts: Vec::new(),
             row_count: 0,
@@ -90,7 +92,7 @@ impl Table {
     /// row-level insert rules).
     pub fn from_batches(
         name: impl Into<String>,
-        schema: Schema,
+        schema: impl Into<Arc<Schema>>,
         batches: Vec<ColumnBatch>,
     ) -> Result<Table> {
         let mut table = Table::new(name, schema);
