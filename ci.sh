@@ -7,7 +7,7 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> boundaries: one engine reachable from library code, one Work ledger"
+echo "==> boundaries: one engine reachable from library code, one Work ledger, one open-loop driver"
 # The AST oracle lives in tests/support/naive.rs and the row reference is
 # for tests and benches: no library source outside the engine names either.
 if grep -rnE 'naive::|rowexec' crates/*/src | grep -v '^crates/engine/src/'; then
@@ -17,6 +17,13 @@ fi
 # Every charge goes through the ledger (DESIGN.md §13).
 if grep -rnE 'cpu_units[[:space:]]*[-+]=' crates/engine/src | grep -v '^crates/engine/src/work\.rs:'; then
     echo "boundary: cpu_units is charged outside crates/engine/src/work.rs" >&2
+    exit 1
+fi
+# One open-loop driver (DESIGN.md §10): only it takes rounds off the
+# admission queue and hands the federation their deadline budgets.
+if grep -rnE 'dequeue_batch\(|submit_batch_with_budgets\(' crates/*/src \
+    | grep -vE '^crates/(admission|federation)/src/|^crates/workload/src/openloop\.rs:'; then
+    echo "boundary: a second open-loop driver outside crates/workload/src/openloop.rs" >&2
     exit 1
 fi
 

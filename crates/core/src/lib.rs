@@ -34,7 +34,6 @@ pub mod config;
 pub mod daemon;
 pub mod loadbalance;
 pub mod metawrapper;
-pub mod placement;
 pub mod reliability;
 pub mod whatif;
 
@@ -43,7 +42,6 @@ pub use config::{LoadBalanceMode, QccConfig};
 pub use daemon::AvailabilityDaemon;
 pub use loadbalance::LoadBalancer;
 pub use metawrapper::MetaWrapper;
-pub use placement::{PlacementAdvisor, PlacementRecommendation};
 pub use qcc_federation::PlanCache;
 pub use reliability::ReliabilityTracker;
 pub use whatif::SimulatedFederation;

@@ -26,13 +26,13 @@ use qcc_wrapper::Wrapper;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+/// Integrator CPU speed (work units per virtual ms): what the merge's
+/// estimate (`compile.rs`) and its execution (`merge.rs`) divide by.
+const II_SPEED: f64 = 1.0;
+
 /// Integrator configuration.
 #[derive(Debug, Clone)]
 pub struct FederationConfig {
-    /// Integrator CPU speed (work units per virtual ms).
-    pub ii_speed: f64,
-    /// Cap on enumerated global plan candidates per query.
-    pub max_global_candidates: usize,
     /// How many times a query is re-routed after a fragment failure before
     /// giving up.
     pub retry_limit: usize,
@@ -53,8 +53,6 @@ pub struct FederationConfig {
 impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
-            ii_speed: 1.0,
-            max_global_candidates: 64,
             retry_limit: 2,
             threads: qcc_common::default_threads(),
             stall_factor: 0.0,

@@ -2,7 +2,7 @@
 //! out the EXPLAINs, enumerate and cost the global candidates.
 
 use super::template::{Learned, Template};
-use super::Federation;
+use super::{Federation, II_SPEED};
 use crate::decompose::{frag_table, MergeSpec};
 use crate::middleware::{Deferred, FragmentCandidate, GlobalCandidate};
 use qcc_common::{
@@ -15,6 +15,9 @@ use qcc_storage::{Catalog, ColumnStats, Table, TableStats};
 use qcc_wrapper::Wrapper;
 use std::borrow::Cow;
 use std::sync::Arc;
+
+/// Cap on enumerated global plan candidates per query.
+const MAX_GLOBAL_CANDIDATES: usize = 64;
 
 impl Federation {
     pub(super) fn compile(
@@ -179,14 +182,12 @@ impl Federation {
         }
 
         // Capped Cartesian product, enumerated as index vectors in
-        // lexicographic order (rightmost fragment varies fastest — the
-        // same first-`cap` set the old combo-cloning loop produced);
+        // lexicographic order (rightmost fragment varies fastest);
         // only the surviving combinations materialize candidates, and a
         // candidate clone shares its plan (a pointer, an id and a `Cost`).
-        let cap = self.config.max_global_candidates;
         let mut combos: Vec<Vec<FragmentCandidate>> = Vec::new();
         let mut odometer = vec![0usize; per_fragment.len()];
-        'enumerate: while combos.len() < cap {
+        'enumerate: while combos.len() < MAX_GLOBAL_CANDIDATES {
             combos.push(
                 odometer
                     .iter()
@@ -304,7 +305,7 @@ impl Federation {
         }
         let engine = Engine::new(catalog);
         match engine.explain_stmt(stmt) {
-            Ok(plans) if !plans.is_empty() => plans[0].cost.calibrate(1.0 / self.config.ii_speed),
+            Ok(plans) if !plans.is_empty() => plans[0].cost.calibrate(1.0 / II_SPEED),
             _ => Cost::fixed(1.0),
         }
     }

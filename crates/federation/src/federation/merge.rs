@@ -2,7 +2,7 @@
 //! fragment results.
 
 use super::template::{Learned, Template};
-use super::{Federation, FragmentTimes};
+use super::{Federation, FragmentTimes, II_SPEED};
 use crate::decompose::{frag_table, MergeSpec};
 use crate::middleware::Deferred;
 use qcc_common::{QccError, QueryId, Result, Row, SimDuration};
@@ -82,7 +82,7 @@ impl Federation {
                 let (rows, work) = engine.execute_plan(&plan)?;
                 let merge_start = clock.now();
                 let rho = self.ii_load.utilization(merge_start);
-                let merge_ms = work.cpu_units / self.config.ii_speed * slowdown(rho, 1.0);
+                let merge_ms = work.cpu_units / II_SPEED * slowdown(rho, 1.0);
                 clock.advance(SimDuration::from_millis(merge_ms));
                 self.journal(effects, merge_start, "merge", || {
                     vec![("query", qid.0.into()), ("ms", merge_ms.into())]

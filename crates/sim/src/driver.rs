@@ -2,21 +2,23 @@
 //! queue, QCC routing, federation retry loop, availability daemon — on
 //! virtual time, and collect everything the oracles need.
 //!
-//! The loop mirrors `qcc_workload::openloop::run_admitted` (enqueue due
-//! arrivals → refresh token capacities → WFQ dequeue → one
-//! `submit_batch` per round) with two additions: the availability
-//! daemon's due probes run between rounds (crash detection and recovery
-//! both flow through it), and after the arrivals drain a cool-down
-//! marches virtual time past the last fault window in probe-interval
+//! The serving loop is `qcc_workload::run_open_loop_with_daemon`, the one
+//! open-loop driver every bench, test and example runs, here with the
+//! availability daemon's timer in it (crash detection and recovery both
+//! flow through its due probes). What is the sim's own: the baseline
+//! probe before the first arrival, a cool-down after the arrivals drain
+//! that marches virtual time past the last fault window in probe-interval
 //! steps so every downed server is probed back up before the end-of-run
-//! oracles look at the world.
+//! oracles look at the world, and the paired unprotected baseline.
 
 use crate::config::SimConfig;
 use crate::world::build;
 use qcc_admission::{AdmissionConfig, AdmissionController, AdmissionCounts};
-use qcc_common::{Event, Obs, QccError, ServerId, SimDuration, SimTime};
-use qcc_core::AvailabilityDaemon;
-use qcc_workload::{run_open_loop, AdmissionMode};
+use qcc_common::{Event, Obs, ServerId, SimDuration, SimTime};
+use qcc_core::{AvailabilityDaemon, Qcc};
+use qcc_workload::{
+    run_open_loop, run_open_loop_with_daemon, AdmissionMode, OpenLoopReport, Scenario,
+};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -80,16 +82,6 @@ pub struct RunArtifacts {
     pub baseline_p99_ms: f64,
 }
 
-/// Nearest-rank percentile of arrival→completion times.
-fn percentile(times: &mut [f64], p: f64) -> f64 {
-    if times.is_empty() {
-        return 0.0;
-    }
-    times.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * times.len() as f64).ceil() as usize;
-    times[rank.saturating_sub(1).min(times.len() - 1)]
-}
-
 /// Admission shape used for every simulated run: deadlines loose enough
 /// that a healthy world completes everything, tight enough that storms
 /// produce sheds and deadline events worth checking.
@@ -102,11 +94,21 @@ fn admission_config() -> AdmissionConfig {
     }
 }
 
-/// Run `config` to completion with `threads` scatter workers.
-pub fn run(config: &SimConfig, threads: usize, bug: &BugSwitches) -> RunArtifacts {
+/// The admitted world after its arrivals have been served.
+struct Served {
+    scenario: Scenario,
+    qcc: Arc<Qcc>,
+    admission: Arc<AdmissionController>,
+    daemon: AvailabilityDaemon,
+    total: usize,
+    report: OpenLoopReport,
+}
+
+/// Build `config`'s world with admission and the availability daemon
+/// attached, and serve its arrivals through the shared open-loop driver.
+fn serve(config: &SimConfig, threads: usize) -> Served {
     let world = build(config, threads);
     let mut scenario = world.scenario;
-    let arrivals = world.arrivals;
     let qcc = Arc::clone(scenario.qcc.as_ref().expect("QCC-routed scenario"));
     let admission = Arc::new(AdmissionController::with_obs(
         admission_config(),
@@ -118,91 +120,40 @@ pub fn run(config: &SimConfig, threads: usize, bug: &BugSwitches) -> RunArtifact
         scenario.wrappers.clone(),
         scenario.clock.clone(),
     );
-    let server_ids: Vec<ServerId> = scenario.servers.iter().map(|s| s.id().clone()).collect();
     // Baseline probe of the healthy world (establishes ping baselines).
     daemon.probe_all();
-
-    let mut completed = 0usize;
-    let mut shed = 0usize;
-    let mut failed = 0usize;
-    let mut completion_tick = 0u64;
-    let mut responses: Vec<f64> = Vec::new();
-    let mut next = 0usize;
-    loop {
-        daemon.run_due_probes();
-        let now = scenario.clock.now();
-        while next < arrivals.len() && arrivals[next].at <= now {
-            let a = &arrivals[next];
-            if admission
-                .enqueue(&a.sql, &a.qt.to_string(), a.class, a.at)
-                .is_err()
-            {
-                shed += 1;
-            }
-            next += 1;
-        }
-        if admission.queue_depth() == 0 {
-            if next >= arrivals.len() {
-                break;
-            }
-            scenario.clock.advance_to(arrivals[next].at);
-            continue;
-        }
-        qcc.refresh_admission(&admission, &server_ids, now);
-        let batch = admission.dequeue_batch(now);
-        shed += batch.shed.len();
-        if batch.admitted.is_empty() {
-            continue;
-        }
-        // Deadline-aware token placement: EDF-ordered tickets ride the
-        // slot plan (healthiest servers first); round-robin before the
-        // first capacity refresh.
-        let slots = admission.dispatch_slots(batch.admitted.len());
-        let server_index: BTreeMap<&str, usize> = scenario
-            .servers
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id().as_str(), i))
-            .collect();
-        let guards: Vec<_> = batch
-            .admitted
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                let idx = slots
-                    .get(i)
-                    .and_then(|sid| server_index.get(sid.as_str()).copied())
-                    .unwrap_or(i % scenario.servers.len());
-                scenario.servers[idx].load().begin_query()
-            })
-            .collect();
-        let sqls: Vec<String> = batch.admitted.iter().map(|t| t.sql.clone()).collect();
-        let budgets: Vec<Option<f64>> = batch
-            .admitted
-            .iter()
-            .map(|t| t.remaining_budget_ms(now))
-            .collect();
-        let outcomes = scenario
-            .federation
-            .submit_batch_with_budgets(&sqls, &budgets);
-        drop(guards);
-        for (ticket, outcome) in batch.admitted.iter().zip(outcomes) {
-            match outcome {
-                Ok(out) => {
-                    admission.record_exec(&ticket.template, out.response_ms);
-                    responses.push(now.since(ticket.enqueued_at).as_millis() + out.response_ms);
-                    completion_tick += 1;
-                    if bug.drop_completion && completion_tick % 3 == 0 {
-                        // Injected accounting bug: the completion is lost.
-                    } else {
-                        completed += 1;
-                    }
-                }
-                Err(QccError::Shed(_)) => shed += 1,
-                Err(_) => failed += 1,
-            }
-        }
+    let report = run_open_loop_with_daemon(
+        &scenario,
+        AdmissionMode::Admitted(&admission),
+        &world.arrivals,
+        &daemon,
+    );
+    Served {
+        scenario,
+        qcc,
+        admission,
+        daemon,
+        total: world.arrivals.len(),
+        report,
     }
+}
+
+/// Run `config` to completion with `threads` scatter workers.
+pub fn run(config: &SimConfig, threads: usize, bug: &BugSwitches) -> RunArtifacts {
+    let Served {
+        scenario,
+        qcc,
+        admission,
+        daemon,
+        total,
+        report,
+    } = serve(config, threads);
+    // Injected accounting bug: every third completion is lost.
+    let dropped = if bug.drop_completion {
+        report.completed.len() / 3
+    } else {
+        0
+    };
 
     // Cool-down: step past the last fault window so the daemon's
     // fast-bound probes restore every crashed server, then keep stepping
@@ -240,25 +191,22 @@ pub fn run(config: &SimConfig, threads: usize, bug: &BugSwitches) -> RunArtifact
     );
 
     RunArtifacts {
-        total: arrivals.len(),
-        completed,
-        shed,
-        failed,
+        total,
+        completed: report.completed.len() - dropped,
+        shed: report.shed as usize,
+        failed: report.failed as usize,
         journal: scenario.obs.journal(),
         journal_text: scenario.obs.journal_snapshot(),
         metrics_text: scenario.obs.metrics_snapshot(),
         factors: qcc.calibration.server_factors(),
         down_at_end: qcc.reliability.down_servers(),
         counts: admission.counts(),
-        server_ids,
+        server_ids: scenario.servers.iter().map(|s| s.id().clone()).collect(),
         retry_limit: config.retry_limit,
         obs: scenario.obs.clone(),
         deadline_budget_ms,
-        admitted_goodput: responses
-            .iter()
-            .filter(|r| **r <= deadline_budget_ms)
-            .count(),
-        admitted_p99_ms: percentile(&mut responses, 99.0),
+        admitted_goodput: report.goodput(deadline_budget_ms),
+        admitted_p99_ms: report.response_percentile(99.0),
         baseline_goodput: baseline.goodput(deadline_budget_ms),
         baseline_p99_ms: baseline.response_percentile(99.0),
     }
@@ -310,5 +258,22 @@ mod tests {
             "cool-down must restore the server"
         );
         assert_eq!(a.completed + a.shed + a.failed, a.total);
+    }
+
+    #[test]
+    fn admitted_goodput_and_p99_are_the_shared_reports() {
+        // Far past saturation: the queue-deadline and queue-full sheds
+        // leave a completion set whose tail straddles the deadline budget.
+        let config = parse(
+            "sim(seed: 5, servers: [(1.0, 0.2), (2.0, 0.1)], large_rows: 4000, small_rows: 100, \
+             arrivals: 300, rate_per_ms: 4.0, retry_limit: 2, faults: [])",
+        )
+        .expect("valid test config");
+        let a = run(&config, 1, &BugSwitches::none());
+        assert!(a.shed > 0, "the config must shed");
+        let report = serve(&config, 1).report;
+        assert_eq!(a.completed, report.completed.len());
+        assert_eq!(a.admitted_goodput, report.goodput(a.deadline_budget_ms));
+        assert_eq!(a.admitted_p99_ms, report.response_percentile(99.0));
     }
 }

@@ -55,7 +55,6 @@ pub fn build(config: &SimConfig, threads: usize) -> SimWorld {
         link_bandwidth: 500_000.0,
         threads,
         obs_enabled: true,
-        retry_limit: config.retry_limit,
         server_specs,
         replication_factor,
         stall_factor: config.reroute,

@@ -7,8 +7,6 @@ use crate::scenario::{Routing, Scenario, ScenarioConfig};
 use qcc_core::AvailabilityDaemon;
 use std::collections::{BTreeMap, BTreeSet};
 
-pub use crate::scenario::Routing as RoutingMode;
-
 /// Aggregated measurements for one phase.
 #[derive(Debug, Clone)]
 pub struct PhaseResult {

@@ -29,8 +29,8 @@ pub use experiment::{
     run_phases, run_phases_on, sensitivity_sweep, ExperimentResult, PhaseResult, SensitivityPoint,
 };
 pub use openloop::{
-    class_of, poisson_arrivals, run_open_loop, AdmissionMode, ArrivalEvent, CompletedQuery,
-    OpenLoopReport,
+    class_of, poisson_arrivals, run_open_loop, run_open_loop_with_daemon, AdmissionMode,
+    ArrivalEvent, CompletedQuery, OpenLoopReport,
 };
 pub use phases::{apply_phase, clear_phase, Phase, PhaseSchedule, HIGH_LOAD};
 pub use querytypes::{QueryType, ALL_QUERY_TYPES};

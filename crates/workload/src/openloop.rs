@@ -12,16 +12,19 @@
 //! [`qcc_netsim::InflightGuard`]s for the duration of the round) drives
 //! utilization — and therefore response times — up round over round.
 //!
-//! Everything here runs on the coordinator thread between `submit_batch`
-//! calls: arrival admission, capacity refresh, dequeue and guard
-//! placement are all pure functions of the precomputed arrival sequence
-//! and the frozen adaptive state, so a run is byte-identical for any
-//! `QCC_THREADS` (see `tests/admission_determinism.rs`).
+//! There is one loop ([`run_open_loop`]; [`run_open_loop_with_daemon`]
+//! is the same loop with the availability daemon's probe timer in it).
+//! Everything in it runs on the coordinator thread between `submit_batch`
+//! calls: due probes, arrival admission, capacity refresh, dequeue and
+//! guard placement are all pure functions of the precomputed arrival
+//! sequence and the frozen adaptive state, so a run is byte-identical for
+//! any `QCC_THREADS` (see `tests/admission_determinism.rs`).
 
 use crate::querytypes::{QueryType, ALL_QUERY_TYPES};
 use crate::scenario::Scenario;
 use qcc_admission::{AdmissionController, PriorityClass, QueueTicket};
 use qcc_common::{Pcg32, QccError, SimTime};
+use qcc_core::AvailabilityDaemon;
 use std::collections::{BTreeMap, VecDeque};
 
 /// One scheduled arrival of the open-loop process.
@@ -142,50 +145,95 @@ pub enum AdmissionMode<'a> {
 
 /// Drive a precomputed arrival sequence through `scenario`'s federation.
 ///
-/// In [`AdmissionMode::Admitted`] the loop is: admit due arrivals into
-/// the queue (immediate shed if full) → refresh per-server token
-/// capacities from QCC state → dequeue a quota-bounded WFQ batch
-/// (queue-deadline sheds happen here) → dispatch it as one
-/// `submit_batch`. In [`AdmissionMode::Unprotected`] the oldest `width`
-/// pending arrivals dispatch each round, unconditionally.
+/// One loop serves both modes. Each turn reads `now`, releases the due
+/// arrivals into the pending queue — the admission queue (immediate shed
+/// if full) or the unprotected FIFO pool, the only thing the modes differ
+/// in — jumps the clock to the next arrival when nothing is pending,
+/// takes a round, and dispatches it as one `submit_batch`. In
+/// [`AdmissionMode::Admitted`] taking a round is: refresh per-server
+/// token capacities from QCC state, then dequeue a quota-bounded WFQ
+/// batch (queue-deadline sheds happen here). In
+/// [`AdmissionMode::Unprotected`] it is the oldest `width` pending
+/// arrivals, unconditionally.
 ///
 /// During each round the driver holds one inflight guard per dispatched
 /// query, assigned round-robin across the scenario's servers in dispatch
 /// order, so batch width feeds back into server utilization (the hot-spot
 /// feedback loop the phase driver models the same way). Guard counts are
 /// constant for the whole batch, keeping execution deterministic.
+///
+/// No availability daemon runs: a server that crashes mid-run is never
+/// probed back up. [`run_open_loop_with_daemon`] is the same loop with
+/// the daemon's timer in it.
 pub fn run_open_loop(
     scenario: &Scenario,
     mode: AdmissionMode<'_>,
     arrivals: &[ArrivalEvent],
 ) -> OpenLoopReport {
-    match mode {
-        AdmissionMode::Admitted(admission) => run_admitted(scenario, admission, arrivals),
-        AdmissionMode::Unprotected { width } => run_unprotected(scenario, arrivals, width),
-    }
+    drive(scenario, mode, arrivals, None)
 }
 
-fn run_admitted(
+/// [`run_open_loop`] with the availability daemon (§3.3) as a second
+/// timer beside the arrivals: every turn of the loop first fires the
+/// probes that have come due on the virtual timeline, so a crashed server
+/// is detected between rounds and restored once its fault window ends.
+/// With a daemon whose probes never come due the schedule — and the
+/// journal — is exactly [`run_open_loop`]'s.
+pub fn run_open_loop_with_daemon(
     scenario: &Scenario,
-    admission: &AdmissionController,
+    mode: AdmissionMode<'_>,
     arrivals: &[ArrivalEvent],
+    daemon: &AvailabilityDaemon,
+) -> OpenLoopReport {
+    drive(scenario, mode, arrivals, Some(daemon))
+}
+
+fn drive(
+    scenario: &Scenario,
+    mode: AdmissionMode<'_>,
+    arrivals: &[ArrivalEvent],
+    daemon: Option<&AvailabilityDaemon>,
 ) -> OpenLoopReport {
     let server_ids: Vec<_> = scenario.servers.iter().map(|s| s.id().clone()).collect();
     let mut report = OpenLoopReport::default();
+    // The unprotected mode's pending queue; the admitted mode's is the
+    // controller's own.
+    let mut pool: VecDeque<QueueTicket> = VecDeque::new();
     let mut next = 0usize;
     loop {
+        if let Some(daemon) = daemon {
+            daemon.run_due_probes();
+        }
         let now = scenario.clock.now();
         while next < arrivals.len() && arrivals[next].at <= now {
             let a = &arrivals[next];
-            if admission
-                .enqueue(&a.sql, &a.qt.to_string(), a.class, a.at)
-                .is_err()
-            {
-                report.shed += 1;
+            match mode {
+                AdmissionMode::Admitted(admission) => {
+                    if admission
+                        .enqueue(&a.sql, &a.qt.to_string(), a.class, a.at)
+                        .is_err()
+                    {
+                        report.shed += 1;
+                    }
+                }
+                // No admission: nothing is ever refused and nothing has
+                // a deadline.
+                AdmissionMode::Unprotected { .. } => pool.push_back(QueueTicket {
+                    seq: next as u64,
+                    sql: a.sql.clone(),
+                    template: a.qt.to_string(),
+                    class: a.class,
+                    enqueued_at: a.at,
+                    deadline_ms: f64::INFINITY,
+                }),
             }
             next += 1;
         }
-        if admission.queue_depth() == 0 {
+        let pending = match mode {
+            AdmissionMode::Admitted(admission) => admission.queue_depth(),
+            AdmissionMode::Unprotected { .. } => pool.len(),
+        };
+        if pending == 0 {
             if next >= arrivals.len() {
                 break;
             }
@@ -193,54 +241,28 @@ fn run_admitted(
             scenario.clock.advance_to(arrivals[next].at);
             continue;
         }
-        // Coordinator-side capacity refresh between batches; the batch
-        // below gates against this frozen snapshot.
-        if let Some(qcc) = &scenario.qcc {
-            qcc.refresh_admission(admission, &server_ids, now);
-        }
-        let batch = admission.dequeue_batch(now);
-        report.shed += batch.shed.len() as u64;
-        if batch.admitted.is_empty() {
+        let (admission, round) = match mode {
+            AdmissionMode::Admitted(admission) => {
+                // Coordinator-side capacity refresh between batches; the
+                // batch below gates against this frozen snapshot.
+                if let Some(qcc) = &scenario.qcc {
+                    qcc.refresh_admission(admission, &server_ids, now);
+                }
+                let batch = admission.dequeue_batch(now);
+                report.shed += batch.shed.len() as u64;
+                (Some(admission), batch.admitted)
+            }
+            // The oldest `width` pending queries dispatch, the rest wait
+            // for the pool.
+            AdmissionMode::Unprotected { width } => {
+                let take = width.max(1).min(pool.len());
+                (None, pool.drain(..take).collect())
+            }
+        };
+        if round.is_empty() {
             continue; // everything popped this round was doomed; queue shrank
         }
-        dispatch_round(scenario, Some(admission), &batch.admitted, now, &mut report);
-    }
-    report
-}
-
-fn run_unprotected(scenario: &Scenario, arrivals: &[ArrivalEvent], width: usize) -> OpenLoopReport {
-    let width = width.max(1);
-    let mut report = OpenLoopReport::default();
-    let mut pending: VecDeque<QueueTicket> = VecDeque::new();
-    let mut next = 0usize;
-    let mut seq = 0u64;
-    loop {
-        let now = scenario.clock.now();
-        while next < arrivals.len() && arrivals[next].at <= now {
-            let a = &arrivals[next];
-            pending.push_back(QueueTicket {
-                seq,
-                sql: a.sql.clone(),
-                template: a.qt.to_string(),
-                class: a.class,
-                enqueued_at: a.at,
-                deadline_ms: f64::INFINITY, // unprotected: nothing has a deadline
-            });
-            seq += 1;
-            next += 1;
-        }
-        if pending.is_empty() {
-            if next >= arrivals.len() {
-                break;
-            }
-            scenario.clock.advance_to(arrivals[next].at);
-            continue;
-        }
-        // No admission: the oldest `width` pending queries dispatch, the
-        // rest wait for the pool — nothing is ever refused.
-        let take = width.min(pending.len());
-        let round: Vec<QueueTicket> = pending.drain(..take).collect();
-        dispatch_round(scenario, None, &round, now, &mut report);
+        dispatch_round(scenario, admission, &round, now, &mut report);
     }
     report
 }

@@ -49,10 +49,6 @@ pub struct ScenarioConfig {
     /// Record metrics + journal through qcc-obs (false = every emission
     /// is a no-op; used by benches to measure instrumentation overhead).
     pub obs_enabled: bool,
-    /// Per-query retry budget handed to `FederationConfig::retry_limit`
-    /// (QCC-driven builds take it from `QccConfig::retry_limit` instead,
-    /// so ablations tune one config).
-    pub retry_limit: usize,
     /// `(speed, base load sensitivity)` per server, in id order
     /// (S1, S2, ...). Defaults to the paper's three-server mix
     /// [`SERVER_SPEEDS`]; the sim harness randomizes count and shape.
@@ -82,7 +78,6 @@ impl Default for ScenarioConfig {
             link_bandwidth: 50_000.0,
             threads: qcc_common::default_threads(),
             obs_enabled: true,
-            retry_limit: FederationConfig::default().retry_limit,
             server_specs: SERVER_SPEEDS.to_vec(),
             replication_factor: 0,
             stall_factor: FederationConfig::default().stall_factor,
@@ -352,7 +347,6 @@ impl Scenario {
             middleware,
             FederationConfig {
                 threads: config.threads,
-                retry_limit: config.retry_limit,
                 stall_factor: config.stall_factor,
                 ..FederationConfig::default()
             },

@@ -15,11 +15,18 @@
 //!   first.
 //! * **Dominance** — admission-on completes at least as many queries
 //!   within the deadline budget as admission-off, at no worse p99.
+//! * **The daemon is a timer of the same loop** — driven with an
+//!   availability daemon, a crashed server is probed back up and serves
+//!   again before the arrivals end; driven without one it stays down for
+//!   the rest of the run. A daemon whose probes never come due changes
+//!   nothing: the journals are byte-identical.
 
 use load_aware_federation::admission::{AdmissionConfig, AdmissionController, SHED_REASONS};
-use load_aware_federation::qcc::QccConfig;
+use load_aware_federation::common::SimTime;
+use load_aware_federation::qcc::{AvailabilityDaemon, QccConfig};
 use load_aware_federation::workload::{
-    poisson_arrivals, run_open_loop, AdmissionMode, ArrivalEvent, Scenario, ScenarioConfig,
+    poisson_arrivals, run_open_loop, run_open_loop_with_daemon, AdmissionMode, ArrivalEvent,
+    Scenario, ScenarioConfig,
 };
 use std::sync::Arc;
 
@@ -213,4 +220,119 @@ fn no_admission_baseline_grows_without_bound() {
         last > 5.0 * first,
         "unbounded growth expected: first round {first:.3}ms, last {last:.3}ms"
     );
+}
+
+/// A tiny admitted 3-server world, its admission controller, and a
+/// daemon that has taken its baseline probe. `crash` is an outage window
+/// on S3, the server the healthy world routes most fragments to.
+fn daemon_world(
+    qcc_config: QccConfig,
+    crash: Option<(f64, f64)>,
+) -> (Scenario, Arc<AdmissionController>, AvailabilityDaemon) {
+    let mut scenario = Scenario::build_with_qcc(qcc_config, ScenarioConfig::tiny());
+    let admission = admitted_controller(&scenario);
+    scenario.federation.set_admission(Arc::clone(&admission));
+    if let Some((from_ms, until_ms)) = crash {
+        scenario.server("S3").availability().add_outage(
+            SimTime::from_millis(from_ms),
+            SimTime::from_millis(until_ms),
+        );
+    }
+    let daemon = AvailabilityDaemon::new(
+        Arc::clone(scenario.qcc.as_ref().expect("QCC-routed scenario")),
+        scenario.wrappers.clone(),
+        scenario.clock.clone(),
+    );
+    daemon.probe_all();
+    (scenario, admission, daemon)
+}
+
+#[test]
+fn a_daemon_in_the_loop_restores_a_crashed_server_and_no_daemon_never_does() {
+    // Light load, ~0.5 queries/ms for ~400 virtual ms: the crash window
+    // ends well before the last arrival. Down servers are re-probed at
+    // the fast bound, 20 ms here.
+    let qcc_config = QccConfig {
+        probe_interval_bounds_ms: (20.0, 10_000.0),
+        ..QccConfig::default()
+    };
+    let crash = Some((30.0, 90.0));
+    let arrivals = poisson_arrivals(0.5, 200, 0xd00d);
+    let last_arrival = arrivals.last().expect("arrivals").at;
+    let s3_events = |scenario: &Scenario, kind: &str| -> Vec<SimTime> {
+        scenario
+            .obs
+            .events_of(kind)
+            .iter()
+            .filter(|e| e.str_field("server") == Some("S3"))
+            .map(|e| e.at)
+            .collect()
+    };
+
+    let (scenario, admission, daemon) = daemon_world(qcc_config.clone(), crash);
+    let report = run_open_loop_with_daemon(
+        &scenario,
+        AdmissionMode::Admitted(&admission),
+        &arrivals,
+        &daemon,
+    );
+    assert_eq!(
+        report.completed.len() + report.shed as usize + report.failed as usize,
+        arrivals.len()
+    );
+    let down = s3_events(&scenario, "server_down");
+    let restored = s3_events(&scenario, "server_restored");
+    assert!(!down.is_empty(), "the crash must be noticed");
+    assert!(!restored.is_empty(), "the daemon must probe S3 back up");
+    assert!(down[0] < restored[0] && restored[0] < last_arrival);
+    assert!(
+        s3_events(&scenario, "fragment")
+            .iter()
+            .any(|at| *at > restored[0]),
+        "the restored server must serve fragments again"
+    );
+
+    // The same world through the plain loop: nothing ever probes, so the
+    // first failure prices S3 out for the rest of the run.
+    let (scenario, admission, _daemon) = daemon_world(qcc_config, crash);
+    run_open_loop(&scenario, AdmissionMode::Admitted(&admission), &arrivals);
+    let down = s3_events(&scenario, "server_down");
+    assert!(!down.is_empty(), "the crash must be noticed");
+    assert!(s3_events(&scenario, "server_restored").is_empty());
+    assert!(
+        s3_events(&scenario, "fragment")
+            .iter()
+            .all(|at| *at <= down[0]),
+        "no fragment lands on a server nobody probes back up"
+    );
+}
+
+#[test]
+fn a_daemon_that_is_never_due_leaves_the_schedule_untouched() {
+    // One probe cycle longer than the run: after the baseline probe no
+    // probe comes due, so the daemon-carrying loop must be the plain one.
+    let never_due = QccConfig {
+        probe_interval_ms: 1e9,
+        probe_interval_bounds_ms: (1e9, 1e9),
+        ..QccConfig::default()
+    };
+    let arrivals = overload_arrivals();
+
+    let (scenario, admission, _daemon) = daemon_world(never_due.clone(), None);
+    run_open_loop(&scenario, AdmissionMode::Admitted(&admission), &arrivals);
+    let plain = scenario.obs.journal_snapshot();
+
+    let (scenario, admission, daemon) = daemon_world(never_due, None);
+    run_open_loop_with_daemon(
+        &scenario,
+        AdmissionMode::Admitted(&admission),
+        &arrivals,
+        &daemon,
+    );
+    assert_eq!(
+        scenario.obs.counter_value("probe_cycles_total", &[]),
+        0,
+        "no probe may have come due"
+    );
+    assert!(plain == scenario.obs.journal_snapshot(), "journals differ");
 }

@@ -27,7 +27,6 @@ fn config() -> ScenarioConfig {
         seed: SEED,
         threads: 1,
         obs_enabled: true,
-        retry_limit: 2,
         server_specs: scale_server_specs(FLEET, SEED),
         replication_factor: 3,
         stall_factor: 4.0,
