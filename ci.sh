@@ -111,7 +111,7 @@ if grep -q "goodput dominance: VIOLATED" /tmp/qcc-admission.out; then
 fi
 grep -q "goodput dominance: OK" /tmp/qcc-admission.out
 
-echo "==> bench smoke: federation_scale (pruned fan-out within bound, winners identical)"
+echo "==> bench smoke: federation_scale (pruned fan-out within bound, winners identical, decompose + select_sources allocations flat in the fleet)"
 QCC_FLEETS=50,250 cargo bench -q --offline -p qcc-bench --bench federation_scale \
     | tee /tmp/qcc-fedscale.out
 if grep -q "scale pruning: VIOLATED" /tmp/qcc-fedscale.out; then

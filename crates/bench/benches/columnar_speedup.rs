@@ -29,12 +29,10 @@
 //! allocate per chunk and per group, not per row. The last line reads
 //! `columnar allocations: OK|VIOLATED`; `ci.sh` greps it.
 
-use qcc_bench::BenchScale;
+use qcc_bench::{counting, BenchScale, CountingAllocator};
 use qcc_common::WallStopwatch;
 use qcc_engine::{execute_batches, rowexec, Engine};
 use qcc_storage::{Catalog, ColumnSpec, TableSpec};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const REPS: usize = 5;
 
@@ -51,48 +49,8 @@ const REPS: usize = 5;
 /// build keys, few groups).
 const MAX_ALLOCS_PER_ROW: f64 = 0.25;
 
-/// The system allocator, counting calls that obtain memory.
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed atomic that
-// publishes nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are `System.alloc_zeroed`'s.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are `System.realloc`'s.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's obligations are `System.dealloc`'s.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Run `f`, returning its result and the allocations it made.
-fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
-}
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// The scenario's table shapes (see `qcc-workload`), without indexes so
 /// every query has exactly one plan and both executors run it.

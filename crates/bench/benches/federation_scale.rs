@@ -8,19 +8,38 @@
 //! fragment instead of the whole fleet — and, because the catalog's cost
 //! hints rank servers exactly as the calibrated EXPLAIN costs do, the
 //! chosen plan must be identical either way. The verdict line
-//! (`scale pruning: OK|VIOLATED`) asserts all three properties — pruned
+//! (`scale pruning: OK|VIOLATED`) asserts four properties — pruned
 //! fan-out within the replication bound, fan-out reduced at least 5x at
-//! every fleet size of 25+ servers, winners byte-identical — and `ci.sh`
-//! greps it.
+//! every fleet size of 25+ servers, winners byte-identical, and the heap
+//! allocations of `decompose` + `select_sources` not growing with the
+//! fleet — and `ci.sh` greps it.
+//!
+//! The fourth is a count, not a stopwatch: this binary wraps the system
+//! allocator in a counter. Source selection and grouping that allocate per
+//! candidate (a lower-cased name per lookup, a host list per intersection)
+//! show as hundreds of extra allocations at 250 servers; the slot-indexed
+//! catalog and the membership-test grouping make a fixed number per
+//! statement, whatever the fleet (DESIGN.md §14).
 //!
 //! `QCC_FLEETS` (comma-separated server counts) overrides the default
 //! 50,100,250,500 sweep for smoke runs.
 
+use qcc_bench::{counting, CountingAllocator};
 use qcc_common::{FieldValue, WallStopwatch};
+use qcc_federation::decompose;
 use qcc_workload::{Routing, Scenario, ScenarioConfig};
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// The catalog's source-selection bound (`ScenarioConfig::scale`).
 const BOUND: usize = 3;
+
+/// Allocations `decompose` + `select_sources` may make for a statement at
+/// the largest fleet beyond what they make at the smallest. Measured: +0
+/// for both probes from 50 to 250 servers (47 and 215 at either); the code
+/// this gate replaced measured 109 / 344 at 50 servers and 313 / 750 at 250.
+const MAX_ALLOC_GROWTH: u64 = 16;
 
 /// A cheap single-table probe and a two-table join. Under full
 /// replication both decompose to one co-located fragment whose candidate
@@ -66,6 +85,9 @@ struct Measured {
     compile_ms: f64,
     /// Winning plan per SQL: (signature, total cost).
     winners: Vec<(String, f64)>,
+    /// Per SQL: heap allocations of one `decompose` plus one
+    /// `select_sources` per fragment (0 with selection off).
+    select_allocs: Vec<u64>,
 }
 
 fn measure(n: usize, pruned: bool) -> Measured {
@@ -77,6 +99,7 @@ fn measure(n: usize, pruned: bool) -> Measured {
     let mut fanout = 0u64;
     let mut compile_ms = 0.0;
     let mut winners = Vec::new();
+    let mut select_allocs = Vec::new();
     for sql in SQLS {
         let mut times: Vec<f64> = (0..3)
             .map(|_| {
@@ -91,11 +114,22 @@ fn measure(n: usize, pruned: bool) -> Measured {
         let (_, candidates) = scenario.federation.explain_global(sql).expect("compiles");
         let best = candidates.first().expect("at least one candidate");
         winners.push((best.signature(), best.total_cost()));
+        let ((), allocs) = counting(|| {
+            let Some(catalog) = &scenario.catalog else {
+                return;
+            };
+            let decomposed = decompose(sql, scenario.federation.nicknames()).expect("decomposes");
+            for frag in &decomposed.fragments {
+                catalog.select_sources(&frag.nicknames, &frag.candidate_servers);
+            }
+        });
+        select_allocs.push(allocs);
     }
     Measured {
         fanout,
         compile_ms,
         winners,
+        select_allocs,
     }
 }
 
@@ -109,8 +143,11 @@ fn main() {
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut violations: Vec<String> = Vec::new();
+    // (fleet size, allocation count per probe SQL) of every pruned run.
+    let mut select_allocs: Vec<(usize, Vec<u64>)> = Vec::new();
     for &n in &fleets {
         let on = measure(n, true);
+        select_allocs.push((n, on.select_allocs.clone()));
         let off = measure(n, false);
         // With full replication the unpruned compile asks every server
         // per fragment, so the total fragment count falls out of it.
@@ -150,7 +187,23 @@ fn main() {
                 } else {
                     "DIVERGED".to_string()
                 },
+                m.select_allocs
+                    .iter()
+                    .map(u64::to_string)
+                    .collect::<Vec<_>>()
+                    .join(" / "),
             ]);
+        }
+    }
+    select_allocs.sort();
+    if let (Some((_, small)), Some((_, large))) = (select_allocs.first(), select_allocs.last()) {
+        for ((sql, small), large) in SQLS.iter().zip(small).zip(large) {
+            if *large > small + MAX_ALLOC_GROWTH {
+                violations.push(format!(
+                    "decompose + select_sources allocate with the fleet: {small} -> {large} \
+                     (allowed +{MAX_ALLOC_GROWTH}) for {sql}"
+                ));
+            }
         }
     }
     qcc_bench::print_table(
@@ -162,13 +215,14 @@ fn main() {
             "compile ms".to_string(),
             "reduction".to_string(),
             "winner".to_string(),
+            "select allocs".to_string(),
         ],
         &rows,
     );
     if violations.is_empty() {
         println!(
             "scale pruning: OK (fan-out within bound {BOUND} per fragment, >=5x reduction, \
-             winners identical across {} fleet sizes)",
+             winners identical, decompose + select allocations flat across {} fleet sizes)",
             fleets.len()
         );
     } else {

@@ -13,6 +13,8 @@
 //! * `QCC_WARMUP` — unmeasured calibration rounds per phase (default 2).
 
 use qcc_workload::{ExperimentResult, ScenarioConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Experiment scale, resolved from the environment.
 #[derive(Debug, Clone)]
@@ -108,6 +110,49 @@ pub fn print_phase_metrics(title: &str, phase: &qcc_workload::PhaseResult) {
     for line in metrics.lines() {
         println!("  {line}");
     }
+}
+
+/// The system allocator, counting calls that obtain memory. A bench that
+/// gates on an allocation count installs it as its `#[global_allocator]`
+/// and reads the count through [`counting`].
+pub struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a relaxed atomic that
+// publishes nothing.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.realloc`'s.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's obligations are `System.dealloc`'s.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Run `f`, returning its result and the allocations it made (0 unless
+/// the binary installed [`CountingAllocator`]).
+pub fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
 #[cfg(test)]

@@ -30,10 +30,14 @@
 //! let churn (crash/restore cycles) invalidate only the affected
 //! fragments' cached plans instead of a server's whole cache.
 //!
-//! Determinism: all state lives in ordered maps, selection is a pure
-//! function of (registrations, health, candidate order), and every
-//! mutation is coordinator-side. The catalog never reads a clock — time
-//! is always injected by the caller.
+//! Determinism: servers are interned into dense slots through an ordered
+//! map and everything per server is a slot-indexed vector; selection is a
+//! pure function of (registrations, health, candidate order) — never of
+//! slot order — and every mutation is coordinator-side. The catalog never
+//! reads a clock — time is always injected by the caller.
+//!
+//! Cost: selection is one slot lookup per candidate and allocates nothing
+//! per candidate (DESIGN.md §14 "What a cold compile costs").
 
 use parking_lot::Mutex;
 use qcc_common::{Obs, ServerId, SimTime};
@@ -90,10 +94,28 @@ struct ReplicaMeta {
 
 #[derive(Debug, Default)]
 struct State {
-    /// fragment (table nickname) → hosting server → replica metadata.
-    fragments: BTreeMap<String, BTreeMap<ServerId, ReplicaMeta>>,
-    /// Last pushed health per server (absent = healthy default).
-    health: BTreeMap<ServerId, Health>,
+    /// server → dense slot, handed out on the first `register` or
+    /// `update_health` that names the server. Slots are only ever added,
+    /// so a slot-indexed vector never needs invalidating.
+    slots: BTreeMap<ServerId, usize>,
+    /// Last pushed health per slot (healthy default until pushed).
+    health: Vec<Health>,
+    /// fragment (table nickname) → replica metadata per slot (`None` where
+    /// the server hosts no replica; may be shorter than `health`).
+    fragments: BTreeMap<String, Vec<Option<ReplicaMeta>>>,
+}
+
+impl State {
+    /// The slot of `server`, interning it on first sight.
+    fn intern(&mut self, server: &ServerId) -> usize {
+        if let Some(&slot) = self.slots.get(server) {
+            return slot;
+        }
+        let slot = self.health.len();
+        self.slots.insert(server.clone(), slot);
+        self.health.push(Health::default());
+        slot
+    }
 }
 
 /// The deterministic fragment/replica catalog.
@@ -134,21 +156,22 @@ impl ReplicaCatalog {
         let fragment = fragment.to_ascii_lowercase();
         let fresh = {
             let mut st = self.state.lock();
+            let slot = st.intern(&server);
             let per_fragment = st.fragments.entry(fragment.clone()).or_default();
-            match per_fragment.get_mut(&server) {
+            if per_fragment.len() <= slot {
+                per_fragment.resize(slot + 1, None);
+            }
+            match &mut per_fragment[slot] {
                 Some(meta) => {
                     meta.cost_hint = cost_hint;
                     false
                 }
-                None => {
-                    per_fragment.insert(
-                        server.clone(),
-                        ReplicaMeta {
-                            cost_hint,
-                            epoch: 0,
-                            registered_at: at,
-                        },
-                    );
+                vacant => {
+                    *vacant = Some(ReplicaMeta {
+                        cost_hint,
+                        epoch: 0,
+                        registered_at: at,
+                    });
                     true
                 }
             }
@@ -173,15 +196,16 @@ impl ReplicaCatalog {
         let fragment = fragment.to_ascii_lowercase();
         let removed = {
             let mut st = self.state.lock();
-            match st.fragments.get_mut(&fragment) {
-                Some(per_fragment) => {
-                    let removed = per_fragment.remove(server).is_some();
-                    if per_fragment.is_empty() {
+            let slot = st.slots.get(server).copied();
+            match (slot, st.fragments.get_mut(&fragment)) {
+                (Some(slot), Some(per_fragment)) => {
+                    let removed = per_fragment.get_mut(slot).and_then(Option::take).is_some();
+                    if per_fragment.iter().all(Option::is_none) {
                         st.fragments.remove(&fragment);
                     }
                     removed
                 }
-                None => false,
+                _ => false,
             }
         };
         if removed {
@@ -200,19 +224,17 @@ impl ReplicaCatalog {
     /// Push routing health for `server` (calibration × reliability). No
     /// journal event — this is the hot path, refreshed between batches.
     pub fn update_health(&self, server: &ServerId, cost_factor: f64, band: u8) {
-        self.state
-            .lock()
-            .health
-            .insert(server.clone(), Health { cost_factor, band });
+        let mut st = self.state.lock();
+        let slot = st.intern(server);
+        st.health[slot] = Health { cost_factor, band };
     }
 
     /// The last pushed health of `server` (healthy default if never set).
     pub fn health(&self, server: &ServerId) -> Health {
-        self.state
-            .lock()
-            .health
+        let st = self.state.lock();
+        st.slots
             .get(server)
-            .copied()
+            .map(|&slot| st.health[slot])
             .unwrap_or_default()
     }
 
@@ -223,9 +245,10 @@ impl ReplicaCatalog {
     pub fn bump_epoch(&self, server: &ServerId, at: SimTime, reason: &'static str) -> Vec<String> {
         let affected: Vec<String> = {
             let mut st = self.state.lock();
+            let slot = st.slots.get(server).copied();
             let mut affected = Vec::new();
             for (fragment, per_fragment) in st.fragments.iter_mut() {
-                if let Some(meta) = per_fragment.get_mut(server) {
+                if let Some(Some(meta)) = slot.and_then(|i| per_fragment.get_mut(i)) {
                     meta.epoch += 1;
                     affected.push(fragment.clone());
                 }
@@ -251,9 +274,12 @@ impl ReplicaCatalog {
     /// Fragments hosted on `server`, sorted by name.
     pub fn fragments_on(&self, server: &ServerId) -> Vec<String> {
         let st = self.state.lock();
+        let Some(&slot) = st.slots.get(server) else {
+            return Vec::new();
+        };
         st.fragments
             .iter()
-            .filter(|(_, per_fragment)| per_fragment.contains_key(server))
+            .filter(|(_, per_fragment)| matches!(per_fragment.get(slot), Some(Some(_))))
             .map(|(fragment, _)| fragment.clone())
             .collect()
     }
@@ -262,20 +288,21 @@ impl ReplicaCatalog {
     pub fn replicas(&self, fragment: &str) -> Vec<Replica> {
         let fragment = fragment.to_ascii_lowercase();
         let st = self.state.lock();
-        st.fragments
-            .get(&fragment)
-            .map(|per_fragment| {
-                per_fragment
-                    .iter()
-                    .map(|(server, meta)| Replica {
-                        server: server.clone(),
-                        cost_hint: meta.cost_hint,
-                        epoch: meta.epoch,
-                        registered_at: meta.registered_at,
-                    })
-                    .collect()
+        let Some(per_fragment) = st.fragments.get(&fragment) else {
+            return Vec::new();
+        };
+        st.slots
+            .iter()
+            .filter_map(|(server, &slot)| {
+                let meta = per_fragment.get(slot)?.as_ref()?;
+                Some(Replica {
+                    server: server.clone(),
+                    cost_hint: meta.cost_hint,
+                    epoch: meta.epoch,
+                    registered_at: meta.registered_at,
+                })
             })
-            .unwrap_or_default()
+            .collect()
     }
 
     /// Replica siblings of `fragment` other than `server` (the
@@ -292,10 +319,8 @@ impl ReplicaCatalog {
     pub fn epoch(&self, fragment: &str, server: &ServerId) -> Option<u64> {
         let fragment = fragment.to_ascii_lowercase();
         let st = self.state.lock();
-        st.fragments
-            .get(&fragment)
-            .and_then(|per_fragment| per_fragment.get(server))
-            .map(|meta| meta.epoch)
+        let slot = *st.slots.get(server)?;
+        Some(st.fragments.get(&fragment)?.get(slot)?.as_ref()?.epoch)
     }
 
     /// Number of registered fragments.
@@ -331,18 +356,128 @@ impl ReplicaCatalog {
             band: u8,
         }
         let st = self.state.lock();
+        // Resolve each nickname once; an unknown one (or none at all)
+        // leaves nothing scoreable, so every candidate fails open.
+        let hints: Option<Vec<&[Option<ReplicaMeta>]>> = fragments
+            .iter()
+            .map(|f| Some(st.fragments.get(&f.to_ascii_lowercase())?.as_slice()))
+            .collect();
+        let Some(hints) = hints.filter(|h| !h.is_empty()) else {
+            return candidates.to_vec();
+        };
+        // `keep[i]` starts out true for exactly the fail-open candidates.
+        let mut keep = vec![false; candidates.len()];
+        let mut scored: Vec<Scored> = Vec::with_capacity(candidates.len());
+        for (index, server) in candidates.iter().enumerate() {
+            let score = st.slots.get(server).and_then(|&slot| {
+                let cost = hints.iter().try_fold(0.0, |sum, per_fragment| {
+                    Some(sum + per_fragment.get(slot)?.as_ref()?.cost_hint)
+                })?;
+                Some((cost, st.health[slot]))
+            });
+            match score {
+                Some((cost, health)) => scored.push(Scored {
+                    index,
+                    cost: cost * health.cost_factor,
+                    band: health.band,
+                }),
+                None => keep[index] = true,
+            }
+        }
+        drop(st);
+
+        // Dominance: strictly worse on BOTH axes than some sibling, i.e.
+        // the cheapest cost in any strictly lower band is strictly below
+        // its own. `floor` holds the cheapest cost per distinct band,
+        // ascending, then (second loop) per band the cheapest *below* it.
+        // Infinity stands for "none": `inf < x` and `NaN < x` never hold.
+        let mut floor: Vec<(u8, f64)> = Vec::new();
+        for c in &scored {
+            let at = floor.binary_search_by_key(&c.band, |&(band, _)| band);
+            let at = at.unwrap_or_else(|at| {
+                floor.insert(at, (c.band, f64::INFINITY));
+                at
+            });
+            if c.cost < floor[at].1 {
+                floor[at].1 = c.cost;
+            }
+        }
+        let mut below = f64::INFINITY;
+        for (_, cheapest) in floor.iter_mut() {
+            let own = std::mem::replace(cheapest, below);
+            if own < below {
+                below = own;
+            }
+        }
+        scored.retain(|c| {
+            let at = floor.binary_search_by_key(&c.band, |&(band, _)| band);
+            !at.is_ok_and(|at| floor[at].1 < c.cost)
+        });
+
+        // Cap to the best `bound` by (cost, band, candidate order) — a
+        // total order, so the best `bound` are one set however they are
+        // found. The candidate order tie-break equals server-id order
+        // whenever the caller passes candidates sorted by id.
+        if self.bound > 0 && scored.len() > self.bound {
+            scored.select_nth_unstable_by(self.bound - 1, |a, b| {
+                a.cost
+                    .total_cmp(&b.cost)
+                    .then(a.band.cmp(&b.band))
+                    .then(a.index.cmp(&b.index))
+            });
+            scored.truncate(self.bound);
+        }
+        for c in &scored {
+            keep[c.index] = true;
+        }
+        let kept = candidates.iter().zip(keep).filter(|(_, keep)| *keep);
+        kept.map(|(server, _)| server.clone()).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qcc_common::Pcg32;
+
+    fn ids(names: &[&str]) -> Vec<ServerId> {
+        names.iter().map(ServerId::new).collect()
+    }
+
+    fn catalog_of(bound: usize, hints: &[(&str, &str, f64)]) -> ReplicaCatalog {
+        let c = ReplicaCatalog::new(bound);
+        for (fragment, server, hint) in hints {
+            c.register(fragment, ServerId::new(server), *hint, SimTime::ZERO);
+        }
+        c
+    }
+
+    /// `select_sources` as it stood before the slot index, kept verbatim as
+    /// the reference the property below compares against. It reads the two
+    /// string-keyed maps the catalog used to hold.
+    fn reference_select_sources(
+        registered: &BTreeMap<String, BTreeMap<ServerId, f64>>,
+        pushed: &BTreeMap<ServerId, Health>,
+        bound: usize,
+        fragments: &[String],
+        candidates: &[ServerId],
+    ) -> Vec<ServerId> {
+        struct Scored {
+            index: usize,
+            cost: f64,
+            band: u8,
+        }
         let mut scored: Vec<Scored> = Vec::new();
         let mut fail_open: Vec<usize> = Vec::new();
         for (index, server) in candidates.iter().enumerate() {
             let mut cost = 0.0;
             let mut known = !fragments.is_empty();
             for fragment in fragments {
-                match st
-                    .fragments
+                match registered
                     .get(&fragment.to_ascii_lowercase())
                     .and_then(|per_fragment| per_fragment.get(server))
                 {
-                    Some(meta) => cost += meta.cost_hint,
+                    Some(cost_hint) => cost += cost_hint,
                     None => {
                         known = false;
                         break;
@@ -353,14 +488,13 @@ impl ReplicaCatalog {
                 fail_open.push(index);
                 continue;
             }
-            let health = st.health.get(server).copied().unwrap_or_default();
+            let health = pushed.get(server).copied().unwrap_or_default();
             scored.push(Scored {
                 index,
                 cost: cost * health.cost_factor,
                 band: health.band,
             });
         }
-        drop(st);
 
         // Dominance: strictly worse on BOTH axes than some sibling.
         let dominated: Vec<bool> = scored
@@ -378,17 +512,14 @@ impl ReplicaCatalog {
             .map(|(c, _)| c)
             .collect();
 
-        // Cap to the best `bound` by (cost, band, candidate order). The
-        // candidate order tie-break equals server-id order whenever the
-        // caller passes candidates sorted by id (the decomposer does).
         survivors.sort_by(|a, b| {
             a.cost
                 .total_cmp(&b.cost)
                 .then(a.band.cmp(&b.band))
                 .then(a.index.cmp(&b.index))
         });
-        if self.bound > 0 {
-            survivors.truncate(self.bound);
+        if bound > 0 {
+            survivors.truncate(bound);
         }
 
         let mut keep: Vec<usize> = fail_open;
@@ -398,22 +529,72 @@ impl ReplicaCatalog {
             .map(|index| candidates[index].clone())
             .collect()
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ids(names: &[&str]) -> Vec<ServerId> {
-        names.iter().map(ServerId::new).collect()
-    }
-
-    fn catalog_of(bound: usize, hints: &[(&str, &str, f64)]) -> ReplicaCatalog {
-        let c = ReplicaCatalog::new(bound);
-        for (fragment, server, hint) in hints {
-            c.register(fragment, ServerId::new(server), *hint, SimTime::ZERO);
+    /// Seeded property: over partially registered fleets, mixed-case
+    /// nicknames, shuffled candidates with strangers, every band class and
+    /// infinite / NaN / tied costs, the slot-indexed selection returns what
+    /// the double loop over string-keyed maps returned.
+    #[test]
+    fn selection_equals_the_reference_on_generated_catalogs() {
+        let mut rng = Pcg32::seed_from(0x5e1ec7);
+        let mut pruned_cases = 0;
+        for case in 0..2_500 {
+            let bound = rng.range_u64(0, 6) as usize;
+            let catalog = ReplicaCatalog::new(bound);
+            let mut registered: BTreeMap<String, BTreeMap<ServerId, f64>> = BTreeMap::new();
+            let mut pushed: BTreeMap<ServerId, Health> = BTreeMap::new();
+            let nicknames = &["Big_A", "small_s", "ORDERS"][..rng.range_u64(1, 4) as usize];
+            let n = rng.range_u64(0, 41);
+            let fleet: Vec<ServerId> = (0..n).map(|i| ServerId::new(format!("S{i:02}"))).collect();
+            // Costs from a small pool so ties, infinities and NaN all occur.
+            let hints = [0.25, 0.5, 0.5, 1.0, 2.0, f64::INFINITY];
+            let factors = [1.0, 1.0, 2.0, 4.0, f64::INFINITY, f64::NAN];
+            for server in &fleet {
+                // Health pushed before, after or without any registration.
+                if rng.range_u64(0, 3) == 0 {
+                    let band = match rng.range_u64(0, 4) {
+                        0 => HEALTHY_BAND,
+                        1 | 2 => rng.range_u64(1, 11) as u8,
+                        _ => DOWN_BAND,
+                    };
+                    let health = Health {
+                        cost_factor: *rng.choose(&factors),
+                        band,
+                    };
+                    catalog.update_health(server, health.cost_factor, health.band);
+                    pushed.insert(server.clone(), health);
+                }
+                for nickname in nicknames {
+                    if rng.range_u64(0, 5) > 0 {
+                        let hint = *rng.choose(&hints);
+                        catalog.register(nickname, server.clone(), hint, SimTime::ZERO);
+                        let per_fragment = registered.entry(nickname.to_ascii_lowercase());
+                        per_fragment.or_default().insert(server.clone(), hint);
+                    }
+                }
+            }
+            let mut candidates = fleet.clone();
+            candidates.extend(ids(&["X1", "X2"]));
+            rng.shuffle(&mut candidates);
+            candidates.truncate(rng.range_u64(0, candidates.len() as u64 + 1) as usize);
+            let asked: Vec<String> = nicknames
+                .iter()
+                .map(|name| match rng.range_u64(0, 3) {
+                    0 => name.to_ascii_uppercase(),
+                    1 => name.to_ascii_lowercase(),
+                    _ => name.to_string(),
+                })
+                .collect();
+            let expected =
+                reference_select_sources(&registered, &pushed, bound, &asked, &candidates);
+            assert_eq!(
+                catalog.select_sources(&asked, &candidates),
+                expected,
+                "case {case}: bound {bound}, {asked:?} over {candidates:?}"
+            );
+            pruned_cases += usize::from(expected.len() < candidates.len());
         }
-        c
+        assert!(pruned_cases > 1_000, "only {pruned_cases} cases pruned");
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! A bounded map that evicts in insertion order.
 //!
-//! The one FIFO structure behind the integrator's caches (the plan cache,
-//! the compiled-template cache and each template's integration memo).
+//! The one FIFO structure behind the coordinator's bounded state: the
+//! integrator's caches (the plan cache, the compiled-template cache and
+//! each template's two memos) and the load balancer's per-template state.
+//! A key lives in the map and in the queue, so callers key it on an `Arc`
+//! (or something as small): the two copies then share one allocation.
 //! Eviction depends only on the order of inserts — never on which keys
 //! are read, nor on thread interleavings that re-touch existing keys — so
 //! a cache built on it evicts the same entries at any thread count as long
@@ -12,7 +15,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// Map holding at most `capacity` entries, oldest insert evicted first.
 #[derive(Debug)]
-pub(crate) struct FifoMap<K, V> {
+pub struct FifoMap<K, V> {
     entries: BTreeMap<K, V>,
     /// Insertion order of exactly the live keys: every removal also takes
     /// the key out of the queue, so a key that is removed and inserted
@@ -25,7 +28,7 @@ pub(crate) struct FifoMap<K, V> {
 
 impl<K: Ord + Clone, V> FifoMap<K, V> {
     /// Empty map holding at most `capacity` entries (0 = unbounded).
-    pub(crate) fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         FifoMap {
             entries: BTreeMap::new(),
             order: VecDeque::new(),
@@ -34,12 +37,12 @@ impl<K: Ord + Clone, V> FifoMap<K, V> {
     }
 
     /// The configured entry cap (0 = unbounded).
-    pub(crate) fn capacity(&self) -> usize {
+    pub fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// The value stored under `key`, if any. Reading never reorders.
-    pub(crate) fn get<Q>(&self, key: &Q) -> Option<&V>
+    pub fn get<Q>(&self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
@@ -47,10 +50,25 @@ impl<K: Ord + Clone, V> FifoMap<K, V> {
         self.entries.get(key)
     }
 
+    /// The value stored under `key`, for updating in place (its queue
+    /// position stays).
+    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.entries.get_mut(key)
+    }
+
+    /// Every live value, in key order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.entries.values_mut()
+    }
+
     /// Store `value` under `key` and return how many entries the cap
     /// evicted to make room. Overwriting a live key replaces its value,
     /// keeps its queue position and evicts nothing.
-    pub(crate) fn insert(&mut self, key: K, value: V) -> usize {
+    pub fn insert(&mut self, key: K, value: V) -> usize {
         if let Some(slot) = self.entries.get_mut(&key) {
             *slot = value;
             return 0;
@@ -71,7 +89,7 @@ impl<K: Ord + Clone, V> FifoMap<K, V> {
 
     /// Drop every entry `keep` rejects (an invalidation, not an eviction)
     /// and return how many were dropped.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
         let before = self.entries.len();
         self.entries.retain(|k, v| keep(k, v));
         let dropped = before - self.entries.len();
@@ -83,13 +101,13 @@ impl<K: Ord + Clone, V> FifoMap<K, V> {
     }
 
     /// Drop everything.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.entries.clear();
         self.order.clear();
     }
 
     /// Number of live entries.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.entries.len()
     }
 }

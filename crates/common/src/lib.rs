@@ -11,6 +11,7 @@
 pub mod column;
 pub mod cost;
 pub mod error;
+pub mod fifo;
 pub mod ids;
 pub mod obs;
 pub mod rng;
@@ -23,6 +24,7 @@ pub mod value;
 pub use column::{CellRef, ColumnBatch, ColumnSummary, ColumnVector, BATCH_ROWS};
 pub use cost::Cost;
 pub use error::{QccError, Result};
+pub use fifo::FifoMap;
 pub use ids::{FragmentId, QueryId, ServerId};
 pub use obs::{Event, FieldValue, Metric, Obs};
 pub use rng::Pcg32;

@@ -16,9 +16,17 @@
 
 use crate::config::{LoadBalanceMode, QccConfig};
 use parking_lot::Mutex;
-use qcc_common::Obs;
+use qcc_common::{FifoMap, Obs, ServerId};
 use qcc_federation::GlobalCandidate;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// Templates the balancer keeps a frequency and a cursor for, oldest first
+/// out. A template that comes back after this many others starts a fresh
+/// period, which is what `reset_period` does to every template anyway; a
+/// stream of never-repeating statements then holds this many entries
+/// instead of one per statement served.
+const TEMPLATE_STATE_CAPACITY: usize = 4096;
 
 #[derive(Debug, Default)]
 struct TemplateState {
@@ -35,7 +43,7 @@ pub struct LoadBalancer {
     band: f64,
     threshold: f64,
     exploration_interval: u64,
-    state: Mutex<BTreeMap<String, TemplateState>>,
+    state: Mutex<FifoMap<Arc<str>, TemplateState>>,
     obs: Obs,
 }
 
@@ -47,7 +55,7 @@ impl LoadBalancer {
             band: config.cost_band,
             threshold: config.workload_threshold,
             exploration_interval: config.exploration_interval,
-            state: Mutex::new(BTreeMap::new()),
+            state: Mutex::new(FifoMap::new(TEMPLATE_STATE_CAPACITY)),
             obs: Obs::off(),
         }
     }
@@ -61,6 +69,12 @@ impl LoadBalancer {
     /// The active mode.
     pub fn mode(&self) -> LoadBalanceMode {
         self.mode
+    }
+
+    /// Templates the balancer currently holds state for (bounded by a
+    /// private capacity: the oldest template is forgotten first).
+    pub fn tracked_templates(&self) -> usize {
+        self.state.lock().len()
     }
 
     /// Reset per-template frequencies (the paper re-evaluates distribution
@@ -125,9 +139,11 @@ impl LoadBalancer {
         }
 
         // Dominance elimination: cheapest plan per server set.
-        let mut best_per_set: BTreeMap<String, usize> = BTreeMap::new();
+        let mut best_per_set: BTreeMap<Vec<&ServerId>, usize> = BTreeMap::new();
         for (i, c) in candidates.iter().enumerate() {
-            let key = server_set_key(c);
+            let mut key: Vec<&ServerId> = c.servers().collect();
+            key.sort_unstable();
+            key.dedup();
             match best_per_set.get(&key) {
                 Some(&j) if candidates[j].total_cost() <= c.total_cost() => {}
                 _ => {
@@ -191,11 +207,20 @@ impl LoadBalancer {
     /// [`LoadBalancer::peek`]: bump the template's frequency and, if the
     /// pick came from the rotation cluster, advance the cursor.
     pub fn commit(&self, template: &str, commit: ChoiceCommit) {
+        let advance = |t: &mut TemplateState| {
+            t.frequency += 1;
+            if commit.rotated && commit.cluster_len > 0 {
+                t.cursor = (t.cursor + 1) % commit.cluster_len;
+            }
+        };
         let mut st = self.state.lock();
-        let t = st.entry(template.to_owned()).or_default();
-        t.frequency += 1;
-        if commit.rotated && commit.cluster_len > 0 {
-            t.cursor = (t.cursor + 1) % commit.cluster_len;
+        match st.get_mut(template) {
+            Some(t) => advance(t),
+            None => {
+                let mut t = TemplateState::default();
+                advance(&mut t);
+                st.insert(Arc::from(template), t);
+            }
         }
         drop(st);
         self.obs.counter_inc("lb_commits_total", &[]);
@@ -233,13 +258,6 @@ fn argmin(candidates: &[GlobalCandidate]) -> usize {
         .min_by(|(_, a), (_, b)| a.total_cost().total_cmp(&b.total_cost()))
         .map(|(i, _)| i)
         .unwrap_or(0)
-}
-
-fn server_set_key(c: &GlobalCandidate) -> String {
-    let set = c.server_set();
-    let mut parts: Vec<&str> = set.iter().map(|s| s.as_str()).collect();
-    parts.sort_unstable();
-    parts.join(",")
 }
 
 /// True when both plans run identical fragment plan shapes (the servers
@@ -395,6 +413,22 @@ mod tests {
         let a1 = lb.choose("qa", &cands);
         let b1 = lb.choose("qb", &cands);
         assert_eq!(a1, b1, "each template starts at cursor 0");
+    }
+
+    #[test]
+    fn template_state_is_bounded_and_the_oldest_template_starts_over() {
+        let lb = balancer(LoadBalanceMode::GlobalLevel, 0.0);
+        let cands = vec![
+            candidate(&[("S1", 10.0, "a")], 0.0),
+            candidate(&[("S2", 10.0, "a")], 0.0),
+        ];
+        assert_eq!(lb.choose("q0", &cands), 0, "cursor 0 -> 1");
+        for i in 1..=TEMPLATE_STATE_CAPACITY {
+            lb.choose(&format!("q{i}"), &cands);
+        }
+        assert_eq!(lb.tracked_templates(), TEMPLATE_STATE_CAPACITY);
+        assert_eq!(lb.choose("q0", &cands), 0, "q0 was evicted: cursor 0 again");
+        assert_eq!(lb.choose("q0", &cands), 1);
     }
 
     #[test]

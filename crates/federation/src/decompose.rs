@@ -167,61 +167,39 @@ pub fn decompose(sql: &str, catalog: &NicknameCatalog) -> Result<DecomposedQuery
     };
     let qualified = qualify_stmt(&stmt, &resolve)?;
 
-    // Collect conjuncts.
-    let mut conjuncts = Vec::new();
-    if let Some(w) = &qualified.where_clause {
-        split_and(w, &mut conjuncts);
-    }
-    for j in &qualified.joins {
-        split_and(&j.on, &mut conjuncts);
-    }
-
-    // Group bindings by shared hosting servers (greedy, FROM order).
+    // Group bindings by shared hosting servers (greedy, FROM order). A
+    // group's host list keeps the order of its first nickname's sources;
+    // joining a group filters it by membership in the newcomer's sources.
     let mut groups: Vec<(Vec<usize>, Vec<ServerId>)> = Vec::new();
     for (bi, b) in bindings.iter().enumerate() {
-        let servers: Vec<ServerId> = catalog
-            .get(&b.nickname)?
-            .sources
-            .iter()
-            .map(|s| s.server.clone())
-            .collect();
-        if servers.is_empty() {
+        let def = catalog.get(&b.nickname)?;
+        if def.sources.is_empty() {
             return Err(QccError::NoViablePlan(format!(
                 "nickname {} has no sources",
                 b.nickname
             )));
         }
-        let mut placed = false;
-        for (members, common) in groups.iter_mut() {
-            let intersection: Vec<ServerId> = common
-                .iter()
-                .filter(|s| servers.contains(s))
-                .cloned()
-                .collect();
-            if !intersection.is_empty() {
+        let hosts = |s: &ServerId| def.source_at(s).is_some();
+        match groups
+            .iter_mut()
+            .find(|(_, common)| common.iter().any(hosts))
+        {
+            Some((members, common)) => {
                 members.push(bi);
-                *common = intersection;
-                placed = true;
-                break;
+                common.retain(hosts);
+            }
+            None => {
+                let servers = def.sources.iter().map(|s| s.server.clone());
+                groups.push((vec![bi], servers.collect()));
             }
         }
-        if !placed {
-            groups.push((vec![bi], servers));
-        }
     }
-
-    let binding_group: BTreeMap<String, usize> = groups
-        .iter()
-        .enumerate()
-        .flat_map(|(gi, (members, _))| members.iter().map(move |&bi| (bi, gi)).collect::<Vec<_>>())
-        .map(|(bi, gi)| (bindings[bi].name.clone(), gi))
-        .collect();
 
     let template_signature = template_signature(&qualified);
 
     // Single group: full pushdown.
     if groups.len() == 1 {
-        let (members, servers) = &groups[0];
+        let (members, candidate_servers) = groups.remove(0);
         let frag = FragmentSpec {
             index: 0,
             nicknames: members
@@ -233,7 +211,7 @@ pub fn decompose(sql: &str, catalog: &NicknameCatalog) -> Result<DecomposedQuery
                 .map(|&bi| bindings[bi].name.clone())
                 .collect(),
             stmt: qualified.clone(),
-            candidate_servers: servers.clone(),
+            candidate_servers,
             output: vec![],
             full_pushdown: true,
         };
@@ -246,6 +224,21 @@ pub fn decompose(sql: &str, catalog: &NicknameCatalog) -> Result<DecomposedQuery
     }
 
     // Multi-group: build per-group fragments and the merge statement.
+    let binding_group: BTreeMap<String, usize> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(gi, (members, _))| members.iter().map(move |&bi| (bi, gi)).collect::<Vec<_>>())
+        .map(|(bi, gi)| (bindings[bi].name.clone(), gi))
+        .collect();
+    // Collect conjuncts.
+    let mut conjuncts = Vec::new();
+    if let Some(w) = &qualified.where_clause {
+        split_and(w, &mut conjuncts);
+    }
+    for j in &qualified.joins {
+        split_and(&j.on, &mut conjuncts);
+    }
+
     // Classify conjuncts as local (all refs in one group) or cross-group.
     let refs_of = |e: &Expr| -> BTreeSet<String> {
         let mut cols = Vec::new();
@@ -319,10 +312,10 @@ pub fn decompose(sql: &str, catalog: &NicknameCatalog) -> Result<DecomposedQuery
     let mut fragments = Vec::with_capacity(groups.len());
     // (binding, column) -> (frag table binding, out column name)
     let mut rewrite_map: BTreeMap<(String, String), (String, String)> = BTreeMap::new();
-    for (gi, (members, servers)) in groups.iter().enumerate() {
+    for (gi, (members, candidate_servers)) in groups.into_iter().enumerate() {
         let mut output = Vec::new();
         let mut items = Vec::new();
-        for &bi in members {
+        for &bi in &members {
             let b = &bindings[bi];
             // Ship needed columns in schema order for determinism.
             for col in b.schema.columns() {
@@ -399,7 +392,7 @@ pub fn decompose(sql: &str, catalog: &NicknameCatalog) -> Result<DecomposedQuery
                 order_by: vec![],
                 limit: None,
             },
-            candidate_servers: servers.clone(),
+            candidate_servers,
             output,
             full_pushdown: false,
         });
@@ -919,6 +912,200 @@ mod tests {
         assert_eq!(a.template_signature, b.template_signature);
         let c2 = decompose("SELECT id FROM accounts WHERE balance < 10.0", &c).unwrap();
         assert_ne!(a.template_signature, c2.template_signature);
+    }
+
+    /// The greedy grouping as it stood before the position index — host
+    /// lists intersected by `Vec::contains` — kept as the reference for the
+    /// property below. `sources[i]` are binding `i`'s hosts in registration
+    /// order; returns each group's members and common hosts.
+    fn reference_groups(sources: &[Vec<ServerId>]) -> Vec<(Vec<usize>, Vec<ServerId>)> {
+        let mut groups: Vec<(Vec<usize>, Vec<ServerId>)> = Vec::new();
+        for (bi, servers) in sources.iter().enumerate() {
+            let mut placed = false;
+            for (members, common) in groups.iter_mut() {
+                let intersection: Vec<ServerId> = common
+                    .iter()
+                    .filter(|s| servers.contains(s))
+                    .cloned()
+                    .collect();
+                if !intersection.is_empty() {
+                    members.push(bi);
+                    *common = intersection;
+                    placed = true;
+                    break;
+                }
+            }
+            if !placed {
+                groups.push((vec![bi], servers.clone()));
+            }
+        }
+        groups
+    }
+
+    /// Seeded property: over generated nickname catalogs (1–4 nicknames,
+    /// overlapping host sets registered in scrambled order) every fragment
+    /// lists the candidates the `contains` filter listed, element for
+    /// element, and they are its nicknames' common servers.
+    #[test]
+    fn grouping_equals_the_reference_on_generated_catalogs() {
+        let mut rng = qcc_common::Pcg32::seed_from(0xdec0);
+        let mut multi_group = 0;
+        for case in 0..600 {
+            let fleet = rng.range_u64(1, 13);
+            let tables = rng.range_u64(1, 5) as usize;
+            let mut catalog = NicknameCatalog::new();
+            let mut sources: Vec<Vec<ServerId>> = Vec::new();
+            for t in 0..tables {
+                let columns = vec![Column::new(format!("k{t}"), DataType::Int)];
+                catalog.define(format!("t{t}"), Schema::new(columns));
+                let mut hosts: Vec<ServerId> = (0..fleet)
+                    .filter(|_| rng.range_u64(0, 3) > 0)
+                    .map(|i| ServerId::new(format!("S{i}")))
+                    .collect();
+                if hosts.is_empty() {
+                    hosts.push(ServerId::new("S0"));
+                }
+                rng.shuffle(&mut hosts);
+                for host in &hosts {
+                    let added = catalog.add_source(&format!("t{t}"), host.clone(), format!("r{t}"));
+                    added.expect("defined above");
+                }
+                sources.push(hosts);
+            }
+            let from: Vec<String> = (0..tables).map(|t| format!("T{t}")).collect();
+            let sql = format!("SELECT * FROM {}", from.join(", "));
+            let d = decompose(&sql, &catalog).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            let expected = reference_groups(&sources);
+            assert_eq!(d.fragments.len(), expected.len(), "case {case}: {sql}");
+            for (frag, (members, servers)) in d.fragments.iter().zip(&expected) {
+                let nicknames: Vec<String> = members.iter().map(|t| format!("t{t}")).collect();
+                assert_eq!(frag.nicknames, nicknames, "case {case}");
+                assert_eq!(&frag.candidate_servers, servers, "case {case}");
+                let names: Vec<&str> = nicknames.iter().map(String::as_str).collect();
+                let common: BTreeSet<ServerId> = catalog
+                    .common_servers(&names)
+                    .unwrap()
+                    .into_iter()
+                    .collect();
+                assert_eq!(common, servers.iter().cloned().collect(), "case {case}");
+            }
+            multi_group += usize::from(expected.len() > 1);
+        }
+        assert!(multi_group > 50, "only {multi_group} multi-fragment cases");
+    }
+
+    /// The paper's five tables: `big_a`, `big_b` on S1–S3, `big_c`,
+    /// `small_s` on S4–S6, `big_d` on S3–S4 (it can join either side).
+    fn paper_catalog() -> NicknameCatalog {
+        let mut c = NicknameCatalog::new();
+        let tables: [(&str, &[(&str, DataType)], &[&str]); 5] = [
+            (
+                "big_a",
+                &[
+                    ("id", DataType::Int),
+                    ("grp", DataType::Int),
+                    ("val", DataType::Float),
+                    ("sel", DataType::Int),
+                ],
+                &["S1", "S2", "S3"],
+            ),
+            (
+                "big_d",
+                &[
+                    ("id", DataType::Int),
+                    ("grp", DataType::Int),
+                    ("val", DataType::Float),
+                    ("sel", DataType::Int),
+                ],
+                &["S3", "S4"],
+            ),
+            (
+                "big_b",
+                &[
+                    ("id", DataType::Int),
+                    ("a_id", DataType::Int),
+                    ("qty", DataType::Int),
+                ],
+                &["S1", "S2", "S3"],
+            ),
+            (
+                "big_c",
+                &[
+                    ("id", DataType::Int),
+                    ("b_id", DataType::Int),
+                    ("flag", DataType::Int),
+                ],
+                &["S4", "S5", "S6"],
+            ),
+            (
+                "small_s",
+                &[
+                    ("id", DataType::Int),
+                    ("cat", DataType::Str),
+                    ("bonus", DataType::Float),
+                ],
+                &["S4", "S5", "S6"],
+            ),
+        ];
+        for (name, columns, hosts) in tables {
+            let columns = columns.iter().map(|(n, ty)| Column::new(*n, *ty)).collect();
+            c.define(name, Schema::new(columns));
+            for host in hosts {
+                c.add_source(name, ServerId::new(host), format!("r_{name}"))
+                    .unwrap();
+            }
+        }
+        c
+    }
+
+    /// Seeded mutation fuzz of the decomposer, the second thing a
+    /// statement nobody has seen before meets: it never panics, it rejects
+    /// with a `QccError`, and every statement it builds — the qualified
+    /// original, each fragment, each translation, the merge — prints to
+    /// text that parses back to the same AST.
+    #[test]
+    fn mutated_statements_never_panic_and_what_is_built_round_trips() {
+        let catalog = paper_catalog();
+        let seeds = crate::mutate::seed_statements();
+        for sql in &seeds {
+            decompose(sql, &catalog).unwrap_or_else(|e| panic!("seed `{sql}`: {e}"));
+        }
+        let round_trip = |stmt: &SelectStmt, sql: &str| {
+            let printed = stmt.to_string();
+            let reparsed = parse_select(&printed)
+                .unwrap_or_else(|e| panic!("`{sql}` builds `{printed}`: {e}"));
+            assert_eq!(stmt, &reparsed, "`{sql}` builds `{printed}`");
+        };
+        let mut rng = qcc_common::Pcg32::seed_from(0xdec0de);
+        let (mut accepted, mut split) = (0, 0);
+        for _ in 0..24_000 {
+            let sql = crate::mutate::mutant(&mut rng, &seeds);
+            let result: Result<DecomposedQuery> =
+                std::panic::catch_unwind(|| decompose(&sql, &catalog))
+                    .unwrap_or_else(|_| panic!("decompose panicked on `{sql}`"));
+            let Ok(d) = result else {
+                continue;
+            };
+            accepted += 1;
+            round_trip(&d.stmt, &sql);
+            for frag in &d.fragments {
+                round_trip(&frag.stmt, &sql);
+                assert!(!frag.candidate_servers.is_empty(), "`{sql}`");
+                for server in &frag.candidate_servers {
+                    let translated = frag.sql_for_server(&catalog, server).unwrap();
+                    parse_select(&translated)
+                        .unwrap_or_else(|e| panic!("`{sql}` ships `{translated}`: {e}"));
+                }
+            }
+            if let MergeSpec::Merge { stmt } = &d.merge {
+                round_trip(stmt, &sql);
+                split += 1;
+            }
+        }
+        assert!(
+            accepted > 1_000 && split > 300,
+            "{accepted} accepted, {split} split"
+        );
     }
 
     #[test]

@@ -94,6 +94,10 @@ impl Federation {
         let mut tasks: Vec<ExplainTask<'_>> = Vec::new();
         for (slot, frag) in decomposed.fragments.iter().enumerate() {
             let fid = FragmentId::new(qid, frag.index);
+            // Remote table names → the fragment as translated for them:
+            // servers whose names agree are sent the same text, so it is
+            // printed once and they share the allocation.
+            let mut translated: Vec<(Vec<&str>, Arc<str>)> = Vec::new();
             for server in selected[slot].iter() {
                 let Ok(wrapper) = self.wrapper(server) else {
                     continue;
@@ -101,7 +105,17 @@ impl Federation {
                 let frag_sql = match template.fragment_sql(slot, server) {
                     Some(sql) => sql,
                     None => {
-                        let sql: Arc<str> = frag.sql_for_server(&self.nicknames, server)?.into();
+                        let remote = |n: &String| self.nicknames.remote_table(n, server);
+                        let names: Vec<&str> =
+                            frag.nicknames.iter().map(remote).collect::<Result<_>>()?;
+                        let sql = match translated.iter().find(|(known, _)| *known == names) {
+                            Some((_, sql)) => Arc::clone(sql),
+                            None => {
+                                let sql = frag.sql_for_server(&self.nicknames, server)?.into();
+                                translated.push((names, Arc::clone(&sql)));
+                                sql
+                            }
+                        };
                         learned
                             .fragment_sql
                             .push((slot, server.clone(), Arc::clone(&sql)));

@@ -14,10 +14,9 @@
 
 use super::Federation;
 use crate::decompose::{decompose, DecomposedQuery, MergeSpec};
-use crate::fifo::FifoMap;
 use crate::middleware::Deferred;
 use parking_lot::Mutex;
-use qcc_common::{Cost, Result, Schema, ServerId};
+use qcc_common::{Cost, FifoMap, Result, Schema, ServerId};
 use qcc_engine::PlanNode;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -38,8 +37,9 @@ const INTEGRATION_MEMO_CAPACITY: usize = 64;
 /// differ in size, one in all when they do not.
 pub(super) const MERGE_PLAN_MEMO_CAPACITY: usize = 16;
 
-/// The compiled-template cache, keyed by the exact SQL text.
-pub(super) type TemplateCache = Arc<Mutex<FifoMap<String, Arc<Template>>>>;
+/// The compiled-template cache, keyed by the exact SQL text (one copy of
+/// it, shared by the map and its eviction queue; probed by `&str`).
+pub(super) type TemplateCache = Arc<Mutex<FifoMap<Arc<str>, Arc<Template>>>>;
 
 pub(super) fn new_cache() -> TemplateCache {
     Arc::new(Mutex::new(FifoMap::new(TEMPLATE_CACHE_CAPACITY)))
@@ -63,10 +63,10 @@ struct Memo {
     fragment_sql: Vec<BTreeMap<ServerId, Arc<str>>>,
     /// The *uncalibrated* integration estimate per vector of fragment
     /// cardinalities.
-    integration: FifoMap<Vec<u64>, Cost>,
+    integration: FifoMap<Arc<[u64]>, Cost>,
     /// The plan the engine's planner picked for the merge statement the
     /// first time this vector of gathered fragment row counts arrived.
-    merge_plan: FifoMap<Vec<u64>, Arc<PlanNode>>,
+    merge_plan: FifoMap<Arc<[u64]>, Arc<PlanNode>>,
 }
 
 /// What one arrival worked out that its template did not hold yet. It is
@@ -128,10 +128,10 @@ impl Template {
             memo.fragment_sql[slot].insert(server, sql);
         }
         for (cardinalities, cost) in learned.integration {
-            memo.integration.insert(cardinalities, cost);
+            memo.integration.insert(cardinalities.into(), cost);
         }
         if let Some((rows, plan)) = learned.merge_plan {
-            memo.merge_plan.insert(rows, plan);
+            memo.merge_plan.insert(rows.into(), plan);
         }
     }
 }
@@ -157,7 +157,7 @@ impl Federation {
         self.obs.counter_inc("compiled_template_misses_total", &[]);
         let template = Arc::new(Template::new(decompose(sql, &self.nicknames)?));
         let (cache, obs) = (Arc::clone(&self.templates), self.obs.clone());
-        let (key, stored) = (sql.to_owned(), Arc::clone(&template));
+        let (key, stored) = (Arc::from(sql), Arc::clone(&template));
         effects.defer(move || {
             let evicted = cache.lock().insert(key, stored);
             if evicted > 0 {

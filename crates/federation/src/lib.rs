@@ -23,12 +23,16 @@
 
 pub mod decompose;
 pub mod federation;
-mod fifo;
 pub mod middleware;
 pub mod nickname;
 pub mod patroller;
 pub mod plancache;
 pub mod report;
+
+/// The seeded statement mutator shared with `qcc-sql`'s fuzz test.
+#[cfg(test)]
+#[path = "../../../tests/support/mutate.rs"]
+mod mutate;
 
 pub use decompose::{decompose, DecomposedQuery, FragmentSpec, MergeSpec};
 pub use federation::{Federation, FederationConfig, QueryOutcome, REROUTE_BAND, REROUTE_PROBE_MS};

@@ -24,8 +24,18 @@ pub struct NicknameDef {
     /// The relational schema all sources of this nickname share.
     pub schema: Schema,
     /// Sources, in registration order (the first is the "origin", the
-    /// rest replicas — the distinction only matters for display).
+    /// rest replicas — the distinction only matters for display). At most
+    /// one per server.
     pub sources: Vec<SourceMapping>,
+    /// server → its position in `sources`.
+    by_server: BTreeMap<ServerId, usize>,
+}
+
+impl NicknameDef {
+    /// The source of this nickname at `server`, if it has one.
+    pub fn source_at(&self, server: &ServerId) -> Option<&SourceMapping> {
+        self.by_server.get(server).map(|&i| &self.sources[i])
+    }
 }
 
 /// The integrator's nickname catalog.
@@ -49,11 +59,14 @@ impl NicknameCatalog {
                 name,
                 schema,
                 sources: Vec::new(),
+                by_server: BTreeMap::new(),
             },
         );
     }
 
-    /// Register a source (origin or replica) for a nickname.
+    /// Register a source (origin or replica) for a nickname. A nickname
+    /// has one source per server: registering a server again replaces the
+    /// remote table it maps to and keeps the server's position.
     pub fn add_source(
         &mut self,
         nickname: &str,
@@ -64,12 +77,16 @@ impl NicknameCatalog {
             .defs
             .get_mut(&nickname.to_ascii_lowercase())
             .ok_or_else(|| QccError::UnknownTable(nickname.to_owned()))?;
-        let mapping = SourceMapping {
-            server,
-            remote_table: remote_table.into().to_ascii_lowercase(),
-        };
-        if !def.sources.contains(&mapping) {
-            def.sources.push(mapping);
+        let remote_table = remote_table.into().to_ascii_lowercase();
+        match def.by_server.get(&server) {
+            Some(&i) => def.sources[i].remote_table = remote_table,
+            None => {
+                def.by_server.insert(server.clone(), def.sources.len());
+                def.sources.push(SourceMapping {
+                    server,
+                    remote_table,
+                });
+            }
         }
         Ok(())
     }
@@ -101,18 +118,15 @@ impl NicknameCatalog {
             .collect();
         for nick in iter {
             let def = self.get(nick)?;
-            servers.retain(|s| def.sources.iter().any(|m| &m.server == s));
+            servers.retain(|s| def.source_at(s).is_some());
         }
-        servers.dedup();
         Ok(servers)
     }
 
     /// The remote table name for `nickname` at `server`.
     pub fn remote_table(&self, nickname: &str, server: &ServerId) -> Result<&str> {
         let def = self.get(nickname)?;
-        def.sources
-            .iter()
-            .find(|m| &m.server == server)
+        def.source_at(server)
             .map(|m| m.remote_table.as_str())
             .ok_or_else(|| {
                 QccError::Planning(format!(
@@ -179,6 +193,28 @@ mod tests {
         c.add_source("accounts", ServerId::new("S1"), "acct")
             .unwrap();
         assert_eq!(c.get("accounts").unwrap().sources.len(), 2);
+    }
+
+    /// A nickname maps a server to one remote table: the pair used to be
+    /// the de-duplication key, so a second table for the same server was
+    /// appended — the server listed (and EXPLAINed) twice, the older name
+    /// still the one `remote_table` answered.
+    #[test]
+    fn second_source_for_a_server_replaces_its_remote_table() {
+        let mut c = catalog();
+        c.add_source("accounts", ServerId::new("S1"), "acct_v2")
+            .unwrap();
+        let d = crate::decompose("SELECT id FROM accounts", &c).unwrap();
+        assert_eq!(
+            d.fragments[0].candidate_servers,
+            vec![ServerId::new("S1"), ServerId::new("R1")],
+            "S1 once, at its original position"
+        );
+        let s1 = ServerId::new("S1");
+        assert_eq!(c.remote_table("accounts", &s1).unwrap(), "acct_v2");
+        let sql = d.fragments[0].sql_for_server(&c, &s1).unwrap();
+        assert!(sql.contains("acct_v2"), "{sql}");
+        assert_eq!(c.common_servers(&["accounts", "branches"]).unwrap(), [s1]);
     }
 
     #[test]

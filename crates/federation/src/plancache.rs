@@ -26,9 +26,8 @@
 //! invalidated key leaves the queue with its entry, so it is never
 //! counted as an eviction later.
 
-use crate::fifo::FifoMap;
 use parking_lot::Mutex;
-use qcc_common::{Obs, ServerId};
+use qcc_common::{FifoMap, Obs, ServerId};
 use qcc_wrapper::FragmentPlan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -11,6 +11,11 @@ pub mod ast;
 pub mod parser;
 pub mod token;
 
+/// The seeded statement mutator shared with `qcc-federation`'s fuzz test.
+#[cfg(test)]
+#[path = "../../../tests/support/mutate.rs"]
+mod mutate;
+
 pub use ast::{
     AggFunc, BinaryOp, Expr, JoinClause, OrderItem, SelectItem, SelectStmt, TableRef, UnaryOp,
 };

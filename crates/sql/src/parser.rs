@@ -696,4 +696,35 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
     }
+
+    /// Seeded mutation fuzz of the parser, the first thing a statement
+    /// nobody has seen before meets: it never panics, it rejects with a
+    /// `QccError::Parse`, and what it accepts prints to text that parses
+    /// back to the same AST.
+    #[test]
+    fn mutated_statements_never_panic_and_accepted_ones_round_trip() {
+        let seeds = crate::mutate::seed_statements();
+        let mut rng = qcc_common::Pcg32::seed_from(0xf022);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..24_000 {
+            let sql = crate::mutate::mutant(&mut rng, &seeds);
+            let parsed = std::panic::catch_unwind(|| parse_select(&sql))
+                .unwrap_or_else(|_| panic!("parse_select panicked on `{sql}`"));
+            match parsed {
+                Ok(stmt) => {
+                    let printed = stmt.to_string();
+                    let reparsed = parse_select(&printed)
+                        .unwrap_or_else(|e| panic!("`{sql}` prints as `{printed}`: {e}"));
+                    assert_eq!(stmt, reparsed, "`{sql}` prints as `{printed}`");
+                    accepted += 1;
+                }
+                Err(QccError::Parse(_)) => rejected += 1,
+                Err(other) => panic!("`{sql}` rejected with {other:?}"),
+            }
+        }
+        assert!(
+            accepted > 2_000 && rejected > 2_000,
+            "{accepted} / {rejected}"
+        );
+    }
 }

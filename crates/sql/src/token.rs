@@ -220,22 +220,17 @@ fn lex_number(input: &str) -> Result<(Token, usize)> {
         }
     }
     let text = &input[..i];
-    if is_float {
-        let v: f64 = text
-            .parse()
-            .map_err(|_| QccError::Parse(format!("bad float literal '{text}'")))?;
-        Ok((Token::Float(v), i))
-    } else {
-        match text.parse::<i64>() {
-            Ok(v) => Ok((Token::Int(v), i)),
-            // Overflowing integers degrade to floats.
-            Err(_) => {
-                let v: f64 = text
-                    .parse()
-                    .map_err(|_| QccError::Parse(format!("bad number literal '{text}'")))?;
-                Ok((Token::Float(v), i))
-            }
+    if !is_float {
+        if let Ok(v) = text.parse::<i64>() {
+            return Ok((Token::Int(v), i));
         }
+        // Overflowing integers degrade to floats.
+    }
+    match text.parse::<f64>() {
+        // A literal beyond the float range would read as infinity, which
+        // prints as `inf` — a column name to whoever parses that text.
+        Ok(v) if v.is_finite() => Ok((Token::Float(v), i)),
+        _ => Err(QccError::Parse(format!("bad number literal '{text}'"))),
     }
 }
 
@@ -282,6 +277,17 @@ mod tests {
         assert_eq!(toks[2], Token::Float(300.0));
         assert_eq!(toks[3], Token::Float(0.45));
         assert!(matches!(toks[4], Token::Float(_)), "overflow → float");
+    }
+
+    /// Fuzz regression (`... ON 1e309 = a.id`): the literal lexed as
+    /// infinity, printed as `inf` and came back as a column reference.
+    #[test]
+    fn number_beyond_the_float_range_is_rejected() {
+        assert!(matches!(tokenize("1e309"), Err(QccError::Parse(_))));
+        assert!(matches!(
+            tokenize(&"9".repeat(400)),
+            Err(QccError::Parse(_))
+        ));
     }
 
     #[test]

@@ -661,7 +661,7 @@ mod tests {
     #[test]
     fn pruned_and_unpruned_compiles_choose_identical_plans() {
         for seed in [1u64, 7, 42] {
-            for n in [8usize, 17] {
+            for n in [8usize, 17, 120] {
                 let mut pruned_cfg = ScenarioConfig::scale(n);
                 pruned_cfg.seed = seed;
                 pruned_cfg.server_specs = scale_server_specs(n, seed);
@@ -673,6 +673,10 @@ mod tests {
                     "SELECT COUNT(*) FROM small_s",
                     "SELECT a.sel, COUNT(*) AS n FROM big_a a WHERE a.sel < 500 \
                      GROUP BY a.sel ORDER BY a.sel",
+                    // Two nicknames: grouped by host membership, scored
+                    // on the summed hints.
+                    "SELECT s.cat, COUNT(*) AS n FROM big_a a JOIN small_s s ON a.grp = s.id \
+                     WHERE a.sel < 500 GROUP BY s.cat ORDER BY s.cat",
                 ] {
                     let (_, pc) = pruned.federation.explain_global(sql).unwrap();
                     let (_, fc) = full.federation.explain_global(sql).unwrap();

@@ -2,7 +2,9 @@
 //! of the number of queries it has served (ROADMAP "Bounded coordinator
 //! state"). With the journal off, a warmed-up coordinator repeating the
 //! paper's forty statements must not grow its live heap at all; with the
-//! journal on, the journal is the only thing that grows.
+//! journal on, the journal is the only thing that grows. The same holds for
+//! a stream of statements nobody has seen before: the three caches and the
+//! load balancer's per-template state fill up and then turn over.
 //!
 //! This binary wraps the system allocator in a live-byte counter, so the
 //! assertions are on bytes actually held, not on RSS.
@@ -28,6 +30,11 @@ const MAX_GROWTH_OBS_OFF: f64 = 16.0;
 /// 2 826 B. The bound sits between the two, so it fails if a per-query
 /// history reappears next to the journal.
 const MAX_GROWTH_OBS_ON: f64 = 2_300.0;
+
+/// `LoadBalancer`'s private `TEMPLATE_STATE_CAPACITY`, and the number of
+/// never-repeating statements that fills it, the plan cache (4 096
+/// entries, three per statement here) and the template cache (128).
+const BALANCER_CAPACITY: usize = 4_096;
 
 /// The system allocator, counting live bytes.
 struct Counting;
@@ -98,6 +105,39 @@ fn growth_per_query(obs_enabled: bool) -> f64 {
     submit(MEASURED);
     let after = LIVE_BYTES.load(Ordering::Relaxed);
     (after as f64 - before as f64) / MEASURED as f64
+}
+
+#[test]
+fn distinct_templates_fill_the_bounded_state_and_then_stop_growing() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let scenario = Scenario::build_partitioned(
+        QccConfig::default(),
+        ScenarioConfig {
+            obs_enabled: false,
+            ..ScenarioConfig::scale(6)
+        },
+    );
+    // The alias is part of the template signature; its width is fixed so
+    // an entry that replaces an evicted one is the same size.
+    let submit = |range: std::ops::Range<usize>| {
+        for i in range {
+            let sql = format!("SELECT a.id AS x{i:06} FROM big_a a WHERE a.sel < 5");
+            scenario.federation.submit(&sql).expect("statement answers");
+        }
+    };
+    let full = BALANCER_CAPACITY + 200;
+    submit(0..full);
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    submit(full..full + MEASURED);
+    let after = LIVE_BYTES.load(Ordering::Relaxed);
+    let growth = (after as f64 - before as f64) / MEASURED as f64;
+    println!("live heap growth, distinct templates, journal off: {growth:.1} B/query");
+    let balancer = &scenario.qcc.as_ref().expect("QCC routing").load_balancer;
+    assert_eq!(balancer.tracked_templates(), BALANCER_CAPACITY);
+    assert!(
+        growth <= MAX_GROWTH_OBS_OFF,
+        "state grows with distinct templates served: {growth:.1} B/query"
+    );
 }
 
 #[test]
