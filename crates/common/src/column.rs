@@ -282,6 +282,25 @@ impl ColumnVector {
         }
     }
 
+    /// Reserve room for `additional` more cells.
+    pub fn reserve(&mut self, additional: usize) {
+        match self {
+            ColumnVector::Int { data, nulls } => {
+                data.reserve(additional);
+                nulls.reserve(additional);
+            }
+            ColumnVector::Float { data, nulls } => {
+                data.reserve(additional);
+                nulls.reserve(additional);
+            }
+            ColumnVector::Str { data, nulls } => {
+                data.reserve(additional);
+                nulls.reserve(additional);
+            }
+            ColumnVector::Mixed(vals) => vals.reserve(additional),
+        }
+    }
+
     /// Number of cells.
     pub fn len(&self) -> usize {
         match self {

@@ -21,7 +21,7 @@
 use crate::cost::CostModel;
 use crate::expr::{AggAccumulator, CompiledExpr};
 use crate::plan::{index_positions, AggSpec, PlanNode};
-use crate::rowtable::{RowTable, Rows};
+use crate::rowtable::{KeyChunk, RowTable, Rows};
 use crate::vexpr::{cmp_holds, eval_cells, eval_predicate_cells, PairView, RowView};
 use crate::work::{Ledger, Work};
 use qcc_common::{
@@ -239,6 +239,23 @@ fn borrowed<'a>(cols: &'a [Cow<'_, ColumnVector>]) -> Vec<&'a ColumnVector> {
     cols.iter().map(|c| &**c).collect()
 }
 
+/// [`eval_columns`] over every chunk.
+fn eval_keys<'a>(exprs: &[CompiledExpr], chunks: &'a [Chunk]) -> Vec<Vec<Cow<'a, ColumnVector>>> {
+    chunks.iter().map(|ch| eval_columns(exprs, ch)).collect()
+}
+
+/// Each chunk's key columns (from [`eval_keys`]) with its live rows: what
+/// a row-id table picks its layout from.
+fn key_chunks<'a>(
+    keys: &'a [Vec<Cow<'_, ColumnVector>>],
+    chunks: &'a [Chunk],
+) -> Vec<KeyChunk<'a>> {
+    keys.iter()
+        .zip(chunks)
+        .map(|(k, ch)| (borrowed(k), ch.rows()))
+        .collect()
+}
+
 /// An empty vector of the representation that holds `first`. (`Int` for
 /// NULL; a later cell of another type demotes it, as for any column.)
 fn builder_for(first: CellRef<'_>) -> ColumnVector {
@@ -291,18 +308,7 @@ impl Exec<'_> {
                                 }),
                                 Verdict::Eval => {
                                     let ids: Vec<u32> = match fast {
-                                        Some((op, i, lit)) => {
-                                            let lit = CellRef::of(lit);
-                                            let mut ids = Vec::new();
-                                            let mut r = 0;
-                                            ch.columns()[i].for_each_cell(0..ch.len(), |c| {
-                                                if cmp_keep(op, c, lit) {
-                                                    ids.push(r);
-                                                }
-                                                r += 1;
-                                            });
-                                            ids
-                                        }
+                                        Some((op, i, lit)) => cmp_rows(op, &ch.columns()[i], lit),
                                         None => {
                                             let cols = ch.columns();
                                             (0..ch.len())
@@ -381,40 +387,46 @@ impl Exec<'_> {
             } => {
                 let build = self.node(left, &needs[0])?;
                 let probe = self.node(right, &needs[1])?;
-                let n_build = total_selected(&build);
-                self.work.hash_join_sides(n_build, total_selected(&probe));
-                let mut table = RowTable::for_rows(n_build);
+                let (n_build, n_probe) = (total_selected(&build), total_selected(&probe));
+                self.work.hash_join_sides(n_build, n_probe);
                 // Table row id → the build row it stands for.
                 let mut build_rows: Vec<(u32, u32)> = Vec::with_capacity(n_build);
-                for (ci, ch) in build.iter().enumerate() {
-                    let keys = eval_columns(left_keys, ch);
-                    table.insert_chunk(&borrowed(&keys), ch.rows(), |pi| {
+                let build_keys = eval_keys(left_keys, &build);
+                let mut table = RowTable::build(
+                    &key_chunks(&build_keys, &build),
+                    n_probe,
+                    #[inline(always)]
+                    |ci, pi| {
                         build_rows.push((ci as u32, pi as u32));
-                    });
-                }
-                table.link();
+                    },
+                );
                 let mut lpicks: Vec<(u32, u32)> = Vec::new();
                 let mut rpicks: Vec<(u32, u32)> = Vec::new();
                 for (ci, ch) in probe.iter().enumerate() {
                     let keys = eval_columns(right_keys, ch);
-                    table.probe_chunk(&borrowed(&keys), ch.rows(), |id, pi| {
-                        let (bci, bpi) = build_rows[id as usize];
-                        if let Some(p) = residual {
-                            self.work.residual_check(p.node_count());
-                            let pair = PairView {
-                                left: &build[bci as usize].cols,
-                                lrow: bpi as usize,
-                                right: &ch.cols,
-                                rrow: pi,
-                            };
-                            if !eval_predicate_cells(p, &pair) {
-                                return;
+                    table.probe_chunk(
+                        &borrowed(&keys),
+                        ch.rows(),
+                        #[inline(always)]
+                        |id, pi| {
+                            let (bci, bpi) = build_rows[id as usize];
+                            if let Some(p) = residual {
+                                self.work.residual_check(p.node_count());
+                                let pair = PairView {
+                                    left: &build[bci as usize].cols,
+                                    lrow: bpi as usize,
+                                    right: &ch.cols,
+                                    rrow: pi,
+                                };
+                                if !eval_predicate_cells(p, &pair) {
+                                    return;
+                                }
                             }
-                        }
-                        self.work.emit(1);
-                        lpicks.push((bci, bpi));
-                        rpicks.push((ci as u32, pi as u32));
-                    });
+                            self.work.emit(1);
+                            lpicks.push((bci, bpi));
+                            rpicks.push((ci as u32, pi as u32));
+                        },
+                    );
                 }
                 Ok(self.join_output(&build, &lpicks, &probe, &rpicks, needed))
             }
@@ -612,13 +624,16 @@ impl Exec<'_> {
                 // The row-id table keyed on every column: ids are handed
                 // out in first-seen order, so the row that introduces the
                 // next unseen id is a first occurrence.
-                let mut table = RowTable::for_rows(total_selected(&chunks));
+                let keys: Vec<KeyChunk> = chunks
+                    .iter()
+                    .map(|ch| (ch.cols.iter().map(|c| &**c).collect(), ch.rows()))
+                    .collect();
+                let mut table = RowTable::for_groups(&keys);
                 let mut group = Vec::new();
                 let mut out = Vec::with_capacity(chunks.len());
-                for ch in chunks {
-                    let cols: Vec<&ColumnVector> = ch.cols.iter().map(|c| &**c).collect();
+                for (ch, (cols, rows)) in chunks.iter().zip(&keys) {
                     let mut unseen = table.len() as u32;
-                    table.group_ids(&cols, ch.rows(), &mut group);
+                    table.group_ids(cols, *rows, &mut group);
                     let ids: Vec<u32> = ch
                         .selected()
                         .zip(&group)
@@ -631,7 +646,7 @@ impl Exec<'_> {
                         .collect();
                     if !ids.is_empty() {
                         out.push(Chunk {
-                            cols: ch.cols,
+                            cols: ch.cols.clone(),
                             len: ch.len,
                             sel: Sel::Ids(ids),
                         });
@@ -705,15 +720,17 @@ impl Exec<'_> {
             .iter()
             .map(|f| Vec::from_iter(global.then(|| f.clone())))
             .collect();
-        let mut table = RowTable::for_rows(if global { 0 } else { total_selected(chunks) });
+        let keys = eval_keys(group_by, if global { &[] } else { chunks });
+        let keys = key_chunks(&keys, chunks);
+        let mut table = RowTable::for_groups(&keys);
         let mut group: Vec<u32> = Vec::new();
-        for ch in chunks {
+        for (ci, ch) in chunks.iter().enumerate() {
             if global {
                 group.clear();
                 group.resize(ch.n_selected(), 0);
             } else {
-                let keys = eval_columns(group_by, ch);
-                table.group_ids(&borrowed(&keys), ch.rows(), &mut group);
+                let (cols, rows) = &keys[ci];
+                table.group_ids(cols, *rows, &mut group);
             }
             // One aggregate at a time, rows in order: each accumulator
             // sees its inputs in the order row-at-a-time execution feeds
@@ -910,10 +927,31 @@ fn flip(op: BinaryOp) -> BinaryOp {
     }
 }
 
-/// WHERE-keep decision for `cell <cmp> lit`: the comparison as the
-/// expression tree evaluates it, unknown rejecting.
-fn cmp_keep(op: BinaryOp, c: CellRef<'_>, lit: CellRef<'_>) -> bool {
-    c.sql_cmp(lit).is_some_and(|ord| cmp_holds(op, ord))
+/// The rows of `col` that WHERE keeps for `cell <op> lit`: the comparison
+/// as the expression tree evaluates it, unknown rejecting.
+fn cmp_rows(op: BinaryOp, col: &ColumnVector, lit: &Value) -> Vec<u32> {
+    let mut ids = Vec::new();
+    match (col, lit) {
+        // The paper's filters: a loop over the payload and the null mask.
+        (ColumnVector::Int { data, nulls }, Value::Int(k)) => {
+            for (r, (&v, &null)) in data.iter().zip(nulls).enumerate() {
+                if !null && cmp_holds(op, v.cmp(k)) {
+                    ids.push(r as u32);
+                }
+            }
+        }
+        _ => {
+            let lit = CellRef::of(lit);
+            let mut r = 0;
+            col.for_each_cell(0..col.len(), |c| {
+                if c.sql_cmp(lit).is_some_and(|ord| cmp_holds(op, ord)) {
+                    ids.push(r);
+                }
+                r += 1;
+            });
+        }
+    }
+    ids
 }
 
 #[cfg(test)]

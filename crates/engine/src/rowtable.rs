@@ -1,24 +1,43 @@
-//! The row-id hash table behind hash join, hash aggregate and DISTINCT.
+//! The row-id table behind hash join, hash aggregate and DISTINCT.
 //!
 //! Rows are numbered in insertion order. For each row the table keeps its
-//! key cells — copied into typed key columns, position = row id — its
-//! 64-bit key hash, and a link to the next row of the same hash bucket;
-//! `heads` maps a bucket to the first row of its chain. A lookup walks one
-//! chain comparing hashes, then key cells (`total_cmp == Equal`, the
-//! equality `Value` has). Nothing is allocated per row or per key: the
-//! arrays are flat, and `heads` is sized once from the row count the
-//! operator already knows.
+//! key cells — copied into typed key columns, position = row id — and a
+//! link to the next row of its chain; `heads` maps a chain to its first
+//! row. Nothing is allocated per row or per key: the arrays are flat, and
+//! `heads` is sized once, from keys the operator already holds.
 //!
-//! Keys arrive a chunk at a time as key *columns*. They are hashed column
-//! by column ([`CellRef::hash64`], the hash `Value` has), and the
-//! representation of a single `Int` key is matched once per chunk, so the
-//! paper's templates compare keys in loops over `&[i64]` / `&[bool]`; any
-//! other shape compares cell by cell.
+//! The layout is picked once per table, from those keys ([`Layout::pick`]):
+//!
+//! * **Dense** — one key column whose non-NULL cells are all `Int`, over a
+//!   range of at most [`DENSE_SLOTS_PER_LOOKUP`] slots per row the operator
+//!   looks up. The chain of key `k` starts at `heads[k − min]`, NULL's at
+//!   `heads[span]`; a chain holds one key only, so nothing is hashed and no
+//!   key is compared. A probe cell outside the range misses on one compare.
+//! * **Hashed** — any other key. A chain is a hash bucket: each row keeps
+//!   its 64-bit key hash ([`CellRef::hash64`], the hash `Value` has), and a
+//!   lookup walks one chain comparing hashes, then key cells. A single
+//!   `Int` key is matched once per chunk and compared in a loop over
+//!   `&[i64]` / `&[bool]`; any other shape compares cell by cell.
+//!
+//! Both answer every lookup alike, in the same order: equality is
+//! `total_cmp == Equal` (the equality `Value` has) — so a `Float` cell
+//! finds `Int` key `k` only where it equals `k` exactly, which `-0.0`, NaN
+//! and fractions never do — chains keep insertion order, and ids are
+//! handed out first-seen.
+//!
+//! The closures run once per row are `#[inline(always)]`: left to the
+//! compiler, some were called out of line, once per row, which cost the
+//! hashed join a fifth of its time.
 
 use qcc_common::{CellRef, ColumnVector};
 use std::cmp::Ordering;
 
 const NONE: u32 = u32::MAX;
+
+/// The dense layout's key range may span at most this many slots per row
+/// the operator looks up, so its zero-filled `heads` is bounded by work
+/// the operator already does per row, whatever the keys.
+const DENSE_SLOTS_PER_LOOKUP: u64 = 4;
 
 /// The live rows of a chunk, as physical row indices in order.
 #[derive(Clone, Copy)]
@@ -46,6 +65,18 @@ impl Rows<'_> {
         }
     }
 
+    /// Call `f` on each live row's physical index, in order.
+    #[inline]
+    fn for_each(self, mut f: impl FnMut(usize)) {
+        match self {
+            Rows::All(n) => (0..n).for_each(f),
+            Rows::Ids(ids) => ids.iter().for_each(
+                #[inline(always)]
+                |&i| f(i as usize),
+            ),
+        }
+    }
+
     /// Call `f` on `col`'s cell at each live row, in order.
     #[inline]
     pub(crate) fn cells<'c>(self, col: &'c ColumnVector, f: impl FnMut(CellRef<'c>)) {
@@ -56,25 +87,179 @@ impl Rows<'_> {
     }
 }
 
-/// One inserted row: its key hash and the next row of its bucket. Side by
-/// side, so a step along a chain costs one cache line, not two.
+/// One chunk's key columns and its live rows.
+pub(crate) type KeyChunk<'a> = (Vec<&'a ColumnVector>, Rows<'a>);
+
+fn total_rows(chunks: &[KeyChunk<'_>]) -> usize {
+    chunks.iter().map(|(_, rows)| rows.len()).sum()
+}
+
+/// How a key finds its chain.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Layout {
+    /// `heads[hash & (heads.len() - 1)]`.
+    Hashed,
+    /// `heads[key - min]` for `key - min < span`, `heads[span]` for NULL.
+    Dense { min: i64, span: u64 },
+}
+
+impl Layout {
+    /// Dense if the key of `chunks` is one column whose non-NULL cells are
+    /// all `Int` and whose range spans at most `DENSE_SLOTS_PER_LOOKUP`
+    /// slots per lookup; hashed otherwise.
+    fn pick(chunks: &[KeyChunk<'_>], lookups: usize) -> Layout {
+        // An empty range while `min > max`.
+        let (mut min, mut max) = (i64::MAX, i64::MIN);
+        let mut extend = |k: i64| {
+            min = min.min(k);
+            max = max.max(k);
+        };
+        for (cols, rows) in chunks {
+            let [col] = cols[..] else {
+                return Layout::Hashed;
+            };
+            let mut all_int = true;
+            match col {
+                ColumnVector::Int { data, nulls } => rows.for_each(
+                    #[inline(always)]
+                    |r| {
+                        if !nulls[r] {
+                            extend(data[r]);
+                        }
+                    },
+                ),
+                _ => rows.cells(
+                    col,
+                    #[inline(always)]
+                    |c| match c {
+                        CellRef::Int(k) => extend(k),
+                        CellRef::Null => {}
+                        _ => all_int = false,
+                    },
+                ),
+            }
+            if !all_int {
+                return Layout::Hashed;
+            }
+        }
+        if min > max {
+            return Layout::Dense { min: 0, span: 0 };
+        }
+        // The distance between two `i64`s always fits a `u64`.
+        let width = max.wrapping_sub(min) as u64;
+        if width < DENSE_SLOTS_PER_LOOKUP.saturating_mul(lookups as u64) {
+            Layout::Dense {
+                min,
+                span: width + 1,
+            }
+        } else {
+            Layout::Hashed
+        }
+    }
+}
+
+/// One inserted row: its key hash — in the dense layout, its slot — and
+/// the next row of its chain. Side by side, so a step along a chain costs
+/// one cache line, not two.
 struct Link {
     hash: u64,
     next: u32,
 }
 
-/// Hashes and chain links of the inserted rows.
+/// The chain links of the inserted rows.
 struct Chains {
+    layout: Layout,
     /// Row id → the row.
     links: Vec<Link>,
-    /// Bucket → first row of its chain. A power of two long.
+    /// Chain → its first row. Hashed: a power of two long; dense: one slot
+    /// per key of the range, then NULL's.
     heads: Vec<u32>,
 }
 
 impl Chains {
+    /// The chain of a row whose hash (or slot) is `h`.
     #[inline]
-    fn bucket(&self, hash: u64) -> usize {
-        hash as usize & (self.heads.len() - 1)
+    fn head(&self, h: u64) -> usize {
+        match self.layout {
+            Layout::Hashed => h as usize & (self.heads.len() - 1),
+            Layout::Dense { .. } => h as usize,
+        }
+    }
+}
+
+/// Call `f(row, slot)` for each live row of a dense table's key column, in
+/// order: `k - min` for an `Int` key `k` in the range, `span` for NULL,
+/// `span + 1` for a key in no slot. An `Int` column is read in a loop over
+/// `&[i64]` / `&[bool]`, any other cell by cell.
+#[inline]
+fn dense_slots(
+    col: &ColumnVector,
+    rows: Rows<'_>,
+    min: i64,
+    span: u64,
+    mut f: impl FnMut(usize, u64),
+) {
+    // One compare decides: `k - min` as `u64` is exact for `k >= min`, and
+    // below `min` it wraps to at least `2^63 - min`, more than `max - min`.
+    let slot = |k: i64| match k.wrapping_sub(min) as u64 {
+        off if off < span => off,
+        _ => span + 1,
+    };
+    match col {
+        ColumnVector::Int { data, nulls } => {
+            rows.for_each(
+                #[inline(always)]
+                |r| f(r, if nulls[r] { span } else { slot(data[r]) }),
+            );
+        }
+        _ => {
+            let mut i = 0;
+            rows.cells(
+                col,
+                #[inline(always)]
+                |c| {
+                    let s = match c {
+                        CellRef::Null => span,
+                        CellRef::Int(k) => slot(k),
+                        // `x as i64` is the one `Int` that `x` can equal;
+                        // `total_cmp` says whether it does.
+                        CellRef::Float(x) if CellRef::Int(x as i64).total_cmp(c).is_eq() => {
+                            slot(x as i64)
+                        }
+                        CellRef::Float(_) | CellRef::Str(_) => span + 1,
+                    };
+                    f(rows.get(i), s);
+                    i += 1;
+                },
+            );
+        }
+    }
+}
+
+/// Fill `hashes` / `nulls` with each live row's key hash, and whether any
+/// of its key cells is NULL. The columns are hashed one at a time.
+fn hash_chunk(
+    hashes: &mut Vec<u64>,
+    nulls: &mut Vec<bool>,
+    cols: &[&ColumnVector],
+    rows: Rows<'_>,
+) {
+    hashes.clear();
+    hashes.resize(rows.len(), 0);
+    nulls.clear();
+    nulls.resize(rows.len(), false);
+    for col in cols {
+        let mut i = 0;
+        rows.cells(
+            col,
+            #[inline(always)]
+            |c| {
+                let h = hashes[i].rotate_left(5) ^ c.hash64();
+                hashes[i] = h.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                nulls[i] |= c.is_null();
+                i += 1;
+            },
+        );
     }
 }
 
@@ -161,24 +346,111 @@ pub(crate) struct RowTable {
     /// shows their representation).
     keys: Vec<ColumnVector>,
     chains: Chains,
-    /// Per live row of the chunk in hand: key hash, and whether any key
-    /// cell is NULL.
+    /// Hashed layout, per live row of the chunk in hand: key hash, and
+    /// whether any key cell is NULL.
     chunk_hashes: Vec<u64>,
     chunk_nulls: Vec<bool>,
 }
 
 impl RowTable {
-    /// A table that will hold at most `rows` rows.
-    pub(crate) fn for_rows(rows: usize) -> RowTable {
+    /// An empty table of `layout` that will hold at most `rows` rows.
+    fn new(layout: Layout, rows: usize) -> RowTable {
+        let heads = match layout {
+            Layout::Hashed => (rows.max(1) * 2).next_power_of_two(),
+            Layout::Dense { span, .. } => span as usize + 1,
+        };
         RowTable {
             keys: Vec::new(),
             chains: Chains {
+                layout,
                 links: Vec::new(),
-                heads: vec![NONE; (rows.max(1) * 2).next_power_of_two()],
+                heads: vec![NONE; heads],
             },
             chunk_hashes: Vec::new(),
             chunk_nulls: Vec::new(),
         }
+    }
+
+    /// Join build: a table of every live row of `chunks` whose keys are all
+    /// non-NULL (a NULL key never joins), reporting each one's chunk and
+    /// physical row as it is inserted. `probe_rows` more lookups follow.
+    pub(crate) fn build(
+        chunks: &[KeyChunk<'_>],
+        probe_rows: usize,
+        inserted: impl FnMut(usize, usize),
+    ) -> RowTable {
+        let layout = Layout::pick(chunks, total_rows(chunks) + probe_rows);
+        RowTable::build_as(layout, chunks, inserted)
+    }
+
+    fn build_as(
+        layout: Layout,
+        chunks: &[KeyChunk<'_>],
+        mut inserted: impl FnMut(usize, usize),
+    ) -> RowTable {
+        let rows = total_rows(chunks);
+        let mut table = RowTable::new(layout, rows);
+        table.chains.links.reserve(rows);
+        if let Some((cols, _)) = chunks.first() {
+            table.keys = cols
+                .iter()
+                .map(|c| {
+                    let mut k = c.empty_like();
+                    k.reserve(rows);
+                    k
+                })
+                .collect();
+        }
+        for (ci, (cols, rows)) in chunks.iter().enumerate() {
+            let mut keys = Keys::new(&mut table.keys, cols);
+            let links = &mut table.chains.links;
+            let mut insert = |r: usize, hash: u64| {
+                links.push(Link { hash, next: NONE });
+                keys.push(r);
+                inserted(ci, r);
+            };
+            match layout {
+                Layout::Hashed => {
+                    let (hashes, nulls) = (&mut table.chunk_hashes, &mut table.chunk_nulls);
+                    hash_chunk(hashes, nulls, cols, *rows);
+                    for (i, (&h, &null)) in hashes.iter().zip(nulls.iter()).enumerate() {
+                        if !null {
+                            insert(rows.get(i), h);
+                        }
+                    }
+                }
+                Layout::Dense { min, span } => dense_slots(
+                    cols[0],
+                    *rows,
+                    min,
+                    span,
+                    #[inline(always)]
+                    |r, s| {
+                        if s < span {
+                            insert(r, s);
+                        }
+                    },
+                ),
+            }
+        }
+        // Linking each row at its chain's head, last row first, leaves
+        // every chain in insertion order — so a probe meets a key's
+        // duplicates in build order without the table keeping a tail per
+        // chain.
+        let chains = &mut table.chains;
+        for id in (0..chains.links.len()).rev() {
+            let b = chains.head(chains.links[id].hash);
+            chains.links[id].next = chains.heads[b];
+            chains.heads[b] = id as u32;
+        }
+        table
+    }
+
+    /// Grouping: an empty table for the keys of `chunks`, to be handed
+    /// these same chunks, in order, through [`RowTable::group_ids`].
+    pub(crate) fn for_groups(chunks: &[KeyChunk<'_>]) -> RowTable {
+        let rows = total_rows(chunks);
+        RowTable::new(Layout::pick(chunks, rows), rows)
     }
 
     /// Number of rows inserted.
@@ -191,61 +463,6 @@ impl RowTable {
         self.keys
     }
 
-    fn hash_chunk(&mut self, cols: &[&ColumnVector], rows: Rows<'_>) {
-        let (hashes, any_null) = (&mut self.chunk_hashes, &mut self.chunk_nulls);
-        hashes.clear();
-        hashes.resize(rows.len(), 0);
-        any_null.clear();
-        any_null.resize(rows.len(), false);
-        for col in cols {
-            let mut i = 0;
-            rows.cells(col, |c| {
-                let h = hashes[i].rotate_left(5) ^ c.hash64();
-                hashes[i] = h.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                any_null[i] |= c.is_null();
-                i += 1;
-            });
-        }
-    }
-
-    /// Join build: append every live row whose keys are all non-NULL
-    /// (a NULL key never joins), reporting each one's physical index.
-    /// Rows are not findable until [`RowTable::link`].
-    pub(crate) fn insert_chunk(
-        &mut self,
-        cols: &[&ColumnVector],
-        rows: Rows<'_>,
-        mut inserted: impl FnMut(usize),
-    ) {
-        self.hash_chunk(cols, rows);
-        let mut keys = Keys::new(&mut self.keys, cols);
-        for (i, (&h, &null)) in self.chunk_hashes.iter().zip(&self.chunk_nulls).enumerate() {
-            if null {
-                continue;
-            }
-            let r = rows.get(i);
-            self.chains.links.push(Link {
-                hash: h,
-                next: NONE,
-            });
-            keys.push(r);
-            inserted(r);
-        }
-    }
-
-    /// Join build, after the last chunk: chain the rows. Linking each at
-    /// its bucket's head, last row first, leaves every chain in insertion
-    /// order — so a probe meets a key's duplicates in build order without
-    /// the table keeping a tail per bucket.
-    pub(crate) fn link(&mut self) {
-        let chains = &mut self.chains;
-        for id in (0..chains.links.len()).rev() {
-            let b = chains.bucket(chains.links[id].hash);
-            chains.links[id].next = chains.heads[b];
-            chains.heads[b] = id as u32;
-        }
-    }
-
     /// Join probe: for every live row with all keys non-NULL, in order,
     /// report `(build row id, physical probe row)` for each build row of
     /// the same key, in build insertion order.
@@ -255,22 +472,44 @@ impl RowTable {
         rows: Rows<'_>,
         mut on_match: impl FnMut(u32, usize),
     ) {
-        self.hash_chunk(cols, rows);
-        let keys = Keys::new(&mut self.keys, cols);
         let chains = &self.chains;
-        for (i, (&h, &null)) in self.chunk_hashes.iter().zip(&self.chunk_nulls).enumerate() {
-            if null {
-                continue;
-            }
-            let r = rows.get(i);
-            let mut id = chains.heads[chains.bucket(h)];
-            while id != NONE {
-                let link = &chains.links[id as usize];
-                if link.hash == h && keys.eq(id as usize, r) {
-                    on_match(id, r);
+        match chains.layout {
+            Layout::Hashed => {
+                hash_chunk(&mut self.chunk_hashes, &mut self.chunk_nulls, cols, rows);
+                let keys = Keys::new(&mut self.keys, cols);
+                for (i, (&h, &null)) in self.chunk_hashes.iter().zip(&self.chunk_nulls).enumerate()
+                {
+                    if null {
+                        continue;
+                    }
+                    let r = rows.get(i);
+                    let mut id = chains.heads[chains.head(h)];
+                    while id != NONE {
+                        let link = &chains.links[id as usize];
+                        if link.hash == h && keys.eq(id as usize, r) {
+                            on_match(id, r);
+                        }
+                        id = link.next;
+                    }
                 }
-                id = link.next;
             }
+            // A chain holds one key: every row of it matches.
+            Layout::Dense { min, span } => dense_slots(
+                cols[0],
+                rows,
+                min,
+                span,
+                #[inline(always)]
+                |r, s| {
+                    if s < span {
+                        let mut id = chains.heads[s as usize];
+                        while id != NONE {
+                            on_match(id, r);
+                            id = chains.links[id as usize].next;
+                        }
+                    }
+                },
+            ),
         }
     }
 
@@ -278,31 +517,57 @@ impl RowTable {
     /// inserting the key when it is new — so ids are dense and in
     /// first-seen order. NULL is a key like any other.
     pub(crate) fn group_ids(&mut self, cols: &[&ColumnVector], rows: Rows<'_>, ids: &mut Vec<u32>) {
-        self.hash_chunk(cols, rows);
         let mut keys = Keys::new(&mut self.keys, cols);
         let chains = &mut self.chains;
         ids.clear();
-        for (i, &h) in self.chunk_hashes.iter().enumerate() {
-            let r = rows.get(i);
-            let b = chains.bucket(h);
-            let mut id = chains.heads[b];
-            while id != NONE {
-                let link = &chains.links[id as usize];
-                if link.hash == h && keys.eq(id as usize, r) {
-                    break;
+        match chains.layout {
+            Layout::Hashed => {
+                hash_chunk(&mut self.chunk_hashes, &mut self.chunk_nulls, cols, rows);
+                for (i, &h) in self.chunk_hashes.iter().enumerate() {
+                    let r = rows.get(i);
+                    let b = chains.head(h);
+                    let mut id = chains.heads[b];
+                    while id != NONE {
+                        let link = &chains.links[id as usize];
+                        if link.hash == h && keys.eq(id as usize, r) {
+                            break;
+                        }
+                        id = link.next;
+                    }
+                    if id == NONE {
+                        id = chains.links.len() as u32;
+                        chains.links.push(Link {
+                            hash: h,
+                            next: chains.heads[b],
+                        });
+                        chains.heads[b] = id;
+                        keys.push(r);
+                    }
+                    ids.push(id);
                 }
-                id = link.next;
             }
-            if id == NONE {
-                id = chains.links.len() as u32;
-                chains.links.push(Link {
-                    hash: h,
-                    next: chains.heads[b],
-                });
-                chains.heads[b] = id;
-                keys.push(r);
-            }
-            ids.push(id);
+            // A slot holds one group. The table was picked for these
+            // chunks, so every key has a slot (any other key fails here,
+            // on the index).
+            Layout::Dense { min, span } => dense_slots(
+                cols[0],
+                rows,
+                min,
+                span,
+                #[inline(always)]
+                |r, s| {
+                    let head = &mut chains.heads[s as usize];
+                    if *head == NONE {
+                        *head = chains.links.len() as u32;
+                        chains.links.push(Link {
+                            hash: s,
+                            next: NONE,
+                        });
+                        keys.push(r);
+                    }
+                    ids.push(*head);
+                },
+            ),
         }
     }
 }
@@ -310,7 +575,7 @@ impl RowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcc_common::{DataType, Value};
+    use qcc_common::{DataType, Pcg32, Value};
 
     fn column(ty: DataType, vals: &[Value]) -> ColumnVector {
         let mut c = ColumnVector::new_for(Some(ty));
@@ -318,6 +583,45 @@ mod tests {
             c.push(v.clone());
         }
         c
+    }
+
+    /// What the join finds over `build` and `probe` in `layout`: the
+    /// inserted `(chunk, row)`s, the matches per probe chunk, and the
+    /// stored keys.
+    type Joined = (Vec<(usize, usize)>, Vec<Vec<(u32, usize)>>, String);
+
+    fn joined(build: &[KeyChunk<'_>], probe: &[KeyChunk<'_>], layout: Layout) -> Joined {
+        let mut inserted = Vec::new();
+        let mut table = RowTable::build_as(layout, build, |ci, r| inserted.push((ci, r)));
+        // `Debug`, not `==`: `Value` equality is numeric across types.
+        let keys = format!("{:?}", table.keys);
+        let matches = probe
+            .iter()
+            .map(|(cols, rows)| {
+                let mut m = Vec::new();
+                table.probe_chunk(cols, *rows, |id, r| m.push((id, r)));
+                m
+            })
+            .collect();
+        (inserted, matches, keys)
+    }
+
+    /// The group ids of each chunk in `layout`, and the stored keys.
+    fn grouped(chunks: &[KeyChunk<'_>], layout: Layout) -> (Vec<Vec<u32>>, String) {
+        let mut table = RowTable::new(layout, total_rows(chunks));
+        let ids = chunks
+            .iter()
+            .map(|(cols, rows)| {
+                let mut ids = Vec::new();
+                table.group_ids(cols, *rows, &mut ids);
+                ids
+            })
+            .collect();
+        (ids, format!("{:?}", table.into_keys()))
+    }
+
+    fn join_layout(build: &[KeyChunk<'_>], probe: &[KeyChunk<'_>]) -> Layout {
+        Layout::pick(build, total_rows(build) + total_rows(probe))
     }
 
     #[test]
@@ -332,22 +636,26 @@ mod tests {
                 Value::Null,
             ],
         );
-        let mut table = RowTable::for_rows(5);
-        let mut ids = Vec::new();
-        table.group_ids(&[&col], Rows::All(5), &mut ids);
-        assert_eq!(ids, vec![0, 1, 2, 0, 1]);
         // A second chunk, selected rows only, keeps numbering.
         let more = column(
             DataType::Int,
             &[Value::Int(9), Value::Int(3), Value::Int(1)],
         );
-        table.group_ids(&[&more], Rows::Ids(&[1, 2]), &mut ids);
-        assert_eq!(ids, vec![2, 3]);
-        let keys = table.into_keys();
-        assert_eq!(
-            (0..4).map(|i| keys[0].value(i)).collect::<Vec<_>>(),
-            vec![Value::Int(7), Value::Null, Value::Int(3), Value::Int(1)]
-        );
+        let chunks = [
+            (vec![&col], Rows::All(5)),
+            (vec![&more], Rows::Ids(&[1, 2])),
+        ];
+        let picked = RowTable::for_groups(&chunks).chains.layout;
+        assert_eq!(picked, Layout::Dense { min: 1, span: 7 });
+        for layout in [picked, Layout::Hashed] {
+            let (ids, keys) = grouped(&chunks, layout);
+            assert_eq!(ids, vec![vec![0, 1, 2, 0, 1], vec![2, 3]], "{layout:?}");
+            let want = column(
+                DataType::Int,
+                &[Value::Int(7), Value::Null, Value::Int(3), Value::Int(1)],
+            );
+            assert_eq!(keys, format!("{:?}", vec![want]), "{layout:?}");
+        }
     }
 
     #[test]
@@ -362,19 +670,21 @@ mod tests {
                 Value::Int(1),
             ],
         );
-        let mut table = RowTable::for_rows(5);
-        let mut inserted = Vec::new();
-        table.insert_chunk(&[&build], Rows::All(5), |r| inserted.push(r));
-        table.link();
-        assert_eq!(inserted, vec![0, 1, 3, 4], "the NULL key is not inserted");
-        // Probed with a FLOAT column: the generic comparison, same hash.
+        // Probed with a FLOAT column: cell by cell, `total_cmp` equality.
         let probe = column(
             DataType::Float,
             &[Value::Float(1.0), Value::Null, Value::Float(2.0)],
         );
-        let mut matches = Vec::new();
-        table.probe_chunk(&[&probe], Rows::All(3), |id, r| matches.push((id, r)));
-        assert_eq!(matches, vec![(0, 0), (2, 0), (3, 0), (1, 2)]);
+        let build = [(vec![&build], Rows::All(5))];
+        let probe = [(vec![&probe], Rows::All(3))];
+        let picked = join_layout(&build, &probe);
+        assert_eq!(picked, Layout::Dense { min: 1, span: 2 });
+        for layout in [picked, Layout::Hashed] {
+            let (inserted, matches, _) = joined(&build, &probe, layout);
+            let rows: Vec<usize> = inserted.iter().map(|&(_, r)| r).collect();
+            assert_eq!(rows, vec![0, 1, 3, 4], "the NULL key is not inserted");
+            assert_eq!(matches, vec![vec![(0, 0), (2, 0), (3, 0), (1, 2)]]);
+        }
     }
 
     #[test]
@@ -387,9 +697,269 @@ mod tests {
             DataType::Str,
             &[Value::from("x"), Value::from("y"), Value::from("x")],
         );
-        let mut table = RowTable::for_rows(3);
+        let chunks = [(vec![&a, &s], Rows::All(3))];
+        let mut table = RowTable::for_groups(&chunks);
+        assert_eq!(table.chains.layout, Layout::Hashed);
         let mut ids = Vec::new();
         table.group_ids(&[&a, &s], Rows::All(3), &mut ids);
         assert_eq!(ids, vec![0, 1, 0]);
+    }
+
+    /// `-0.0` is not `0` under `total_cmp`, so it finds no `Int` key —
+    /// although it casts to `0`, hashes as `0` and compares equal to it
+    /// with `==`.
+    #[test]
+    fn negative_zero_joins_no_int_key() {
+        let build = column(DataType::Int, &[Value::Int(0), Value::Int(1)]);
+        let probe = column(
+            DataType::Float,
+            &[Value::Float(-0.0), Value::Float(0.0), Value::Float(1.0)],
+        );
+        let build = [(vec![&build], Rows::All(2))];
+        let probe = [(vec![&probe], Rows::All(3))];
+        let picked = join_layout(&build, &probe);
+        assert!(matches!(picked, Layout::Dense { .. }));
+        for layout in [picked, Layout::Hashed] {
+            let (_, matches, _) = joined(&build, &probe, layout);
+            assert_eq!(matches, vec![vec![(0, 1), (1, 2)]], "{layout:?}");
+        }
+    }
+
+    /// One generated chunk: a key column and, maybe, a selection.
+    type GenChunk = (ColumnVector, Option<Vec<u32>>);
+
+    fn key_chunks(chunks: &[GenChunk]) -> Vec<KeyChunk<'_>> {
+        chunks
+            .iter()
+            .map(|(col, ids)| {
+                let rows = ids.as_deref().map_or(Rows::All(col.len()), Rows::Ids);
+                (vec![col], rows)
+            })
+            .collect()
+    }
+
+    /// `vals` as a column of the representation they fit — a typed vector,
+    /// or `Mixed` — now and then forced to `Mixed`; selected in full or in
+    /// part.
+    fn gen_chunk(rng: &mut Pcg32, ty: DataType, vals: Vec<Value>) -> GenChunk {
+        let col = if rng.next_f64() < 0.15 {
+            ColumnVector::Mixed(vals)
+        } else {
+            column(ty, &vals)
+        };
+        let ids = (rng.next_f64() < 0.4).then(|| {
+            (0..col.len() as u32)
+                .filter(|_| rng.next_f64() < 0.6)
+                .collect()
+        });
+        (col, ids)
+    }
+
+    /// `n` cells from `cell`, about one in ten NULL.
+    fn gen_cells(rng: &mut Pcg32, cell: impl Fn(&mut Pcg32) -> Value) -> Vec<Value> {
+        let n = rng.range_u64(0, 40);
+        (0..n)
+            .map(|_| {
+                if rng.next_f64() < 0.1 {
+                    Value::Null
+                } else {
+                    cell(rng)
+                }
+            })
+            .collect()
+    }
+
+    /// The join every layout must reproduce: each build row with a
+    /// non-NULL key in order, and per probe row each of them whose key
+    /// `total_cmp`s equal, in build order.
+    fn naive_join(
+        build: &[KeyChunk<'_>],
+        probe: &[KeyChunk<'_>],
+    ) -> (Vec<(usize, usize)>, Vec<Vec<(u32, usize)>>) {
+        let live = |(cols, rows): &KeyChunk<'_>| -> Vec<(usize, Value)> {
+            (0..rows.len())
+                .map(|i| (rows.get(i), cols[0].value(rows.get(i))))
+                .filter(|(_, v)| !v.is_null())
+                .collect()
+        };
+        let mut inserted = Vec::new();
+        let mut keys = Vec::new();
+        for (ci, chunk) in build.iter().enumerate() {
+            for (r, v) in live(chunk) {
+                inserted.push((ci, r));
+                keys.push(v);
+            }
+        }
+        let matches = probe
+            .iter()
+            .map(|chunk| {
+                let mut m = Vec::new();
+                for (r, v) in live(chunk) {
+                    for (id, k) in keys.iter().enumerate() {
+                        if k.total_cmp(&v) == Ordering::Equal {
+                            m.push((id as u32, r));
+                        }
+                    }
+                }
+                m
+            })
+            .collect();
+        (inserted, matches)
+    }
+
+    /// First-seen group ids under `total_cmp` equality, NULL a key.
+    fn naive_groups(chunks: &[KeyChunk<'_>]) -> Vec<Vec<u32>> {
+        let mut seen: Vec<Value> = Vec::new();
+        chunks
+            .iter()
+            .map(|(cols, rows)| {
+                (0..rows.len())
+                    .map(|i| {
+                        let v = cols[0].value(rows.get(i));
+                        let id = seen.iter().position(|s| s.total_cmp(&v) == Ordering::Equal);
+                        id.unwrap_or_else(|| {
+                            seen.push(v);
+                            seen.len() - 1
+                        }) as u32
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Seeded property: on single-column keys of every shape, the layout
+    /// `Layout::pick` chooses and the hashed layout give the same inserted
+    /// rows, match lists, group ids and stored keys, and both are the
+    /// join and grouping `total_cmp` defines. Keys: NULLs, duplicates,
+    /// negatives, the ends of `i64` (a range from `i64::MIN` to
+    /// `i64::MAX` must not overflow), ranges exactly at the dense
+    /// threshold and one past it, several chunks with selections; probes
+    /// of `Int`, `Float` (`-0.0`, `0.5`, NaN, ±2^53, ±2^63, halves),
+    /// `Str` and `Mixed` cells.
+    #[test]
+    fn dense_and_hashed_layouts_agree() {
+        const P53: f64 = 9_007_199_254_740_992.0;
+        const P63: f64 = 9_223_372_036_854_775_808.0;
+        let mut rng = Pcg32::seed_from(2_500);
+        let (mut dense, mut hashed, mut at_threshold) = (0, 0, 0);
+        for case in 0..2_000 {
+            // Keys in `[lo, lo + width)`, wrapping past `i64::MAX`.
+            let lo = match rng.range_u64(0, 5) {
+                0 => i64::MIN,
+                1 => i64::MAX - 3,
+                2 => -40,
+                _ => rng.range_i64(-1_000_000, 1_000_000),
+            };
+            // One case in four puts the range at the dense threshold or
+            // one past it: keys in a window of four, then one chunk
+            // holding the two ends.
+            let threshold = (rng.range_u64(0, 4) == 0).then(|| rng.range_u64(0, 2));
+            let width = match threshold {
+                Some(_) => 4,
+                None => *rng.choose(&[1u64, 3, 8, 40, 400, 1 << 20, u64::MAX]),
+            };
+            let ends = threshold.is_none() && rng.range_u64(0, 4) == 0;
+            let key = move |rng: &mut Pcg32| match rng.range_u64(0, 20) {
+                0 if ends => Value::Int(i64::MIN),
+                1 if ends => Value::Int(i64::MAX),
+                _ => Value::Int(lo.wrapping_add(rng.range_u64(0, width) as i64)),
+            };
+            let probe_cell = move |rng: &mut Pcg32| {
+                // A key of the range, or one just outside it.
+                let k = lo
+                    .wrapping_sub(1)
+                    .wrapping_add(rng.range_u64(0, width.saturating_add(2)) as i64);
+                match rng.range_u64(0, 10) {
+                    0..=4 => Value::Int(k),
+                    5..=7 => Value::Float(*rng.choose(&[
+                        k as f64,
+                        k as f64 + 0.5,
+                        -0.0,
+                        0.0,
+                        0.5,
+                        f64::NAN,
+                        P53,
+                    ])),
+                    8 => Value::Float(*rng.choose(&[-P53, P63, -P63, 1.0, -1.0])),
+                    _ => Value::Str(k.to_string()),
+                }
+            };
+            let is_join = rng.next_f64() < 0.6;
+            let mut keyed: Vec<GenChunk> = (0..rng.range_u64(0, 4))
+                .map(|_| {
+                    let cells = gen_cells(&mut rng, key);
+                    gen_chunk(&mut rng, DataType::Int, cells)
+                })
+                .collect();
+            let probe: Vec<GenChunk> = (0..if is_join { rng.range_u64(0, 4) } else { 0 })
+                .map(|_| {
+                    let ty = *rng.choose(&[DataType::Int, DataType::Float, DataType::Str]);
+                    let cells = gen_cells(&mut rng, probe_cell);
+                    let cells = match ty {
+                        // A typed chunk holds its type only (or NULL).
+                        DataType::Int => cells
+                            .into_iter()
+                            .filter(|v| matches!(v, Value::Int(_) | Value::Null))
+                            .collect(),
+                        DataType::Float => cells
+                            .into_iter()
+                            .filter(|v| matches!(v, Value::Float(_) | Value::Null))
+                            .collect(),
+                        // The rest: a `Mixed` column.
+                        DataType::Str => cells,
+                    };
+                    gen_chunk(&mut rng, ty, cells)
+                })
+                .collect();
+            if let Some(past) = threshold {
+                let rows = |c: &[GenChunk]| total_rows(&key_chunks(c));
+                let lookups = rows(&keyed) + rows(&probe) + 2;
+                let span = 4 * lookups as i64 + past as i64;
+                // The window of four sits at one end of the range.
+                let (min, max) = if lo == i64::MIN || rng.next_f64() < 0.5 && lo != i64::MAX - 3 {
+                    (lo, lo + span - 1)
+                } else {
+                    (lo + 3 - (span - 1), lo + 3)
+                };
+                keyed.push((
+                    column(DataType::Int, &[Value::Int(min), Value::Int(max)]),
+                    None,
+                ));
+            }
+            let (keyed, probe) = (key_chunks(&keyed), key_chunks(&probe));
+            let picked = join_layout(&keyed, &probe);
+            if let Some(past) = threshold {
+                at_threshold += 1;
+                assert_eq!(
+                    matches!(picked, Layout::Dense { .. }),
+                    past == 0,
+                    "case {case}: {picked:?}"
+                );
+            }
+            if picked == Layout::Hashed {
+                hashed += 1;
+            } else {
+                dense += 1;
+            }
+            if is_join {
+                let got = joined(&keyed, &probe, picked);
+                let want = joined(&keyed, &probe, Layout::Hashed);
+                assert_eq!(got, want, "case {case}: {picked:?}");
+                assert_eq!((got.0, got.1), naive_join(&keyed, &probe), "case {case}");
+            } else {
+                let got = grouped(&keyed, picked);
+                assert_eq!(
+                    got,
+                    grouped(&keyed, Layout::Hashed),
+                    "case {case}: {picked:?}"
+                );
+                assert_eq!(got.0, naive_groups(&keyed), "case {case}");
+            }
+        }
+        assert!(
+            dense > 600 && hashed > 300,
+            "{dense} dense, {hashed} hashed"
+        );
+        assert!(at_threshold > 300, "{at_threshold}");
     }
 }

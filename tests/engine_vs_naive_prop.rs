@@ -18,8 +18,10 @@ use qcc_sql::parse_select;
 /// The corpus: the 128 cases each suite always drew, then — from the same
 /// stream, so those keep their draws — 96 cases over NULL-bearing tables
 /// with FLOAT, string and two-column keys, and 24 statements over one
-/// catalog of several chunks per table. The oracle cross-joins, so its
-/// multi-chunk catalog keeps `tb` small.
+/// catalog of several chunks per table; then 64 cases and 16 statements
+/// over one multi-chunk catalog whose `Int` join and group keys are spread
+/// past the row-id table's dense range. The oracle cross-joins, so its
+/// multi-chunk catalogs keep `tb` small.
 fn cases(seed: u64, big_b: bool) -> Vec<(Catalog, String)> {
     let mut rng = Pcg32::seed_from(seed);
     let mut out = Vec::new();
@@ -41,6 +43,16 @@ fn cases(seed: u64, big_b: bool) -> Vec<(Catalog, String)> {
     let big = corpus::nullable_catalog(&mut rng, rows_a, rows_b);
     for _ in 0..24 {
         out.push((big.clone(), corpus::nullable_query(&mut rng)));
+    }
+    for _ in 0..64 {
+        let (rows_a, rows_b) = (rng.range_u64(0, 60), rng.range_u64(0, 60));
+        let catalog = corpus::sparse_catalog(&mut rng, rows_a, rows_b);
+        out.push((catalog, corpus::sparse_query(&mut rng)));
+    }
+    let (rows_a, rows_b) = (corpus::multi_chunk_rows(&mut rng), rng.range_u64(30, 60));
+    let big = corpus::sparse_catalog(&mut rng, rows_a, rows_b);
+    for _ in 0..16 {
+        out.push((big.clone(), corpus::sparse_query(&mut rng)));
     }
     out
 }
@@ -529,5 +541,201 @@ fn root_batch_row_counts_are_pinned_at_tiny_scale() {
             .map(|&(sig, counts)| (sig.to_owned(), counts.to_vec()))
             .collect();
         assert_eq!(got, want, "{sql}");
+    }
+}
+
+/// FNV-1a over the `Debug` form of every row, in batch order: the cells'
+/// values and types (`Int(3)` and `Float(3.0)` print apart).
+fn rows_digest(batches: &[ColumnBatch]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for row in batch_rows(batches) {
+        for b in format!("{row:?}").bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// QT1–QT4 at the scale `qcc-perf`'s `paper_phases` runs (40 000 / 1 000
+/// rows), instances 0 and 7, every offered plan: the `Work` bits, the
+/// root's per-batch row counts and a digest of its rows, recorded before
+/// the row-id table's dense layout went in. At this scale every join and
+/// every group key of the templates is one dense `Int` column, so these
+/// are the plans whose virtual times are the paper's result.
+#[test]
+fn qt1_to_qt4_are_pinned_at_paper_scale() {
+    // (signature, cpu_units bits, rows_scanned, rows_output, result_bytes,
+    //  per-batch row counts, rows digest), QT1#0, QT1#7, … QT4#7.
+    type Pin = (&'static str, u64, u64, u64, u64, &'static [usize], u64);
+    const QT1_SEQ: &str = "proj(agg[1](hj(seqscan(big_a,pred),seqscan(big_b))))";
+    const QT1_IDX: &str = "proj(agg[1](hj(idxscan(big_a.sel range),seqscan(big_b))))";
+    const QT2: &str = "proj(agg[1](hj(seqscan(small_s,pred),seqscan(big_a))))";
+    const QT3_IDX: &str = "proj(agg[1](hj(idxscan(big_d.sel range),seqscan(big_b))))";
+    const QT3_SEQ: &str = "proj(agg[1](hj(seqscan(big_d,pred),seqscan(big_b))))";
+    const QT4_IDX: &str =
+        "proj(agg[0](hj(hj(idxscan(big_c.flag eq),seqscan(big_b)),seqscan(big_a))))";
+    const QT4_SEQ: &str = "proj(agg[0](hj(hj(seqscan(big_c,pred),seqscan(big_b)),seqscan(big_a))))";
+    let pinned: [Pin; 14] = [
+        (
+            QT1_SEQ,
+            0x405be45f06f6cea1,
+            80000,
+            1000,
+            24000,
+            &[1000],
+            0xfcc8b3671cdbc7ba,
+        ),
+        (
+            QT1_IDX,
+            0x405e0737f38c8fd9,
+            72021,
+            1000,
+            24000,
+            &[1000],
+            0xfcc8b3671cdbc7ba,
+        ),
+        (
+            QT1_SEQ,
+            0x405a5997f62b9fd9,
+            80000,
+            1000,
+            24000,
+            &[1000],
+            0xaa992e3c20874bbf,
+        ),
+        (
+            QT1_IDX,
+            0x405bfd4299d8b9d6,
+            69141,
+            1000,
+            24000,
+            &[1000],
+            0xaa992e3c20874bbf,
+        ),
+        (
+            QT2,
+            0x4052decbfb15b16b,
+            41000,
+            10,
+            260,
+            &[10],
+            0x6e0b56018807c46c,
+        ),
+        (
+            QT2,
+            0x40502123a29c748f,
+            41000,
+            10,
+            260,
+            &[10],
+            0x74190ceac193ee6e,
+        ),
+        (
+            QT3_IDX,
+            0x403fa34acaff6d05,
+            40368,
+            206,
+            4944,
+            &[206],
+            0x3894c34525665ebb,
+        ),
+        (
+            QT3_SEQ,
+            0x4046778b588e3677,
+            80000,
+            206,
+            4944,
+            &[206],
+            0x3894c34525665ebb,
+        ),
+        (
+            QT3_IDX,
+            0x403f4858793dd960,
+            40245,
+            145,
+            3480,
+            &[145],
+            0x6eab45da7070a018,
+        ),
+        (
+            QT3_SEQ,
+            0x404654ef34d6a152,
+            80000,
+            145,
+            3480,
+            &[145],
+            0x6eab45da7070a018,
+        ),
+        (
+            QT4_IDX,
+            0x404e4b58e2196529,
+            80011,
+            1,
+            16,
+            &[1],
+            0x0f5fcb20dd716a57,
+        ),
+        (
+            QT4_SEQ,
+            0x40528863497b7419,
+            120000,
+            1,
+            16,
+            &[1],
+            0x0f5fcb20dd716a57,
+        ),
+        (
+            QT4_IDX,
+            0x404e498f7121ab4a,
+            80007,
+            1,
+            16,
+            &[1],
+            0xab5beee41d7b1fd1,
+        ),
+        (
+            QT4_SEQ,
+            0x405287abc9470652,
+            120000,
+            1,
+            16,
+            &[1],
+            0xab5beee41d7b1fd1,
+        ),
+    ];
+    let scenario = qcc_workload::Scenario::build_with(
+        qcc_workload::Routing::Baseline,
+        qcc_workload::ScenarioConfig {
+            large_rows: 40_000,
+            small_rows: 1_000,
+            threads: 1,
+            server_specs: vec![(1.0, 0.3)],
+            ..qcc_workload::ScenarioConfig::default()
+        },
+    );
+    let engine = scenario.server("S1").engine();
+    let mut got = Vec::new();
+    for qt in qcc_workload::ALL_QUERY_TYPES {
+        for instance in [0u32, 7] {
+            for p in engine.explain(&qt.sql(instance)).expect("plans") {
+                let (batches, w) = engine.execute_plan_batches(&p.plan).expect("runs");
+                got.push((
+                    format!("{qt}#{instance}"),
+                    p.plan.signature(),
+                    w.cpu_units.to_bits(),
+                    w.rows_scanned,
+                    w.rows_output,
+                    w.result_bytes,
+                    batches.iter().map(ColumnBatch::n_rows).collect::<Vec<_>>(),
+                    rows_digest(&batches),
+                ));
+            }
+        }
+    }
+    assert_eq!(got.len(), pinned.len(), "offered plans");
+    for (g, &(sig, cpu, scanned, out, bytes, counts, digest)) in got.iter().zip(&pinned) {
+        let want = (sig, cpu, scanned, out, bytes, counts, digest);
+        let g_view = (g.1.as_str(), g.2, g.3, g.4, g.5, &g.6[..], g.7);
+        assert_eq!(g_view, want, "{}", g.0);
     }
 }

@@ -3,13 +3,16 @@
 //! oracle) and the batch engine's own pruning-equivalence unit test, which
 //! `#[path]`-includes this file.
 //!
-//! Two generations. The first — small NULL-free `Int`-keyed tables, one
+//! Three generations, each drawn after the one before so the old cases
+//! stay the old cases. The first — small NULL-free `Int`-keyed tables, one
 //! equi-join key, `ORDER BY` on every grouped statement — is what the
-//! suites always drew, and keeps its draws so the old cases stay the old
-//! cases. The second reaches what a hash table must get right: NULLs in
-//! every column (join and group keys included), a `FLOAT` key joined to an
-//! `INT` one, string keys, two keys, a residual, duplicate build keys,
-//! first-seen group order, and tables of several chunks.
+//! suites always drew. The second reaches what a hash table must get
+//! right: NULLs in every column (join and group keys included), a `FLOAT`
+//! key joined to an `INT` one, string keys, two keys, a residual, duplicate
+//! build keys, first-seen group order, and tables of several chunks. Its
+//! `Int` keys span a small range, so the row-id table lays them out
+//! densely; the third spreads them far apart, which takes its hashed
+//! layout for a single `Int` key.
 
 #![allow(dead_code)]
 
@@ -119,7 +122,27 @@ pub fn multi_chunk_rows(rng: &mut Pcg32) -> u64 {
 /// joins a FLOAT key to an INT one. (Halves keep every float sum exact:
 /// the oracle adds in another order.)
 pub fn nullable_catalog(rng: &mut Pcg32, rows_a: u64, rows_b: u64) -> Catalog {
+    keyed_catalog(rng, rows_a, rows_b, 1, 0)
+}
+
+/// [`nullable_catalog`] with the `a` keys spread: key `k` is stored as
+/// `k * SPARSE_STRIDE + SPARSE_OFFSET` — negative as well as positive,
+/// about a million apart — and `f` likewise, so `ta.f = tb.a` still meets
+/// half of its floats. A join or grouping on `a` alone therefore spans far
+/// more values than it has rows and takes the row-id table's hashed layout
+/// for a single `Int` key; `b` and `c` keep their small range (the dense
+/// layout, NULL and negative keys).
+pub fn sparse_catalog(rng: &mut Pcg32, rows_a: u64, rows_b: u64) -> Catalog {
+    keyed_catalog(rng, rows_a, rows_b, SPARSE_STRIDE, SPARSE_OFFSET)
+}
+
+/// Odd, so a half-numbered `f` lands between two stored keys.
+const SPARSE_STRIDE: i64 = 1_000_003;
+const SPARSE_OFFSET: i64 = -500_000_000;
+
+fn keyed_catalog(rng: &mut Pcg32, rows_a: u64, rows_b: u64, stride: i64, offset: i64) -> Catalog {
     let keys = (rows_a.max(rows_b) as i64 / 2).max(20);
+    let key = |k: i64| Value::Int(k * stride + offset);
     let strings = (rows_a.max(rows_b) as i64 / 50).max(3);
     fn or_null(rng: &mut Pcg32, v: Value) -> Value {
         if rng.next_f64() < 0.1 {
@@ -139,10 +162,10 @@ pub fn nullable_catalog(rng: &mut Pcg32, rows_a: u64, rows_b: u64) -> Catalog {
     );
     for _ in 0..rows_a {
         let row = vec![
-            Value::Int(rng.range_i64(0, keys)),
+            key(rng.range_i64(0, keys)),
             Value::Int(rng.range_i64(-5, 5)),
             Value::Str(format!("s{}", rng.range_i64(0, strings))),
-            Value::Float(rng.range_i64(0, 2 * keys) as f64 / 2.0),
+            Value::Float(rng.range_i64(0, 2 * keys) as f64 / 2.0 * stride as f64 + offset as f64),
         ];
         ta.insert(Row::new(row.into_iter().map(|v| or_null(rng, v)).collect()))
             .unwrap();
@@ -157,7 +180,7 @@ pub fn nullable_catalog(rng: &mut Pcg32, rows_a: u64, rows_b: u64) -> Catalog {
     );
     for _ in 0..rows_b {
         let row = vec![
-            Value::Int(rng.range_i64(0, keys)),
+            key(rng.range_i64(0, keys)),
             Value::Int(rng.range_i64(-5, 5)),
             Value::Str(format!("s{}", rng.range_i64(0, strings + 1))),
         ];
@@ -212,5 +235,31 @@ pub fn nullable_query(rng: &mut Pcg32) -> String {
         _ => format!(
             "SELECT ta.s, ta.a, ta.f FROM ta WHERE {p} ORDER BY ta.s DESC, ta.a + ta.b, ta.f, ta.a"
         ),
+    }
+}
+
+/// Statements over [`sparse_catalog`]: single-`Int`-key joins and grouping
+/// on the spread `a` (hashed) and on the small-range `b` / `c` (dense),
+/// none with an `ORDER BY`.
+pub fn sparse_query(rng: &mut Pcg32) -> String {
+    let p = match rng.range_u64(0, 4) {
+        0 => format!(
+            "ta.a > {}",
+            rng.range_i64(0, 20) * SPARSE_STRIDE + SPARSE_OFFSET
+        ),
+        1 => format!("ta.b <= {}", rng.range_i64(-5, 5)),
+        2 => "ta.s IN ('s0', 's1')".to_string(),
+        _ => "ta.f IS NOT NULL".to_string(),
+    };
+    match rng.range_u64(0, 6) {
+        0 => format!("SELECT ta.a, ta.f, tb.c FROM ta JOIN tb ON ta.a = tb.a WHERE {p}"),
+        1 => format!(
+            "SELECT ta.a, COUNT(*) AS n, SUM(ta.b) AS t, MIN(ta.s) AS lo FROM ta \
+             WHERE {p} GROUP BY ta.a"
+        ),
+        2 => "SELECT DISTINCT ta.a FROM ta".to_string(),
+        3 => format!("SELECT ta.b, COUNT(*) AS n, AVG(ta.f) AS m FROM ta WHERE {p} GROUP BY ta.b"),
+        4 => format!("SELECT ta.a, tb.a, tb.c FROM ta JOIN tb ON ta.b = tb.c WHERE {p}"),
+        _ => format!("SELECT ta.f, tb.c FROM ta JOIN tb ON ta.f = tb.a WHERE {p}"),
     }
 }
