@@ -78,7 +78,7 @@ QCC_THREADS=1 cargo xtask sim --replay "$FLEET_LINE" > /tmp/qcc-fleet-t1.out
 QCC_THREADS=8 cargo xtask sim --replay "$FLEET_LINE" > /tmp/qcc-fleet-t8.out
 cmp /tmp/qcc-fleet-t1.out /tmp/qcc-fleet-t8.out
 
-echo "==> mid-query reroute e2e (ban -> reroute -> resume -> merge, QCC_THREADS=1 vs 8)"
+echo "==> mid-query reroute e2e (cut -> stall -> re-dispatch -> resume -> merge, QCC_THREADS=1 vs 8)"
 QCC_THREADS=1 cargo test -q --offline --test midquery_reroute_e2e
 QCC_THREADS=8 cargo test -q --offline --test midquery_reroute_e2e
 
@@ -120,7 +120,7 @@ if grep -q "scale pruning: VIOLATED" /tmp/qcc-fedscale.out; then
 fi
 grep -q "scale pruning: OK" /tmp/qcc-fedscale.out
 
-echo "==> bench smoke: midquery_reroute (remainder re-dispatch recovers without a whole-query retry)"
+echo "==> bench smoke: midquery_reroute (remainder re-dispatch recovers exact rows within 2x fault-free)"
 cargo bench -q --offline -p qcc-bench --bench midquery_reroute \
     | tee /tmp/qcc-reroute.out
 if grep -q "reroute recovery: VIOLATED" /tmp/qcc-reroute.out; then

@@ -44,15 +44,15 @@ pub const HISTOGRAM_BOUNDS_MS: [f64; 8] = [0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500
 /// per-slot stream provenance). Shared between the federation (emitter)
 /// and the sim oracles (checker) so the two can never drift on a string.
 pub mod reroute_events {
-    /// Stall detector fired: a streamed fragment was cancelled, either
-    /// because its source died mid-stream (`reason = "interrupt"`) or
-    /// because it overran `stall_factor ×` its calibrated estimate
-    /// (`reason = "slow"`).
+    /// Stall detector fired: a fragment's source refused it on arrival
+    /// (`reason = "arrival"`), died mid-stream (`reason = "interrupt"`), or
+    /// overran `stall_factor ×` its calibrated estimate (`reason =
+    /// "slow"`).
     pub const FRAGMENT_STALL: &str = "fragment_stall";
-    /// The cancelled fragment's remainder (cursor position onward) was
-    /// re-dispatched to a within-band replica.
+    /// The stalled slot was re-dispatched to another server: its
+    /// remainder from the cursor on, or the whole fragment at cursor 0.
     pub const REROUTE_DISPATCH: &str = "reroute_dispatch";
-    /// The remainder completed at the replica and rejoined the merge.
+    /// The re-dispatched slot completed and rejoined the merge.
     pub const FRAGMENT_RESUME: &str = "fragment_resume";
     /// Cursor-range provenance of a slot served by more than one source
     /// (`sources` field, e.g. `"S1:0..3+S2:3..7"`): the no-duplicate /
@@ -164,7 +164,7 @@ impl From<bool> for FieldValue {
 pub struct Event {
     /// Virtual time the event happened (span start for spans).
     pub at: SimTime,
-    /// Static event kind, e.g. `"probe"` or `"server_banned"`.
+    /// Static event kind, e.g. `"probe"` or `"server_down"`.
     pub kind: &'static str,
     /// Ordered payload fields.
     pub fields: Vec<(&'static str, FieldValue)>,

@@ -44,11 +44,11 @@ pub struct QccConfig {
     /// clear its stale factor — §3.4's periodic re-calibration, realized
     /// as lightweight in-band exploration.
     pub exploration_interval: u64,
-    /// Per-query retry budget: how many times the federation re-routes
-    /// after a fragment failure before giving up. Plumbed into
-    /// `FederationConfig::retry_limit` by the scenario builders (it used
-    /// to be a hardcoded field default there); under admission control
-    /// the execution deadline can forfeit the remaining budget early.
+    /// Per-slot re-dispatch budget: how many times the federation
+    /// re-dispatches one failed fragment slot before the query fails.
+    /// Plumbed into `FederationConfig::retry_limit` by the scenario
+    /// builders; under admission control the execution deadline can
+    /// forfeit the remaining budget early.
     pub retry_limit: usize,
 }
 

@@ -1,7 +1,8 @@
 //! The integrator's orchestration: compile, globally optimize, execute
 //! remotely, merge locally. This file holds the [`Federation`] struct, its
-//! configuration and accessors, `submit*` and the per-query `run` loop; the
-//! stages it drives live in the child modules.
+//! configuration and accessors, `submit*` and the per-query `run`: compile
+//! → token gate → choose → dispatch → completion bookkeeping. The stages it
+//! drives live in the child modules.
 
 mod compile;
 mod dispatch;
@@ -33,8 +34,10 @@ const II_SPEED: f64 = 1.0;
 /// Integrator configuration.
 #[derive(Debug, Clone)]
 pub struct FederationConfig {
-    /// How many times a query is re-routed after a fragment failure before
-    /// giving up.
+    /// How many times one fragment slot is re-dispatched after a failure
+    /// (refused on arrival, cut mid-stream, or cancelled as slow) before
+    /// the query fails (DESIGN.md §15). Each re-dispatch avoids every
+    /// server that already failed the slot.
     pub retry_limit: usize,
     /// Worker-pool width for scatter-gather fan-out (compile-time EXPLAIN
     /// dispatch, fragment execution, `submit_batch`). Results are
@@ -71,7 +74,8 @@ pub struct QueryOutcome {
     pub response_ms: f64,
     /// Signature of the executed global plan.
     pub chosen_signature: String,
-    /// Servers the executed plan touched.
+    /// The servers that finished the fragment slots: the chosen plan's,
+    /// except where a hedge or a re-dispatch rescued a slot.
     pub servers: BTreeSet<ServerId>,
     /// Observed per-fragment response times `(server, ms)`.
     pub fragment_times: Vec<(ServerId, f64)>,
@@ -261,8 +265,9 @@ impl Federation {
     /// admission queue). A query's effective execution deadline is the
     /// smaller of the configured `exec_deadline_ms` and its budget, so a
     /// ticket that spent most of its budget queueing gets a proportionally
-    /// tighter retry/hedge horizon. `budgets` may be empty (no budgets) or
-    /// must match `sqls` in length; `None` entries mean "no budget".
+    /// tighter re-dispatch/hedge horizon. `budgets` may be empty (no
+    /// budgets) or must match `sqls` in length; `None` entries mean "no
+    /// budget".
     pub fn submit_batch_with_budgets(
         &self,
         sqls: &[String],
@@ -306,11 +311,10 @@ impl Federation {
         budget_ms: Option<f64>,
     ) -> Result<QueryOutcome> {
         let submitted = clock.now();
-        let (template, mut candidates) = self.compile(qid, sql, clock, effects)?;
+        let (template, candidates) = self.compile(qid, sql, clock, effects)?;
         if candidates.is_empty() {
             return Err(QccError::NoViablePlan("no global candidates".into()));
         }
-        let mut banned: BTreeSet<ServerId> = BTreeSet::new();
         // Effective execution deadline: the configured per-dispatch limit,
         // tightened by whatever remains of the ticket's arrival-relative
         // budget. A ticket dispatched with (almost) nothing left keeps a
@@ -333,149 +337,84 @@ impl Federation {
             None => configured,
         };
 
-        // The retry *budget*: up to `retry_limit` re-routes, but the
-        // execution deadline can forfeit whatever budget remains.
-        for attempt in 0..=self.config.retry_limit {
-            if attempt > 0 && exec_deadline_ms > 0.0 {
-                let elapsed = clock.now().since(submitted).as_millis();
-                if elapsed > exec_deadline_ms {
-                    self.obs
-                        .counter_inc("deadline_exceeded_total", &[("stage", "retry")]);
-                    self.journal(effects, clock.now(), "deadline_exceeded", || {
-                        vec![
-                            ("query", qid.0.into()),
-                            ("stage", "retry".into()),
-                            ("attempt", (attempt as u64).into()),
-                            ("elapsed_ms", elapsed.into()),
-                            ("deadline_ms", exec_deadline_ms.into()),
-                        ]
-                    });
-                    return Err(QccError::DeadlineExceeded(format!(
-                        "retry budget forfeited after {elapsed:.3}ms (deadline {exec_deadline_ms}ms)"
-                    )));
-                }
-            }
-            // `candidates` never holds a plan on a banned server: each ban
-            // below drops those plans before the next attempt.
-            if candidates.is_empty() {
-                break;
-            }
-            // Token gate: a plan is admissible only if every server it
-            // touches has concurrency tokens in the frozen snapshot. A
-            // nonempty blocked set means the router steered around a
-            // token-exhausted server (a "token wait" — in virtual time the
-            // wait materializes as a reroute, never a sleep).
-            let admissible: Option<Vec<GlobalCandidate>> = self.admission.as_ref().map(|a| {
-                candidates
-                    .iter()
-                    .filter(|c| c.servers().all(|s| a.capacity(s) > 0))
-                    .cloned()
-                    .collect()
+        // Token gate: a plan is admissible only if every server it touches
+        // has concurrency tokens in the frozen snapshot. A nonempty blocked
+        // set means the router steered around a token-exhausted server (a
+        // "token wait" — in virtual time the wait materializes as a
+        // reroute, never a sleep).
+        let admissible: Option<Vec<GlobalCandidate>> = self.admission.as_ref().map(|a| {
+            candidates
+                .iter()
+                .filter(|c| c.servers().all(|s| a.capacity(s) > 0))
+                .cloned()
+                .collect()
+        });
+        let viable: &[GlobalCandidate] = admissible.as_deref().unwrap_or(&candidates);
+        let blocked_count = candidates.len() - viable.len();
+        if blocked_count > 0 {
+            self.obs.counter_inc("token_waits_total", &[]);
+            self.journal(effects, clock.now(), "token_wait", || {
+                vec![
+                    ("query", qid.0.into()),
+                    ("blocked_candidates", blocked_count.into()),
+                ]
             });
-            let viable: &[GlobalCandidate] = admissible.as_deref().unwrap_or(&candidates);
-            let blocked_count = candidates.len() - viable.len();
-            if blocked_count > 0 {
-                self.obs.counter_inc("token_waits_total", &[]);
-                self.journal(effects, clock.now(), "token_wait", || {
-                    vec![
-                        ("query", qid.0.into()),
-                        ("attempt", (attempt as u64).into()),
-                        ("blocked_candidates", blocked_count.into()),
-                    ]
-                });
-            }
-            if viable.is_empty() {
-                // Every surviving plan needs a token-exhausted server:
-                // shed before any fragment work rather than pile on.
-                if let Some(admission) = &self.admission {
-                    admission.note_shed("no_tokens");
-                }
-                return Err(QccError::Shed(
-                    "no token-admissible global plan (all candidate servers exhausted)".into(),
-                ));
-            }
-            let idx = self
-                .middleware
-                .choose_global(&template.decomposed.template_signature, viable, effects)
-                .min(viable.len() - 1);
-            let chosen = &viable[idx];
-
-            let remaining_ms = (exec_deadline_ms > 0.0)
-                .then(|| exec_deadline_ms - clock.now().since(submitted).as_millis());
-            let executed = self.dispatch_fragments(
-                qid,
-                &template,
-                chosen,
-                &candidates,
-                &banned,
-                remaining_ms,
-                clock,
-                effects,
-            );
-            match executed {
-                Ok((rows, fragment_times)) => {
-                    let response_ms = clock.now().since(submitted).as_millis();
-                    if exec_deadline_ms > 0.0 && response_ms > exec_deadline_ms {
-                        // Completed, but late: the result still counts, the
-                        // goodput accounting does not.
-                        self.obs.counter_inc("deadline_misses_total", &[]);
-                        self.journal(effects, clock.now(), "deadline_exceeded", || {
-                            vec![
-                                ("query", qid.0.into()),
-                                ("stage", "completion".into()),
-                                ("elapsed_ms", response_ms.into()),
-                                ("deadline_ms", exec_deadline_ms.into()),
-                            ]
-                        });
-                    }
-                    self.middleware
-                        .observe_query(chosen.total_cost(), response_ms, effects);
-                    // A success after at least one ban is a reroute: the
-                    // retry loop found a plan avoiding the failed servers.
-                    if !banned.is_empty() {
-                        self.journal(effects, clock.now(), "reroute", || {
-                            vec![
-                                ("query", qid.0.into()),
-                                ("attempt", (attempt as u64).into()),
-                                ("servers", join_servers(&chosen.server_set()).into()),
-                            ]
-                        });
-                    }
-                    return Ok(QueryOutcome {
-                        id: qid,
-                        rows,
-                        response_ms,
-                        chosen_signature: chosen.signature(),
-                        servers: chosen.server_set(),
-                        fragment_times,
-                        estimated_cost: chosen.total_cost(),
-                    });
-                }
-                Err(QccError::ServerUnavailable(s))
-                | Err(QccError::ServerFault { server: s, .. }) => {
-                    // The fallback of last resort: slot-level recovery
-                    // (hedge, remainder re-dispatch) could not save the
-                    // fragment, so ban the failed server and re-plan the
-                    // whole query. The middleware has already recorded the
-                    // failure (reliability input).
-                    self.obs.counter_inc("retries_total", &[]);
-                    self.journal(effects, clock.now(), "server_banned", || {
-                        vec![
-                            ("query", qid.0.into()),
-                            ("server", s.to_string().into()),
-                            ("attempt", (attempt as u64).into()),
-                        ]
-                    });
-                    candidates.retain(|c| c.servers().all(|on| *on != s));
-                    banned.insert(s);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
         }
-        Err(QccError::NoViablePlan(format!(
-            "all retries exhausted; unavailable servers: {banned:?}"
-        )))
+        if viable.is_empty() {
+            // Every plan needs a token-exhausted server: shed before any
+            // fragment work rather than pile on.
+            if let Some(admission) = &self.admission {
+                admission.note_shed("no_tokens");
+            }
+            return Err(QccError::Shed(
+                "no token-admissible global plan (all candidate servers exhausted)".into(),
+            ));
+        }
+        let idx = self
+            .middleware
+            .choose_global(&template.decomposed.template_signature, viable, effects)
+            .min(viable.len() - 1);
+        let chosen = &viable[idx];
+
+        // A failed fragment is re-dispatched inside its own slot
+        // (`dispatch.rs`, `recover.rs`); what reaches here either merged
+        // or cannot be answered.
+        let remaining_ms = (exec_deadline_ms > 0.0)
+            .then(|| exec_deadline_ms - clock.now().since(submitted).as_millis());
+        let (rows, fragment_times) = self.dispatch_fragments(
+            qid,
+            &template,
+            chosen,
+            &candidates,
+            remaining_ms,
+            clock,
+            effects,
+        )?;
+        let response_ms = clock.now().since(submitted).as_millis();
+        if exec_deadline_ms > 0.0 && response_ms > exec_deadline_ms {
+            // Completed, but late: the result still counts, the goodput
+            // accounting does not.
+            self.obs.counter_inc("deadline_misses_total", &[]);
+            self.journal(effects, clock.now(), "deadline_exceeded", || {
+                vec![
+                    ("query", qid.0.into()),
+                    ("stage", "completion".into()),
+                    ("elapsed_ms", response_ms.into()),
+                    ("deadline_ms", exec_deadline_ms.into()),
+                ]
+            });
+        }
+        self.middleware
+            .observe_query(chosen.total_cost(), response_ms, effects);
+        Ok(QueryOutcome {
+            id: qid,
+            rows,
+            response_ms,
+            chosen_signature: chosen.signature(),
+            servers: fragment_times.iter().map(|(s, _)| s.clone()).collect(),
+            fragment_times,
+            estimated_cost: chosen.total_cost(),
+        })
     }
 
     /// Journal one event through the deferred buffer — `run` and everything
@@ -495,11 +434,6 @@ impl Federation {
             effects.defer(move || obs.event(at, kind, fields));
         }
     }
-}
-
-/// Comma-joined server names (sets iterate sorted, so this is stable).
-fn join_servers(set: &BTreeSet<ServerId>) -> String {
-    set.iter().map(|s| s.as_str()).collect::<Vec<_>>().join(",")
 }
 
 impl std::fmt::Debug for Federation {

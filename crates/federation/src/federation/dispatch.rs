@@ -1,26 +1,30 @@
 //! Dispatch: the one fragment executor — scatter the streams, gather,
-//! resolve each slot — plus hedge planning and the within-band alternate
-//! picker it shares with remainder re-dispatch.
+//! resolve each slot — plus hedge planning and the alternate picker it
+//! shares with slot re-dispatch.
 
 use super::template::Template;
 use super::{Federation, FragmentTimes};
 use crate::middleware::{Deferred, FragmentCandidate, GlobalCandidate};
-use qcc_common::{scatter_indexed, QueryId, Result, Row, ServerId, SimDuration, SimTime};
+use qcc_common::{scatter_indexed, QccError, QueryId, Result, Row, SimDuration, SimTime};
 use qcc_netsim::SimClock;
 use qcc_wrapper::{FragmentPlan, StreamOutcome, WrapperResult, WrapperStream};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One stream of a slot's race: the primary, or its hedge replica.
-pub(super) struct Run<'a> {
-    pub(super) cand: &'a FragmentCandidate,
-    pub(super) stream: WrapperStream,
-    pub(super) hedge: bool,
+struct Run<'a> {
+    cand: &'a FragmentCandidate,
+    /// What the source sent; `None` when it refused the request on arrival
+    /// (the middleware has recorded the failure).
+    stream: Option<WrapperStream>,
 }
 
 impl Run<'_> {
-    pub(super) fn is_complete(&self) -> bool {
-        self.stream.outcome == StreamOutcome::Complete
+    /// The stream, if it ran to completion.
+    fn complete(&self) -> Option<&WrapperStream> {
+        self.stream
+            .as_ref()
+            .filter(|s| s.outcome == StreamOutcome::Complete)
     }
 }
 
@@ -32,12 +36,12 @@ impl Federation {
     /// sequentially on the coordinator, advances the clock once by the
     /// slowest slot, and merges. A stream that completed within the stall
     /// threshold is accepted as-is; where a hedge ran, the fastest such
-    /// completion wins its slot (ties favour the primary) and a hedge that
-    /// succeeds where its primary failed rescues the query without burning
-    /// a retry. Otherwise the stall detector cancels the stream and
-    /// re-dispatches its *remainder* ([`Federation::resolve_stall`]).
-    /// Duplicate rows are impossible by construction: each chunk index is
-    /// merged from exactly one source.
+    /// completion wins its slot (ties favour the primary), so a hedge
+    /// rescues a primary that failed. Otherwise the stall detector takes
+    /// the slot — refused on arrival, cut mid-stream, or slow — and
+    /// re-dispatches it ([`Federation::resolve_stall`]). Duplicate rows
+    /// are impossible by construction: each chunk index is merged from
+    /// exactly one source.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn dispatch_fragments(
         &self,
@@ -45,13 +49,12 @@ impl Federation {
         template: &Arc<Template>,
         chosen: &GlobalCandidate,
         pool: &[GlobalCandidate],
-        banned: &BTreeSet<ServerId>,
         remaining_ms: Option<f64>,
         clock: &SimClock,
         effects: &mut Deferred,
     ) -> Result<(Vec<Row>, FragmentTimes)> {
         let start = clock.now();
-        let hedges = self.plan_hedges(qid, chosen, pool, banned, remaining_ms, start, effects);
+        let hedges = self.plan_hedges(qid, chosen, pool, remaining_ms, start, effects);
         let n = chosen.fragments.len();
         // Task order: primaries by slot, then hedges by slot.
         let tasks: Vec<(usize, &FragmentCandidate)> = chosen
@@ -97,23 +100,23 @@ impl Federation {
         let mut fragment_times: FragmentTimes = Vec::with_capacity(n);
         let mut slowest = SimDuration::ZERO;
         for (slot, (primary_cand, p)) in chosen.fragments.iter().zip(primary).enumerate() {
+            // A primary refused on arrival is a stream that delivered
+            // nothing; any other error fails the query.
+            let stream = match p {
+                Ok(stream) => Some(stream),
+                Err(QccError::ServerUnavailable(_) | QccError::ServerFault { .. }) => None,
+                Err(e) => return Err(e),
+            };
+            let p = Run {
+                cand: primary_cand,
+                stream,
+            };
             let h = hedge.remove(&slot).map(|stream| Run {
                 cand: &hedges[&slot],
-                stream,
-                hedge: true,
+                stream: Some(stream),
             });
-            let p = match p {
-                Ok(stream) => Some(Run {
-                    cand: primary_cand,
-                    stream,
-                    hedge: false,
-                }),
-                // Unrescued: surface this slot's own error, so the retry
-                // loop bans the server that actually failed it.
-                Err(e) if h.is_none() => return Err(e),
-                Err(_) => None,
-            };
-            let mut runs: Vec<Run<'_>> = p.into_iter().chain(h).collect();
+            // The primary first, then its hedge.
+            let mut runs: Vec<Run<'_>> = std::iter::once(p).chain(h).collect();
 
             let threshold_ms = match self.config.stall_factor * primary_cand.effective_cost.total()
             {
@@ -126,55 +129,65 @@ impl Federation {
             let winner = runs
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| {
-                    r.is_complete() && r.stream.response_time.as_millis() <= threshold_ms
-                })
-                .min_by(|(_, a), (_, b)| {
-                    let ms = |r: &Run<'_>| r.stream.response_time.as_millis();
-                    ms(a).total_cmp(&ms(b))
-                })
+                .filter_map(|(i, r)| r.complete().map(|s| (i, s.response_time.as_millis())))
+                .filter(|(_, ms)| *ms <= threshold_ms)
+                .min_by(|(_, a), (_, b)| a.total_cmp(b))
                 .map(|(i, _)| i);
             // No clean completion: the detector acts on a complete-but-slow
-            // stream first, then an interrupted primary, then an
-            // interrupted hedge.
-            let ix = winner.unwrap_or_else(|| runs.iter().position(Run::is_complete).unwrap_or(0));
+            // stream first, then on a cut one (the primary before the
+            // hedge), then on the refusal.
+            let ix = winner.unwrap_or_else(|| {
+                let position = |has: fn(&Run<'_>) -> bool| runs.iter().position(has);
+                position(|r| r.complete().is_some())
+                    .or_else(|| position(|r| r.stream.is_some()))
+                    .unwrap_or(0)
+            });
             let run = runs.remove(ix);
             let other = runs.pop();
-            let duplicate = other.as_ref().filter(|o| o.is_complete());
+            let duplicate = other
+                .as_ref()
+                .and_then(|o| o.complete().map(|stream| (o.cand, stream)));
 
-            let (result, server) = if winner.is_some() {
-                if run.hedge {
-                    self.obs.counter_inc("hedge_wins_total", &[]);
+            let (result, server) = match (winner, run.stream) {
+                (Some(_), Some(stream)) => {
+                    if ix > 0 {
+                        self.obs.counter_inc("hedge_wins_total", &[]);
+                    }
+                    self.note_complete_stream(qid, run.cand, &stream, start, effects);
+                    if let Some((cand, dup)) = duplicate {
+                        // The losing replica ran to completion uncancelled:
+                        // its rows are dropped below, but its whole-fragment
+                        // time is an honest calibration sample.
+                        self.note_complete_stream(qid, cand, dup, start, effects);
+                    }
+                    (stream_result(stream), run.cand.plan.server.clone())
                 }
-                self.note_complete_stream(qid, run.cand, &run.stream, start, effects);
-                if let Some(dup) = duplicate {
-                    // The losing replica ran to completion uncancelled:
-                    // its rows are dropped below, but its whole-fragment
-                    // time is an honest calibration sample.
-                    self.note_complete_stream(qid, dup.cand, &dup.stream, start, effects);
+                (_, stream) => {
+                    // Neither of the slot's own servers takes a re-dispatch.
+                    let own = [Some(primary_cand), hedges.get(&slot)]
+                        .into_iter()
+                        .flatten();
+                    let excluded = own.map(|c| c.plan.server.clone()).collect();
+                    self.resolve_stall(
+                        qid,
+                        slot,
+                        &template.decomposed,
+                        run.cand,
+                        stream,
+                        excluded,
+                        pool,
+                        threshold_ms,
+                        remaining_ms,
+                        start,
+                        effects,
+                    )?
                 }
-                let server = run.cand.plan.server.clone();
-                (stream_result(run.stream), server)
-            } else {
-                self.resolve_stall(
-                    qid,
-                    slot,
-                    &template.decomposed,
-                    primary_cand,
-                    run,
-                    other.as_ref().map(|o| &o.cand.plan.server),
-                    pool,
-                    banned,
-                    threshold_ms,
-                    start,
-                    effects,
-                )?
             };
-            if let Some(dup) = duplicate {
+            if let Some((cand, _)) = duplicate {
                 // The one duplicate-suppression point: exactly one stream
                 // feeds the slot; a second that arrived in full is dropped
                 // here and journalled.
-                self.suppress_duplicate(qid, slot, &server, &dup.cand.plan.server, start, effects);
+                self.suppress_duplicate(qid, slot, &server, &cand.plan.server, start, effects);
             }
             slowest = slowest.max(result.response_time);
             fragment_times.push((server, result.response_time.as_millis()));
@@ -187,16 +200,14 @@ impl Federation {
     /// Hedged dispatch: choose (and journal) a hedge replica for every
     /// pressured fragment of `chosen` — one whose remaining deadline
     /// budget is below `hedge_slack_factor ×` its calibrated cost. The
-    /// replica is the cheapest alternate plan for the slot on a different,
-    /// unbanned server within `hedge_band ×` the primary's cost. Both run
+    /// replica is the cheapest alternate plan for the slot on a different
+    /// server within `hedge_band ×` the primary's cost. Both run
     /// concurrently; the faster result wins and the loser is suppressed.
-    #[allow(clippy::too_many_arguments)]
     fn plan_hedges(
         &self,
         qid: QueryId,
         chosen: &GlobalCandidate,
         pool: &[GlobalCandidate],
-        banned: &BTreeSet<ServerId>,
         remaining_ms: Option<f64>,
         at: SimTime,
         effects: &mut Deferred,
@@ -216,7 +227,7 @@ impl Federation {
                 continue;
             }
             let Some(alt) = self.cheapest_alternate(slot, pool, est * band, |alt| {
-                alt.plan.server != primary.plan.server && !banned.contains(&alt.plan.server)
+                alt.plan.server != primary.plan.server
             }) else {
                 continue;
             };
@@ -236,8 +247,8 @@ impl Federation {
         hedges
     }
 
-    /// The within-band alternate picker, shared by hedge planning and
-    /// remainder re-dispatch: the cheapest plan for `slot` in the
+    /// The alternate picker, shared by hedge planning and slot
+    /// re-dispatch: the cheapest plan for `slot` in the
     /// enumerated candidate `pool` whose calibrated cost is at most
     /// `limit`, whose server has token capacity in the frozen admission
     /// snapshot, and which the caller finds `eligible`. Ties break by
@@ -271,7 +282,7 @@ impl Federation {
     /// fragment span, and acknowledge it to the middleware. This is the
     /// only caller of [`Middleware::observe_fragment`], hence the single
     /// rule for what feeds reliability and calibration — cancelled streams
-    /// and rescued remainders never reach it.
+    /// and resumed remainders never reach it.
     pub(super) fn note_complete_stream(
         &self,
         qid: QueryId,

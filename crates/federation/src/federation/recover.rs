@@ -1,7 +1,8 @@
-//! Recover: the stall detector's cancel-and-re-dispatch of a slot's
-//! remainder, and the stall / duplicate-suppression journalling.
+//! Recover: the stall detector's re-dispatch of a slot — refused on
+//! arrival, cut mid-stream, or cancelled as slow — and the stall /
+//! duplicate-suppression journalling.
 
-use super::dispatch::{stream_result, Run};
+use super::dispatch::stream_result;
 use super::Federation;
 use crate::decompose::DecomposedQuery;
 use crate::middleware::{Deferred, FragmentCandidate, GlobalCandidate};
@@ -11,249 +12,285 @@ use qcc_wrapper::{StreamOutcome, WrapperResult, WrapperStream};
 use std::collections::BTreeSet;
 
 /// Virtual-time lag between a mid-stream interrupt and the stall detector
-/// noticing it (one probe interval).
+/// noticing it (one probe interval). A refusal on arrival is synchronous
+/// and costs no lag.
 pub const REROUTE_PROBE_MS: f64 = 1.0;
 
-/// Replica selection band: a remainder only re-dispatches to an alternate
-/// whose calibrated cost is within this multiple of the cancelled
-/// primary's estimate.
+/// Replica selection band: a remainder only resumes on an alternate whose
+/// calibrated cost is within this multiple of the estimate of the stream
+/// it continues.
 pub const REROUTE_BAND: f64 = 2.0;
 
 impl Federation {
-    /// Cancel a stalled (or interrupted) base stream and re-dispatch its
-    /// remainder — the chunks past the cursor — to a within-band replica,
-    /// once. Returns the stitched slot result and the server that finished
-    /// it; if no replica can finish it, the failure surfaces to the
-    /// whole-query retry loop, which bans the server and re-plans.
+    /// Take over a slot whose stream did not win — `stream` is `None` when
+    /// `cand`'s server refused it on arrival, cut when the source died
+    /// mid-stream, complete when it overran the stall threshold — and
+    /// re-dispatch it, at most `retry_limit` times, each time from the
+    /// instant the last failure was detected. A re-dispatch resumes the
+    /// kept prefix at its cursor on a replica with the same chunk schedule
+    /// when one exists, and otherwise restarts the fragment at cursor 0 on
+    /// any plan for the slot; it never goes to a server in `excluded` or
+    /// to one that already failed the slot, and a failed re-dispatch adds
+    /// nothing to the prefix. A slow stream only resumes: with no replica
+    /// it is kept whole. Returns the stitched slot result and the server
+    /// that finished it.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn resolve_stall(
         &self,
         qid: QueryId,
         slot: usize,
         decomposed: &DecomposedQuery,
-        primary_cand: &FragmentCandidate,
-        base: Run<'_>,
-        also_excluded: Option<&ServerId>,
+        cand: &FragmentCandidate,
+        stream: Option<WrapperStream>,
+        mut excluded: BTreeSet<ServerId>,
         pool: &[GlobalCandidate],
-        banned: &BTreeSet<ServerId>,
         threshold_ms: f64,
+        remaining_ms: Option<f64>,
         start: SimTime,
         effects: &mut Deferred,
     ) -> Result<(WrapperResult, ServerId)> {
         let probe = SimDuration::from_millis(REROUTE_PROBE_MS);
-        let base_server = base.cand.plan.server.clone();
-        let mut excluded = banned.clone();
-        excluded.insert(base_server.clone());
-        excluded.extend(also_excluded.cloned());
-        let pick = || self.pick_reroute_replica(slot, decomposed, primary_cand, pool, &excluded);
-
-        // The detection instant, the chunks the integrator keeps, and the
-        // replica that takes over.
-        let total_chunks = base.stream.total_chunks;
-        let (cancel_at, reason, mut kept, fault_ms, alt) = match base.stream.outcome {
-            StreamOutcome::Interrupted { at } => {
-                // The source died mid-stream; every delivered chunk
-                // precedes the transition, and detection costs one probe
-                // interval.
-                let fault_ms = Some(at.as_millis());
-                (
-                    at + probe,
-                    "interrupt",
-                    base.stream.chunks,
-                    fault_ms,
-                    pick(),
-                )
+        let total_chunks = stream.as_ref().map_or(0, |s| s.total_chunks);
+        // The detection instant, why the slot stalled, the chunks the
+        // integrator keeps, and the instant a dead source was cut.
+        let (mut at, mut reason, mut kept, mut fault_ms) = match stream {
+            None => (start, "arrival", Vec::new(), None),
+            Some(WrapperStream {
+                outcome: StreamOutcome::Interrupted { at },
+                chunks,
+                ..
+            }) => {
+                // Every delivered chunk precedes the transition, and
+                // detection costs one probe interval.
+                (at + probe, "interrupt", chunks, Some(at.as_millis()))
             }
-            StreamOutcome::Complete => {
+            Some(stream) => {
                 let cancel_at = start + SimDuration::from_millis(threshold_ms);
-                let late = base
-                    .stream
-                    .chunks
-                    .iter()
-                    .filter(|c| c.at > cancel_at)
-                    .count();
-                let alt = if late > 0 { pick() } else { None };
-                if alt.is_none() {
+                let late = stream.chunks.iter().filter(|c| c.at > cancel_at).count();
+                if late == 0
+                    || self
+                        .resume_replica(slot, decomposed, cand, pool, &excluded)
+                        .is_none()
+                {
                     // Every chunk beat the threshold (only the transfer
-                    // tail overran), or no within-band replica exists:
+                    // tail overran), or no replica can resume it:
                     // cancelling gains nothing, so the slow result is kept
                     // whole.
                     let why = if late == 0 { "tail" } else { "no_replica" };
                     self.obs
                         .counter_inc("reroute_declined_total", &[("reason", why)]);
-                    self.note_complete_stream(qid, base.cand, &base.stream, start, effects);
-                    return Ok((stream_result(base.stream), base_server));
+                    self.note_complete_stream(qid, cand, &stream, start, effects);
+                    return Ok((stream_result(stream), cand.plan.server.clone()));
                 }
                 // The late chunks are suppressed, never merged.
                 self.obs
                     .counter_add("reroute_chunks_suppressed_total", &[], late as u64);
-                let mut kept = base.stream.chunks;
+                let mut kept = stream.chunks;
                 kept.retain(|c| c.at <= cancel_at);
-                (cancel_at, "slow", kept, None, alt)
+                (cancel_at, "slow", kept, None)
             }
         };
         self.journal_stall(
             qid,
             slot,
-            &base_server,
+            &cand.plan.server,
             reason,
-            cancel_at,
+            at,
             start,
             threshold_ms,
             effects,
         );
         if reason == "slow" {
-            // A stall-cancel is soft reliability evidence; the interrupt
-            // case was already recorded (at the transition instant) by the
-            // middleware when the stream came back cut.
+            // A stall-cancel is soft reliability evidence; a refusal or an
+            // interrupt was already recorded by the middleware.
             self.middleware
-                .observe_fragment_cancel(&base_server, effects);
+                .observe_fragment_cancel(&cand.plan.server, effects);
         }
-        let Some(alt) = alt else {
-            self.obs.counter_inc("reroute_exhausted_total", &[]);
-            return Err(QccError::ServerUnavailable(base_server));
-        };
 
-        let alt_server = alt.plan.server.clone();
-        let cursor = kept.len();
-        // The remainder rides the slot's admission token — the picker
-        // consulted the frozen capacity snapshot, but nothing is consumed;
-        // journal the reuse.
-        if let Some(admission) = &self.admission {
-            admission.note_reroute_reuse(&alt_server);
-        }
-        self.obs.counter_inc(
-            "fragment_reroutes_total",
-            &[("server", alt_server.as_str())],
-        );
-        self.journal(effects, cancel_at, ev::REROUTE_DISPATCH, || {
-            let mut fields: Vec<(&'static str, FieldValue)> = vec![
-                ("query", qid.0.into()),
-                ("fragment", slot.into()),
-                ("from", base_server.to_string().into()),
-                ("to", alt_server.to_string().into()),
-                ("cursor", cursor.into()),
-                ("total_chunks", total_chunks.into()),
-                ("reason", reason.into()),
-                ("est_ms", primary_cand.effective_cost.total().into()),
-                ("frag_start_ms", start.as_millis().into()),
-            ];
-            if threshold_ms.is_finite() {
-                fields.push(("threshold_ms", threshold_ms.into()));
-            }
-            if let Some(f) = fault_ms {
-                fields.push(("fault_ms", f.into()));
-            }
-            fields
-        });
-        let resumed = self.wrapper(&alt_server).and_then(|wrapper| {
-            self.middleware.execute_fragment_stream(
-                wrapper.as_ref(),
-                &alt.plan,
-                cancel_at,
-                cursor,
-                effects,
-            )
-        });
-        match resumed {
-            Ok(
-                stream @ WrapperStream {
-                    outcome: StreamOutcome::Complete,
-                    ..
-                },
-            ) => {
-                let end = cancel_at + stream.response_time;
-                let ms = stream.response_time.as_millis();
+        let mut from = &cand.plan.server;
+        for _ in 0..self.config.retry_limit {
+            let elapsed = at.since(start).as_millis();
+            if let Some(remaining) = remaining_ms.filter(|r| elapsed > *r) {
                 self.obs
-                    .counter_inc("fragment_resumes_total", &[("server", alt_server.as_str())]);
-                // Journalled as a fragment, but never acknowledged to the
-                // middleware: a partial run is not a valid calibration
-                // sample for the whole-fragment estimate.
-                self.journal_fragment(qid, &alt.plan, ms, cancel_at, effects);
-                self.journal(effects, end, ev::FRAGMENT_RESUME, || {
+                    .counter_inc("deadline_exceeded_total", &[("stage", "redispatch")]);
+                self.journal(effects, at, "deadline_exceeded", || {
                     vec![
                         ("query", qid.0.into()),
+                        ("stage", "redispatch".into()),
                         ("fragment", slot.into()),
-                        ("server", alt_server.to_string().into()),
-                        ("cursor", cursor.into()),
-                        ("chunks", stream.delivered().into()),
-                        ("ms", ms.into()),
+                        ("elapsed_ms", elapsed.into()),
+                        ("remaining_ms", remaining.into()),
                     ]
                 });
-                self.journal(effects, end, ev::FRAGMENT_STREAM, || {
-                    // Provenance "S1:0..k+S2:k..n" must tile the chunk range.
-                    let resumed = format!("{alt_server}:{cursor}..{}", stream.next_cursor());
-                    let sources = match cursor {
-                        0 => resumed,
-                        k => format!("{base_server}:0..{k}+{resumed}"),
-                    };
-                    vec![
-                        ("query", qid.0.into()),
-                        ("fragment", slot.into()),
-                        ("sources", sources.into()),
-                        ("total_chunks", total_chunks.into()),
-                    ]
-                });
-                kept.extend(stream.chunks);
-                let result = WrapperResult {
-                    bytes: kept.iter().map(|c| c.batch.byte_size()).sum(),
-                    response_time: end.since(start),
-                    batches: kept.into_iter().map(|c| c.batch).collect(),
-                };
-                return Ok((result, alt_server));
+                return Err(QccError::DeadlineExceeded(format!(
+                    "fragment {slot} re-dispatch {elapsed:.3}ms after dispatch, past the \
+                     {remaining:.3}ms its deadline left"
+                )));
             }
-            // The replica died mid-remainder too.
-            Ok(WrapperStream {
-                outcome: StreamOutcome::Interrupted { at },
-                ..
-            }) => self.journal_stall(
-                qid,
-                slot,
-                &alt_server,
-                "interrupt",
-                at + probe,
-                start,
-                threshold_ms,
-                effects,
-            ),
-            // Dead on arrival (recorded by the middleware).
-            Err(QccError::ServerUnavailable(_)) | Err(QccError::ServerFault { .. }) => {}
-            Err(e) => return Err(e),
+            let resume = match kept.len() {
+                0 => None,
+                _ => self.resume_replica(slot, decomposed, cand, pool, &excluded),
+            };
+            let restart = || {
+                self.cheapest_alternate(slot, pool, f64::INFINITY, |alt| {
+                    !excluded.contains(&alt.plan.server)
+                })
+            };
+            let Some(alt) = resume.or_else(restart) else {
+                break;
+            };
+            if resume.is_none() {
+                // No replica shares the kept prefix's chunk schedule: the
+                // fragment restarts whole.
+                kept.clear();
+            }
+            let cursor = kept.len();
+            let to = &alt.plan.server;
+            // The re-dispatch rides the slot's admission token — the picker
+            // consulted the frozen capacity snapshot, but nothing is
+            // consumed; journal the reuse.
+            if let Some(admission) = &self.admission {
+                admission.note_reroute_reuse(to);
+            }
+            self.obs
+                .counter_inc("fragment_reroutes_total", &[("server", to.as_str())]);
+            self.journal(effects, at, ev::REROUTE_DISPATCH, || {
+                let mut fields: Vec<(&'static str, FieldValue)> = vec![
+                    ("query", qid.0.into()),
+                    ("fragment", slot.into()),
+                    ("from", from.to_string().into()),
+                    ("to", to.to_string().into()),
+                    ("cursor", cursor.into()),
+                ];
+                if cursor > 0 {
+                    fields.push(("total_chunks", total_chunks.into()));
+                }
+                fields.extend([
+                    ("reason", reason.into()),
+                    ("est_ms", cand.effective_cost.total().into()),
+                    ("frag_start_ms", start.as_millis().into()),
+                ]);
+                if threshold_ms.is_finite() {
+                    fields.push(("threshold_ms", threshold_ms.into()));
+                }
+                if let Some(f) = fault_ms {
+                    fields.push(("fault_ms", f.into()));
+                }
+                fields
+            });
+            let dispatched = self.wrapper(to).and_then(|wrapper| {
+                self.middleware.execute_fragment_stream(
+                    wrapper.as_ref(),
+                    &alt.plan,
+                    at,
+                    cursor,
+                    effects,
+                )
+            });
+            excluded.insert(to.clone());
+            match dispatched {
+                // The replica died mid-run too.
+                Ok(WrapperStream {
+                    outcome: StreamOutcome::Interrupted { at: cut },
+                    ..
+                }) => {
+                    (at, reason, fault_ms) = (cut + probe, "interrupt", Some(cut.as_millis()));
+                }
+                Ok(stream) => {
+                    let end = at + stream.response_time;
+                    let ms = stream.response_time.as_millis();
+                    self.obs
+                        .counter_inc("fragment_resumes_total", &[("server", to.as_str())]);
+                    if cursor == 0 {
+                        // A whole-fragment run: an honest calibration
+                        // sample.
+                        self.note_complete_stream(qid, alt, &stream, at, effects);
+                    } else {
+                        // Journalled as a fragment, but never acknowledged
+                        // to the middleware: a partial run is not a valid
+                        // calibration sample for the whole-fragment
+                        // estimate.
+                        self.journal_fragment(qid, &alt.plan, ms, at, effects);
+                    }
+                    self.journal(effects, end, ev::FRAGMENT_RESUME, || {
+                        vec![
+                            ("query", qid.0.into()),
+                            ("fragment", slot.into()),
+                            ("server", to.to_string().into()),
+                            ("cursor", cursor.into()),
+                            ("chunks", stream.delivered().into()),
+                            ("ms", ms.into()),
+                        ]
+                    });
+                    if cursor > 0 {
+                        // Provenance "S1:0..k+S2:k..n" must tile the chunk
+                        // range.
+                        let (base, next) = (&cand.plan.server, stream.next_cursor());
+                        let sources = format!("{base}:0..{cursor}+{to}:{cursor}..{next}");
+                        self.journal(effects, end, ev::FRAGMENT_STREAM, || {
+                            vec![
+                                ("query", qid.0.into()),
+                                ("fragment", slot.into()),
+                                ("sources", sources.into()),
+                                ("total_chunks", total_chunks.into()),
+                            ]
+                        });
+                    }
+                    kept.extend(stream.chunks);
+                    let result = WrapperResult {
+                        bytes: kept.iter().map(|c| c.batch.byte_size()).sum(),
+                        response_time: end.since(start),
+                        batches: kept.into_iter().map(|c| c.batch).collect(),
+                    };
+                    return Ok((result, to.clone()));
+                }
+                // Refused on arrival (recorded by the middleware): the next
+                // re-dispatch leaves at once.
+                Err(QccError::ServerUnavailable(_) | QccError::ServerFault { .. }) => {
+                    (reason, fault_ms) = ("arrival", None);
+                }
+                Err(e) => return Err(e),
+            }
+            self.journal_stall(qid, slot, to, reason, at, start, threshold_ms, effects);
+            from = to;
         }
         self.obs.counter_inc("reroute_exhausted_total", &[]);
-        Err(QccError::ServerUnavailable(alt_server))
+        let tried: Vec<&str> = excluded.iter().map(ServerId::as_str).collect();
+        Err(QccError::NoViablePlan(format!(
+            "no server could finish fragment {slot}; tried {}",
+            tried.join(", ")
+        )))
     }
 
-    /// The replica a cancelled fragment's remainder re-dispatches to: the
-    /// cheapest alternate for the slot ([`Federation::cheapest_alternate`])
-    /// outside `excluded`, within [`REROUTE_BAND`] of the primary's
-    /// estimate, with the *same plan signature and SQL* (so the cursor
-    /// protocol's chunk schedule lines up); when a replica catalog is
-    /// attached the alternate must also be a registered sibling on every
-    /// nickname the fragment scans (fail open for unregistered fragments,
-    /// as compile does).
-    fn pick_reroute_replica<'a>(
+    /// The resume rule: the cheapest alternate for the slot
+    /// ([`Federation::cheapest_alternate`]) outside `excluded`, within
+    /// [`REROUTE_BAND`] of `base`'s estimate, with `base`'s *plan signature
+    /// and SQL* (so the cursor protocol's chunk schedule lines up); when a
+    /// replica catalog is attached the alternate must also be a registered
+    /// sibling of `base`'s server on every nickname the fragment scans
+    /// (fail open for unregistered fragments, as compile does).
+    fn resume_replica<'a>(
         &self,
         slot: usize,
         decomposed: &DecomposedQuery,
-        primary: &FragmentCandidate,
+        base: &FragmentCandidate,
         pool: &'a [GlobalCandidate],
         excluded: &BTreeSet<ServerId>,
     ) -> Option<&'a FragmentCandidate> {
-        let limit = match primary.effective_cost.total() {
+        let limit = match base.effective_cost.total() {
             est if est > 0.0 => est * REROUTE_BAND,
             _ => f64::INFINITY,
         };
         let nicknames = &decomposed.fragments[slot].nicknames;
         self.cheapest_alternate(slot, pool, limit, |alt| {
             !excluded.contains(&alt.plan.server)
-                && alt.plan.signature == primary.plan.signature
-                && alt.plan.sql == primary.plan.sql
+                && alt.plan.signature == base.plan.signature
+                && alt.plan.sql == base.plan.sql
                 && self.catalog.as_ref().is_none_or(|catalog| {
                     nicknames.iter().all(|nn| {
                         catalog.replicas(nn).is_empty()
                             || catalog
-                                .siblings(nn, &primary.plan.server)
+                                .siblings(nn, &base.plan.server)
                                 .contains(&alt.plan.server)
                     })
                 })

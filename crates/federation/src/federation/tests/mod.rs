@@ -282,12 +282,14 @@ fn midquery_interrupt_reroutes_remainder_without_duplicates() {
     );
     assert_eq!(out.fragment_times[0].0, ServerId::new("S2"));
     assert_eq!(
+        out.servers,
+        BTreeSet::from([ServerId::new("S2")]),
+        "the outcome names the server that finished the slot"
+    );
+    assert_eq!(
         obs.counter_value("fragment_reroutes_total", &[("server", "S2")]),
         1
     );
-    // The interrupt was detected mid-query, not burned as a whole-query
-    // retry.
-    assert_eq!(obs.counter_value("retries_total", &[]), 0);
 }
 
 #[test]
@@ -304,8 +306,6 @@ fn stalled_fragment_cancels_and_reroutes_to_fast_replica() {
     assert_eq!(stall.str_field("reason"), Some("slow"));
     assert_eq!(obs.events_of("reroute_dispatch").len(), 1);
     assert_eq!(out.fragment_times[0].0, ServerId::new("S2"));
-    // A slow-cancel feeds the reliability penalty hook, not a retry.
-    assert_eq!(obs.counter_value("retries_total", &[]), 0);
 }
 
 #[test]
@@ -462,7 +462,7 @@ fn pressured_fragment_hedges_to_replica_and_suppresses_duplicate() {
 }
 
 #[test]
-fn unrescued_slot_surfaces_its_own_error_not_a_rescued_slots() {
+fn unrescued_slot_fails_naming_its_own_server_not_a_rescued_slots() {
     // Slot 0 (`branches`, two replicas) can hedge; slot 1 (`accounts`,
     // one host) cannot.
     const SQL: &str = "SELECT b.id FROM branches b JOIN accounts a ON a.id = b.id";
@@ -491,8 +491,8 @@ fn unrescued_slot_surfaces_its_own_error_not_a_rescued_slots() {
 
     // Same world, but slot 0's primary and slot 1's only host both
     // refuse the EXECUTE on arrival (up for the EXPLAIN, down from the
-    // dispatch instant on). The hedge rescues slot 0; nothing can
-    // rescue slot 1, so the server to ban is slot 1's.
+    // dispatch instant on). The hedge rescues slot 0; nothing can take
+    // over slot 1, so the error names slot 1 and its server.
     let (fed, servers) = build();
     for server in &servers {
         if server.id().as_str() == primary0 || server.id().as_str() == "S3" {
@@ -502,14 +502,219 @@ fn unrescued_slot_surfaces_its_own_error_not_a_rescued_slots() {
         }
     }
     let err = fed.submit(SQL).unwrap_err();
-    assert!(matches!(err, QccError::NoViablePlan(_)), "{err}");
-    let bans = fed.obs().events_of("server_banned");
-    assert_eq!(
-        bans.len(),
-        1,
-        "one ban leaves no plan: accounts has one host"
+    let QccError::NoViablePlan(message) = &err else {
+        panic!("expected NoViablePlan, got {err}");
+    };
+    assert!(
+        message.contains("fragment 1") && message.contains("S3"),
+        "{message}"
     );
-    assert_eq!(bans[0].str_field("server"), Some("S3"));
+    let obs = fed.obs();
+    assert_eq!(obs.counter_value("hedge_wins_total", &[]), 1);
+    assert!(
+        obs.events_of("reroute_dispatch").is_empty(),
+        "the hedge won slot 0, and slot 1 has no other host"
+    );
+    let stalls = obs.events_of("fragment_stall");
+    assert_eq!(stalls.len(), 1);
+    assert_eq!(stalls[0].field("fragment"), Some(&FieldValue::U64(1)));
+    assert_eq!(stalls[0].str_field("server"), Some("S3"));
+    assert_eq!(stalls[0].str_field("reason"), Some("arrival"));
+    assert_eq!(
+        stalls[0].at, dispatched,
+        "a refusal is detected at dispatch"
+    );
+}
+
+/// A passthrough that logs the server of every fragment acknowledged as a
+/// calibration sample, in acknowledgement order.
+struct SampleLog(Arc<parking_lot::Mutex<Vec<ServerId>>>);
+
+impl Middleware for SampleLog {
+    fn plan_fragment(
+        &self,
+        wrapper: &dyn qcc_wrapper::Wrapper,
+        fragment: qcc_common::FragmentId,
+        sql: &Arc<str>,
+        at: SimTime,
+        effects: &mut Deferred,
+    ) -> Result<(Vec<crate::middleware::FragmentCandidate>, SimDuration)> {
+        PassthroughMiddleware::default().plan_fragment(wrapper, fragment, sql, at, effects)
+    }
+
+    fn execute_fragment_stream(
+        &self,
+        wrapper: &dyn qcc_wrapper::Wrapper,
+        plan: &qcc_wrapper::FragmentPlan,
+        at: SimTime,
+        cursor: usize,
+        _effects: &mut Deferred,
+    ) -> Result<qcc_wrapper::WrapperStream> {
+        wrapper.execute_stream(plan, at, cursor, true)
+    }
+
+    fn observe_fragment(
+        &self,
+        plan: &Arc<qcc_wrapper::FragmentPlan>,
+        _observed_ms: f64,
+        effects: &mut Deferred,
+    ) {
+        let (log, server) = (Arc::clone(&self.0), plan.server.clone());
+        effects.defer(move || log.lock().push(server));
+    }
+}
+
+#[test]
+fn refused_slot_is_redispatched_alone_and_its_healthy_sibling_runs_once() {
+    // Dry run: the fault-free rows, the dispatch instant and each slot's
+    // server (fragments are journalled in slot order).
+    let dry = cross_source_fleet();
+    let clean = dry.submit(CROSS_SOURCE).unwrap();
+    let frags = dry.obs().events_of("fragment");
+    assert_eq!(frags.len(), 2);
+    let dispatched = frags[0].at;
+    let slot0 = ServerId::new(frags[0].str_field("server").unwrap());
+    let slot1 = ServerId::new(frags[1].str_field("server").unwrap());
+    let rescuer = ServerId::new(if slot1.as_str() == "S3" { "S4" } else { "S3" });
+
+    // Same world, but slot 1's primary refuses from the dispatch instant on.
+    let (mut fed, servers) = id_table_fleet(&[&["a"], &["a"], &["b"], &["b"]], 0.0);
+    let samples = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    fed.middleware = Arc::new(SampleLog(Arc::clone(&samples)));
+    let victim = servers.iter().find(|s| *s.id() == slot1).unwrap();
+    victim
+        .availability()
+        .add_outage(dispatched, SimTime::from_millis(1e12));
+    let out = fed.submit(CROSS_SOURCE).unwrap();
+    assert_eq!(out.rows, clean.rows);
+    assert_eq!(
+        out.servers,
+        BTreeSet::from([slot0.clone(), rescuer.clone()])
+    );
+
+    // Slot 0 ran, was journalled and was sampled exactly once; slot 1
+    // restarted whole on the sibling, which is a sample too.
+    let obs = fed.obs();
+    let served: Vec<ServerId> = obs
+        .events_of("fragment")
+        .iter()
+        .map(|e| ServerId::new(e.str_field("server").unwrap()))
+        .collect();
+    assert_eq!(served, [slot0.clone(), rescuer.clone()]);
+    assert_eq!(*samples.lock(), [slot0, rescuer.clone()]);
+    let dispatches = obs.events_of("reroute_dispatch");
+    assert_eq!(dispatches.len(), 1);
+    let d = &dispatches[0];
+    assert_eq!(d.field("fragment"), Some(&FieldValue::U64(1)));
+    assert_eq!(d.str_field("from"), Some(slot1.as_str()));
+    assert_eq!(d.str_field("to"), Some(rescuer.as_str()));
+    assert_eq!(d.str_field("reason"), Some("arrival"));
+    assert_eq!(d.field("cursor"), Some(&FieldValue::U64(0)));
+    assert_eq!(d.at, dispatched, "a refusal costs no probe interval");
+}
+
+#[test]
+fn refused_replica_moves_the_slot_on_until_retry_limit() {
+    const SQL: &str = "SELECT id FROM branches";
+    let hosts: [&[&str]; 3] = [&["branches"]; 3];
+    let (dry, _) = id_table_fleet(&hosts, 0.0);
+    dry.submit(SQL).unwrap();
+    let frag = &dry.obs().events_of("fragment")[0];
+    let (dispatched, primary) = (frag.at, frag.str_field("server").unwrap().to_string());
+    // The replicas cost the same, so a restart takes them in server order:
+    // refuse the primary and the first replica, leaving the second.
+    let mut replicas: Vec<String> = ["S1", "S2", "S3"].map(String::from).to_vec();
+    replicas.retain(|s| *s != primary);
+    let world = |retry_limit: usize| {
+        let (mut fed, servers) = id_table_fleet(&hosts, 0.0);
+        fed.config.retry_limit = retry_limit;
+        for server in &servers {
+            if [&primary, &replicas[0]].contains(&&server.id().to_string()) {
+                server
+                    .availability()
+                    .add_outage(dispatched, SimTime::from_millis(1e12));
+            }
+        }
+        fed
+    };
+
+    let fed = world(2);
+    let out = fed.submit(SQL).unwrap();
+    assert_eq!(sorted_ids(&out.rows), (0..5000).collect::<Vec<_>>());
+    assert_eq!(out.servers, BTreeSet::from([ServerId::new(&replicas[1])]));
+    let hops: Vec<(String, String, String)> = fed
+        .obs()
+        .events_of("reroute_dispatch")
+        .iter()
+        .map(|e| {
+            assert_eq!(e.at, dispatched);
+            let field = |name| e.str_field(name).unwrap().to_string();
+            (field("from"), field("to"), field("reason"))
+        })
+        .collect();
+    let arrival = || "arrival".to_string();
+    assert_eq!(
+        hops,
+        [
+            (primary.clone(), replicas[0].clone(), arrival()),
+            (replicas[0].clone(), replicas[1].clone(), arrival()),
+        ]
+    );
+
+    // One re-dispatch allowed: the refused replica ends the slot's loop.
+    let fed = world(1);
+    let err = fed.submit(SQL).unwrap_err();
+    let QccError::NoViablePlan(message) = &err else {
+        panic!("expected NoViablePlan, got {err}");
+    };
+    assert!(
+        message.contains(&primary) && message.contains(&replicas[0]),
+        "{message}"
+    );
+    assert_eq!(fed.obs().events_of("reroute_dispatch").len(), 1);
+}
+
+#[test]
+fn redispatch_past_the_deadline_forfeits_the_query() {
+    // A deadline shorter than one probe interval, with hedging off: an
+    // interrupt is detected after the budget is spent.
+    let build = || {
+        let (mut fed, s1) = streaming_fixture(0.0);
+        let admission = Arc::new(AdmissionController::new(qcc_admission::AdmissionConfig {
+            exec_deadline_ms: 0.5,
+            hedge_slack_factor: 0.0,
+            ..Default::default()
+        }));
+        for server in ["S1", "S2"] {
+            admission.set_capacity(&ServerId::new(server), 2, SimTime::ZERO);
+        }
+        fed.set_admission(admission);
+        (fed, s1)
+    };
+    let (dry, _) = build();
+    dry.submit("SELECT id FROM branches").unwrap();
+    let frag = &dry.obs().events_of("fragment")[0];
+    assert_eq!(frag.str_field("server"), Some("S1"));
+    let Some(FieldValue::F64(ms)) = frag.field("ms") else {
+        panic!("fragment event lacks ms");
+    };
+
+    let (fed, s1) = build();
+    s1.availability().add_outage(
+        SimTime::from_millis(frag.at.as_millis() + 0.3 * ms),
+        SimTime::from_millis(1e12),
+    );
+    let err = fed.submit("SELECT id FROM branches").unwrap_err();
+    assert!(matches!(err, QccError::DeadlineExceeded(_)), "{err}");
+    let obs = fed.obs();
+    let forfeits = obs.events_of("deadline_exceeded");
+    assert_eq!(forfeits.len(), 1);
+    assert_eq!(forfeits[0].str_field("stage"), Some("redispatch"));
+    assert_eq!(
+        obs.counter_value("deadline_exceeded_total", &[("stage", "redispatch")]),
+        1
+    );
+    assert!(obs.events_of("reroute_dispatch").is_empty());
 }
 
 /// `a` on S1/S2, `b` on S3/S4, journal on: a join across the two is two

@@ -1,5 +1,5 @@
 //! Drive one simulated scenario through the full stack — admission
-//! queue, QCC routing, federation retry loop, availability daemon — on
+//! queue, QCC routing, federation slot re-dispatch, availability daemon — on
 //! virtual time, and collect everything the oracles need.
 //!
 //! The serving loop is `qcc_workload::run_open_loop_with_daemon`, the one
@@ -13,7 +13,7 @@
 
 use crate::config::SimConfig;
 use crate::world::build;
-use qcc_admission::{AdmissionConfig, AdmissionController, AdmissionCounts};
+use qcc_admission::{AdmissionConfig, AdmissionController};
 use qcc_common::{Event, Obs, ServerId, SimDuration, SimTime};
 use qcc_core::{AvailabilityDaemon, Qcc};
 use qcc_workload::{
@@ -47,7 +47,7 @@ pub struct RunArtifacts {
     pub completed: usize,
     /// Queries shed (queue full, queue deadline, or token shed).
     pub shed: usize,
-    /// Queries that failed for non-shed reasons (retries exhausted,
+    /// Queries that failed for non-shed reasons (re-dispatches exhausted,
     /// execution deadline).
     pub failed: usize,
     /// The full event journal, in append order.
@@ -60,8 +60,6 @@ pub struct RunArtifacts {
     pub factors: BTreeMap<ServerId, f64>,
     /// Servers still believed down at end of run.
     pub down_at_end: Vec<ServerId>,
-    /// Admission counters at end of run.
-    pub counts: AdmissionCounts,
     /// Server ids in scenario order (fault specs index into this).
     pub server_ids: Vec<ServerId>,
     /// The retry budget the run was configured with.
@@ -98,7 +96,6 @@ fn admission_config() -> AdmissionConfig {
 struct Served {
     scenario: Scenario,
     qcc: Arc<Qcc>,
-    admission: Arc<AdmissionController>,
     daemon: AvailabilityDaemon,
     total: usize,
     report: OpenLoopReport,
@@ -131,7 +128,6 @@ fn serve(config: &SimConfig, threads: usize) -> Served {
     Served {
         scenario,
         qcc,
-        admission,
         daemon,
         total: world.arrivals.len(),
         report,
@@ -143,7 +139,6 @@ pub fn run(config: &SimConfig, threads: usize, bug: &BugSwitches) -> RunArtifact
     let Served {
         scenario,
         qcc,
-        admission,
         daemon,
         total,
         report,
@@ -200,7 +195,6 @@ pub fn run(config: &SimConfig, threads: usize, bug: &BugSwitches) -> RunArtifact
         metrics_text: scenario.obs.metrics_snapshot(),
         factors: qcc.calibration.server_factors(),
         down_at_end: qcc.reliability.down_servers(),
-        counts: admission.counts(),
         server_ids: scenario.servers.iter().map(|s| s.id().clone()).collect(),
         retry_limit: config.retry_limit,
         obs: scenario.obs.clone(),

@@ -6,7 +6,7 @@
 //! and a fault schedule on virtual time — crashes, flaky-error windows,
 //! load surges, link-congestion spikes and ramps. The scenario runs
 //! through the *real* stack (admission queue, QCC calibration and
-//! reliability, federation retry loop, availability daemon) on the
+//! reliability, federation slot re-dispatch, availability daemon) on the
 //! shared virtual clock, and a library of invariant oracles then checks
 //! the run's `qcc-obs` journal and metrics:
 //!
@@ -19,7 +19,8 @@
 //!   its believed-down interval;
 //! * **calibration_sanity** — factors stay finite, positive, clamped,
 //!   and move toward injected load;
-//! * **bounded_retries** — no query exceeds its retry budget;
+//! * **bounded_retries** — no query re-dispatches a fragment slot more
+//!   than `retry_limit` times;
 //! * **no_dup_no_loss_reroute** — every rerouted fragment's stream
 //!   provenance tiles `[0, total_chunks)` exactly (no chunk delivered
 //!   twice, none lost), and with `reroute` absent nothing is cancelled
@@ -27,7 +28,8 @@
 //! * **bounded_stall** — every stall cancel fires within the configured
 //!   stall threshold (slow cancels) or one probe interval of the
 //!   interrupt instant, and interrupts trace back to an injected crash
-//!   window;
+//!   window; a refusal re-dispatches at the instant the refusing server
+//!   was sent the slot, inside one of its crash or flaky windows;
 //! * **thread_determinism** — journal and metrics are byte-identical
 //!   across scatter-pool widths.
 //!

@@ -11,8 +11,9 @@
 use crate::config::{FaultSpec, SimConfig};
 use crate::driver::RunArtifacts;
 use crate::world::build;
+use qcc_common::obs::reroute_events as ev;
 use qcc_common::{Event, FieldValue};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One oracle violation: which invariant broke and how.
 #[derive(Debug, Clone)]
@@ -84,7 +85,6 @@ fn conservation(a: &RunArtifacts, out: &mut Vec<Violation>) {
 /// exactly one `dequeue` or `shed`; `shed` seqs without an `enqueue` are
 /// legal only for `queue_full` (refused at the door, never queued).
 fn journal_conservation(a: &RunArtifacts, out: &mut Vec<Violation>) {
-    use std::collections::BTreeMap;
     let mut enqueued: BTreeMap<u64, u32> = BTreeMap::new();
     let mut terminated: BTreeMap<u64, u32> = BTreeMap::new();
     for e in &a.journal {
@@ -536,8 +536,8 @@ fn no_dup_no_loss_reroute(a: &RunArtifacts, config: &SimConfig, out: &mut Vec<Vi
     }
 }
 
-/// Stall detection is bounded (DESIGN.md §15): a remainder re-dispatch
-/// happens *when the detector says it should*, never arbitrarily late.
+/// Stall detection is bounded (DESIGN.md §15): a slot re-dispatch happens
+/// *when the detector says it should*, never arbitrarily late.
 ///
 /// * reason `slow`: the dispatch instant is at most `stall_factor ×`
 ///   the fragment's calibrated estimate past the fragment start (the
@@ -545,115 +545,127 @@ fn no_dup_no_loss_reroute(a: &RunArtifacts, config: &SimConfig, out: &mut Vec<Vi
 /// * reason `interrupt`: the dispatch trails the recorded fault
 ///   transition by at most one probe interval, and that transition lies
 ///   inside an injected crash window (nothing else cuts a stream).
+/// * reason `arrival`: a refusal is synchronous, so the dispatch leaves at
+///   the instant the refusing `from` server was sent the slot — the
+///   fragment start, or the slot's previous re-dispatch — and `from` has a
+///   crash or flaky window covering that instant (nothing else refuses a
+///   request).
 fn bounded_stall(a: &RunArtifacts, config: &SimConfig, out: &mut Vec<Violation>) {
     const EPS: f64 = 1e-6;
     let probe_ms = qcc_federation::REROUTE_PROBE_MS;
-    let crash_windows: Vec<(f64, f64)> = config
-        .faults
-        .iter()
-        .filter_map(|f| match f {
-            FaultSpec::Crash {
-                from_ms, until_ms, ..
-            } => Some((*from_ms, *until_ms)),
-            _ => None,
+    // Does fault `f` take its server down (or, with `flaky`, make it
+    // refuse requests) at `t`?
+    let covers = |f: &FaultSpec, flaky: bool, t: f64| match *f {
+        FaultSpec::Crash {
+            from_ms, until_ms, ..
+        } => from_ms <= t && t < until_ms,
+        FaultSpec::Flaky {
+            from_ms, until_ms, ..
+        } => flaky && from_ms <= t && t < until_ms,
+        _ => false,
+    };
+    let mut flag = |detail: String| {
+        out.push(Violation {
+            oracle: "bounded_stall",
+            detail,
         })
-        .collect();
-    for e in &a.journal {
-        if e.kind != "reroute_dispatch" {
-            continue;
-        }
+    };
+    // The instant each (query, fragment) slot was last re-dispatched.
+    let mut sent: BTreeMap<(u64, u64), f64> = BTreeMap::new();
+    for e in a.journal.iter().filter(|e| e.kind == ev::REROUTE_DISPATCH) {
         let at = e.at.as_millis();
+        let start = f64_field(e, "frag_start_ms");
+        let slot = u64_field(e, "query").zip(u64_field(e, "fragment"));
         match e.str_field("reason") {
-            Some("slow") => {
-                let (Some(start), Some(threshold)) =
-                    (f64_field(e, "frag_start_ms"), f64_field(e, "threshold_ms"))
-                else {
-                    out.push(Violation {
-                        oracle: "bounded_stall",
-                        detail: format!(
-                            "slow reroute_dispatch at {at:.3}ms lacks frag_start_ms/threshold_ms"
-                        ),
-                    });
-                    continue;
-                };
-                if at - start > threshold + EPS {
-                    out.push(Violation {
-                        oracle: "bounded_stall",
-                        detail: format!(
+            Some("slow") => match (start, f64_field(e, "threshold_ms")) {
+                (Some(start), Some(threshold)) => {
+                    if at - start > threshold + EPS {
+                        flag(format!(
                             "slow reroute dispatched {:.3}ms after fragment start, past the \
                              {threshold:.3}ms stall threshold",
                             at - start
-                        ),
-                    });
+                        ));
+                    }
                 }
-            }
-            Some("interrupt") => {
-                let Some(fault) = f64_field(e, "fault_ms") else {
-                    out.push(Violation {
-                        oracle: "bounded_stall",
-                        detail: format!("interrupt reroute_dispatch at {at:.3}ms lacks fault_ms"),
-                    });
-                    continue;
-                };
-                if !(-EPS..=probe_ms + EPS).contains(&(at - fault)) {
-                    out.push(Violation {
-                        oracle: "bounded_stall",
-                        detail: format!(
+                _ => flag(format!(
+                    "slow reroute_dispatch at {at:.3}ms lacks frag_start_ms/threshold_ms"
+                )),
+            },
+            Some("interrupt") => match f64_field(e, "fault_ms") {
+                Some(fault) => {
+                    if !(-EPS..=probe_ms + EPS).contains(&(at - fault)) {
+                        flag(format!(
                             "interrupt reroute dispatched {:.3}ms after the fault transition \
                              (probe interval {probe_ms:.3}ms)",
                             at - fault
-                        ),
-                    });
-                }
-                if !crash_windows
-                    .iter()
-                    .any(|(from, until)| *from <= fault && fault < *until)
-                {
-                    out.push(Violation {
-                        oracle: "bounded_stall",
-                        detail: format!(
+                        ));
+                    }
+                    if !config.faults.iter().any(|f| covers(f, false, fault)) {
+                        flag(format!(
                             "stream cut at {fault:.3}ms outside any injected crash window"
-                        ),
-                    });
+                        ));
+                    }
                 }
-            }
-            other => out.push(Violation {
-                oracle: "bounded_stall",
-                detail: format!("reroute_dispatch at {at:.3}ms has unknown reason {other:?}"),
-            }),
+                None => flag(format!(
+                    "interrupt reroute_dispatch at {at:.3}ms lacks fault_ms"
+                )),
+            },
+            Some("arrival") => match (slot, e.str_field("from"), start) {
+                (Some((query, fragment)), Some(from), Some(start)) => {
+                    let sent_at = sent.get(&(query, fragment)).copied().unwrap_or(start);
+                    if (at - sent_at).abs() > EPS {
+                        flag(format!(
+                            "query {query} fragment {fragment}: arrival reroute dispatched at \
+                             {at:.3}ms, not when {from} was sent the slot ({sent_at:.3}ms)"
+                        ));
+                    }
+                    let server = a.server_ids.iter().position(|id| id.as_str() == from);
+                    let refusing = |i| {
+                        config
+                            .faults
+                            .iter()
+                            .any(|f| f.server() == i && covers(f, true, at))
+                    };
+                    if !server.is_some_and(refusing) {
+                        flag(format!(
+                            "{from} refused a fragment at {at:.3}ms outside any injected crash \
+                             or flaky window"
+                        ));
+                    }
+                }
+                _ => flag(format!(
+                    "arrival reroute_dispatch at {at:.3}ms lacks query/fragment/from/frag_start_ms"
+                )),
+            },
+            other => flag(format!(
+                "reroute_dispatch at {at:.3}ms has unknown reason {other:?}"
+            )),
+        }
+        if let Some(slot) = slot {
+            sent.insert(slot, at);
         }
     }
 }
 
-/// Retry budgets are bounded: no ban attempt exceeds the configured
-/// retry limit, and the aggregate retry counter fits under
-/// dispatched × limit.
+/// Re-dispatch budgets are bounded (DESIGN.md §15): no query re-dispatches
+/// one fragment slot more than `retry_limit` times.
 fn bounded_retries(a: &RunArtifacts, out: &mut Vec<Violation>) {
-    for e in &a.journal {
-        if e.kind == "server_banned" {
-            if let Some(attempt) = u64_field(e, "attempt") {
-                if attempt > a.retry_limit as u64 {
-                    out.push(Violation {
-                        oracle: "bounded_retries",
-                        detail: format!(
-                            "ban at attempt {attempt} exceeds retry limit {}",
-                            a.retry_limit
-                        ),
-                    });
-                }
-            }
-        }
+    let mut per_slot: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+    for e in a.journal.iter().filter(|e| e.kind == ev::REROUTE_DISPATCH) {
+        let slot = u64_field(e, "query").zip(u64_field(e, "fragment"));
+        *per_slot.entry(slot.unwrap_or_default()).or_insert(0) += 1;
     }
-    let retries = a.obs.counter_value("retries_total", &[]);
-    let budget = a.counts.dispatched * a.retry_limit as u64;
-    if retries > budget {
-        out.push(Violation {
-            oracle: "bounded_retries",
-            detail: format!(
-                "retries_total {retries} exceeds dispatched {} × retry_limit {}",
-                a.counts.dispatched, a.retry_limit
-            ),
-        });
+    for ((query, fragment), n) in per_slot {
+        if n > a.retry_limit {
+            out.push(Violation {
+                oracle: "bounded_retries",
+                detail: format!(
+                    "query {query} fragment {fragment} re-dispatched {n} times, past retry \
+                     limit {}",
+                    a.retry_limit
+                ),
+            });
+        }
     }
 }
 
@@ -760,6 +772,74 @@ mod tests {
         });
         no_dup_no_loss_reroute(&a, &config, &mut v);
         assert_eq!(v.len(), 1, "{v:?}");
+    }
+
+    /// A doctored `arrival` re-dispatch of query 1's fragment 0, which
+    /// started at `start`.
+    fn refusal(at: f64, start: f64, from: &str, to: &str) -> Event {
+        Event {
+            at: qcc_common::SimTime::from_millis(at),
+            kind: ev::REROUTE_DISPATCH,
+            fields: vec![
+                ("query", 1u64.into()),
+                ("fragment", 0u64.into()),
+                ("from", from.into()),
+                ("to", to.into()),
+                ("cursor", 0u64.into()),
+                ("reason", "arrival".into()),
+                ("frag_start_ms", start.into()),
+            ],
+        }
+    }
+
+    #[test]
+    fn bounded_retries_flags_a_slot_redispatched_past_the_limit() {
+        let config = tiny("crash(0, 20.0, 150.0)");
+        let mut a = run(&config, 1, &BugSwitches::none());
+        a.journal.retain(|e| e.kind != ev::REROUTE_DISPATCH);
+        for _ in 0..a.retry_limit {
+            a.journal.push(refusal(30.0, 30.0, "S1", "S2"));
+        }
+        let mut v = Vec::new();
+        bounded_retries(&a, &mut v);
+        assert!(v.is_empty(), "{v:?}");
+        a.journal.push(refusal(30.0, 30.0, "S1", "S2"));
+        bounded_retries(&a, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].detail.contains("query 1 fragment 0"), "{v:?}");
+    }
+
+    #[test]
+    fn bounded_stall_flags_an_arrival_redispatch_without_a_refusal() {
+        // S1 is down and S2 flaky over [20, 150).
+        let config = tiny("crash(0, 20.0, 150.0), flaky(1, 20.0, 150.0, 0.5)");
+        let mut a = run(&config, 1, &BugSwitches::none());
+        a.journal.retain(|e| e.kind != ev::REROUTE_DISPATCH);
+        let check = |a: &RunArtifacts| {
+            let mut v = Vec::new();
+            bounded_stall(a, &config, &mut v);
+            v
+        };
+        // S1 refuses at the fragment start and S2 refuses the re-dispatch
+        // at the same instant: sound.
+        a.journal.push(refusal(30.0, 30.0, "S1", "S2"));
+        a.journal.push(refusal(30.0, 30.0, "S2", "S1"));
+        let v = check(&a);
+        assert!(v.is_empty(), "{v:?}");
+        a.journal.clear();
+        // After both windows closed, nothing refuses.
+        a.journal.push(refusal(160.0, 160.0, "S1", "S2"));
+        let v = check(&a);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0]
+            .detail
+            .contains("outside any injected crash or flaky window"));
+        a.journal.clear();
+        // Inside S1's window, but later than S1 was ever sent the slot.
+        a.journal.push(refusal(31.0, 30.0, "S1", "S2"));
+        let v = check(&a);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].detail.contains("not when S1 was sent the slot"));
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! * the outage opens *mid-service*: the in-flight streams are cut at the
 //!   transition, the stall detector cancels them, and each remainder is
-//!   resumed on a replica — no query fails, no server is banned, no
-//!   whole-query retry is spent;
+//!   resumed on a replica — no query fails;
 //! * the outage opens *between batches*: nothing is in flight, so the next
-//!   batch's stale cached plans meet it as an arrival refusal — the retry
-//!   loop bans the server and re-plans the whole query.
+//!   batch's stale cached plans meet it as an arrival refusal — the stall
+//!   detector takes the refused slot and re-dispatches it whole to a
+//!   replica at the same instant.
 //!
 //! Either way the availability daemon's fast re-probe detects recovery
 //! and routing opens back up.
@@ -120,17 +120,12 @@ fn outage_mid_service_cuts_streams_and_resumes_on_replica() {
     assert_eq!(down_at, outage_start, "server_down is stamped at the cut");
     assert!(down_at < stall.at && stall.at <= dispatch.at && dispatch.at < resume.at);
 
-    // Slot-level recovery absorbed it all: no ban, no whole-query retry.
-    assert!(obs.events_of("server_banned").is_empty());
-    assert!(obs.events_of("reroute").is_empty());
-    assert_eq!(obs.counter_value("retries_total", &[]), 0);
-
     let restored_at = first_at(obs, "server_restored", "S3").expect("probe saw S3 recover");
     assert!(restored_at >= outage_end);
 }
 
 #[test]
-fn outage_between_batches_bans_reroutes_and_restores() {
+fn outage_between_batches_is_refused_redispatched_and_restored() {
     // S3 vanishes the instant batch 2 has drained — nothing is mid-service
     // — and stays gone long enough that at least one between-batch probe
     // finds it still down.
@@ -140,40 +135,57 @@ fn outage_between_batches_bans_reroutes_and_restores() {
     let s3 = ServerId::new("S3");
     let obs = &scenario.obs;
     assert!(
-        obs.events_of("fragment_stall").is_empty(),
+        obs.events_of("fragment_stall")
+            .iter()
+            .all(|e| e.str_field("reason") == Some("arrival")),
         "no stream was in flight when the outage opened"
     );
 
     // The journal tells the failover story in causal order: the stale
-    // cached plan walks into the outage (ban), the retry succeeds
-    // elsewhere (reroute), the fast re-probe sees the server come back
-    // (restore).
-    let banned_at = first_at(obs, "server_banned", "S3").expect("S3 banned during outage");
-    let reroute_at = obs
-        .events_of("reroute")
-        .first()
-        .map(|e| e.at)
-        .expect("banned query rerouted");
+    // cached plan walks into the outage and is refused on arrival
+    // (reliability marks S3 down, the slot stalls), the slot is
+    // re-dispatched whole to a replica at the same instant, the query
+    // completes without S3, and the fast re-probe sees the server come
+    // back.
     let down_at = first_at(obs, "server_down", "S3").expect("reliability marked S3 down");
+    let stall = obs
+        .events_of("fragment_stall")
+        .into_iter()
+        .find(|e| e.str_field("server") == Some("S3"))
+        .expect("a slot sent to S3 stalled");
+    let dispatch = obs
+        .events_of("reroute_dispatch")
+        .into_iter()
+        .find(|e| e.str_field("from") == Some("S3"))
+        .expect("the refused slot was re-dispatched");
+    assert_eq!(dispatch.str_field("reason"), Some("arrival"));
+    assert_eq!(dispatch.field("cursor"), Some(&FieldValue::U64(0)));
+    let rescuer = dispatch.str_field("to").expect("dispatch names a target");
+    assert_ne!(rescuer, "S3");
+    let query = dispatch.field("query").expect("dispatch names its query");
+    let complete = obs
+        .events_of("query_complete")
+        .into_iter()
+        .find(|e| e.field("query") == Some(query))
+        .expect("the rescued query completed");
     let restored_at = first_at(obs, "server_restored", "S3").expect("probe saw S3 recover");
-    assert!(banned_at >= outage_start && banned_at < outage_end);
-    assert!(banned_at <= reroute_at, "ban precedes the reroute");
-    assert!(down_at <= restored_at);
+    assert!(down_at >= outage_start && down_at < outage_end);
+    assert_eq!(stall.at, down_at, "the refusal is detected at dispatch");
+    assert_eq!(dispatch.at, stall.at, "a refusal costs no probe interval");
+    assert!(dispatch.at <= complete.at && complete.at < restored_at);
     assert!(
         restored_at >= outage_end,
         "restore can only be observed after the outage ends"
     );
-    let rerouted = obs
-        .events_of("reroute")
-        .into_iter()
-        .find(|e| e.at == reroute_at)
-        .expect("reroute event present");
-    let fallback = rerouted
-        .str_field("servers")
-        .expect("reroute names servers");
+    let served: Vec<String> = obs
+        .events_of("fragment")
+        .iter()
+        .filter(|e| e.field("query") == Some(query))
+        .map(|e| e.str_field("server").unwrap_or_default().to_string())
+        .collect();
     assert!(
-        !fallback.contains("S3"),
-        "rerouted query must avoid the banned server, got {fallback}"
+        served.iter().any(|s| s == rescuer) && !served.iter().any(|s| s == "S3"),
+        "the rescued query must complete without S3, got {served:?}"
     );
 
     // Regression (dead probe cycle): with a 5 s schedule the restore is
@@ -222,7 +234,12 @@ fn outage_between_batches_bans_reroutes_and_restores() {
     );
 
     // And the counters agree with the journal.
-    assert!(obs.counter_value("retries_total", &[]) >= 1);
+    assert!(
+        obs.counter_value(
+            "fragment_stalls_total",
+            &[("server", "S3"), ("reason", "arrival")]
+        ) >= 1
+    );
     assert!(obs.counter_value("server_down_total", &[("server", "S3")]) >= 1);
     assert!(obs.counter_value("server_recovered_total", &[("server", "S3")]) >= 1);
 }
