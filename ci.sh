@@ -154,6 +154,17 @@ for w in paper_phases coordinator_hot fleet_adhoc overload_faults; do
     cargo run --release --offline -q --manifest-path qcc-perf/Cargo.toml -- \
         --workload "$w" --seed 1 --seconds 15 --smoke --check-repeat
 done
+# The probe ladder (--trace 1) calls the replica catalog's select_sources
+# and the EXPLAIN chain directly; run it where the catalog and the fault
+# windows are on.
+for w in fleet_adhoc overload_faults; do
+    cargo run --release --offline -q --manifest-path qcc-perf/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 15 --smoke --trace 1 | tail -n 1 > /tmp/qcc-perf-trace.json
+    if ! grep -q '"correct": true' /tmp/qcc-perf-trace.json; then
+        echo "qcc-perf $w --trace 1: smoke run did not report \"correct\": true" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --check

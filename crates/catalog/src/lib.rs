@@ -1,14 +1,12 @@
-//! The fragment/replica catalog: replication-aware source selection for
+//! The replica catalog: replication-aware source selection for
 //! federations in the hundreds of servers.
 //!
 //! The paper's experiments route over three servers, where enumerating
 //! every (fragment, server) pair at compile time is free. At 100–500
 //! servers the EXPLAIN fan-out itself becomes the bottleneck: a query
 //! touching two fully-replicated fragments would dispatch 2 × N EXPLAIN
-//! probes before any routing decision. This crate inserts a catalog
-//! between decomposition and compilation that knows, for every table
-//! fragment, its replica set — `(server, cost hint, freshness epoch)` —
-//! and prunes that set *before* the fan-out:
+//! probes before any routing decision. This crate ranks a fragment's
+//! candidate servers *before* the fan-out and prunes them:
 //!
 //! 1. **Dominance pruning**: a replica that is strictly worse on both
 //!    calibrated cost and reliability band than a surviving sibling can
@@ -21,19 +19,20 @@
 //!    eventual winner always survives the cap — pruning changes how many
 //!    servers are consulted, never which plan wins.
 //!
-//! Selection is **fail-open**: candidates the catalog has no registration
-//! for are passed through untouched, so a world that never registers
-//! fragments behaves exactly as if the catalog were absent.
+//! Which server hosts which table is recorded once, in the federation's
+//! nickname catalog (the paper's nickname registration, §1): the
+//! candidates handed to [`ReplicaCatalog::select_sources`] are already
+//! that table's sources. The catalog only keeps what ranks them — per
+//! server, one cost hint and the health routing pushes in.
 //!
-//! Registration and epoch bumps happen on virtual time and are journaled
-//! (`catalog_register`, `catalog_deregister`, `catalog_epoch`); epochs
-//! let churn (crash/restore cycles) invalidate only the affected
-//! fragments' cached plans instead of a server's whole cache.
+//! Selection is **fail-open**: candidates the catalog has no cost hint
+//! for are passed through untouched, so a world that never registers
+//! servers behaves exactly as if the catalog were absent.
 //!
 //! Determinism: servers are interned into dense slots through an ordered
 //! map and everything per server is a slot-indexed vector; selection is a
-//! pure function of (registrations, health, candidate order) — never of
-//! slot order — and every mutation is coordinator-side. The catalog never
+//! pure function of (hints, health, candidate order) — never of slot
+//! order — and every mutation is coordinator-side. The catalog never
 //! reads a clock — time is always injected by the caller.
 //!
 //! Cost: selection is one slot lookup per candidate and allocates nothing
@@ -52,7 +51,7 @@ pub const DOWN_BAND: u8 = u8::MAX;
 /// Routing health of one server, as pushed by the calibration layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Health {
-    /// Multiplier on the server's base cost hints (calibration ×
+    /// Multiplier on the server's base cost hint (calibration ×
     /// reliability inflation; infinite while the server is down).
     pub cost_factor: f64,
     /// Discrete reliability band: [`HEALTHY_BAND`] for a clean history,
@@ -69,27 +68,14 @@ impl Default for Health {
     }
 }
 
-/// One replica of a fragment, as reported by [`ReplicaCatalog::replicas`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Replica {
-    /// The hosting server.
-    pub server: ServerId,
-    /// Base per-fragment cost hint (typically 1 / server speed); scaled
-    /// by the server's [`Health::cost_factor`] at selection time.
-    pub cost_hint: f64,
-    /// Freshness epoch: bumped whenever the host's availability churns,
-    /// so consumers can detect that plans compiled against an older
-    /// epoch are stale.
-    pub epoch: u64,
-    /// Virtual time of registration.
-    pub registered_at: SimTime,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ReplicaMeta {
-    cost_hint: f64,
-    epoch: u64,
-    registered_at: SimTime,
+/// What the catalog knows of one server.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Base per-fragment cost hint (typically 1 / server speed); `None`
+    /// until the server is registered.
+    cost_hint: Option<f64>,
+    /// Last pushed health (healthy default until pushed).
+    health: Health,
 }
 
 #[derive(Debug, Default)]
@@ -98,27 +84,22 @@ struct State {
     /// `update_health` that names the server. Slots are only ever added,
     /// so a slot-indexed vector never needs invalidating.
     slots: BTreeMap<ServerId, usize>,
-    /// Last pushed health per slot (healthy default until pushed).
-    health: Vec<Health>,
-    /// fragment (table nickname) → replica metadata per slot (`None` where
-    /// the server hosts no replica; may be shorter than `health`).
-    fragments: BTreeMap<String, Vec<Option<ReplicaMeta>>>,
+    servers: Vec<Slot>,
 }
 
 impl State {
     /// The slot of `server`, interning it on first sight.
-    fn intern(&mut self, server: &ServerId) -> usize {
-        if let Some(&slot) = self.slots.get(server) {
-            return slot;
+    fn intern(&mut self, server: &ServerId) -> &mut Slot {
+        let next = self.servers.len();
+        let slot = *self.slots.entry(server.clone()).or_insert(next);
+        if slot == next {
+            self.servers.push(Slot::default());
         }
-        let slot = self.health.len();
-        self.slots.insert(server.clone(), slot);
-        self.health.push(Health::default());
-        slot
+        &mut self.servers[slot]
     }
 }
 
-/// The deterministic fragment/replica catalog.
+/// The deterministic replica catalog.
 #[derive(Debug)]
 pub struct ReplicaCatalog {
     state: Mutex<State>,
@@ -138,7 +119,7 @@ impl ReplicaCatalog {
         }
     }
 
-    /// Attach an observability handle (registration/epoch journal events).
+    /// Attach an observability handle (registration journal events).
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
@@ -149,40 +130,22 @@ impl ReplicaCatalog {
         self.bound
     }
 
-    /// Register a replica of `fragment` on `server` at virtual time `at`.
-    /// Re-registering updates the cost hint in place (no duplicate entry,
-    /// no second journal event). Coordinator-side only.
-    pub fn register(&self, fragment: &str, server: ServerId, cost_hint: f64, at: SimTime) {
-        let fragment = fragment.to_ascii_lowercase();
-        let fresh = {
-            let mut st = self.state.lock();
-            let slot = st.intern(&server);
-            let per_fragment = st.fragments.entry(fragment.clone()).or_default();
-            if per_fragment.len() <= slot {
-                per_fragment.resize(slot + 1, None);
-            }
-            match &mut per_fragment[slot] {
-                Some(meta) => {
-                    meta.cost_hint = cost_hint;
-                    false
-                }
-                vacant => {
-                    *vacant = Some(ReplicaMeta {
-                        cost_hint,
-                        epoch: 0,
-                        registered_at: at,
-                    });
-                    true
-                }
-            }
-        };
+    /// Register `server` with its per-fragment cost hint at virtual time
+    /// `at`. Re-registering updates the hint in place (no second journal
+    /// event). Coordinator-side only.
+    pub fn register(&self, server: ServerId, cost_hint: f64, at: SimTime) {
+        let fresh = self
+            .state
+            .lock()
+            .intern(&server)
+            .cost_hint
+            .replace(cost_hint)
+            .is_none();
         if fresh {
-            self.obs.counter_inc("catalog_replicas_total", &[]);
             self.obs.event(
                 at,
                 "catalog_register",
                 vec![
-                    ("fragment", fragment.into()),
                     ("server", server.as_str().into()),
                     ("cost_hint", cost_hint.into()),
                 ],
@@ -190,43 +153,10 @@ impl ReplicaCatalog {
         }
     }
 
-    /// Remove the replica of `fragment` on `server`. Returns whether a
-    /// registration was actually removed. Coordinator-side only.
-    pub fn deregister(&self, fragment: &str, server: &ServerId, at: SimTime) -> bool {
-        let fragment = fragment.to_ascii_lowercase();
-        let removed = {
-            let mut st = self.state.lock();
-            let slot = st.slots.get(server).copied();
-            match (slot, st.fragments.get_mut(&fragment)) {
-                (Some(slot), Some(per_fragment)) => {
-                    let removed = per_fragment.get_mut(slot).and_then(Option::take).is_some();
-                    if per_fragment.iter().all(Option::is_none) {
-                        st.fragments.remove(&fragment);
-                    }
-                    removed
-                }
-                _ => false,
-            }
-        };
-        if removed {
-            self.obs.event(
-                at,
-                "catalog_deregister",
-                vec![
-                    ("fragment", fragment.into()),
-                    ("server", server.as_str().into()),
-                ],
-            );
-        }
-        removed
-    }
-
     /// Push routing health for `server` (calibration × reliability). No
     /// journal event — this is the hot path, refreshed between batches.
     pub fn update_health(&self, server: &ServerId, cost_factor: f64, band: u8) {
-        let mut st = self.state.lock();
-        let slot = st.intern(server);
-        st.health[slot] = Health { cost_factor, band };
+        self.state.lock().intern(server).health = Health { cost_factor, band };
     }
 
     /// The last pushed health of `server` (healthy default if never set).
@@ -234,114 +164,19 @@ impl ReplicaCatalog {
         let st = self.state.lock();
         st.slots
             .get(server)
-            .map(|&slot| st.health[slot])
+            .map(|&slot| st.servers[slot].health)
             .unwrap_or_default()
     }
 
-    /// Bump the freshness epoch of every fragment replicated on `server`
-    /// (availability churn: the server crashed or restored). Returns the
-    /// affected fragment names, journaling one `catalog_epoch` event.
-    /// Coordinator-side only.
-    pub fn bump_epoch(&self, server: &ServerId, at: SimTime, reason: &'static str) -> Vec<String> {
-        let affected: Vec<String> = {
-            let mut st = self.state.lock();
-            let slot = st.slots.get(server).copied();
-            let mut affected = Vec::new();
-            for (fragment, per_fragment) in st.fragments.iter_mut() {
-                if let Some(Some(meta)) = slot.and_then(|i| per_fragment.get_mut(i)) {
-                    meta.epoch += 1;
-                    affected.push(fragment.clone());
-                }
-            }
-            affected
-        };
-        if !affected.is_empty() {
-            self.obs
-                .counter_inc("catalog_epoch_bumps_total", &[("server", server.as_str())]);
-            self.obs.event(
-                at,
-                "catalog_epoch",
-                vec![
-                    ("server", server.as_str().into()),
-                    ("reason", reason.into()),
-                    ("fragments", affected.len().into()),
-                ],
-            );
-        }
-        affected
-    }
-
-    /// Fragments hosted on `server`, sorted by name.
-    pub fn fragments_on(&self, server: &ServerId) -> Vec<String> {
-        let st = self.state.lock();
-        let Some(&slot) = st.slots.get(server) else {
-            return Vec::new();
-        };
-        st.fragments
-            .iter()
-            .filter(|(_, per_fragment)| matches!(per_fragment.get(slot), Some(Some(_))))
-            .map(|(fragment, _)| fragment.clone())
-            .collect()
-    }
-
-    /// The replica set of `fragment`, sorted by server id.
-    pub fn replicas(&self, fragment: &str) -> Vec<Replica> {
-        let fragment = fragment.to_ascii_lowercase();
-        let st = self.state.lock();
-        let Some(per_fragment) = st.fragments.get(&fragment) else {
-            return Vec::new();
-        };
-        st.slots
-            .iter()
-            .filter_map(|(server, &slot)| {
-                let meta = per_fragment.get(slot)?.as_ref()?;
-                Some(Replica {
-                    server: server.clone(),
-                    cost_hint: meta.cost_hint,
-                    epoch: meta.epoch,
-                    registered_at: meta.registered_at,
-                })
-            })
-            .collect()
-    }
-
-    /// Replica siblings of `fragment` other than `server` (the
-    /// alternates a hedge or reroute can target), sorted by server id.
-    pub fn siblings(&self, fragment: &str, server: &ServerId) -> Vec<ServerId> {
-        self.replicas(fragment)
-            .into_iter()
-            .map(|r| r.server)
-            .filter(|s| s != server)
-            .collect()
-    }
-
-    /// Current freshness epoch of `fragment` on `server`, if registered.
-    pub fn epoch(&self, fragment: &str, server: &ServerId) -> Option<u64> {
-        let fragment = fragment.to_ascii_lowercase();
-        let st = self.state.lock();
-        let slot = *st.slots.get(server)?;
-        Some(st.fragments.get(&fragment)?.get(slot)?.as_ref()?.epoch)
-    }
-
-    /// Number of registered fragments.
-    pub fn len(&self) -> usize {
-        self.state.lock().fragments.len()
-    }
-
-    /// True when no fragment is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Source selection: prune `candidates` for a fragment touching all
-    /// of `fragments`, preserving the original candidate order.
+    /// Source selection: prune `candidates` — the servers hosting every
+    /// table in `fragments` — for one fragment, preserving the original
+    /// candidate order.
     ///
-    /// A candidate is *scoreable* when every fragment has a registered
-    /// replica on it; unscoreable candidates fail open (kept untouched,
-    /// exempt from the bound) so partially-registered worlds degrade to
-    /// the unpruned behaviour. Scoreable candidates are scored
-    /// `(calibrated cost, band)` where cost = Σ fragment hints × the
-    /// server's health factor, then:
+    /// A candidate is *scoreable* when it is registered; unscoreable
+    /// candidates fail open (kept untouched, exempt from the bound), and
+    /// with no fragment names nothing is scoreable. Scoreable candidates
+    /// are scored `(calibrated cost, band)` where cost = the server's
+    /// hint added once per fragment name, times its health factor, then:
     ///
     /// 1. a candidate strictly worse than some sibling on *both* cost
     ///    and band is dominated and dropped;
@@ -355,33 +190,27 @@ impl ReplicaCatalog {
             cost: f64,
             band: u8,
         }
-        let st = self.state.lock();
-        // Resolve each nickname once; an unknown one (or none at all)
-        // leaves nothing scoreable, so every candidate fails open.
-        let hints: Option<Vec<&[Option<ReplicaMeta>]>> = fragments
-            .iter()
-            .map(|f| Some(st.fragments.get(&f.to_ascii_lowercase())?.as_slice()))
-            .collect();
-        let Some(hints) = hints.filter(|h| !h.is_empty()) else {
+        if fragments.is_empty() {
             return candidates.to_vec();
-        };
+        }
+        let st = self.state.lock();
         // `keep[i]` starts out true for exactly the fail-open candidates.
         let mut keep = vec![false; candidates.len()];
         let mut scored: Vec<Scored> = Vec::with_capacity(candidates.len());
         for (index, server) in candidates.iter().enumerate() {
-            let score = st.slots.get(server).and_then(|&slot| {
-                let cost = hints.iter().try_fold(0.0, |sum, per_fragment| {
-                    Some(sum + per_fragment.get(slot)?.as_ref()?.cost_hint)
-                })?;
-                Some((cost, st.health[slot]))
-            });
-            match score {
-                Some((cost, health)) => scored.push(Scored {
+            let known = st.slots.get(server).map(|&slot| st.servers[slot]);
+            match known {
+                Some(Slot {
+                    cost_hint: Some(hint),
+                    health,
+                }) => scored.push(Scored {
                     index,
-                    cost: cost * health.cost_factor,
+                    // The same float sum, term by term, as one hint per
+                    // fragment name.
+                    cost: fragments.iter().fold(0.0, |sum, _| sum + hint) * health.cost_factor,
                     band: health.band,
                 }),
-                None => keep[index] = true,
+                _ => keep[index] = true,
             }
         }
         drop(st);
@@ -444,12 +273,16 @@ mod tests {
         names.iter().map(ServerId::new).collect()
     }
 
-    fn catalog_of(bound: usize, hints: &[(&str, &str, f64)]) -> ReplicaCatalog {
+    fn catalog_of(bound: usize, hints: &[(&str, f64)]) -> ReplicaCatalog {
         let c = ReplicaCatalog::new(bound);
-        for (fragment, server, hint) in hints {
-            c.register(fragment, ServerId::new(server), *hint, SimTime::ZERO);
+        for (server, hint) in hints {
+            c.register(ServerId::new(server), *hint, SimTime::ZERO);
         }
         c
+    }
+
+    fn t() -> Vec<String> {
+        vec!["t".to_string()]
     }
 
     /// `select_sources` as it stood before the slot index, kept verbatim as
@@ -532,8 +365,9 @@ mod tests {
 
     /// Seeded property: over partially registered fleets, mixed-case
     /// nicknames, shuffled candidates with strangers, every band class and
-    /// infinite / NaN / tied costs, the slot-indexed selection returns what
-    /// the double loop over string-keyed maps returned.
+    /// infinite / NaN / tied costs, per-server hints return what the double
+    /// loop over per-table maps returned when every registered server
+    /// carries its one hint under every requested nickname.
     #[test]
     fn selection_equals_the_reference_on_generated_catalogs() {
         let mut rng = Pcg32::seed_from(0x5e1ec7);
@@ -550,27 +384,36 @@ mod tests {
             let hints = [0.25, 0.5, 0.5, 1.0, 2.0, f64::INFINITY];
             let factors = [1.0, 1.0, 2.0, 4.0, f64::INFINITY, f64::NAN];
             for server in &fleet {
-                // Health pushed before, after or without any registration.
-                if rng.range_u64(0, 3) == 0 {
-                    let band = match rng.range_u64(0, 4) {
-                        0 => HEALTHY_BAND,
-                        1 | 2 => rng.range_u64(1, 11) as u8,
-                        _ => DOWN_BAND,
-                    };
-                    let health = Health {
-                        cost_factor: *rng.choose(&factors),
-                        band,
-                    };
-                    catalog.update_health(server, health.cost_factor, health.band);
-                    pushed.insert(server.clone(), health);
+                // Health pushed before, after or without a registration.
+                let health_first = rng.range_u64(0, 2) == 0;
+                let mut push = |rng: &mut Pcg32| {
+                    if rng.range_u64(0, 3) == 0 {
+                        let band = match rng.range_u64(0, 4) {
+                            0 => HEALTHY_BAND,
+                            1 | 2 => rng.range_u64(1, 11) as u8,
+                            _ => DOWN_BAND,
+                        };
+                        let health = Health {
+                            cost_factor: *rng.choose(&factors),
+                            band,
+                        };
+                        catalog.update_health(server, health.cost_factor, health.band);
+                        pushed.insert(server.clone(), health);
+                    }
+                };
+                if health_first {
+                    push(&mut rng);
                 }
-                for nickname in nicknames {
-                    if rng.range_u64(0, 5) > 0 {
-                        let hint = *rng.choose(&hints);
-                        catalog.register(nickname, server.clone(), hint, SimTime::ZERO);
+                if rng.range_u64(0, 5) > 0 {
+                    let hint = *rng.choose(&hints);
+                    catalog.register(server.clone(), hint, SimTime::ZERO);
+                    for nickname in nicknames {
                         let per_fragment = registered.entry(nickname.to_ascii_lowercase());
                         per_fragment.or_default().insert(server.clone(), hint);
                     }
+                }
+                if !health_first {
+                    push(&mut rng);
                 }
             }
             let mut candidates = fleet.clone();
@@ -598,39 +441,22 @@ mod tests {
     }
 
     #[test]
-    fn register_deregister_roundtrip() {
+    fn register_is_once_per_server() {
         let obs = Obs::new();
-        let c = ReplicaCatalog::new(3).with_obs(obs.clone());
-        let t = SimTime::from_millis(5.0);
-        c.register("big_a", ServerId::new("S1"), 1.0, t);
-        c.register("big_a", ServerId::new("S2"), 0.5, t);
-        c.register("big_a", ServerId::new("S1"), 2.0, t); // update, no dup
-        assert_eq!(c.len(), 1);
-        let reps = c.replicas("big_a");
-        assert_eq!(reps.len(), 2);
-        assert_eq!(reps[0].server, ServerId::new("S1"));
-        assert_eq!(reps[0].cost_hint, 2.0);
+        let c = ReplicaCatalog::new(1).with_obs(obs.clone());
+        let at = SimTime::from_millis(5.0);
+        c.register(ServerId::new("S1"), 1.0, at);
+        c.register(ServerId::new("S2"), 0.5, at);
+        c.register(ServerId::new("S1"), 0.25, at); // update, no second event
         assert_eq!(obs.events_of("catalog_register").len(), 2);
-        assert_eq!(obs.counter_value("catalog_replicas_total", &[]), 2);
-
-        assert!(c.deregister("big_a", &ServerId::new("S1"), t));
-        assert!(!c.deregister("big_a", &ServerId::new("S1"), t));
-        assert_eq!(c.replicas("big_a").len(), 1);
-        assert_eq!(obs.events_of("catalog_deregister").len(), 1);
+        let kept = c.select_sources(&t(), &ids(&["S1", "S2"]));
+        assert_eq!(kept, ids(&["S1"]), "the updated hint ranks S1 first");
     }
 
     #[test]
     fn selection_caps_to_cheapest_bound() {
-        let c = catalog_of(
-            2,
-            &[
-                ("t", "S1", 1.0),
-                ("t", "S2", 0.5),
-                ("t", "S3", 0.8),
-                ("t", "S4", 2.0),
-            ],
-        );
-        let kept = c.select_sources(&["t".into()], &ids(&["S1", "S2", "S3", "S4"]));
+        let c = catalog_of(2, &[("S1", 1.0), ("S2", 0.5), ("S3", 0.8), ("S4", 2.0)]);
+        let kept = c.select_sources(&t(), &ids(&["S1", "S2", "S3", "S4"]));
         assert_eq!(kept, ids(&["S2", "S3"]), "two cheapest, original order");
     }
 
@@ -638,102 +464,62 @@ mod tests {
     fn dominated_replica_is_pruned_before_the_cap() {
         // S3 is strictly worse than S1 on both cost and band; S2 is
         // cheaper but in a worse band (not dominated, survives).
-        let c = catalog_of(0, &[("t", "S1", 1.0), ("t", "S2", 0.5), ("t", "S3", 3.0)]);
+        let c = catalog_of(0, &[("S1", 1.0), ("S2", 0.5), ("S3", 3.0)]);
         c.update_health(&ServerId::new("S2"), 1.0, 2);
         c.update_health(&ServerId::new("S3"), 1.0, 2);
-        let kept = c.select_sources(&["t".into()], &ids(&["S1", "S2", "S3"]));
+        let kept = c.select_sources(&t(), &ids(&["S1", "S2", "S3"]));
         assert_eq!(kept, ids(&["S1", "S2"]));
     }
 
     #[test]
     fn cheapest_replica_always_survives() {
-        let c = catalog_of(1, &[("t", "S1", 0.9), ("t", "S2", 0.2), ("t", "S3", 0.4)]);
-        let kept = c.select_sources(&["t".into()], &ids(&["S1", "S2", "S3"]));
+        let c = catalog_of(1, &[("S1", 0.9), ("S2", 0.2), ("S3", 0.4)]);
+        let kept = c.select_sources(&t(), &ids(&["S1", "S2", "S3"]));
         assert_eq!(kept, ids(&["S2"]));
     }
 
     #[test]
     fn health_factor_reorders_selection() {
-        let c = catalog_of(1, &[("t", "S1", 1.0), ("t", "S2", 0.5)]);
+        let c = catalog_of(1, &[("S1", 1.0), ("S2", 0.5)]);
         // S2 is nominally cheaper, but calibration learned it is 4× slow.
         c.update_health(&ServerId::new("S2"), 4.0, HEALTHY_BAND);
-        let kept = c.select_sources(&["t".into()], &ids(&["S1", "S2"]));
+        let kept = c.select_sources(&t(), &ids(&["S1", "S2"]));
         assert_eq!(kept, ids(&["S1"]));
     }
 
     #[test]
     fn multi_fragment_cost_is_summed() {
-        let c = catalog_of(
-            1,
-            &[
-                ("a", "S1", 0.1),
-                ("a", "S2", 1.0),
-                ("b", "S1", 1.0),
-                ("b", "S2", 0.2),
-            ],
-        );
-        // S2 wins on the summed (a + b) hint: 1.2 vs 1.1 for S1 — no,
-        // S1 = 1.1 is cheaper. Check the sum actually decides.
-        let kept = c.select_sources(&["a".into(), "b".into()], &ids(&["S1", "S2"]));
-        assert_eq!(kept, ids(&["S1"]));
+        // 0.1 is below its successor, but three of each add up to the same
+        // float: the tie then falls to candidate order.
+        let up = f64::from_bits(0.1f64.to_bits() + 1);
+        let c = catalog_of(1, &[("S1", 0.1), ("S2", up)]);
+        let candidates = ids(&["S2", "S1"]);
+        assert_eq!(c.select_sources(&t(), &candidates), ids(&["S1"]));
+        let three: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        assert_eq!(c.select_sources(&three, &candidates), ids(&["S2"]));
     }
 
     #[test]
     fn unregistered_candidates_fail_open() {
-        let c = catalog_of(1, &[("t", "S1", 1.0), ("t", "S2", 0.5)]);
-        // S9 hosts nothing the catalog knows of: it must pass through
-        // even though the bound is 1.
-        let kept = c.select_sources(&["t".into()], &ids(&["S1", "S2", "S9"]));
+        let c = catalog_of(1, &[("S1", 1.0), ("S2", 0.5)]);
+        // S9 has no hint: it must pass through even though the bound is 1,
+        // and a pushed health alone does not register it.
+        c.update_health(&ServerId::new("S9"), 1.0, HEALTHY_BAND);
+        let kept = c.select_sources(&t(), &ids(&["S1", "S2", "S9"]));
         assert_eq!(kept, ids(&["S2", "S9"]));
-        // Entirely unknown fragment: nothing is scoreable, everything
-        // passes through.
-        let kept = c.select_sources(&["nope".into()], &ids(&["S1", "S2"]));
+        // No fragment names: nothing is scoreable, everything passes.
+        let kept = c.select_sources(&[], &ids(&["S1", "S2"]));
         assert_eq!(kept, ids(&["S1", "S2"]));
     }
 
     #[test]
-    fn epoch_bump_touches_only_hosted_fragments() {
-        let obs = Obs::new();
-        let c = ReplicaCatalog::new(3).with_obs(obs.clone());
-        let t = SimTime::from_millis(1.0);
-        c.register("a", ServerId::new("S1"), 1.0, t);
-        c.register("b", ServerId::new("S1"), 1.0, t);
-        c.register("b", ServerId::new("S2"), 1.0, t);
-        c.register("c", ServerId::new("S2"), 1.0, t);
-
-        let affected = c.bump_epoch(&ServerId::new("S1"), t, "down");
-        assert_eq!(affected, vec!["a".to_string(), "b".to_string()]);
-        assert_eq!(c.epoch("a", &ServerId::new("S1")), Some(1));
-        assert_eq!(c.epoch("b", &ServerId::new("S1")), Some(1));
-        assert_eq!(c.epoch("b", &ServerId::new("S2")), Some(0));
-        assert_eq!(c.epoch("c", &ServerId::new("S2")), Some(0));
-        let events = obs.events_of("catalog_epoch");
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].str_field("reason"), Some("down"));
-        // A server hosting nothing bumps nothing and journals nothing.
-        assert!(c.bump_epoch(&ServerId::new("S9"), t, "down").is_empty());
-        assert_eq!(obs.events_of("catalog_epoch").len(), 1);
-    }
-
-    #[test]
-    fn fragments_on_and_siblings() {
-        let c = catalog_of(0, &[("a", "S1", 1.0), ("b", "S1", 1.0), ("b", "S2", 1.0)]);
-        assert_eq!(
-            c.fragments_on(&ServerId::new("S1")),
-            vec!["a".to_string(), "b".to_string()]
-        );
-        assert_eq!(c.fragments_on(&ServerId::new("S2")), vec!["b".to_string()]);
-        assert_eq!(c.siblings("b", &ServerId::new("S1")), ids(&["S2"]));
-        assert!(c.siblings("a", &ServerId::new("S1")).is_empty());
-    }
-
-    #[test]
     fn nickname_lookup_is_case_insensitive() {
-        let c = catalog_of(0, &[("Big_A", "S1", 1.0)]);
-        assert_eq!(c.replicas("BIG_A").len(), 1);
+        // Only the number of names counts, so their case cannot matter.
+        let c = catalog_of(1, &[("S1", 1.0), ("S2", 0.5)]);
+        let candidates = ids(&["S1", "S2"]);
         assert_eq!(
-            c.select_sources(&["big_a".into()], &ids(&["S1"])),
-            ids(&["S1"])
+            c.select_sources(&["BIG_A".into()], &candidates),
+            c.select_sources(&["big_a".into()], &candidates)
         );
     }
 }

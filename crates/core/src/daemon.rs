@@ -148,10 +148,7 @@ impl AvailabilityDaemon {
                 self.qcc.reliability.record_probe(&id, false, at);
             }
         }
-        // Availability churn drives catalog freshness: a probe that flips
-        // the server's down-ness bumps the epoch of every fragment it
-        // hosts, so only those fragments' cached state is considered stale.
-        self.qcc.sync_catalog_health(&id, at);
+        self.qcc.sync_catalog_health(&id);
         let outcome = if ping_ms.is_some() { "up" } else { "down" };
         self.qcc.obs.counter_inc(
             "probes_total",

@@ -73,10 +73,8 @@ pub struct Qcc {
     /// through a clone of it.
     pub obs: Obs,
     /// Replica catalog (absent unless [`Qcc::set_catalog`] is called).
-    /// When attached: server-down plan-cache invalidation narrows to the
-    /// fragments the server actually hosts, the daemon pushes availability
-    /// churn into catalog freshness epochs, and placement skips replicas
-    /// the catalog already records.
+    /// When attached, the admission refresh and the daemon push each
+    /// server's calibrated health into it for source selection.
     catalog: Mutex<Option<Arc<ReplicaCatalog>>>,
 }
 
@@ -112,15 +110,6 @@ impl Qcc {
         self.catalog.lock().clone()
     }
 
-    /// Replica siblings of `fragment` on servers other than `server`,
-    /// per the catalog (empty without one): the alternates placement and
-    /// the hedge-alternate search can target.
-    pub fn replica_siblings(&self, fragment: &str, server: &ServerId) -> Vec<ServerId> {
-        self.catalog()
-            .map(|c| c.siblings(fragment, server))
-            .unwrap_or_default()
-    }
-
     /// Reliability band for catalog source selection: [`qcc_catalog::HEALTHY_BAND`]
     /// for a clean recent history, 1–10 as the recent error rate rises,
     /// [`qcc_catalog::DOWN_BAND`] while the server is believed down.
@@ -134,50 +123,19 @@ impl Qcc {
     }
 
     /// Push the current calibration × reliability health of `server` into
-    /// the attached catalog and, when the server's down-ness flipped since
-    /// the last push, bump the freshness epoch of every fragment it hosts
-    /// (availability churn → `catalog_epoch` journal event). Returns the
-    /// fragments whose epochs were bumped; empty without a catalog or
-    /// without an edge. Coordinator-side only.
-    pub fn sync_catalog_health(&self, server: &ServerId, at: SimTime) -> Vec<String> {
+    /// the attached catalog (nothing without one). Coordinator-side only.
+    pub fn sync_catalog_health(&self, server: &ServerId) {
         let Some(catalog) = self.catalog() else {
-            return Vec::new();
+            return;
         };
-        let down = self.reliability.is_down(server);
-        let was_down = catalog.health(server).band == qcc_catalog::DOWN_BAND;
-        let (factor, band) = if down {
-            (f64::INFINITY, qcc_catalog::DOWN_BAND)
+        if self.reliability.is_down(server) {
+            catalog.update_health(server, f64::INFINITY, qcc_catalog::DOWN_BAND);
         } else {
-            (
+            catalog.update_health(
+                server,
                 self.calibration.server_factor(server) * self.reliability.factor(server),
                 self.reliability_band(server),
-            )
-        };
-        catalog.update_health(server, factor, band);
-        if down != was_down {
-            catalog.bump_epoch(server, at, if down { "down" } else { "restored" })
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Drop cached plans after `server`'s down transition. With a catalog
-    /// attached the invalidation is *scoped* to entries referencing the
-    /// fragments the server hosts — cached plans for other tables survive
-    /// the churn. Without one (or when the catalog has no registrations
-    /// for the server) the whole per-server cache drops, the conservative
-    /// pre-catalog behaviour.
-    pub(crate) fn invalidate_down_plans(&self, server: &ServerId) {
-        match self.catalog() {
-            Some(catalog) => {
-                let fragments = catalog.fragments_on(server);
-                if fragments.is_empty() {
-                    self.plan_cache.invalidate_server(server);
-                } else {
-                    self.plan_cache.invalidate_fragments(server, &fragments);
-                }
-            }
-            None => self.plan_cache.invalidate_server(server),
+            );
         }
     }
 
@@ -205,7 +163,7 @@ impl Qcc {
         at: SimTime,
     ) {
         for server in servers {
-            self.sync_catalog_health(server, at);
+            self.sync_catalog_health(server);
             let cap = if self.reliability.is_down(server) {
                 0
             } else {
@@ -215,7 +173,7 @@ impl Qcc {
                 ((base / slowdown.max(1.0)).floor() as u32).max(1)
             };
             if admission.set_capacity(server, cap, at) {
-                self.invalidate_down_plans(server);
+                self.plan_cache.invalidate_server(server);
                 self.obs.counter_inc(
                     "plan_cache_invalidations_total",
                     &[("server", server.as_str())],
@@ -295,73 +253,48 @@ mod tests {
         );
     }
 
-    /// Regression for catalog-scoped invalidation: with a replica catalog
-    /// attached, a down transition drops only the cache entries routing
-    /// through fragments the downed server hosts — entries for other
-    /// tables (even on the same server) survive the churn.
+    /// With a replica catalog attached, a down transition pushes the
+    /// down band into it and drops every cached plan of the server — the
+    /// one invalidation path — while the other server keeps its plans;
+    /// recovery pushes a finite health back and invalidates nothing.
     #[test]
-    fn catalog_scopes_down_invalidation_to_hosted_fragments() {
+    fn catalog_tracks_health_across_the_down_transition() {
         let qcc = Qcc::new(QccConfig::default());
         let admission = AdmissionController::new(AdmissionConfig::default());
         let (s1, s2) = (ServerId::new("S1"), ServerId::new("S2"));
         let servers = [s1.clone(), s2.clone()];
         let catalog = Arc::new(ReplicaCatalog::new(3));
-        // The catalog knows S1 hosts big_a (and that small_s lives on S2
-        // only): an S1 outage cannot stale small_s plans.
-        catalog.register("big_a", s1.clone(), 1.0, SimTime::ZERO);
-        catalog.register("big_a", s2.clone(), 1.0, SimTime::ZERO);
-        catalog.register("small_s", s2.clone(), 1.0, SimTime::ZERO);
+        catalog.register(s1.clone(), 1.0, SimTime::ZERO);
+        catalog.register(s2.clone(), 1.0, SimTime::ZERO);
         qcc.set_catalog(Arc::clone(&catalog));
-
-        qcc.plan_cache
-            .put(&s1, "SELECT a.id FROM big_a a", Vec::new());
-        qcc.plan_cache
-            .put(&s1, "SELECT COUNT(*) FROM small_s", Vec::new());
-        qcc.plan_cache
-            .put(&s2, "SELECT a.id FROM big_a a", Vec::new());
+        for sql in ["SELECT a.id FROM big_a a", "SELECT COUNT(*) FROM small_s"] {
+            qcc.plan_cache.put(&s1, sql, Vec::new());
+            qcc.plan_cache.put(&s2, sql, Vec::new());
+        }
 
         let t = SimTime::from_millis(10.0);
         qcc.refresh_admission(&admission, &servers, t);
+        assert_eq!(catalog.health(&s1).band, qcc_catalog::HEALTHY_BAND);
         qcc.reliability.record_unreachable(&s1, t);
         qcc.refresh_admission(&admission, &servers, t);
+        let down = catalog.health(&s1);
+        assert_eq!(down.band, qcc_catalog::DOWN_BAND);
+        assert_eq!(down.cost_factor, f64::INFINITY);
+        assert_eq!(qcc.plan_cache.len(), 2, "S1's plans drop, S2's stay");
+        assert!(qcc
+            .plan_cache
+            .get(&s2, "SELECT COUNT(*) FROM small_s")
+            .is_some());
 
-        assert!(
-            qcc.plan_cache
-                .get(&s1, "SELECT a.id FROM big_a a")
-                .is_none(),
-            "plans through the downed server's fragment drop"
-        );
-        assert!(
-            qcc.plan_cache
-                .get(&s1, "SELECT COUNT(*) FROM small_s")
-                .is_some(),
-            "unaffected entries survive the down transition"
-        );
-        assert!(
-            qcc.plan_cache
-                .get(&s2, "SELECT a.id FROM big_a a")
-                .is_some(),
-            "replica siblings' entries survive"
-        );
-        // The churn also bumped big_a's freshness epoch on S1 only.
-        assert_eq!(catalog.epoch("big_a", &s1), Some(1));
-        assert_eq!(catalog.epoch("big_a", &s2), Some(0));
-        assert_eq!(catalog.epoch("small_s", &s2), Some(0));
-
-        // Recovery flips the health edge back and bumps the epoch again;
-        // nothing is re-invalidated.
         qcc.reliability
             .record_probe(&s1, true, SimTime::from_millis(20.0));
         qcc.refresh_admission(&admission, &servers, SimTime::from_millis(20.0));
-        assert_eq!(catalog.epoch("big_a", &s1), Some(2));
-        assert!(qcc
-            .plan_cache
-            .get(&s1, "SELECT COUNT(*) FROM small_s")
-            .is_some());
+        assert!(catalog.health(&s1).cost_factor.is_finite());
         assert_eq!(
-            qcc.replica_siblings("big_a", &s1),
-            vec![s2.clone()],
-            "sibling lookup feeds the hedge-alternate search"
+            qcc.obs
+                .counter_value("plan_cache_invalidations_total", &[("server", "S1")]),
+            1,
+            "recovery invalidates nothing"
         );
     }
 }

@@ -203,11 +203,9 @@ impl MetaWrapper {
         match e {
             QccError::ServerUnavailable(_) => effects.defer(move || {
                 qcc.reliability.record_unreachable(&server, at);
-                // While unreachable the server's catalog may change;
-                // cached plans routing through its fragments are no
-                // longer trustworthy (scoped by the replica catalog
-                // when one is attached).
-                qcc.invalidate_down_plans(&server);
+                // While unreachable the server's catalog may change, so
+                // its cached plans are no longer trustworthy.
+                qcc.plan_cache.invalidate_server(&server);
             }),
             QccError::ServerFault { .. } => {
                 effects.defer(move || qcc.reliability.record_fault(&server))

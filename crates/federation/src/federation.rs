@@ -162,11 +162,6 @@ impl Federation {
         self.catalog = Some(catalog);
     }
 
-    /// The attached replica catalog, if any.
-    pub fn catalog(&self) -> Option<&Arc<ReplicaCatalog>> {
-        self.catalog.as_ref()
-    }
-
     /// Attach an observability handle; the patroller journals through the
     /// same one.
     pub fn set_obs(&mut self, obs: Obs) {

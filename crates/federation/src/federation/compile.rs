@@ -38,7 +38,7 @@ impl Federation {
         // replicas (strictly worse calibrated cost AND reliability band
         // than a surviving sibling) never win the cost race, so consulting
         // them is pure network waste. Selection preserves candidate order
-        // and fails open on unregistered fragments, so a world without a
+        // and fails open on unregistered servers, so a world without a
         // catalog (or with an empty one) compiles exactly as before.
         let selected: Vec<Cow<'_, [ServerId]>> = decomposed
             .fragments

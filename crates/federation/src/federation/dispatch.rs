@@ -171,7 +171,6 @@ impl Federation {
                     self.resolve_stall(
                         qid,
                         slot,
-                        &template.decomposed,
                         run.cand,
                         stream,
                         excluded,

@@ -4,7 +4,6 @@
 
 use super::dispatch::stream_result;
 use super::Federation;
-use crate::decompose::DecomposedQuery;
 use crate::middleware::{Deferred, FragmentCandidate, GlobalCandidate};
 use qcc_common::obs::reroute_events as ev;
 use qcc_common::{FieldValue, QccError, QueryId, Result, ServerId, SimDuration, SimTime};
@@ -39,7 +38,6 @@ impl Federation {
         &self,
         qid: QueryId,
         slot: usize,
-        decomposed: &DecomposedQuery,
         cand: &FragmentCandidate,
         stream: Option<WrapperStream>,
         mut excluded: BTreeSet<ServerId>,
@@ -67,11 +65,7 @@ impl Federation {
             Some(stream) => {
                 let cancel_at = start + SimDuration::from_millis(threshold_ms);
                 let late = stream.chunks.iter().filter(|c| c.at > cancel_at).count();
-                if late == 0
-                    || self
-                        .resume_replica(slot, decomposed, cand, pool, &excluded)
-                        .is_none()
-                {
+                if late == 0 || self.resume_replica(slot, cand, pool, &excluded).is_none() {
                     // Every chunk beat the threshold (only the transfer
                     // tail overran), or no replica can resume it:
                     // cancelling gains nothing, so the slow result is kept
@@ -129,7 +123,7 @@ impl Federation {
             }
             let resume = match kept.len() {
                 0 => None,
-                _ => self.resume_replica(slot, decomposed, cand, pool, &excluded),
+                _ => self.resume_replica(slot, cand, pool, &excluded),
             };
             let restart = || {
                 self.cheapest_alternate(slot, pool, f64::INFINITY, |alt| {
@@ -265,14 +259,12 @@ impl Federation {
     /// The resume rule: the cheapest alternate for the slot
     /// ([`Federation::cheapest_alternate`]) outside `excluded`, within
     /// [`REROUTE_BAND`] of `base`'s estimate, with `base`'s *plan signature
-    /// and SQL* (so the cursor protocol's chunk schedule lines up); when a
-    /// replica catalog is attached the alternate must also be a registered
-    /// sibling of `base`'s server on every nickname the fragment scans
-    /// (fail open for unregistered fragments, as compile does).
+    /// and SQL* (so the cursor protocol's chunk schedule lines up). The
+    /// pool holds only plans of the fragment's nickname sources, so every
+    /// alternate hosts the tables the fragment scans.
     fn resume_replica<'a>(
         &self,
         slot: usize,
-        decomposed: &DecomposedQuery,
         base: &FragmentCandidate,
         pool: &'a [GlobalCandidate],
         excluded: &BTreeSet<ServerId>,
@@ -281,19 +273,10 @@ impl Federation {
             est if est > 0.0 => est * REROUTE_BAND,
             _ => f64::INFINITY,
         };
-        let nicknames = &decomposed.fragments[slot].nicknames;
         self.cheapest_alternate(slot, pool, limit, |alt| {
             !excluded.contains(&alt.plan.server)
                 && alt.plan.signature == base.plan.signature
                 && alt.plan.sql == base.plan.sql
-                && self.catalog.as_ref().is_none_or(|catalog| {
-                    nicknames.iter().all(|nn| {
-                        catalog.replicas(nn).is_empty()
-                            || catalog
-                                .siblings(nn, &base.plan.server)
-                                .contains(&alt.plan.server)
-                    })
-                })
         })
     }
 

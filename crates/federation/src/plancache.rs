@@ -123,35 +123,12 @@ impl PlanCache {
         }
     }
 
-    /// Drop every cached plan for one server (e.g. after it was down —
-    /// its catalog may have changed while unreachable). Not counted as
-    /// evictions.
+    /// Drop every cached plan for one server (after it was down — its
+    /// catalog may have changed while unreachable). Every entry under a
+    /// server names tables that server hosts, so there is nothing finer
+    /// to scope this to. Not counted as evictions.
     pub fn invalidate_server(&self, server: &ServerId) {
         self.state.lock().retain(|(s, _), _| s != server);
-    }
-
-    /// Drop the cached plans for `server` whose fragment SQL references
-    /// any of the `fragments` table names (matched as whole identifiers,
-    /// case-insensitive). Returns the number of entries dropped.
-    ///
-    /// This is the catalog-scoped flavour of [`PlanCache::invalidate_server`]:
-    /// on a server-down transition the replica catalog knows exactly which
-    /// fragments the server hosted, so cached plans for *other* tables on
-    /// the same server — and every entry on every other server — survive
-    /// the churn. Pass the table names as they appear in the cached
-    /// fragment SQL (the wrapper-translated remote names).
-    pub fn invalidate_fragments(&self, server: &ServerId, fragments: &[String]) -> usize {
-        if fragments.is_empty() {
-            return 0;
-        }
-        let targets: Vec<String> = fragments.iter().map(|f| f.to_ascii_lowercase()).collect();
-        self.state.lock().retain(|(s, sql), _| {
-            if s != server {
-                return true;
-            }
-            let lower = sql.to_ascii_lowercase();
-            !targets.iter().any(|t| references_identifier(&lower, t))
-        })
     }
 
     /// Drop everything.
@@ -181,25 +158,6 @@ impl PlanCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// Whether `sql` (already lowercased) contains `ident` as a whole
-/// identifier — not as a substring of a longer one.
-fn references_identifier(sql: &str, ident: &str) -> bool {
-    let is_ident_byte = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
-    let bytes = sql.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = sql[from..].find(ident) {
-        let start = from + pos;
-        let end = start + ident.len();
-        let pre_ok = start == 0 || !is_ident_byte(bytes[start - 1]);
-        let post_ok = end == sql.len() || !is_ident_byte(bytes[end]);
-        if pre_ok && post_ok {
-            return true;
-        }
-        from = start + 1;
-    }
-    false
 }
 
 #[cfg(test)]
@@ -257,61 +215,6 @@ mod tests {
         assert_eq!(c.len(), 1);
         c.clear();
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn invalidate_fragments_is_scoped_to_referencing_entries() {
-        let c = PlanCache::new();
-        let s1 = ServerId::new("S1");
-        let s2 = ServerId::new("S2");
-        c.put(
-            &s1,
-            "SELECT a.id FROM big_a a WHERE a.sel < 10",
-            vec![plan("S1")],
-        );
-        c.put(&s1, "SELECT COUNT(*) FROM small_s", vec![plan("S1")]);
-        c.put(
-            &s2,
-            "SELECT a.id FROM big_a a WHERE a.sel < 10",
-            vec![plan("S2")],
-        );
-        let dropped = c.invalidate_fragments(&s1, &["big_a".to_string()]);
-        assert_eq!(dropped, 1);
-        assert!(c
-            .get(&s1, "SELECT a.id FROM big_a a WHERE a.sel < 10")
-            .is_none());
-        assert!(
-            c.get(&s1, "SELECT COUNT(*) FROM small_s").is_some(),
-            "entries for other fragments on the same server survive"
-        );
-        assert!(
-            c.get(&s2, "SELECT a.id FROM big_a a WHERE a.sel < 10")
-                .is_some(),
-            "other servers' entries survive"
-        );
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn invalidate_fragments_matches_whole_identifiers_only() {
-        let c = PlanCache::new();
-        let s = ServerId::new("S1");
-        c.put(&s, "SELECT * FROM big_ab", vec![plan("S1")]);
-        c.put(&s, "SELECT * FROM BIG_A", vec![plan("S1")]);
-        assert_eq!(c.invalidate_fragments(&s, &["big_a".to_string()]), 1);
-        assert!(
-            c.get(&s, "SELECT * FROM big_ab").is_some(),
-            "no substring match"
-        );
-        assert!(
-            c.get(&s, "SELECT * FROM BIG_A").is_none(),
-            "case-insensitive"
-        );
-        assert_eq!(c.invalidate_fragments(&s, &[]), 0);
-        assert_eq!(
-            c.invalidate_fragments(&ServerId::new("S9"), &["big_a".into()]),
-            0
-        );
     }
 
     #[test]

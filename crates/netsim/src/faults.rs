@@ -5,8 +5,8 @@
 //! not answer at all. A [`FaultSchedule`] models the softer failure mode
 //! real federations see far more often: the server answers, but a
 //! fraction of requests inside a window come back as errors. The remote
-//! server consults `rate_at(t)` per request and combines it with its
-//! static `fault_rate` profile knob.
+//! server consults `rate_at(t)` per request; a steady fault rate is a
+//! window spanning the run.
 //!
 //! Determinism: the schedule itself is pure state (windows on
 //! `SimTime`); the *decision* whether a particular request faults must

@@ -1,7 +1,7 @@
 //! The remote server implementation.
 
 use parking_lot::Mutex;
-use qcc_common::{ColumnBatch, Cost, Pcg32, QccError, Result, Row, ServerId, SimDuration, SimTime};
+use qcc_common::{ColumnBatch, Cost, QccError, Result, Row, ServerId, SimDuration, SimTime};
 use qcc_engine::{Engine, PlanNode, Work};
 use qcc_netsim::{slowdown, AvailabilitySchedule, FaultSchedule, LoadProfile, ServerLoad};
 use qcc_storage::Catalog;
@@ -20,9 +20,6 @@ pub struct ServerProfile {
     pub base_sensitivity: f64,
     /// Utilization added per in-flight query (hot-spot feedback).
     pub per_query_load: f64,
-    /// Probability of a transient fault per request (reliability factor
-    /// input). 0 for healthy servers.
-    pub fault_rate: f64,
 }
 
 impl ServerProfile {
@@ -33,7 +30,6 @@ impl ServerProfile {
             speed: 1.0,
             base_sensitivity: 1.0,
             per_query_load: 0.05,
-            fault_rate: 0.0,
         }
     }
 }
@@ -143,15 +139,14 @@ pub struct RemoteServer {
     engine: Engine,
     load: ServerLoad,
     availability: AvailabilitySchedule,
-    /// Flaky windows: transient-error rates on virtual time (the sim
-    /// harness's soft-failure fault class). Decisions are stateless —
-    /// hashed from the request identity — so batch execution stays
-    /// byte-identical for any `QCC_THREADS`.
+    /// Flaky windows: transient-error rates on virtual time, the one
+    /// transient-fault mechanism (a steady rate is a window spanning the
+    /// run). Decisions are stateless — hashed from the request identity —
+    /// so batch execution stays byte-identical for any `QCC_THREADS`.
     faults: FaultSchedule,
     /// Extra slowdown sensitivity per table while the update workload
     /// contends on it (set by the experiment's load driver).
     contention: Mutex<BTreeMap<String, f64>>,
-    rng: Mutex<Pcg32>,
 }
 
 /// FNV-1a over `bytes`, continuing from `h`.
@@ -166,14 +161,7 @@ impl RemoteServer {
     /// Create a server over a catalog, initially idle and always up.
     pub fn new(profile: ServerProfile, catalog: Catalog) -> Arc<Self> {
         let load = ServerLoad::new(LoadProfile::Constant(0.0), profile.per_query_load);
-        // Seed the fault-injection RNG from the server name (FNV-1a) so
-        // each server has its own deterministic stream.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in profile.id.as_str().bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
         Arc::new(RemoteServer {
-            rng: Mutex::new(Pcg32::seed_from(h)),
             profile,
             engine: Engine::new(catalog),
             load,
@@ -242,7 +230,8 @@ impl RemoteServer {
 
     /// Execute a plan at virtual time `at`, returning rows and the virtual
     /// service time. May fail with [`QccError::ServerUnavailable`] (down)
-    /// or [`QccError::ServerFault`] (transient fault, per `fault_rate`).
+    /// or [`QccError::ServerFault`] (transient fault, per the fault
+    /// schedule).
     ///
     /// This is the call-and-wait view over [`RemoteServer::execute_stream`]
     /// with cursor 0 and no mid-service interruption; the service-time
@@ -277,16 +266,7 @@ impl RemoteServer {
         interruptible: bool,
     ) -> Result<RemoteStream> {
         self.check_up(at)?;
-        if self.profile.fault_rate > 0.0 {
-            let roll = self.rng.lock().next_f64();
-            if roll < self.profile.fault_rate {
-                return Err(QccError::ServerFault {
-                    server: self.profile.id.clone(),
-                    message: "transient fault injected".into(),
-                });
-            }
-        }
-        // Flaky-window faults must not consume a shared RNG stream: under
+        // Transient faults must not consume a shared RNG stream: under
         // `submit_batch` fragments execute on worker threads in
         // nondeterministic order, so the decision is a stateless hash of
         // the request identity (server, plan shape, virtual time) — the
@@ -572,20 +552,25 @@ mod tests {
 
     #[test]
     fn faults_injected_at_configured_rate() {
-        let mut profile = ServerProfile::new(ServerId::new("flaky"));
-        profile.fault_rate = 0.5;
-        let s = RemoteServer::new(profile, catalog(100));
+        let s = RemoteServer::new(ServerProfile::new(ServerId::new("flaky")), catalog(100));
+        s.faults()
+            .add_window(SimTime::ZERO, SimTime::from_millis(f64::INFINITY), 0.5);
         let plans = s.explain("SELECT * FROM items", SimTime::ZERO).unwrap();
-        let mut faults = 0;
-        for _ in 0..200 {
-            if matches!(
-                s.execute(&plans[0].descriptor, SimTime::ZERO),
-                Err(QccError::ServerFault { .. })
-            ) {
-                faults += 1;
-            }
-        }
+        // Identical requests at one instant share one fate by design, so
+        // each request arrives at its own instant.
+        let faults = (0..200)
+            .filter(|&i| {
+                let at = SimTime::from_millis(f64::from(i) * 0.5);
+                matches!(
+                    s.execute(&plans[0].descriptor, at),
+                    Err(QccError::ServerFault { .. })
+                )
+            })
+            .count();
         assert!((60..140).contains(&faults), "got {faults} faults of 200");
+        let at = SimTime::from_millis(3.0);
+        let fate = s.execute(&plans[0].descriptor, at).is_err();
+        assert_eq!(s.execute(&plans[0].descriptor, at).is_err(), fate);
     }
 
     #[test]

@@ -225,10 +225,9 @@ mod tests {
         assert_eq!(world.scenario.servers.len(), 24);
         let catalog = world.scenario.catalog.as_ref().expect("catalog attached");
         assert_eq!(catalog.bound(), 3);
-        // Every server registered every table (full replication), so each
-        // fragment has a fleet-sized replica set before pruning.
-        let replicas = catalog.replicas("small_s");
-        assert_eq!(replicas.len(), 24);
+        // Every server registered its cost hint once, so each fragment
+        // has a fleet-sized scoreable candidate set before pruning.
+        assert_eq!(world.scenario.obs.events_of("catalog_register").len(), 24);
         // Classic mode stays catalog-free: the pre-catalog path is
         // byte-identical.
         let classic = crate::config::parse(

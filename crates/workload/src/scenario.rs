@@ -56,8 +56,8 @@ pub struct ScenarioConfig {
     /// Source-selection replication bound. 0 (the default) attaches no
     /// replica catalog — the pre-catalog compile path, byte-identical to
     /// every existing golden. > 0 builds a [`ReplicaCatalog`] with this
-    /// bound, registers every (table, server) replica in it, and attaches
-    /// it to the federation (and the QCC when present), so each query's
+    /// bound, registers every server's cost hint in it, and attaches it
+    /// to the federation (and the QCC when present), so each query's
     /// EXPLAIN fan-out is pruned to at most this many replicas per
     /// fragment set.
     pub replication_factor: usize,
@@ -164,8 +164,8 @@ pub struct Scenario {
     /// its patroller, and the QCC when present).
     pub obs: Obs,
     /// The replica catalog, when `replication_factor > 0` asked for one.
-    /// Shared by the federation (source selection) and the QCC (scoped
-    /// invalidation, epoch churn).
+    /// Shared by the federation (source selection) and the QCC (health
+    /// pushes).
     pub catalog: Option<Arc<ReplicaCatalog>>,
 }
 
@@ -247,8 +247,8 @@ impl Scenario {
             federation.add_wrapper(Arc::clone(w));
         }
         // Rebuild the replica catalog too: the baseline build bound its
-        // catalog to the obs handle this build discards, and journal
-        // events (registration, epoch churn) must land in the live one.
+        // catalog to the obs handle this build discards, and registration
+        // events must land in the live one.
         scenario.catalog = build_replica_catalog(replication_factor, &scenario.servers, &obs);
         if let Some(catalog) = &scenario.catalog {
             federation.set_catalog(Arc::clone(catalog));
@@ -288,7 +288,6 @@ impl Scenario {
                 speed: *speed,
                 base_sensitivity: *base_sensitivity,
                 per_query_load: 0.03,
-                fault_rate: 0.0,
             };
             servers.push(RemoteServer::new(profile, make_catalog()));
             network.add_link(
@@ -389,12 +388,12 @@ impl Scenario {
     }
 }
 
-/// Build the replica catalog for a fleet: every table on every server
-/// (the scenario keeps full replication; the bound caps *consultation*,
-/// not placement), cost hints of `1 / speed` — the same scaling the
-/// wrappers' raw EXPLAIN estimates carry, so the catalog's pre-EXPLAIN
-/// ranking agrees with the post-EXPLAIN cost race and the capped survivor
-/// set always contains the eventual winner.
+/// Build the replica catalog for a fleet: one cost hint per server of
+/// `1 / speed` — the same scaling the wrappers' raw EXPLAIN estimates
+/// carry, so the catalog's pre-EXPLAIN ranking agrees with the
+/// post-EXPLAIN cost race and the capped survivor set always contains the
+/// eventual winner. Placement stays in the nickname catalog; the bound
+/// caps *consultation*, not placement.
 fn build_replica_catalog(
     replication_factor: usize,
     servers: &[Arc<RemoteServer>],
@@ -405,10 +404,7 @@ fn build_replica_catalog(
     }
     let catalog = ReplicaCatalog::new(replication_factor).with_obs(obs.clone());
     for s in servers {
-        let hint = 1.0 / s.profile().speed;
-        for table in s.engine().catalog().table_names() {
-            catalog.register(table, s.id().clone(), hint, SimTime::ZERO);
-        }
+        catalog.register(s.id().clone(), 1.0 / s.profile().speed, SimTime::ZERO);
     }
     Some(Arc::new(catalog))
 }
@@ -589,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn replicas_hold_identical_data() {
+    fn every_replica_holds_identical_data() {
         let s = Scenario::tiny_for_tests();
         let a = s.server("S1").engine().catalog().entry("big_a").unwrap();
         let b = s.server("S3").engine().catalog().entry("big_a").unwrap();
@@ -633,7 +629,11 @@ mod tests {
         let s = Scenario::build_with(Routing::Qcc, config);
         let catalog = s.catalog.as_ref().expect("scale build attaches a catalog");
         assert_eq!(catalog.bound(), 3);
-        assert_eq!(catalog.replicas("big_a").len(), n, "full replication");
+        assert_eq!(
+            s.obs.events_of("catalog_register").len(),
+            n,
+            "one registration per server"
+        );
 
         s.federation.submit("SELECT COUNT(*) FROM small_s").unwrap();
         let spans = s.obs.events_of("compile");

@@ -25,6 +25,8 @@ struct World {
     daemon: AvailabilityDaemon,
 }
 
+/// A primary/backup world whose primary faults at `primary_fault_rate`
+/// for the whole run (one fault window spanning it).
 fn world(primary_fault_rate: f64) -> World {
     let schema = Schema::new(vec![
         Column::new("id", DataType::Int),
@@ -35,16 +37,20 @@ fn world(primary_fault_rate: f64) -> World {
         data.insert(Row::new(vec![Value::Int(i), Value::Int(i % 100)]))
             .unwrap();
     }
-    let mk = |name: &str, speed: f64, fault_rate: f64| {
+    let mk = |name: &str, speed: f64| {
         let mut c = Catalog::new();
         c.register(data.clone());
         let mut p = ServerProfile::new(ServerId::new(name));
         p.speed = speed;
-        p.fault_rate = fault_rate;
         RemoteServer::new(p, c)
     };
-    let primary = mk("primary", 2.0, primary_fault_rate);
-    let backup = mk("backup", 1.0, 0.0);
+    let primary = mk("primary", 2.0);
+    primary.faults().add_window(
+        SimTime::ZERO,
+        SimTime::from_millis(f64::INFINITY),
+        primary_fault_rate,
+    );
+    let backup = mk("backup", 1.0);
     let mut network = Network::new();
     for n in ["primary", "backup"] {
         network.add_link(ServerId::new(n), Link::lan());
@@ -194,7 +200,7 @@ fn faults_are_retried_within_one_query() {
 
 #[test]
 fn runtime_fault_fails_over_within_the_same_query() {
-    // fault_rate 1.0: the primary always answers EXPLAIN (compile is not
+    // Fault rate 1.0: the primary always answers EXPLAIN (compile is not
     // subject to faults) but always fails EXECUTE. The federation must
     // ban it mid-query and finish on the backup, deterministically.
     let w = world(1.0);

@@ -2,7 +2,8 @@
 //! crashes while streaming a fragment, the coordinator observes the
 //! interrupted stream, bans the source (reliability marks it down), cancels
 //! the slot, and re-dispatches the *remainder* — the cursor position, not
-//! the whole fragment — to a within-band sibling from the replica catalog.
+//! the whole fragment — to a within-band replica among the fragment's
+//! nickname sources.
 //! The journal must tell the story in causal order (ban → stall → reroute
 //! dispatch → resume → merged completion), the merged result must carry
 //! zero duplicate and zero missing rows, and the episode must never feed a

@@ -1,6 +1,7 @@
 //! Seeded mutation of SQL text, shared (`#[path]`-included) by the fuzz
 //! tests of `qcc-sql` (`parse_select`) and `qcc-federation` (`decompose`):
 //! the two functions every never-seen-before statement goes through first.
+//! The root `sim_replay_fuzz` test mutates sim replay lines with it too.
 //! It may only name `qcc_common` items.
 //!
 //! The mutator cuts a statement into rough tokens with its own scanner —
