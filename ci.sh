@@ -19,6 +19,14 @@ if grep -rnE 'cpu_units[[:space:]]*[-+]=' crates/engine/src | grep -v '^crates/e
     echo "boundary: cpu_units is charged outside crates/engine/src/work.rs" >&2
     exit 1
 fi
+# One string representation (DESIGN.md §13): only the column module names
+# the fields of ColumnVector::Str — the row-id table reads codes through
+# ColumnVector::str_codes — while a `{ .. }` type check is fine anywhere.
+if grep -rnE 'ColumnVector::Str[[:space:]]*\{[[:space:]]*([a-z_]|$)' crates src tests examples \
+    | grep -v '^crates/common/src/column\.rs:'; then
+    echo "boundary: a file other than crates/common/src/column.rs names the fields of ColumnVector::Str" >&2
+    exit 1
+fi
 # One open-loop driver (DESIGN.md §10): only it takes rounds off the
 # admission queue and hands the federation their deadline budgets.
 if grep -rnE 'dequeue_batch\(|submit_batch_with_budgets\(' crates/*/src \

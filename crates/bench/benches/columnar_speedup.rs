@@ -9,7 +9,7 @@
 //! column-compare fast path for simple predicates, and zone-map chunk
 //! pruning on clustered columns.
 //!
-//! Nine workloads over the §5 scenario schema at `QCC_LARGE_ROWS` scale,
+//! Ten workloads over the §5 scenario schema at `QCC_LARGE_ROWS` scale,
 //! each run through `rowexec::execute_rows` (the row-at-a-time reference)
 //! and `execute_batches` (the columnar engine) on the *same* plan:
 //!
@@ -18,26 +18,34 @@
 //! * `filter zoned`  — range predicate on the clustered serial key, where
 //!   per-chunk min/max summaries let the batch engine skip whole chunks.
 //! * `join+agg`      — the paper's QT1 (large ⋈ large, group aggregate).
-//! * `QT2`           — small filtered build side, string group key.
+//! * `QT2`           — small filtered build side, string group key: the
+//!   join gathers `s.cat` as codes of `small_s`'s one dictionary, so the
+//!   group key takes the row-id table's code layout.
 //! * `QT4`           — three-way join, global aggregate.
 //! * `agg`           — grouped aggregation over the large table.
 //! * `distinct`      — duplicate elimination over the large table.
 //! * `sparse join`   — large ⋈ large on an `Int` key spread over 64
-//!   values per row: the row-id table's hashed layout, where every join
-//!   and group key above takes its dense one.
+//!   values per row: the row-id table's hashed layout, where every `Int`
+//!   join and group key above takes its dense one.
+//! * `str group`     — grouping on a string drawn from as many tags as
+//!   rows (≈ 0.63 distinct per row), a dictionary per storage chunk: the
+//!   hashed layout over strings, the high-cardinality case codes do not
+//!   serve.
 //!
 //! Wall times are informational (they move with the host). What is gated
 //! is a count: this binary wraps the system allocator in a counter, and
-//! the hashing operators — the six workloads from `join+agg` down — must
+//! the hashing operators — the seven workloads from `join+agg` down — must
 //! allocate per chunk and per group, not per row. The last line reads
 //! `columnar allocations: OK|VIOLATED`; `ci.sh` greps it.
 //!
 //! Batch ms at the default scale, medians of six alternating runs of this
-//! binary built on the engine before and after the dense layout (2-vCPU
-//! Xeon): `filter` 0.74 → 0.61 (the typed `Int` scan loop), `join+agg`
-//! 2.65 → 1.63, `QT2` 1.92 → 1.69, `QT4` 0.98 → 0.28, `agg` 0.62 → 0.48,
-//! `distinct` 0.82 → 0.61; `scan` 0.04, `filter zoned` 0.27 and `sparse
-//! join` 1.71 → 1.75 held.
+//! binary built on the engine before and after dictionary-coded strings
+//! (2-vCPU AMD EPYC): `QT2` 0.95 → 0.44; `str group` 2.93 → 2.17, its
+//! allocations per row 1.27 → 0.007 (a string per group and per projected
+//! row before); `distinct` 0.39 → 0.13 (its projection of a bare column
+//! now shares the scan's vector); `join+agg` 1.06 → 1.02, `sparse join`
+//! 0.97 → 0.94, `agg` 0.27 → 0.24, `QT4` 0.18 → 0.18, `scan` 0.02,
+//! `filter` 0.33 and `filter zoned` 0.20 → 0.21 held.
 
 use qcc_bench::{counting, BenchScale, CountingAllocator};
 use qcc_common::WallStopwatch;
@@ -47,11 +55,10 @@ use qcc_storage::{Catalog, ColumnSpec, TableSpec};
 const REPS: usize = 5;
 
 /// Heap allocations the batch engine may make per base-table row read, on
-/// the workloads that hash. Measured: 0.004 to 0.024 at the default scale
-/// (40 000 / 1 000 rows; `distinct`, whose scan yields a selection vector
-/// per chunk, is the largest) and at most 0.082 at the CI smoke scale
-/// (2 000 / 100 rows, where a query's few dozen fixed allocations weigh
-/// more), so the bound has a 3x margin where it is tightest. The executor
+/// the workloads that hash. Measured: 0.004 to 0.010 at the default scale
+/// (40 000 / 1 000 rows) and at most 0.060 at the CI smoke scale (2 000 /
+/// 100 rows, where a query's few dozen fixed allocations weigh more), so
+/// the bound has a 4x margin where it is tightest. The executor
 /// this replaced measures 0.85 on `join+agg`, 1.59 on `QT2` and 1.02 on
 /// `distinct` at the default scale — a key vector per distinct build key,
 /// per group and per distinct row, a `String` per string-keyed row — and
@@ -148,6 +155,24 @@ fn build_catalog(large: u64, small: u64) -> Catalog {
                     name: "k".into(),
                     lo: 0,
                     hi: large as i64 * 64,
+                },
+                ColumnSpec::IntUniform {
+                    name: "qty".into(),
+                    lo: 0,
+                    hi: 100,
+                },
+            ],
+        ),
+        // A string per row from as many tags as rows: about 0.63 distinct
+        // strings per row, a dictionary per chunk, so grouping on it takes
+        // the row-id table's hashed layout.
+        TableSpec::new(
+            "strs",
+            large,
+            vec![
+                ColumnSpec::StrPool {
+                    name: "tag".into(),
+                    pool_size: large,
                 },
                 ColumnSpec::IntUniform {
                     name: "qty".into(),
@@ -289,6 +314,11 @@ fn main() {
                 .into(),
             true,
         ),
+        (
+            "str group",
+            "SELECT t.tag, COUNT(*) AS n, SUM(t.qty) AS total FROM strs t GROUP BY t.tag".into(),
+            true,
+        ),
     ];
 
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -327,7 +357,8 @@ fn main() {
     );
     println!(
         "\ncolumnar allocations: {} (batch engine, join+agg / QT2 / QT4 / agg / distinct / \
-         sparse join: at most {MAX_ALLOCS_PER_ROW} heap allocations per base-table row read)",
+         sparse join / str group: at most {MAX_ALLOCS_PER_ROW} heap allocations per base-table \
+         row read)",
         if allocations_ok { "OK" } else { "VIOLATED" }
     );
 }

@@ -12,6 +12,7 @@
 use crate::row::Row;
 use crate::value::{int_float_cmp, DataType, Value, TWO_63};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Rows per storage chunk. Batches produced by operators may be larger
@@ -239,17 +240,82 @@ pub enum ColumnVector {
         /// Null mask, parallel to `data`.
         nulls: Vec<bool>,
     },
-    /// String vector with null mask.
+    /// String vector with null mask: each cell is a code into a dictionary
+    /// of strings. Only this module names the fields; everything else reads
+    /// cells, and the row-id table the codes through
+    /// [`ColumnVector::str_codes`].
     Str {
-        /// Cell payloads (empty where null). Shared, so an operator that
-        /// copies rows (a join's output, a sort) copies a string cell by
-        /// bumping a count, not by allocating.
-        data: Vec<Arc<str>>,
-        /// Null mask, parallel to `data`.
+        /// Each cell's entry in `dict` (unspecified where null).
+        codes: Vec<u32>,
+        /// Null mask, parallel to `codes`.
         nulls: Vec<bool>,
+        /// The strings the codes index. Shared: a gather from columns of
+        /// one dictionary copies codes and clones this pointer once, so an
+        /// operator that copies rows (a join's output, a sort) copies a
+        /// string cell as four bytes. Entries may repeat.
+        dict: Arc<[Arc<str>]>,
+        /// Entries of `dict` in use. The rest is room a push fills in
+        /// place while no other column holds `dict`.
+        dict_len: u32,
     },
     /// Fallback: heterogeneous values stored as-is.
     Mixed(Vec<Value>),
+}
+
+/// Append `s` to a `Str` vector's dictionary and return its code. A
+/// dictionary the vector alone holds takes it in place, in room left by the
+/// last copy; a full or shared one is copied into one twice as long (the
+/// room holding `s`), so a vector filled cell by cell pays an amortized
+/// O(1) per entry.
+fn append_entry(dict: &mut Arc<[Arc<str>]>, dict_len: &mut u32, s: Arc<str>) -> u32 {
+    let code = *dict_len;
+    let n = code as usize;
+    match Arc::get_mut(dict) {
+        Some(entries) if n < entries.len() => entries[n] = s,
+        _ => {
+            let room = n.max(4);
+            *dict = dict[..n]
+                .iter()
+                .cloned()
+                .chain(std::iter::repeat_n(s, room))
+                .collect();
+        }
+    }
+    *dict_len += 1;
+    code
+}
+
+/// A `Str` vector's codes, null mask and dictionary: cell `i` is
+/// `dict[codes[i]]` unless `nulls[i]` ([`ColumnVector::str_codes`]).
+pub type StrCodes<'a> = (&'a [u32], &'a [bool], &'a [Arc<str>]);
+
+/// [`ColumnVector::gather`] over `Str` vectors of more than one
+/// dictionary: one new entry per picked non-NULL cell, sharing the
+/// source's string. Nothing is read of a dictionary beyond the picked
+/// entries.
+fn gather_strings(
+    srcs: &[StrCodes<'_>],
+    picks: impl ExactSizeIterator<Item = (usize, usize)>,
+) -> ColumnVector {
+    let mut codes = Vec::with_capacity(picks.len());
+    let mut nulls = Vec::with_capacity(picks.len());
+    let mut entries = Vec::with_capacity(picks.len());
+    for (s, r) in picks {
+        let (src_codes, src_nulls, src_dict) = srcs[s];
+        if src_nulls[r] {
+            codes.push(0);
+        } else {
+            codes.push(entries.len() as u32);
+            entries.push(Arc::clone(&src_dict[src_codes[r] as usize]));
+        }
+        nulls.push(src_nulls[r]);
+    }
+    ColumnVector::Str {
+        codes,
+        nulls,
+        dict_len: entries.len() as u32,
+        dict: entries.into(),
+    }
 }
 
 impl ColumnVector {
@@ -265,8 +331,10 @@ impl ColumnVector {
                 nulls: Vec::new(),
             },
             Some(DataType::Str) => ColumnVector::Str {
-                data: Vec::new(),
+                codes: Vec::new(),
                 nulls: Vec::new(),
+                dict: Arc::default(),
+                dict_len: 0,
             },
             None => ColumnVector::Mixed(Vec::new()),
         }
@@ -293,8 +361,8 @@ impl ColumnVector {
                 data.reserve(additional);
                 nulls.reserve(additional);
             }
-            ColumnVector::Str { data, nulls } => {
-                data.reserve(additional);
+            ColumnVector::Str { codes, nulls, .. } => {
+                codes.reserve(additional);
                 nulls.reserve(additional);
             }
             ColumnVector::Mixed(vals) => vals.reserve(additional),
@@ -306,7 +374,7 @@ impl ColumnVector {
         match self {
             ColumnVector::Int { data, .. } => data.len(),
             ColumnVector::Float { data, .. } => data.len(),
-            ColumnVector::Str { data, .. } => data.len(),
+            ColumnVector::Str { codes, .. } => codes.len(),
             ColumnVector::Mixed(v) => v.len(),
         }
     }
@@ -333,11 +401,13 @@ impl ColumnVector {
                     CellRef::Float(data[i])
                 }
             }
-            ColumnVector::Str { data, nulls } => {
+            ColumnVector::Str {
+                codes, nulls, dict, ..
+            } => {
                 if nulls[i] {
                     CellRef::Null
                 } else {
-                    CellRef::Str(&data[i])
+                    CellRef::Str(&dict[codes[i] as usize])
                 }
             }
             ColumnVector::Mixed(v) => CellRef::of(&v[i]),
@@ -373,12 +443,14 @@ impl ColumnVector {
                     });
                 }
             }
-            ColumnVector::Str { data, nulls } => {
+            ColumnVector::Str {
+                codes, nulls, dict, ..
+            } => {
                 for r in rows {
                     f(if nulls[r] {
                         CellRef::Null
                     } else {
-                        CellRef::Str(&data[r])
+                        CellRef::Str(&dict[codes[r] as usize])
                     });
                 }
             }
@@ -415,12 +487,20 @@ impl ColumnVector {
                 data.push(0.0);
                 nulls.push(true);
             }
-            (ColumnVector::Str { data, nulls }, Value::Str(s)) => {
-                data.push(s.into());
+            (
+                ColumnVector::Str {
+                    codes,
+                    nulls,
+                    dict,
+                    dict_len,
+                },
+                Value::Str(s),
+            ) => {
+                codes.push(append_entry(dict, dict_len, s.into()));
                 nulls.push(false);
             }
-            (ColumnVector::Str { data, nulls }, Value::Null) => {
-                data.push(Arc::default());
+            (ColumnVector::Str { codes, nulls, .. }, Value::Null) => {
+                codes.push(0);
                 nulls.push(true);
             }
             (ColumnVector::Mixed(vals), v) => vals.push(v),
@@ -452,12 +532,20 @@ impl ColumnVector {
                 data.push(0.0);
                 nulls.push(true);
             }
-            (ColumnVector::Str { data, nulls }, CellRef::Str(s)) => {
-                data.push(s.into());
+            (
+                ColumnVector::Str {
+                    codes,
+                    nulls,
+                    dict,
+                    dict_len,
+                },
+                CellRef::Str(s),
+            ) => {
+                codes.push(append_entry(dict, dict_len, s.into()));
                 nulls.push(false);
             }
-            (ColumnVector::Str { data, nulls }, CellRef::Null) => {
-                data.push(Arc::default());
+            (ColumnVector::Str { codes, nulls, .. }, CellRef::Null) => {
+                codes.push(0);
                 nulls.push(true);
             }
             (ColumnVector::Mixed(vals), c) => vals.push(c.to_value()),
@@ -470,16 +558,87 @@ impl ColumnVector {
         }
     }
 
+    /// Append cell `r` of `src`, as [`ColumnVector::push_cell`] does —
+    /// except that a string cell of one `Str` vector pushed onto another
+    /// shares `src`'s string instead of allocating a copy.
+    pub fn push_from(&mut self, src: &ColumnVector, r: usize) {
+        match (&mut *self, src.str_codes()) {
+            (
+                ColumnVector::Str {
+                    codes,
+                    nulls,
+                    dict,
+                    dict_len,
+                },
+                Some((src_codes, src_nulls, src_dict)),
+            ) => {
+                let code = if src_nulls[r] {
+                    0
+                } else {
+                    let s = Arc::clone(&src_dict[src_codes[r] as usize]);
+                    append_entry(dict, dict_len, s)
+                };
+                codes.push(code);
+                nulls.push(src_nulls[r]);
+            }
+            _ => self.push_cell(src.cell(r)),
+        }
+    }
+
+    /// Append `s` to a `Str` vector as the entry `interned` maps it to, or
+    /// as a new entry that `interned` then maps it to: a vector filled
+    /// through one map (and nothing else) stores each distinct string once.
+    /// Any other vector takes `s` as [`ColumnVector::push`] does.
+    pub fn push_interned(&mut self, s: String, interned: &mut HashMap<Arc<str>, u32>) {
+        let ColumnVector::Str {
+            codes,
+            nulls,
+            dict,
+            dict_len,
+        } = self
+        else {
+            return self.push(Value::Str(s));
+        };
+        let code = match interned.get(s.as_str()) {
+            Some(&code) => code,
+            None => {
+                let s: Arc<str> = s.into();
+                let code = append_entry(dict, dict_len, Arc::clone(&s));
+                interned.insert(s, code);
+                code
+            }
+        };
+        codes.push(code);
+        nulls.push(false);
+    }
+
+    /// A `Str` vector's codes, null mask and dictionary; `None` for any
+    /// other vector. Vectors whose dictionaries are the same slice
+    /// (`std::ptr::eq`) index one dictionary.
+    pub fn str_codes(&self) -> Option<StrCodes<'_>> {
+        match self {
+            ColumnVector::Str {
+                codes,
+                nulls,
+                dict,
+                dict_len,
+            } => Some((codes, nulls, &dict[..*dict_len as usize])),
+            _ => None,
+        }
+    }
+
     /// The cells `(source, row)` of `srcs` in pick order, as one fresh
     /// vector — the copy every operator that reorders or combines rows
     /// goes through. Sources of one typed representation are copied by a
-    /// typed loop; a mix of representations is appended cell by cell,
-    /// demoting as [`ColumnVector::push_cell`] does.
+    /// typed loop: strings of one dictionary as codes, the dictionary
+    /// shared; strings of several as one new entry per picked cell. A mix
+    /// of representations is appended cell by cell, demoting as
+    /// [`ColumnVector::push_cell`] does.
     pub fn gather(
         srcs: &[&ColumnVector],
         picks: impl ExactSizeIterator<Item = (usize, usize)>,
     ) -> ColumnVector {
-        fn copy<T: Clone>(
+        fn copy<T: Copy>(
             srcs: &[(&[T], &[bool])],
             picks: impl ExactSizeIterator<Item = (usize, usize)>,
         ) -> (Vec<T>, Vec<bool>) {
@@ -487,7 +646,7 @@ impl ColumnVector {
             let mut nulls = Vec::with_capacity(picks.len());
             for (s, r) in picks {
                 let (d, n) = srcs[s];
-                data.push(d[r].clone());
+                data.push(d[r]);
                 nulls.push(n[r]);
             }
             (data, nulls)
@@ -518,14 +677,27 @@ impl ColumnVector {
             ColumnVector::Float { .. } => {
                 typed!(Float);
             }
-            ColumnVector::Str { .. } => {
-                typed!(Str);
+            ColumnVector::Str { dict, dict_len, .. } => {
+                let parts: Option<Vec<_>> = srcs.iter().map(|c| c.str_codes()).collect();
+                if let Some(parts) = parts {
+                    if parts.iter().all(|&(_, _, d)| std::ptr::eq(d, parts[0].2)) {
+                        let slices: Vec<_> = parts.iter().map(|&(c, n, _)| (c, n)).collect();
+                        let (codes, nulls) = copy(&slices, picks);
+                        return ColumnVector::Str {
+                            codes,
+                            nulls,
+                            dict: Arc::clone(dict),
+                            dict_len: *dict_len,
+                        };
+                    }
+                    return gather_strings(&parts, picks);
+                }
             }
             ColumnVector::Mixed(_) => {}
         }
         let mut out = first.empty_like();
         for (s, r) in picks {
-            out.push_cell(srcs[s].cell(r));
+            out.push_from(srcs[s], r);
         }
         out
     }
@@ -546,10 +718,18 @@ impl ColumnVector {
                 let n = nulls.iter().filter(|b| **b).count() as u64;
                 8 * (nulls.len() as u64 - n) + n
             }
-            ColumnVector::Str { data, nulls } => data
+            ColumnVector::Str {
+                codes, nulls, dict, ..
+            } => codes
                 .iter()
                 .zip(nulls)
-                .map(|(s, null)| if *null { 1 } else { s.len() as u64 })
+                .map(|(&c, &null)| {
+                    if null {
+                        1
+                    } else {
+                        dict[c as usize].len() as u64
+                    }
+                })
                 .sum(),
             ColumnVector::Mixed(vals) => vals.iter().map(|v| v.byte_width() as u64).sum(),
         }
@@ -952,6 +1132,120 @@ mod tests {
             batch.byte_size(),
             rows.iter().map(|r| r.byte_width() as u64).sum::<u64>()
         );
+        // Gathered back from each column (one dictionary) and from it and a
+        // copy refilled cell by cell (two), the rows are unchanged.
+        let refilled = |c: &ColumnVector| {
+            let mut out = c.empty_like();
+            (0..c.len()).for_each(|i| out.push_cell(c.cell(i)));
+            out
+        };
+        for other in [false, true] {
+            let cols = batch.columns().iter().map(|c| {
+                let copy = refilled(c);
+                let srcs = if other { [&**c, &copy] } else { [&**c, &**c] };
+                Arc::new(ColumnVector::gather(&srcs, [(1, 0), (0, 1)].into_iter()))
+            });
+            assert_eq!(ColumnBatch::new(cols.collect(), 2).to_rows(), rows);
+        }
+    }
+
+    fn strings(cells: &[Option<&str>]) -> ColumnVector {
+        let mut v = ColumnVector::new_for(Some(DataType::Str));
+        for s in cells {
+            v.push(s.map_or(Value::Null, Value::from));
+        }
+        v
+    }
+
+    fn values(c: &ColumnVector) -> Vec<Value> {
+        (0..c.len()).map(|i| c.value(i)).collect()
+    }
+
+    #[test]
+    fn single_dictionary_gather_shares_the_dictionary() {
+        let src = strings(&[Some("a"), None, Some("bb"), Some("a")]);
+        // A clone holds the same dictionary.
+        let out = ColumnVector::gather(
+            &[&src, &src.clone()],
+            [(1, 3), (0, 1), (0, 2), (1, 0)].into_iter(),
+        );
+        let (ColumnVector::Str { dict: a, .. }, ColumnVector::Str { dict: b, .. }) = (&src, &out)
+        else {
+            panic!("{out:?}");
+        };
+        assert!(Arc::ptr_eq(a, b));
+        assert_eq!(
+            values(&out),
+            [
+                Value::from("a"),
+                Value::Null,
+                Value::from("bb"),
+                Value::from("a")
+            ]
+        );
+    }
+
+    #[test]
+    fn cross_dictionary_gather_keeps_every_value() {
+        let a = strings(&[Some("a"), None, Some("bb")]);
+        let b = strings(&[Some("bb"), Some("c"), Some("unpicked")]);
+        let picks = [(0, 2), (1, 1), (0, 1), (1, 0), (0, 0), (1, 1)];
+        let out = ColumnVector::gather(&[&a, &b], picks.into_iter());
+        let want: Vec<Value> = picks.iter().map(|&(s, r)| [&a, &b][s].value(r)).collect();
+        assert_eq!(values(&out), want);
+        // One entry per picked string, nothing else of either dictionary.
+        assert_eq!(out.str_codes().map(|(_, _, dict)| dict.len()), Some(5));
+    }
+
+    #[test]
+    fn string_pushes_and_mixed_demotion_keep_values() {
+        let src = strings(&[Some("x"), None, Some("a longer string than eight bytes")]);
+        let mut v = ColumnVector::new_for(Some(DataType::Str));
+        (0..src.len()).for_each(|i| v.push_cell(src.cell(i)));
+        (0..src.len()).for_each(|i| v.push_from(&src, i));
+        let mut interned = HashMap::new();
+        for s in ["y", "x", "y"] {
+            v.push_interned(s.to_string(), &mut interned);
+        }
+        assert_eq!(interned.len(), 2, "each distinct string is interned once");
+        let mut want = values(&src);
+        want.extend(values(&src));
+        want.extend(["y", "x", "y"].map(Value::from));
+        assert_eq!(values(&v), want);
+        v.push(Value::Int(7));
+        assert!(matches!(v, ColumnVector::Mixed(_)));
+        want.push(Value::Int(7));
+        assert_eq!(format!("{:?}", values(&v)), format!("{want:?}"));
+    }
+
+    #[test]
+    fn string_byte_size_is_the_sum_of_lengths_and_one_per_null() {
+        let v = strings(&[Some("abc"), None, Some(""), Some("abc"), None]);
+        assert_eq!(v.byte_size(), 3 + 1 + 0 + 3 + 1);
+        let picked = ColumnVector::gather(&[&v], [(0, 3), (0, 4)].into_iter());
+        assert_eq!(picked.byte_size(), 3 + 1);
+    }
+
+    /// A dictionary filled cell by cell is copied at doublings only, and
+    /// never while another column holds it.
+    #[test]
+    fn dictionary_grows_in_place_until_shared() {
+        let mut v = ColumnVector::new_for(Some(DataType::Str));
+        let (mut copies, mut at) = (0, std::ptr::null());
+        for i in 0..1000 {
+            v.push(Value::Str(i.to_string()));
+            let (_, _, dict) = v.str_codes().unwrap();
+            if dict.as_ptr() != at {
+                copies += 1;
+                at = dict.as_ptr();
+            }
+        }
+        assert_eq!(copies, 9, "4, 8, ..., 1024 entries");
+        let shared = v.clone();
+        v.push(Value::from("new"));
+        let want: Vec<Value> = (0..1000).map(|i| Value::Str(i.to_string())).collect();
+        assert_eq!(values(&shared), want);
+        assert_eq!(v.value(1000), Value::from("new"));
     }
 
     #[test]

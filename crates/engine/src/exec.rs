@@ -392,9 +392,11 @@ impl Exec<'_> {
                 // Table row id → the build row it stands for.
                 let mut build_rows: Vec<(u32, u32)> = Vec::with_capacity(n_build);
                 let build_keys = eval_keys(left_keys, &build);
+                let probe_keys = eval_keys(right_keys, &probe);
+                let probe_keys = key_chunks(&probe_keys, &probe);
                 let mut table = RowTable::build(
                     &key_chunks(&build_keys, &build),
-                    n_probe,
+                    &probe_keys,
                     #[inline(always)]
                     |ci, pi| {
                         build_rows.push((ci as u32, pi as u32));
@@ -402,11 +404,10 @@ impl Exec<'_> {
                 );
                 let mut lpicks: Vec<(u32, u32)> = Vec::new();
                 let mut rpicks: Vec<(u32, u32)> = Vec::new();
-                for (ci, ch) in probe.iter().enumerate() {
-                    let keys = eval_columns(right_keys, ch);
+                for (ci, (ch, (keys, rows))) in probe.iter().zip(&probe_keys).enumerate() {
                     table.probe_chunk(
-                        &borrowed(&keys),
-                        ch.rows(),
+                        keys,
+                        *rows,
                         #[inline(always)]
                         |id, pi| {
                             let (bci, bpi) = build_rows[id as usize];
@@ -514,18 +515,30 @@ impl Exec<'_> {
                     if k == 0 {
                         continue;
                     }
-                    let mut builders = builders_for(schema, exprs.len());
-                    for r in ch.selected() {
-                        let view = RowView {
-                            cols: &ch.cols,
-                            row: r,
-                        };
-                        for (j, e) in exprs.iter().enumerate() {
-                            builders[j].push_cell(eval_cells(e, &view));
+                    // A bare column is the chunk's own vector, or its live
+                    // rows gathered (a string column as codes, the
+                    // dictionary shared); anything else is evaluated row
+                    // by row into a vector of its declared type.
+                    let cols = exprs.iter().zip(builders_for(schema, exprs.len()));
+                    let cols = cols.map(|(e, mut col)| match (e, &ch.sel) {
+                        (CompiledExpr::Column(i), Sel::All) => Arc::clone(&ch.cols[*i]),
+                        (CompiledExpr::Column(i), Sel::Ids(ids)) => {
+                            let picks = ids.iter().map(|&r| (0, r as usize));
+                            Arc::new(ColumnVector::gather(&[&ch.cols[*i]], picks))
                         }
-                    }
+                        _ => {
+                            for r in ch.selected() {
+                                let view = RowView {
+                                    cols: &ch.cols,
+                                    row: r,
+                                };
+                                col.push_cell(eval_cells(e, &view));
+                            }
+                            Arc::new(col)
+                        }
+                    });
                     out.push(Chunk {
-                        cols: builders.into_iter().map(Arc::new).collect(),
+                        cols: cols.collect(),
                         len: k,
                         sel: Sel::All,
                     });

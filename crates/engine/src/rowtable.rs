@@ -13,17 +13,24 @@
 //!   looks up. The chain of key `k` starts at `heads[k − min]`, NULL's at
 //!   `heads[span]`; a chain holds one key only, so nothing is hashed and no
 //!   key is compared. A probe cell outside the range misses on one compare.
+//! * **Codes** — one `Str` key column whose every chunk, build and probe,
+//!   indexes one dictionary of at most [`DENSE_SLOTS_PER_LOOKUP`] entries
+//!   per row looked up. Once per table each entry is mapped to the first
+//!   entry of equal content, its *canonical* code; the chain of a string
+//!   starts at `heads[canonical code]`, NULL's after the last entry. As in
+//!   the dense layout, nothing is hashed or compared per row, and a
+//!   dictionary whose entries repeat still gives one chain per string.
 //! * **Hashed** — any other key. A chain is a hash bucket: each row keeps
 //!   its 64-bit key hash ([`CellRef::hash64`], the hash `Value` has), and a
 //!   lookup walks one chain comparing hashes, then key cells. A single
 //!   `Int` key is matched once per chunk and compared in a loop over
 //!   `&[i64]` / `&[bool]`; any other shape compares cell by cell.
 //!
-//! Both answer every lookup alike, in the same order: equality is
+//! All three answer every lookup alike, in the same order: equality is
 //! `total_cmp == Equal` (the equality `Value` has) — so a `Float` cell
 //! finds `Int` key `k` only where it equals `k` exactly, which `-0.0`, NaN
-//! and fractions never do — chains keep insertion order, and ids are
-//! handed out first-seen.
+//! and fractions never do, and strings are equal by content — chains keep
+//! insertion order, and ids are handed out first-seen.
 //!
 //! The closures run once per row are `#[inline(always)]`: left to the
 //! compiler, some were called out of line, once per row, which cost the
@@ -31,12 +38,15 @@
 
 use qcc_common::{CellRef, ColumnVector};
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 const NONE: u32 = u32::MAX;
 
-/// The dense layout's key range may span at most this many slots per row
-/// the operator looks up, so its zero-filled `heads` is bounded by work
-/// the operator already does per row, whatever the keys.
+/// The dense layout's key range, and the code layout's dictionary, may
+/// span at most this many slots per row the operator looks up, so their
+/// zero-filled `heads` is bounded by work the operator already does per
+/// row, whatever the keys.
 const DENSE_SLOTS_PER_LOOKUP: u64 = 4;
 
 /// The live rows of a chunk, as physical row indices in order.
@@ -95,19 +105,36 @@ fn total_rows(chunks: &[KeyChunk<'_>]) -> usize {
 }
 
 /// How a key finds its chain.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 enum Layout {
     /// `heads[hash & (heads.len() - 1)]`.
     Hashed,
     /// `heads[key - min]` for `key - min < span`, `heads[span]` for NULL.
     Dense { min: i64, span: u64 },
+    /// `heads[canon[code]]` for a string's dictionary code,
+    /// `heads[canon.len()]` for NULL.
+    Codes { canon: Vec<u32> },
 }
 
 impl Layout {
-    /// Dense if the key of `chunks` is one column whose non-NULL cells are
-    /// all `Int` and whose range spans at most `DENSE_SLOTS_PER_LOOKUP`
-    /// slots per lookup; hashed otherwise.
-    fn pick(chunks: &[KeyChunk<'_>], lookups: usize) -> Layout {
+    /// The layout for keys `chunks`, to be looked up by the rows of
+    /// `chunks` and `probes`. Codes if every chunk of both is keyed on one
+    /// `Str` column, all of one dictionary no longer than
+    /// `DENSE_SLOTS_PER_LOOKUP` entries per lookup; dense if the key of
+    /// `chunks` is one column whose non-NULL cells are all `Int` and whose
+    /// range spans at most that many slots per lookup; hashed otherwise.
+    fn pick(chunks: &[KeyChunk<'_>], probes: &[KeyChunk<'_>]) -> Layout {
+        let lookups = (total_rows(chunks) + total_rows(probes)) as u64;
+        let max_slots = DENSE_SLOTS_PER_LOOKUP.saturating_mul(lookups);
+        if let Some(dict) = shared_dict(chunks, probes) {
+            return if dict.len() as u64 <= max_slots {
+                Layout::Codes {
+                    canon: canonical(dict),
+                }
+            } else {
+                Layout::Hashed
+            };
+        }
         // An empty range while `min > max`.
         let (mut min, mut max) = (i64::MAX, i64::MIN);
         let mut extend = |k: i64| {
@@ -147,7 +174,7 @@ impl Layout {
         }
         // The distance between two `i64`s always fits a `u64`.
         let width = max.wrapping_sub(min) as u64;
-        if width < DENSE_SLOTS_PER_LOOKUP.saturating_mul(lookups as u64) {
+        if width < max_slots {
             Layout::Dense {
                 min,
                 span: width + 1,
@@ -156,11 +183,53 @@ impl Layout {
             Layout::Hashed
         }
     }
+
+    /// The slot of NULL in a dense or code table: one past the keys'.
+    fn null_slot(&self) -> u64 {
+        match self {
+            Layout::Dense { span, .. } => *span,
+            Layout::Codes { canon } => canon.len() as u64,
+            Layout::Hashed => 0,
+        }
+    }
+
+    /// Call `f(row, slot)` for each live row of a dense or code table's key
+    /// column, in order: the key's slot, [`Layout::null_slot`] for NULL,
+    /// one past that for a key in no slot.
+    #[inline]
+    fn slots(&self, col: &ColumnVector, rows: Rows<'_>, f: impl FnMut(usize, u64)) {
+        match self {
+            Layout::Dense { min, span } => dense_slots(col, rows, *min, *span, f),
+            Layout::Codes { canon } => code_slots(col, rows, canon, f),
+            Layout::Hashed => {}
+        }
+    }
 }
 
-/// One inserted row: its key hash — in the dense layout, its slot — and
-/// the next row of its chain. Side by side, so a step along a chain costs
-/// one cache line, not two.
+/// The dictionary that every chunk of `chunks` and `probes` indexes with
+/// its one key column, if there is one.
+fn shared_dict<'a>(chunks: &[KeyChunk<'a>], probes: &[KeyChunk<'a>]) -> Option<&'a [Arc<str>]> {
+    let dict = |(cols, _): &KeyChunk<'a>| match cols[..] {
+        [col] => col.str_codes().map(|(_, _, dict)| dict),
+        _ => None,
+    };
+    let mut all = chunks.iter().chain(probes);
+    let first = dict(all.next()?)?;
+    all.all(|c| dict(c).is_some_and(|d| std::ptr::eq(d, first)))
+        .then_some(first)
+}
+
+/// Each entry of `dict` → the first entry of the same content.
+fn canonical(dict: &[Arc<str>]) -> Vec<u32> {
+    let mut first = HashMap::with_capacity(dict.len());
+    (0..dict.len() as u32)
+        .map(|code| *first.entry(&*dict[code as usize]).or_insert(code))
+        .collect()
+}
+
+/// One inserted row: its key hash — in the dense and code layouts, its
+/// slot — and the next row of its chain. Side by side, so a step along a
+/// chain costs one cache line, not two.
 struct Link {
     hash: u64,
     next: u32,
@@ -172,7 +241,8 @@ struct Chains {
     /// Row id → the row.
     links: Vec<Link>,
     /// Chain → its first row. Hashed: a power of two long; dense: one slot
-    /// per key of the range, then NULL's.
+    /// per key of the range, then NULL's; codes: one slot per dictionary
+    /// entry, then NULL's.
     heads: Vec<u32>,
 }
 
@@ -182,15 +252,15 @@ impl Chains {
     fn head(&self, h: u64) -> usize {
         match self.layout {
             Layout::Hashed => h as usize & (self.heads.len() - 1),
-            Layout::Dense { .. } => h as usize,
+            Layout::Dense { .. } | Layout::Codes { .. } => h as usize,
         }
     }
 }
 
-/// Call `f(row, slot)` for each live row of a dense table's key column, in
-/// order: `k - min` for an `Int` key `k` in the range, `span` for NULL,
-/// `span + 1` for a key in no slot. An `Int` column is read in a loop over
-/// `&[i64]` / `&[bool]`, any other cell by cell.
+/// [`Layout::slots`] of a dense table: `k - min` for an `Int` key `k` in
+/// the range, `span` for NULL, `span + 1` for a key in no slot. An `Int`
+/// column is read in a loop over `&[i64]` / `&[bool]`, any other cell by
+/// cell.
 #[inline]
 fn dense_slots(
     col: &ColumnVector,
@@ -233,6 +303,34 @@ fn dense_slots(
                 },
             );
         }
+    }
+}
+
+/// [`Layout::slots`] of a code table: `canon[code]`, `canon.len()` for
+/// NULL. The table was picked for these chunks, so every one indexes the
+/// dictionary `canon` was made from; a column of no dictionary would have
+/// no slot.
+#[inline]
+fn code_slots(col: &ColumnVector, rows: Rows<'_>, canon: &[u32], mut f: impl FnMut(usize, u64)) {
+    let null = canon.len() as u64;
+    match col.str_codes() {
+        Some((codes, nulls, _)) => rows.for_each(
+            #[inline(always)]
+            |r| {
+                f(
+                    r,
+                    if nulls[r] {
+                        null
+                    } else {
+                        u64::from(canon[codes[r] as usize])
+                    },
+                )
+            },
+        ),
+        None => rows.for_each(
+            #[inline(always)]
+            |r| f(r, null + 1),
+        ),
     }
 }
 
@@ -333,7 +431,7 @@ impl<'a> Keys<'a> {
             }
             Keys::Any { stored, cols } => {
                 for (s, c) in stored.iter_mut().zip(*cols) {
-                    s.push_cell(c.cell(r));
+                    s.push_from(c, r);
                 }
             }
         }
@@ -357,7 +455,7 @@ impl RowTable {
     fn new(layout: Layout, rows: usize) -> RowTable {
         let heads = match layout {
             Layout::Hashed => (rows.max(1) * 2).next_power_of_two(),
-            Layout::Dense { span, .. } => span as usize + 1,
+            Layout::Dense { .. } | Layout::Codes { .. } => layout.null_slot() as usize + 1,
         };
         RowTable {
             keys: Vec::new(),
@@ -373,14 +471,14 @@ impl RowTable {
 
     /// Join build: a table of every live row of `chunks` whose keys are all
     /// non-NULL (a NULL key never joins), reporting each one's chunk and
-    /// physical row as it is inserted. `probe_rows` more lookups follow.
+    /// physical row as it is inserted. The keys of `probes` follow, chunk
+    /// by chunk, through [`RowTable::probe_chunk`].
     pub(crate) fn build(
         chunks: &[KeyChunk<'_>],
-        probe_rows: usize,
+        probes: &[KeyChunk<'_>],
         inserted: impl FnMut(usize, usize),
     ) -> RowTable {
-        let layout = Layout::pick(chunks, total_rows(chunks) + probe_rows);
-        RowTable::build_as(layout, chunks, inserted)
+        RowTable::build_as(Layout::pick(chunks, probes), chunks, inserted)
     }
 
     fn build_as(
@@ -403,7 +501,7 @@ impl RowTable {
         }
         for (ci, (cols, rows)) in chunks.iter().enumerate() {
             let mut keys = Keys::new(&mut table.keys, cols);
-            let links = &mut table.chains.links;
+            let Chains { layout, links, .. } = &mut table.chains;
             let mut insert = |r: usize, hash: u64| {
                 links.push(Link { hash, next: NONE });
                 keys.push(r);
@@ -419,18 +517,19 @@ impl RowTable {
                         }
                     }
                 }
-                Layout::Dense { min, span } => dense_slots(
-                    cols[0],
-                    *rows,
-                    min,
-                    span,
-                    #[inline(always)]
-                    |r, s| {
-                        if s < span {
-                            insert(r, s);
-                        }
-                    },
-                ),
+                layout => {
+                    let null = layout.null_slot();
+                    layout.slots(
+                        cols[0],
+                        *rows,
+                        #[inline(always)]
+                        |r, s| {
+                            if s < null {
+                                insert(r, s);
+                            }
+                        },
+                    );
+                }
             }
         }
         // Linking each row at its chain's head, last row first, leaves
@@ -449,8 +548,7 @@ impl RowTable {
     /// Grouping: an empty table for the keys of `chunks`, to be handed
     /// these same chunks, in order, through [`RowTable::group_ids`].
     pub(crate) fn for_groups(chunks: &[KeyChunk<'_>]) -> RowTable {
-        let rows = total_rows(chunks);
-        RowTable::new(Layout::pick(chunks, rows), rows)
+        RowTable::new(Layout::pick(chunks, &[]), total_rows(chunks))
     }
 
     /// Number of rows inserted.
@@ -473,7 +571,7 @@ impl RowTable {
         mut on_match: impl FnMut(u32, usize),
     ) {
         let chains = &self.chains;
-        match chains.layout {
+        match &chains.layout {
             Layout::Hashed => {
                 hash_chunk(&mut self.chunk_hashes, &mut self.chunk_nulls, cols, rows);
                 let keys = Keys::new(&mut self.keys, cols);
@@ -494,22 +592,23 @@ impl RowTable {
                 }
             }
             // A chain holds one key: every row of it matches.
-            Layout::Dense { min, span } => dense_slots(
-                cols[0],
-                rows,
-                min,
-                span,
-                #[inline(always)]
-                |r, s| {
-                    if s < span {
-                        let mut id = chains.heads[s as usize];
-                        while id != NONE {
-                            on_match(id, r);
-                            id = chains.links[id as usize].next;
+            layout => {
+                let null = layout.null_slot();
+                layout.slots(
+                    cols[0],
+                    rows,
+                    #[inline(always)]
+                    |r, s| {
+                        if s < null {
+                            let mut id = chains.heads[s as usize];
+                            while id != NONE {
+                                on_match(id, r);
+                                id = chains.links[id as usize].next;
+                            }
                         }
-                    }
-                },
-            ),
+                    },
+                );
+            }
         }
     }
 
@@ -520,7 +619,7 @@ impl RowTable {
         let mut keys = Keys::new(&mut self.keys, cols);
         let chains = &mut self.chains;
         ids.clear();
-        match chains.layout {
+        match &chains.layout {
             Layout::Hashed => {
                 hash_chunk(&mut self.chunk_hashes, &mut self.chunk_nulls, cols, rows);
                 for (i, &h) in self.chunk_hashes.iter().enumerate() {
@@ -549,11 +648,9 @@ impl RowTable {
             // A slot holds one group. The table was picked for these
             // chunks, so every key has a slot (any other key fails here,
             // on the index).
-            Layout::Dense { min, span } => dense_slots(
+            layout => layout.slots(
                 cols[0],
                 rows,
-                min,
-                span,
                 #[inline(always)]
                 |r, s| {
                     let head = &mut chains.heads[s as usize];
@@ -585,16 +682,25 @@ mod tests {
         c
     }
 
+    /// The cells of key columns, by content. `Debug`, not `==`: `Value`
+    /// equality is numeric across types.
+    fn cells(keys: &[ColumnVector]) -> String {
+        let cells: Vec<Vec<CellRef>> = keys
+            .iter()
+            .map(|k| (0..k.len()).map(|i| k.cell(i)).collect())
+            .collect();
+        format!("{cells:?}")
+    }
+
     /// What the join finds over `build` and `probe` in `layout`: the
     /// inserted `(chunk, row)`s, the matches per probe chunk, and the
     /// stored keys.
     type Joined = (Vec<(usize, usize)>, Vec<Vec<(u32, usize)>>, String);
 
-    fn joined(build: &[KeyChunk<'_>], probe: &[KeyChunk<'_>], layout: Layout) -> Joined {
+    fn joined(build: &[KeyChunk<'_>], probe: &[KeyChunk<'_>], layout: &Layout) -> Joined {
         let mut inserted = Vec::new();
-        let mut table = RowTable::build_as(layout, build, |ci, r| inserted.push((ci, r)));
-        // `Debug`, not `==`: `Value` equality is numeric across types.
-        let keys = format!("{:?}", table.keys);
+        let mut table = RowTable::build_as(layout.clone(), build, |ci, r| inserted.push((ci, r)));
+        let keys = cells(&table.keys);
         let matches = probe
             .iter()
             .map(|(cols, rows)| {
@@ -607,8 +713,8 @@ mod tests {
     }
 
     /// The group ids of each chunk in `layout`, and the stored keys.
-    fn grouped(chunks: &[KeyChunk<'_>], layout: Layout) -> (Vec<Vec<u32>>, String) {
-        let mut table = RowTable::new(layout, total_rows(chunks));
+    fn grouped(chunks: &[KeyChunk<'_>], layout: &Layout) -> (Vec<Vec<u32>>, String) {
+        let mut table = RowTable::new(layout.clone(), total_rows(chunks));
         let ids = chunks
             .iter()
             .map(|(cols, rows)| {
@@ -617,11 +723,11 @@ mod tests {
                 ids
             })
             .collect();
-        (ids, format!("{:?}", table.into_keys()))
+        (ids, cells(&table.into_keys()))
     }
 
     fn join_layout(build: &[KeyChunk<'_>], probe: &[KeyChunk<'_>]) -> Layout {
-        Layout::pick(build, total_rows(build) + total_rows(probe))
+        Layout::pick(build, probe)
     }
 
     #[test]
@@ -648,13 +754,13 @@ mod tests {
         let picked = RowTable::for_groups(&chunks).chains.layout;
         assert_eq!(picked, Layout::Dense { min: 1, span: 7 });
         for layout in [picked, Layout::Hashed] {
-            let (ids, keys) = grouped(&chunks, layout);
+            let (ids, keys) = grouped(&chunks, &layout);
             assert_eq!(ids, vec![vec![0, 1, 2, 0, 1], vec![2, 3]], "{layout:?}");
             let want = column(
                 DataType::Int,
                 &[Value::Int(7), Value::Null, Value::Int(3), Value::Int(1)],
             );
-            assert_eq!(keys, format!("{:?}", vec![want]), "{layout:?}");
+            assert_eq!(keys, cells(&[want]), "{layout:?}");
         }
     }
 
@@ -680,7 +786,7 @@ mod tests {
         let picked = join_layout(&build, &probe);
         assert_eq!(picked, Layout::Dense { min: 1, span: 2 });
         for layout in [picked, Layout::Hashed] {
-            let (inserted, matches, _) = joined(&build, &probe, layout);
+            let (inserted, matches, _) = joined(&build, &probe, &layout);
             let rows: Vec<usize> = inserted.iter().map(|&(_, r)| r).collect();
             assert_eq!(rows, vec![0, 1, 3, 4], "the NULL key is not inserted");
             assert_eq!(matches, vec![vec![(0, 0), (2, 0), (3, 0), (1, 2)]]);
@@ -720,8 +826,41 @@ mod tests {
         let picked = join_layout(&build, &probe);
         assert!(matches!(picked, Layout::Dense { .. }));
         for layout in [picked, Layout::Hashed] {
-            let (_, matches, _) = joined(&build, &probe, layout);
+            let (_, matches, _) = joined(&build, &probe, &layout);
             assert_eq!(matches, vec![vec![(0, 1), (1, 2)]], "{layout:?}");
+        }
+    }
+
+    /// A dictionary may hold a string twice (a column filled cell by cell
+    /// adds an entry per cell): the code layout maps both entries to one
+    /// slot, so they are one key.
+    #[test]
+    fn repeated_dictionary_entries_are_one_key() {
+        let s = column(
+            DataType::Str,
+            &[
+                Value::from("x"),
+                Value::from("y"),
+                Value::Null,
+                Value::from("x"),
+            ],
+        );
+        let chunks = [(vec![&s], Rows::All(4))];
+        let picked = RowTable::for_groups(&chunks).chains.layout;
+        assert_eq!(
+            picked,
+            Layout::Codes {
+                canon: vec![0, 1, 0]
+            }
+        );
+        for layout in [picked, Layout::Hashed] {
+            let (ids, keys) = grouped(&chunks, &layout);
+            assert_eq!(ids, vec![vec![0, 1, 2, 0]], "{layout:?}");
+            let want = column(
+                DataType::Str,
+                &[Value::from("x"), Value::from("y"), Value::Null],
+            );
+            assert_eq!(keys, cells(&[want]), "{layout:?}");
         }
     }
 
@@ -747,12 +886,13 @@ mod tests {
         } else {
             column(ty, &vals)
         };
-        let ids = (rng.next_f64() < 0.4).then(|| {
-            (0..col.len() as u32)
-                .filter(|_| rng.next_f64() < 0.6)
-                .collect()
-        });
+        let ids = selection(rng, col.len());
         (col, ids)
+    }
+
+    /// All of `len` rows, or about six in ten of them.
+    fn selection(rng: &mut Pcg32, len: usize) -> Option<Vec<u32>> {
+        (rng.next_f64() < 0.4).then(|| (0..len as u32).filter(|_| rng.next_f64() < 0.6).collect())
     }
 
     /// `n` cells from `cell`, about one in ten NULL.
@@ -825,6 +965,28 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// The three-way check of the layout properties: the join of `keyed`
+    /// and `probe` — or, with no probe side, the grouping of `keyed` —
+    /// gives the same inserted rows, match lists, group ids and stored
+    /// keys in `picked` as in the hashed layout, and is the one `total_cmp`
+    /// defines.
+    fn agree(case: usize, keyed: &[KeyChunk<'_>], probe: Option<&[KeyChunk<'_>]>, picked: &Layout) {
+        match probe {
+            Some(probe) => {
+                let got = joined(keyed, probe, picked);
+                let want = joined(keyed, probe, &Layout::Hashed);
+                assert_eq!(got, want, "case {case}: {picked:?}");
+                assert_eq!((got.0, got.1), naive_join(keyed, probe), "case {case}");
+            }
+            None => {
+                let got = grouped(keyed, picked);
+                let want = grouped(keyed, &Layout::Hashed);
+                assert_eq!(got, want, "case {case}: {picked:?}");
+                assert_eq!(got.0, naive_groups(keyed), "case {case}");
+            }
+        }
     }
 
     /// Seeded property: on single-column keys of every shape, the layout
@@ -941,24 +1103,151 @@ mod tests {
             } else {
                 dense += 1;
             }
-            if is_join {
-                let got = joined(&keyed, &probe, picked);
-                let want = joined(&keyed, &probe, Layout::Hashed);
-                assert_eq!(got, want, "case {case}: {picked:?}");
-                assert_eq!((got.0, got.1), naive_join(&keyed, &probe), "case {case}");
-            } else {
-                let got = grouped(&keyed, picked);
-                assert_eq!(
-                    got,
-                    grouped(&keyed, Layout::Hashed),
-                    "case {case}: {picked:?}"
-                );
-                assert_eq!(got.0, naive_groups(&keyed), "case {case}");
-            }
+            agree(case, &keyed, is_join.then_some(&probe[..]), &picked);
         }
         assert!(
             dense > 600 && hashed > 300,
             "{dense} dense, {hashed} hashed"
+        );
+        assert!(at_threshold > 300, "{at_threshold}");
+    }
+
+    /// A string column of `n` strings drawn from `pool` — so its `n`
+    /// dictionary entries repeat when the pool is small — and about one
+    /// NULL cell per ten; never empty.
+    fn dictionary(rng: &mut Pcg32, n: u64, pool: u64) -> ColumnVector {
+        let mut col = ColumnVector::new_for(Some(DataType::Str));
+        for _ in 0..n {
+            if rng.next_f64() < 0.1 {
+                col.push(Value::Null);
+            }
+            let k = rng.range_u64(0, pool);
+            col.push(Value::Str(match k % 3 {
+                0 => format!("s{k}"),
+                _ => format!("a string longer than eight bytes, {k}"),
+            }));
+        }
+        if col.is_empty() {
+            col.push(Value::Null);
+        }
+        col
+    }
+
+    /// Seeded property, the string half of `dense_and_hashed_layouts_agree`
+    /// with the same three-way check. Key chunks are gathered from one
+    /// dictionary (the code layout) or from several (hashed); dictionaries
+    /// repeat entries (a pool of 1, 3 or 8 strings) and hold NULL cells;
+    /// one case in four sizes the dictionary exactly at the code layout's
+    /// threshold or one past it; probes mix in chunks of another dictionary
+    /// and chunks of `Int`, `Float` and `Mixed` cells; chunks are selected
+    /// in full or in part.
+    #[test]
+    fn code_and_hashed_layouts_agree() {
+        let mut rng = Pcg32::seed_from(2_800);
+        let (mut codes, mut hashed, mut at_threshold) = (0, 0, 0);
+        for case in 0..2_000 {
+            let is_join = rng.next_f64() < 0.6;
+            let threshold = (rng.range_u64(0, 4) == 0).then(|| rng.range_u64(0, 2));
+            // Where a chunk's cells come from: dictionary 0, 1 or 2, or
+            // (probes only) 3 `Int`, 4 `Float`, 5 `Mixed` cells. At the
+            // threshold, every chunk is of dictionary 0.
+            let several = threshold.is_none() && rng.range_u64(0, 4) == 0;
+            let build_src = |rng: &mut Pcg32| if several { rng.range_u64(0, 3) } else { 0 };
+            let probe_src = |rng: &mut Pcg32| match rng.range_u64(0, 8) {
+                _ if threshold.is_some() => 0,
+                0 => 1,
+                1..=3 => rng.range_u64(3, 6),
+                _ => build_src(rng),
+            };
+            let shape = |rng: &mut Pcg32, src: u64| {
+                let len = rng.range_u64(0, 40) as usize;
+                (src, len, selection(rng, len))
+            };
+            // At the threshold, at least one chunk shows the dictionary.
+            let keyed: Vec<_> = (0..rng.range_u64(u64::from(threshold.is_some()), 4))
+                .map(|_| {
+                    let src = build_src(&mut rng);
+                    shape(&mut rng, src)
+                })
+                .collect();
+            let probe: Vec<_> = (0..if is_join { rng.range_u64(0, 4) } else { 0 })
+                .map(|_| {
+                    let src = probe_src(&mut rng);
+                    shape(&mut rng, src)
+                })
+                .collect();
+            let live = |shapes: &[(u64, usize, Option<Vec<u32>>)]| -> u64 {
+                let live = shapes
+                    .iter()
+                    .map(|(_, len, ids)| ids.as_ref().map_or(*len, Vec::len));
+                live.sum::<usize>() as u64
+            };
+            let lookups = live(&keyed) + live(&probe);
+            let pool = *rng.choose(&[1u64, 3, 8, 1_000]);
+            let dicts: Vec<ColumnVector> = (0..3)
+                .map(|d| {
+                    let n = match threshold {
+                        Some(past) if d == 0 => 4 * lookups + past,
+                        _ => rng.range_u64(0, 60),
+                    };
+                    dictionary(&mut rng, n, pool)
+                })
+                .collect();
+            let mut chunk = |(src, len, ids): &(u64, usize, Option<Vec<u32>>)| -> GenChunk {
+                let mut cells = |cell: &dyn Fn(&mut Pcg32) -> Value| -> Vec<Value> {
+                    (0..*len)
+                        .map(|_| match rng.range_u64(0, 10) {
+                            0 => Value::Null,
+                            _ => cell(&mut rng),
+                        })
+                        .collect()
+                };
+                let col = match src {
+                    0..=2 => {
+                        let dict = &dicts[*src as usize];
+                        let rows: Vec<usize> = (0..*len)
+                            .map(|_| rng.range_u64(0, dict.len() as u64) as usize)
+                            .collect();
+                        ColumnVector::gather(&[dict], rows.into_iter().map(|r| (0, r)))
+                    }
+                    3 => column(
+                        DataType::Int,
+                        &cells(&|rng| Value::Int(rng.range_i64(-2, 3))),
+                    ),
+                    4 => column(
+                        DataType::Float,
+                        &cells(&|rng| Value::Float(*rng.choose(&[0.0, -0.0, 1.0, f64::NAN]))),
+                    ),
+                    _ => ColumnVector::Mixed(cells(&|rng| match rng.range_u64(0, 3) {
+                        0 => Value::Int(rng.range_i64(-2, 3)),
+                        1 => Value::Float(0.5),
+                        _ => Value::Str(format!("s{}", 3 * rng.range_u64(0, 3))),
+                    })),
+                };
+                (col, ids.clone())
+            };
+            let keyed: Vec<GenChunk> = keyed.iter().map(&mut chunk).collect();
+            let probe: Vec<GenChunk> = probe.iter().map(&mut chunk).collect();
+            let (keyed, probe) = (key_chunks(&keyed), key_chunks(&probe));
+            let picked = join_layout(&keyed, &probe);
+            if let Some(past) = threshold {
+                at_threshold += 1;
+                assert_eq!(
+                    matches!(picked, Layout::Codes { .. }),
+                    past == 0,
+                    "case {case}: {picked:?}"
+                );
+            }
+            match picked {
+                Layout::Codes { .. } => codes += 1,
+                Layout::Hashed => hashed += 1,
+                Layout::Dense { .. } => {}
+            }
+            agree(case, &keyed, is_join.then_some(&probe[..]), &picked);
+        }
+        assert!(
+            codes > 600 && hashed > 300,
+            "{codes} codes, {hashed} hashed"
         );
         assert!(at_threshold > 300, "{at_threshold}");
     }

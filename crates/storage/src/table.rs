@@ -4,13 +4,16 @@
 //! rows each on the insert path; adopted batches keep their own size).
 //! Each chunk carries per-column [`ColumnSummary`] zone maps (min / max /
 //! null count) that the vectorized scan uses to skip or bulk-accept whole
-//! chunks. `rows()` materializes the legacy `Row` view for row-oriented
-//! boundaries (the naive reference evaluator, tests, result display).
+//! chunks. A string column's chunk is one dictionary of its distinct
+//! strings, interned as rows are inserted, plus a code per cell. `rows()`
+//! materializes the legacy `Row` view for row-oriented boundaries (the
+//! naive reference evaluator, tests, result display).
 
 use qcc_common::{
     ColumnBatch, ColumnSummary, ColumnVector, DataType, QccError, Result, Row, Schema, Value,
     BATCH_ROWS,
 };
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One chunk of a table: `Arc`-shared column vectors plus zone maps.
@@ -71,6 +74,10 @@ pub struct Table {
     /// Starting global row position of each chunk (parallel to `chunks`).
     starts: Vec<usize>,
     row_count: usize,
+    /// Per column of the last chunk, each string `insert` put there and its
+    /// code, so a chunk's dictionary holds each of its distinct strings
+    /// once. Cleared whenever another chunk becomes the last.
+    interned: Vec<HashMap<Arc<str>, u32>>,
 }
 
 impl Table {
@@ -82,6 +89,7 @@ impl Table {
             chunks: Vec::new(),
             starts: Vec::new(),
             row_count: 0,
+            interned: Vec::new(),
         }
     }
 
@@ -128,6 +136,8 @@ impl Table {
             len,
         });
         self.row_count += len;
+        // The maps index the dictionaries of the chunk before.
+        self.interned.clear();
         Ok(())
     }
 
@@ -229,11 +239,17 @@ impl Table {
         if self.chunks.last().is_none_or(|c| c.len >= BATCH_ROWS) {
             self.starts.push(self.row_count);
             self.chunks.push(TableChunk::empty(&self.schema));
+            self.interned.clear();
         }
+        self.interned.resize_with(self.schema.len(), HashMap::new);
         if let Some(chunk) = self.chunks.last_mut() {
             for (i, v) in row.into_values().into_iter().enumerate() {
                 chunk.summaries[i].observe(&v);
-                Arc::make_mut(&mut chunk.columns[i]).push(v);
+                let column = Arc::make_mut(&mut chunk.columns[i]);
+                match v {
+                    Value::Str(s) => column.push_interned(s, &mut self.interned[i]),
+                    v => column.push(v),
+                }
             }
             chunk.len += 1;
         }
@@ -464,6 +480,44 @@ mod tests {
             t.chunks()[0].summaries()[0].max,
             Some(Value::Int(BATCH_ROWS as i64 - 1))
         );
+    }
+
+    /// Each chunk's dictionary holds its distinct strings once; a chunk
+    /// adopted from a batch takes inserts after its own entries, and the
+    /// batch it came from keeps its cells.
+    #[test]
+    fn inserted_strings_are_interned_per_chunk() {
+        let schema = Schema::new(vec![Column::new("s", DataType::Str)]);
+        let mut t = Table::new("t", schema.clone());
+        let cell = |i: usize| match i % 7 {
+            0 => Value::Null,
+            _ => Value::Str(format!("tag_{}", i % 10)),
+        };
+        let rows: Vec<Row> = (0..BATCH_ROWS + 5)
+            .map(|i| Row::new(vec![cell(i)]))
+            .collect();
+        t.insert_all(rows.clone()).unwrap();
+        assert_eq!(t.rows(), rows);
+        let entries = |t: &Table, c: usize| {
+            let (_, _, dict) = t.chunks()[c].columns()[0].str_codes().unwrap();
+            dict.len()
+        };
+        assert_eq!(entries(&t, 0), 10);
+        // Rows 1024..1029 hold tags 4 to 8.
+        assert_eq!(entries(&t, 1), 5);
+
+        let mut adopted = Table::from_batches("u", schema, vec![t.chunks()[1].to_batch()]).unwrap();
+        let more = [Value::from("tag_4"), Value::from("new"), Value::Null];
+        for v in &more {
+            adopted.insert(Row::new(vec![v.clone()])).unwrap();
+        }
+        let want: Vec<Row> = rows[BATCH_ROWS..]
+            .iter()
+            .cloned()
+            .chain(more.iter().map(|v| Row::new(vec![v.clone()])))
+            .collect();
+        assert_eq!(adopted.rows(), want);
+        assert_eq!(t.rows(), rows);
     }
 
     #[test]

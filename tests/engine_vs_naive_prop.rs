@@ -20,8 +20,10 @@ use qcc_sql::parse_select;
 /// with FLOAT, string and two-column keys, and 24 statements over one
 /// catalog of several chunks per table; then 64 cases and 16 statements
 /// over one multi-chunk catalog whose `Int` join and group keys are spread
-/// past the row-id table's dense range. The oracle cross-joins, so its
-/// multi-chunk catalogs keep `tb` small.
+/// past the row-id table's dense range; then 48 cases and 16 statements
+/// over one multi-chunk catalog of string join, group, `DISTINCT` and
+/// `ORDER BY` keys. The oracle cross-joins, so its multi-chunk catalogs
+/// keep `tb` small.
 fn cases(seed: u64, big_b: bool) -> Vec<(Catalog, String)> {
     let mut rng = Pcg32::seed_from(seed);
     let mut out = Vec::new();
@@ -53,6 +55,21 @@ fn cases(seed: u64, big_b: bool) -> Vec<(Catalog, String)> {
     let big = corpus::sparse_catalog(&mut rng, rows_a, rows_b);
     for _ in 0..16 {
         out.push((big.clone(), corpus::sparse_query(&mut rng)));
+    }
+    for _ in 0..48 {
+        let (rows_a, rows_b) = (rng.range_u64(0, 60), rng.range_u64(0, 60));
+        let catalog = corpus::string_catalog(&mut rng, rows_a, rows_b);
+        out.push((catalog, corpus::string_query(&mut rng)));
+    }
+    let rows_a = corpus::multi_chunk_rows(&mut rng);
+    let rows_b = if big_b {
+        corpus::multi_chunk_rows(&mut rng)
+    } else {
+        rng.range_u64(30, 60)
+    };
+    let big = corpus::string_catalog(&mut rng, rows_a, rows_b);
+    for _ in 0..16 {
+        out.push((big.clone(), corpus::string_query(&mut rng)));
     }
     out
 }
@@ -559,9 +576,11 @@ fn rows_digest(batches: &[ColumnBatch]) -> u64 {
 /// QT1–QT4 at the scale `qcc-perf`'s `paper_phases` runs (40 000 / 1 000
 /// rows), instances 0 and 7, every offered plan: the `Work` bits, the
 /// root's per-batch row counts and a digest of its rows, recorded before
-/// the row-id table's dense layout went in. At this scale every join and
-/// every group key of the templates is one dense `Int` column, so these
-/// are the plans whose virtual times are the paper's result.
+/// the row-id table's dense layout went in. At this scale every join key
+/// of the templates is one dense `Int` column, and so is every group key
+/// but QT2's `s.cat`: a string, whose cells index `small_s`'s one
+/// dictionary (the row-id table's code layout). These are the plans whose
+/// virtual times are the paper's result.
 #[test]
 fn qt1_to_qt4_are_pinned_at_paper_scale() {
     // (signature, cpu_units bits, rows_scanned, rows_output, result_bytes,

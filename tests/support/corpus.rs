@@ -3,7 +3,7 @@
 //! oracle) and the batch engine's own pruning-equivalence unit test, which
 //! `#[path]`-includes this file.
 //!
-//! Three generations, each drawn after the one before so the old cases
+//! Four generations, each drawn after the one before so the old cases
 //! stay the old cases. The first — small NULL-free `Int`-keyed tables, one
 //! equi-join key, `ORDER BY` on every grouped statement — is what the
 //! suites always drew. The second reaches what a hash table must get
@@ -12,7 +12,11 @@
 //! build keys, first-seen group order, and tables of several chunks. Its
 //! `Int` keys span a small range, so the row-id table lays them out
 //! densely; the third spreads them far apart, which takes its hashed
-//! layout for a single `Int` key.
+//! layout for a single `Int` key. The fourth is about strings: string join
+//! and group keys, `DISTINCT` and `ORDER BY` over them, NULL strings, and
+//! string columns of one chunk (one dictionary: the row-id table's code
+//! layout) and of several (a dictionary per chunk, so hashed — or, once a
+//! join has gathered them into one, codes whose entries repeat).
 
 #![allow(dead_code)]
 
@@ -235,6 +239,96 @@ pub fn nullable_query(rng: &mut Pcg32) -> String {
         _ => format!(
             "SELECT ta.s, ta.a, ta.f FROM ta WHERE {p} ORDER BY ta.s DESC, ta.a + ta.b, ta.f, ta.a"
         ),
+    }
+}
+
+/// `ta(a, s, t)` and `tb(c, s)` of the given sizes: `s` and `t` are strings
+/// from a pool that grows with the tables (`s` and `t` overlap, and `tb.s`
+/// reaches one string past `ta.s`'s), with an empty string among them and
+/// about one cell in ten NULL; `a` and `c` are small `Int`s.
+pub fn string_catalog(rng: &mut Pcg32, rows_a: u64, rows_b: u64) -> Catalog {
+    let strings = (rows_a.max(rows_b) / 40).max(4);
+    let string = |rng: &mut Pcg32, pool: u64| -> Value {
+        match rng.range_u64(0, pool + 1) {
+            _ if rng.next_f64() < 0.1 => Value::Null,
+            0 => Value::Str(String::new()),
+            k if k % 2 == 0 => Value::Str(format!("s{k}")),
+            k => Value::Str(format!("a string past eight bytes {k}")),
+        }
+    };
+    let mut ta = Table::new(
+        "ta",
+        Schema::new(vec![
+            Column::new("a", DataType::Int),
+            Column::new("s", DataType::Str),
+            Column::new("t", DataType::Str),
+        ]),
+    );
+    for _ in 0..rows_a {
+        let row = vec![
+            Value::Int(rng.range_i64(0, 10)),
+            string(rng, strings),
+            string(rng, strings / 2),
+        ];
+        ta.insert(Row::new(row)).unwrap();
+    }
+    let mut tb = Table::new(
+        "tb",
+        Schema::new(vec![
+            Column::new("c", DataType::Int),
+            Column::new("s", DataType::Str),
+        ]),
+    );
+    for _ in 0..rows_b {
+        let row = vec![Value::Int(rng.range_i64(0, 10)), string(rng, strings + 1)];
+        tb.insert(Row::new(row)).unwrap();
+    }
+    let mut catalog = Catalog::new();
+    catalog.register(ta);
+    catalog.register(tb);
+    catalog.create_index("ta", "a").unwrap();
+    catalog
+}
+
+/// Statements over [`string_catalog`]: joins on a string key, grouping and
+/// `DISTINCT` on strings — of `ta` (a dictionary per chunk), of `tb` and of
+/// a join's output — and `ORDER BY` over strings. Joins and grouped
+/// statements have no `ORDER BY`: match order and first-seen group order
+/// are compared.
+pub fn string_query(rng: &mut Pcg32) -> String {
+    let p = match rng.range_u64(0, 6) {
+        0 => "ta.s = 's2'".to_string(),
+        1 => format!("ta.s > 's{}'", rng.range_u64(0, 6)),
+        2 => "ta.t IS NULL".to_string(),
+        3 => "ta.t LIKE 'a%'".to_string(),
+        4 => "ta.s IN ('', 's4', 'a string past eight bytes 1')".to_string(),
+        _ => format!("ta.a < {}", rng.range_i64(0, 10)),
+    };
+    match rng.range_u64(0, 10) {
+        0 => format!("SELECT ta.a, ta.s, tb.c FROM ta JOIN tb ON ta.s = tb.s WHERE {p}"),
+        1 => format!(
+            "SELECT ta.s, COUNT(*) AS n, SUM(ta.a) AS t, MIN(ta.t) AS lo FROM ta \
+             WHERE {p} GROUP BY ta.s"
+        ),
+        2 => "SELECT tb.s, COUNT(*) AS n, MAX(tb.c) AS hi FROM tb GROUP BY tb.s".to_string(),
+        3 => format!(
+            "SELECT tb.s, COUNT(*) AS n, MAX(ta.t) AS hi FROM ta JOIN tb ON ta.a = tb.c \
+             WHERE {p} GROUP BY tb.s"
+        ),
+        4 => format!(
+            "SELECT ta.s, COUNT(*) AS n, MIN(tb.c) AS lo FROM ta JOIN tb ON ta.s = tb.s \
+             WHERE {p} GROUP BY ta.s"
+        ),
+        5 => "SELECT DISTINCT ta.s FROM ta".to_string(),
+        6 => "SELECT DISTINCT ta.t, tb.s FROM ta JOIN tb ON ta.a = tb.c".to_string(),
+        7 => format!("SELECT ta.s, ta.t, ta.a FROM ta WHERE {p} ORDER BY ta.s DESC, ta.t, ta.a"),
+        8 => format!(
+            "SELECT COUNT(*), COUNT(DISTINCT ta.s), MIN(ta.s), MAX(ta.t), COUNT(ta.t) \
+             FROM ta WHERE {p}"
+        ),
+        _ => "SELECT ta.s, tb.s, COUNT(*) AS n FROM ta JOIN tb ON ta.s = tb.s AND ta.a = tb.c \
+              GROUP BY ta.s, tb.s"
+            .to_string(),
     }
 }
 
