@@ -7,7 +7,7 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> boundaries: one engine reachable from library code, one Work ledger, one open-loop driver"
+echo "==> boundaries: one engine reachable from library code, one Work ledger, one open-loop driver, one merge execution path"
 # The AST oracle lives in tests/support/naive.rs and the row reference is
 # for tests and benches: no library source outside the engine names either.
 if grep -rnE 'naive::|rowexec' crates/*/src | grep -v '^crates/engine/src/'; then
@@ -32,6 +32,13 @@ fi
 if grep -rnE 'dequeue_batch\(|submit_batch_with_budgets\(' crates/*/src \
     | grep -vE '^crates/(admission|federation)/src/|^crates/workload/src/openloop\.rs:'; then
     echo "boundary: a second open-loop driver outside crates/workload/src/openloop.rs" >&2
+    exit 1
+fi
+# One merge execution path (DESIGN.md §16): hot and cold merges run the
+# plan over the gathered batches (execute_over); the integrator's merge
+# neither executes through a catalog nor registers the batches as tables.
+if grep -nE 'execute_plan\(|register_virtual\(' crates/federation/src/federation/merge.rs; then
+    echo "boundary: the merge executes through a catalog instead of over the gathered batches" >&2
     exit 1
 fi
 
@@ -137,11 +144,11 @@ if grep -q "reroute recovery: VIOLATED" /tmp/qcc-reroute.out; then
 fi
 grep -q "reroute recovery: OK" /tmp/qcc-reroute.out
 
-echo "==> bench smoke: query_path (a warm statement adds no parse, decompose, merge-cost EXPLAIN, merge plan or wrapper EXPLAIN)"
+echo "==> bench smoke: query_path (a warm statement adds no parse, decompose, merge-cost EXPLAIN, merge plan or wrapper EXPLAIN; a warm merge stays within its allocation bound)"
 cargo bench -q --offline -p qcc-bench --bench query_path \
     | tee /tmp/qcc-querypath.out
 if grep -q "query path: VIOLATED" /tmp/qcc-querypath.out; then
-    echo "query_path: a warm submit repeated compile work" >&2
+    echo "query_path: a warm submit repeated compile work or exceeded its allocation bound" >&2
     exit 1
 fi
 grep -q "query path: OK" /tmp/qcc-querypath.out
@@ -164,8 +171,8 @@ for w in paper_phases coordinator_hot fleet_adhoc overload_faults; do
 done
 # The probe ladder (--trace 1) calls the replica catalog's select_sources
 # and the EXPLAIN chain directly; run it where the catalog and the fault
-# windows are on.
-for w in fleet_adhoc overload_faults; do
+# windows are on, and where its submits go through the warm merge.
+for w in coordinator_hot fleet_adhoc overload_faults; do
     cargo run --release --offline -q --manifest-path qcc-perf/Cargo.toml -- \
         --workload "$w" --seed 1 --seconds 15 --smoke --trace 1 | tail -n 1 > /tmp/qcc-perf-trace.json
     if ! grep -q '"correct": true' /tmp/qcc-perf-trace.json; then

@@ -19,15 +19,30 @@
 //! After one warm-up submit per shape, `SUBMITS` further submits must add
 //! nothing to `compiled_template_misses_total`,
 //! `integration_estimates_total`, `merge_plans_total` and
-//! `explain_requests_total`. The verdict line (`query path: OK|VIOLATED`)
-//! rests on those counts alone and `ci.sh` greps it; the µs/submit column
-//! is printed for information and never gates (wall time on a shared
-//! single-core host is noise).
+//! `explain_requests_total`.
+//!
+//! The bench also counts heap allocations per warm submit
+//! (`qcc_bench::CountingAllocator`), at one scatter thread so the count
+//! is the code's, not the host's. The two merging shapes are gated on
+//! it: a warm merge binds the stored plan's scans to the shipped batches
+//! and builds no `Table`, zone map, `Catalog` or `Engine`, and one that
+//! did would show as ≈ 20 more. Measured before → after the warm merge
+//! stopped building them: single-source 160.5 → 160.5, co-located join
+//! 216.5 → 216.5, cross-source merge 261.1 → 240.1, 3-replica fan-out
+//! 282.4 → 261.4.
+//!
+//! The verdict line (`query path: OK|VIOLATED`) rests on those counts
+//! alone and `ci.sh` greps it; the µs/submit column is printed for
+//! information and never gates (wall time on a shared host is noise).
 
+use qcc_bench::{counting, CountingAllocator};
 use qcc_common::WallStopwatch;
 use qcc_core::QccConfig;
 use qcc_workload::scenario::scale_server_specs;
 use qcc_workload::{Scenario, ScenarioConfig};
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Measured submits per shape, after the warm-up submit.
 const SUBMITS: usize = 200;
@@ -49,6 +64,8 @@ struct Shape {
     fragments: usize,
     /// Candidate servers of every fragment.
     replicas: usize,
+    /// Heap allocations a warm submit may make on average, where gated.
+    max_allocs: Option<f64>,
 }
 
 const SHAPES: [Shape; 4] = [
@@ -58,6 +75,7 @@ const SHAPES: [Shape; 4] = [
         sql: "SELECT a.grp, COUNT(*) AS n FROM big_a a WHERE a.sel > 2000 GROUP BY a.grp",
         fragments: 1,
         replicas: 1,
+        max_allocs: None,
     },
     Shape {
         name: "co-located join",
@@ -66,6 +84,7 @@ const SHAPES: [Shape; 4] = [
               FROM big_a a JOIN big_b b ON b.a_id = a.id WHERE a.sel > 2000 GROUP BY a.grp",
         fragments: 1,
         replicas: 1,
+        max_allocs: None,
     },
     Shape {
         name: "cross-source merge",
@@ -74,6 +93,7 @@ const SHAPES: [Shape; 4] = [
               FROM big_a a JOIN small_s s ON a.grp = s.id WHERE s.bonus > 20 GROUP BY s.cat",
         fragments: 2,
         replicas: 1,
+        max_allocs: Some(250.0),
     },
     Shape {
         name: "3-replica fan-out",
@@ -82,6 +102,7 @@ const SHAPES: [Shape; 4] = [
               FROM big_a a JOIN small_s s ON a.grp = s.id WHERE s.bonus > 20 GROUP BY s.cat",
         fragments: 2,
         replicas: 3,
+        max_allocs: Some(271.0),
     },
 ];
 
@@ -92,6 +113,7 @@ fn world(servers: usize) -> Scenario {
             large_rows: 200,
             small_rows: 40,
             server_specs: scale_server_specs(servers, 0x5eed),
+            threads: 1,
             ..ScenarioConfig::tiny()
         },
     )
@@ -139,14 +161,20 @@ fn main() {
         let expected = fed.submit(shape.sql).expect("warm-up submit").rows;
         let before = frozen_counts(&scenario);
         let sw = WallStopwatch::start();
-        for _ in 0..SUBMITS {
-            let out = fed.submit(shape.sql).expect("warm submit");
-            if out.rows != expected {
-                violations.push(format!("{}: a warm submit changed the answer", shape.name));
-                break;
-            }
-        }
+        let (changed, allocs) = counting(|| {
+            (0..SUBMITS).any(|_| fed.submit(shape.sql).expect("warm submit").rows != expected)
+        });
         let us_per_submit = sw.elapsed_nanos() as f64 / 1e3 / SUBMITS as f64;
+        if changed {
+            violations.push(format!("{}: a warm submit changed the answer", shape.name));
+        }
+        let allocs_per_submit = allocs as f64 / SUBMITS as f64;
+        if let Some(bound) = shape.max_allocs.filter(|&b| allocs_per_submit > b) {
+            violations.push(format!(
+                "{}: {allocs_per_submit:.1} allocations per warm submit, bound {bound}",
+                shape.name
+            ));
+        }
         let after = frozen_counts(&scenario);
         let added: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
         for (name, n) in FROZEN.iter().zip(&added) {
@@ -161,6 +189,7 @@ fn main() {
             added[1].to_string(),
             added[2].to_string(),
             added[3].to_string(),
+            format!("{allocs_per_submit:.1}"),
             format!("{us_per_submit:.1}"),
         ]);
     }
@@ -173,6 +202,7 @@ fn main() {
             "merge-cost EXPLAINs".to_string(),
             "merge plans".to_string(),
             "wrapper EXPLAINs".to_string(),
+            "allocs/submit".to_string(),
             "us/submit (info)".to_string(),
         ],
         &rows,
@@ -180,7 +210,8 @@ fn main() {
     if violations.is_empty() {
         println!(
             "query path: OK (0 template misses, 0 merge-cost EXPLAINs, 0 merge plans, \
-             0 wrapper EXPLAINs over {SUBMITS} warm submits of each of {} shapes)",
+             0 wrapper EXPLAINs over {SUBMITS} warm submits of each of {} shapes; \
+             merging shapes within their allocation bounds)",
             SHAPES.len()
         );
     } else {

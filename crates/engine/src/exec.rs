@@ -17,6 +17,13 @@
 //! with operator-level totals or per-match events only — so chunk pruning
 //! changes wall-clock time but never virtual time — and to emit the same
 //! list of output chunks, which the remote cursor turns into offsets.
+//!
+//! A plan's scans read a catalog's tables ([`execute_batches`]) or named
+//! slots of batches ([`execute_over`], the integrator's merge over the
+//! gathered fragment results). A slot has no zone maps, so its scan
+//! evaluates the predicate on every chunk — the same rows and `Work`,
+//! since a zone-map verdict only ever short-cuts that evaluation — and no
+//! index.
 
 use crate::cost::CostModel;
 use crate::expr::{AggAccumulator, CompiledExpr};
@@ -29,6 +36,7 @@ use qcc_common::{
     Value,
 };
 use qcc_sql::BinaryOp;
+use qcc_storage::catalog::CatalogEntry;
 use qcc_storage::Catalog;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -80,18 +88,39 @@ pub fn execute_batches(
     catalog: &Catalog,
     m: &CostModel,
 ) -> Result<(Vec<ColumnBatch>, Work)> {
-    run(plan, catalog, m, required_columns)
+    run(plan, Tables::Catalog(catalog), m, required_columns)
 }
 
 /// Execute a plan against a catalog, materializing rows (the `Row`
 /// compatibility boundary for row-oriented callers).
 pub fn execute(plan: &PlanNode, catalog: &Catalog, m: &CostModel) -> Result<(Vec<Row>, Work)> {
-    let (batches, work) = execute_batches(plan, catalog, m)?;
+    Ok(to_rows(execute_batches(plan, catalog, m)?))
+}
+
+/// Execute a plan whose scans read named slots of batches instead of
+/// catalog tables, materializing rows: a `SeqScan` of `table` reads the
+/// batches of the slot of that name (case-insensitive, as a catalog
+/// looks names up), and an `IndexScan` is an error, a slot having no
+/// index. The rows, their order and the `Work` are those of
+/// [`execute`] over a catalog holding each slot's batches as a table.
+/// The batches are not checked against the plan: the caller checks them
+/// against the schemas the plan was made for
+/// ([`qcc_storage::check_batches`]).
+pub fn execute_over(
+    plan: &PlanNode,
+    slots: &[(&str, &[ColumnBatch])],
+    m: &CostModel,
+) -> Result<(Vec<Row>, Work)> {
+    let batches = run(plan, Tables::Slots(slots), m, required_columns)?;
+    Ok(to_rows(batches))
+}
+
+fn to_rows((batches, work): (Vec<ColumnBatch>, Work)) -> (Vec<Row>, Work) {
     let mut rows = Vec::with_capacity(work.rows_output as usize);
     for b in &batches {
         rows.extend(b.to_rows());
     }
-    Ok((rows, work))
+    (rows, work)
 }
 
 /// Given the output columns of `plan` its parent reads (`needed`, one
@@ -154,10 +183,51 @@ fn required_columns(plan: &PlanNode, needed: &[bool]) -> Vec<Vec<bool>> {
 /// [`required_columns`]' signature.
 type ChildNeeds = fn(&PlanNode, &[bool]) -> Vec<Vec<bool>>;
 
+/// Where a plan's scans find their tables.
+#[derive(Clone, Copy)]
+enum Tables<'a> {
+    /// A catalog's: stored chunks with zone maps, and indexes.
+    Catalog(&'a Catalog),
+    /// Named slots of batches ([`execute_over`]): neither.
+    Slots(&'a [(&'a str, &'a [ColumnBatch])]),
+}
+
+/// A scanned table, as [`Exec::lookup`] resolves it.
+#[derive(Clone, Copy)]
+enum Scanned<'a> {
+    Entry(&'a CatalogEntry),
+    Slot(&'a [ColumnBatch]),
+}
+
+/// One chunk of a scanned table: its columns, its row count and, where
+/// the table keeps them, its zone maps.
+type ScanChunk<'a> = (&'a [Arc<ColumnVector>], usize, Option<&'a [ColumnSummary]>);
+
+impl<'a> Scanned<'a> {
+    fn row_count(self) -> usize {
+        match self {
+            Scanned::Entry(entry) => entry.table.row_count(),
+            Scanned::Slot(batches) => batches.iter().map(ColumnBatch::n_rows).sum(),
+        }
+    }
+
+    /// The chunks in row order: one of the two sources is empty.
+    fn chunks(self) -> impl Iterator<Item = ScanChunk<'a>> {
+        let (stored, batches) = match self {
+            Scanned::Entry(entry) => (entry.table.chunks(), &[][..]),
+            Scanned::Slot(batches) => (&[][..], batches),
+        };
+        let stored = stored
+            .iter()
+            .map(|c| (c.columns(), c.len(), Some(c.summaries())));
+        stored.chain(batches.iter().map(|b| (b.columns(), b.n_rows(), None)))
+    }
+}
+
 /// One execution: where the data is, the `Work` so far, and how column
 /// requirements flow down the plan.
 struct Exec<'a> {
-    catalog: &'a Catalog,
+    tables: Tables<'a>,
     work: Ledger<'a>,
     /// [`required_columns`], except in the test that pins it against
     /// requiring everything.
@@ -169,12 +239,12 @@ struct Exec<'a> {
 
 fn run(
     plan: &PlanNode,
-    catalog: &Catalog,
+    tables: Tables<'_>,
     m: &CostModel,
     child_needs: ChildNeeds,
 ) -> Result<(Vec<ColumnBatch>, Work)> {
     let mut exec = Exec {
-        catalog,
+        tables,
         work: Ledger::start(m),
         child_needs,
         pruned: Arc::new(ColumnVector::Mixed(Vec::new())),
@@ -266,7 +336,19 @@ fn builder_for(first: CellRef<'_>) -> ColumnVector {
     }))
 }
 
-impl Exec<'_> {
+impl<'a> Exec<'a> {
+    /// The table a scan of `name` reads.
+    fn lookup(&self, name: &str) -> Result<Scanned<'a>> {
+        match self.tables {
+            Tables::Catalog(catalog) => catalog.entry(name).map(Scanned::Entry),
+            Tables::Slots(slots) => slots
+                .iter()
+                .find(|(slot, _)| slot.eq_ignore_ascii_case(name))
+                .map(|&(_, batches)| Scanned::Slot(batches))
+                .ok_or_else(|| QccError::UnknownTable(name.to_owned())),
+        }
+    }
+
     /// Run `plan`, producing at least the output columns flagged in
     /// `needed`.
     fn node(&mut self, plan: &PlanNode, needed: &[bool]) -> Result<Vec<Chunk>> {
@@ -275,64 +357,46 @@ impl Exec<'_> {
             PlanNode::SeqScan {
                 table, predicate, ..
             } => {
-                let entry = self.catalog.entry(table)?;
-                let total = entry.table.row_count();
-                self.work
-                    .seq_scan(total, predicate.as_ref().map(CompiledExpr::node_count));
+                let scanned = self.lookup(table)?;
+                self.work.seq_scan(
+                    scanned.row_count(),
+                    predicate.as_ref().map(CompiledExpr::node_count),
+                );
+                let fast = predicate.as_ref().and_then(simple_cmp);
                 let mut out: Vec<Chunk> = Vec::new();
-                match predicate {
-                    None => {
-                        for ch in entry.table.chunks() {
-                            if ch.is_empty() {
-                                continue;
-                            }
-                            out.push(Chunk {
-                                cols: ch.columns().to_vec(),
-                                len: ch.len(),
-                                sel: Sel::All,
-                            });
-                        }
+                for (cols, len, zones) in scanned.chunks() {
+                    if len == 0 {
+                        continue;
                     }
-                    Some(p) => {
-                        let fast = simple_cmp(p);
-                        for ch in entry.table.chunks() {
-                            if ch.is_empty() {
-                                continue;
-                            }
-                            match zone_verdict(p, ch.summaries()) {
-                                Verdict::SkipAll => {}
-                                Verdict::KeepAll => out.push(Chunk {
-                                    cols: ch.columns().to_vec(),
-                                    len: ch.len(),
-                                    sel: Sel::All,
-                                }),
-                                Verdict::Eval => {
-                                    let ids: Vec<u32> = match fast {
-                                        Some((op, i, lit)) => cmp_rows(op, &ch.columns()[i], lit),
-                                        None => {
-                                            let cols = ch.columns();
-                                            (0..ch.len())
-                                                .filter(|&r| {
-                                                    eval_predicate_cells(
-                                                        p,
-                                                        &RowView { cols, row: r },
-                                                    )
-                                                })
-                                                .map(|r| r as u32)
-                                                .collect()
-                                        }
-                                    };
-                                    if !ids.is_empty() {
-                                        out.push(Chunk {
-                                            cols: ch.columns().to_vec(),
-                                            len: ch.len(),
-                                            sel: Sel::Ids(ids),
-                                        });
-                                    }
+                    // Without zone maps every chunk is evaluated; a verdict
+                    // only ever short-cuts that, so rows and `Work` agree.
+                    let sel = match predicate {
+                        None => Sel::All,
+                        Some(p) => match zones.map_or(Verdict::Eval, |z| zone_verdict(p, z)) {
+                            Verdict::SkipAll => continue,
+                            Verdict::KeepAll => Sel::All,
+                            Verdict::Eval => {
+                                let ids: Vec<u32> = match fast {
+                                    Some((op, i, lit)) => cmp_rows(op, &cols[i], lit),
+                                    None => (0..len)
+                                        .filter(|&r| {
+                                            eval_predicate_cells(p, &RowView { cols, row: r })
+                                        })
+                                        .map(|r| r as u32)
+                                        .collect(),
+                                };
+                                if ids.is_empty() {
+                                    continue;
                                 }
+                                Sel::Ids(ids)
                             }
-                        }
-                    }
+                        },
+                    };
+                    out.push(Chunk {
+                        cols: cols.to_vec(),
+                        len,
+                        sel,
+                    });
                 }
                 self.work.emit(total_selected(&out));
                 Ok(out)
@@ -344,7 +408,11 @@ impl Exec<'_> {
                 residual,
                 ..
             } => {
-                let entry = self.catalog.entry(table)?;
+                let Scanned::Entry(entry) = self.lookup(table)? else {
+                    return Err(QccError::Execution(format!(
+                        "index scan of {table}: a slot has no index"
+                    )));
+                };
                 self.work.index_probe();
                 let positions = index_positions(entry, table, column, pred)?;
                 self.work.index_matches(positions.len());
@@ -1436,7 +1504,8 @@ mod tests {
         let mut check = |e: &Engine, sql: &str| {
             for p in e.explain(sql).unwrap() {
                 let run_with = |needs: ChildNeeds| {
-                    let (batches, work) = run(&p.plan, e.catalog(), e.cost_model(), needs).unwrap();
+                    let tables = Tables::Catalog(e.catalog());
+                    let (batches, work) = run(&p.plan, tables, e.cost_model(), needs).unwrap();
                     // `Debug`, not `==`: `Value` equality is numeric
                     // across `Int` and `Float`.
                     let batches: Vec<String> = batches

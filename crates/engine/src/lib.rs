@@ -12,6 +12,10 @@
 //!   real data, returning the result rows and a [`Work`] record of how much
 //!   CPU work the execution actually performed. The simulation layers
 //!   translate work into virtual response time under load.
+//!
+//! The integrator's merge runs its planned statement over the gathered
+//! fragment batches with [`execute_over`], which binds the plan's scans
+//! to named slots instead of catalog tables.
 
 pub mod cost;
 pub mod exec;
@@ -30,7 +34,7 @@ pub mod work;
 mod corpus;
 
 pub use cost::{estimate_plan, CostModel};
-pub use exec::{execute, execute_batches};
+pub use exec::{execute, execute_batches, execute_over};
 pub use expr::{compile, CompiledExpr};
 pub use plan::{AggSpec, IndexPredicate, PlanNode};
 pub use planner::{plan_query, PlannerConfig};

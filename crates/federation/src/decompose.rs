@@ -69,9 +69,9 @@ impl FragmentSpec {
         Ok(stmt.to_string())
     }
 
-    /// Schema of the fragment's shipped result (used to register the
-    /// result as a temp table for the merge step). Only meaningful when
-    /// `!full_pushdown`.
+    /// Schema of the fragment's shipped result (what the merge step
+    /// checks the result against and plans it under). Only meaningful
+    /// when `!full_pushdown`.
     pub fn output_schema(&self) -> Schema {
         Schema::new(
             self.output
@@ -87,12 +87,13 @@ impl FragmentSpec {
 pub enum MergeSpec {
     /// Single full-pushdown fragment: its rows are the final answer.
     Passthrough,
-    /// Execute this statement over temp tables `__frag0`, `__frag1`, ...
-    /// (boxed: the statement is much larger than the other variant).
+    /// Execute this statement over the fragment results, read as tables
+    /// `__frag0`, `__frag1`, ... (boxed: the statement is much larger than
+    /// the other variant).
     Merge {
-        /// The merge statement. The integrator costs and runs this AST as
-        /// it stands (`Engine::explain_stmt` / `execute_stmt`); it is never
-        /// printed and parsed back.
+        /// The merge statement. The integrator costs and plans this AST as
+        /// it stands (`Engine::explain_stmt`); it is never printed and
+        /// parsed back.
         stmt: Box<SelectStmt>,
     },
 }
@@ -113,7 +114,8 @@ pub struct DecomposedQuery {
     pub template_signature: String,
 }
 
-/// Name of the temp table holding fragment `i`'s result at the integrator.
+/// Name the merge statement reads fragment `i`'s result under at the
+/// integrator: the slot its batches are bound to.
 pub fn frag_table(i: usize) -> String {
     format!("__frag{i}")
 }

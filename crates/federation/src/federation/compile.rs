@@ -3,7 +3,7 @@
 
 use super::template::{Learned, Template};
 use super::{Federation, II_SPEED};
-use crate::decompose::{frag_table, MergeSpec};
+use crate::decompose::MergeSpec;
 use crate::middleware::{Deferred, FragmentCandidate, GlobalCandidate};
 use qcc_common::{
     scatter_indexed, Cost, FragmentId, QccError, QueryId, Result, ServerId, SimDuration,
@@ -305,7 +305,7 @@ impl Federation {
     ) -> Cost {
         self.obs.counter_inc("integration_estimates_total", &[]);
         let mut catalog = Catalog::new();
-        for (i, (schema, &card)) in template.schemas.iter().zip(cardinalities).enumerate() {
+        for ((name, schema), &card) in template.slots.iter().zip(cardinalities) {
             let columns = schema
                 .columns()
                 .iter()
@@ -315,7 +315,7 @@ impl Federation {
                 })
                 .collect();
             let stats = TableStats::virtual_table(card, 8.0 * schema.len() as f64, columns);
-            catalog.register_virtual(Table::new(frag_table(i), Arc::clone(schema)), stats);
+            catalog.register_virtual(Table::new(name.as_str(), Arc::clone(schema)), stats);
         }
         let engine = Engine::new(catalog);
         match engine.explain_stmt(stmt) {

@@ -3,12 +3,13 @@
 
 use super::template::{Learned, Template};
 use super::{Federation, FragmentTimes, II_SPEED};
-use crate::decompose::{frag_table, MergeSpec};
+use crate::decompose::MergeSpec;
 use crate::middleware::Deferred;
-use qcc_common::{QccError, QueryId, Result, Row, SimDuration};
-use qcc_engine::Engine;
+use qcc_common::{ColumnBatch, QccError, QueryId, Result, Row, SimDuration};
+use qcc_engine::{execute_over, CostModel, Engine, PlanNode};
 use qcc_netsim::{slowdown, SimClock};
-use qcc_storage::{Catalog, Table, TableStats};
+use qcc_sql::SelectStmt;
+use qcc_storage::{check_batches, Catalog, Table};
 use qcc_wrapper::WrapperResult;
 use std::sync::Arc;
 
@@ -33,43 +34,29 @@ impl Federation {
                 Ok((rows, fragment_times))
             }
             MergeSpec::Merge { stmt } => {
-                // Adopt the shipped fragment batches as temp tables —
-                // columnar data is not copied, arity and types are checked.
-                let mut tables = Vec::with_capacity(results.len());
-                for (i, (schema, result)) in template.schemas.iter().zip(results).enumerate() {
-                    let table =
-                        Table::from_batches(frag_table(i), Arc::clone(schema), result.batches)
-                            .map_err(|e| {
-                                QccError::Execution(format!("fragment {i} result mismatch: {e}"))
-                            })?;
-                    tables.push(table);
+                // The shipped fragment batches are the merge statement's
+                // tables, bound by slot name: columnar data is not copied,
+                // arity and types are checked.
+                let mut slots = Vec::with_capacity(results.len());
+                for (i, ((name, schema), result)) in template.slots.iter().zip(&results).enumerate()
+                {
+                    check_batches(name, schema, &result.batches).map_err(|e| {
+                        QccError::Execution(format!("fragment {i} result mismatch: {e}"))
+                    })?;
+                    slots.push((name.as_str(), &result.batches[..]));
                 }
                 // The merge is planned once per vector of gathered row
                 // counts (DESIGN.md §16): a vector the template has seen
-                // runs the plan picked then, and since the executor reads
-                // tables, never statistics, its tables are registered
-                // without an ANALYZE.
-                let gathered: Vec<u64> = tables.iter().map(|t| t.row_count() as u64).collect();
-                let known = template.merge_plan(&gathered);
-                let mut catalog = Catalog::new();
-                for (table, &rows) in tables.into_iter().zip(&gathered) {
-                    match known {
-                        Some(_) => {
-                            let stats = TableStats::virtual_table(rows, 0.0, Vec::new());
-                            catalog.register_virtual(table, stats);
-                        }
-                        None => catalog.register(table),
-                    }
-                }
-                let engine = Engine::new(catalog);
-                let plan = match known {
+                // runs the plan picked then, straight over the batches.
+                let gathered: Vec<u64> = slots
+                    .iter()
+                    .map(|(_, batches)| batches.iter().map(|b| b.n_rows() as u64).sum())
+                    .collect();
+                let plan = match template.merge_plan(&gathered) {
                     Some(plan) => plan,
                     None => {
                         self.obs.counter_inc("merge_plans_total", &[]);
-                        let cheapest = engine.explain_stmt(stmt)?.into_iter().next();
-                        let planned = cheapest
-                            .ok_or_else(|| QccError::Planning("no plan produced".into()))?;
-                        let plan = Arc::new(planned.plan);
+                        let plan = Arc::new(plan_merge(template, stmt, &slots)?);
                         let learned = Learned {
                             merge_plan: Some((gathered, Arc::clone(&plan))),
                             ..Learned::default()
@@ -79,7 +66,7 @@ impl Federation {
                         plan
                     }
                 };
-                let (rows, work) = engine.execute_plan(&plan)?;
+                let (rows, work) = execute_over(&plan, &slots, &CostModel::default())?;
                 let merge_start = clock.now();
                 let rho = self.ii_load.utilization(merge_start);
                 let merge_ms = work.cpu_units / II_SPEED * slowdown(rho, 1.0);
@@ -91,4 +78,23 @@ impl Federation {
             }
         }
     }
+}
+
+/// Plan the merge statement as a fresh integrator would: every gathered
+/// result ANALYZEd as a table, the planner's cheapest plan taken. The
+/// plan only reads what the slots hold, so it then runs over them.
+fn plan_merge(
+    template: &Template,
+    stmt: &SelectStmt,
+    slots: &[(&str, &[ColumnBatch])],
+) -> Result<PlanNode> {
+    let mut catalog = Catalog::new();
+    for ((name, schema), (_, batches)) in template.slots.iter().zip(slots) {
+        let table = Table::from_batches(name.as_str(), Arc::clone(schema), batches.to_vec())?;
+        catalog.register(table);
+    }
+    let cheapest = Engine::new(catalog).explain_stmt(stmt)?.into_iter().next();
+    cheapest
+        .map(|planned| planned.plan)
+        .ok_or_else(|| QccError::Planning("no plan produced".into()))
 }

@@ -13,7 +13,7 @@
 //! every arrival.
 
 use super::Federation;
-use crate::decompose::{decompose, DecomposedQuery, MergeSpec};
+use crate::decompose::{decompose, frag_table, DecomposedQuery, MergeSpec};
 use crate::middleware::Deferred;
 use parking_lot::Mutex;
 use qcc_common::{Cost, FifoMap, Result, Schema, ServerId};
@@ -50,9 +50,11 @@ pub(super) struct Template {
     /// The decomposition: fragments, their output schemas, the parsed
     /// merge statement and the template signature.
     pub(super) decomposed: Arc<DecomposedQuery>,
-    /// Per fragment slot: the schema its shipped result is adopted under
-    /// at the merge. Empty for a passthrough template, which never merges.
-    pub(super) schemas: Vec<Arc<Schema>>,
+    /// Per fragment slot: the name the merge statement reads its shipped
+    /// result under (`__frag{i}`) and the schema the result is checked
+    /// against there. Empty for a passthrough template, which never
+    /// merges.
+    pub(super) slots: Vec<(String, Arc<Schema>)>,
     memo: Mutex<Memo>,
 }
 
@@ -86,15 +88,17 @@ impl Template {
             integration: FifoMap::new(INTEGRATION_MEMO_CAPACITY),
             merge_plan: FifoMap::new(MERGE_PLAN_MEMO_CAPACITY),
         };
-        let schemas = match decomposed.merge {
+        let slots = match decomposed.merge {
             MergeSpec::Merge { .. } => {
-                let fragments = decomposed.fragments.iter();
-                fragments.map(|f| Arc::new(f.output_schema())).collect()
+                let fragments = decomposed.fragments.iter().enumerate();
+                fragments
+                    .map(|(i, f)| (frag_table(i), Arc::new(f.output_schema())))
+                    .collect()
             }
             MergeSpec::Passthrough => Vec::new(),
         };
         Template {
-            schemas,
+            slots,
             decomposed: Arc::new(decomposed),
             memo: Mutex::new(memo),
         }

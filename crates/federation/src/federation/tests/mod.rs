@@ -782,19 +782,26 @@ fn cold_merge(
     b_from: &RemoteServer,
 ) -> (Vec<Row>, qcc_engine::Work) {
     let (decomposed, _) = fed.explain_global(CROSS_SOURCE).unwrap();
+    let shipped = decomposed.fragments.iter().zip([a_from, b_from]);
+    let shipped = shipped.map(|(frag, server)| {
+        let sql = frag.sql_for_server(fed.nicknames(), server.id()).unwrap();
+        let plan = server.engine().explain(&sql).unwrap().remove(0).plan;
+        server.engine().execute_plan_batches(&plan).unwrap().0
+    });
+    cold_merge_of(&decomposed, shipped.collect())
+}
+
+/// What a cold engine answers for `decomposed`'s merge over the given
+/// batches per fragment, and the `Work` it charges.
+fn cold_merge_of(
+    decomposed: &crate::DecomposedQuery,
+    shipped: Vec<Vec<ColumnBatch>>,
+) -> (Vec<Row>, qcc_engine::Work) {
     let crate::MergeSpec::Merge { stmt } = &decomposed.merge else {
         panic!("cross-source statement merges at the integrator");
     };
     let mut catalog = Catalog::new();
-    for (i, (frag, server)) in decomposed
-        .fragments
-        .iter()
-        .zip([a_from, b_from])
-        .enumerate()
-    {
-        let sql = frag.sql_for_server(fed.nicknames(), server.id()).unwrap();
-        let plan = server.engine().explain(&sql).unwrap().remove(0).plan;
-        let (batches, _) = server.engine().execute_plan_batches(&plan).unwrap();
+    for (i, (frag, batches)) in decomposed.fragments.iter().zip(shipped).enumerate() {
         let name = crate::decompose::frag_table(i);
         catalog.register(Table::from_batches(name, frag.output_schema(), batches).unwrap());
     }
@@ -881,6 +888,83 @@ fn merge_plan_memo_is_bounded_and_a_hit_still_checks_its_batches() {
         "{err}"
     );
     assert_eq!(planned(), 3 * MERGE_PLAN_MEMO_CAPACITY as u64);
+}
+
+/// A warm hit binds the shipped batches to the stored plan's scans
+/// without adopting them as tables, and still checks them as a table
+/// would: a `Str` column, or a `Mixed` one holding a string, where `Int`
+/// is declared is the typed `fragment {i} result mismatch`; a fragment
+/// that ships no batch at all merges as a cold engine over an empty
+/// table does, rows and `Work`.
+#[test]
+fn a_warm_hit_checks_column_types_and_merges_a_fragment_of_no_batches() {
+    let fed = cross_source_fleet();
+    let template = fed.template(CROSS_SOURCE, &mut Deferred::new()).unwrap();
+    let merge = |results: Vec<WrapperResult>| {
+        let mut effects = Deferred::new();
+        let merged = fed.merge_global(
+            QueryId(0),
+            &template,
+            results,
+            vec![],
+            fed.clock(),
+            &mut effects,
+        );
+        effects.apply();
+        merged.map(|(rows, _)| rows)
+    };
+    let planned = || fed.obs().counter_value("merge_plans_total", &[]);
+    merge(vec![id_result(0..8, 1), id_result(0..8, 1)]).unwrap();
+    assert_eq!(planned(), 1);
+
+    let shipped = |column: ColumnVector| WrapperResult {
+        batches: vec![ColumnBatch::new(vec![Arc::new(column)], 8)],
+        response_time: SimDuration::ZERO,
+        bytes: 0,
+    };
+    let mut strings = ColumnVector::new_for(Some(DataType::Str));
+    (0..8).for_each(|i| strings.push(Value::Str(format!("id{i}"))));
+    let cell = |i: i64| match i {
+        5 => Value::from("five"),
+        i => Value::Int(i),
+    };
+    let mixed = ColumnVector::Mixed((0..8).map(cell).collect());
+    for column in [strings, mixed] {
+        let err = merge(vec![id_result(0..8, 1), shipped(column)]).unwrap_err();
+        assert!(
+            matches!(&err, QccError::Execution(m) if m.starts_with("fragment 1 result mismatch")),
+            "{err}"
+        );
+    }
+    assert_eq!(planned(), 1, "both mistyped results were warm hits");
+
+    let (rows, work) = cold_merge_of(
+        &template.decomposed,
+        vec![id_result(0..8, 1).batches, vec![]],
+    );
+    let nothing = || WrapperResult {
+        batches: Vec::new(),
+        response_time: SimDuration::ZERO,
+        bytes: 0,
+    };
+    for _ in 0..2 {
+        assert_eq!(merge(vec![id_result(0..8, 1), nothing()]).unwrap(), rows);
+    }
+    assert_eq!(
+        planned(),
+        2,
+        "planned at the first arrival, a hit at the second"
+    );
+    let merges = fed.obs().events_of("merge");
+    let ms: Vec<u64> = merges[merges.len() - 2..]
+        .iter()
+        .map(|e| match e.field("ms") {
+            Some(FieldValue::F64(ms)) => ms.to_bits(),
+            other => panic!("merge event without ms: {other:?}"),
+        })
+        .collect();
+    // The integrator is idle at full speed: a merge's ms is its Work.
+    assert_eq!(ms, [work.cpu_units.to_bits(); 2]);
 }
 
 #[test]

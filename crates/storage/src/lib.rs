@@ -17,4 +17,4 @@ pub use catalog::Catalog;
 pub use datagen::{ColumnSpec, TableSpec};
 pub use index::Index;
 pub use stats::{ColumnQuickStats, ColumnStats, Histogram, TableStats};
-pub use table::{apply_update_batch, Table, TableChunk};
+pub use table::{apply_update_batch, check_batches, Table, TableChunk};

@@ -68,7 +68,7 @@ impl TableChunk {
 pub struct Table {
     name: String,
     /// Shared: adopting batches under a schema somebody already holds (the
-    /// integrator's merge, once per query) copies a pointer, not the names.
+    /// integrator planning a merge) copies a pointer, not the names.
     schema: Arc<Schema>,
     chunks: Vec<TableChunk>,
     /// Starting global row position of each chunk (parallel to `chunks`).
@@ -94,93 +94,34 @@ impl Table {
     }
 
     /// Build a table by adopting pre-built column batches without copying
-    /// cell data: each batch's `Arc`-shared columns become one chunk. Every
-    /// batch must match the schema's arity and column types (NULL anywhere;
-    /// exact `Int` values are acceptable in FLOAT columns, mirroring the
-    /// row-level insert rules).
+    /// cell data: each batch's `Arc`-shared columns become one chunk. The
+    /// batches must pass [`check_batches`].
     pub fn from_batches(
         name: impl Into<String>,
         schema: impl Into<Arc<Schema>>,
         batches: Vec<ColumnBatch>,
     ) -> Result<Table> {
         let mut table = Table::new(name, schema);
+        check_batches(&table.name, &table.schema, &batches)?;
         for batch in batches {
-            if batch.n_rows() == 0 {
-                continue;
+            if batch.n_rows() > 0 {
+                table.adopt_batch(batch);
             }
-            table.adopt_batch(batch)?;
         }
         Ok(table)
     }
 
-    fn adopt_batch(&mut self, batch: ColumnBatch) -> Result<()> {
-        if batch.n_cols() != self.schema.len() {
-            return Err(QccError::TypeMismatch(format!(
-                "table {} expects {} columns, batch has {}",
-                self.name,
-                self.schema.len(),
-                batch.n_cols()
-            )));
-        }
-        let mut summaries = Vec::with_capacity(batch.n_cols());
-        for (i, col) in batch.columns().iter().enumerate() {
-            let expected = self.schema.column(i).ty;
-            self.check_column(col, expected, i)?;
-            summaries.push(col.summarize());
-        }
+    fn adopt_batch(&mut self, batch: ColumnBatch) {
         let len = batch.n_rows();
         self.starts.push(self.row_count);
         self.chunks.push(TableChunk {
+            summaries: batch.columns().iter().map(|c| c.summarize()).collect(),
             columns: batch.columns().to_vec(),
-            summaries,
             len,
         });
         self.row_count += len;
         // The maps index the dictionaries of the chunk before.
         self.interned.clear();
-        Ok(())
-    }
-
-    fn check_column(&self, col: &ColumnVector, expected: DataType, idx: usize) -> Result<()> {
-        let ok = match (col, expected) {
-            (ColumnVector::Int { .. }, DataType::Int | DataType::Float) => true,
-            (ColumnVector::Float { .. }, DataType::Float) => true,
-            (ColumnVector::Str { .. }, DataType::Str) => true,
-            (ColumnVector::Mixed(vals), e) => {
-                match vals.iter().find(|v| {
-                    !matches!(
-                        (v.data_type(), e),
-                        (None, _) | (Some(DataType::Int), DataType::Float)
-                    ) && v.data_type() != Some(e)
-                }) {
-                    None => true,
-                    Some(v) => {
-                        return Err(self.column_type_error(idx, expected, v.data_type()));
-                    }
-                }
-            }
-            _ => false,
-        };
-        if ok {
-            Ok(())
-        } else {
-            let got = match col {
-                ColumnVector::Int { .. } => Some(DataType::Int),
-                ColumnVector::Float { .. } => Some(DataType::Float),
-                ColumnVector::Str { .. } => Some(DataType::Str),
-                ColumnVector::Mixed(_) => None,
-            };
-            Err(self.column_type_error(idx, expected, got))
-        }
-    }
-
-    fn column_type_error(&self, idx: usize, expected: DataType, got: Option<DataType>) -> QccError {
-        let got = got.map_or_else(|| "mixed".to_string(), |t| t.to_string());
-        QccError::TypeMismatch(format!(
-            "table {} column {} expects {expected}, got {got}",
-            self.name,
-            self.schema.column(idx).name,
-        ))
     }
 
     /// Table name.
@@ -295,22 +236,66 @@ impl Table {
         }
         for (i, v) in row.values().iter().enumerate() {
             let expected = self.schema.column(i).ty;
-            match (v.data_type(), expected) {
-                (None, _) => {}
-                (Some(t), e) if t == e => {}
-                // Ints are acceptable where floats are expected.
-                (Some(DataType::Int), DataType::Float) => {}
-                (Some(t), e) => {
+            match v.data_type() {
+                Some(t) if !accepts(expected, t) => {
                     return Err(QccError::TypeMismatch(format!(
-                        "table {} column {} expects {e}, got {t} ({v})",
+                        "table {} column {} expects {expected}, got {t} ({v})",
                         self.name,
                         self.schema.column(i).name,
                     )));
                 }
+                _ => {}
             }
         }
         Ok(())
     }
+}
+
+/// Check column batches against the schema of `table`, as
+/// [`Table::from_batches`] adopts them and the integrator's merge reads
+/// them: every batch with rows must match the schema's arity and column
+/// types (NULL anywhere; exact `Int` values are acceptable in FLOAT
+/// columns, mirroring the row-level insert rules). Batches without rows
+/// are skipped.
+pub fn check_batches(table: &str, schema: &Schema, batches: &[ColumnBatch]) -> Result<()> {
+    for batch in batches.iter().filter(|b| b.n_rows() > 0) {
+        if batch.n_cols() != schema.len() {
+            return Err(QccError::TypeMismatch(format!(
+                "table {table} expects {} columns, batch has {}",
+                schema.len(),
+                batch.n_cols()
+            )));
+        }
+        for (column, col) in schema.columns().iter().zip(batch.columns()) {
+            let expected = column.ty;
+            let got = match &**col {
+                ColumnVector::Int { .. } => DataType::Int,
+                ColumnVector::Float { .. } => DataType::Float,
+                ColumnVector::Str { .. } => DataType::Str,
+                // Cell by cell: the first cell of a type not accepted.
+                ColumnVector::Mixed(vals) => match vals
+                    .iter()
+                    .filter_map(Value::data_type)
+                    .find(|&t| !accepts(expected, t))
+                {
+                    None => continue,
+                    Some(t) => t,
+                },
+            };
+            if !accepts(expected, got) {
+                return Err(QccError::TypeMismatch(format!(
+                    "table {table} column {} expects {expected}, got {got}",
+                    column.name,
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Whether a column declared `expected` holds a `got` value.
+fn accepts(expected: DataType, got: DataType) -> bool {
+    got == expected || (got, expected) == (DataType::Int, DataType::Float)
 }
 
 /// Simulated "update workload" hook: touching a fraction of a table's rows.

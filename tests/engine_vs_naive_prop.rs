@@ -10,10 +10,13 @@ mod corpus;
 #[path = "support/naive.rs"]
 mod naive;
 
-use load_aware_federation::common::{Column, ColumnBatch, DataType, Pcg32, Row, Schema, Value};
-use load_aware_federation::engine::{execute_batches, rowexec, Engine};
-use load_aware_federation::storage::{Catalog, ColumnSpec, Table, TableSpec};
+use load_aware_federation::common::{
+    Column, ColumnBatch, DataType, Pcg32, QccError, Row, Schema, Value,
+};
+use load_aware_federation::engine::{execute_batches, execute_over, rowexec, Engine};
+use load_aware_federation::storage::{Catalog, ColumnSpec, Table, TableChunk, TableSpec};
 use qcc_sql::parse_select;
+use std::sync::Arc;
 
 /// The corpus: the 128 cases each suite always drew, then — from the same
 /// stream, so those keep their draws — 96 cases over NULL-bearing tables
@@ -185,6 +188,114 @@ fn columnar_engine_matches_row_engine() {
         plans_checked > 128,
         "too few plans exercised: {plans_checked}"
     );
+}
+
+/// Runs every plan `engine` offers for `sql` over slots holding each
+/// table's chunks as batches (what the integrator's merge does with the
+/// gathered fragment results). A `SeqScan`-only plan must return what it
+/// returns over the catalog — the same rows in the same order, compared
+/// by `Debug` form so `Int(3)` and `Float(3.0)` differ, and the `Work`
+/// to the bit — and an index plan must be a typed error. Returns the
+/// (`SeqScan`-only, index) plans checked.
+fn check_slots_against_catalog(engine: &Engine, sql: &str) -> (usize, usize) {
+    let catalog = engine.catalog();
+    let batches: Vec<(&str, Vec<ColumnBatch>)> = catalog
+        .table_names()
+        .into_iter()
+        .map(|name| {
+            let chunks = catalog.entry(name).unwrap().table.chunks();
+            (name, chunks.iter().map(TableChunk::to_batch).collect())
+        })
+        .collect();
+    let slots: Vec<(&str, &[ColumnBatch])> = batches.iter().map(|(n, b)| (*n, &b[..])).collect();
+    let (mut seq, mut index) = (0, 0);
+    for p in engine.explain(sql).expect("plans") {
+        let sig = p.plan.signature();
+        let over = execute_over(&p.plan, &slots, engine.cost_model());
+        if sig.contains("idxscan(") {
+            let err = over.expect_err("an index scan over slots");
+            assert!(matches!(err, QccError::Execution(_)), "{sig}: {err}");
+            index += 1;
+            continue;
+        }
+        let (rows, work) = over.unwrap_or_else(|e| panic!("{sig} over slots: {e}: {sql}"));
+        let (want_rows, want_work) = engine.execute_plan(&p.plan).expect("runs");
+        assert_eq!(
+            format!("{rows:?}"),
+            format!("{want_rows:?}"),
+            "{sig}: rows over slots for {sql}"
+        );
+        assert_eq!(work, want_work, "{sig}: Work over slots for {sql}");
+        assert_eq!(work.cpu_units.to_bits(), want_work.cpu_units.to_bits());
+        seq += 1;
+    }
+    (seq, index)
+}
+
+/// [`check_slots_against_catalog`] for every statement of the corpus, then
+/// for pushed-down predicates over a clustered table of five chunks whose
+/// zone maps decide chunks in the catalog run: `SkipAll` (`id < 0`, and
+/// all but the last chunk of `id > 4950`), `KeepAll` (`id >= 0`) and both
+/// through `AND` / `OR`. A slot has no zone maps, so its scan evaluates
+/// every row those verdicts skip or keep wholesale.
+#[test]
+fn slots_equal_the_catalog_to_the_bit() {
+    let (mut seq, mut index) = (0, 0);
+    for (catalog, sql) in cases(303, true) {
+        let (s, i) = check_slots_against_catalog(&Engine::new(catalog), &sql);
+        seq += s;
+        index += i;
+    }
+    assert!(
+        seq > 350 && index > 50,
+        "{seq} seq-scan plans, {index} index plans"
+    );
+
+    let mut t = Table::new(
+        "seq",
+        Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("v", DataType::Int),
+        ]),
+    );
+    for i in 0..5000i64 {
+        let v = if i % 11 == 0 {
+            Value::Null
+        } else {
+            Value::Int(i % 7)
+        };
+        t.insert(Row::new(vec![Value::Int(i), v])).unwrap();
+    }
+    let mut catalog = Catalog::new();
+    catalog.register(t);
+    catalog.create_index("seq", "id").unwrap();
+    let engine = Engine::new(catalog);
+    for sql in [
+        "SELECT * FROM seq WHERE id > 4950",
+        "SELECT * FROM seq WHERE id >= 0",
+        "SELECT * FROM seq WHERE id < 0",
+        "SELECT v FROM seq WHERE id < 1024 OR id >= 4096",
+        "SELECT COUNT(*) FROM seq WHERE id BETWEEN 1000 AND 1010 AND v = 3",
+        "SELECT id FROM seq WHERE v >= 0",
+        "SELECT v, COUNT(*) FROM seq WHERE id >= 2048 AND v < 7 GROUP BY v",
+    ] {
+        let (s, _) = check_slots_against_catalog(&engine, sql);
+        assert!(s > 0, "no seq-scan plan for {sql}");
+    }
+    // `id >= 0` keeps every chunk whole in the catalog run: its root
+    // batches are the table's own column vectors, not gathers.
+    let keep_all = engine.explain("SELECT * FROM seq WHERE id >= 0").unwrap();
+    let seq_plan = keep_all
+        .iter()
+        .find(|p| p.plan.signature() == "seqscan(seq,pred)");
+    let (batches, _) = engine
+        .execute_plan_batches(&seq_plan.expect("a seq-scan plan").plan)
+        .unwrap();
+    let chunks = engine.catalog().entry("seq").unwrap().table.chunks();
+    assert_eq!(batches.len(), chunks.len());
+    for (b, c) in batches.iter().zip(chunks) {
+        assert!(Arc::ptr_eq(&b.columns()[0], &c.columns()[0]));
+    }
 }
 
 /// Scenario-shaped tables (the §5 schema at reduced scale) through the four
