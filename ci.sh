@@ -171,8 +171,9 @@ for w in paper_phases coordinator_hot fleet_adhoc overload_faults; do
 done
 # The probe ladder (--trace 1) calls the replica catalog's select_sources
 # and the EXPLAIN chain directly; run it where the catalog and the fault
-# windows are on, and where its submits go through the warm merge.
-for w in coordinator_hot fleet_adhoc overload_faults; do
+# windows are on, where its submits go through the warm merge, and where
+# it replays Engine::execute_plan_batches on the paper's winning plans.
+for w in paper_phases coordinator_hot fleet_adhoc overload_faults; do
     cargo run --release --offline -q --manifest-path qcc-perf/Cargo.toml -- \
         --workload "$w" --seed 1 --seconds 15 --smoke --trace 1 | tail -n 1 > /tmp/qcc-perf-trace.json
     if ! grep -q '"correct": true' /tmp/qcc-perf-trace.json; then

@@ -10,13 +10,27 @@
 //! index-scan and sort gathers) copies only the columns its parent reads
 //! ([`required_columns`]).
 //!
+//! The per-row loops of the paper's join and aggregate do not branch on
+//! the data. An `Int` column against an `Int` literal writes every row id
+//! and advances past it by `!null & holds`. A dense or code join probe
+//! first writes each probe row with its chain's head, advancing only past
+//! a non-empty one, then walks those chains ([`RowTable::probe_chunk`]).
+//! `COUNT`, `SUM` and `AVG` keep typed per-group state — counts and
+//! [`NumericSum`]s — fed from `Int` / `Float` payloads in one loop per
+//! aggregate and chunk ([`AggState`]); `MIN`, `MAX` and `DISTINCT` keep an
+//! [`AggAccumulator`] per group.
+//!
 //! Execution returns the result batches and a [`Work`] record of how much
 //! CPU work was *accounted*. The formulas live in [`crate::work`]; this
 //! executor's half of the virtual-time contract is to call the ledger in
 //! the same operator order as the row reference in [`crate::rowexec`],
 //! with operator-level totals or per-match events only — so chunk pruning
 //! changes wall-clock time but never virtual time — and to emit the same
-//! list of output chunks, which the remote cursor turns into offsets.
+//! list of output chunks, which the remote cursor turns into offsets. The
+//! branch-free loops keep that half: they keep the same rows in the same
+//! order (a probe's matches, and with them its per-match `emit(1)` and
+//! residual calls, in probe order × build order), and each group's state
+//! sees its inputs in row order, so float sums keep their bits.
 //!
 //! A plan's scans read a catalog's tables ([`execute_batches`]) or named
 //! slots of batches ([`execute_over`], the integrator's merge over the
@@ -26,7 +40,7 @@
 //! index.
 
 use crate::cost::CostModel;
-use crate::expr::{AggAccumulator, CompiledExpr};
+use crate::expr::{AggAccumulator, CompiledExpr, NumericSum};
 use crate::plan::{index_positions, AggSpec, PlanNode};
 use crate::rowtable::{KeyChunk, RowTable, Rows};
 use crate::vexpr::{cmp_holds, eval_cells, eval_predicate_cells, PairView, RowView};
@@ -35,7 +49,7 @@ use qcc_common::{
     CellRef, ColumnBatch, ColumnSummary, ColumnVector, DataType, QccError, Result, Row, Schema,
     Value,
 };
-use qcc_sql::BinaryOp;
+use qcc_sql::{AggFunc, BinaryOp};
 use qcc_storage::catalog::CatalogEntry;
 use qcc_storage::Catalog;
 use std::borrow::Cow;
@@ -470,14 +484,19 @@ impl<'a> Exec<'a> {
                         build_rows.push((ci as u32, pi as u32));
                     },
                 );
-                let mut lpicks: Vec<(u32, u32)> = Vec::new();
-                let mut rpicks: Vec<(u32, u32)> = Vec::new();
+                // The output's (chunk, row) picks: build side, probe side.
+                let mut picks = (Vec::new(), Vec::new());
                 for (ci, (ch, (keys, rows))) in probe.iter().zip(&probe_keys).enumerate() {
                     table.probe_chunk(
                         keys,
                         *rows,
+                        &mut picks,
+                        |(lpicks, rpicks), n| {
+                            lpicks.reserve(n);
+                            rpicks.reserve(n);
+                        },
                         #[inline(always)]
-                        |id, pi| {
+                        |(lpicks, rpicks), id, pi| {
                             let (bci, bpi) = build_rows[id as usize];
                             if let Some(p) = residual {
                                 self.work.residual_check(p.node_count());
@@ -497,6 +516,7 @@ impl<'a> Exec<'a> {
                         },
                     );
                 }
+                let (lpicks, rpicks) = picks;
                 Ok(self.join_output(&build, &lpicks, &probe, &rpicks, needed))
             }
             PlanNode::NestedLoopJoin {
@@ -789,21 +809,15 @@ impl<'a> Exec<'a> {
         aggs: &[AggSpec],
         schema: &Schema,
     ) -> Vec<Chunk> {
-        let fresh: Vec<AggAccumulator> = aggs
-            .iter()
-            .map(|a| AggAccumulator::new(a.func, a.distinct))
-            .collect();
-        // accs[j][g]: aggregate j of group g. Groups are numbered by the
-        // row-id table in first-seen key order; a global aggregation is
-        // one group that exists whatever the input.
+        // states[j]: aggregate j, one entry per group. Groups are numbered
+        // by the row-id table in first-seen key order; a global
+        // aggregation is one group that exists whatever the input.
         let global = group_by.is_empty();
-        let mut accs: Vec<Vec<AggAccumulator>> = fresh
-            .iter()
-            .map(|f| Vec::from_iter(global.then(|| f.clone())))
-            .collect();
+        let mut states: Vec<AggState> = aggs.iter().map(AggState::new).collect();
         let keys = eval_keys(group_by, if global { &[] } else { chunks });
         let keys = key_chunks(&keys, chunks);
         let mut table = RowTable::for_groups(&keys);
+        let groups = |table: &RowTable| if global { 1 } else { table.len() };
         let mut group: Vec<u32> = Vec::new();
         for (ci, ch) in chunks.iter().enumerate() {
             if global {
@@ -813,25 +827,16 @@ impl<'a> Exec<'a> {
                 let (cols, rows) = &keys[ci];
                 table.group_ids(cols, *rows, &mut group);
             }
-            // One aggregate at a time, rows in order: each accumulator
-            // sees its inputs in the order row-at-a-time execution feeds
-            // them, so float sums keep their bits.
-            for ((accs, spec), fresh) in accs.iter_mut().zip(aggs).zip(&fresh) {
-                if !global {
-                    accs.resize_with(table.len(), || fresh.clone());
-                }
-                let mut group = group.iter().map(|&g| g as usize);
-                match &spec.arg {
-                    None => group.for_each(|g| accs[g].push_cell(None)),
-                    Some(e) => ch.rows().cells(&eval_column(e, ch), |c| {
-                        if let Some(g) = group.next() {
-                            accs[g].push_cell(Some(c));
-                        }
-                    }),
-                }
+            // One aggregate at a time, rows in order: each state sees its
+            // inputs in the order row-at-a-time execution feeds them, so
+            // float sums keep their bits.
+            for (state, spec) in states.iter_mut().zip(aggs) {
+                state.grow(spec, groups(&table));
+                let arg = spec.arg.as_ref().map(|e| eval_column(e, ch));
+                state.feed(&group, ch.rows(), arg.as_deref());
             }
         }
-        let n = if global { 1 } else { table.len() };
+        let n = groups(&table);
         self.work.emit(n);
         if n == 0 {
             return Vec::new();
@@ -839,8 +844,14 @@ impl<'a> Exec<'a> {
         let mut cols: Vec<Arc<ColumnVector>> =
             table.into_keys().into_iter().map(Arc::new).collect();
         let results = builders_for(schema, group_by.len() + aggs.len());
-        for (mut col, accs) in results.into_iter().skip(group_by.len()).zip(&accs) {
-            accs.iter().for_each(|acc| col.push(acc.finish()));
+        for ((mut col, mut state), spec) in results
+            .into_iter()
+            .skip(group_by.len())
+            .zip(states)
+            .zip(aggs)
+        {
+            state.grow(spec, n);
+            state.finish(spec, &mut col);
             cols.push(Arc::new(col));
         }
         vec![Chunk {
@@ -849,6 +860,119 @@ impl<'a> Exec<'a> {
             sel: Sel::All,
         }]
     }
+}
+
+/// One aggregate's state, an entry per group: a count for `COUNT`, a
+/// [`NumericSum`] for `SUM` / `AVG`, an [`AggAccumulator`] for `MIN` /
+/// `MAX` and every `DISTINCT` aggregate.
+enum AggState {
+    Count(Vec<u64>),
+    Sum(Vec<NumericSum>),
+    Any(Vec<AggAccumulator>),
+}
+
+impl AggState {
+    fn new(spec: &AggSpec) -> AggState {
+        match spec.func {
+            _ if spec.distinct => AggState::Any(Vec::new()),
+            AggFunc::Count => AggState::Count(Vec::new()),
+            AggFunc::Sum | AggFunc::Avg => AggState::Sum(Vec::new()),
+            AggFunc::Min | AggFunc::Max => AggState::Any(Vec::new()),
+        }
+    }
+
+    /// Make room for groups `0..n`.
+    fn grow(&mut self, spec: &AggSpec, n: usize) {
+        match self {
+            AggState::Count(counts) => counts.resize(n, 0),
+            AggState::Sum(sums) => sums.resize(n, NumericSum::EMPTY),
+            AggState::Any(accs) => {
+                accs.resize_with(n, || AggAccumulator::new(spec.func, spec.distinct))
+            }
+        }
+    }
+
+    /// Feed one chunk: the argument `arg` (`None` for `COUNT(*)`) at each
+    /// of its live `rows`, in order, into the entry of its group in
+    /// `group`. The state and the argument's representation are matched
+    /// once; counts and sums are fed from `Int` / `Float` payloads in a
+    /// loop that does not branch on a cell, any other column cell by cell,
+    /// skipping NULL as [`AggAccumulator`] does.
+    fn feed(&mut self, group: &[u32], rows: Rows<'_>, arg: Option<&ColumnVector>) {
+        match (self, arg) {
+            (AggState::Count(counts), None) => group.iter().for_each(|&g| counts[g as usize] += 1),
+            (
+                AggState::Count(counts),
+                Some(ColumnVector::Int { nulls, .. } | ColumnVector::Float { nulls, .. }),
+            ) => grouped_rows(rows, group, |g, r| counts[g] += u64::from(!nulls[r])),
+            (AggState::Count(counts), Some(col)) => grouped_cells(rows, group, col, |g, c| {
+                counts[g] += u64::from(!c.is_null())
+            }),
+            (AggState::Sum(sums), Some(ColumnVector::Int { data, nulls })) => {
+                grouped_rows(rows, group, |g, r| sums[g].add_int(data[r], !nulls[r]))
+            }
+            (AggState::Sum(sums), Some(ColumnVector::Float { data, nulls })) => {
+                grouped_rows(rows, group, |g, r| sums[g].add_float(data[r], !nulls[r]))
+            }
+            (AggState::Sum(sums), Some(col)) => grouped_cells(rows, group, col, |g, c| {
+                if !c.is_null() {
+                    sums[g].add(c);
+                }
+            }),
+            // A row marker is no number to add.
+            (AggState::Sum(_), None) => {}
+            (AggState::Any(accs), None) => {
+                group.iter().for_each(|&g| accs[g as usize].push_cell(None))
+            }
+            (AggState::Any(accs), Some(col)) => {
+                grouped_cells(rows, group, col, |g, c| accs[g].push_cell(Some(c)))
+            }
+        }
+    }
+
+    /// Append each group's value to `col`, in group order.
+    fn finish(self, spec: &AggSpec, col: &mut ColumnVector) {
+        match self {
+            AggState::Count(counts) => counts.iter().for_each(|&n| col.push(Value::Int(n as i64))),
+            AggState::Sum(sums) => {
+                let avg = spec.func == AggFunc::Avg;
+                sums.iter().for_each(|s| col.push(s.finish(avg)));
+            }
+            AggState::Any(accs) => accs.iter().for_each(|acc| col.push(acc.finish())),
+        }
+    }
+}
+
+/// Call `f(group, row)` for each live row of `rows` in order: its group id
+/// from `group`, and its physical index.
+#[inline(always)]
+fn grouped_rows(rows: Rows<'_>, group: &[u32], mut f: impl FnMut(usize, usize)) {
+    match rows {
+        Rows::All(n) => group[..n]
+            .iter()
+            .enumerate()
+            .for_each(|(r, &g)| f(g as usize, r)),
+        Rows::Ids(ids) => ids
+            .iter()
+            .zip(group)
+            .for_each(|(&r, &g)| f(g as usize, r as usize)),
+    }
+}
+
+/// [`grouped_rows`] with `col`'s cell at each row.
+#[inline(always)]
+fn grouped_cells<'c>(
+    rows: Rows<'_>,
+    group: &[u32],
+    col: &'c ColumnVector,
+    mut f: impl FnMut(usize, CellRef<'c>),
+) {
+    let mut group = group.iter();
+    rows.cells(col, |c| {
+        if let Some(&g) = group.next() {
+            f(g as usize, c);
+        }
+    });
 }
 
 /// Column `j` of every chunk.
@@ -1011,17 +1135,20 @@ fn flip(op: BinaryOp) -> BinaryOp {
 /// The rows of `col` that WHERE keeps for `cell <op> lit`: the comparison
 /// as the expression tree evaluates it, unknown rejecting.
 fn cmp_rows(op: BinaryOp, col: &ColumnVector, lit: &Value) -> Vec<u32> {
-    let mut ids = Vec::new();
     match (col, lit) {
-        // The paper's filters: a loop over the payload and the null mask.
-        (ColumnVector::Int { data, nulls }, Value::Int(k)) => {
-            for (r, (&v, &null)) in data.iter().zip(nulls).enumerate() {
-                if !null && cmp_holds(op, v.cmp(k)) {
-                    ids.push(r as u32);
-                }
-            }
-        }
+        // The paper's filters: the operator is matched once, and the loop
+        // over the payload and the null mask does not branch on them.
+        (ColumnVector::Int { data, nulls }, &Value::Int(k)) => match op {
+            BinaryOp::Eq => int_rows(data, nulls, |v| v == k),
+            BinaryOp::NotEq => int_rows(data, nulls, |v| v != k),
+            BinaryOp::Lt => int_rows(data, nulls, |v| v < k),
+            BinaryOp::LtEq => int_rows(data, nulls, |v| v <= k),
+            BinaryOp::Gt => int_rows(data, nulls, |v| v > k),
+            BinaryOp::GtEq => int_rows(data, nulls, |v| v >= k),
+            _ => Vec::new(),
+        },
         _ => {
+            let mut ids = Vec::new();
             let lit = CellRef::of(lit);
             let mut r = 0;
             col.for_each_cell(0..col.len(), |c| {
@@ -1030,8 +1157,23 @@ fn cmp_rows(op: BinaryOp, col: &ColumnVector, lit: &Value) -> Vec<u32> {
                 }
                 r += 1;
             });
+            ids
         }
     }
+}
+
+/// The rows of an `Int` column whose non-NULL payload `holds`. Every row
+/// id is written, and the count advances past it by `!null & holds`, so
+/// the loop takes the same path whichever rows pass.
+#[inline(always)]
+fn int_rows(data: &[i64], nulls: &[bool], holds: impl Fn(i64) -> bool) -> Vec<u32> {
+    let mut ids = vec![0; data.len()];
+    let mut n = 0;
+    for (r, (&v, &null)) in data.iter().zip(nulls).enumerate() {
+        ids[n] = r as u32;
+        n += usize::from(!null & holds(v));
+    }
+    ids.truncate(n);
     ids
 }
 
@@ -1581,5 +1723,178 @@ mod tests {
                 assert_eq!(bwork, rwork, "work for {sql}");
             }
         }
+    }
+
+    /// A value by its bits: `Debug`, but a float as its bit pattern.
+    fn bits(v: &Value) -> String {
+        match v {
+            Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+            v => format!("{v:?}"),
+        }
+    }
+
+    /// Seeded property: `Exec::aggregate`'s typed state gives each group
+    /// the value, to the bit, that `AggAccumulator` gives when fed the
+    /// group's inputs row by row. Every function — `COUNT(*)`, and
+    /// `COUNT(x)`, `SUM`, `AVG`, `MIN` and `MAX` with and without
+    /// `DISTINCT` — over `Int`, `Float`, `Str` and `Mixed` arguments, a
+    /// tenth of them NULL; several chunks, selected in full or in part; a
+    /// group (key 4) whose every argument is NULL; `Int` sums near
+    /// `i64::MAX` that overflow and widen to float; grouped and global.
+    #[test]
+    fn typed_aggregate_state_equals_the_reference_accumulator() {
+        use qcc_common::Pcg32;
+        let aggs: Vec<AggSpec> = std::iter::once((AggFunc::Count, None, false))
+            .chain(
+                [
+                    AggFunc::Count,
+                    AggFunc::Sum,
+                    AggFunc::Avg,
+                    AggFunc::Min,
+                    AggFunc::Max,
+                ]
+                .into_iter()
+                .flat_map(|f| {
+                    [
+                        (f, Some(CompiledExpr::Column(1)), false),
+                        (f, Some(CompiledExpr::Column(1)), true),
+                    ]
+                }),
+            )
+            .map(|(func, arg, distinct)| AggSpec {
+                func,
+                arg,
+                distinct,
+            })
+            .collect();
+        let m = CostModel::default();
+        let mut rng = Pcg32::seed_from(3_000);
+        let (mut null_only, mut overflowed, mut selected) = (0, 0, 0);
+        for case in 0..600 {
+            let ty = *rng.choose(&[DataType::Int, DataType::Float, DataType::Str]);
+            let mixed = rng.range_u64(0, 4) == 0;
+            let huge = rng.range_u64(0, 4) == 0;
+            let cell = |rng: &mut Pcg32, ty: DataType| match ty {
+                DataType::Int if huge => Value::Int(i64::MAX - rng.range_i64(0, 1_000)),
+                DataType::Int => Value::Int(rng.range_i64(-50, 50)),
+                DataType::Float => {
+                    Value::Float(*rng.choose(&[0.1, -0.0, 0.7, 1e16, -2.5, f64::NAN, 3.0]))
+                }
+                DataType::Str => Value::Str(format!("s{}", rng.range_u64(0, 5))),
+            };
+            let chunks: Vec<Chunk> = (0..rng.range_u64(1, 5))
+                .map(|_| {
+                    let len = rng.range_u64(0, 40) as usize;
+                    let mut keys = ColumnVector::new_for(Some(DataType::Int));
+                    let mut args = Vec::with_capacity(len);
+                    for _ in 0..len {
+                        let k = rng.range_i64(0, 5);
+                        keys.push(Value::Int(k));
+                        args.push(if k == 4 || rng.range_u64(0, 10) == 0 {
+                            Value::Null
+                        } else if mixed {
+                            let ty = *rng.choose(&[DataType::Int, DataType::Float, DataType::Str]);
+                            cell(&mut rng, ty)
+                        } else {
+                            cell(&mut rng, ty)
+                        });
+                    }
+                    let args = if mixed {
+                        ColumnVector::Mixed(args)
+                    } else {
+                        let mut col = ColumnVector::new_for(Some(ty));
+                        args.into_iter().for_each(|v| col.push(v));
+                        col
+                    };
+                    let sel = if rng.next_f64() < 0.5 {
+                        Sel::Ids((0..len as u32).filter(|_| rng.next_f64() < 0.7).collect())
+                    } else {
+                        Sel::All
+                    };
+                    Chunk {
+                        cols: vec![Arc::new(keys), Arc::new(args)],
+                        len,
+                        sel,
+                    }
+                })
+                .collect();
+            let global = rng.range_u64(0, 5) == 0;
+            let group_by = if global {
+                Vec::new()
+            } else {
+                vec![CompiledExpr::Column(0)]
+            };
+
+            // The reference: groups in first-seen key order, each
+            // aggregate's accumulator fed row by row.
+            let mut groups: Vec<(Value, Vec<AggAccumulator>)> = Vec::new();
+            let fresh = || -> Vec<AggAccumulator> {
+                aggs.iter()
+                    .map(|a| AggAccumulator::new(a.func, a.distinct))
+                    .collect()
+            };
+            if global {
+                groups.push((Value::Null, fresh()));
+            }
+            for ch in &chunks {
+                for r in ch.selected() {
+                    let key = if global {
+                        Value::Null
+                    } else {
+                        ch.cols[0].value(r)
+                    };
+                    let g = match groups.iter().position(|(k, _)| k.total_cmp(&key).is_eq()) {
+                        Some(g) => g,
+                        None => {
+                            groups.push((key, fresh()));
+                            groups.len() - 1
+                        }
+                    };
+                    for (acc, spec) in groups[g].1.iter_mut().zip(&aggs) {
+                        acc.push_cell(spec.arg.as_ref().map(|_| ch.cols[1].cell(r)));
+                    }
+                }
+            }
+            let want: Vec<Vec<String>> = groups
+                .iter()
+                .map(|(key, accs)| {
+                    let key = (!global).then(|| bits(key));
+                    key.into_iter()
+                        .chain(accs.iter().map(|a| bits(&a.finish())))
+                        .collect()
+                })
+                .collect();
+
+            let mut exec = Exec {
+                tables: Tables::Slots(&[]),
+                work: Ledger::start(&m),
+                child_needs: required_columns,
+                pruned: Arc::new(ColumnVector::Mixed(Vec::new())),
+            };
+            let out = exec.aggregate(&chunks, &group_by, &aggs, &Schema::new(Vec::new()));
+            let got: Vec<Vec<String>> = out
+                .iter()
+                .flat_map(|ch| {
+                    (0..ch.len).map(|r| ch.cols.iter().map(|c| bits(&c.value(r))).collect())
+                })
+                .collect();
+            assert_eq!(got, want, "case {case}: {ty:?}, mixed {mixed}");
+
+            null_only += usize::from(!global && groups.iter().any(|(k, _)| *k == Value::Int(4)));
+            overflowed += usize::from(
+                ty == DataType::Int
+                    && !mixed
+                    && groups
+                        .iter()
+                        .any(|(_, a)| matches!(a[3].finish(), Value::Float(_))),
+            );
+            selected += usize::from(
+                chunks.len() > 1 && chunks.iter().any(|ch| matches!(ch.sel, Sel::Ids(_))),
+            );
+        }
+        assert!(
+            null_only > 200 && overflowed > 20 && selected > 200,
+            "{null_only} / {overflowed} / {selected}"
+        );
     }
 }

@@ -218,9 +218,10 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
     rec(&s, &p)
 }
 
-/// Aggregate accumulator used by both executors' hash aggregates and by
-/// the test oracle. Each variant holds the state of the function it
-/// computes and nothing else.
+/// Aggregate accumulator of the row reference's hash aggregate and of the
+/// test oracle, and of the batch engine's `MIN` / `MAX` and `DISTINCT`
+/// aggregates. Each variant holds the state of the function it computes
+/// and nothing else.
 #[derive(Debug, Clone)]
 pub enum AggAccumulator {
     /// `COUNT(*)` / `COUNT(x)`: rows, or non-NULL inputs.
@@ -257,7 +258,16 @@ pub struct NumericSum {
 }
 
 impl NumericSum {
-    fn add(&mut self, c: CellRef<'_>) {
+    /// The sum of no input.
+    pub(crate) const EMPTY: NumericSum = NumericSum {
+        count: 0,
+        sum: 0.0,
+        int_sum: 0,
+        is_int: true,
+    };
+
+    /// Add a non-NULL cell.
+    pub(crate) fn add(&mut self, c: CellRef<'_>) {
         self.count += 1;
         match c {
             CellRef::Int(i) => {
@@ -274,21 +284,49 @@ impl NumericSum {
             _ => {}
         }
     }
+
+    /// [`NumericSum::add`] of `CellRef::Int(v)` where `live`, and nothing
+    /// where not (a NULL cell, whose payload `v` is unspecified), without
+    /// branching on either: a dead cell adds `0`, which leaves both sums
+    /// as they are (the `f64` one starts at `+0.0` and so is never `-0.0`,
+    /// the one value `+ 0.0` changes).
+    #[inline(always)]
+    pub(crate) fn add_int(&mut self, v: i64, live: bool) {
+        let v = if live { v } else { 0 };
+        self.count += u64::from(live);
+        self.sum += v as f64;
+        match self.int_sum.checked_add(v) {
+            Some(s) => self.int_sum = s,
+            None => self.is_int = false,
+        }
+    }
+
+    /// [`NumericSum::add_int`] for `CellRef::Float(x)`.
+    #[inline(always)]
+    pub(crate) fn add_float(&mut self, x: f64, live: bool) {
+        self.count += u64::from(live);
+        self.sum += if live { x } else { 0.0 };
+        self.is_int &= !live;
+    }
+
+    /// `SUM` of the inputs (`avg`: `AVG`); NULL if there were none.
+    pub(crate) fn finish(&self, avg: bool) -> Value {
+        match self {
+            s if s.count == 0 => Value::Null,
+            s if avg => Value::Float(s.sum / s.count as f64),
+            s if s.is_int => Value::Int(s.int_sum),
+            s => Value::Float(s.sum),
+        }
+    }
 }
 
 impl AggAccumulator {
     /// Fresh accumulator for a function.
     pub fn new(func: AggFunc, distinct: bool) -> Self {
-        let sum = || NumericSum {
-            count: 0,
-            sum: 0.0,
-            int_sum: 0,
-            is_int: true,
-        };
         let acc = match func {
             AggFunc::Count => AggAccumulator::Count(0),
-            AggFunc::Sum => AggAccumulator::Sum(sum()),
-            AggFunc::Avg => AggAccumulator::Avg(sum()),
+            AggFunc::Sum => AggAccumulator::Sum(NumericSum::EMPTY),
+            AggFunc::Avg => AggAccumulator::Avg(NumericSum::EMPTY),
             AggFunc::Min | AggFunc::Max => AggAccumulator::Extreme {
                 best: None,
                 replaces: if func == AggFunc::Min {
@@ -353,10 +391,8 @@ impl AggAccumulator {
     pub fn finish(&self) -> Value {
         match self {
             AggAccumulator::Count(n) => Value::Int(*n as i64),
-            AggAccumulator::Sum(s) | AggAccumulator::Avg(s) if s.count == 0 => Value::Null,
-            AggAccumulator::Sum(s) if s.is_int => Value::Int(s.int_sum),
-            AggAccumulator::Sum(s) => Value::Float(s.sum),
-            AggAccumulator::Avg(s) => Value::Float(s.sum / s.count as f64),
+            AggAccumulator::Sum(s) => s.finish(false),
+            AggAccumulator::Avg(s) => s.finish(true),
             AggAccumulator::Extreme { best, .. } => best.clone().unwrap_or(Value::Null),
             AggAccumulator::Distinct { inner, .. } => inner.finish(),
         }

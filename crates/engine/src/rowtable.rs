@@ -1,9 +1,10 @@
 //! The row-id table behind hash join, hash aggregate and DISTINCT.
 //!
-//! Rows are numbered in insertion order. For each row the table keeps its
-//! key cells — copied into typed key columns, position = row id — and a
-//! link to the next row of its chain; `heads` maps a chain to its first
-//! row. Nothing is allocated per row or per key: the arrays are flat, and
+//! Rows are numbered in insertion order. For each row the table keeps a
+//! link to the next row of its chain and, where a lookup compares keys or
+//! the operator reads them back, its key cells — copied into typed key
+//! columns, position = row id; `heads` maps a chain to its first row.
+//! Nothing is allocated per row or per key: the arrays are flat, and
 //! `heads` is sized once, from keys the operator already holds.
 //!
 //! The layout is picked once per table, from those keys ([`Layout::pick`]):
@@ -25,6 +26,10 @@
 //!   lookup walks one chain comparing hashes, then key cells. A single
 //!   `Int` key is matched once per chunk and compared in a loop over
 //!   `&[i64]` / `&[bool]`; any other shape compares cell by cell.
+//!
+//! A join build keeps key cells in the hashed layout only: a dense or code
+//! chain holds one key, so its probe compares none. A grouping keeps them
+//! in every layout, as the output's group columns.
 //!
 //! All three answer every lookup alike, in the same order: equality is
 //! `total_cmp == Equal` (the equality `Value` has) — so a `Float` cell
@@ -441,13 +446,17 @@ impl<'a> Keys<'a> {
 /// See the module documentation.
 pub(crate) struct RowTable {
     /// Key columns of the inserted rows (empty until the first chunk
-    /// shows their representation).
+    /// shows their representation, and in a dense or code join build).
     keys: Vec<ColumnVector>,
     chains: Chains,
     /// Hashed layout, per live row of the chunk in hand: key hash, and
     /// whether any key cell is NULL.
     chunk_hashes: Vec<u64>,
     chunk_nulls: Vec<bool>,
+    /// Dense or code join probe, per probe row of the chunk in hand whose
+    /// chain is not empty: the row and its chain's first row. Reused, and
+    /// only ever grown, from chunk to chunk.
+    chunk_heads: Vec<(u32, u32)>,
 }
 
 impl RowTable {
@@ -466,13 +475,15 @@ impl RowTable {
             },
             chunk_hashes: Vec::new(),
             chunk_nulls: Vec::new(),
+            chunk_heads: Vec::new(),
         }
     }
 
     /// Join build: a table of every live row of `chunks` whose keys are all
     /// non-NULL (a NULL key never joins), reporting each one's chunk and
     /// physical row as it is inserted. The keys of `probes` follow, chunk
-    /// by chunk, through [`RowTable::probe_chunk`].
+    /// by chunk, through [`RowTable::probe_chunk`]. Only a hashed table
+    /// stores the keys.
     pub(crate) fn build(
         chunks: &[KeyChunk<'_>],
         probes: &[KeyChunk<'_>],
@@ -489,7 +500,7 @@ impl RowTable {
         let rows = total_rows(chunks);
         let mut table = RowTable::new(layout, rows);
         table.chains.links.reserve(rows);
-        if let Some((cols, _)) = chunks.first() {
+        if let (Layout::Hashed, Some((cols, _))) = (&table.chains.layout, chunks.first()) {
             table.keys = cols
                 .iter()
                 .map(|c| {
@@ -500,23 +511,26 @@ impl RowTable {
                 .collect();
         }
         for (ci, (cols, rows)) in chunks.iter().enumerate() {
-            let mut keys = Keys::new(&mut table.keys, cols);
             let Chains { layout, links, .. } = &mut table.chains;
-            let mut insert = |r: usize, hash: u64| {
-                links.push(Link { hash, next: NONE });
-                keys.push(r);
-                inserted(ci, r);
-            };
             match layout {
                 Layout::Hashed => {
+                    let mut keys = Keys::new(&mut table.keys, cols);
                     let (hashes, nulls) = (&mut table.chunk_hashes, &mut table.chunk_nulls);
                     hash_chunk(hashes, nulls, cols, *rows);
                     for (i, (&h, &null)) in hashes.iter().zip(nulls.iter()).enumerate() {
                         if !null {
-                            insert(rows.get(i), h);
+                            let r = rows.get(i);
+                            links.push(Link {
+                                hash: h,
+                                next: NONE,
+                            });
+                            keys.push(r);
+                            inserted(ci, r);
                         }
                     }
                 }
+                // A chain holds one key: its probe compares none, so none
+                // is stored.
                 layout => {
                     let null = layout.null_slot();
                     layout.slots(
@@ -525,7 +539,11 @@ impl RowTable {
                         #[inline(always)]
                         |r, s| {
                             if s < null {
-                                insert(r, s);
+                                links.push(Link {
+                                    hash: s,
+                                    next: NONE,
+                                });
+                                inserted(ci, r);
                             }
                         },
                     );
@@ -562,13 +580,19 @@ impl RowTable {
     }
 
     /// Join probe: for every live row with all keys non-NULL, in order,
-    /// report `(build row id, physical probe row)` for each build row of
-    /// the same key, in build insertion order.
-    pub(crate) fn probe_chunk(
+    /// report `(build row id, physical probe row)` to `on_match` for each
+    /// build row of the same key, in build insertion order. A dense or code
+    /// table first finds every row's chain, then tells `reserve` how many
+    /// rows have a non-empty one — each at least one match — before the
+    /// first match. Both are handed `matches`, where the caller keeps what
+    /// they fill.
+    pub(crate) fn probe_chunk<M>(
         &mut self,
         cols: &[&ColumnVector],
         rows: Rows<'_>,
-        mut on_match: impl FnMut(u32, usize),
+        matches: &mut M,
+        reserve: impl FnOnce(&mut M, usize),
+        mut on_match: impl FnMut(&mut M, u32, usize),
     ) {
         let chains = &self.chains;
         match &chains.layout {
@@ -585,29 +609,42 @@ impl RowTable {
                     while id != NONE {
                         let link = &chains.links[id as usize];
                         if link.hash == h && keys.eq(id as usize, r) {
-                            on_match(id, r);
+                            on_match(matches, id, r);
                         }
                         id = link.next;
                     }
                 }
             }
-            // A chain holds one key: every row of it matches.
+            // A chain holds one key: every row of it matches. The first
+            // pass writes each row with its chain's head and keeps it only
+            // if the chain is not empty — one write and one add, whether or
+            // not it matches; the second walks the kept chains in order.
             layout => {
+                // Nothing is inserted at NULL's slot, so it reads as an
+                // empty chain, as does a key in no slot, clamped to it.
                 let null = layout.null_slot();
+                let cands = &mut self.chunk_heads;
+                if cands.len() < rows.len() {
+                    cands.resize(rows.len(), (0, NONE));
+                }
+                let mut n = 0;
                 layout.slots(
                     cols[0],
                     rows,
                     #[inline(always)]
                     |r, s| {
-                        if s < null {
-                            let mut id = chains.heads[s as usize];
-                            while id != NONE {
-                                on_match(id, r);
-                                id = chains.links[id as usize].next;
-                            }
-                        }
+                        let head = chains.heads[s.min(null) as usize];
+                        cands[n] = (r as u32, head);
+                        n += usize::from(head != NONE);
                     },
                 );
+                reserve(matches, n);
+                for &(r, mut id) in &cands[..n] {
+                    while id != NONE {
+                        on_match(matches, id, r as usize);
+                        id = chains.links[id as usize].next;
+                    }
+                }
             }
         }
     }
@@ -694,7 +731,9 @@ mod tests {
 
     /// What the join finds over `build` and `probe` in `layout`: the
     /// inserted `(chunk, row)`s, the matches per probe chunk, and the
-    /// stored keys.
+    /// stored keys. A dense or code probe must announce, before its first
+    /// match, exactly the number of probe rows that match; a hashed one
+    /// announces nothing.
     type Joined = (Vec<(usize, usize)>, Vec<Vec<(u32, usize)>>, String);
 
     fn joined(build: &[KeyChunk<'_>], probe: &[KeyChunk<'_>], layout: &Layout) -> Joined {
@@ -704,8 +743,22 @@ mod tests {
         let matches = probe
             .iter()
             .map(|(cols, rows)| {
-                let mut m = Vec::new();
-                table.probe_chunk(cols, *rows, |id, r| m.push((id, r)));
+                let mut m = (None, Vec::new());
+                table.probe_chunk(
+                    cols,
+                    *rows,
+                    &mut m,
+                    |(reserved, m), n| {
+                        assert!(m.is_empty(), "reserve after a match");
+                        *reserved = Some(n);
+                    },
+                    |(_, m), id, r| m.push((id, r)),
+                );
+                let (reserved, m) = m;
+                let mut matched: Vec<usize> = m.iter().map(|&(_, r)| r).collect();
+                matched.dedup();
+                let want = (*layout != Layout::Hashed).then_some(matched.len());
+                assert_eq!(reserved, want, "{layout:?}");
                 m
             })
             .collect();
@@ -967,18 +1020,76 @@ mod tests {
             .collect()
     }
 
+    /// The cases of the two-pass probe a join case covers (counted where
+    /// `picked` is dense or codes): a build key on more than one row, a
+    /// NULL probe key, an `Int` probe key outside the dense range.
+    #[derive(Default)]
+    struct Covered {
+        duplicate_build_keys: usize,
+        null_probe_keys: usize,
+        outside_the_range: usize,
+    }
+
+    /// The live cells of `chunks`' one key column.
+    fn live_cells<'c>(chunks: &'c [KeyChunk<'_>]) -> Vec<CellRef<'c>> {
+        let live =
+            |(cols, rows): &'c KeyChunk<'_>| (0..rows.len()).map(|i| cols[0].cell(rows.get(i)));
+        chunks.iter().flat_map(live).collect()
+    }
+
     /// The three-way check of the layout properties: the join of `keyed`
     /// and `probe` — or, with no probe side, the grouping of `keyed` —
-    /// gives the same inserted rows, match lists, group ids and stored
-    /// keys in `picked` as in the hashed layout, and is the one `total_cmp`
-    /// defines.
-    fn agree(case: usize, keyed: &[KeyChunk<'_>], probe: Option<&[KeyChunk<'_>]>, picked: &Layout) {
+    /// gives the same inserted rows, match lists and group ids in `picked`
+    /// as in the hashed layout, and is the one `total_cmp` defines. Stored
+    /// keys are compared where a table keeps them: a grouping's, in every
+    /// layout, are the same; a hashed join build's are each inserted
+    /// row's key, and a dense or code one stores none.
+    fn agree(
+        case: usize,
+        keyed: &[KeyChunk<'_>],
+        probe: Option<&[KeyChunk<'_>]>,
+        picked: &Layout,
+        covered: &mut Covered,
+    ) {
         match probe {
             Some(probe) => {
                 let got = joined(keyed, probe, picked);
                 let want = joined(keyed, probe, &Layout::Hashed);
-                assert_eq!(got, want, "case {case}: {picked:?}");
-                assert_eq!((got.0, got.1), naive_join(keyed, probe), "case {case}");
+                let (inserted, matches) = (&want.0, &want.1);
+                assert_eq!(
+                    (&got.0, &got.1),
+                    (inserted, matches),
+                    "case {case}: {picked:?}"
+                );
+                assert_eq!(
+                    (inserted.clone(), matches.clone()),
+                    naive_join(keyed, probe),
+                    "case {case}"
+                );
+                let stored = inserted.iter().map(|&(ci, r)| keyed[ci].0[0].cell(r));
+                let stored: Vec<Vec<CellRef>> = keyed
+                    .first()
+                    .map(|_| stored.collect())
+                    .into_iter()
+                    .collect();
+                assert_eq!(want.2, format!("{stored:?}"), "case {case}: hashed keys");
+                if *picked == Layout::Hashed {
+                    return;
+                }
+                assert_eq!(got.2, "[]", "case {case}: {picked:?} stores keys");
+                let mut keys: Vec<CellRef> = stored.concat();
+                keys.sort_by(|a, b| a.total_cmp(*b));
+                let probes = live_cells(probe);
+                let outside = |c: &CellRef| match (picked, c) {
+                    (Layout::Dense { min, span }, CellRef::Int(k)) => {
+                        !(0..i128::from(*span)).contains(&(i128::from(*k) - i128::from(*min)))
+                    }
+                    _ => false,
+                };
+                let dup = keys.windows(2).any(|w| w[0].total_cmp(w[1]).is_eq());
+                covered.duplicate_build_keys += usize::from(dup);
+                covered.null_probe_keys += usize::from(probes.iter().any(|c| c.is_null()));
+                covered.outside_the_range += usize::from(probes.iter().any(outside));
             }
             None => {
                 let got = grouped(keyed, picked);
@@ -1004,6 +1115,7 @@ mod tests {
         const P63: f64 = 9_223_372_036_854_775_808.0;
         let mut rng = Pcg32::seed_from(2_500);
         let (mut dense, mut hashed, mut at_threshold) = (0, 0, 0);
+        let mut covered = Covered::default();
         for case in 0..2_000 {
             // Keys in `[lo, lo + width)`, wrapping past `i64::MAX`.
             let lo = match rng.range_u64(0, 5) {
@@ -1103,13 +1215,29 @@ mod tests {
             } else {
                 dense += 1;
             }
-            agree(case, &keyed, is_join.then_some(&probe[..]), &picked);
+            agree(
+                case,
+                &keyed,
+                is_join.then_some(&probe[..]),
+                &picked,
+                &mut covered,
+            );
         }
         assert!(
             dense > 600 && hashed > 300,
             "{dense} dense, {hashed} hashed"
         );
         assert!(at_threshold > 300, "{at_threshold}");
+        let Covered {
+            duplicate_build_keys: dup,
+            null_probe_keys: null,
+            outside_the_range: outside,
+        } = covered;
+        eprintln!("dense joins: {dup} with duplicate build keys, {null} with NULL probe keys, {outside} with probe keys outside the range");
+        assert!(
+            dup > 100 && null > 100 && outside > 100,
+            "{dup} / {null} / {outside}"
+        );
     }
 
     /// A string column of `n` strings drawn from `pool` — so its `n`
@@ -1145,6 +1273,7 @@ mod tests {
     fn code_and_hashed_layouts_agree() {
         let mut rng = Pcg32::seed_from(2_800);
         let (mut codes, mut hashed, mut at_threshold) = (0, 0, 0);
+        let mut covered = Covered::default();
         for case in 0..2_000 {
             let is_join = rng.next_f64() < 0.6;
             let threshold = (rng.range_u64(0, 4) == 0).then(|| rng.range_u64(0, 2));
@@ -1243,12 +1372,23 @@ mod tests {
                 Layout::Hashed => hashed += 1,
                 Layout::Dense { .. } => {}
             }
-            agree(case, &keyed, is_join.then_some(&probe[..]), &picked);
+            agree(
+                case,
+                &keyed,
+                is_join.then_some(&probe[..]),
+                &picked,
+                &mut covered,
+            );
         }
         assert!(
             codes > 600 && hashed > 300,
             "{codes} codes, {hashed} hashed"
         );
         assert!(at_threshold > 300, "{at_threshold}");
+        // A code probe only ever meets strings of the build's dictionary:
+        // no key of it lies outside the layout.
+        let (dup, null) = (covered.duplicate_build_keys, covered.null_probe_keys);
+        eprintln!("code joins: {dup} with duplicate build keys, {null} with NULL probe keys");
+        assert!(dup > 100 && null > 100, "{dup} / {null}");
     }
 }
