@@ -49,7 +49,7 @@ pub use queue::QueueTicket;
 use crate::estimate::EstimateBook;
 use crate::queue::{ArrivalQueue, EnqueueOutcome};
 use crate::tokens::TokenPool;
-use qcc_common::{FieldValue, Obs, QccError, ServerId, SimTime};
+use qcc_common::{CounterFamily, GaugeHandle, HistogramHandle, Obs, QccError, ServerId, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Every reason a query can be shed, exactly as it appears in the
@@ -99,9 +99,25 @@ pub struct AdmissionController {
     tokens: TokenPool,
     estimates: EstimateBook,
     obs: Obs,
+    metrics: Metrics,
     enqueued: AtomicU64,
     dispatched: AtomicU64,
     shed: AtomicU64,
+}
+
+/// The series every arrival emits into, resolved once.
+#[derive(Debug)]
+struct Metrics {
+    /// `admission_enqueued_total{class}`.
+    enqueued: CounterFamily,
+    /// `admission_dispatched_total{class}`.
+    dispatched: CounterFamily,
+    /// `sheds_total{reason}`.
+    sheds: CounterFamily,
+    /// `admission_queue_depth`.
+    depth: GaugeHandle,
+    /// `admission_queue_wait_ms`.
+    wait_ms: HistogramHandle,
 }
 
 impl AdmissionController {
@@ -118,6 +134,13 @@ impl AdmissionController {
             queue: ArrivalQueue::default(),
             tokens: TokenPool::new(base),
             estimates: EstimateBook::default(),
+            metrics: Metrics {
+                enqueued: obs.counter_family("admission_enqueued_total", "class"),
+                dispatched: obs.counter_family("admission_dispatched_total", "class"),
+                sheds: obs.counter_family("sheds_total", "reason"),
+                depth: obs.gauge("admission_queue_depth", &[]),
+                wait_ms: obs.histogram("admission_queue_wait_ms", &[]),
+            },
             obs,
             enqueued: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
@@ -158,17 +181,15 @@ impl AdmissionController {
         ) {
             EnqueueOutcome::Queued(ticket, depth) => {
                 self.enqueued.fetch_add(1, Ordering::Relaxed);
-                self.obs
-                    .counter_inc("admission_enqueued_total", &[("class", class.as_str())]);
-                self.obs
-                    .gauge_set("admission_queue_depth", &[], depth as f64);
+                self.metrics.enqueued.inc(class.as_str());
+                self.metrics.depth.set(depth as f64);
                 self.obs.event(
                     now,
                     "enqueue",
                     vec![
                         ("seq", ticket.seq.into()),
-                        ("template", ticket.template.clone().into()),
-                        ("class", class.as_str().into()),
+                        ("template", self.obs.intern(&ticket.template).into()),
+                        ("class", self.obs.intern(class.as_str()).into()),
                         ("depth", depth.into()),
                     ],
                 );
@@ -214,25 +235,21 @@ impl AdmissionController {
             }
             self.estimates.record_wait(waited);
             self.dispatched.fetch_add(1, Ordering::Relaxed);
-            self.obs.counter_inc(
-                "admission_dispatched_total",
-                &[("class", ticket.class.as_str())],
-            );
-            self.obs.observe("admission_queue_wait_ms", &[], waited);
+            self.metrics.dispatched.inc(ticket.class.as_str());
+            self.metrics.wait_ms.observe(waited);
             self.obs.event(
                 now,
                 "dequeue",
                 vec![
                     ("seq", ticket.seq.into()),
-                    ("template", ticket.template.clone().into()),
-                    ("class", ticket.class.as_str().into()),
+                    ("template", self.obs.intern(&ticket.template).into()),
+                    ("class", self.obs.intern(ticket.class.as_str()).into()),
                     ("waited_ms", waited.into()),
                 ],
             );
             batch.admitted.push(ticket);
         }
-        self.obs
-            .gauge_set("admission_queue_depth", &[], self.queue.depth() as f64);
+        self.metrics.depth.set(self.queue.depth() as f64);
         batch
     }
 
@@ -295,7 +312,7 @@ impl AdmissionController {
                 at,
                 "token_capacity",
                 vec![
-                    ("server", server.as_str().into()),
+                    ("server", server.into()),
                     ("capacity", u64::from(cap).into()),
                     ("down", change.went_down.into()),
                 ],
@@ -309,7 +326,7 @@ impl AdmissionController {
     /// `sheds_total` metric authoritative across layers.
     pub fn note_shed(&self, reason: &'static str) {
         self.shed.fetch_add(1, Ordering::Relaxed);
-        self.obs.counter_inc("sheds_total", &[("reason", reason)]);
+        self.metrics.sheds.inc(reason);
     }
 
     /// Record a mid-query remainder re-dispatch riding the token pool:
@@ -340,16 +357,16 @@ impl AdmissionController {
 
     fn record_shed(&self, ticket: &QueueTicket, now: SimTime, reason: &'static str) {
         self.shed.fetch_add(1, Ordering::Relaxed);
-        self.obs.counter_inc("sheds_total", &[("reason", reason)]);
+        self.metrics.sheds.inc(reason);
         let waited = now.since(ticket.enqueued_at).as_millis();
         self.obs.event(
             now,
             "shed",
             vec![
                 ("seq", ticket.seq.into()),
-                ("template", ticket.template.clone().into()),
-                ("class", ticket.class.as_str().into()),
-                ("reason", FieldValue::from(reason)),
+                ("template", self.obs.intern(&ticket.template).into()),
+                ("class", self.obs.intern(ticket.class.as_str()).into()),
+                ("reason", self.obs.intern(reason).into()),
                 ("waited_ms", waited.into()),
             ],
         );

@@ -23,13 +23,19 @@
 //!
 //! The bench also counts heap allocations per warm submit
 //! (`qcc_bench::CountingAllocator`), at one scatter thread so the count
-//! is the code's, not the host's. The two merging shapes are gated on
-//! it: a warm merge binds the stored plan's scans to the shipped batches
-//! and builds no `Table`, zone map, `Catalog` or `Engine`, and one that
-//! did would show as ≈ 20 more. Measured before → after the warm merge
-//! stopped building them: single-source 160.5 → 160.5, co-located join
-//! 216.5 → 216.5, cross-source merge 261.1 → 240.1, 3-replica fan-out
-//! 282.4 → 261.4.
+//! is the code's, not the host's, and gates every shape on it: a warm
+//! merge binds the stored plan's scans to the shipped batches and builds
+//! no `Table`, zone map, `Catalog` or `Engine` (one that did would show
+//! as ≈ 20 more). Each shape runs a second time with obs off, and the
+//! difference (the `obs allocs/submit` column) is gated too: a metric
+//! emission through a handle and a journal event whose strings are shared
+//! allocate nothing, so what obs adds is the one boxed closure of the
+//! `compile` span (and a first emission per new label value). Measured
+//! with obs on, before → after metric handles, shared-string event fields
+//! and the segmented journal: single-source 153.5 → 130.5, co-located
+//! join 195.5 → 172.5, cross-source merge 225.1 → 190.0, 3-replica
+//! fan-out 246.4 → 207.6; obs allocations 20 / 20 / 31 / 35 → 1 / 1 / 1
+//! / 1.2.
 //!
 //! The verdict line (`query path: OK|VIOLATED`) rests on those counts
 //! alone and `ci.sh` greps it; the µs/submit column is printed for
@@ -46,6 +52,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Measured submits per shape, after the warm-up submit.
 const SUBMITS: usize = 200;
+
+/// Heap allocations per warm submit that obs may add: the run with obs on
+/// minus the same run with obs off.
+const MAX_OBS_ALLOCS: f64 = 2.0;
 
 /// Counters that must not move once a statement is warm.
 const FROZEN: [&str; 4] = [
@@ -64,8 +74,8 @@ struct Shape {
     fragments: usize,
     /// Candidate servers of every fragment.
     replicas: usize,
-    /// Heap allocations a warm submit may make on average, where gated.
-    max_allocs: Option<f64>,
+    /// Heap allocations a warm submit may make on average.
+    max_allocs: f64,
 }
 
 const SHAPES: [Shape; 4] = [
@@ -75,7 +85,7 @@ const SHAPES: [Shape; 4] = [
         sql: "SELECT a.grp, COUNT(*) AS n FROM big_a a WHERE a.sel > 2000 GROUP BY a.grp",
         fragments: 1,
         replicas: 1,
-        max_allocs: None,
+        max_allocs: 134.0,
     },
     Shape {
         name: "co-located join",
@@ -84,7 +94,7 @@ const SHAPES: [Shape; 4] = [
               FROM big_a a JOIN big_b b ON b.a_id = a.id WHERE a.sel > 2000 GROUP BY a.grp",
         fragments: 1,
         replicas: 1,
-        max_allocs: None,
+        max_allocs: 176.0,
     },
     Shape {
         name: "cross-source merge",
@@ -93,7 +103,7 @@ const SHAPES: [Shape; 4] = [
               FROM big_a a JOIN small_s s ON a.grp = s.id WHERE s.bonus > 20 GROUP BY s.cat",
         fragments: 2,
         replicas: 1,
-        max_allocs: Some(250.0),
+        max_allocs: 194.0,
     },
     Shape {
         name: "3-replica fan-out",
@@ -102,11 +112,11 @@ const SHAPES: [Shape; 4] = [
               FROM big_a a JOIN small_s s ON a.grp = s.id WHERE s.bonus > 20 GROUP BY s.cat",
         fragments: 2,
         replicas: 3,
-        max_allocs: Some(271.0),
+        max_allocs: 212.0,
     },
 ];
 
-fn world(servers: usize) -> Scenario {
+fn world(servers: usize, obs_enabled: bool) -> Scenario {
     Scenario::build_partitioned(
         QccConfig::default(),
         ScenarioConfig {
@@ -114,6 +124,7 @@ fn world(servers: usize) -> Scenario {
             small_rows: 40,
             server_specs: scale_server_specs(servers, 0x5eed),
             threads: 1,
+            obs_enabled,
             ..ScenarioConfig::tiny()
         },
     )
@@ -135,6 +146,57 @@ fn frozen_counts(scenario: &Scenario) -> [u64; 4] {
     })
 }
 
+/// What `SUBMITS` warm submits of one shape did.
+struct Warm {
+    /// The [`FROZEN`] counters' growth (all 0 with obs off).
+    added: [u64; 4],
+    allocs_per_submit: f64,
+    us_per_submit: f64,
+}
+
+/// One warm-up submit of `shape`, then `SUBMITS` counted ones. A
+/// decomposition or answer that differs from the shape's is a violation.
+fn run_warm(shape: &Shape, obs_enabled: bool, violations: &mut Vec<String>) -> Warm {
+    let scenario = world(shape.servers, obs_enabled);
+    let fed = &scenario.federation;
+    let (decomposed, _) = fed.explain_global(shape.sql).expect("shape compiles");
+    let replicas: Vec<usize> = decomposed
+        .fragments
+        .iter()
+        .map(|f| f.candidate_servers.len())
+        .collect();
+    if replicas != vec![shape.replicas; shape.fragments] {
+        violations.push(format!(
+            "{}: expected {} fragment(s) with {} source(s) each, decomposed to {replicas:?}",
+            shape.name, shape.fragments, shape.replicas
+        ));
+    }
+    let expected = fed.submit(shape.sql).expect("warm-up submit").rows;
+    let before = frozen_counts(&scenario);
+    let sw = WallStopwatch::start();
+    let (changed, allocs) = counting(|| {
+        (0..SUBMITS).any(|_| fed.submit(shape.sql).expect("warm submit").rows != expected)
+    });
+    let us_per_submit = sw.elapsed_nanos() as f64 / 1e3 / SUBMITS as f64;
+    if changed {
+        violations.push(format!(
+            "{} (obs {}): a warm submit changed the answer",
+            shape.name,
+            if obs_enabled { "on" } else { "off" }
+        ));
+    }
+    let after = frozen_counts(&scenario);
+    let mut added = [0; 4];
+    for (i, (a, b)) in after.iter().zip(before).enumerate() {
+        added[i] = a - b;
+    }
+    Warm {
+        added,
+        allocs_per_submit: allocs as f64 / SUBMITS as f64,
+        us_per_submit,
+    }
+}
+
 fn main() {
     println!(
         "query path: {SUBMITS} submits per shape after one warm-up submit; \
@@ -144,40 +206,22 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut violations: Vec<String> = Vec::new();
     for shape in &SHAPES {
-        let scenario = world(shape.servers);
-        let fed = &scenario.federation;
-        let (decomposed, _) = fed.explain_global(shape.sql).expect("shape compiles");
-        let replicas: Vec<usize> = decomposed
-            .fragments
-            .iter()
-            .map(|f| f.candidate_servers.len())
-            .collect();
-        if replicas != vec![shape.replicas; shape.fragments] {
+        let on = run_warm(shape, true, &mut violations);
+        let off = run_warm(shape, false, &mut violations);
+        if on.allocs_per_submit > shape.max_allocs {
             violations.push(format!(
-                "{}: expected {} fragment(s) with {} source(s) each, decomposed to {replicas:?}",
-                shape.name, shape.fragments, shape.replicas
+                "{}: {:.1} allocations per warm submit, bound {}",
+                shape.name, on.allocs_per_submit, shape.max_allocs
             ));
         }
-        let expected = fed.submit(shape.sql).expect("warm-up submit").rows;
-        let before = frozen_counts(&scenario);
-        let sw = WallStopwatch::start();
-        let (changed, allocs) = counting(|| {
-            (0..SUBMITS).any(|_| fed.submit(shape.sql).expect("warm submit").rows != expected)
-        });
-        let us_per_submit = sw.elapsed_nanos() as f64 / 1e3 / SUBMITS as f64;
-        if changed {
-            violations.push(format!("{}: a warm submit changed the answer", shape.name));
-        }
-        let allocs_per_submit = allocs as f64 / SUBMITS as f64;
-        if let Some(bound) = shape.max_allocs.filter(|&b| allocs_per_submit > b) {
+        let obs_allocs = on.allocs_per_submit - off.allocs_per_submit;
+        if obs_allocs > MAX_OBS_ALLOCS {
             violations.push(format!(
-                "{}: {allocs_per_submit:.1} allocations per warm submit, bound {bound}",
+                "{}: obs makes {obs_allocs:.1} allocations per warm submit, bound {MAX_OBS_ALLOCS}",
                 shape.name
             ));
         }
-        let after = frozen_counts(&scenario);
-        let added: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        for (name, n) in FROZEN.iter().zip(&added) {
+        for (name, n) in FROZEN.iter().zip(&on.added) {
             if *n > 0 {
                 violations.push(format!("{}: {name} grew by {n}", shape.name));
             }
@@ -185,12 +229,13 @@ fn main() {
         rows.push(vec![
             shape.name.to_string(),
             format!("{} x {}", shape.fragments, shape.replicas),
-            added[0].to_string(),
-            added[1].to_string(),
-            added[2].to_string(),
-            added[3].to_string(),
-            format!("{allocs_per_submit:.1}"),
-            format!("{us_per_submit:.1}"),
+            on.added[0].to_string(),
+            on.added[1].to_string(),
+            on.added[2].to_string(),
+            on.added[3].to_string(),
+            format!("{:.1}", on.allocs_per_submit),
+            format!("{obs_allocs:.1}"),
+            format!("{:.1}", on.us_per_submit),
         ]);
     }
     qcc_bench::print_table(
@@ -203,6 +248,7 @@ fn main() {
             "merge plans".to_string(),
             "wrapper EXPLAINs".to_string(),
             "allocs/submit".to_string(),
+            "obs allocs/submit".to_string(),
             "us/submit (info)".to_string(),
         ],
         &rows,
@@ -211,7 +257,7 @@ fn main() {
         println!(
             "query path: OK (0 template misses, 0 merge-cost EXPLAINs, 0 merge plans, \
              0 wrapper EXPLAINs over {SUBMITS} warm submits of each of {} shapes; \
-             merging shapes within their allocation bounds)",
+             every shape within its allocation bounds)",
             SHAPES.len()
         );
     } else {

@@ -146,7 +146,7 @@ impl ReplicaCatalog {
                 at,
                 "catalog_register",
                 vec![
-                    ("server", server.as_str().into()),
+                    ("server", (&server).into()),
                     ("cost_hint", cost_hint.into()),
                 ],
             );

@@ -17,6 +17,11 @@ impl ServerId {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// The server name as the id holds it (a journal field shares it).
+    pub(crate) fn shared_name(&self) -> Arc<str> {
+        Arc::clone(&self.0)
+    }
 }
 
 impl fmt::Display for ServerId {

@@ -26,7 +26,9 @@ pub use cost::Cost;
 pub use error::{QccError, Result};
 pub use fifo::FifoMap;
 pub use ids::{FragmentId, QueryId, ServerId};
-pub use obs::{Event, FieldValue, Metric, Obs};
+pub use obs::{
+    CounterFamily, CounterHandle, Event, Field, FieldValue, GaugeHandle, HistogramHandle, Obs,
+};
 pub use rng::Pcg32;
 pub use row::{Column, Row, Schema};
 pub use scatter::{default_threads, scatter_indexed};

@@ -4,9 +4,18 @@
 //!
 //! * a **metrics registry** — counters, gauges and histograms keyed by a
 //!   static metric name plus a sorted label set, rendered as a stable
-//!   `name{k=v,...} value` text snapshot;
+//!   `name{k=v,...} value` text snapshot. A series is resolved once to a
+//!   handle ([`CounterHandle`], [`GaugeHandle`], [`HistogramHandle`], or
+//!   a [`CounterFamily`] for a one-label family); after that a counter
+//!   emission is one relaxed atomic add and a histogram emission locks only
+//!   its own cell. The named calls (`counter_inc`, `observe`, ...) resolve
+//!   and emit in one step, into the same store, for cold paths;
 //! * a **structured event journal** — an append-only list of events (and
-//!   spans, which are events carrying a duration), rendered as JSONL.
+//!   spans, which are events carrying a duration), rendered as JSONL. It is
+//!   held in fixed-size segments that are never copied once full, and a
+//!   string field shares its allocation with its source (a [`ServerId`],
+//!   a cached statement) or with every other use of the same text
+//!   ([`Obs::intern`]).
 //!
 //! Determinism is the design constraint, not an afterthought. The layer
 //! holds no clock: every event timestamp is an explicit [`SimTime`]
@@ -28,16 +37,24 @@
 //! A disabled handle ([`Obs::off`]) turns every operation into a cheap
 //! no-op, so instrumented code never needs `if` guards.
 
+use crate::ids::ServerId;
 use crate::time::SimTime;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Upper bounds (ms) of the fixed histogram buckets; the final implicit
 /// bucket is `+inf`. Chosen to straddle the simulated latencies in play:
 /// sub-millisecond pings up to multi-second phase queries.
 pub const HISTOGRAM_BOUNDS_MS: [f64; 8] = [0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0];
+
+/// Events one journal segment holds.
+const SEGMENT_EVENTS: usize = 1024;
+/// Fields one journal segment holds: a segment is closed when either its
+/// events or its fields run out, so neither array ever grows.
+const SEGMENT_FIELDS: usize = 4 * SEGMENT_EVENTS;
 
 /// Journal event kinds of the mid-query adaptivity machinery (streamed
 /// fragment execution: stall detection, remainder re-dispatch, resume,
@@ -103,22 +120,11 @@ impl Histogram {
     }
 }
 
-/// One registered metric series.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Metric {
-    /// Monotone `u64` counter.
-    Counter(u64),
-    /// Last-write-wins `f64` gauge.
-    Gauge(f64),
-    /// Fixed-bucket latency histogram.
-    Histogram(Histogram),
-}
-
 /// A typed journal field value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
-    /// A string field.
-    Str(String),
+    /// A string field, shared with wherever the caller got it from.
+    Str(Arc<str>),
     /// An unsigned integer field.
     U64(u64),
     /// A float field (rendered as a JSON number when finite).
@@ -129,12 +135,33 @@ pub enum FieldValue {
 
 impl From<&str> for FieldValue {
     fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_owned())
+        FieldValue::Str(v.into())
     }
 }
 impl From<String> for FieldValue {
     fn from(v: String) -> Self {
+        FieldValue::Str(v.into())
+    }
+}
+impl From<&String> for FieldValue {
+    fn from(v: &String) -> Self {
+        FieldValue::Str(v.as_str().into())
+    }
+}
+impl From<Arc<str>> for FieldValue {
+    fn from(v: Arc<str>) -> Self {
         FieldValue::Str(v)
+    }
+}
+impl From<&Arc<str>> for FieldValue {
+    fn from(v: &Arc<str>) -> Self {
+        FieldValue::Str(Arc::clone(v))
+    }
+}
+/// The server's name, sharing the id's allocation.
+impl From<&ServerId> for FieldValue {
+    fn from(v: &ServerId) -> Self {
+        FieldValue::Str(v.shared_name())
     }
 }
 impl From<u64> for FieldValue {
@@ -158,8 +185,12 @@ impl From<bool> for FieldValue {
     }
 }
 
+/// One journal field: a static name and its value.
+pub type Field = (&'static str, FieldValue);
+
 /// One journal entry: a virtual timestamp, a static kind, and an ordered
 /// field list (insertion order is preserved into the JSONL rendering).
+/// The journal builds these on read; it does not store them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Virtual time the event happened (span start for spans).
@@ -167,7 +198,7 @@ pub struct Event {
     /// Static event kind, e.g. `"probe"` or `"server_down"`.
     pub kind: &'static str,
     /// Ordered payload fields.
-    pub fields: Vec<(&'static str, FieldValue)>,
+    pub fields: Vec<Field>,
 }
 
 impl Event {
@@ -179,32 +210,291 @@ impl Event {
     /// A string field by name, if present and a string.
     pub fn str_field(&self, name: &str) -> Option<&str> {
         match self.field(name) {
-            Some(FieldValue::Str(s)) => Some(s.as_str()),
+            Some(FieldValue::Str(s)) => Some(s),
             _ => None,
         }
     }
 }
 
+/// What a series holds.
+#[derive(Debug)]
+enum Cell {
+    /// Monotone `u64` counter.
+    Counter(AtomicU64),
+    /// Last-write-wins `f64` gauge, stored as its bits.
+    Gauge(AtomicU64),
+    /// Fixed-bucket latency histogram.
+    Histogram(Mutex<Histogram>),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+impl Cell {
+    fn new(kind: Kind) -> Cell {
+        match kind {
+            Kind::Counter => Cell::Counter(AtomicU64::new(0)),
+            Kind::Gauge => Cell::Gauge(AtomicU64::new(0)),
+            Kind::Histogram => Cell::Histogram(Mutex::new(Histogram::default())),
+        }
+    }
+
+    fn kind(&self) -> Kind {
+        match self {
+            Cell::Counter(_) => Kind::Counter,
+            Cell::Gauge(_) => Kind::Gauge,
+            Cell::Histogram(_) => Kind::Histogram,
+        }
+    }
+}
+
+/// One metric series. It is in the registry from the moment it is
+/// resolved, but only in the snapshot once something was emitted into it.
+#[derive(Debug)]
+struct Series {
+    live: AtomicBool,
+    cell: Cell,
+}
+
+impl Series {
+    /// Mark the series emitted-into. Relaxed: the flag publishes nothing,
+    /// and snapshots are taken after the emitting threads were joined.
+    fn fire(&self) {
+        if !self.live.load(Ordering::Relaxed) {
+            self.live.store(true, Ordering::Relaxed);
+        }
+    }
+
+    fn add(&self, delta: u64) {
+        self.fire();
+        if let Cell::Counter(v) = &self.cell {
+            v.fetch_add(delta, Ordering::Relaxed);
+        }
+    }
+
+    fn observe(&self, value: f64) {
+        self.fire();
+        if let Cell::Histogram(h) = &self.cell {
+            h.lock().observe(value);
+        }
+    }
+
+    fn set(&self, value: f64) {
+        self.fire();
+        if let Cell::Gauge(v) = &self.cell {
+            v.store(value.to_bits(), Ordering::Relaxed);
+        }
+    }
+}
+
+/// A resolved counter series; a no-op when resolved from a disabled
+/// handle. Cloning shares the series.
+#[derive(Debug, Clone, Default)]
+pub struct CounterHandle(Option<Arc<Series>>);
+
+impl CounterHandle {
+    /// Add `delta`. Safe from worker threads (additions commute).
+    pub fn add(&self, delta: u64) {
+        if let Some(series) = &self.0 {
+            series.add(delta);
+        }
+    }
+
+    /// Add one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+}
+
+/// A resolved histogram series; a no-op when resolved from a disabled
+/// handle. Float sums do not commute, so only emit from
+/// coordinator-sequential code (or a `Deferred`).
+#[derive(Debug, Clone, Default)]
+pub struct HistogramHandle(Option<Arc<Series>>);
+
+impl HistogramHandle {
+    /// Record one observation.
+    pub fn observe(&self, value: f64) {
+        if let Some(series) = &self.0 {
+            series.observe(value);
+        }
+    }
+}
+
+/// A resolved gauge series; a no-op when resolved from a disabled handle.
+/// Last write wins, so only emit from coordinator-sequential code (or a
+/// `Deferred`).
+#[derive(Debug, Clone, Default)]
+pub struct GaugeHandle(Option<Arc<Series>>);
+
+impl GaugeHandle {
+    /// Set the gauge.
+    pub fn set(&self, value: f64) {
+        if let Some(series) = &self.0 {
+            series.set(value);
+        }
+    }
+}
+
+/// A counter family keyed by one label (`fragments_total{server}`): each
+/// label value is resolved once, and looked up by `&str` after that.
+#[derive(Debug, Clone, Default)]
+pub struct CounterFamily(Option<Arc<Family>>);
+
+#[derive(Debug)]
+struct Family {
+    store: Arc<Store>,
+    name: &'static str,
+    label: &'static str,
+    members: Mutex<BTreeMap<Box<str>, Arc<Series>>>,
+}
+
+impl CounterFamily {
+    /// Add one to the member whose label is `value`. Safe from worker
+    /// threads (additions commute).
+    pub fn inc(&self, value: &str) {
+        let Some(family) = &self.0 else { return };
+        let mut members = family.members.lock();
+        if let Some(series) = members.get(value) {
+            series.add(1);
+            return;
+        }
+        let labels = [(family.label, value)];
+        if let Some(series) = family.store.resolve(family.name, &labels, Kind::Counter) {
+            series.add(1);
+            members.insert(value.into(), series);
+        }
+    }
+}
+
+/// The one metrics store and the journal behind an enabled [`Obs`].
 #[derive(Debug, Default)]
-struct ObsInner {
-    /// Keyed by the fully rendered series name (`name{k=v,...}`), which is
-    /// already in snapshot order.
-    metrics: Mutex<BTreeMap<String, Metric>>,
-    journal: Mutex<Vec<Event>>,
+struct Store {
+    /// Every resolved series, keyed by its rendered name
+    /// (`name{k=v,...}`), which is already in snapshot order.
+    series: Mutex<BTreeMap<String, Arc<Series>>>,
+    journal: Mutex<Journal>,
+    /// One copy of each text [`Obs::intern`] was asked for.
+    strings: Mutex<HashSet<Arc<str>>>,
+}
+
+impl Store {
+    /// The series of `name` and `labels`, registered (not yet live) if
+    /// new; `None` if it exists as another kind.
+    fn resolve(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        kind: Kind,
+    ) -> Option<Arc<Series>> {
+        let mut series = self.series.lock();
+        let found = series.entry(series_key(name, labels)).or_insert_with(|| {
+            Arc::new(Series {
+                live: AtomicBool::new(false),
+                cell: Cell::new(kind),
+            })
+        });
+        if found.cell.kind() != kind {
+            debug_assert!(false, "metric {name} is not a {kind:?}");
+            return None;
+        }
+        Some(Arc::clone(found))
+    }
+}
+
+/// An event without its fields: they are its segment's arena from the
+/// previous head's `end` (0 for the first) to its own.
+#[derive(Debug)]
+struct Head {
+    at: SimTime,
+    kind: &'static str,
+    end: usize,
+}
+
+/// A fixed-size run of the journal: event heads plus their fields.
+#[derive(Debug)]
+struct Segment {
+    heads: Vec<Head>,
+    fields: Vec<Field>,
+}
+
+impl Segment {
+    fn new() -> Segment {
+        Segment {
+            heads: Vec::with_capacity(SEGMENT_EVENTS),
+            fields: Vec::with_capacity(SEGMENT_FIELDS),
+        }
+    }
+
+    fn has_room(&self, fields: usize) -> bool {
+        self.heads.len() < SEGMENT_EVENTS && self.fields.len() + fields <= SEGMENT_FIELDS
+    }
+
+    fn events(&self) -> impl Iterator<Item = (&Head, &[Field])> {
+        let mut start = 0;
+        self.heads.iter().map(move |head| {
+            let fields = &self.fields[start..head.end];
+            start = head.end;
+            (head, fields)
+        })
+    }
+}
+
+/// The journal: segments in emission order. A full segment stays where it
+/// is; the next event opens a new one.
+#[derive(Debug, Default)]
+struct Journal {
+    segments: Vec<Segment>,
+}
+
+impl Journal {
+    fn push(&mut self, at: SimTime, kind: &'static str, fields: impl Iterator<Item = Field>) {
+        // Exact for arrays, `Vec`s and chains of them; an iterator that
+        // under-reports grows the open segment's arena, never a full one.
+        let expected = fields.size_hint().0;
+        if !self.segments.last().is_some_and(|s| s.has_room(expected)) {
+            self.segments.push(Segment::new());
+        }
+        let open = self.segments.len() - 1;
+        let segment = &mut self.segments[open];
+        segment.fields.extend(fields);
+        let end = segment.fields.len();
+        segment.heads.push(Head { at, kind, end });
+    }
+
+    fn events(&self) -> impl Iterator<Item = (&Head, &[Field])> {
+        self.segments.iter().flat_map(Segment::events)
+    }
+
+    fn len(&self) -> usize {
+        self.segments.iter().map(|s| s.heads.len()).sum()
+    }
+}
+
+fn to_event(head: &Head, fields: &[Field]) -> Event {
+    Event {
+        at: head.at,
+        kind: head.kind,
+        fields: fields.to_vec(),
+    }
 }
 
 /// The shared observability handle. Cheap to clone; a disabled handle
 /// ([`Obs::off`], also the `Default`) makes every operation a no-op.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
-    inner: Option<Arc<ObsInner>>,
+    inner: Option<Arc<Store>>,
 }
 
 impl Obs {
     /// An enabled, empty registry + journal.
     pub fn new() -> Self {
         Obs {
-            inner: Some(Arc::new(ObsInner::default())),
+            inner: Some(Arc::new(Store::default())),
         }
     }
 
@@ -218,15 +508,55 @@ impl Obs {
         self.inner.is_some()
     }
 
+    fn resolve(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        kind: Kind,
+    ) -> Option<Arc<Series>> {
+        self.inner.as_ref()?.resolve(name, labels, kind)
+    }
+
+    /// Resolve a counter series to a handle. The series appears in the
+    /// snapshot at the handle's first emission, not before.
+    pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> CounterHandle {
+        CounterHandle(self.resolve(name, labels, Kind::Counter))
+    }
+
+    /// Resolve a gauge series to a handle. The series appears in the
+    /// snapshot at the handle's first write, not before.
+    pub fn gauge(&self, name: &'static str, labels: &[(&'static str, &str)]) -> GaugeHandle {
+        GaugeHandle(self.resolve(name, labels, Kind::Gauge))
+    }
+
+    /// Resolve a histogram series to a handle. The series appears in the
+    /// snapshot at the handle's first observation, not before.
+    pub fn histogram(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+    ) -> HistogramHandle {
+        HistogramHandle(self.resolve(name, labels, Kind::Histogram))
+    }
+
+    /// A counter family over the one label `label`; each member lands in
+    /// the series `name{label=value}`, the one the named calls reach.
+    pub fn counter_family(&self, name: &'static str, label: &'static str) -> CounterFamily {
+        CounterFamily(self.inner.as_ref().map(|store| {
+            Arc::new(Family {
+                store: Arc::clone(store),
+                name,
+                label,
+                members: Mutex::new(BTreeMap::new()),
+            })
+        }))
+    }
+
     /// Add `delta` to a counter series. Safe from worker threads: counter
     /// additions commute, so totals are thread-count independent.
     pub fn counter_add(&self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
-        let Some(inner) = &self.inner else { return };
-        let key = series_key(name, labels);
-        let mut metrics = inner.metrics.lock();
-        match metrics.entry(key).or_insert(Metric::Counter(0)) {
-            Metric::Counter(v) => *v += delta,
-            _ => debug_assert!(false, "metric {name} is not a counter"),
+        if let Some(series) = self.resolve(name, labels, Kind::Counter) {
+            series.add(delta);
         }
     }
 
@@ -238,40 +568,51 @@ impl Obs {
     /// Current value of a counter series (0 when absent or disabled).
     pub fn counter_value(&self, name: &'static str, labels: &[(&'static str, &str)]) -> u64 {
         let Some(inner) = &self.inner else { return 0 };
-        match inner.metrics.lock().get(&series_key(name, labels)) {
-            Some(Metric::Counter(v)) => *v,
-            _ => 0,
+        match inner.series.lock().get(&series_key(name, labels)) {
+            Some(series) => match &series.cell {
+                Cell::Counter(v) => v.load(Ordering::Relaxed),
+                _ => 0,
+            },
+            None => 0,
         }
     }
 
     /// Set a gauge series. Last write wins, so only emit from
     /// coordinator-sequential code (or a `Deferred`).
     pub fn gauge_set(&self, name: &'static str, labels: &[(&'static str, &str)], value: f64) {
-        let Some(inner) = &self.inner else { return };
-        let key = series_key(name, labels);
-        inner.metrics.lock().insert(key, Metric::Gauge(value));
+        if let Some(series) = self.resolve(name, labels, Kind::Gauge) {
+            series.set(value);
+        }
     }
 
     /// Record a histogram observation. Float sums do not commute, so only
     /// emit from coordinator-sequential code (or a `Deferred`).
     pub fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], value: f64) {
-        let Some(inner) = &self.inner else { return };
-        let key = series_key(name, labels);
-        let mut metrics = inner.metrics.lock();
-        match metrics
-            .entry(key)
-            .or_insert(Metric::Histogram(Histogram::default()))
-        {
-            Metric::Histogram(h) => h.observe(value),
-            _ => debug_assert!(false, "metric {name} is not a histogram"),
+        if let Some(series) = self.resolve(name, labels, Kind::Histogram) {
+            series.observe(value);
         }
+    }
+
+    /// One shared copy of `s`: every call with the same text returns the
+    /// same allocation, so a journal that repeats a string holds it once.
+    pub fn intern(&self, s: &str) -> Arc<str> {
+        let Some(inner) = &self.inner else {
+            return s.into();
+        };
+        let mut strings = inner.strings.lock();
+        if let Some(shared) = strings.get(s) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = s.into();
+        strings.insert(Arc::clone(&shared));
+        shared
     }
 
     /// Append a journal event. Journal order is snapshot order, so only
     /// emit from coordinator-sequential code (or a `Deferred`).
-    pub fn event(&self, at: SimTime, kind: &'static str, fields: Vec<(&'static str, FieldValue)>) {
+    pub fn event(&self, at: SimTime, kind: &'static str, fields: impl IntoIterator<Item = Field>) {
         let Some(inner) = &self.inner else { return };
-        inner.journal.lock().push(Event { at, kind, fields });
+        inner.journal.lock().push(at, kind, fields.into_iter());
     }
 
     /// Append a span: an event timestamped at `start` whose fields end
@@ -281,19 +622,21 @@ impl Obs {
         kind: &'static str,
         start: SimTime,
         end: SimTime,
-        mut fields: Vec<(&'static str, FieldValue)>,
+        fields: impl IntoIterator<Item = Field>,
     ) {
-        if self.inner.is_none() {
-            return;
-        }
-        fields.push(("ms", FieldValue::F64((end - start).as_millis())));
-        self.event(start, kind, fields);
+        let ms = ("ms", FieldValue::F64((end - start).as_millis()));
+        self.event(start, kind, fields.into_iter().chain([ms]));
     }
 
     /// A copy of the full journal.
     pub fn journal(&self) -> Vec<Event> {
         match &self.inner {
-            Some(inner) => inner.journal.lock().clone(),
+            Some(inner) => inner
+                .journal
+                .lock()
+                .events()
+                .map(|(head, fields)| to_event(head, fields))
+                .collect(),
             None => Vec::new(),
         }
     }
@@ -312,9 +655,9 @@ impl Obs {
             Some(inner) => inner
                 .journal
                 .lock()
-                .iter()
-                .filter(|e| e.kind == kind)
-                .cloned()
+                .events()
+                .filter(|(head, _)| head.kind == kind)
+                .map(|(head, fields)| to_event(head, fields))
                 .collect(),
             None => Vec::new(),
         }
@@ -325,38 +668,42 @@ impl Obs {
         let Some(inner) = &self.inner else {
             return String::new();
         };
-        let metrics = inner.metrics.lock();
+        let series = inner.series.lock();
         let mut out = String::new();
-        for (series, metric) in metrics.iter() {
-            match metric {
-                Metric::Counter(v) => {
-                    let _ = writeln!(out, "{series} {v}");
+        for (key, series) in series.iter() {
+            if !series.live.load(Ordering::Relaxed) {
+                continue;
+            }
+            out.push_str(key);
+            out.push(' ');
+            match &series.cell {
+                Cell::Counter(v) => {
+                    let _ = write!(out, "{}", v.load(Ordering::Relaxed));
                 }
-                Metric::Gauge(v) => {
-                    let _ = writeln!(out, "{series} {}", fmt_f64(*v));
-                }
-                Metric::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "{series} count={} sum={} min={} max={}",
-                        h.count,
-                        fmt_f64(h.sum),
-                        fmt_f64(h.min),
-                        fmt_f64(h.max)
-                    );
+                Cell::Gauge(v) => write_f64(&mut out, f64::from_bits(v.load(Ordering::Relaxed))),
+                Cell::Histogram(h) => {
+                    let h = h.lock();
+                    let _ = write!(out, "count={} sum=", h.count);
+                    write_f64(&mut out, h.sum);
+                    out.push_str(" min=");
+                    write_f64(&mut out, h.min);
+                    out.push_str(" max=");
+                    write_f64(&mut out, h.max);
                     for (i, n) in h.buckets.iter().enumerate() {
                         match HISTOGRAM_BOUNDS_MS.get(i) {
                             Some(b) => {
-                                let _ = write!(out, " le{}={n}", fmt_f64(*b));
+                                out.push_str(" le");
+                                write_f64(&mut out, *b);
+                                let _ = write!(out, "={n}");
                             }
                             None => {
                                 let _ = write!(out, " inf={n}");
                             }
                         }
                     }
-                    out.push('\n');
                 }
             }
+            out.push('\n');
         }
         out
     }
@@ -369,21 +716,21 @@ impl Obs {
         };
         let journal = inner.journal.lock();
         let mut out = String::new();
-        for e in journal.iter() {
-            let _ = write!(
-                out,
-                "{{\"at\":{},\"kind\":{}",
-                fmt_f64(e.at.as_millis()),
-                json_string(e.kind)
-            );
-            for (k, v) in &e.fields {
-                let _ = write!(out, ",{}:", json_string(k));
+        for (head, fields) in journal.events() {
+            out.push_str("{\"at\":");
+            write_f64(&mut out, head.at.as_millis());
+            out.push_str(",\"kind\":");
+            write_json_string(&mut out, head.kind);
+            for (k, v) in fields {
+                out.push(',');
+                write_json_string(&mut out, k);
+                out.push(':');
                 match v {
-                    FieldValue::Str(s) => out.push_str(&json_string(s)),
+                    FieldValue::Str(s) => write_json_string(&mut out, s),
                     FieldValue::U64(n) => {
                         let _ = write!(out, "{n}");
                     }
-                    FieldValue::F64(f) => out.push_str(&fmt_f64(*f)),
+                    FieldValue::F64(f) => write_f64(&mut out, *f),
                     FieldValue::Bool(b) => {
                         let _ = write!(out, "{b}");
                     }
@@ -420,40 +767,46 @@ fn series_key(name: &str, labels: &[(&'static str, &str)]) -> String {
     key
 }
 
-/// Deterministic float rendering: shortest round-trip form for finite
-/// values (Rust's `{}` for f64), quoted names for non-finite ones so the
-/// JSONL stays parseable.
-fn fmt_f64(v: f64) -> String {
+/// Deterministic float rendering into `out`: shortest round-trip form for
+/// finite values (Rust's `{}` for f64), quoted names for non-finite ones
+/// so the JSONL stays parseable.
+fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else if v.is_nan() {
-        "\"NaN\"".to_owned()
+        out.push_str("\"NaN\"");
     } else if v > 0.0 {
-        "\"inf\"".to_owned()
+        out.push_str("\"inf\"");
     } else {
-        "\"-inf\"".to_owned()
+        out.push_str("\"-inf\"");
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Minimal JSON string escaping (quotes, backslashes, control chars) into
+/// `out`; runs that need no escape are copied whole.
+fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut clean = 0;
+    for (i, c) in s.char_indices() {
+        let escape = match c {
+            '"' => "\\\"",
+            '\\' => "\\\\",
+            '\n' => "\\n",
+            '\r' => "\\r",
+            '\t' => "\\t",
+            c if (c as u32) < 0x20 => "",
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{:04x}", c as u32);
+        } else {
+            out.push_str(escape);
         }
+        clean = i + c.len_utf8();
     }
+    out.push_str(&s[clean..]);
     out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -466,7 +819,11 @@ mod tests {
         obs.counter_inc("c_total", &[]);
         obs.gauge_set("g", &[], 1.0);
         obs.observe("h_ms", &[], 2.0);
-        obs.event(SimTime::from_millis(1.0), "e", vec![]);
+        obs.counter("c_total", &[]).inc();
+        obs.gauge("g", &[]).set(1.0);
+        obs.histogram("h_ms", &[]).observe(2.0);
+        obs.counter_family("f_total", "server").inc("S1");
+        obs.event(SimTime::from_millis(1.0), "e", []);
         assert!(!obs.is_enabled());
         assert_eq!(obs.counter_value("c_total", &[]), 0);
         assert_eq!(obs.journal_len(), 0);
@@ -492,10 +849,45 @@ mod tests {
     }
 
     #[test]
+    fn a_handle_that_never_fires_leaves_no_series() {
+        let obs = Obs::new();
+        let hits = obs.counter("hits_total", &[]);
+        let wait = obs.histogram("wait_ms", &[]);
+        let family = obs.counter_family("fragments_total", "server");
+        assert_eq!(obs.metrics_snapshot(), "", "resolved, never fired");
+        // A zero add is an emission, as a named zero add always was.
+        hits.add(0);
+        assert_eq!(obs.metrics_snapshot(), "hits_total 0\n");
+        wait.observe(0.25);
+        family.inc("S1");
+        let snap = obs.metrics_snapshot();
+        assert!(snap.starts_with("fragments_total{server=S1} 1\nhits_total 0\n"));
+        assert!(snap.contains("wait_ms count=1 sum=0.25"), "{snap}");
+    }
+
+    #[test]
+    fn a_one_label_family_and_the_named_call_land_in_one_series() {
+        let obs = Obs::new();
+        let family = obs.counter_family("fragments_total", "server");
+        family.inc("S1");
+        obs.counter_inc("fragments_total", &[("server", "S1")]);
+        family.inc("S1");
+        family.inc("S2");
+        obs.counter("fragments_total", &[("server", "S2")]).add(3);
+        assert_eq!(obs.counter_value("fragments_total", &[("server", "S1")]), 3);
+        assert_eq!(
+            obs.metrics_snapshot(),
+            "fragments_total{server=S1} 3\nfragments_total{server=S2} 4\n"
+        );
+    }
+
+    #[test]
     fn gauges_are_last_write_wins() {
         let obs = Obs::new();
+        let entries = obs.gauge("plan_cache_entries", &[]);
+        assert_eq!(obs.metrics_snapshot(), "");
         obs.gauge_set("plan_cache_entries", &[], 5.0);
-        obs.gauge_set("plan_cache_entries", &[], 3.5);
+        entries.set(3.5);
         assert_eq!(obs.metrics_snapshot(), "plan_cache_entries 3.5\n");
     }
 
@@ -519,13 +911,13 @@ mod tests {
         obs.event(
             SimTime::from_millis(1.5),
             "probe",
-            vec![("server", "S1".into()), ("ok", true.into())],
+            [("server", "S1".into()), ("ok", true.into())],
         );
         obs.span(
             "compile",
             SimTime::from_millis(2.0),
             SimTime::from_millis(3.25),
-            vec![("query", 7u64.into())],
+            [("query", 7u64.into())],
         );
         assert_eq!(
             obs.journal_snapshot(),
@@ -538,16 +930,77 @@ mod tests {
     }
 
     #[test]
+    fn events_and_snapshot_are_whole_across_segment_boundaries() {
+        let obs = Obs::new();
+        // Narrow events (0 or 2 fields) until the first segment runs out
+        // of heads, then wide ones (11 fields) until the second runs out
+        // of fields, so each way of closing a segment is crossed.
+        let narrow = SEGMENT_EVENTS + 3;
+        let n = narrow + SEGMENT_FIELDS / 11 + 5;
+        let width = |i: usize| match i {
+            i if i >= narrow => 11,
+            i if i % 2 == 0 => 0,
+            _ => 2,
+        };
+        let mut expected = String::new();
+        for i in 0..n {
+            let fields = (0..width(i)).map(|j| match j {
+                0 => ("i", FieldValue::from(i)),
+                _ => ("s", FieldValue::from("x")),
+            });
+            obs.event(SimTime::from_millis(i as f64), "e", fields.clone());
+            let _ = write!(expected, "{{\"at\":{i},\"kind\":\"e\"");
+            for (k, v) in fields {
+                let v = match v {
+                    FieldValue::U64(n) => n.to_string(),
+                    _ => "\"x\"".to_owned(),
+                };
+                let _ = write!(expected, ",\"{k}\":{v}");
+            }
+            expected.push_str("}\n");
+        }
+        assert_eq!(obs.inner.as_ref().unwrap().journal.lock().segments.len(), 3);
+        assert_eq!(obs.journal_len(), n);
+        assert_eq!(obs.journal_snapshot(), expected);
+        let events = obs.events_of("e");
+        assert_eq!(events, obs.journal());
+        assert_eq!(events.len(), n);
+        for (i, e) in events.iter().enumerate() {
+            assert_eq!(e.at, SimTime::from_millis(i as f64));
+            assert_eq!(e.fields.len(), width(i));
+            if width(i) > 0 {
+                assert_eq!(e.field("i"), Some(&FieldValue::U64(i as u64)));
+            }
+        }
+        assert!(obs.events_of("other").is_empty());
+    }
+
+    #[test]
+    fn interned_strings_share_one_allocation() {
+        let obs = Obs::new();
+        let a = obs.intern("seqscan(t)");
+        let b = obs.intern(&String::from("seqscan(t)"));
+        assert!(Arc::ptr_eq(&a, &b));
+        let server = ServerId::new("S1");
+        let (FieldValue::Str(x), FieldValue::Str(y)) =
+            (FieldValue::from(&server), FieldValue::from(&server))
+        else {
+            panic!("server fields are strings");
+        };
+        assert!(Arc::ptr_eq(&x, &y), "server fields share the id's name");
+    }
+
+    #[test]
     fn json_strings_are_escaped() {
         let obs = Obs::new();
         obs.event(
             SimTime::ZERO,
             "query_failed",
-            vec![("error", "bad \"sql\"\nline\\2".into())],
+            [("error", "bad \"sql\"\nline\\2\u{1}é".into())],
         );
         assert_eq!(
             obs.journal_snapshot(),
-            "{\"at\":0,\"kind\":\"query_failed\",\"error\":\"bad \\\"sql\\\"\\nline\\\\2\"}\n"
+            "{\"at\":0,\"kind\":\"query_failed\",\"error\":\"bad \\\"sql\\\"\\nline\\\\2\\u0001é\"}\n"
         );
     }
 

@@ -12,7 +12,7 @@
 
 use crate::config::QccConfig;
 use parking_lot::Mutex;
-use qcc_common::{Obs, ServerId, SlidingWindow};
+use qcc_common::{CounterFamily, Obs, ServerId, SlidingWindow};
 use std::collections::BTreeMap;
 
 /// Lower clamp on any calibration factor. A factor this small would make
@@ -91,6 +91,7 @@ pub struct CalibrationTable {
     /// Manual seeds (from daemon probes) used until real data arrives.
     seeds: Mutex<BTreeMap<ServerId, f64>>,
     obs: Obs,
+    samples_total: CounterFamily,
 }
 
 impl CalibrationTable {
@@ -104,11 +105,13 @@ impl CalibrationTable {
             ii: Mutex::new(RatioWindow::new(config.calibration_window)),
             seeds: Mutex::new(BTreeMap::new()),
             obs: Obs::off(),
+            samples_total: CounterFamily::default(),
         }
     }
 
     /// Attach an observability handle (sample/seed counters).
     pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.samples_total = obs.counter_family("calibration_samples_total", "server");
         self.obs = obs;
         self
     }
@@ -129,15 +132,20 @@ impl CalibrationTable {
             .entry(server.clone())
             .or_insert_with(|| RatioWindow::new(self.window))
             .push(observed_ms, estimated_total);
-        self.per_fragment
-            .lock()
-            .entry(server.clone())
-            .or_default()
-            .entry(signature.to_owned())
-            .or_insert_with(|| RatioWindow::new(self.window))
-            .push(observed_ms, estimated_total);
-        self.obs
-            .counter_inc("calibration_samples_total", &[("server", server.as_str())]);
+        let mut per_fragment = self.per_fragment.lock();
+        let windows = per_fragment.entry(server.clone()).or_default();
+        // Look the window up first: the signature is copied only when it
+        // opens a new one.
+        match windows.get_mut(signature) {
+            Some(window) => window.push(observed_ms, estimated_total),
+            None => {
+                let mut window = RatioWindow::new(self.window);
+                window.push(observed_ms, estimated_total);
+                windows.insert(signature.to_owned(), window);
+            }
+        }
+        drop(per_fragment);
+        self.samples_total.inc(server.as_str());
     }
 
     /// Seed a server's factor from a daemon probe (used only while no

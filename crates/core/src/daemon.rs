@@ -136,12 +136,12 @@ impl AvailabilityDaemon {
                 self.qcc.obs.event(
                     at,
                     "calibration_seed",
-                    vec![("server", id.as_str().into()), ("factor", seed.into())],
+                    [("server", (&id).into()), ("factor", seed.into())],
                 );
                 if was_down {
                     self.qcc
                         .obs
-                        .event(at, "server_restored", vec![("server", id.as_str().into())]);
+                        .event(at, "server_restored", [("server", (&id).into())]);
                 }
             }
             Err(_) => {
@@ -166,10 +166,7 @@ impl AvailabilityDaemon {
             // interval its healthy history produced.
             interval = lo;
         }
-        let mut fields = vec![
-            ("server", id.as_str().into()),
-            ("ok", ping_ms.is_some().into()),
-        ];
+        let mut fields = vec![("server", (&id).into()), ("ok", ping_ms.is_some().into())];
         if let Some(ms) = ping_ms {
             fields.push(("ms", ms.into()));
         }

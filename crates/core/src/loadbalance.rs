@@ -16,7 +16,7 @@
 
 use crate::config::{LoadBalanceMode, QccConfig};
 use parking_lot::Mutex;
-use qcc_common::{FifoMap, Obs, ServerId};
+use qcc_common::{CounterHandle, FifoMap, Obs, ServerId};
 use qcc_federation::GlobalCandidate;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -44,7 +44,8 @@ pub struct LoadBalancer {
     threshold: f64,
     exploration_interval: u64,
     state: Mutex<FifoMap<Arc<str>, TemplateState>>,
-    obs: Obs,
+    commits_total: CounterHandle,
+    rotations_total: CounterHandle,
 }
 
 impl LoadBalancer {
@@ -56,13 +57,15 @@ impl LoadBalancer {
             threshold: config.workload_threshold,
             exploration_interval: config.exploration_interval,
             state: Mutex::new(FifoMap::new(TEMPLATE_STATE_CAPACITY)),
-            obs: Obs::off(),
+            commits_total: CounterHandle::default(),
+            rotations_total: CounterHandle::default(),
         }
     }
 
     /// Attach an observability handle (commit/rotation counters).
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.commits_total = obs.counter("lb_commits_total", &[]);
+        self.rotations_total = obs.counter("lb_rotations_total", &[]);
         self
     }
 
@@ -223,9 +226,9 @@ impl LoadBalancer {
             }
         }
         drop(st);
-        self.obs.counter_inc("lb_commits_total", &[]);
+        self.commits_total.inc();
         if commit.rotated {
-            self.obs.counter_inc("lb_rotations_total", &[]);
+            self.rotations_total.inc();
         }
     }
 }

@@ -9,7 +9,9 @@
 //! samples, reliability outcomes, cache inserts, balancer commits) is
 //! pushed into the caller's [`Deferred`] buffer and applied at the gather
 //! barrier in task order. Each observation defers exactly one closure —
-//! one lock acquisition sequence per observation, not per field.
+//! one lock acquisition sequence per observation, not per field. The two
+//! acknowledgements (`observe_fragment`, `observe_query`) are deferred by
+//! the federation itself and write directly.
 
 use crate::Qcc;
 use qcc_common::{Cost, FragmentId, QccError, Result, ServerId, SimDuration, SimTime};
@@ -137,7 +139,7 @@ impl Middleware for MetaWrapper {
         }
     }
 
-    fn observe_fragment(&self, plan: &Arc<FragmentPlan>, observed_ms: f64, effects: &mut Deferred) {
+    fn observe_fragment(&self, plan: &FragmentPlan, observed_ms: f64) {
         // Item (e): feed the calibration window with the observed ÷
         // raw-estimate pair. The coordinator only acknowledges full,
         // uncancelled completions, so the observed time is an honest
@@ -146,12 +148,10 @@ impl Middleware for MetaWrapper {
         // such sources ever become cost-comparable (§2: "when wrappers do
         // not provide cost estimation").
         let est = plan.cost.map(|c| c.total()).unwrap_or(DEFAULT_UNCOSTED);
-        let (qcc, plan) = (self.qcc.clone(), Arc::clone(plan));
-        effects.defer(move || {
-            qcc.reliability.record_success(&plan.server);
-            qcc.calibration
-                .record_fragment(&plan.server, &plan.signature, est, observed_ms);
-        });
+        self.qcc.reliability.record_success(&plan.server);
+        self.qcc
+            .calibration
+            .record_fragment(&plan.server, &plan.signature, est, observed_ms);
     }
 
     fn observe_fragment_cancel(&self, server: &ServerId, effects: &mut Deferred) {
@@ -173,7 +173,7 @@ impl Middleware for MetaWrapper {
 
     fn choose_global(
         &self,
-        query_sig: &str,
+        query_sig: &Arc<str>,
         candidates: &[GlobalCandidate],
         effects: &mut Deferred,
     ) -> usize {
@@ -181,15 +181,13 @@ impl Middleware for MetaWrapper {
             return 0;
         }
         let (pick, commit) = self.qcc.load_balancer.peek(query_sig, candidates);
-        let qcc = self.qcc.clone();
-        let sig = query_sig.to_owned();
+        let (qcc, sig) = (self.qcc.clone(), Arc::clone(query_sig));
         effects.defer(move || qcc.load_balancer.commit(&sig, commit));
         pick
     }
 
-    fn observe_query(&self, estimated_total: f64, observed_ms: f64, effects: &mut Deferred) {
-        let qcc = self.qcc.clone();
-        effects.defer(move || qcc.calibration.record_ii(estimated_total, observed_ms));
+    fn observe_query(&self, estimated_total: f64, observed_ms: f64) {
+        self.qcc.calibration.record_ii(estimated_total, observed_ms);
     }
 }
 

@@ -102,7 +102,7 @@ impl ReliabilityTracker {
             self.obs
                 .counter_inc("server_down_total", &[("server", server.as_str())]);
             self.obs
-                .event(at, "server_down", vec![("server", server.as_str().into())]);
+                .event(at, "server_down", [("server", server.into())]);
         }
     }
 

@@ -20,12 +20,14 @@ use crate::patroller::QueryPatroller;
 use qcc_admission::AdmissionController;
 use qcc_catalog::ReplicaCatalog;
 use qcc_common::{
-    scatter_indexed, FieldValue, Obs, QccError, QueryId, Result, Row, ServerId, SimTime,
+    scatter_indexed, CounterFamily, CounterHandle, Field, HistogramHandle, Obs, QccError, QueryId,
+    Result, Row, ServerId, SimTime,
 };
 use qcc_netsim::{LoadProfile, ServerLoad, SimClock};
 use qcc_wrapper::Wrapper;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use template::Statement;
 
 /// Integrator CPU speed (work units per virtual ms): what the merge's
 /// estimate (`compile.rs`) and its execution (`merge.rs`) divide by.
@@ -92,6 +94,10 @@ pub type CompiledGlobal = (Arc<DecomposedQuery>, Vec<GlobalCandidate>);
 /// Observed `(server, response ms)` pairs, one per executed fragment.
 pub type FragmentTimes = Vec<(ServerId, f64)>;
 
+/// A dispatched query's rows, its fragment times, and its merge's start
+/// and virtual ms (none for a passthrough).
+type Dispatched = (Vec<Row>, FragmentTimes, Option<(SimTime, f64)>);
+
 /// The federated information integrator.
 pub struct Federation {
     nicknames: NicknameCatalog,
@@ -108,6 +114,8 @@ pub struct Federation {
     /// called). Worker-side journal emissions ride the `Deferred` buffers
     /// so snapshots stay thread-count independent.
     obs: Obs,
+    /// The per-arrival series of `obs`, resolved once.
+    metrics: Metrics,
     /// Admission controller (absent unless [`Federation::set_admission`]
     /// is called). `run` consults its *frozen* per-server token capacities
     /// at plan-selection time — the coordinator refreshes them only
@@ -139,6 +147,7 @@ impl Federation {
             config,
             templates: template::new_cache(),
             obs: Obs::off(),
+            metrics: Metrics::default(),
             admission: None,
             catalog: None,
         }
@@ -166,6 +175,12 @@ impl Federation {
     /// same one.
     pub fn set_obs(&mut self, obs: Obs) {
         self.patroller.set_obs(obs.clone());
+        self.metrics = Metrics {
+            template_hits: obs.counter("compiled_template_hits_total", &[]),
+            fragments: obs.counter_family("fragments_total", "server"),
+            pruned: obs.counter("catalog_candidates_pruned_total", &[]),
+            set_size: obs.histogram("catalog_candidate_set_size", &[]),
+        };
         self.obs = obs;
     }
 
@@ -213,7 +228,8 @@ impl Federation {
     pub fn explain_global(&self, sql: &str) -> Result<CompiledGlobal> {
         let qid = QueryId(u64::MAX); // sentinel: not a logged submission
         let mut effects = Deferred::new();
-        let compiled = self.compile(qid, sql, &self.clock, &mut effects);
+        let statement = self.statement(sql);
+        let compiled = self.compile(qid, &statement, &self.clock, &mut effects);
         effects.apply();
         compiled.map(|(template, candidates)| (Arc::clone(&template.decomposed), candidates))
     }
@@ -222,9 +238,12 @@ impl Federation {
     /// the fragments remotely (in parallel), merge locally, and log it all.
     pub fn submit(&self, sql: &str) -> Result<QueryOutcome> {
         let submitted = self.clock.now();
-        let qid = self.patroller.record_submit(sql, submitted);
+        let statement = self.statement(sql);
+        let qid = self
+            .patroller
+            .record_submit(Arc::clone(&statement.sql), submitted);
         let mut effects = Deferred::new();
-        let result = self.run(qid, sql, &self.clock, &mut effects, None);
+        let result = self.run(qid, &statement, &self.clock, &mut effects, None);
         effects.apply();
         match result {
             Ok(outcome) => {
@@ -269,24 +288,29 @@ impl Federation {
         budgets: &[Option<f64>],
     ) -> Vec<Result<QueryOutcome>> {
         let t0 = self.clock.now();
-        let qids: Vec<QueryId> = sqls
+        let arrivals: Vec<(QueryId, Statement)> = sqls
             .iter()
-            .map(|sql| self.patroller.record_submit(sql, t0))
+            .map(|sql| {
+                let statement = self.statement(sql);
+                let qid = self.patroller.record_submit(Arc::clone(&statement.sql), t0);
+                (qid, statement)
+            })
             .collect();
         let outcomes = scatter_indexed(sqls.len(), self.config.threads, |i| {
             let clock = SimClock::at(t0);
             let mut local = Deferred::new();
             let budget = budgets.get(i).copied().flatten();
-            let result = self.run(qids[i], &sqls[i], &clock, &mut local, budget);
+            let (qid, statement) = &arrivals[i];
+            let result = self.run(*qid, statement, &clock, &mut local, budget);
             (result, local, clock.now())
         });
         let mut latest = t0;
         let mut out = Vec::with_capacity(sqls.len());
-        for (i, (result, local, end)) in outcomes.into_iter().enumerate() {
+        for ((qid, _), (result, local, end)) in arrivals.iter().zip(outcomes) {
             local.apply();
             match &result {
-                Ok(_) => self.patroller.record_complete(qids[i], end),
-                Err(e) => self.patroller.record_failure(qids[i], end, e.to_string()),
+                Ok(_) => self.patroller.record_complete(*qid, end),
+                Err(e) => self.patroller.record_failure(*qid, end, e.to_string()),
             }
             if end > latest {
                 latest = end;
@@ -300,13 +324,13 @@ impl Federation {
     fn run(
         &self,
         qid: QueryId,
-        sql: &str,
+        statement: &Statement,
         clock: &SimClock,
         effects: &mut Deferred,
         budget_ms: Option<f64>,
     ) -> Result<QueryOutcome> {
         let submitted = clock.now();
-        let (template, candidates) = self.compile(qid, sql, clock, effects)?;
+        let (template, candidates) = self.compile(qid, statement, clock, effects)?;
         if candidates.is_empty() {
             return Err(QccError::NoViablePlan("no global candidates".into()));
         }
@@ -349,7 +373,7 @@ impl Federation {
         if blocked_count > 0 {
             self.obs.counter_inc("token_waits_total", &[]);
             self.journal(effects, clock.now(), "token_wait", || {
-                vec![
+                [
                     ("query", qid.0.into()),
                     ("blocked_candidates", blocked_count.into()),
                 ]
@@ -367,7 +391,7 @@ impl Federation {
         }
         let idx = self
             .middleware
-            .choose_global(&template.decomposed.template_signature, viable, effects)
+            .choose_global(&template.signature, viable, effects)
             .min(viable.len() - 1);
         let chosen = &viable[idx];
 
@@ -376,7 +400,7 @@ impl Federation {
         // or cannot be answered.
         let remaining_ms = (exec_deadline_ms > 0.0)
             .then(|| exec_deadline_ms - clock.now().since(submitted).as_millis());
-        let (rows, fragment_times) = self.dispatch_fragments(
+        let (rows, fragment_times, merge) = self.dispatch_fragments(
             qid,
             &template,
             chosen,
@@ -386,21 +410,36 @@ impl Federation {
             effects,
         )?;
         let response_ms = clock.now().since(submitted).as_millis();
-        if exec_deadline_ms > 0.0 && response_ms > exec_deadline_ms {
+        let merged = merge.and_then(|(at, ms)| {
+            self.pending_event(at, "merge", || [("query", qid.0.into()), ("ms", ms.into())])
+        });
+        let late = if exec_deadline_ms > 0.0 && response_ms > exec_deadline_ms {
             // Completed, but late: the result still counts, the goodput
             // accounting does not.
             self.obs.counter_inc("deadline_misses_total", &[]);
-            self.journal(effects, clock.now(), "deadline_exceeded", || {
-                vec![
+            self.pending_event(clock.now(), "deadline_exceeded", || {
+                [
                     ("query", qid.0.into()),
                     ("stage", "completion".into()),
                     ("elapsed_ms", response_ms.into()),
                     ("deadline_ms", exec_deadline_ms.into()),
                 ]
-            });
-        }
-        self.middleware
-            .observe_query(chosen.total_cost(), response_ms, effects);
+            })
+        } else {
+            None
+        };
+        // The query's close is one deferred closure: its merge and lateness
+        // events, then the middleware's end-to-end sample.
+        let (middleware, estimate) = (Arc::clone(&self.middleware), chosen.total_cost());
+        effects.defer(move || {
+            if let Some(event) = merged {
+                event.append();
+            }
+            if let Some(event) = late {
+                event.append();
+            }
+            middleware.observe_query(estimate, response_ms);
+        });
         Ok(QueryOutcome {
             id: qid,
             rows,
@@ -416,19 +455,67 @@ impl Federation {
     /// below it execute on scatter workers under `submit_batch`, so journal
     /// appends must wait for the gather barrier (L9). `fields` is only
     /// built when the journal is on.
-    fn journal(
+    fn journal<I>(
         &self,
         effects: &mut Deferred,
         at: SimTime,
         kind: &'static str,
-        fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
-    ) {
-        if self.obs.is_enabled() {
-            let obs = self.obs.clone();
-            let fields = fields();
-            effects.defer(move || obs.event(at, kind, fields));
+        fields: impl FnOnce() -> I,
+    ) where
+        I: IntoIterator<Item = Field> + Send + 'static,
+    {
+        if let Some(event) = self.pending_event(at, kind, fields) {
+            effects.defer(move || event.append());
         }
     }
+
+    /// One event, to be appended at the gather barrier by itself or inside
+    /// another deferred closure; `None` (and `fields` never built) when the
+    /// journal is off.
+    fn pending_event<I>(
+        &self,
+        at: SimTime,
+        kind: &'static str,
+        fields: impl FnOnce() -> I,
+    ) -> Option<PendingEvent<I>>
+    where
+        I: IntoIterator<Item = Field>,
+    {
+        self.obs.is_enabled().then(|| PendingEvent {
+            obs: self.obs.clone(),
+            at,
+            kind,
+            fields: fields(),
+        })
+    }
+}
+
+/// A journal event built where it happened, appended at the gather
+/// barrier.
+struct PendingEvent<I> {
+    obs: Obs,
+    at: SimTime,
+    kind: &'static str,
+    fields: I,
+}
+
+impl<I: IntoIterator<Item = Field>> PendingEvent<I> {
+    fn append(self) {
+        self.obs.event(self.at, self.kind, self.fields);
+    }
+}
+
+/// The series a warm arrival emits into, resolved when obs is attached.
+#[derive(Default)]
+struct Metrics {
+    /// `compiled_template_hits_total`.
+    template_hits: CounterHandle,
+    /// `fragments_total{server}`.
+    fragments: CounterFamily,
+    /// `catalog_candidates_pruned_total`.
+    pruned: CounterHandle,
+    /// `catalog_candidate_set_size`.
+    set_size: HistogramHandle,
 }
 
 impl std::fmt::Debug for Federation {

@@ -1,7 +1,7 @@
 //! Compile: fetch (or build) the statement's template, source-select, fan
 //! out the EXPLAINs, enumerate and cost the global candidates.
 
-use super::template::{Learned, Template};
+use super::template::{Learned, Statement, Template};
 use super::{Federation, II_SPEED};
 use crate::decompose::MergeSpec;
 use crate::middleware::{Deferred, FragmentCandidate, GlobalCandidate};
@@ -23,13 +23,13 @@ impl Federation {
     pub(super) fn compile(
         &self,
         qid: QueryId,
-        sql: &str,
+        statement: &Statement,
         clock: &SimClock,
         effects: &mut Deferred,
     ) -> Result<(Arc<Template>, Vec<GlobalCandidate>)> {
         // Parse and decompose happen once per statement text; from here on
         // a first arrival and a repeat run the same code.
-        let template = self.template(sql, effects)?;
+        let template = self.template(statement, effects)?;
         let decomposed = &template.decomposed;
         let mut learned = Learned::default();
 
@@ -59,22 +59,18 @@ impl Federation {
             let kept: usize = selected.iter().map(|s| s.len()).sum();
             if kept < full {
                 // Commutative counter: safe inline on worker threads (L9).
-                self.obs
-                    .counter_add("catalog_candidates_pruned_total", &[], (full - kept) as u64);
+                self.metrics.pruned.add((full - kept) as u64);
             }
             if self.obs.is_enabled() {
-                let obs = self.obs.clone();
+                let (obs, set_size) = (self.obs.clone(), self.metrics.set_size.clone());
                 let at = clock.now();
                 effects.defer(move || {
                     // Per-query candidate-set-size distribution (post-prune).
-                    obs.observe("catalog_candidate_set_size", &[], kept as f64);
+                    set_size.observe(kept as f64);
                     if kept < full {
-                        let mut fields: Vec<(&'static str, qcc_common::FieldValue)> = Vec::new();
-                        if qid.0 != u64::MAX {
-                            fields.push(("query", qid.0.into()));
-                        }
-                        fields.extend([("full", full.into()), ("kept", kept.into())]);
-                        obs.event(at, "catalog_prune", fields);
+                        let query = (qid.0 != u64::MAX).then(|| ("query", qid.0.into()));
+                        let counts = [("full", full.into()), ("kept", kept.into())];
+                        obs.event(at, "catalog_prune", query.into_iter().chain(counts));
                     }
                 });
             }
@@ -270,21 +266,14 @@ impl Federation {
         // `submit_batch`.
         if self.obs.is_enabled() {
             let obs = self.obs.clone();
-            let template = decomposed.template_signature.clone();
-            let (explain_tasks, n_candidates) = (tasks.len(), candidates.len());
+            let query = (qid.0 != u64::MAX).then(|| ("query", qid.0.into()));
+            let fields = [
+                ("template", (&template.signature).into()),
+                ("explain_tasks", tasks.len().into()),
+                ("candidates", candidates.len().into()),
+            ];
             let end = clock.now();
-            effects.defer(move || {
-                let mut fields: Vec<(&'static str, qcc_common::FieldValue)> = Vec::new();
-                if qid.0 != u64::MAX {
-                    fields.push(("query", qid.0.into()));
-                }
-                fields.extend([
-                    ("template", template.into()),
-                    ("explain_tasks", explain_tasks.into()),
-                    ("candidates", n_candidates.into()),
-                ]);
-                obs.span("compile", at, end, fields);
-            });
+            effects.defer(move || obs.span("compile", at, end, query.into_iter().chain(fields)));
         }
         if !learned.is_empty() {
             let template = Arc::clone(&template);

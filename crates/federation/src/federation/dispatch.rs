@@ -3,9 +3,9 @@
 //! shares with slot re-dispatch.
 
 use super::template::Template;
-use super::{Federation, FragmentTimes};
+use super::{Dispatched, Federation, FragmentTimes, PendingEvent};
 use crate::middleware::{Deferred, FragmentCandidate, GlobalCandidate};
-use qcc_common::{scatter_indexed, QccError, QueryId, Result, Row, SimDuration, SimTime};
+use qcc_common::{scatter_indexed, Field, QccError, QueryId, Result, SimDuration, SimTime};
 use qcc_netsim::SimClock;
 use qcc_wrapper::{FragmentPlan, StreamOutcome, WrapperResult, WrapperStream};
 use std::collections::BTreeMap;
@@ -52,7 +52,7 @@ impl Federation {
         remaining_ms: Option<f64>,
         clock: &SimClock,
         effects: &mut Deferred,
-    ) -> Result<(Vec<Row>, FragmentTimes)> {
+    ) -> Result<Dispatched> {
         let start = clock.now();
         let hedges = self.plan_hedges(qid, chosen, pool, remaining_ms, start, effects);
         let n = chosen.fragments.len();
@@ -193,7 +193,7 @@ impl Federation {
             results.push(result);
         }
         clock.advance(slowest);
-        self.merge_global(qid, template, results, fragment_times, clock, effects)
+        self.merge_global(template, results, fragment_times, clock, effects)
     }
 
     /// Hedged dispatch: choose (and journal) a hedge replica for every
@@ -233,11 +233,11 @@ impl Federation {
             self.obs
                 .counter_inc("hedges_total", &[("server", alt.plan.server.as_str())]);
             self.journal(effects, at, "hedge", || {
-                vec![
+                [
                     ("query", qid.0.into()),
                     ("fragment", slot.into()),
-                    ("primary", primary.plan.server.to_string().into()),
-                    ("hedge", alt.plan.server.to_string().into()),
+                    ("primary", (&primary.plan.server).into()),
+                    ("hedge", (&alt.plan.server).into()),
                     ("est_ms", est.into()),
                 ]
             });
@@ -278,10 +278,11 @@ impl Federation {
     }
 
     /// Accept a fully-completed, uncancelled stream: count it, journal the
-    /// fragment span, and acknowledge it to the middleware. This is the
-    /// only caller of [`Middleware::observe_fragment`], hence the single
-    /// rule for what feeds reliability and calibration — cancelled streams
-    /// and resumed remainders never reach it.
+    /// fragment span, and acknowledge it to the middleware, in one deferred
+    /// closure. This is the only caller of
+    /// [`Middleware::observe_fragment`](crate::Middleware::observe_fragment),
+    /// hence the single rule for what feeds reliability and calibration —
+    /// cancelled streams and resumed remainders never reach it.
     pub(super) fn note_complete_stream(
         &self,
         qid: QueryId,
@@ -291,12 +292,17 @@ impl Federation {
         effects: &mut Deferred,
     ) {
         let ms = stream.response_time.as_millis();
-        self.journal_fragment(qid, &cand.plan, ms, start, effects);
-        self.middleware.observe_fragment(&cand.plan, ms, effects);
+        let event = self.fragment_event(qid, &cand.plan, ms, start);
+        let (middleware, plan) = (Arc::clone(&self.middleware), Arc::clone(&cand.plan));
+        effects.defer(move || {
+            if let Some(event) = event {
+                event.append();
+            }
+            middleware.observe_fragment(&plan, ms);
+        });
     }
 
-    /// Count and journal one `plan` execution that ran to completion (a
-    /// whole fragment, or a resumed remainder).
+    /// Count and journal one resumed remainder that ran to completion.
     pub(super) fn journal_fragment(
         &self,
         qid: QueryId,
@@ -305,16 +311,29 @@ impl Federation {
         at: SimTime,
         effects: &mut Deferred,
     ) {
-        self.obs
-            .counter_inc("fragments_total", &[("server", plan.server.as_str())]);
-        self.journal(effects, at, "fragment", || {
-            vec![
+        if let Some(event) = self.fragment_event(qid, plan, ms, at) {
+            effects.defer(move || event.append());
+        }
+    }
+
+    /// Count one completed `plan` execution and build its `fragment`
+    /// event, if the journal is on.
+    fn fragment_event(
+        &self,
+        qid: QueryId,
+        plan: &FragmentPlan,
+        ms: f64,
+        at: SimTime,
+    ) -> Option<PendingEvent<[Field; 4]>> {
+        self.metrics.fragments.inc(plan.server.as_str());
+        self.pending_event(at, "fragment", || {
+            [
                 ("query", qid.0.into()),
-                ("server", plan.server.to_string().into()),
-                ("signature", plan.signature.clone().into()),
+                ("server", (&plan.server).into()),
+                ("signature", self.obs.intern(&plan.signature).into()),
                 ("ms", ms.into()),
             ]
-        });
+        })
     }
 }
 

@@ -2,10 +2,10 @@
 //! fragment results.
 
 use super::template::{Learned, Template};
-use super::{Federation, FragmentTimes, II_SPEED};
+use super::{Dispatched, Federation, FragmentTimes, II_SPEED};
 use crate::decompose::MergeSpec;
 use crate::middleware::Deferred;
-use qcc_common::{ColumnBatch, QccError, QueryId, Result, Row, SimDuration};
+use qcc_common::{ColumnBatch, QccError, Result, SimDuration};
 use qcc_engine::{execute_over, CostModel, Engine, PlanNode};
 use qcc_netsim::{slowdown, SimClock};
 use qcc_sql::SelectStmt;
@@ -14,16 +14,17 @@ use qcc_wrapper::WrapperResult;
 use std::sync::Arc;
 
 impl Federation {
-    /// Merge gathered fragment results at the integrator.
+    /// Merge gathered fragment results at the integrator. The merge's
+    /// start and virtual ms are handed back for `run` to journal with the
+    /// query's close.
     pub(super) fn merge_global(
         &self,
-        qid: QueryId,
         template: &Arc<Template>,
         results: Vec<WrapperResult>,
         fragment_times: FragmentTimes,
         clock: &SimClock,
         effects: &mut Deferred,
-    ) -> Result<(Vec<Row>, FragmentTimes)> {
+    ) -> Result<Dispatched> {
         match &template.decomposed.merge {
             MergeSpec::Passthrough => {
                 let rows = results
@@ -31,7 +32,7 @@ impl Federation {
                     .next()
                     .map(|r| r.rows())
                     .unwrap_or_default();
-                Ok((rows, fragment_times))
+                Ok((rows, fragment_times, None))
             }
             MergeSpec::Merge { stmt } => {
                 // The shipped fragment batches are the merge statement's
@@ -71,10 +72,7 @@ impl Federation {
                 let rho = self.ii_load.utilization(merge_start);
                 let merge_ms = work.cpu_units / II_SPEED * slowdown(rho, 1.0);
                 clock.advance(SimDuration::from_millis(merge_ms));
-                self.journal(effects, merge_start, "merge", || {
-                    vec![("query", qid.0.into()), ("ms", merge_ms.into())]
-                });
-                Ok((rows, fragment_times))
+                Ok((rows, fragment_times, Some((merge_start, merge_ms))))
             }
         }
     }

@@ -152,8 +152,8 @@ impl Federation {
                 let mut fields: Vec<(&'static str, FieldValue)> = vec![
                     ("query", qid.0.into()),
                     ("fragment", slot.into()),
-                    ("from", from.to_string().into()),
-                    ("to", to.to_string().into()),
+                    ("from", from.into()),
+                    ("to", to.into()),
                     ("cursor", cursor.into()),
                 ];
                 if cursor > 0 {
@@ -210,7 +210,7 @@ impl Federation {
                         vec![
                             ("query", qid.0.into()),
                             ("fragment", slot.into()),
-                            ("server", to.to_string().into()),
+                            ("server", to.into()),
                             ("cursor", cursor.into()),
                             ("chunks", stream.delivered().into()),
                             ("ms", ms.into()),
@@ -301,7 +301,7 @@ impl Federation {
             let mut fields: Vec<(&'static str, FieldValue)> = vec![
                 ("query", qid.0.into()),
                 ("fragment", slot.into()),
-                ("server", server.to_string().into()),
+                ("server", server.into()),
                 ("reason", reason.into()),
                 ("elapsed_ms", cancel_at.since(start).as_millis().into()),
             ];
@@ -328,8 +328,8 @@ impl Federation {
             vec![
                 ("query", qid.0.into()),
                 ("fragment", slot.into()),
-                ("winner", winner.to_string().into()),
-                ("suppressed", suppressed.to_string().into()),
+                ("winner", winner.into()),
+                ("suppressed", suppressed.into()),
             ]
         });
     }

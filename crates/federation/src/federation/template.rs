@@ -47,9 +47,15 @@ pub(super) fn new_cache() -> TemplateCache {
 
 /// One compiled statement.
 pub(super) struct Template {
+    /// The statement text: the cache key, and the `sql` of every
+    /// `query_submit` event of this statement.
+    pub(super) sql: Arc<str>,
     /// The decomposition: fragments, their output schemas, the parsed
     /// merge statement and the template signature.
     pub(super) decomposed: Arc<DecomposedQuery>,
+    /// `decomposed.template_signature`, shared by every `compile` span and
+    /// load-balancer commit of this statement.
+    pub(super) signature: Arc<str>,
     /// Per fragment slot: the name the merge statement reads its shipped
     /// result under (`__frag{i}`) and the schema the result is checked
     /// against there. Empty for a passthrough template, which never
@@ -82,7 +88,7 @@ pub(super) struct Learned {
 }
 
 impl Template {
-    fn new(decomposed: DecomposedQuery) -> Self {
+    fn new(sql: Arc<str>, decomposed: DecomposedQuery) -> Self {
         let memo = Memo {
             fragment_sql: vec![BTreeMap::new(); decomposed.fragments.len()],
             integration: FifoMap::new(INTEGRATION_MEMO_CAPACITY),
@@ -98,6 +104,8 @@ impl Template {
             MergeSpec::Passthrough => Vec::new(),
         };
         Template {
+            sql,
+            signature: decomposed.template_signature.as_str().into(),
             slots,
             decomposed: Arc::new(decomposed),
             memo: Mutex::new(memo),
@@ -146,24 +154,54 @@ impl Learned {
     }
 }
 
+/// A statement as one arrival carries it: its text, shared with the
+/// template cache when the statement is cached, and its compiled template
+/// if it is.
+pub(super) struct Statement {
+    pub(super) sql: Arc<str>,
+    template: Option<Arc<Template>>,
+}
+
 impl Federation {
-    /// The compiled template of `sql`. A statement not in the cache is
-    /// decomposed here and its insert deferred: under `submit_batch` every
-    /// query of a batch therefore probes the cache as it stood when the
-    /// batch started, and inserts (with their FIFO evictions) happen at
-    /// the gather barrier in submission order — the same hits, misses and
-    /// evictions at any thread count.
-    pub(super) fn template(&self, sql: &str, effects: &mut Deferred) -> Result<Arc<Template>> {
+    /// Probe the template cache for `sql`, once per arrival. Under
+    /// `submit_batch` every query of a batch probes the cache as it stood
+    /// when the batch started: inserts wait for the gather barrier.
+    pub(super) fn statement(&self, sql: &str) -> Statement {
         if let Some(template) = self.templates.lock().get(sql) {
-            self.obs.counter_inc("compiled_template_hits_total", &[]);
-            return Ok(Arc::clone(template));
+            self.metrics.template_hits.inc();
+            return Statement {
+                sql: Arc::clone(&template.sql),
+                template: Some(Arc::clone(template)),
+            };
         }
         self.obs.counter_inc("compiled_template_misses_total", &[]);
-        let template = Arc::new(Template::new(decompose(sql, &self.nicknames)?));
+        Statement {
+            sql: sql.into(),
+            template: None,
+        }
+    }
+
+    /// The compiled template of `statement`. A statement not in the cache
+    /// is decomposed here and its insert deferred, so inserts (with their
+    /// FIFO evictions) happen at the gather barrier in submission order —
+    /// the same hits, misses and evictions at any thread count.
+    pub(super) fn template(
+        &self,
+        statement: &Statement,
+        effects: &mut Deferred,
+    ) -> Result<Arc<Template>> {
+        if let Some(template) = &statement.template {
+            return Ok(Arc::clone(template));
+        }
+        let sql = Arc::clone(&statement.sql);
+        let template = Arc::new(Template::new(
+            Arc::clone(&sql),
+            decompose(&sql, &self.nicknames)?,
+        ));
         let (cache, obs) = (Arc::clone(&self.templates), self.obs.clone());
-        let (key, stored) = (Arc::from(sql), Arc::clone(&template));
+        let stored = Arc::clone(&template);
         effects.defer(move || {
-            let evicted = cache.lock().insert(key, stored);
+            let evicted = cache.lock().insert(sql, stored);
             if evicted > 0 {
                 obs.counter_add("compiled_template_evictions_total", &[], evicted as u64);
             }

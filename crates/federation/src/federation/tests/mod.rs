@@ -1,6 +1,8 @@
 use super::*;
 use crate::middleware::PassthroughMiddleware;
-use qcc_common::{Column, ColumnBatch, ColumnVector, Cost, DataType, Schema, SimDuration, Value};
+use qcc_common::{
+    Column, ColumnBatch, ColumnVector, Cost, DataType, FieldValue, Schema, SimDuration, Value,
+};
 use qcc_engine::Engine;
 use qcc_netsim::{Link, Network};
 use qcc_remote::{RemoteServer, ServerProfile};
@@ -553,14 +555,8 @@ impl Middleware for SampleLog {
         wrapper.execute_stream(plan, at, cursor, true)
     }
 
-    fn observe_fragment(
-        &self,
-        plan: &Arc<qcc_wrapper::FragmentPlan>,
-        _observed_ms: f64,
-        effects: &mut Deferred,
-    ) {
-        let (log, server) = (Arc::clone(&self.0), plan.server.clone());
-        effects.defer(move || log.lock().push(server));
+    fn observe_fragment(&self, plan: &qcc_wrapper::FragmentPlan, _observed_ms: f64) {
+        self.0.lock().push(plan.server.clone());
     }
 }
 
@@ -749,7 +745,9 @@ fn integration_memo_is_bit_identical_to_a_direct_estimate() {
     let fed = cross_source_fleet();
     let (_, fresh) = fed.explain_global(CROSS_SOURCE).unwrap();
     let (_, remembered) = fed.explain_global(CROSS_SOURCE).unwrap();
-    let template = fed.template(CROSS_SOURCE, &mut Deferred::new()).unwrap();
+    let template = fed
+        .template(&fed.statement(CROSS_SOURCE), &mut Deferred::new())
+        .unwrap();
     assert_eq!(
         fed.obs().counter_value("integration_estimates_total", &[]),
         1,
@@ -855,19 +853,14 @@ fn id_result(ids: std::ops::Range<i64>, columns: usize) -> WrapperResult {
 fn merge_plan_memo_is_bounded_and_a_hit_still_checks_its_batches() {
     use template::MERGE_PLAN_MEMO_CAPACITY;
     let fed = cross_source_fleet();
-    let template = fed.template(CROSS_SOURCE, &mut Deferred::new()).unwrap();
+    let template = fed
+        .template(&fed.statement(CROSS_SOURCE), &mut Deferred::new())
+        .unwrap();
     let merge = |results: Vec<WrapperResult>| {
         let mut effects = Deferred::new();
-        let merged = fed.merge_global(
-            QueryId(0),
-            &template,
-            results,
-            vec![],
-            fed.clock(),
-            &mut effects,
-        );
+        let merged = fed.merge_global(&template, results, vec![], fed.clock(), &mut effects);
         effects.apply();
-        merged.map(|(rows, _)| rows)
+        merged.map(|(rows, _, _)| rows)
     };
     for round in 0..3 * MERGE_PLAN_MEMO_CAPACITY as i64 {
         let rows = merge(vec![id_result(0..round + 1, 1), id_result(0..8, 1)]).unwrap();
@@ -899,19 +892,18 @@ fn merge_plan_memo_is_bounded_and_a_hit_still_checks_its_batches() {
 #[test]
 fn a_warm_hit_checks_column_types_and_merges_a_fragment_of_no_batches() {
     let fed = cross_source_fleet();
-    let template = fed.template(CROSS_SOURCE, &mut Deferred::new()).unwrap();
+    let template = fed
+        .template(&fed.statement(CROSS_SOURCE), &mut Deferred::new())
+        .unwrap();
+    let merge_ms = parking_lot::Mutex::new(Vec::new());
     let merge = |results: Vec<WrapperResult>| {
         let mut effects = Deferred::new();
-        let merged = fed.merge_global(
-            QueryId(0),
-            &template,
-            results,
-            vec![],
-            fed.clock(),
-            &mut effects,
-        );
+        let merged = fed.merge_global(&template, results, vec![], fed.clock(), &mut effects);
         effects.apply();
-        merged.map(|(rows, _)| rows)
+        merged.map(|(rows, _, merge)| {
+            merge_ms.lock().extend(merge.map(|(_, ms)| ms));
+            rows
+        })
     };
     let planned = || fed.obs().counter_value("merge_plans_total", &[]);
     merge(vec![id_result(0..8, 1), id_result(0..8, 1)]).unwrap();
@@ -955,13 +947,10 @@ fn a_warm_hit_checks_column_types_and_merges_a_fragment_of_no_batches() {
         2,
         "planned at the first arrival, a hit at the second"
     );
-    let merges = fed.obs().events_of("merge");
-    let ms: Vec<u64> = merges[merges.len() - 2..]
+    let merge_ms = merge_ms.lock();
+    let ms: Vec<u64> = merge_ms[merge_ms.len() - 2..]
         .iter()
-        .map(|e| match e.field("ms") {
-            Some(FieldValue::F64(ms)) => ms.to_bits(),
-            other => panic!("merge event without ms: {other:?}"),
-        })
+        .map(|ms| ms.to_bits())
         .collect();
     // The integrator is idle at full speed: a merge's ms is its Work.
     assert_eq!(ms, [work.cpu_units.to_bits(); 2]);

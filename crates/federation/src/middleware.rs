@@ -17,6 +17,12 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
+/// Effects a buffer makes room for at its first: a warm query with the
+/// journal on defers up to five (its compile span, the balancer commit,
+/// one acknowledgement per fragment of two, its close), so a query's
+/// buffer is allocated once rather than grown.
+const FIRST_RESERVE: usize = 8;
+
 /// Deferred shared-state writes gathered during a scatter unit.
 ///
 /// Middleware calls made from scatter workers must not mutate shared
@@ -41,6 +47,9 @@ impl Deferred {
 
     /// Queue one side effect to run at the gather barrier.
     pub fn defer(&mut self, effect: impl FnOnce() + Send + 'static) {
+        if self.effects.capacity() == 0 {
+            self.effects.reserve(FIRST_RESERVE);
+        }
         self.effects.push(Box::new(effect));
     }
 
@@ -150,6 +159,11 @@ impl GlobalCandidate {
 /// into `effects` (see [`Deferred`]). Callers apply the buffers at their
 /// gather barriers in deterministic order. Single-threaded callers pass a
 /// buffer and apply it immediately — the observable behaviour is the same.
+/// The two acknowledgements, [`Middleware::observe_fragment`] and
+/// [`Middleware::observe_query`], are the exception: the federation defers
+/// the calls themselves, each in one closure with the journal events of
+/// what it acknowledges, so they run at the gather barrier and write
+/// directly.
 pub trait Middleware: Send + Sync {
     /// Compile time: forward an EXPLAIN to a wrapper. Implementations may
     /// calibrate the returned costs. `sql` is the compiled template's
@@ -184,15 +198,10 @@ pub trait Middleware: Send + Sync {
 
     /// Coordinator acknowledgement that a streamed fragment ran to
     /// completion uncancelled: an honest whole-fragment sample for the
-    /// reliability and calibration windows. `plan` is the candidate's
-    /// shared handle, so deferring it copies a pointer. No-op by default.
-    fn observe_fragment(
-        &self,
-        _plan: &Arc<FragmentPlan>,
-        _observed_ms: f64,
-        _effects: &mut Deferred,
-    ) {
-    }
+    /// reliability and calibration windows. Called at the gather barrier,
+    /// in task order, right after the fragment's journal event. No-op by
+    /// default.
+    fn observe_fragment(&self, _plan: &FragmentPlan, _observed_ms: f64) {}
 
     /// Coordinator notice that a streamed fragment was cancelled
     /// mid-flight (stall detector fired). Implementations may penalize
@@ -211,10 +220,11 @@ pub trait Middleware: Send + Sync {
     /// may instead rotate among near-equal plans for load distribution
     /// (§4.2). `query_sig` identifies the *query template* so rotation
     /// state survives across repeated similar queries; frequency/cursor
-    /// updates go through `effects`.
+    /// updates go through `effects`, which share the signature rather
+    /// than copy it.
     fn choose_global(
         &self,
-        _query_sig: &str,
+        _query_sig: &Arc<str>,
         candidates: &[GlobalCandidate],
         _effects: &mut Deferred,
     ) -> usize {
@@ -228,8 +238,9 @@ pub trait Middleware: Send + Sync {
 
     /// Record the end-to-end outcome of a federated query (submit-to-merge
     /// response time vs. the chosen plan's estimate). Feeds the II workload
-    /// calibration factor. No-op by default.
-    fn observe_query(&self, _estimated_total: f64, _observed_ms: f64, _effects: &mut Deferred) {}
+    /// calibration factor. Called at the gather barrier, right after the
+    /// query's merge is journalled. No-op by default.
+    fn observe_query(&self, _estimated_total: f64, _observed_ms: f64) {}
 }
 
 /// Baseline middleware: forwards requests untouched. This is the paper's
@@ -349,7 +360,10 @@ mod tests {
         };
         let cands = vec![mk(10.0), mk(3.0), mk(7.0)];
         let mw = PassthroughMiddleware::default();
-        assert_eq!(mw.choose_global("q", &cands, &mut Deferred::new()), 1);
+        assert_eq!(
+            mw.choose_global(&Arc::from("q"), &cands, &mut Deferred::new()),
+            1
+        );
     }
 
     #[test]

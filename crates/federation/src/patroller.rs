@@ -8,7 +8,7 @@
 //! next event — the id counter and the submit times of queries in flight.
 
 use parking_lot::Mutex;
-use qcc_common::{Obs, QueryId, SimTime};
+use qcc_common::{CounterHandle, FieldValue, HistogramHandle, Obs, QueryId, SimTime};
 use std::collections::BTreeMap;
 
 /// The patroller: id assignment plus the query lifecycle events and
@@ -28,6 +28,9 @@ struct PatrollerState {
     /// at the gather barrier in task order), so direct journal emission
     /// here is deterministic.
     obs: Obs,
+    /// `queries_total{status=ok}` and `query_response_ms`, resolved once.
+    ok_total: CounterHandle,
+    response_ms: HistogramHandle,
 }
 
 impl QueryPatroller {
@@ -38,20 +41,26 @@ impl QueryPatroller {
 
     /// Attach an observability handle.
     pub fn set_obs(&self, obs: Obs) {
-        self.inner.lock().obs = obs;
+        let mut st = self.inner.lock();
+        st.ok_total = obs.counter("queries_total", &[("status", "ok")]);
+        st.response_ms = obs.histogram("query_response_ms", &[]);
+        st.obs = obs;
     }
 
-    /// Record a submission; returns the assigned id.
-    pub fn record_submit(&self, sql: &str, at: SimTime) -> QueryId {
+    /// Record a submission; returns the assigned id. The statement is
+    /// journalled as given: pass a shared `Arc<str>` to share it.
+    pub fn record_submit(&self, sql: impl Into<FieldValue>, at: SimTime) -> QueryId {
         let mut st = self.inner.lock();
         let id = QueryId(st.next_id);
         st.next_id += 1;
         st.in_flight.insert(id, at);
-        st.obs.event(
-            at,
-            "query_submit",
-            vec![("query", id.0.into()), ("sql", sql.into())],
-        );
+        if st.obs.is_enabled() {
+            st.obs.event(
+                at,
+                "query_submit",
+                [("query", id.0.into()), ("sql", sql.into())],
+            );
+        }
         id
     }
 
@@ -79,16 +88,16 @@ impl QueryPatroller {
                 st.obs.event(
                     at,
                     "query_complete",
-                    vec![("query", id.0.into()), ("ms", ms.into())],
+                    [("query", id.0.into()), ("ms", ms.into())],
                 );
-                st.obs.observe("query_response_ms", &[], ms);
-                st.obs.counter_inc("queries_total", &[("status", "ok")]);
+                st.response_ms.observe(ms);
+                st.ok_total.inc();
             }
             Some(error) => {
                 st.obs.event(
                     at,
                     "query_failed",
-                    vec![("query", id.0.into()), ("error", error.into())],
+                    [("query", id.0.into()), ("error", error.into())],
                 );
                 st.obs.counter_inc("queries_total", &[("status", "failed")]);
             }

@@ -14,9 +14,9 @@
 //! descriptor. The fragment SQL is an `Arc<str>` end to end: the compiled
 //! template that translated it and the cache key hold the one allocation,
 //! so probing with it allocates nothing. The hit/miss
-//! counters are lock-free atomics — under compile-time fan-out every
-//! worker thread probes the cache concurrently, so `get` takes exactly
-//! one short map lock.
+//! counters, and their metric handles, are lock-free atomics — under
+//! compile-time fan-out every worker thread probes the cache
+//! concurrently, so `get` takes exactly one short map lock.
 //!
 //! The cache is **bounded**: at most `capacity` entries, evicted in
 //! insertion order by the shared [`FifoMap`] so the eviction sequence is
@@ -27,7 +27,7 @@
 //! counted as an eviction later.
 
 use parking_lot::Mutex;
-use qcc_common::{FifoMap, Obs, ServerId};
+use qcc_common::{CounterHandle, FifoMap, Obs, ServerId};
 use qcc_wrapper::FragmentPlan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,6 +55,8 @@ pub struct PlanCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     obs: Obs,
+    hits_total: CounterHandle,
+    misses_total: CounterHandle,
 }
 
 impl Default for PlanCache {
@@ -77,11 +79,15 @@ impl PlanCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             obs: Obs::off(),
+            hits_total: CounterHandle::default(),
+            misses_total: CounterHandle::default(),
         }
     }
 
     /// Attach an observability handle (hit/miss/eviction counters).
     pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.hits_total = obs.counter("plan_cache_hits_total", &[]);
+        self.misses_total = obs.counter("plan_cache_misses_total", &[]);
         self.obs = obs;
         self
     }
@@ -99,10 +105,10 @@ impl PlanCache {
         let found = self.state.lock().get(&key).cloned();
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.obs.counter_inc("plan_cache_hits_total", &[]);
+            self.hits_total.inc();
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            self.obs.counter_inc("plan_cache_misses_total", &[]);
+            self.misses_total.inc();
         }
         found
     }

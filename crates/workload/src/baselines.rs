@@ -88,7 +88,7 @@ impl Middleware for FixedRoutingMiddleware {
 
     fn choose_global(
         &self,
-        query_sig: &str,
+        query_sig: &Arc<str>,
         candidates: &[GlobalCandidate],
         effects: &mut Deferred,
     ) -> usize {
