@@ -8,10 +8,9 @@ echo "==> cargo build --release"
 cargo build --release --offline
 
 echo "==> boundaries: one engine reachable from library code, one Work ledger, one open-loop driver, one merge execution path"
-# The AST oracle lives in tests/support/naive.rs and the row reference is
-# for tests and benches: no library source outside the engine names either.
-if grep -rnE 'naive::|rowexec' crates/*/src | grep -v '^crates/engine/src/'; then
-    echo "boundary: library code outside crates/engine/src names the oracle or the row reference" >&2
+# The AST oracle lives in tests/support/naive.rs: no library source names it.
+if grep -rn 'naive::' crates/*/src; then
+    echo "boundary: library code names the oracle" >&2
     exit 1
 fi
 # Every charge goes through the ledger (DESIGN.md §13).
@@ -100,15 +99,15 @@ QCC_THREADS=8 cargo test -q --offline --test midquery_reroute_e2e
 echo "==> stream cancel/resume property (byte-identical rows + bit-exact Work)"
 cargo test -q --offline --test stream_resume_prop
 
-echo "==> row vs columnar equivalence property (exact rows + bit-exact Work)"
+echo "==> engine vs oracle property, and pinned digests of rows + bit-exact Work"
 cargo test -q --offline --test engine_vs_naive_prop
 
-echo "==> bench smoke: columnar_speedup (tiny scale; digest must be identical, hashing operators must not allocate per row)"
+echo "==> bench smoke: columnar_speedup (tiny scale; digest must equal its pin, hashing operators must not allocate per row)"
 QCC_LARGE_ROWS=2000 QCC_SMALL_ROWS=100 \
     cargo bench -q --offline -p qcc-bench --bench columnar_speedup \
     | tee /tmp/qcc-colspeed.out
-if grep -q DIVERGED /tmp/qcc-colspeed.out; then
-    echo "columnar_speedup: virtual-time digest diverged" >&2
+if grep -qE 'DIVERGED|unpinned' /tmp/qcc-colspeed.out; then
+    echo "columnar_speedup: virtual-time digest diverged from its pin, or has none at this scale" >&2
     exit 1
 fi
 if grep -q "columnar allocations: VIOLATED" /tmp/qcc-colspeed.out; then

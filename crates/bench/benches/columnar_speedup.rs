@@ -1,19 +1,10 @@
-//! Wall-clock speedup of columnar batch execution (PR 7's tentpole).
-//!
-//! Virtual time is untouched by the execution model: the batch executor
-//! replicates the row executor's `Work` accounting expression for
-//! expression (operator-level totals, never per-chunk partials), so the
-//! virtual digest column must read `identical` on every row. What the
-//! columnar rewrite buys is *host* wall-clock time: zero-copy Arc-shared
-//! scans, selection vectors instead of row materialization, a
-//! column-compare fast path for simple predicates, and zone-map chunk
-//! pruning on clustered columns.
+//! Wall-clock time of columnar batch execution, with a digest of each
+//! result pinned.
 //!
 //! Eleven workloads over the §5 scenario schema at `QCC_LARGE_ROWS` scale,
-//! each run through `rowexec::execute_rows` (the row-at-a-time reference)
-//! and `execute_batches` (the columnar engine) on the *same* plan:
+//! each run through `execute_batches` on its one plan:
 //!
-//! * `scan`          — full-table scan (Arc sharing vs per-row clones).
+//! * `scan`          — full-table scan (Arc-shared column vectors).
 //! * `filter`        — selective predicate on an unclustered column.
 //! * `filter zoned`  — range predicate on the clustered serial key, where
 //!   per-chunk min/max summaries let the batch engine skip whole chunks.
@@ -23,9 +14,9 @@
 //!   group key takes the row-id table's code layout.
 //! * `QT4`           — three-way join, global aggregate.
 //! * `agg`           — grouped aggregation over the large table.
-//! * `aggs`          — every aggregate function at once: `COUNT`, `SUM` and
-//!   `AVG` take the typed state (fed from `Int` and `Float` payloads),
-//!   `MIN` and `MAX` the per-group accumulator.
+//! * `aggs`          — every aggregate function at once: `COUNT`, `SUM`,
+//!   `AVG`, `MIN` and `MAX` take the typed state, fed from `Int` and
+//!   `Float` payloads.
 //! * `distinct`      — duplicate elimination over the large table.
 //! * `sparse join`   — large ⋈ large on an `Int` key spread over 64
 //!   values per row: the row-id table's hashed layout, where every `Int`
@@ -40,8 +31,12 @@
 //! the hashing operators — the eight workloads from `join+agg` down — must
 //! allocate per chunk and per group, not per row. The last line reads
 //! `columnar allocations: OK|VIOLATED`; `ci.sh` greps it. The virtual
-//! digest compares, besides the `Work` bits and the row counts, every
-//! result row with the row reference's.
+//! digest (`tests/support/digest.rs`: the `Work` bits and every result
+//! row, a float by its bits) is compared with the one pinned for the
+//! workload at `ci.sh`'s smoke scale (2 000 / 100 rows) and at the
+//! default scale (40 000 / 1 000), recorded while the row-at-a-time
+//! executor this bench once timed returned the same rows and `Work`; at
+//! any other scale it reads `unpinned`.
 //!
 //! Batch ms at the default scale, medians of six alternating runs of this
 //! binary built on the engine before and after dictionary-coded strings
@@ -57,16 +52,24 @@
 //! state (2-vCPU Intel Xeon, a slower host): `join+agg` 1.89 → 1.35,
 //! `agg` 0.49 → 0.30, `str group` 5.86 → 3.90 (a typed count and sum
 //! per group), `QT2` 0.87 → 0.67, `QT4` 0.47 → 0.39, `filter` 0.70 →
-//! 0.58, `aggs` 1.79 → 1.58 (its `MIN` / `MAX` keep the accumulator),
-//! `filter zoned` 0.30 → 0.27, `sparse join` 1.96 → 1.89 (its hashed
-//! probe is unchanged), `scan` 0.07 → 0.05, `distinct` 0.26 → 0.26.
+//! 0.58, `aggs` 1.79 → 1.58 (its `MIN` / `MAX` kept a per-group
+//! accumulator), `filter zoned` 0.30 → 0.27, `sparse join` 1.96 → 1.89
+//! (its hashed probe is unchanged), `scan` 0.07 → 0.05, `distinct` 0.26
+//! → 0.26.
 
 use qcc_bench::{counting, BenchScale, CountingAllocator};
 use qcc_common::{ColumnBatch, WallStopwatch};
-use qcc_engine::{execute_batches, rowexec, Engine};
+use qcc_engine::{execute_batches, Engine};
 use qcc_storage::{Catalog, ColumnSpec, TableSpec};
 
 const REPS: usize = 5;
+
+#[path = "../../../tests/support/digest.rs"]
+mod digest;
+
+/// The `(large, small)` row counts the digests are pinned at, in the order
+/// of each workload's pins: `ci.sh`'s smoke scale and the default.
+const PINNED_SCALES: [(u64, u64); 2] = [(2_000, 100), (40_000, 1_000)];
 
 /// Heap allocations the batch engine may make per base-table row read, on
 /// the workloads that hash. Measured: 0.004 to 0.010 at the default scale
@@ -84,7 +87,7 @@ const MAX_ALLOCS_PER_ROW: f64 = 0.25;
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// The scenario's table shapes (see `qcc-workload`), without indexes so
-/// every query has exactly one plan and both executors run it.
+/// every query has exactly one plan.
 fn build_catalog(large: u64, small: u64) -> Catalog {
     let specs = vec![
         TableSpec::new(
@@ -210,54 +213,53 @@ fn median(mut xs: Vec<f64>) -> f64 {
 
 struct Outcome {
     rows_out: u64,
-    row_ms: f64,
     batch_ms: f64,
-    /// Heap allocations per base-table row read, each executor.
-    row_allocs: f64,
+    /// Heap allocations per base-table row read.
     batch_allocs: f64,
-    digest_ok: bool,
+    /// The digest of every repetition, if they agree.
+    digest: Option<u64>,
 }
 
-/// Run one query through both executors and report medians plus the
-/// virtual-time digest comparison.
+/// Run one query's plan `REPS` times and report medians plus the
+/// virtual-time digest.
 fn run_query(engine: &Engine, sql: &str) -> Outcome {
     let plans = engine.explain(sql).expect("bench query plans");
     let plan = &plans[0].plan;
-    let mut row_times = Vec::with_capacity(REPS);
     let mut batch_times = Vec::with_capacity(REPS);
     let mut rows_out = 0u64;
-    let (mut row_allocs, mut batch_allocs) = (0.0, 0.0);
-    let mut digest_ok = true;
+    let mut batch_allocs = 0.0;
+    let mut digests = Vec::with_capacity(REPS);
     for _ in 0..REPS {
         let sw = WallStopwatch::start();
-        let ((rrows, rwork), allocs) = counting(|| {
-            rowexec::execute_rows(plan, engine.catalog(), engine.cost_model()).expect("row engine")
-        });
-        row_times.push(sw.elapsed_nanos() as f64 / 1e6);
-        row_allocs = allocs as f64 / rwork.rows_scanned.max(1) as f64;
-
-        let sw = WallStopwatch::start();
-        let ((batches, bwork), allocs) = counting(|| {
+        let ((batches, w), allocs) = counting(|| {
             execute_batches(plan, engine.catalog(), engine.cost_model()).expect("batch engine")
         });
         batch_times.push(sw.elapsed_nanos() as f64 / 1e6);
-        batch_allocs = allocs as f64 / bwork.rows_scanned.max(1) as f64;
+        batch_allocs = allocs as f64 / w.rows_scanned.max(1) as f64;
 
-        rows_out = bwork.rows_output;
-        let brows: Vec<_> = batches.iter().flat_map(ColumnBatch::to_rows).collect();
-        digest_ok = digest_ok
-            && bwork.cpu_units.to_bits() == rwork.cpu_units.to_bits()
-            && bwork.rows_output == rrows.len() as u64
-            && bwork.result_bytes == rwork.result_bytes
-            && brows == rrows;
+        rows_out = w.rows_output;
+        let rows: Vec<_> = batches.iter().flat_map(ColumnBatch::to_rows).collect();
+        let work = [
+            w.cpu_units.to_bits(),
+            w.rows_scanned,
+            w.rows_output,
+            w.result_bytes,
+        ];
+        digests.push(digest::run_digest(
+            digest::EMPTY,
+            &plan.signature(),
+            work,
+            &rows,
+        ));
     }
     Outcome {
         rows_out,
-        row_ms: median(row_times),
         batch_ms: median(batch_times),
-        row_allocs,
         batch_allocs,
-        digest_ok,
+        digest: digests
+            .windows(2)
+            .all(|d| d[0] == d[1])
+            .then_some(digests[0]),
     }
 }
 
@@ -265,23 +267,31 @@ fn main() {
     let scale = BenchScale::from_env();
     let large = scale.config.large_rows;
     let small = scale.config.small_rows;
-    println!("columnar execution wall-clock speedup (large tables: {large} rows)");
+    println!("columnar execution wall-clock time (large tables: {large} rows)");
     let catalog = build_catalog(large, small);
     let engine = Engine::new(catalog);
+    let pinned_scale = PINNED_SCALES.iter().position(|&s| s == (large, small));
 
     let zone_hi = (large / 50).max(1);
-    // (name, statement, gated on allocations)
-    let workloads: Vec<(&str, String, bool)> = vec![
-        ("scan", "SELECT * FROM big_a".into(), false),
+    // (name, statement, gated on allocations, digests at PINNED_SCALES)
+    let workloads: Vec<(&str, String, bool, [u64; 2])> = vec![
+        (
+            "scan",
+            "SELECT * FROM big_a".into(),
+            false,
+            [0xdbecf9b7866d9c6d, 0x5ee83e315d26a62d],
+        ),
         (
             "filter",
             "SELECT * FROM big_a WHERE big_a.sel > 9000".into(),
             false,
+            [0x4f1de1762b34d02d, 0xa9edf05299e3acae],
         ),
         (
             "filter zoned",
             format!("SELECT * FROM big_a WHERE big_a.id < {zone_hi}"),
             false,
+            [0x047576dd7a1cb8bb, 0xf3872087fd764b86],
         ),
         (
             "join+agg",
@@ -290,6 +300,7 @@ fn main() {
              WHERE a.sel > 2000 GROUP BY a.grp"
                 .into(),
             true,
+            [0x9935b5212b2a38eb, 0x1a10db035ee03597],
         ),
         (
             "QT2",
@@ -298,6 +309,7 @@ fn main() {
              WHERE s.bonus > 20 GROUP BY s.cat"
                 .into(),
             true,
+            [0xce49787190be82e7, 0xd924476e0c1e6943],
         ),
         (
             "QT4",
@@ -307,11 +319,13 @@ fn main() {
              WHERE c.flag = 100"
                 .into(),
             true,
+            [0x707ac70568815c4b, 0xb7e7a7f20595d472],
         ),
         (
             "agg",
             "SELECT a.grp, COUNT(*) AS n, SUM(a.val) AS total FROM big_a a GROUP BY a.grp".into(),
             true,
+            [0x29eb623f3a6ba89b, 0x7007398a7c1d735a],
         ),
         (
             "aggs",
@@ -319,11 +333,13 @@ fn main() {
              FROM big_a a GROUP BY a.grp"
                 .into(),
             true,
+            [0xdd51783f38ec7775, 0x876951928fd50e8b],
         ),
         (
             "distinct",
             "SELECT DISTINCT a.grp FROM big_a a".into(),
             true,
+            [0x23d42127724a4db6, 0xf012c9f2966c01b1],
         ),
         (
             "sparse join",
@@ -331,43 +347,40 @@ fn main() {
              FROM sparse x JOIN sparse y ON x.k = y.k"
                 .into(),
             true,
+            [0x94327a16e3670d9a, 0x33d1552f296ade70],
         ),
         (
             "str group",
             "SELECT t.tag, COUNT(*) AS n, SUM(t.qty) AS total FROM strs t GROUP BY t.tag".into(),
             true,
+            [0xaa41d837cf2fd23a, 0xbd45436e0452197d],
         ),
     ];
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut allocations_ok = true;
-    for (name, sql, gated) in &workloads {
+    for (name, sql, gated, pins) in &workloads {
         let o = run_query(&engine, sql);
         allocations_ok &= !gated || o.batch_allocs <= MAX_ALLOCS_PER_ROW;
+        let digest = match (o.digest, pinned_scale) {
+            (Some(got), Some(i)) if got == pins[i] => "identical",
+            (Some(_), None) => "unpinned",
+            _ => "DIVERGED",
+        };
         rows.push(vec![
             (*name).to_string(),
             o.rows_out.to_string(),
-            format!("{:.2}", o.row_ms),
             format!("{:.2}", o.batch_ms),
-            format!("{:.2}x", o.row_ms / o.batch_ms),
-            format!("{:.3}", o.row_allocs),
             format!("{:.3}", o.batch_allocs),
-            if o.digest_ok {
-                "identical".to_string()
-            } else {
-                "DIVERGED".to_string()
-            },
+            digest.to_string(),
         ]);
     }
     qcc_bench::print_table(
-        "row-at-a-time vs columnar batches (median of 5 runs)",
+        "columnar batches (median of 5 runs)",
         &[
             "workload".to_string(),
             "rows out".to_string(),
-            "row ms".to_string(),
             "batch ms".to_string(),
-            "speedup".to_string(),
-            "row allocs/row".to_string(),
             "batch allocs/row".to_string(),
             "virtual digest".to_string(),
         ],

@@ -17,15 +17,18 @@
 //! a non-empty one, then walks those chains ([`RowTable::probe_chunk`]).
 //! `COUNT`, `SUM` and `AVG` keep typed per-group state — counts and
 //! [`NumericSum`]s — fed from `Int` / `Float` payloads in one loop per
-//! aggregate and chunk ([`AggState`]); `MIN`, `MAX` and `DISTINCT` keep an
-//! [`AggAccumulator`] per group.
+//! aggregate and chunk, and `MIN` / `MAX` the position of each group's
+//! extreme input ([`AggState`]). A `DISTINCT` aggregate feeds its state
+//! the first row of each (group, argument) pair, found through a row-id
+//! table.
 //!
 //! Execution returns the result batches and a [`Work`] record of how much
 //! CPU work was *accounted*. The formulas live in [`crate::work`]; this
-//! executor's half of the virtual-time contract is to call the ledger in
-//! the same operator order as the row reference in [`crate::rowexec`],
-//! with operator-level totals or per-match events only — so chunk pruning
-//! changes wall-clock time but never virtual time — and to emit the same
+//! executor's half of the virtual-time contract is the order of its ledger
+//! calls, which is normative (the pinned digests of rows and `Work` in the
+//! tests were recorded while a row-at-a-time executor agreed with it to
+//! the bit), with operator-level totals or per-match events only — so
+//! chunk pruning changes wall-clock time but never virtual time — and the
 //! list of output chunks, which the remote cursor turns into offsets. The
 //! branch-free loops keep that half: they keep the same rows in the same
 //! order (a probe's matches, and with them its per-match `emit(1)` and
@@ -40,7 +43,7 @@
 //! index.
 
 use crate::cost::CostModel;
-use crate::expr::{AggAccumulator, CompiledExpr, NumericSum};
+use crate::expr::CompiledExpr;
 use crate::plan::{index_positions, AggSpec, PlanNode};
 use crate::rowtable::{KeyChunk, RowTable, Rows};
 use crate::vexpr::{cmp_holds, eval_cells, eval_predicate_cells, PairView, RowView};
@@ -809,34 +812,24 @@ impl<'a> Exec<'a> {
         aggs: &[AggSpec],
         schema: &Schema,
     ) -> Vec<Chunk> {
-        // states[j]: aggregate j, one entry per group. Groups are numbered
-        // by the row-id table in first-seen key order; a global
+        // groups[ci]: the group of each live row of chunk ci. Groups are
+        // numbered by the row-id table in first-seen key order; a global
         // aggregation is one group that exists whatever the input.
         let global = group_by.is_empty();
-        let mut states: Vec<AggState> = aggs.iter().map(AggState::new).collect();
         let keys = eval_keys(group_by, if global { &[] } else { chunks });
         let keys = key_chunks(&keys, chunks);
         let mut table = RowTable::for_groups(&keys);
-        let groups = |table: &RowTable| if global { 1 } else { table.len() };
-        let mut group: Vec<u32> = Vec::new();
-        for (ci, ch) in chunks.iter().enumerate() {
-            if global {
-                group.clear();
-                group.resize(ch.n_selected(), 0);
-            } else {
-                let (cols, rows) = &keys[ci];
-                table.group_ids(cols, *rows, &mut group);
-            }
-            // One aggregate at a time, rows in order: each state sees its
-            // inputs in the order row-at-a-time execution feeds them, so
-            // float sums keep their bits.
-            for (state, spec) in states.iter_mut().zip(aggs) {
-                state.grow(spec, groups(&table));
-                let arg = spec.arg.as_ref().map(|e| eval_column(e, ch));
-                state.feed(&group, ch.rows(), arg.as_deref());
-            }
-        }
-        let n = groups(&table);
+        let groups: Vec<Vec<u32>> = if global {
+            chunks.iter().map(|ch| vec![0; ch.n_selected()]).collect()
+        } else {
+            let group_ids = |(cols, rows): &KeyChunk| {
+                let mut ids = Vec::with_capacity(rows.len());
+                table.group_ids(cols, *rows, &mut ids);
+                ids
+            };
+            keys.iter().map(group_ids).collect()
+        };
+        let n = if global { 1 } else { table.len() };
         self.work.emit(n);
         if n == 0 {
             return Vec::new();
@@ -844,14 +837,25 @@ impl<'a> Exec<'a> {
         let mut cols: Vec<Arc<ColumnVector>> =
             table.into_keys().into_iter().map(Arc::new).collect();
         let results = builders_for(schema, group_by.len() + aggs.len());
-        for ((mut col, mut state), spec) in results
-            .into_iter()
-            .skip(group_by.len())
-            .zip(states)
-            .zip(aggs)
-        {
-            state.grow(spec, n);
-            state.finish(spec, &mut col);
+        for (mut col, spec) in results.into_iter().skip(group_by.len()).zip(aggs) {
+            // One aggregate at a time, chunks and rows in order, so float
+            // sums keep their bits. `args` is empty for `COUNT(*)`.
+            let args: Vec<Cow<ColumnVector>> = match &spec.arg {
+                Some(e) => chunks.iter().map(|ch| eval_column(e, ch)).collect(),
+                None => Vec::new(),
+            };
+            let args: Vec<&ColumnVector> = args.iter().map(|c| &**c).collect();
+            let mut state = AggState::new(spec, n);
+            if spec.distinct && !args.is_empty() {
+                for (ci, (rows, group)) in first_pairs(chunks, &groups, &args).iter().enumerate() {
+                    state.feed(ci, group, Rows::Ids(rows), &args);
+                }
+            } else {
+                for (ci, (ch, group)) in chunks.iter().zip(&groups).enumerate() {
+                    state.feed(ci, group, ch.rows(), &args);
+                }
+            }
+            state.finish(spec, &args, &mut col);
             cols.push(Arc::new(col));
         }
         vec![Chunk {
@@ -862,50 +866,106 @@ impl<'a> Exec<'a> {
     }
 }
 
+/// For a `DISTINCT` aggregate over `args`: the live rows of each chunk
+/// whose (group, argument) pair no earlier row has, NULL arguments
+/// skipped, each with its group. The pairs are keys of a row-id table, so
+/// two arguments are one input where `Value` says they are equal (`Int(3)`
+/// and `Float(3.0)`), and the row that introduces the next unseen id is
+/// the pair's first occurrence.
+fn first_pairs(
+    chunks: &[Chunk],
+    groups: &[Vec<u32>],
+    args: &[&ColumnVector],
+) -> Vec<(Vec<u32>, Vec<u32>)> {
+    // Per chunk: its groups as a key column beside its argument, and the
+    // rows that hold a non-NULL argument, each with its group.
+    let mut group_cols = Vec::with_capacity(chunks.len());
+    let mut live = Vec::with_capacity(chunks.len());
+    for ((ch, group), arg) in chunks.iter().zip(groups).zip(args) {
+        let mut data = vec![0; ch.len];
+        let mut rows = Vec::with_capacity(group.len());
+        let mut rows_group = Vec::with_capacity(group.len());
+        grouped_cells(ch.rows(), group, arg, |g, r, c| {
+            data[r] = g as i64;
+            if !c.is_null() {
+                rows.push(r as u32);
+                rows_group.push(g as u32);
+            }
+        });
+        let nulls = vec![false; ch.len];
+        group_cols.push(ColumnVector::Int { data, nulls });
+        live.push((rows, rows_group));
+    }
+    let keys: Vec<KeyChunk> = group_cols
+        .iter()
+        .zip(args)
+        .zip(&live)
+        .map(|((g, arg), (rows, _))| (vec![g, *arg], Rows::Ids(rows)))
+        .collect();
+    let mut table = RowTable::for_groups(&keys);
+    let mut ids = Vec::new();
+    keys.iter()
+        .zip(&live)
+        .map(|((cols, rows), (live_rows, live_group))| {
+            let mut unseen = table.len() as u32;
+            table.group_ids(cols, *rows, &mut ids);
+            let mut firsts = (Vec::new(), Vec::new());
+            for ((&id, &r), &g) in ids.iter().zip(live_rows).zip(live_group) {
+                if id == unseen {
+                    unseen += 1;
+                    firsts.0.push(r);
+                    firsts.1.push(g);
+                }
+            }
+            firsts
+        })
+        .collect()
+}
+
 /// One aggregate's state, an entry per group: a count for `COUNT`, a
-/// [`NumericSum`] for `SUM` / `AVG`, an [`AggAccumulator`] for `MIN` /
-/// `MAX` and every `DISTINCT` aggregate.
+/// [`NumericSum`] for `SUM` / `AVG`, and for `MIN` / `MAX` where the
+/// extreme input is.
 enum AggState {
     Count(Vec<u64>),
     Sum(Vec<NumericSum>),
-    Any(Vec<AggAccumulator>),
+    /// Each group's extreme input so far, as `(chunk, row)` of the
+    /// argument columns (`NONE` before the first), and the side of it a
+    /// new input must fall on to replace it: `Less` for `MIN`, `Greater`
+    /// for `MAX`.
+    Extreme(Vec<(u32, u32)>, Ordering),
 }
 
+/// [`AggState::Extreme`]'s chunk before a group's first input.
+const NONE: u32 = u32::MAX;
+
 impl AggState {
-    fn new(spec: &AggSpec) -> AggState {
+    /// The state of no input, for groups `0..n`.
+    fn new(spec: &AggSpec, n: usize) -> AggState {
         match spec.func {
-            _ if spec.distinct => AggState::Any(Vec::new()),
-            AggFunc::Count => AggState::Count(Vec::new()),
-            AggFunc::Sum | AggFunc::Avg => AggState::Sum(Vec::new()),
-            AggFunc::Min | AggFunc::Max => AggState::Any(Vec::new()),
+            AggFunc::Count => AggState::Count(vec![0; n]),
+            AggFunc::Sum | AggFunc::Avg => AggState::Sum(vec![NumericSum::EMPTY; n]),
+            AggFunc::Min => AggState::Extreme(vec![(NONE, 0); n], Ordering::Less),
+            AggFunc::Max => AggState::Extreme(vec![(NONE, 0); n], Ordering::Greater),
         }
     }
 
-    /// Make room for groups `0..n`.
-    fn grow(&mut self, spec: &AggSpec, n: usize) {
-        match self {
-            AggState::Count(counts) => counts.resize(n, 0),
-            AggState::Sum(sums) => sums.resize(n, NumericSum::EMPTY),
-            AggState::Any(accs) => {
-                accs.resize_with(n, || AggAccumulator::new(spec.func, spec.distinct))
-            }
-        }
-    }
-
-    /// Feed one chunk: the argument `arg` (`None` for `COUNT(*)`) at each
-    /// of its live `rows`, in order, into the entry of its group in
+    /// Feed chunk `ci`: its argument `args[ci]` (none for `COUNT(*)`) at
+    /// each of its live `rows`, in order, into the entry of its group in
     /// `group`. The state and the argument's representation are matched
     /// once; counts and sums are fed from `Int` / `Float` payloads in a
-    /// loop that does not branch on a cell, any other column cell by cell,
-    /// skipping NULL as [`AggAccumulator`] does.
-    fn feed(&mut self, group: &[u32], rows: Rows<'_>, arg: Option<&ColumnVector>) {
-        match (self, arg) {
+    /// loop that does not branch on a cell, any other column cell by cell.
+    /// NULL is no input. An extreme is replaced only by an input on its
+    /// `replaces` side in the total order — numbers exactly across `Int`
+    /// and `Float`, NaN above +∞, strings by content — so a tie keeps the
+    /// first.
+    fn feed(&mut self, ci: usize, group: &[u32], rows: Rows<'_>, args: &[&ColumnVector]) {
+        match (self, args.get(ci)) {
             (AggState::Count(counts), None) => group.iter().for_each(|&g| counts[g as usize] += 1),
             (
                 AggState::Count(counts),
                 Some(ColumnVector::Int { nulls, .. } | ColumnVector::Float { nulls, .. }),
             ) => grouped_rows(rows, group, |g, r| counts[g] += u64::from(!nulls[r])),
-            (AggState::Count(counts), Some(col)) => grouped_cells(rows, group, col, |g, c| {
+            (AggState::Count(counts), Some(col)) => grouped_cells(rows, group, col, |g, _, c| {
                 counts[g] += u64::from(!c.is_null())
             }),
             (AggState::Sum(sums), Some(ColumnVector::Int { data, nulls })) => {
@@ -914,32 +974,130 @@ impl AggState {
             (AggState::Sum(sums), Some(ColumnVector::Float { data, nulls })) => {
                 grouped_rows(rows, group, |g, r| sums[g].add_float(data[r], !nulls[r]))
             }
-            (AggState::Sum(sums), Some(col)) => grouped_cells(rows, group, col, |g, c| {
+            (AggState::Sum(sums), Some(col)) => grouped_cells(rows, group, col, |g, _, c| {
                 if !c.is_null() {
                     sums[g].add(c);
                 }
             }),
-            // A row marker is no number to add.
-            (AggState::Sum(_), None) => {}
-            (AggState::Any(accs), None) => {
-                group.iter().for_each(|&g| accs[g as usize].push_cell(None))
-            }
-            (AggState::Any(accs), Some(col)) => {
-                grouped_cells(rows, group, col, |g, c| accs[g].push_cell(Some(c)))
-            }
+            (AggState::Extreme(best, replaces), Some(col)) => grouped_cells(
+                rows,
+                group,
+                col,
+                #[inline(always)]
+                |g, r, c| {
+                    let (bc, br) = best[g];
+                    if !c.is_null()
+                        && (bc == NONE || cmp_cell(c, args[bc as usize], br as usize) == *replaces)
+                    {
+                        best[g] = (ci as u32, r as u32);
+                    }
+                },
+            ),
+            // A row marker is no number to add or compare.
+            (AggState::Sum(_) | AggState::Extreme(..), None) => {}
         }
     }
 
-    /// Append each group's value to `col`, in group order.
-    fn finish(self, spec: &AggSpec, col: &mut ColumnVector) {
+    /// Append each group's value to `col`, in group order: an extreme is
+    /// its input's own cell.
+    fn finish(self, spec: &AggSpec, args: &[&ColumnVector], col: &mut ColumnVector) {
         match self {
             AggState::Count(counts) => counts.iter().for_each(|&n| col.push(Value::Int(n as i64))),
             AggState::Sum(sums) => {
                 let avg = spec.func == AggFunc::Avg;
                 sums.iter().for_each(|s| col.push(s.finish(avg)));
             }
-            AggState::Any(accs) => accs.iter().for_each(|acc| col.push(acc.finish())),
+            AggState::Extreme(best, _) => {
+                best.iter().for_each(|&(c, r)| match args.get(c as usize) {
+                    Some(arg) => col.push_cell(arg.cell(r as usize)),
+                    None => col.push(Value::Null),
+                })
+            }
         }
+    }
+}
+
+/// Running sum of the numeric inputs, exact in `i64` until it overflows
+/// (or meets a float) and widens to the `f64` kept alongside.
+#[derive(Debug, Clone)]
+pub(crate) struct NumericSum {
+    count: u64,
+    sum: f64,
+    int_sum: i64,
+    is_int: bool,
+}
+
+impl NumericSum {
+    /// The sum of no input.
+    pub(crate) const EMPTY: NumericSum = NumericSum {
+        count: 0,
+        sum: 0.0,
+        int_sum: 0,
+        is_int: true,
+    };
+
+    /// Add a non-NULL cell.
+    pub(crate) fn add(&mut self, c: CellRef<'_>) {
+        self.count += 1;
+        match c {
+            CellRef::Int(i) => {
+                self.sum += i as f64;
+                match self.int_sum.checked_add(i) {
+                    Some(s) => self.int_sum = s,
+                    None => self.is_int = false,
+                }
+            }
+            CellRef::Float(f) => {
+                self.sum += f;
+                self.is_int = false;
+            }
+            _ => {}
+        }
+    }
+
+    /// [`NumericSum::add`] of `CellRef::Int(v)` where `live`, and nothing
+    /// where not (a NULL cell, whose payload `v` is unspecified), without
+    /// branching on either: a dead cell adds `0`, which leaves both sums
+    /// as they are (the `f64` one starts at `+0.0` and so is never `-0.0`,
+    /// the one value `+ 0.0` changes).
+    #[inline(always)]
+    pub(crate) fn add_int(&mut self, v: i64, live: bool) {
+        let v = if live { v } else { 0 };
+        self.count += u64::from(live);
+        self.sum += v as f64;
+        match self.int_sum.checked_add(v) {
+            Some(s) => self.int_sum = s,
+            None => self.is_int = false,
+        }
+    }
+
+    /// [`NumericSum::add_int`] for `CellRef::Float(x)`.
+    #[inline(always)]
+    pub(crate) fn add_float(&mut self, x: f64, live: bool) {
+        self.count += u64::from(live);
+        self.sum += if live { x } else { 0.0 };
+        self.is_int &= !live;
+    }
+
+    /// `SUM` of the inputs (`avg`: `AVG`); NULL if there were none.
+    pub(crate) fn finish(&self, avg: bool) -> Value {
+        match self {
+            s if s.count == 0 => Value::Null,
+            s if avg => Value::Float(s.sum / s.count as f64),
+            s if s.is_int => Value::Int(s.int_sum),
+            s => Value::Float(s.sum),
+        }
+    }
+}
+
+/// `c` against the non-NULL cell `row` of `col`, as [`CellRef::total_cmp`]
+/// orders them; two `Int`s or two `Float`s without reading a cell.
+#[inline(always)]
+fn cmp_cell(c: CellRef<'_>, col: &ColumnVector, row: usize) -> Ordering {
+    match (c, col) {
+        (CellRef::Int(a), ColumnVector::Int { data, .. }) => a.cmp(&data[row]),
+        (CellRef::Float(a), ColumnVector::Float { data, .. }) => a.total_cmp(&data[row]),
+        _ => c.total_cmp(col.cell(row)),
     }
 }
 
@@ -965,14 +1123,17 @@ fn grouped_cells<'c>(
     rows: Rows<'_>,
     group: &[u32],
     col: &'c ColumnVector,
-    mut f: impl FnMut(usize, CellRef<'c>),
+    mut f: impl FnMut(usize, usize, CellRef<'c>),
 ) {
-    let mut group = group.iter();
-    rows.cells(col, |c| {
-        if let Some(&g) = group.next() {
-            f(g as usize, c);
-        }
-    });
+    let mut i = 0;
+    rows.cells(
+        col,
+        #[inline(always)]
+        |c| {
+            f(group[i] as usize, rows.get(i), c);
+            i += 1;
+        },
+    );
 }
 
 /// Column `j` of every chunk.
@@ -1378,42 +1539,53 @@ mod tests {
         );
     }
 
-    /// Every plan the optimizer offers must produce the same rows, in the
-    /// same order, with a bit-identical `Work` record through the
-    /// vectorized executor as through the row-at-a-time reference.
+    /// [`crate::digest::run_digest`] over every plan `explain` offers for
+    /// `sql`, in order.
+    fn offered_digest(e: &Engine, sql: &str) -> u64 {
+        e.explain(sql)
+            .unwrap()
+            .iter()
+            .fold(crate::digest::EMPTY, |h, p| {
+                let (rows, w) = e.execute_plan(&p.plan).unwrap();
+                let work = [
+                    w.cpu_units.to_bits(),
+                    w.rows_scanned,
+                    w.rows_output,
+                    w.result_bytes,
+                ];
+                crate::digest::run_digest(h, &p.plan.signature(), work, &rows)
+            })
+    }
+
+    /// Every plan the optimizer offers for the first eight of
+    /// [`PINNED_STATEMENTS`] returns the rows, in order, and the `Work`
+    /// that the batch executor and the row-at-a-time reference both
+    /// returned, bit for bit, when the reference was deleted: one digest
+    /// per statement.
     #[test]
     fn batches_match_row_reference_bit_exact() {
-        let e = engine();
-        let queries = [
-            "SELECT * FROM sales WHERE amount >= 8",
-            "SELECT * FROM sales WHERE id = 42",
-            "SELECT * FROM sales WHERE id >= 100 AND id < 110",
-            "SELECT s.id, r.manager FROM sales s JOIN regions r ON s.region = r.name",
-            "SELECT region, COUNT(*) AS n, SUM(amount) AS t FROM sales GROUP BY region",
-            "SELECT COUNT(*), AVG(amount) FROM sales",
-            "SELECT DISTINCT region FROM sales ORDER BY region DESC LIMIT 2",
-            "SELECT id * 2 + 1 AS x FROM sales WHERE id < 5 ORDER BY x DESC",
+        let pinned: [u64; 8] = [
+            0xe8e714229ea7054b,
+            0xdd5eb00146d654ec,
+            0xcff34f631ec46a27,
+            0xc0f762f79ae040bf,
+            0x6f82e0f600c58aba,
+            0x51b06ed69bf2c2df,
+            0x98f7a3f61c696434,
+            0xc8ee2ceb7e52d222,
         ];
-        for sql in queries {
-            for planned in e.explain(sql).unwrap() {
-                let (brows, bwork) = e.execute_plan(&planned.plan).unwrap();
-                let (rrows, rwork) =
-                    crate::rowexec::execute_rows(&planned.plan, e.catalog(), e.cost_model())
-                        .unwrap();
-                assert_eq!(brows, rrows, "rows for {sql}");
-                assert_eq!(bwork, rwork, "work for {sql}");
-            }
+        let e = engine();
+        for (sql, digest) in PINNED_STATEMENTS.iter().zip(pinned) {
+            assert_eq!(offered_digest(&e, sql), digest, "{sql}");
         }
     }
 
-    /// Both executors charge through one ledger (`work.rs`), so the
-    /// `exec == rowexec` checks above cannot see a changed formula. These
-    /// values can: `(plan signature, cpu_units bits, rows_scanned,
-    /// rows_output, result_bytes)` for every plan `explain` offers,
-    /// recorded at the last commit where each executor added its own
-    /// charges by hand. The last three statements cover the per-match
-    /// charging sites: a residual hash join, a nested-loop join and an
-    /// index range scan with a residual.
+    /// `(plan signature, cpu_units bits, rows_scanned, rows_output,
+    /// result_bytes)` for every plan `explain` offers, recorded at the
+    /// last commit where each executor added its own charges by hand. The
+    /// last three statements cover the per-match charging sites: a
+    /// residual hash join, a nested-loop join and an index range scan
+    /// with a residual.
     #[test]
     fn work_is_pinned_for_every_offered_plan() {
         type Pin = (&'static str, u64, u64, u64, u64);
@@ -1691,7 +1863,10 @@ mod tests {
     }
 
     /// Zone maps over a clustered column prune most chunks without
-    /// changing results or accounting.
+    /// changing results or accounting: the rows and `Work` of every
+    /// offered plan are those the row-at-a-time reference, which has no
+    /// zone maps, returned too (digests as in
+    /// `batches_match_row_reference_bit_exact`).
     #[test]
     fn zone_pruning_is_transparent() {
         let mut c = Catalog::new();
@@ -1708,20 +1883,16 @@ mod tests {
         }
         c.register(t);
         let e = Engine::new(c);
-        for sql in [
-            "SELECT * FROM seq WHERE id > 4950",
-            "SELECT * FROM seq WHERE id >= 0",
-            "SELECT * FROM seq WHERE id < 0",
-            "SELECT COUNT(*) FROM seq WHERE id BETWEEN 1000 AND 1010 AND v = 3",
+        for (sql, digest) in [
+            ("SELECT * FROM seq WHERE id > 4950", 0xe3aac3d977f778fd),
+            ("SELECT * FROM seq WHERE id >= 0", 0xa00440e50b16ef8c),
+            ("SELECT * FROM seq WHERE id < 0", 0x045f817632318d81),
+            (
+                "SELECT COUNT(*) FROM seq WHERE id BETWEEN 1000 AND 1010 AND v = 3",
+                0xa408909d4e4aceeb,
+            ),
         ] {
-            for planned in e.explain(sql).unwrap() {
-                let (brows, bwork) = e.execute_plan(&planned.plan).unwrap();
-                let (rrows, rwork) =
-                    crate::rowexec::execute_rows(&planned.plan, e.catalog(), e.cost_model())
-                        .unwrap();
-                assert_eq!(brows, rrows, "rows for {sql}");
-                assert_eq!(bwork, rwork, "work for {sql}");
-            }
+            assert_eq!(offered_digest(&e, sql), digest, "{sql}");
         }
     }
 
@@ -1734,15 +1905,17 @@ mod tests {
     }
 
     /// Seeded property: `Exec::aggregate`'s typed state gives each group
-    /// the value, to the bit, that `AggAccumulator` gives when fed the
-    /// group's inputs row by row. Every function — `COUNT(*)`, and
+    /// the value, to the bit, that the oracle's `AggAccumulator` gives when
+    /// fed the group's inputs row by row. Every function — `COUNT(*)`, and
     /// `COUNT(x)`, `SUM`, `AVG`, `MIN` and `MAX` with and without
     /// `DISTINCT` — over `Int`, `Float`, `Str` and `Mixed` arguments, a
     /// tenth of them NULL; several chunks, selected in full or in part; a
     /// group (key 4) whose every argument is NULL; `Int` sums near
-    /// `i64::MAX` that overflow and widen to float; grouped and global.
+    /// `i64::MAX` that overflow and widen to float; grouped and global;
+    /// `DISTINCT` arguments repeated within a group.
     #[test]
     fn typed_aggregate_state_equals_the_reference_accumulator() {
+        use crate::accumulator::AggAccumulator;
         use qcc_common::Pcg32;
         let aggs: Vec<AggSpec> = std::iter::once((AggFunc::Count, None, false))
             .chain(
@@ -1770,6 +1943,9 @@ mod tests {
         let m = CostModel::default();
         let mut rng = Pcg32::seed_from(3_000);
         let (mut null_only, mut overflowed, mut selected) = (0, 0, 0);
+        // Inputs a `DISTINCT` aggregate skips as repeats; those of `Mixed`
+        // arguments.
+        let (mut repeats, mut mixed_repeats) = (0, 0);
         for case in 0..600 {
             let ty = *rng.choose(&[DataType::Int, DataType::Float, DataType::Str]);
             let mixed = rng.range_u64(0, 4) == 0;
@@ -1850,8 +2026,9 @@ mod tests {
                             groups.len() - 1
                         }
                     };
+                    let arg = ch.cols[1].value(r);
                     for (acc, spec) in groups[g].1.iter_mut().zip(&aggs) {
-                        acc.push_cell(spec.arg.as_ref().map(|_| ch.cols[1].cell(r)));
+                        acc.push(spec.arg.as_ref().map(|_| &arg));
                     }
                 }
             }
@@ -1891,10 +2068,24 @@ mod tests {
             selected += usize::from(
                 chunks.len() > 1 && chunks.iter().any(|ch| matches!(ch.sel, Sel::Ids(_))),
             );
+            // COUNT(x) − COUNT(DISTINCT x), per group.
+            let case_repeats: i64 = groups
+                .iter()
+                .map(|(_, a)| match (a[1].finish(), a[2].finish()) {
+                    (Value::Int(all), Value::Int(distinct)) => all - distinct,
+                    _ => 0,
+                })
+                .sum();
+            repeats += case_repeats;
+            mixed_repeats += if mixed { case_repeats } else { 0 };
         }
         assert!(
             null_only > 200 && overflowed > 20 && selected > 200,
             "{null_only} / {overflowed} / {selected}"
+        );
+        assert!(
+            repeats > 3_000 && mixed_repeats > 500,
+            "{repeats} / {mixed_repeats} repeated DISTINCT inputs"
         );
     }
 }

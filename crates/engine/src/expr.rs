@@ -11,9 +11,7 @@
 
 use crate::vexpr::{cell_truth, eval_cells, eval_predicate_cells};
 use qcc_common::{CellRef, QccError, Result, Row, Schema, Value};
-use qcc_sql::{AggFunc, BinaryOp, Expr, UnaryOp};
-use std::cmp::Ordering;
-use std::collections::HashSet;
+use qcc_sql::{BinaryOp, Expr, UnaryOp};
 
 /// An expression with all column references resolved to row positions.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,187 +216,6 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
     rec(&s, &p)
 }
 
-/// Aggregate accumulator of the row reference's hash aggregate and of the
-/// test oracle, and of the batch engine's `MIN` / `MAX` and `DISTINCT`
-/// aggregates. Each variant holds the state of the function it computes
-/// and nothing else.
-#[derive(Debug, Clone)]
-pub enum AggAccumulator {
-    /// `COUNT(*)` / `COUNT(x)`: rows, or non-NULL inputs.
-    Count(u64),
-    /// `SUM(x)`.
-    Sum(NumericSum),
-    /// `AVG(x)`.
-    Avg(NumericSum),
-    /// `MIN(x)` / `MAX(x)`: the extreme so far, and which side of it a
-    /// new input must fall on to replace it.
-    Extreme {
-        /// The extreme among the inputs seen, `None` before the first.
-        best: Option<Value>,
-        /// `Less` for MIN, `Greater` for MAX.
-        replaces: Ordering,
-    },
-    /// `f(DISTINCT x)`: `inner` sees each distinct input once.
-    Distinct {
-        /// Inputs already forwarded.
-        seen: HashSet<Value>,
-        /// The function being computed.
-        inner: Box<AggAccumulator>,
-    },
-}
-
-/// Running sum of the numeric inputs, exact in `i64` until it overflows
-/// (or meets a float) and widens to the `f64` kept alongside.
-#[derive(Debug, Clone)]
-pub struct NumericSum {
-    count: u64,
-    sum: f64,
-    int_sum: i64,
-    is_int: bool,
-}
-
-impl NumericSum {
-    /// The sum of no input.
-    pub(crate) const EMPTY: NumericSum = NumericSum {
-        count: 0,
-        sum: 0.0,
-        int_sum: 0,
-        is_int: true,
-    };
-
-    /// Add a non-NULL cell.
-    pub(crate) fn add(&mut self, c: CellRef<'_>) {
-        self.count += 1;
-        match c {
-            CellRef::Int(i) => {
-                self.sum += i as f64;
-                match self.int_sum.checked_add(i) {
-                    Some(s) => self.int_sum = s,
-                    None => self.is_int = false,
-                }
-            }
-            CellRef::Float(f) => {
-                self.sum += f;
-                self.is_int = false;
-            }
-            _ => {}
-        }
-    }
-
-    /// [`NumericSum::add`] of `CellRef::Int(v)` where `live`, and nothing
-    /// where not (a NULL cell, whose payload `v` is unspecified), without
-    /// branching on either: a dead cell adds `0`, which leaves both sums
-    /// as they are (the `f64` one starts at `+0.0` and so is never `-0.0`,
-    /// the one value `+ 0.0` changes).
-    #[inline(always)]
-    pub(crate) fn add_int(&mut self, v: i64, live: bool) {
-        let v = if live { v } else { 0 };
-        self.count += u64::from(live);
-        self.sum += v as f64;
-        match self.int_sum.checked_add(v) {
-            Some(s) => self.int_sum = s,
-            None => self.is_int = false,
-        }
-    }
-
-    /// [`NumericSum::add_int`] for `CellRef::Float(x)`.
-    #[inline(always)]
-    pub(crate) fn add_float(&mut self, x: f64, live: bool) {
-        self.count += u64::from(live);
-        self.sum += if live { x } else { 0.0 };
-        self.is_int &= !live;
-    }
-
-    /// `SUM` of the inputs (`avg`: `AVG`); NULL if there were none.
-    pub(crate) fn finish(&self, avg: bool) -> Value {
-        match self {
-            s if s.count == 0 => Value::Null,
-            s if avg => Value::Float(s.sum / s.count as f64),
-            s if s.is_int => Value::Int(s.int_sum),
-            s => Value::Float(s.sum),
-        }
-    }
-}
-
-impl AggAccumulator {
-    /// Fresh accumulator for a function.
-    pub fn new(func: AggFunc, distinct: bool) -> Self {
-        let acc = match func {
-            AggFunc::Count => AggAccumulator::Count(0),
-            AggFunc::Sum => AggAccumulator::Sum(NumericSum::EMPTY),
-            AggFunc::Avg => AggAccumulator::Avg(NumericSum::EMPTY),
-            AggFunc::Min | AggFunc::Max => AggAccumulator::Extreme {
-                best: None,
-                replaces: if func == AggFunc::Min {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                },
-            },
-        };
-        if distinct {
-            AggAccumulator::Distinct {
-                seen: HashSet::new(),
-                inner: Box::new(acc),
-            }
-        } else {
-            acc
-        }
-    }
-
-    /// Feed one input value (`None` means `COUNT(*)`'s row marker).
-    pub fn push(&mut self, v: Option<&Value>) {
-        self.push_cell(v.map(CellRef::of));
-    }
-
-    /// Feed one input cell (`None` means `COUNT(*)`'s row marker, which
-    /// counts the row whatever it holds). Values are only materialized on
-    /// the slow paths (DISTINCT insertion, new MIN/MAX extremes).
-    #[inline]
-    pub fn push_cell(&mut self, c: Option<CellRef<'_>>) {
-        let c = match c {
-            Some(CellRef::Null) => return, // Aggregates skip NULLs.
-            Some(c) => c,
-            None => {
-                match self {
-                    AggAccumulator::Count(n) => *n += 1,
-                    AggAccumulator::Distinct { inner, .. } => inner.push_cell(None),
-                    _ => {}
-                }
-                return;
-            }
-        };
-        match self {
-            AggAccumulator::Count(n) => *n += 1,
-            AggAccumulator::Sum(s) | AggAccumulator::Avg(s) => s.add(c),
-            AggAccumulator::Extreme { best, replaces } => {
-                if best
-                    .as_ref()
-                    .is_none_or(|b| c.total_cmp_value(b) == *replaces)
-                {
-                    *best = Some(c.to_value());
-                }
-            }
-            AggAccumulator::Distinct { seen, inner } => {
-                if seen.insert(c.to_value()) {
-                    inner.push_cell(Some(c));
-                }
-            }
-        }
-    }
-
-    /// Final aggregate value.
-    pub fn finish(&self) -> Value {
-        match self {
-            AggAccumulator::Count(n) => Value::Int(*n as i64),
-            AggAccumulator::Sum(s) => s.finish(false),
-            AggAccumulator::Avg(s) => s.finish(true),
-            AggAccumulator::Extreme { best, .. } => best.clone().unwrap_or(Value::Null),
-            AggAccumulator::Distinct { inner, .. } => inner.finish(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,49 +329,6 @@ mod tests {
     fn aggregate_rejected_in_scalar_context() {
         let stmt = parse_select("SELECT * FROM t WHERE SUM(a) > 1").unwrap();
         assert!(compile(stmt.where_clause.as_ref().unwrap(), &schema()).is_err());
-    }
-
-    #[test]
-    fn accumulator_count_sum_avg() {
-        let mut count_star = AggAccumulator::new(AggFunc::Count, false);
-        let mut sum = AggAccumulator::new(AggFunc::Sum, false);
-        let mut avg = AggAccumulator::new(AggFunc::Avg, false);
-        for v in [Value::Int(1), Value::Int(2), Value::Null, Value::Int(3)] {
-            count_star.push(None);
-            sum.push(Some(&v));
-            avg.push(Some(&v));
-        }
-        assert_eq!(count_star.finish(), Value::Int(4), "COUNT(*) counts NULLs");
-        assert_eq!(sum.finish(), Value::Int(6), "SUM skips NULLs");
-        assert_eq!(avg.finish(), Value::Float(2.0), "AVG skips NULLs");
-    }
-
-    #[test]
-    fn accumulator_distinct() {
-        let mut c = AggAccumulator::new(AggFunc::Count, true);
-        for v in [Value::Int(1), Value::Int(1), Value::Int(2)] {
-            c.push(Some(&v));
-        }
-        assert_eq!(c.finish(), Value::Int(2));
-    }
-
-    #[test]
-    fn accumulator_min_max_empty() {
-        let acc = AggAccumulator::new(AggFunc::Min, false);
-        assert_eq!(acc.finish(), Value::Null);
-        let mut acc = AggAccumulator::new(AggFunc::Max, false);
-        acc.push(Some(&Value::Int(5)));
-        acc.push(Some(&Value::Int(9)));
-        acc.push(Some(&Value::Int(7)));
-        assert_eq!(acc.finish(), Value::Int(9));
-    }
-
-    #[test]
-    fn sum_overflow_widens() {
-        let mut s = AggAccumulator::new(AggFunc::Sum, false);
-        s.push(Some(&Value::Int(i64::MAX)));
-        s.push(Some(&Value::Int(i64::MAX)));
-        assert!(matches!(s.finish(), Value::Float(_)));
     }
 
     #[test]

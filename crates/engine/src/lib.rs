@@ -22,16 +22,23 @@ pub mod exec;
 pub mod expr;
 pub mod plan;
 pub mod planner;
-pub mod rowexec;
 mod rowtable;
 mod vexpr;
 pub mod work;
 
+/// The oracle's aggregate accumulator, the reference of the typed state.
+#[cfg(test)]
+#[path = "../../../tests/support/accumulator.rs"]
+mod accumulator;
 /// The equivalence suites' random catalogs and statements
 /// (`tests/engine_vs_naive_prop.rs`), for the executor's unit tests.
 #[cfg(test)]
 #[path = "../../../tests/support/corpus.rs"]
 mod corpus;
+/// The digest that pins an execution's rows and `Work`.
+#[cfg(test)]
+#[path = "../../../tests/support/digest.rs"]
+mod digest;
 
 pub use cost::{estimate_plan, CostModel};
 pub use exec::{execute, execute_batches, execute_over};

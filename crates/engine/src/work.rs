@@ -6,15 +6,16 @@
 //! response time the meta-wrapper observes. Every table and figure rests
 //! on that number, so every formula that feeds it lives here, once.
 //!
-//! Both executors — the columnar [`crate::exec`] and the row reference
-//! [`crate::rowexec`] — hold a [`Ledger`] and call one method per
-//! accounting event, in the same operator order. `f64` addition is
-//! order-sensitive, so the contract has two halves: the formulas are
-//! shared (this file), and the call order is the executors' (pinned by
-//! the equivalence properties). All charges use operator-level totals or
-//! per-match events, never per-chunk ones, so chunking and zone-map
-//! pruning change wall-clock time but never virtual time. `ci.sh` rejects
-//! a `cpu_units` add anywhere else in this crate.
+//! The executor ([`crate::exec`]) holds a [`Ledger`] and calls one method
+//! per accounting event. `f64` addition is order-sensitive, so the
+//! contract has two halves: the formulas (this file) and the executor's
+//! call order, which is normative. The `Work` constants of
+//! `exec::tests::work_is_pinned_for_every_offered_plan` and the pinned
+//! digests of rows and `Work` (`exec::tests`, `engine_vs_naive_prop`)
+//! hold both. All charges use operator-level totals or per-match events,
+//! never per-chunk ones, so chunking and zone-map pruning change
+//! wall-clock time but never virtual time. `ci.sh` rejects a `cpu_units`
+//! add anywhere else in this crate.
 
 use crate::cost::CostModel;
 

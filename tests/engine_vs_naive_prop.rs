@@ -7,13 +7,15 @@
 
 #[path = "support/corpus.rs"]
 mod corpus;
+#[path = "support/digest.rs"]
+mod digest;
 #[path = "support/naive.rs"]
 mod naive;
 
 use load_aware_federation::common::{
     Column, ColumnBatch, DataType, Pcg32, QccError, Row, Schema, Value,
 };
-use load_aware_federation::engine::{execute_batches, execute_over, rowexec, Engine};
+use load_aware_federation::engine::{execute_batches, execute_over, Engine, PlanNode};
 use load_aware_federation::storage::{Catalog, ColumnSpec, Table, TableChunk, TableSpec};
 use qcc_sql::parse_select;
 use std::sync::Arc;
@@ -150,40 +152,52 @@ fn batch_rows(batches: &[ColumnBatch]) -> Vec<Row> {
     batches.iter().flat_map(ColumnBatch::to_rows).collect()
 }
 
-/// The columnar executor must be observationally identical to the
-/// row-at-a-time reference: same rows IN THE SAME ORDER (both executors
-/// preserve scan/probe/first-seen order — most of the newer statements
-/// have no `ORDER BY` to hide behind) and the exact same virtual-time
-/// `Work` (bit-identical f64 accounting — zone-map pruning and batching
-/// may change wall-clock time but never virtual time).
+/// `h` continued over the batch execution of `plan` (see
+/// [`digest::run_digest`]).
+fn execution_digest(h: u64, engine: &Engine, plan: &PlanNode) -> u64 {
+    let (batches, w) = execute_batches(plan, engine.catalog(), engine.cost_model())
+        .unwrap_or_else(|e| panic!("{}: {e}", plan.signature()));
+    let work = [
+        w.cpu_units.to_bits(),
+        w.rows_scanned,
+        w.rows_output,
+        w.result_bytes,
+    ];
+    digest::run_digest(h, &plan.signature(), work, &batch_rows(&batches))
+}
+
+/// Every plan offered for the corpus returns the rows IN THE SAME ORDER
+/// and the `Work` to the bit that both the columnar executor and the
+/// row-at-a-time reference returned when the reference was deleted. They
+/// agreed on every plan: both preserve scan / probe / first-seen order
+/// (most of the newer statements have no `ORDER BY` to hide behind), and
+/// zone-map pruning and batching change wall-clock time but never virtual
+/// time. One digest per block of [`cases`], so a failure names the block.
 #[test]
 fn columnar_engine_matches_row_engine() {
+    let pinned: [(&str, usize, u64); 7] = [
+        ("random", 128, 0x34ad0487a6c63e67),
+        ("nullable", 96, 0xdc651c217d6f6233),
+        ("nullable, multi-chunk", 24, 0x9fe9516bfe8aebd6),
+        ("sparse", 64, 0xf0aaf8d4fa90cd9b),
+        ("sparse, multi-chunk", 16, 0xebda2df8f4288083),
+        ("string", 48, 0x6794a189ad02292e),
+        ("string, multi-chunk", 16, 0x2bad55dcbbebe343),
+    ];
+    let mut cases = cases(303, true).into_iter();
     let mut plans_checked = 0usize;
-    for (case, (catalog, sql)) in cases(303, true).into_iter().enumerate() {
-        let engine = Engine::new(catalog);
-        let plans = engine.explain(&sql).expect("plans");
-        for (pi, p) in plans.iter().enumerate() {
-            let (rrows, rwork) =
-                rowexec::execute_rows(&p.plan, engine.catalog(), engine.cost_model())
-                    .unwrap_or_else(|e| {
-                        panic!("case {case} plan {pi}: row engine failed on {sql}: {e}")
-                    });
-            let (batches, bwork) = execute_batches(&p.plan, engine.catalog(), engine.cost_model())
-                .unwrap_or_else(|e| {
-                    panic!("case {case} plan {pi}: batch engine failed on {sql}: {e}")
-                });
-            assert_eq!(
-                batch_rows(&batches),
-                rrows,
-                "case {case} plan {pi}: row divergence for {sql}"
-            );
-            assert_eq!(
-                bwork, rwork,
-                "case {case} plan {pi}: virtual-time Work divergence for {sql}"
-            );
-            plans_checked += 1;
+    for (block, n, want) in pinned {
+        let mut h = digest::EMPTY;
+        for (catalog, sql) in cases.by_ref().take(n) {
+            let engine = Engine::new(catalog);
+            for p in engine.explain(&sql).expect("plans") {
+                h = execution_digest(h, &engine, &p.plan);
+                plans_checked += 1;
+            }
         }
+        assert_eq!(h, want, "{block} block: rows or Work moved");
     }
+    assert!(cases.next().is_none(), "a case in no pinned block");
     assert!(
         plans_checked > 128,
         "too few plans exercised: {plans_checked}"
@@ -198,15 +212,7 @@ fn columnar_engine_matches_row_engine() {
 /// to the bit — and an index plan must be a typed error. Returns the
 /// (`SeqScan`-only, index) plans checked.
 fn check_slots_against_catalog(engine: &Engine, sql: &str) -> (usize, usize) {
-    let catalog = engine.catalog();
-    let batches: Vec<(&str, Vec<ColumnBatch>)> = catalog
-        .table_names()
-        .into_iter()
-        .map(|name| {
-            let chunks = catalog.entry(name).unwrap().table.chunks();
-            (name, chunks.iter().map(TableChunk::to_batch).collect())
-        })
-        .collect();
+    let batches = table_batches(engine.catalog());
     let slots: Vec<(&str, &[ColumnBatch])> = batches.iter().map(|(n, b)| (*n, &b[..])).collect();
     let (mut seq, mut index) = (0, 0);
     for p in engine.explain(sql).expect("plans") {
@@ -230,6 +236,70 @@ fn check_slots_against_catalog(engine: &Engine, sql: &str) -> (usize, usize) {
         seq += 1;
     }
     (seq, index)
+}
+
+/// Each table of `catalog` by name, its chunks as batches: the slots an
+/// integrator's merge would read.
+fn table_batches(catalog: &Catalog) -> Vec<(&str, Vec<ColumnBatch>)> {
+    catalog
+        .table_names()
+        .into_iter()
+        .map(|name| {
+            let chunks = catalog.entry(name).unwrap().table.chunks();
+            (name, chunks.iter().map(TableChunk::to_batch).collect())
+        })
+        .collect()
+}
+
+/// `ORDER BY` is stable: rows whose sort keys tie leave in input order,
+/// whichever direction, on a second key's ties too and where a `LIMIT`
+/// cuts through a tie group. Over a catalog and over slots; the expected
+/// rows are worked out by hand.
+#[test]
+fn order_by_ties_keep_input_order() {
+    let mut t = Table::new(
+        "t",
+        Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("j", DataType::Int),
+            Column::new("p", DataType::Str),
+        ]),
+    );
+    // Row i: (k[i], j[i], the i-th letter).
+    let (k, j) = ([2, 1, 2, 1, 3, 2, 1], [1, 2, 0, 1, 0, 1, 2]);
+    for (i, p) in "abcdefg".chars().enumerate() {
+        let row = vec![
+            Value::Int(k[i]),
+            Value::Int(j[i]),
+            Value::from(p.to_string()),
+        ];
+        t.insert(Row::new(row)).unwrap();
+    }
+    let mut catalog = Catalog::new();
+    catalog.register(t);
+    let engine = Engine::new(catalog);
+    let batches = table_batches(engine.catalog());
+    let slots: Vec<(&str, &[ColumnBatch])> = batches.iter().map(|(n, b)| (*n, &b[..])).collect();
+    let letters =
+        |rows: Vec<Row>| -> String { rows.iter().map(|r| r.get(0).as_str().unwrap()).collect() };
+    for (sql, want) in [
+        ("SELECT p FROM t ORDER BY k", "bdgacfe"),
+        ("SELECT p FROM t ORDER BY k DESC", "eacfbdg"),
+        ("SELECT p FROM t ORDER BY k, j DESC", "bgdafce"),
+        ("SELECT p FROM t ORDER BY j, k DESC", "ecafdbg"),
+        ("SELECT p FROM t ORDER BY k DESC LIMIT 3", "eac"),
+        ("SELECT p FROM t ORDER BY k LIMIT 2", "bd"),
+    ] {
+        for p in engine.explain(sql).expect("plans") {
+            let sig = p.plan.signature();
+            let (batches, _) = execute_batches(&p.plan, engine.catalog(), engine.cost_model())
+                .expect("runs over the catalog");
+            assert_eq!(letters(batch_rows(&batches)), want, "{sig}: {sql}");
+            let (rows, _) =
+                execute_over(&p.plan, &slots, engine.cost_model()).expect("runs over slots");
+            assert_eq!(letters(rows), want, "{sig} over slots: {sql}");
+        }
+    }
 }
 
 /// [`check_slots_against_catalog`] for every statement of the corpus, then
@@ -299,7 +369,8 @@ fn slots_equal_the_catalog_to_the_bit() {
 }
 
 /// Scenario-shaped tables (the §5 schema at reduced scale) through the four
-/// paper query templates: both executors agree exactly, plan by plan.
+/// paper query templates: every plan's rows and `Work` are those both
+/// executors returned when the row reference was deleted (one digest).
 #[test]
 fn columnar_engine_matches_row_engine_on_scenario_templates() {
     const LARGE: u64 = 400;
@@ -410,32 +481,22 @@ fn columnar_engine_matches_row_engine_on_scenario_templates() {
     catalog.create_index("big_c", "flag").unwrap();
     let engine = Engine::new(catalog);
 
+    let mut h = digest::EMPTY;
     for qt in qcc_workload::ALL_QUERY_TYPES {
         for instance in 0..4u32 {
-            let sql = qt.sql(instance);
-            let plans = engine.explain(&sql).expect("plans");
+            let plans = engine.explain(&qt.sql(instance)).expect("plans");
             assert!(!plans.is_empty(), "{qt} instance {instance}: no plans");
-            for (pi, p) in plans.iter().enumerate() {
-                let (rrows, rwork) =
-                    rowexec::execute_rows(&p.plan, engine.catalog(), engine.cost_model())
-                        .unwrap_or_else(|e| panic!("{qt}#{instance} plan {pi}: row engine: {e}"));
-                let (batches, bwork) =
-                    execute_batches(&p.plan, engine.catalog(), engine.cost_model())
-                        .unwrap_or_else(|e| panic!("{qt}#{instance} plan {pi}: batch engine: {e}"));
-                assert_eq!(
-                    batch_rows(&batches),
-                    rrows,
-                    "{qt}#{instance} plan {pi}: rows"
-                );
-                assert_eq!(bwork, rwork, "{qt}#{instance} plan {pi}: Work");
+            for p in &plans {
+                h = execution_digest(h, &engine, &p.plan);
             }
         }
     }
+    assert_eq!(h, 0x72162f05bedd3cbf, "QT1–QT4: rows or Work moved");
 }
 
-/// The oracle itself against answers worked out by hand (it has no unit
-/// tests of its own: it is linked only into the suites that use it), and
-/// the engine against the same answers.
+/// The oracle itself against answers worked out by hand (its interpreter
+/// has no unit tests of its own: it is linked only into the suites that
+/// use it), and the engine against the same answers.
 #[test]
 fn oracle_and_engine_match_hand_computed_answers() {
     let mut t = Table::new(
@@ -485,7 +546,7 @@ fn oracle_and_engine_match_hand_computed_answers() {
 /// `+`, `-`, `*` and `SUM` already follow — instead of panicking
 /// (`i64::MIN / -1` in any build, `-i64::MIN` in debug) or wrapping to a
 /// negative `Int` (`-i64::MIN` in release). Checked through the batch
-/// engine, the row reference and the oracle; run it with `--release` too.
+/// engine and the oracle; run it with `--release` too.
 #[test]
 fn integer_overflow_widens_to_float_through_every_executor() {
     let mut t = Table::new("t", Schema::new(vec![Column::new("a", DataType::Int)]));
@@ -512,11 +573,6 @@ fn integer_overflow_widens_to_float_through_every_executor() {
         let expected = format!("{expected:?}");
         let (batch, _) = engine.execute_sql(sql).expect("batch engine runs");
         assert_eq!(format!("{batch:?}"), expected, "batch engine: {sql}");
-        for p in engine.explain(sql).expect("plans") {
-            let (rows, _) = rowexec::execute_rows(&p.plan, engine.catalog(), engine.cost_model())
-                .expect("row reference runs");
-            assert_eq!(format!("{rows:?}"), expected, "row reference: {sql}");
-        }
         let stmt = parse_select(sql).expect("parses");
         let oracle = naive::evaluate(&stmt, engine.catalog()).expect("oracle runs");
         assert_eq!(format!("{oracle:?}"), expected, "oracle: {sql}");
@@ -555,9 +611,6 @@ fn int_float_equality_is_exact_through_every_join_and_executor() {
             let sig = p.plan.signature();
             let (rows, _) = engine.execute_plan(&p.plan).expect("batch engine runs");
             assert_eq!(rows, expected, "batch engine, {sig}: {sql}");
-            let (rows, _) = rowexec::execute_rows(&p.plan, engine.catalog(), engine.cost_model())
-                .expect("row reference runs");
-            assert_eq!(rows, expected, "row reference, {sig}: {sql}");
         }
         let stmt = parse_select(sql).expect("parses");
         let oracle = naive::evaluate(&stmt, engine.catalog()).expect("oracle runs");

@@ -4,13 +4,17 @@
 //! A deliberately simple (and slow) implementation of the same SQL subset:
 //! cross-join all FROM tables, filter, group, project, sort — an AST
 //! interpreter with no planner, no plan tree and no operators, which is
-//! what makes it an oracle for the engine's. Scalar expressions and
-//! aggregate accumulators are the engine's own (`qcc_engine::expr`): SQL
-//! scalar semantics have one definition, and this file does not re-derive
-//! them.
+//! what makes it an oracle for the engine's. Scalar expressions are the
+//! engine's own (`qcc_engine::expr`): SQL scalar semantics have one
+//! definition, and this file does not re-derive them. Aggregates are this
+//! oracle's own ([`accumulator`]), independent of the engine's typed state.
 
+#[path = "accumulator.rs"]
+mod accumulator;
+
+use accumulator::AggAccumulator;
 use qcc_common::{QccError, Result, Row, Schema, Value};
-use qcc_engine::expr::{compile, truth, AggAccumulator, CompiledExpr};
+use qcc_engine::expr::{compile, truth, CompiledExpr};
 use qcc_sql::{Expr, SelectItem, SelectStmt};
 use qcc_storage::Catalog;
 
