@@ -92,6 +92,14 @@ QCC_THREADS=1 cargo xtask sim --replay "$FLEET_LINE" > /tmp/qcc-fleet-t1.out
 QCC_THREADS=8 cargo xtask sim --replay "$FLEET_LINE" > /tmp/qcc-fleet-t8.out
 cmp /tmp/qcc-fleet-t1.out /tmp/qcc-fleet-t8.out
 
+echo "==> sim hedge replay (a tight execution deadline, QCC_THREADS=1 vs 8 byte-compared)"
+# Generated seed 3 draws the tight deadline: 13 fragments hedge, 10 hedges
+# win (a crash and a flaky window on S1), and hedge_soundness checks each.
+HEDGE_LINE='sim(seed: 3, servers: [(1.4316686437757775, 0.08752923837856535), (1.979664884131227, 0.16365930842337112)], large_rows: 401, small_rows: 76, arrivals: 87, rate_per_ms: 0.12718109035091446, retry_limit: 2, reroute: 5.43392279477715, exec_deadline_ms: 4.0, faults: [spike(1, 320.18272288043715, 523.0594349383097, 0.8656389755396561), flaky(0, 372.58753232586184, 552.5134178861566, 0.6552334897573793), spike(1, 198.3612760961319, 364.13732276257394, 0.40019953504876765), crash(0, 204.09047517665786, 393.39168965706244)])'
+QCC_THREADS=1 cargo xtask sim --replay "$HEDGE_LINE" > /tmp/qcc-hedge-t1.out
+QCC_THREADS=8 cargo xtask sim --replay "$HEDGE_LINE" > /tmp/qcc-hedge-t8.out
+cmp /tmp/qcc-hedge-t1.out /tmp/qcc-hedge-t8.out
+
 echo "==> mid-query reroute e2e (cut -> stall -> re-dispatch -> resume -> merge, QCC_THREADS=1 vs 8)"
 QCC_THREADS=1 cargo test -q --offline --test midquery_reroute_e2e
 QCC_THREADS=8 cargo test -q --offline --test midquery_reroute_e2e

@@ -61,19 +61,6 @@ pub struct AdmissionConfig {
     /// Weighted-fair share per query template. Missing templates get weight
     /// `1.0`; larger weights drain proportionally faster within a class.
     pub template_weights: BTreeMap<String, f64>,
-    /// Safety multiplier on the per-template execution-time estimate used
-    /// by the shed-on-dispatch check (`now + shed_safety × estimate >
-    /// deadline` sheds). `1.0` trusts the estimate; larger values shed
-    /// earlier, smaller values admit more borderline work.
-    pub shed_safety: f64,
-    /// Hedged-dispatch trigger: when a query's remaining deadline budget is
-    /// below `hedge_slack_factor ×` a fragment's estimated cost, the
-    /// federation duplicates that fragment onto a second within-band
-    /// replica and takes the faster result (`0.0` disables hedging).
-    pub hedge_slack_factor: f64,
-    /// Cost band for hedge replicas: an alternate fragment plan qualifies
-    /// only if its calibrated cost is within `hedge_band ×` the primary's.
-    pub hedge_band: f64,
 }
 
 impl Default for AdmissionConfig {
@@ -84,9 +71,6 @@ impl Default for AdmissionConfig {
             base_tokens: 4,
             max_queue_depth: 1024,
             template_weights: BTreeMap::new(),
-            shed_safety: 1.0,
-            hedge_slack_factor: 2.0,
-            hedge_band: 1.5,
         }
     }
 }

@@ -25,8 +25,9 @@
 //!    back from completed queries), so transient bursts drain instead of
 //!    being dropped on raw queue age.
 //! 4. **Execution deadlines** — each dispatched ticket hands its remaining
-//!    budget to the federation, which forfeits the retry budget mid-flight
-//!    and hedges pressured fragments when the budget runs short.
+//!    budget to the federation, which forfeits the retry budget once it is
+//!    spent. The budget is all this crate hands over: when a fragment hedges
+//!    is the federation's fixed rule, not a setting here.
 //!
 //! ## Determinism
 //!
@@ -209,8 +210,8 @@ impl AdmissionController {
     /// tickets in EDF-over-WFQ order. Shedding happens here, at dispatch
     /// time, and only on predicted lateness — a ticket whose deadline has
     /// already passed sheds as `deadline_lapsed`, one whose per-template
-    /// service estimate predicts a miss (`now + shed_safety × estimate >
-    /// deadline`) sheds as `predicted_late`, and neither counts against
+    /// service estimate predicts a miss (`now + estimate > deadline`)
+    /// sheds as `predicted_late`, and neither counts against
     /// the quota. A backlog that can still drain in time is dispatched in
     /// full, however old.
     pub fn dequeue_batch(&self, now: SimTime) -> DequeuedBatch {
@@ -226,8 +227,7 @@ impl AdmissionController {
                 batch.shed.push(ticket);
                 continue;
             }
-            let estimate =
-                self.config.shed_safety.max(0.0) * self.estimates.exec_estimate(&ticket.template);
+            let estimate = self.estimates.exec_estimate(&ticket.template);
             if ticket.predicted_late(now, estimate) {
                 self.record_shed(&ticket, now, "predicted_late");
                 batch.shed.push(ticket);

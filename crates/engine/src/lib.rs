@@ -44,7 +44,7 @@ pub use cost::{estimate_plan, CostModel};
 pub use exec::{execute, execute_batches, execute_over};
 pub use expr::{compile, CompiledExpr};
 pub use plan::{AggSpec, IndexPredicate, PlanNode};
-pub use planner::{plan_query, PlannerConfig};
+pub use planner::plan_query;
 pub use work::Work;
 
 use qcc_common::{ColumnBatch, Cost, Result, Row};
@@ -65,17 +65,14 @@ pub struct PlannedQuery {
 pub struct Engine {
     catalog: Catalog,
     cost_model: CostModel,
-    planner: PlannerConfig,
 }
 
 impl Engine {
-    /// Create an engine over a catalog with default cost model and planner
-    /// settings.
+    /// Create an engine over a catalog with the default cost model.
     pub fn new(catalog: Catalog) -> Self {
         Engine {
             catalog,
             cost_model: CostModel::default(),
-            planner: PlannerConfig::default(),
         }
     }
 
@@ -103,7 +100,7 @@ impl Engine {
     /// EXPLAIN an already-parsed statement (callers that hold the AST —
     /// the integrator's merge statement — skip the text round trip).
     pub fn explain_stmt(&self, stmt: &SelectStmt) -> Result<Vec<PlannedQuery>> {
-        let plans = plan_query(stmt, &self.catalog, &self.planner)?;
+        let plans = plan_query(stmt, &self.catalog)?;
         let mut out: Vec<PlannedQuery> = plans
             .into_iter()
             .map(|plan| {

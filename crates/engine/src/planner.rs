@@ -13,23 +13,8 @@ use qcc_common::{Column, DataType, QccError, Result, Schema};
 use qcc_sql::{BinaryOp, Expr, SelectItem, SelectStmt};
 use std::collections::BTreeSet;
 
-/// Planner tuning knobs.
-#[derive(Debug, Clone)]
-pub struct PlannerConfig {
-    /// Maximum number of candidate plans to return.
-    pub max_plans: usize,
-    /// Offer index access paths when applicable.
-    pub enable_index_paths: bool,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            max_plans: 6,
-            enable_index_paths: true,
-        }
-    }
-}
+/// Most candidate plans one statement offers.
+const MAX_PLANS: usize = 6;
 
 /// One bound FROM-list table.
 #[derive(Debug, Clone)]
@@ -53,11 +38,7 @@ struct JoinEdge {
 
 /// Plan a query, returning candidate plans (unsorted; the engine ranks them
 /// by estimated cost).
-pub fn plan_query(
-    stmt: &SelectStmt,
-    catalog: &qcc_storage::Catalog,
-    cfg: &PlannerConfig,
-) -> Result<Vec<PlanNode>> {
+pub fn plan_query(stmt: &SelectStmt, catalog: &qcc_storage::Catalog) -> Result<Vec<PlanNode>> {
     let bindings = bind_tables(stmt, catalog)?;
 
     // Gather and qualify all conjuncts from WHERE and JOIN ... ON.
@@ -98,9 +79,9 @@ pub fn plan_query(
     let paths: Vec<Vec<AccessPath>> = bindings
         .iter()
         .enumerate()
-        .map(|(i, b)| access_paths(b, &table_preds[i], catalog, cfg))
+        .map(|(i, b)| access_paths(b, &table_preds[i], catalog))
         .collect::<Result<_>>()?;
-    let combos = path_combinations(&paths, cfg.max_plans);
+    let combos = path_combinations(&paths, MAX_PLANS);
 
     let mut plans = Vec::with_capacity(combos.len());
     for combo in combos {
@@ -290,7 +271,6 @@ fn access_paths(
     binding: &Binding,
     preds: &[Expr],
     catalog: &qcc_storage::Catalog,
-    cfg: &PlannerConfig,
 ) -> Result<Vec<AccessPath>> {
     let entry = catalog.entry(&binding.table)?;
     let stats = &entry.stats;
@@ -319,27 +299,25 @@ fn access_paths(
         },
     }];
 
-    if cfg.enable_index_paths {
-        for index in &entry.indexes {
-            if let Some(pred) = sargable_pred(preds, index.column_name()) {
-                let col_idx = base_schema.resolve(None, index.column_name())?;
-                let idx_sel = index_pred_selectivity(&pred, stats, col_idx);
-                // The residual re-applies all pushed conjuncts (cheap and
-                // keeps the executor simple); output estimate matches the
-                // sequential path since the same predicates apply.
-                out.push(AccessPath {
-                    plan: PlanNode::IndexScan {
-                        table: binding.table.clone(),
-                        binding: binding.name.clone(),
-                        schema: binding.schema.clone(),
-                        column: index.column_name().to_owned(),
-                        pred,
-                        residual: compiled.clone(),
-                        est_rows: est_rows.min(stats.row_count as f64 * idx_sel),
-                    },
-                });
-                break; // One index alternative per table keeps the space small.
-            }
+    for index in &entry.indexes {
+        if let Some(pred) = sargable_pred(preds, index.column_name()) {
+            let col_idx = base_schema.resolve(None, index.column_name())?;
+            let idx_sel = index_pred_selectivity(&pred, stats, col_idx);
+            // The residual re-applies all pushed conjuncts (cheap and
+            // keeps the executor simple); output estimate matches the
+            // sequential path since the same predicates apply.
+            out.push(AccessPath {
+                plan: PlanNode::IndexScan {
+                    table: binding.table.clone(),
+                    binding: binding.name.clone(),
+                    schema: binding.schema.clone(),
+                    column: index.column_name().to_owned(),
+                    pred,
+                    residual: compiled.clone(),
+                    est_rows: est_rows.min(stats.row_count as f64 * idx_sel),
+                },
+            });
+            break; // One index alternative per table keeps the space small.
         }
     }
     Ok(out)
@@ -1099,13 +1077,13 @@ mod tests {
 
     fn plan_one(sql: &str) -> PlanNode {
         let stmt = parse_select(sql).unwrap();
-        let plans = plan_query(&stmt, &catalog(), &PlannerConfig::default()).unwrap();
+        let plans = plan_query(&stmt, &catalog()).unwrap();
         plans.into_iter().next().unwrap()
     }
 
     fn plan_all(sql: &str) -> Vec<PlanNode> {
         let stmt = parse_select(sql).unwrap();
-        plan_query(&stmt, &catalog(), &PlannerConfig::default()).unwrap()
+        plan_query(&stmt, &catalog()).unwrap()
     }
 
     #[test]
@@ -1190,26 +1168,26 @@ mod tests {
     #[test]
     fn ungrouped_column_rejected() {
         let stmt = parse_select("SELECT total, COUNT(*) FROM orders GROUP BY cust").unwrap();
-        assert!(plan_query(&stmt, &catalog(), &PlannerConfig::default()).is_err());
+        assert!(plan_query(&stmt, &catalog()).is_err());
     }
 
     #[test]
     fn wildcard_in_aggregate_rejected() {
         let stmt = parse_select("SELECT * FROM orders GROUP BY cust").unwrap();
-        assert!(plan_query(&stmt, &catalog(), &PlannerConfig::default()).is_err());
+        assert!(plan_query(&stmt, &catalog()).is_err());
     }
 
     #[test]
     fn having_without_aggregate_rejected() {
         let stmt = parse_select("SELECT id FROM orders HAVING id > 1").unwrap();
-        assert!(plan_query(&stmt, &catalog(), &PlannerConfig::default()).is_err());
+        assert!(plan_query(&stmt, &catalog()).is_err());
     }
 
     #[test]
     fn unknown_table_rejected() {
         let stmt = parse_select("SELECT * FROM nothere").unwrap();
         assert!(matches!(
-            plan_query(&stmt, &catalog(), &PlannerConfig::default()),
+            plan_query(&stmt, &catalog()),
             Err(QccError::UnknownTable(_))
         ));
     }
@@ -1217,14 +1195,14 @@ mod tests {
     #[test]
     fn duplicate_alias_rejected() {
         let stmt = parse_select("SELECT * FROM orders x, cust x").unwrap();
-        assert!(plan_query(&stmt, &catalog(), &PlannerConfig::default()).is_err());
+        assert!(plan_query(&stmt, &catalog()).is_err());
     }
 
     #[test]
     fn ambiguous_column_rejected() {
         let stmt = parse_select("SELECT id FROM orders o, cust c WHERE o.cust = c.id").unwrap();
         assert!(matches!(
-            plan_query(&stmt, &catalog(), &PlannerConfig::default()),
+            plan_query(&stmt, &catalog()),
             Err(QccError::AmbiguousColumn(_))
         ));
     }
@@ -1237,13 +1215,20 @@ mod tests {
 
     #[test]
     fn max_plans_respected() {
-        let cfg = PlannerConfig {
-            max_plans: 1,
-            enable_index_paths: true,
-        };
+        // A sargable predicate offers the index path beside the scan; a
+        // two-table cross product of those paths is cut to the limit.
         let stmt = parse_select("SELECT * FROM orders WHERE id = 5").unwrap();
-        let plans = plan_query(&stmt, &catalog(), &cfg).unwrap();
-        assert_eq!(plans.len(), 1);
+        let plans = plan_query(&stmt, &catalog()).unwrap();
+        assert_eq!(plans.len(), 2);
+        let paths = || {
+            plans
+                .iter()
+                .map(|p| AccessPath { plan: p.clone() })
+                .collect()
+        };
+        let tables: Vec<Vec<AccessPath>> = vec![paths(), paths()];
+        assert_eq!(path_combinations(&tables, MAX_PLANS).len(), 4);
+        assert_eq!(path_combinations(&tables, 1).len(), 1);
     }
 
     #[test]
@@ -1267,7 +1252,7 @@ mod tests {
              WHERE o.cust = c.id AND i.oid = o.id",
         )
         .unwrap();
-        let plans = plan_query(&stmt, &c, &PlannerConfig::default()).unwrap();
+        let plans = plan_query(&stmt, &c).unwrap();
         let p = &plans[0];
         // All joins should be hash joins (connected graph — no cross joins).
         assert!(!p.signature().contains("nlj"), "{}", p.signature());

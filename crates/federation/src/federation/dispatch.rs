@@ -11,6 +11,15 @@ use qcc_wrapper::{FragmentPlan, StreamOutcome, WrapperResult, WrapperStream};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Hedge trigger: a fragment is pressured, and hedged, when its query's
+/// remaining deadline budget is below this multiple of its calibrated
+/// cost.
+const HEDGE_SLACK_FACTOR: f64 = 2.0;
+
+/// Hedge selection band: a hedge replica's calibrated cost is at most
+/// this multiple of the primary's.
+const HEDGE_BAND: f64 = 1.5;
+
 /// One stream of a slot's race: the primary, or its hedge replica.
 struct Run<'a> {
     cand: &'a FragmentCandidate,
@@ -198,9 +207,9 @@ impl Federation {
 
     /// Hedged dispatch: choose (and journal) a hedge replica for every
     /// pressured fragment of `chosen` — one whose remaining deadline
-    /// budget is below `hedge_slack_factor ×` its calibrated cost. The
+    /// budget is below [`HEDGE_SLACK_FACTOR`] × its calibrated cost. The
     /// replica is the cheapest alternate plan for the slot on a different
-    /// server within `hedge_band ×` the primary's cost. Both run
+    /// server within [`HEDGE_BAND`] × the primary's cost. Both run
     /// concurrently; the faster result wins and the loser is suppressed.
     fn plan_hedges(
         &self,
@@ -212,20 +221,15 @@ impl Federation {
         effects: &mut Deferred,
     ) -> BTreeMap<usize, FragmentCandidate> {
         let mut hedges = BTreeMap::new();
-        let (Some(admission), Some(remaining)) = (&self.admission, remaining_ms) else {
+        let Some(remaining) = remaining_ms.filter(|_| self.admission.is_some()) else {
             return hedges;
         };
-        let slack = admission.config().hedge_slack_factor;
-        if slack <= 0.0 {
-            return hedges;
-        }
-        let band = admission.config().hedge_band.max(1.0);
         for (slot, primary) in chosen.fragments.iter().enumerate() {
             let est = primary.effective_cost.total();
-            if est <= 0.0 || remaining >= slack * est {
+            if est <= 0.0 || remaining >= HEDGE_SLACK_FACTOR * est {
                 continue;
             }
-            let Some(alt) = self.cheapest_alternate(slot, pool, est * band, |alt| {
+            let Some(alt) = self.cheapest_alternate(slot, pool, est * HEDGE_BAND, |alt| {
                 alt.plan.server != primary.plan.server
             }) else {
                 continue;

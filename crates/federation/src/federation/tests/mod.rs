@@ -425,13 +425,11 @@ fn cross_source_merge_join_correct() {
 fn pressured_fragment_hedges_to_replica_and_suppresses_duplicate() {
     let mut fed = setup();
     fed.set_obs(Obs::new());
-    // A slack factor this large marks every fragment of a
-    // finite-deadline query as pressured, so the replicated nickname
-    // must hedge to its second host.
+    // The compile spends this deadline, so every fragment is pressured
+    // and the replicated nickname must hedge to its equal-cost second
+    // host.
     let admission = Arc::new(AdmissionController::new(qcc_admission::AdmissionConfig {
-        exec_deadline_ms: 50.0,
-        hedge_slack_factor: 1_000_000.0,
-        hedge_band: 10.0,
+        exec_deadline_ms: 0.001,
         ..Default::default()
     }));
     admission.set_capacity(&ServerId::new("S1"), 2, SimTime::ZERO);
@@ -468,13 +466,11 @@ fn unrescued_slot_fails_naming_its_own_server_not_a_rescued_slots() {
     // Slot 0 (`branches`, two replicas) can hedge; slot 1 (`accounts`,
     // one host) cannot.
     const SQL: &str = "SELECT b.id FROM branches b JOIN accounts a ON a.id = b.id";
-    let build = || {
+    let build = |exec_deadline_ms| {
         let (mut fed, servers) =
             id_table_fleet(&[&["branches"], &["branches"], &["accounts"]], 0.0);
         let admission = Arc::new(AdmissionController::new(qcc_admission::AdmissionConfig {
-            exec_deadline_ms: 50.0,
-            hedge_slack_factor: 1_000_000.0,
-            hedge_band: 10.0,
+            exec_deadline_ms,
             ..Default::default()
         }));
         for server in &servers {
@@ -483,8 +479,9 @@ fn unrescued_slot_fails_naming_its_own_server_not_a_rescued_slots() {
         fed.set_admission(admission);
         (fed, servers)
     };
-    // Dry run: learn the dispatch instant and slot 0's primary.
-    let (dry, _) = build();
+    // Dry run, its deadline spent by the compile: learn the dispatch
+    // instant and slot 0's primary.
+    let (dry, _) = build(0.001);
     dry.submit(SQL).unwrap();
     let hedge = &dry.obs().events_of("hedge")[0];
     assert_eq!(hedge.field("fragment"), Some(&FieldValue::U64(0)));
@@ -493,9 +490,11 @@ fn unrescued_slot_fails_naming_its_own_server_not_a_rescued_slots() {
 
     // Same world, but slot 0's primary and slot 1's only host both
     // refuse the EXECUTE on arrival (up for the EXPLAIN, down from the
-    // dispatch instant on). The hedge rescues slot 0; nothing can take
-    // over slot 1, so the error names slot 1 and its server.
-    let (fed, servers) = build();
+    // dispatch instant on). The deadline ends at that instant: both slots
+    // are pressured, yet a refusal there is not past it. The hedge rescues
+    // slot 0; nothing can take over slot 1, so the error names slot 1 and
+    // its server.
+    let (fed, servers) = build(dispatched.as_millis());
     for server in &servers {
         if server.id().as_str() == primary0 || server.id().as_str() == "S3" {
             server
@@ -672,18 +671,17 @@ fn refused_replica_moves_the_slot_on_until_retry_limit() {
 
 #[test]
 fn redispatch_past_the_deadline_forfeits_the_query() {
-    // A deadline shorter than one probe interval, with hedging off: an
-    // interrupt is detected after the budget is spent.
+    // A deadline shorter than one probe interval: an interrupt is
+    // detected after the budget is spent. The replica S2 has no tokens,
+    // so the pressured fragment cannot hedge to it.
     let build = || {
         let (mut fed, s1) = streaming_fixture(0.0);
         let admission = Arc::new(AdmissionController::new(qcc_admission::AdmissionConfig {
             exec_deadline_ms: 0.5,
-            hedge_slack_factor: 0.0,
             ..Default::default()
         }));
-        for server in ["S1", "S2"] {
-            admission.set_capacity(&ServerId::new(server), 2, SimTime::ZERO);
-        }
+        admission.set_capacity(&ServerId::new("S1"), 2, SimTime::ZERO);
+        admission.set_capacity(&ServerId::new("S2"), 0, SimTime::ZERO);
         fed.set_admission(admission);
         (fed, s1)
     };

@@ -95,6 +95,12 @@ impl FaultSpec {
     }
 }
 
+/// The sim's default execution deadline (virtual ms).
+pub const LOOSE_EXEC_DEADLINE_MS: f64 = 800.0;
+
+/// The tight execution deadline a generated scenario may draw instead.
+pub const TIGHT_EXEC_DEADLINE_MS: f64 = 4.0;
+
 /// A full simulation scenario: world shape, workload, and fault schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -128,6 +134,12 @@ pub struct SimConfig {
     /// omit) never cancels a healthy stream for slowness; interrupted
     /// streams are rescued at any value.
     pub reroute: f64,
+    /// The admission controller's `exec_deadline_ms`. The default,
+    /// [`LOOSE_EXEC_DEADLINE_MS`] (also the value replay lines omit), is
+    /// far above any generated fragment's cost; under
+    /// [`TIGHT_EXEC_DEADLINE_MS`] many fragments run short of budget, and
+    /// one with a replica in band hedges.
+    pub exec_deadline_ms: f64,
     /// The fault schedule.
     pub faults: Vec<FaultSpec>,
 }
@@ -168,6 +180,10 @@ impl SimConfig {
         // their renders stay byte-identical.
         if self.reroute > 0.0 {
             let _ = write!(out, "reroute: {:?}, ", self.reroute);
+        }
+        // Likewise the default deadline.
+        if self.exec_deadline_ms != LOOSE_EXEC_DEADLINE_MS {
+            let _ = write!(out, "exec_deadline_ms: {:?}, ", self.exec_deadline_ms);
         }
         out.push_str("faults: [");
         for (i, f) in self.faults.iter().enumerate() {
@@ -282,6 +298,13 @@ pub fn generate(seed: u64) -> SimConfig {
     } else {
         0.0
     };
+    // Drawn after `reroute`, for the same reason: about half the
+    // scenarios run with a deadline short enough to hedge.
+    let exec_deadline_ms = if rng.range_u64(0, 2) == 1 {
+        TIGHT_EXEC_DEADLINE_MS
+    } else {
+        LOOSE_EXEC_DEADLINE_MS
+    };
     SimConfig {
         seed,
         servers,
@@ -293,6 +316,7 @@ pub fn generate(seed: u64) -> SimConfig {
         fleet: 0,
         replication: 0,
         reroute,
+        exec_deadline_ms,
         faults,
     }
 }
@@ -357,6 +381,7 @@ pub fn generate_scale(seed: u64) -> SimConfig {
         fleet,
         replication: 3,
         reroute,
+        exec_deadline_ms: LOOSE_EXEC_DEADLINE_MS,
         faults,
     }
 }
@@ -424,6 +449,22 @@ pub fn parse(s: &str) -> Result<SimConfig, String> {
     } else {
         0.0
     };
+    // Optional deadline; absent means the loose default. "exec_deadline_ms"
+    // vs "faults" diverge at the first byte.
+    let exec_deadline_ms = if p.peek_tag("exec_deadline_ms") {
+        p.key("exec_deadline_ms")?;
+        let ms = p.f64()?;
+        if ms <= 0.0 || ms == LOOSE_EXEC_DEADLINE_MS {
+            return Err(format!(
+                "exec_deadline_ms must be positive and not the default \
+                 {LOOSE_EXEC_DEADLINE_MS:?} when given"
+            ));
+        }
+        p.tok(b',')?;
+        ms
+    } else {
+        LOOSE_EXEC_DEADLINE_MS
+    };
     p.key("faults")?;
     let faults = p.fault_list(if fleet > 0 { fleet } else { servers.len() })?;
     p.tok(b')')?;
@@ -442,6 +483,7 @@ pub fn parse(s: &str) -> Result<SimConfig, String> {
         fleet,
         replication,
         reroute,
+        exec_deadline_ms,
         faults,
     })
 }
@@ -732,6 +774,35 @@ mod tests {
         // Generation covers both sides of the coin flip.
         assert!((0..32).any(|s| generate(s).reroute > 0.0));
         assert!((0..32).any(|s| generate(s).reroute == 0.0));
+    }
+
+    #[test]
+    fn exec_deadline_round_trips_and_defaults_loose() {
+        // Lines without the key parse to the loose default and render
+        // back without it.
+        let legacy = "sim(seed: 1, servers: [(1.0, 0.1)], large_rows: 10, small_rows: 5, \
+             arrivals: 2, rate_per_ms: 0.1, retry_limit: 1, faults: [])";
+        let c = parse(legacy).unwrap();
+        assert_eq!(c.exec_deadline_ms, LOOSE_EXEC_DEADLINE_MS);
+        assert_eq!(c.render(), legacy);
+        // A tight deadline round-trips, after `reroute`.
+        let tight = parse(
+            "sim(seed: 1, servers: [(1.0, 0.1), (2.0, 0.2)], large_rows: 10, small_rows: 5, \
+             arrivals: 2, rate_per_ms: 0.1, retry_limit: 1, reroute: 3.5, \
+             exec_deadline_ms: 4.0, faults: [crash(1, 1.0, 2.0)])",
+        )
+        .unwrap();
+        assert_eq!(tight.exec_deadline_ms, TIGHT_EXEC_DEADLINE_MS);
+        assert!(tight.render().contains("exec_deadline_ms: 4.0, faults"));
+        assert_eq!(parse(&tight.render()).unwrap(), tight);
+        // A malformed, non-positive or default value is rejected.
+        for bad in ["4.0.1", "x", "0.0", "-4.0", "800.0"] {
+            let line = legacy.replace("faults", &format!("exec_deadline_ms: {bad}, faults"));
+            assert!(parse(&line).is_err(), "{line}");
+        }
+        // Generation covers both sides of the coin flip.
+        assert!((0..32).any(|s| generate(s).exec_deadline_ms == TIGHT_EXEC_DEADLINE_MS));
+        assert!((0..32).any(|s| generate(s).exec_deadline_ms == LOOSE_EXEC_DEADLINE_MS));
     }
 
     #[test]

@@ -80,13 +80,14 @@ pub struct RunArtifacts {
     pub baseline_p99_ms: f64,
 }
 
-/// Admission shape used for every simulated run: deadlines loose enough
-/// that a healthy world completes everything, tight enough that storms
-/// produce sheds and deadline events worth checking.
-fn admission_config() -> AdmissionConfig {
+/// Admission shape used for every simulated run: a queue deadline loose
+/// enough that a healthy world completes everything, tight enough that
+/// storms produce sheds and deadline events worth checking, and the
+/// scenario's execution deadline (a tight one makes fragments hedge).
+fn admission_config(config: &SimConfig) -> AdmissionConfig {
     AdmissionConfig {
         queue_deadline_ms: 400.0,
-        exec_deadline_ms: 800.0,
+        exec_deadline_ms: config.exec_deadline_ms,
         max_queue_depth: 128,
         ..AdmissionConfig::default()
     }
@@ -108,7 +109,7 @@ fn serve(config: &SimConfig, threads: usize) -> Served {
     let mut scenario = world.scenario;
     let qcc = Arc::clone(scenario.qcc.as_ref().expect("QCC-routed scenario"));
     let admission = Arc::new(AdmissionController::with_obs(
-        admission_config(),
+        admission_config(config),
         scenario.obs.clone(),
     ));
     scenario.federation.set_admission(Arc::clone(&admission));
@@ -172,11 +173,10 @@ pub fn run(config: &SimConfig, threads: usize, bug: &BugSwitches) -> RunArtifact
     // goodput/p99 against the same deadline budget is what the
     // `goodput_dominance` oracle holds the admitted run to. The baseline
     // has its own Obs, so the admitted run's journal stays untouched.
-    let deadline_budget_ms = admission_config()
-        .deadline_budget_ms()
-        .unwrap_or(f64::INFINITY);
+    let admission = admission_config(config);
+    let deadline_budget_ms = admission.deadline_budget_ms().unwrap_or(f64::INFINITY);
     let baseline_world = build(config, threads);
-    let width = baseline_world.scenario.servers.len() * admission_config().base_tokens as usize;
+    let width = baseline_world.scenario.servers.len() * admission.base_tokens as usize;
     let baseline = run_open_loop(
         &baseline_world.scenario,
         AdmissionMode::Unprotected {

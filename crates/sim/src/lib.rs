@@ -30,6 +30,9 @@
 //!   interrupt instant, and interrupts trace back to an injected crash
 //!   window; a refusal re-dispatches at the instant the refusing server
 //!   was sent the slot, inside one of its crash or flaky windows;
+//! * **hedge_soundness** — every hedge duplicates its slot once, onto a
+//!   server that is neither the primary nor believed down, and every
+//!   suppressed duplicate is one of that race's two streams;
 //! * **thread_determinism** — journal and metrics are byte-identical
 //!   across scatter-pool widths.
 //!

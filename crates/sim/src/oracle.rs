@@ -64,6 +64,7 @@ pub fn check_all(a: &RunArtifacts, config: &SimConfig) -> Vec<Violation> {
     prune_soundness(a, config, &mut v);
     no_dup_no_loss_reroute(a, config, &mut v);
     bounded_stall(a, config, &mut v);
+    hedge_soundness(a, &mut v);
     v
 }
 
@@ -647,6 +648,77 @@ fn bounded_stall(a: &RunArtifacts, config: &SimConfig, out: &mut Vec<Violation>)
     }
 }
 
+/// Hedged slots are sound (DESIGN.md §10 "Hedged re-dispatch"). Every
+/// `hedge` duplicates its slot onto a server other than the primary, at
+/// most once per (query, fragment), and onto a server not believed down
+/// at that instant (the ban timeline [`no_route_to_banned`] reads). Every
+/// `hedge_result` belongs to a hedged slot and suppresses that slot's
+/// primary or hedge, never its own winner. The winner may be a third
+/// server: when neither stream finished inside the stall threshold, the
+/// slot was re-dispatched.
+fn hedge_soundness(a: &RunArtifacts, out: &mut Vec<Violation>) {
+    let mut flag = |detail: String| {
+        out.push(Violation {
+            oracle: "hedge_soundness",
+            detail,
+        })
+    };
+    let mut hedged: BTreeMap<(u64, u64), (&str, &str)> = BTreeMap::new();
+    for e in a.journal.iter().filter(|e| e.kind == "hedge") {
+        let at = e.at.as_millis();
+        let slot = u64_field(e, "query").zip(u64_field(e, "fragment"));
+        let (Some((query, fragment)), Some(primary), Some(hedge)) =
+            (slot, e.str_field("primary"), e.str_field("hedge"))
+        else {
+            flag(format!(
+                "hedge at {at:.3}ms lacks query/fragment/primary/hedge"
+            ));
+            continue;
+        };
+        if hedge == primary {
+            flag(format!(
+                "query {query} fragment {fragment}: hedged onto its own primary {primary}"
+            ));
+        }
+        if hedged.insert((query, fragment), (primary, hedge)).is_some() {
+            flag(format!("query {query} fragment {fragment} hedged twice"));
+        }
+        let banned = down_intervals(a, hedge)
+            .iter()
+            .any(|(from, to)| *from < at && at < *to);
+        if banned {
+            flag(format!(
+                "query {query} fragment {fragment}: hedged onto {hedge} at {at:.3}ms while \
+                 it was believed down"
+            ));
+        }
+    }
+    for e in a.journal.iter().filter(|e| e.kind == "hedge_result") {
+        let at = e.at.as_millis();
+        let slot = u64_field(e, "query").zip(u64_field(e, "fragment"));
+        let (Some((query, fragment)), Some(winner), Some(suppressed)) =
+            (slot, e.str_field("winner"), e.str_field("suppressed"))
+        else {
+            flag(format!(
+                "hedge_result at {at:.3}ms lacks query/fragment/winner/suppressed"
+            ));
+            continue;
+        };
+        let Some((primary, hedge)) = hedged.get(&(query, fragment)) else {
+            flag(format!(
+                "query {query} fragment {fragment}: hedge_result without a hedge"
+            ));
+            continue;
+        };
+        if ![*primary, *hedge].contains(&suppressed) || winner == suppressed {
+            flag(format!(
+                "query {query} fragment {fragment}: {winner} won and {suppressed} was \
+                 suppressed, but the slot raced {primary} against {hedge}"
+            ));
+        }
+    }
+}
+
 /// Re-dispatch budgets are bounded (DESIGN.md §15): no query re-dispatches
 /// one fragment slot more than `retry_limit` times.
 fn bounded_retries(a: &RunArtifacts, out: &mut Vec<Violation>) {
@@ -840,6 +912,77 @@ mod tests {
         let v = check(&a);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].detail.contains("not when S1 was sent the slot"));
+    }
+
+    /// A doctored event of `kind` at 30 ms, for query 1's fragment 0.
+    fn slot_event(kind: &'static str, servers: [(&'static str, &str); 2]) -> Event {
+        let mut fields = vec![("query", 1u64.into()), ("fragment", 0u64.into())];
+        fields.extend(servers.map(|(name, server)| (name, server.into())));
+        Event {
+            at: qcc_common::SimTime::from_millis(30.0),
+            kind,
+            fields,
+        }
+    }
+
+    fn hedge(primary: &str, hedge: &str) -> Event {
+        slot_event("hedge", [("primary", primary), ("hedge", hedge)])
+    }
+
+    fn hedge_result(winner: &str, suppressed: &str) -> Event {
+        slot_event(
+            "hedge_result",
+            [("winner", winner), ("suppressed", suppressed)],
+        )
+    }
+
+    #[test]
+    fn hedged_run_passes_and_doctored_hedges_fail_hedge_soundness() {
+        let config = parse(
+            "sim(seed: 5, servers: [(1.0, 0.2), (1.1, 0.1)], large_rows: 400, small_rows: 24, \
+             arrivals: 12, rate_per_ms: 0.1, retry_limit: 2, exec_deadline_ms: 4.0, faults: [])",
+        )
+        .expect("valid test config");
+        let mut a = run(&config, 1, &BugSwitches::none());
+        let v = check_all(&a, &config);
+        assert!(v.is_empty(), "unexpected violations: {v:?}");
+        assert!(
+            a.journal.iter().any(|e| e.kind == "hedge"),
+            "the tight deadline must hedge"
+        );
+        let mut check = |journal: Vec<Event>| {
+            a.journal = journal;
+            let mut v = Vec::new();
+            hedge_soundness(&a, &mut v);
+            v.iter().map(|v| v.detail.clone()).collect::<Vec<_>>()
+        };
+        // A race the primary won, and one neither stream won in time.
+        assert!(check(vec![hedge("S1", "S2"), hedge_result("S1", "S2")]).is_empty());
+        assert!(check(vec![hedge("S1", "S2"), hedge_result("S3", "S1")]).is_empty());
+        let mut flagged = |journal, needle: &str| {
+            let v = check(journal);
+            assert!(v.len() == 1 && v[0].contains(needle), "{needle}: {v:?}");
+        };
+        flagged(vec![hedge("S1", "S1")], "hedged onto its own primary");
+        flagged(vec![hedge("S1", "S2"), hedge("S1", "S2")], "hedged twice");
+        let down = Event {
+            at: qcc_common::SimTime::from_millis(10.0),
+            kind: "server_down",
+            fields: vec![("server", "S2".into())],
+        };
+        flagged(vec![down, hedge("S1", "S2")], "while it was believed down");
+        flagged(
+            vec![hedge_result("S1", "S2")],
+            "hedge_result without a hedge",
+        );
+        flagged(
+            vec![hedge("S1", "S2"), hedge_result("S2", "S2")],
+            "but the slot raced S1 against S2",
+        );
+        flagged(
+            vec![hedge("S1", "S2"), hedge_result("S1", "S3")],
+            "but the slot raced S1 against S2",
+        );
     }
 
     #[test]

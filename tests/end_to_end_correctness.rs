@@ -5,7 +5,8 @@
 #[path = "support/naive.rs"]
 mod naive;
 
-use load_aware_federation::common::{Column, DataType, Row, Schema, ServerId, Value};
+use load_aware_federation::admission::{AdmissionConfig, AdmissionController};
+use load_aware_federation::common::{Column, DataType, Obs, Row, Schema, ServerId, SimTime, Value};
 use load_aware_federation::engine::Engine;
 use load_aware_federation::federation::{
     Federation, FederationConfig, NicknameCatalog, PassthroughMiddleware,
@@ -182,6 +183,34 @@ fn federation_matches_local_engine_with_replicas() {
             "federation vs local engine mismatch for {sql}"
         );
     }
+
+    // Admitted, with a deadline the compile spends: every fragment is
+    // pressured and hedges to the other replica, and each slot still
+    // returns one stream's rows, never both.
+    let mut fed = replicated_federation();
+    fed.set_obs(Obs::new());
+    let admission = Arc::new(AdmissionController::new(AdmissionConfig {
+        exec_deadline_ms: 0.001,
+        ..AdmissionConfig::default()
+    }));
+    for server in ["S1", "S2"] {
+        admission.set_capacity(&ServerId::new(server), 2, SimTime::ZERO);
+    }
+    fed.set_admission(admission);
+    for sql in QUERIES {
+        let out = fed.submit(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let (local, _) = engine.execute_sql(sql).unwrap();
+        assert_eq!(
+            sorted(out.rows),
+            sorted(local),
+            "hedged federation vs local engine mismatch for {sql}"
+        );
+    }
+    let hedges: u64 = ["S1", "S2"]
+        .map(|s| fed.obs().counter_value("hedges_total", &[("server", s)]))
+        .iter()
+        .sum();
+    assert_eq!(hedges, QUERIES.len() as u64, "every fragment hedges");
 }
 
 #[test]
