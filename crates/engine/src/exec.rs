@@ -8,7 +8,9 @@
 //! hash aggregate and DISTINCT share one row-id hash table
 //! ([`crate::rowtable`]), and an operator that copies rows (join output,
 //! index-scan and sort gathers) copies only the columns its parent reads
-//! ([`required_columns`]).
+//! ([`required_columns`]). A hash aggregate straight over a hash join
+//! runs as one groupjoin ([`GroupJoin`]): the join's matches feed the
+//! aggregate, and there is no join output.
 //!
 //! The per-row loops of the paper's join and aggregate do not branch on
 //! the data. An `Int` column against an `Int` literal writes every row id
@@ -470,57 +472,24 @@ impl<'a> Exec<'a> {
                 residual,
                 ..
             } => {
-                let build = self.node(left, &needs[0])?;
-                let probe = self.node(right, &needs[1])?;
-                let (n_build, n_probe) = (total_selected(&build), total_selected(&probe));
-                self.work.hash_join_sides(n_build, n_probe);
-                // Table row id → the build row it stands for.
-                let mut build_rows: Vec<(u32, u32)> = Vec::with_capacity(n_build);
-                let build_keys = eval_keys(left_keys, &build);
+                let (build, probe) = self.join_inputs(left, right, &needs)?;
                 let probe_keys = eval_keys(right_keys, &probe);
                 let probe_keys = key_chunks(&probe_keys, &probe);
-                let mut table = RowTable::build(
-                    &key_chunks(&build_keys, &build),
-                    &probe_keys,
-                    #[inline(always)]
-                    |ci, pi| {
-                        build_rows.push((ci as u32, pi as u32));
-                    },
-                );
-                // The output's (chunk, row) picks: build side, probe side.
-                let mut picks = (Vec::new(), Vec::new());
-                for (ci, (ch, (keys, rows))) in probe.iter().zip(&probe_keys).enumerate() {
-                    table.probe_chunk(
-                        keys,
-                        *rows,
-                        &mut picks,
-                        |(lpicks, rpicks), n| {
-                            lpicks.reserve(n);
-                            rpicks.reserve(n);
-                        },
-                        #[inline(always)]
-                        |(lpicks, rpicks), id, pi| {
-                            let (bci, bpi) = build_rows[id as usize];
-                            if let Some(p) = residual {
-                                self.work.residual_check(p.node_count());
-                                let pair = PairView {
-                                    left: &build[bci as usize].cols,
-                                    lrow: bpi as usize,
-                                    right: &ch.cols,
-                                    rrow: pi,
-                                };
-                                if !eval_predicate_cells(p, &pair) {
-                                    return;
-                                }
-                            }
-                            self.work.emit(1);
-                            lpicks.push((bci, bpi));
-                            rpicks.push((ci as u32, pi as u32));
-                        },
-                    );
-                }
-                let (lpicks, rpicks) = picks;
-                Ok(self.join_output(&build, &lpicks, &probe, &rpicks, needed))
+                let (mut table, build_rows) = build_table(left_keys, &build, &probe_keys);
+                let mut picks = Picks {
+                    build_rows: &build_rows,
+                    left: Vec::new(),
+                    right: Vec::new(),
+                };
+                let sides = JoinSides {
+                    build: &build,
+                    build_rows: &build_rows,
+                    probe: &probe,
+                    probe_keys: &probe_keys,
+                    residual: residual.as_ref(),
+                };
+                self.probe(&mut table, &sides, &mut picks);
+                Ok(self.join_output(&build, &picks.left, &probe, &picks.right, needed))
             }
             PlanNode::NestedLoopJoin {
                 left,
@@ -643,6 +612,9 @@ impl<'a> Exec<'a> {
                 schema,
                 ..
             } => {
+                if let Some(args) = groupjoin_args(input, group_by, aggs) {
+                    return self.group_join(input, &needs[0], group_by, aggs, &args, schema);
+                }
                 let chunks = self.node(input, &needs[0])?;
                 self.work
                     .aggregate_input(total_selected(&chunks), aggs.len());
@@ -759,6 +731,166 @@ impl<'a> Exec<'a> {
                 Ok(out)
             }
         }
+    }
+
+    /// A hash join's two inputs, build (left) side first, given what each
+    /// must produce.
+    fn join_inputs(
+        &mut self,
+        left: &PlanNode,
+        right: &PlanNode,
+        needs: &[Vec<bool>],
+    ) -> Result<(Vec<Chunk>, Vec<Chunk>)> {
+        let build = self.node(left, &needs[0])?;
+        let probe = self.node(right, &needs[1])?;
+        self.work
+            .hash_join_sides(total_selected(&build), total_selected(&probe));
+        Ok((build, probe))
+    }
+
+    /// A hash join's probe: each probe chunk's matches in probe row ×
+    /// build chain order, each charged the residual's check (where there
+    /// is one) and, if it passes, `emit(1)`, and handed to `m`.
+    fn probe(&mut self, table: &mut RowTable, sides: &JoinSides<'_>, m: &mut impl Matches) {
+        for (ci, (ch, (keys, rows))) in sides.probe.iter().zip(sides.probe_keys).enumerate() {
+            table.probe_chunk(
+                keys,
+                *rows,
+                m,
+                |m, n| m.reserve(n),
+                #[inline(always)]
+                |m, id, pi| {
+                    if let Some(p) = sides.residual {
+                        self.work.residual_check(p.node_count());
+                        let (bci, bpi) = sides.build_rows[id as usize];
+                        let pair = PairView {
+                            left: &sides.build[bci as usize].cols,
+                            lrow: bpi as usize,
+                            right: &ch.cols,
+                            rrow: pi,
+                        };
+                        if !eval_predicate_cells(p, &pair) {
+                            return;
+                        }
+                    }
+                    self.work.emit(1);
+                    m.push(id, ci as u32, pi as u32);
+                },
+            );
+            m.chunk_done(ci);
+        }
+    }
+
+    /// A `HashAggregate` over the hash join `join`, its arguments the
+    /// columns `args` ([`groupjoin_args`]), run as one [`GroupJoin`]: the
+    /// join's ledger calls, then the aggregate's, as the two operators
+    /// make them.
+    fn group_join(
+        &mut self,
+        join: &PlanNode,
+        needed: &[bool],
+        group_by: &[CompiledExpr],
+        aggs: &[AggSpec],
+        args: &[Option<usize>],
+        schema: &Schema,
+    ) -> Result<Vec<Chunk>> {
+        let PlanNode::HashJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            residual,
+            ..
+        } = join
+        else {
+            unreachable!("groupjoin_args admits hash joins only");
+        };
+        let needs = (self.child_needs)(join, needed);
+        let (build, probe) = self.join_inputs(left, right, &needs)?;
+        let probe_keys = eval_keys(right_keys, &probe);
+        let probe_keys = key_chunks(&probe_keys, &probe);
+        let (mut table, build_rows) = build_table(left_keys, &build, &probe_keys);
+        let group_keys = eval_keys(group_by, &build);
+        // A build-side argument is gathered by table row id; a probe-side
+        // one is read from the probe chunks' own columns.
+        let width = left.schema().len();
+        let table_rows = build_rows.iter().map(|&(c, r)| (c as usize, r as usize));
+        let gathered: Vec<Option<ColumnVector>> = args
+            .iter()
+            .map(|&arg| {
+                let j = arg.filter(|&j| j < width)?;
+                Some(ColumnVector::gather(&column(&build, j), table_rows.clone()))
+            })
+            .collect();
+        let (slot_of, slots) = group_slots(&group_keys, &build_rows, group_by.is_empty());
+        // No more groups than keys, nor than table rows (but a global one).
+        let groups = slots.min(build_rows.len().max(1));
+        let mut gj = GroupJoin {
+            slot_of,
+            group_of: vec![NONE; slots],
+            firsts: Vec::new(),
+            aggs: aggs
+                .iter()
+                .zip(args)
+                .zip(&gathered)
+                .map(|((spec, &arg), gathered)| FedAgg {
+                    state: AggState::new(spec, groups),
+                    args: match (arg, gathered) {
+                        (_, Some(col)) => vec![col],
+                        (Some(j), None) => column(&probe, j - width),
+                        (None, None) => Vec::new(),
+                    },
+                    build_side: gathered.is_some(),
+                })
+                .collect(),
+            group: Vec::new(),
+            probe_rows: Vec::new(),
+            table_rows: Vec::new(),
+            reads_build: gathered.iter().any(Option::is_some),
+            matches: 0,
+        };
+        let sides = JoinSides {
+            build: &build,
+            build_rows: &build_rows,
+            probe: &probe,
+            probe_keys: &probe_keys,
+            residual: residual.as_ref(),
+        };
+        self.probe(&mut table, &sides, &mut gj);
+
+        self.work.aggregate_input(gj.matches, aggs.len());
+        let n = if group_by.is_empty() {
+            1
+        } else {
+            gj.firsts.len()
+        };
+        self.work.emit(n);
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        // Each group's key cells are its first match's.
+        let firsts = gj.firsts.iter().map(|&id| {
+            let (c, r) = build_rows[id as usize];
+            (c as usize, r as usize)
+        });
+        let mut cols: Vec<Arc<ColumnVector>> = (0..group_by.len())
+            .map(|j| {
+                let srcs: Vec<&ColumnVector> = group_keys.iter().map(|k| &*k[j]).collect();
+                Arc::new(ColumnVector::gather(&srcs, firsts.clone()))
+            })
+            .collect();
+        let results = builders_for(schema, group_by.len() + aggs.len());
+        let results = results.into_iter().skip(group_by.len()).zip(aggs);
+        for ((mut col, spec), mut fed) in results.zip(gj.aggs) {
+            fed.state.truncate(n);
+            fed.state.finish(spec, &fed.args, &mut col);
+            cols.push(Arc::new(col));
+        }
+        Ok(vec![Chunk {
+            cols,
+            len: n,
+            sel: Sel::All,
+        }])
     }
 
     /// One output column per flag of `needed`: the picked `(chunk, row)`
@@ -922,6 +1054,205 @@ fn first_pairs(
         .collect()
 }
 
+/// A hash join's table built and its inputs in hand, for its probe.
+struct JoinSides<'a> {
+    build: &'a [Chunk],
+    /// Table row id → the build row it stands for.
+    build_rows: &'a [(u32, u32)],
+    probe: &'a [Chunk],
+    probe_keys: &'a [KeyChunk<'a>],
+    residual: Option<&'a CompiledExpr>,
+}
+
+/// The join table on `build`'s keys `left_keys`, to be probed by
+/// `probe_keys`, and each table row id's build `(chunk, row)`.
+fn build_table(
+    left_keys: &[CompiledExpr],
+    build: &[Chunk],
+    probe_keys: &[KeyChunk<'_>],
+) -> (RowTable, Vec<(u32, u32)>) {
+    let mut build_rows = Vec::with_capacity(total_selected(build));
+    let build_keys = eval_keys(left_keys, build);
+    let table = RowTable::build(
+        &key_chunks(&build_keys, build),
+        probe_keys,
+        #[inline(always)]
+        |ci, pi| build_rows.push((ci as u32, pi as u32)),
+    );
+    (table, build_rows)
+}
+
+/// Where a hash join's probe sends the matches that pass its residual.
+trait Matches {
+    /// At least `n` more matches of the probe chunk in hand are coming.
+    fn reserve(&mut self, n: usize);
+    /// Table row `id` matches row `pi` of probe chunk `ci`.
+    fn push(&mut self, id: u32, ci: u32, pi: u32);
+    /// Probe chunk `ci` has no more matches.
+    fn chunk_done(&mut self, ci: usize);
+}
+
+/// A join's output rows as `(chunk, row)` picks: build side, probe side.
+struct Picks<'a> {
+    build_rows: &'a [(u32, u32)],
+    left: Vec<(u32, u32)>,
+    right: Vec<(u32, u32)>,
+}
+
+impl Matches for Picks<'_> {
+    fn reserve(&mut self, n: usize) {
+        self.left.reserve(n);
+        self.right.reserve(n);
+    }
+
+    #[inline(always)]
+    fn push(&mut self, id: u32, ci: u32, pi: u32) {
+        self.left.push(self.build_rows[id as usize]);
+        self.right.push((ci, pi));
+    }
+
+    fn chunk_done(&mut self, _ci: usize) {}
+}
+
+/// Whether a `HashAggregate` of `group_by` and `aggs` over `input` runs as
+/// a [`GroupJoin`], and if so each aggregate's argument column (`None` for
+/// `COUNT(*)`). It does where `input` is a hash join, no group key reads
+/// the join's probe side, every argument is a bare column, and no
+/// aggregate is `DISTINCT`. A probe-side key would need its slot found
+/// per probe row, which is the unfused aggregate's group-id pass; an
+/// argument expression is evaluated per joined row, which the join's
+/// output holds; a `DISTINCT` aggregate finds each group's first inputs
+/// through a table over all of them, which the unfused path builds.
+fn groupjoin_args(
+    input: &PlanNode,
+    group_by: &[CompiledExpr],
+    aggs: &[AggSpec],
+) -> Option<Vec<Option<usize>>> {
+    let PlanNode::HashJoin { left, .. } = input else {
+        return None;
+    };
+    let mut used = vec![false; input.schema().len()];
+    group_by.iter().for_each(|e| e.mark_columns(&mut used));
+    if used[left.schema().len()..].contains(&true) {
+        return None;
+    }
+    aggs.iter()
+        .map(|a| match &a.arg {
+            _ if a.distinct => None,
+            None => Some(None),
+            Some(CompiledExpr::Column(j)) => Some(Some(*j)),
+            Some(_) => None,
+        })
+        .collect()
+}
+
+/// Each table row's group-key slot, by row id, and the number of slots
+/// ([`RowTable::key_slots`]). A global aggregation is one slot.
+fn group_slots(
+    group_keys: &[Vec<Cow<'_, ColumnVector>>],
+    build_rows: &[(u32, u32)],
+    global: bool,
+) -> (Vec<u32>, usize) {
+    if global {
+        return (vec![0; build_rows.len()], 1);
+    }
+    // Each build chunk's rows in the table, in order: the table numbers
+    // them chunk by chunk.
+    let rows: Vec<u32> = build_rows.iter().map(|&(_, r)| r).collect();
+    let mut end = 0;
+    let keys: Vec<KeyChunk> = group_keys
+        .iter()
+        .enumerate()
+        .map(|(c, k)| {
+            let start = end;
+            end += build_rows[start..]
+                .iter()
+                .take_while(|&&(bc, _)| bc as usize == c)
+                .count();
+            (borrowed(k), Rows::Ids(&rows[start..end]))
+        })
+        .collect();
+    let mut slot_of = Vec::with_capacity(build_rows.len());
+    let slots = RowTable::key_slots(&keys, &mut slot_of);
+    (slot_of, slots)
+}
+
+/// A `HashAggregate` fed by the hash join under it, match by match, with
+/// no join output: the groupjoin of Moerkotte and Neumann ("Accelerating
+/// Queries with Group-By and Join by Groupjoin", VLDB 2011), taken at
+/// execution time only. Every group key reads the build side, so each
+/// table row's key has a slot once the table is built ([`group_slots`]);
+/// a slot becomes an output group at its first match. Groups are so
+/// numbered first-seen in the order the join emits its rows, and keep
+/// that first row's key cells. The matches of each probe chunk are the
+/// aggregate's input for the chunk: a group and a probe row per match (and
+/// its table row, where an argument is a build column), fed to each
+/// aggregate's typed state in match order, so each group sees its inputs
+/// in the order the unfused aggregate sees them.
+struct GroupJoin<'a> {
+    /// Table row id → its key's slot.
+    slot_of: Vec<u32>,
+    /// Slot → its output group, `NONE` before its first match.
+    group_of: Vec<u32>,
+    /// Output group → the table row id of its first match.
+    firsts: Vec<u32>,
+    aggs: Vec<FedAgg<'a>>,
+    /// The probe chunk in hand's matches: group, probe row, and — where
+    /// an argument `reads_build` — table row id.
+    group: Vec<u32>,
+    probe_rows: Vec<u32>,
+    table_rows: Vec<u32>,
+    reads_build: bool,
+    /// Matches so far.
+    matches: usize,
+}
+
+/// One aggregate of a [`GroupJoin`]: its state, and its argument's
+/// columns (none for `COUNT(*)`) — one per probe chunk, or, where
+/// `build_side`, one by table row id.
+struct FedAgg<'a> {
+    state: AggState,
+    args: Vec<&'a ColumnVector>,
+    build_side: bool,
+}
+
+impl Matches for GroupJoin<'_> {
+    fn reserve(&mut self, n: usize) {
+        self.group.reserve(n);
+        self.probe_rows.reserve(n);
+        self.table_rows.reserve(n);
+    }
+
+    #[inline(always)]
+    fn push(&mut self, id: u32, _ci: u32, pi: u32) {
+        let group = &mut self.group_of[self.slot_of[id as usize] as usize];
+        if *group == NONE {
+            *group = self.firsts.len() as u32;
+            self.firsts.push(id);
+        }
+        self.group.push(*group);
+        self.probe_rows.push(pi);
+        if self.reads_build {
+            self.table_rows.push(id);
+        }
+    }
+
+    fn chunk_done(&mut self, ci: usize) {
+        self.matches += self.group.len();
+        for fed in &mut self.aggs {
+            let (ci, rows) = if fed.build_side {
+                (0, &self.table_rows)
+            } else {
+                (ci, &self.probe_rows)
+            };
+            fed.state.feed(ci, &self.group, Rows::Ids(rows), &fed.args);
+        }
+        self.group.clear();
+        self.probe_rows.clear();
+        self.table_rows.clear();
+    }
+}
+
 /// One aggregate's state, an entry per group: a count for `COUNT`, a
 /// [`NumericSum`] for `SUM` / `AVG`, and for `MIN` / `MAX` where the
 /// extreme input is.
@@ -995,6 +1326,15 @@ impl AggState {
             ),
             // A row marker is no number to add or compare.
             (AggState::Sum(_) | AggState::Extreme(..), None) => {}
+        }
+    }
+
+    /// Keep the entries of groups `0..n` only.
+    fn truncate(&mut self, n: usize) {
+        match self {
+            AggState::Count(counts) => counts.truncate(n),
+            AggState::Sum(sums) => sums.truncate(n),
+            AggState::Extreme(best, _) => best.truncate(n),
         }
     }
 
@@ -1746,6 +2086,128 @@ mod tests {
          WHERE s.id < 5 AND r.name > s.region",
         "SELECT * FROM sales WHERE id >= 100 AND id < 150 AND amount > 5",
     ];
+
+    /// Whether each `HashAggregate` of `plan`, top down, runs as a
+    /// [`GroupJoin`].
+    fn groupjoins(plan: &PlanNode) -> Vec<bool> {
+        let mut out = Vec::new();
+        let mut node = Some(plan);
+        while let Some(p) = node {
+            node = match p {
+                PlanNode::HashAggregate {
+                    input,
+                    group_by,
+                    aggs,
+                    ..
+                } => {
+                    out.push(groupjoin_args(input, group_by, aggs).is_some());
+                    Some(input)
+                }
+                PlanNode::Project { input, .. }
+                | PlanNode::Filter { input, .. }
+                | PlanNode::Sort { input, .. }
+                | PlanNode::Limit { input, .. }
+                | PlanNode::Distinct { input, .. } => Some(input),
+                _ => None,
+            };
+        }
+        out
+    }
+
+    /// Every plan offered for QT1–QT4 over the paper's tables at the scale
+    /// `paper_phases` runs (40 000 / 1 000 rows, the scenario's indexes)
+    /// is an aggregate straight over a hash join that runs as a
+    /// [`GroupJoin`]. So does one whose join has a residual; one with a
+    /// `DISTINCT` aggregate, a group key from the probe side or an
+    /// expression argument keeps the join output.
+    #[test]
+    fn paper_query_types_run_as_groupjoins() {
+        use qcc_storage::{ColumnSpec, TableSpec};
+        let (large, small) = (40_000, 1_000);
+        let int = |name: &str, hi: u64| ColumnSpec::IntUniform {
+            name: name.into(),
+            lo: 0,
+            hi: hi as i64,
+        };
+        let serial = || ColumnSpec::Serial { name: "id".into() };
+        let val = || ColumnSpec::FloatUniform {
+            name: "val".into(),
+            lo: 0.0,
+            hi: 100.0,
+        };
+        let big = || vec![serial(), int("grp", small), val(), int("sel", 10_000)];
+        let specs = [
+            ("big_a", large, big()),
+            ("big_d", large, big()),
+            (
+                "big_b",
+                large,
+                vec![serial(), int("a_id", large), int("qty", 100)],
+            ),
+            (
+                "big_c",
+                large,
+                vec![serial(), int("b_id", large), int("flag", 200)],
+            ),
+            (
+                "small_s",
+                small,
+                vec![
+                    serial(),
+                    ColumnSpec::StrPool {
+                        name: "cat".into(),
+                        pool_size: 10,
+                    },
+                    ColumnSpec::FloatUniform {
+                        name: "bonus".into(),
+                        lo: 0.0,
+                        hi: 100.0,
+                    },
+                ],
+            ),
+        ];
+        let mut c = Catalog::new();
+        for (name, rows, cols) in specs {
+            c.register(TableSpec::new(name, rows, cols).generate(1));
+        }
+        for (table, column) in [
+            ("big_a", "sel"),
+            ("big_a", "id"),
+            ("big_d", "sel"),
+            ("big_c", "flag"),
+        ] {
+            c.create_index(table, column).unwrap();
+        }
+        let e = Engine::new(c);
+        let fused = [
+            "SELECT a.grp, COUNT(*) AS n, SUM(b.qty) AS total \
+             FROM big_a a JOIN big_b b ON b.a_id = a.id WHERE a.sel > 2000 GROUP BY a.grp",
+            "SELECT s.cat, COUNT(*) AS n, AVG(a.val) AS avg_val \
+             FROM big_a a JOIN small_s s ON a.grp = s.id WHERE s.bonus > 20 GROUP BY s.cat",
+            "SELECT d.grp, COUNT(*) AS n, MIN(d.val) AS lo \
+             FROM big_d d JOIN big_b b ON b.a_id = d.id WHERE d.sel > 9900 GROUP BY d.grp",
+            "SELECT COUNT(*) AS n, SUM(b.qty) AS total FROM big_a a \
+             JOIN big_b b ON b.a_id = a.id JOIN big_c c ON c.b_id = b.id WHERE c.flag = 100",
+            "SELECT s.cat, COUNT(*) AS n FROM big_a a JOIN small_s s \
+             ON a.grp = s.id AND a.val > s.bonus WHERE s.bonus > 20 GROUP BY s.cat",
+        ];
+        let unfused = [
+            "SELECT s.cat, COUNT(DISTINCT a.sel) AS n \
+             FROM big_a a JOIN small_s s ON a.grp = s.id WHERE s.bonus > 20 GROUP BY s.cat",
+            "SELECT a.sel, COUNT(*) AS n \
+             FROM big_a a JOIN small_s s ON a.grp = s.id WHERE s.bonus > 20 GROUP BY a.sel",
+            "SELECT s.cat, SUM(a.val * 2) AS t \
+             FROM big_a a JOIN small_s s ON a.grp = s.id WHERE s.bonus > 20 GROUP BY s.cat",
+        ];
+        for (sqls, want) in [(&fused[..], true), (&unfused[..], false)] {
+            for sql in sqls {
+                let offered = e.explain(sql).unwrap();
+                for p in &offered {
+                    assert_eq!(groupjoins(&p.plan), [want], "{}: {sql}", p.plan.signature());
+                }
+            }
+        }
+    }
 
     /// An operator's output chunk list is part of the virtual-time
     /// contract: `RemoteServer::execute_stream` derives cursor offsets and

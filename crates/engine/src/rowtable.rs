@@ -569,6 +569,36 @@ impl RowTable {
         RowTable::new(Layout::pick(chunks, &[]), total_rows(chunks))
     }
 
+    /// Grouping without ids: append to `slots` a slot for each live row of
+    /// `chunks`, in order, that the row shares with exactly the rows of
+    /// its key, and return how many slots there are. In the dense and code
+    /// layouts a key's slot is its chain's, so nothing is inserted; in the
+    /// hashed one it is the id [`RowTable::group_ids`] gives the key.
+    pub(crate) fn key_slots(chunks: &[KeyChunk<'_>], slots: &mut Vec<u32>) -> usize {
+        match Layout::pick(chunks, &[]) {
+            Layout::Hashed => {
+                let mut table = RowTable::new(Layout::Hashed, total_rows(chunks));
+                let mut ids = Vec::new();
+                for (cols, rows) in chunks {
+                    table.group_ids(cols, *rows, &mut ids);
+                    slots.extend_from_slice(&ids);
+                }
+                table.len()
+            }
+            layout => {
+                for (cols, rows) in chunks {
+                    layout.slots(
+                        cols[0],
+                        *rows,
+                        #[inline(always)]
+                        |_, s| slots.push(s as u32),
+                    );
+                }
+                layout.null_slot() as usize + 1
+            }
+        }
+    }
+
     /// Number of rows inserted.
     pub(crate) fn len(&self) -> usize {
         self.chains.links.len()

@@ -146,7 +146,26 @@ pub struct RemoteServer {
     faults: FaultSchedule,
     /// Extra slowdown sensitivity per table while the update workload
     /// contends on it (set by the experiment's load driver).
-    contention: Mutex<BTreeMap<String, f64>>,
+    contention: Mutex<Contention>,
+}
+
+/// [`RemoteServer::set_contention`]'s map, its keys lowercased once.
+#[derive(Default)]
+struct Contention {
+    /// Per table: `(table, extra sensitivity)`.
+    tables: Vec<(String, f64)>,
+    /// Per index access: `("<table>.<column>", extra sensitivity)`, from
+    /// the map's `idx:` keys.
+    indexes: Vec<(String, f64)>,
+}
+
+impl Contention {
+    /// The largest extra sensitivity of the entries of `of` that `matches`.
+    fn max_of(of: &[(String, f64)], matches: impl Fn(&[u8]) -> bool) -> f64 {
+        of.iter()
+            .filter(|(key, _)| matches(key.as_bytes()))
+            .fold(0.0_f64, |m, &(_, extra)| m.max(extra))
+    }
 }
 
 /// FNV-1a over `bytes`, continuing from `h`.
@@ -167,7 +186,7 @@ impl RemoteServer {
             load,
             availability: AvailabilitySchedule::always_up(),
             faults: FaultSchedule::none(),
-            contention: Mutex::new(BTreeMap::new()),
+            contention: Mutex::new(Contention::default()),
         })
     }
 
@@ -207,8 +226,18 @@ impl RemoteServer {
     /// Set per-table contention sensitivities (replaces the previous map).
     /// The experiment's heavy-update phases hammer specific tables on
     /// specific servers; queries scanning those tables slow down steeply.
+    /// Keys name a table, or an index as `idx:<table>.<column>`, in any
+    /// case.
     pub fn set_contention(&self, map: BTreeMap<String, f64>) {
-        *self.contention.lock() = map;
+        let mut contention = Contention::default();
+        for (key, extra) in map {
+            let key = key.to_ascii_lowercase();
+            match key.strip_prefix("idx:") {
+                Some(index) => contention.indexes.push((index.to_owned(), extra)),
+                None => contention.tables.push((key, extra)),
+            }
+        }
+        *self.contention.lock() = contention;
     }
 
     /// EXPLAIN a fragment: candidate plans with load-blind cost estimates,
@@ -399,25 +428,32 @@ impl RemoteServer {
 
     fn effective_sensitivity(&self, descriptor: &PlanNode) -> f64 {
         let contention = self.contention.lock();
+        if contention.tables.is_empty() && contention.indexes.is_empty() {
+            return self.profile.base_sensitivity;
+        }
         let table_extra = descriptor
             .base_tables()
             .iter()
-            .filter_map(|t| contention.get(&t.to_ascii_lowercase()).copied())
+            .map(|t| {
+                Contention::max_of(&contention.tables, |key| {
+                    key.eq_ignore_ascii_case(t.as_bytes())
+                })
+            })
             .fold(0.0_f64, f64::max);
         // Index accesses contend separately: a heavy update workload
         // hammers B-tree pages, so index-driven plans can degrade more
-        // than table scans on the same table. Keys are "idx:<table>.<col>".
+        // than table scans on the same table.
         let index_extra = descriptor
             .index_scans()
             .iter()
-            .filter_map(|(t, c)| {
-                contention
-                    .get(&format!(
-                        "idx:{}.{}",
-                        t.to_ascii_lowercase(),
-                        c.to_ascii_lowercase()
-                    ))
-                    .copied()
+            .map(|(t, c)| {
+                Contention::max_of(&contention.indexes, |key| {
+                    let (t, c) = (t.as_bytes(), c.as_bytes());
+                    key.len() == t.len() + 1 + c.len()
+                        && key[..t.len()].eq_ignore_ascii_case(t)
+                        && key[t.len()] == b'.'
+                        && key[t.len() + 1..].eq_ignore_ascii_case(c)
+                })
             })
             .fold(0.0_f64, f64::max);
         self.profile.base_sensitivity + table_extra.max(index_extra)
@@ -531,6 +567,39 @@ mod tests {
         s.set_contention(map);
         let unrelated = s.execute(&plans[0].descriptor, SimTime::ZERO).unwrap();
         assert!((unrelated.elapsed.as_millis() - before.elapsed.as_millis()).abs() < 1e-9);
+    }
+
+    /// A key charges its table, or its index, whatever the case of either:
+    /// names are looked up case-insensitively everywhere else too.
+    #[test]
+    fn contention_keys_match_in_any_case() {
+        let mut c = catalog(10_000);
+        c.create_index("items", "id").unwrap();
+        let s = RemoteServer::new(ServerProfile::new(ServerId::new("S1")), c);
+        s.load().set_background(LoadProfile::Constant(0.7));
+        let plans = s
+            .explain("SELECT v FROM items WHERE id = 3", SimTime::ZERO)
+            .unwrap();
+        let index = plans
+            .iter()
+            .find(|p| p.descriptor.signature().contains("idxscan"))
+            .expect("an index plan");
+        let elapsed = |map: &[(&str, f64)]| {
+            s.set_contention(map.iter().map(|&(k, x)| (k.to_owned(), x)).collect());
+            let r = s.execute(&index.descriptor, SimTime::ZERO).unwrap();
+            r.elapsed.as_millis()
+        };
+        let before = elapsed(&[]);
+        for map in [
+            [("ITEMS", 5.0)],
+            [("Items", 5.0)],
+            [("idx:ITEMS.Id", 5.0)],
+            [("IDX:items.id", 5.0)],
+        ] {
+            let after = elapsed(&map);
+            assert!(after > before * 2.0, "{map:?}: {before} -> {after}");
+        }
+        assert_eq!(elapsed(&[("idx:items.v", 5.0), ("item", 5.0)]), before);
     }
 
     #[test]

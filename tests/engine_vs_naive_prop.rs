@@ -27,8 +27,9 @@ use std::sync::Arc;
 /// over one multi-chunk catalog whose `Int` join and group keys are spread
 /// past the row-id table's dense range; then 48 cases and 16 statements
 /// over one multi-chunk catalog of string join, group, `DISTINCT` and
-/// `ORDER BY` keys. The oracle cross-joins, so its multi-chunk catalogs
-/// keep `tb` small.
+/// `ORDER BY` keys; then 64 cases and 16 statements over one multi-chunk
+/// catalog of aggregates straight over hash joins. The oracle cross-joins,
+/// so its multi-chunk catalogs keep `tb` small.
 fn cases(seed: u64, big_b: bool) -> Vec<(Catalog, String)> {
     let mut rng = Pcg32::seed_from(seed);
     let mut out = Vec::new();
@@ -75,6 +76,23 @@ fn cases(seed: u64, big_b: bool) -> Vec<(Catalog, String)> {
     let big = corpus::string_catalog(&mut rng, rows_a, rows_b);
     for _ in 0..16 {
         out.push((big.clone(), corpus::string_query(&mut rng)));
+    }
+    for _ in 0..64 {
+        let (rows_a, rows_b) = (rng.range_u64(0, 60), rng.range_u64(0, 60));
+        let rows_c = rng.range_u64(0, 8);
+        let catalog = corpus::groupjoin_catalog(&mut rng, rows_a, rows_b, rows_c);
+        out.push((catalog, corpus::groupjoin_query(&mut rng)));
+    }
+    let rows_a = corpus::multi_chunk_rows(&mut rng);
+    let rows_b = if big_b {
+        corpus::multi_chunk_rows(&mut rng)
+    } else {
+        rng.range_u64(30, 60)
+    };
+    let rows_c = rng.range_u64(0, 8);
+    let big = corpus::groupjoin_catalog(&mut rng, rows_a, rows_b, rows_c);
+    for _ in 0..16 {
+        out.push((big.clone(), corpus::groupjoin_query(&mut rng)));
     }
     out
 }
@@ -175,7 +193,7 @@ fn execution_digest(h: u64, engine: &Engine, plan: &PlanNode) -> u64 {
 /// time. One digest per block of [`cases`], so a failure names the block.
 #[test]
 fn columnar_engine_matches_row_engine() {
-    let pinned: [(&str, usize, u64); 7] = [
+    let pinned: [(&str, usize, u64); 9] = [
         ("random", 128, 0x34ad0487a6c63e67),
         ("nullable", 96, 0xdc651c217d6f6233),
         ("nullable, multi-chunk", 24, 0x9fe9516bfe8aebd6),
@@ -183,6 +201,8 @@ fn columnar_engine_matches_row_engine() {
         ("sparse, multi-chunk", 16, 0xebda2df8f4288083),
         ("string", 48, 0x6794a189ad02292e),
         ("string, multi-chunk", 16, 0x2bad55dcbbebe343),
+        ("groupjoin", 64, 0xa253f5d66ceb0581),
+        ("groupjoin, multi-chunk", 16, 0xf2d051ab3d65e02d),
     ];
     let mut cases = cases(303, true).into_iter();
     let mut plans_checked = 0usize;

@@ -3,7 +3,7 @@
 //! oracle) and the batch engine's own pruning-equivalence unit test, which
 //! `#[path]`-includes this file.
 //!
-//! Four generations, each drawn after the one before so the old cases
+//! Five generations, each drawn after the one before so the old cases
 //! stay the old cases. The first — small NULL-free `Int`-keyed tables, one
 //! equi-join key, `ORDER BY` on every grouped statement — is what the
 //! suites always drew. The second reaches what a hash table must get
@@ -16,7 +16,12 @@
 //! and group keys, `DISTINCT` and `ORDER BY` over them, NULL strings, and
 //! string columns of one chunk (one dictionary: the row-id table's code
 //! layout) and of several (a dictionary per chunk, so hashed — or, once a
-//! join has gathered them into one, codes whose entries repeat).
+//! join has gathered them into one, codes whose entries repeat). The fifth
+//! is a hash join straight under a hash aggregate, the shape of all four
+//! paper query types: group keys from the build side, the probe side and
+//! both, arguments from either side and from both, a global aggregate over
+//! a chain of two joins, `DISTINCT`, a residual, and NULL join and group
+//! keys.
 
 #![allow(dead_code)]
 
@@ -355,5 +360,87 @@ pub fn sparse_query(rng: &mut Pcg32) -> String {
         3 => format!("SELECT ta.b, COUNT(*) AS n, AVG(ta.f) AS m FROM ta WHERE {p} GROUP BY ta.b"),
         4 => format!("SELECT ta.a, tb.a, tb.c FROM ta JOIN tb ON ta.b = tb.c WHERE {p}"),
         _ => format!("SELECT ta.f, tb.c FROM ta JOIN tb ON ta.f = tb.a WHERE {p}"),
+    }
+}
+
+/// [`nullable_catalog`] and a third table `tc(b, d, s)` of `rows_c` rows,
+/// for chains of two joins: `b` on `ta.b`'s range, `d` a small `Int`, `s`
+/// on `tb.s`'s pool, about one cell in ten NULL.
+pub fn groupjoin_catalog(rng: &mut Pcg32, rows_a: u64, rows_b: u64, rows_c: u64) -> Catalog {
+    let mut catalog = nullable_catalog(rng, rows_a, rows_b);
+    let mut tc = Table::new(
+        "tc",
+        Schema::new(vec![
+            Column::new("b", DataType::Int),
+            Column::new("d", DataType::Int),
+            Column::new("s", DataType::Str),
+        ]),
+    );
+    for _ in 0..rows_c {
+        let row = [
+            Value::Int(rng.range_i64(-5, 5)),
+            Value::Int(rng.range_i64(-3, 3)),
+            Value::Str(format!("s{}", rng.range_i64(0, 4))),
+        ];
+        let row = row
+            .into_iter()
+            .map(|v| if rng.next_f64() < 0.1 { Value::Null } else { v });
+        tc.insert(Row::new(row.collect())).unwrap();
+    }
+    catalog.register(tc);
+    catalog
+}
+
+/// Statements over [`groupjoin_catalog`], each an aggregate straight over
+/// a hash join. Which side a table is on follows the drawn sizes, so a
+/// key or argument of `ta` is on the build side in some cases and on the
+/// probe side in others. None has an `ORDER BY`: first-seen group order
+/// is compared.
+pub fn groupjoin_query(rng: &mut Pcg32) -> String {
+    let p = match rng.range_u64(0, 4) {
+        0 => format!("ta.a > {}", rng.range_i64(0, 15)),
+        1 => format!("ta.b <= {}", rng.range_i64(-5, 5)),
+        2 => "ta.f IS NOT NULL".to_string(),
+        _ => format!("tb.c < {}", rng.range_i64(-5, 5)),
+    };
+    match rng.range_u64(0, 10) {
+        0 => format!(
+            "SELECT ta.b, COUNT(*) AS n, SUM(tb.c) AS t, AVG(ta.f) AS m \
+             FROM ta JOIN tb ON ta.a = tb.a WHERE {p} GROUP BY ta.b"
+        ),
+        1 => format!(
+            "SELECT tb.c, COUNT(*) AS n, MIN(ta.s) AS lo, MAX(tb.s) AS hi, MIN(ta.f) AS flo \
+             FROM ta JOIN tb ON ta.a = tb.a WHERE {p} GROUP BY tb.c"
+        ),
+        2 => format!(
+            "SELECT ta.s, tb.c, COUNT(*) AS n, MAX(ta.f) AS hi, MIN(tb.a) AS lo \
+             FROM ta JOIN tb ON ta.a = tb.a WHERE {p} GROUP BY ta.s, tb.c"
+        ),
+        3 => format!(
+            "SELECT COUNT(*) AS n, SUM(tb.c) AS t, MIN(tc.d) AS lo, MAX(ta.s) AS hi \
+             FROM ta JOIN tb ON ta.a = tb.a JOIN tc ON tc.b = ta.b WHERE {p}"
+        ),
+        4 => format!(
+            "SELECT ta.b, COUNT(DISTINCT tb.c) AS d, COUNT(*) AS n, SUM(DISTINCT ta.a) AS t \
+             FROM ta JOIN tb ON ta.a = tb.a WHERE {p} GROUP BY ta.b"
+        ),
+        5 => "SELECT tb.s, COUNT(*) AS n, SUM(ta.b) AS t, MAX(tb.c) AS hi \
+              FROM ta JOIN tb ON ta.a = tb.a AND ta.b > tb.c GROUP BY tb.s"
+            .to_string(),
+        6 => "SELECT ta.f, COUNT(*) AS n, SUM(ta.f) AS t, COUNT(tb.s) AS k \
+              FROM ta JOIN tb ON ta.f = tb.a GROUP BY ta.f"
+            .to_string(),
+        7 => format!(
+            "SELECT ta.s, COUNT(*) AS n, SUM(ta.b * tb.c) AS t, AVG(tb.c + 1) AS m, \
+             MAX(ta.b - 1) AS hi FROM ta JOIN tb ON ta.s = tb.s WHERE {p} GROUP BY ta.s"
+        ),
+        8 => format!(
+            "SELECT tc.d, COUNT(*) AS n, MAX(tb.s) AS hi, SUM(ta.f) AS t \
+             FROM ta JOIN tb ON ta.a = tb.a JOIN tc ON tc.b = ta.b WHERE {p} GROUP BY tc.d"
+        ),
+        _ => format!(
+            "SELECT COUNT(*) AS n, COUNT(ta.f) AS k, AVG(ta.f) AS m, MIN(tb.s) AS lo \
+             FROM ta JOIN tb ON ta.a = tb.a WHERE {p}"
+        ),
     }
 }
