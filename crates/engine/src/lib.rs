@@ -47,6 +47,8 @@ pub use plan::{AggSpec, IndexPredicate, PlanNode};
 pub use planner::plan_query;
 pub use work::Work;
 
+use std::sync::Arc;
+
 use qcc_common::{ColumnBatch, Cost, Result, Row};
 use qcc_sql::SelectStmt;
 use qcc_storage::Catalog;
@@ -60,18 +62,19 @@ pub struct PlannedQuery {
     pub cost: Cost,
 }
 
-/// A relational engine bound to a catalog.
+/// A relational engine bound to a shared, immutable catalog (DESIGN.md
+/// §13 "One image per replica set").
 #[derive(Debug, Clone)]
 pub struct Engine {
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     cost_model: CostModel,
 }
 
 impl Engine {
     /// Create an engine over a catalog with the default cost model.
-    pub fn new(catalog: Catalog) -> Self {
+    pub fn new(catalog: impl Into<Arc<Catalog>>) -> Self {
         Engine {
-            catalog,
+            catalog: catalog.into(),
             cost_model: CostModel::default(),
         }
     }
@@ -79,12 +82,6 @@ impl Engine {
     /// The engine's catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// Mutable access to the catalog (used by the load driver to apply
-    /// updates and re-analyze).
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
     }
 
     /// The engine's cost model.

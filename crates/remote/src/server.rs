@@ -178,7 +178,8 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 
 impl RemoteServer {
     /// Create a server over a catalog, initially idle and always up.
-    pub fn new(profile: ServerProfile, catalog: Catalog) -> Arc<Self> {
+    /// Replicas of one table image pass clones of one `Arc<Catalog>`.
+    pub fn new(profile: ServerProfile, catalog: impl Into<Arc<Catalog>>) -> Arc<Self> {
         let load = ServerLoad::new(LoadProfile::Constant(0.0), profile.per_query_load);
         Arc::new(RemoteServer {
             profile,

@@ -147,7 +147,7 @@ pub enum Routing {
 
 /// The assembled experiment world.
 pub struct Scenario {
-    /// The three remote servers, in id order (S1, S2, S3).
+    /// The remote servers, in id order (S1, S2, ...).
     pub servers: Vec<Arc<RemoteServer>>,
     /// Wrappers (same order as `servers`).
     pub wrappers: Vec<Arc<dyn Wrapper>>,
@@ -264,19 +264,19 @@ impl Scenario {
     pub fn build_with(routing: Routing, config: ScenarioConfig) -> Scenario {
         let specs = table_specs(&config);
 
-        // Identical replicas on every server: same specs, same seed.
-        let make_catalog = || {
-            let mut c = Catalog::new();
-            for spec in &specs {
-                c.register(spec.generate(config.seed));
-            }
-            // Access paths the selective query types exploit.
-            c.create_index("big_a", "sel").expect("column exists");
-            c.create_index("big_a", "id").expect("column exists");
-            c.create_index("big_d", "sel").expect("column exists");
-            c.create_index("big_c", "flag").expect("column exists");
-            c
-        };
+        // One image per replica set: the tables are generated, analyzed
+        // and indexed once, and every server holds an `Arc` of that one
+        // immutable catalog (DESIGN.md §13).
+        let mut image = Catalog::new();
+        for spec in &specs {
+            image.register(spec.generate(config.seed));
+        }
+        // Access paths the selective query types exploit.
+        image.create_index("big_a", "sel").expect("column exists");
+        image.create_index("big_a", "id").expect("column exists");
+        image.create_index("big_d", "sel").expect("column exists");
+        image.create_index("big_c", "flag").expect("column exists");
+        let image = Arc::new(image);
 
         let clock = SimClock::new();
         let mut servers = Vec::new();
@@ -289,7 +289,7 @@ impl Scenario {
                 base_sensitivity: *base_sensitivity,
                 per_query_load: 0.03,
             };
-            servers.push(RemoteServer::new(profile, make_catalog()));
+            servers.push(RemoteServer::new(profile, Arc::clone(&image)));
             network.add_link(
                 id,
                 Link::new(
@@ -590,6 +590,38 @@ mod tests {
         let a = s.server("S1").engine().catalog().entry("big_a").unwrap();
         let b = s.server("S3").engine().catalog().entry("big_a").unwrap();
         assert_eq!(a.table.rows(), b.table.rows());
+    }
+
+    /// Every builder hands all of a world's servers one shared table
+    /// image: the same `Catalog` by address, not equal copies.
+    #[test]
+    fn every_builder_shares_one_image_across_servers() {
+        let worlds = [
+            (
+                "build_with",
+                Scenario::build_with(Routing::Baseline, ScenarioConfig::scale(6)),
+            ),
+            (
+                "build_with_qcc",
+                Scenario::build_with_qcc(QccConfig::default(), ScenarioConfig::scale(6)),
+            ),
+            (
+                "build_partitioned",
+                Scenario::build_partitioned(QccConfig::default(), ScenarioConfig::scale(6)),
+            ),
+        ];
+        for (builder, s) in &worlds {
+            let image = s.servers[0].engine().catalog();
+            for srv in &s.servers {
+                let catalog = srv.engine().catalog();
+                assert!(
+                    std::ptr::eq(image, catalog),
+                    "{builder}: {} holds its own catalog",
+                    srv.id()
+                );
+                assert_eq!(catalog.table_names(), image.table_names(), "{builder}");
+            }
+        }
     }
 
     #[test]

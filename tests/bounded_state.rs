@@ -6,11 +6,14 @@
 //! a stream of statements nobody has seen before: the three caches and the
 //! load balancer's per-template state fill up and then turn over.
 //!
+//! A world's servers share one table image, so a built world grows by a
+//! server's own state, not by a copy of every table, per server added.
+//!
 //! This binary wraps the system allocator in a live-byte counter, so the
 //! assertions are on bytes actually held, not on RSS.
 
 use load_aware_federation::qcc::QccConfig;
-use load_aware_federation::workload::{Scenario, ScenarioConfig, ALL_QUERY_TYPES};
+use load_aware_federation::workload::{Routing, Scenario, ScenarioConfig, ALL_QUERY_TYPES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -34,6 +37,13 @@ const MAX_GROWTH_OBS_OFF: f64 = 16.0;
 /// fails if fields are stored decoded again, or a per-event string copy
 /// or a per-query history reappears.
 const MAX_GROWTH_OBS_ON: f64 = 200.0;
+
+/// Live heap a `scale(n)` world gains per added server. Measured:
+/// ≈ 1 330 B (its profile, load, link, wrapper, nickname sources and replica
+/// catalog entry). Every server shares one table image; when each built
+/// its own copy, a server added 124 545 B, so a per-server image fails
+/// this bound by 30×.
+const MAX_BYTES_PER_ADDED_SERVER: f64 = 4_096.0;
 
 /// `LoadBalancer`'s private `TEMPLATE_STATE_CAPACITY`, and the number of
 /// never-repeating statements that fills it, the plan cache (4 096
@@ -161,5 +171,30 @@ fn journal_on_only_the_journal_grows() {
     assert!(
         growth <= MAX_GROWTH_OBS_ON,
         "something besides the journal keeps a per-query history: {growth:.1} B/query"
+    );
+}
+
+/// Live-heap bytes held by a built `scale(n)` world (baseline routing).
+fn world_bytes(n: usize) -> usize {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let scenario = Scenario::build_with(Routing::Baseline, ScenarioConfig::scale(n));
+    let after = LIVE_BYTES.load(Ordering::Relaxed);
+    drop(scenario);
+    after - before
+}
+
+#[test]
+fn world_heap_is_one_image_not_one_per_server() {
+    let (few, many) = (6, 60);
+    let (small, large) = (world_bytes(few), world_bytes(many));
+    let per_server = (large - small) as f64 / (many - few) as f64;
+    println!(
+        "world heap: {small} B at {few} servers, {large} B at {many}: \
+         {per_server:.0} B per added server"
+    );
+    assert!(
+        per_server <= MAX_BYTES_PER_ADDED_SERVER,
+        "each server holds its own table image: {per_server:.0} B per added server"
     );
 }
