@@ -3,11 +3,11 @@
 //! Everything here is measured in **virtual** milliseconds on the shared
 //! `SimClock`; the admission layer never consults the wall clock.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Strict-priority class of a queued query. `High` drains before `Normal`,
-/// `Normal` before `Low`; weighted-fair queueing applies *within* a class.
+/// `Normal` before `Low`; fair queueing across templates applies *within* a
+/// class.
 ///
 /// The derive order doubles as the drain order, so the `Ord` impl and the
 /// `BTreeMap<PriorityClass, _>` iteration in the queue agree by construction.
@@ -58,9 +58,6 @@ pub struct AdmissionConfig {
     /// Enqueue-time bound on total queue depth; arrivals beyond it are shed
     /// immediately (`0` means unbounded).
     pub max_queue_depth: usize,
-    /// Weighted-fair share per query template. Missing templates get weight
-    /// `1.0`; larger weights drain proportionally faster within a class.
-    pub template_weights: BTreeMap<String, f64>,
 }
 
 impl Default for AdmissionConfig {
@@ -70,23 +67,11 @@ impl Default for AdmissionConfig {
             exec_deadline_ms: 400.0,
             base_tokens: 4,
             max_queue_depth: 1024,
-            template_weights: BTreeMap::new(),
         }
     }
 }
 
 impl AdmissionConfig {
-    /// Weight for `template`, defaulting to `1.0` and flooring degenerate
-    /// (zero/negative) weights so finish tags stay finite and monotone.
-    pub fn weight_of(&self, template: &str) -> f64 {
-        let w = self.template_weights.get(template).copied().unwrap_or(1.0);
-        if w > 0.0 {
-            w
-        } else {
-            1.0
-        }
-    }
-
     /// Total arrival-relative deadline budget (queue + execution
     /// components), or `None` when both components are disabled.
     pub fn deadline_budget_ms(&self) -> Option<f64> {

@@ -2,10 +2,9 @@
 //!
 //! The controller keeps an EWMA of observed dispatch→completion times per
 //! query template (fed back by the open-loop drivers from real outcomes,
-//! which embed the calibrated routing and current contention) plus an
-//! EWMA of realized queue waits (the same data the
-//! `admission_queue_wait_ms` histogram observes). Both are updated only
-//! from the coordinator thread between scatter batches, so every estimate
+//! which embed the calibrated routing and current contention). It is
+//! updated only from the coordinator thread between scatter batches, so
+//! every estimate
 //! is a pure function of the arrival/outcome sequence and the whole layer
 //! stays byte-identical across `QCC_THREADS` settings.
 //!
@@ -16,7 +15,7 @@
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
-/// Smoothing factor for both EWMAs: recent samples dominate quickly
+/// Smoothing factor of the EWMA: recent samples dominate quickly
 /// (a surge shows up within a few completions) without single-sample
 /// noise whipsawing the shed decision.
 const ALPHA: f64 = 0.25;
@@ -28,16 +27,10 @@ fn ewma(current: Option<f64>, sample: f64) -> f64 {
     }
 }
 
-#[derive(Debug, Default)]
-struct Estimates {
-    exec_ms: BTreeMap<String, f64>,
-    queue_wait_ms: Option<f64>,
-}
-
 /// The estimator proper (one per [`crate::AdmissionController`]).
 #[derive(Debug, Default)]
 pub(crate) struct EstimateBook {
-    state: Mutex<Estimates>,
+    exec_ms: Mutex<BTreeMap<String, f64>>,
 }
 
 impl EstimateBook {
@@ -46,34 +39,14 @@ impl EstimateBook {
         if !ms.is_finite() || ms < 0.0 {
             return;
         }
-        let mut state = self.state.lock();
-        let next = ewma(state.exec_ms.get(template).copied(), ms);
-        state.exec_ms.insert(template.to_string(), next);
+        let mut exec_ms = self.exec_ms.lock();
+        let next = ewma(exec_ms.get(template).copied(), ms);
+        exec_ms.insert(template.to_string(), next);
     }
 
     /// Current execution-time estimate for `template` (`0.0` if unseen).
     pub(crate) fn exec_estimate(&self, template: &str) -> f64 {
-        self.state
-            .lock()
-            .exec_ms
-            .get(template)
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    /// Fold one realized queue wait (dispatched tickets only, mirroring
-    /// the queue-wait histogram).
-    pub(crate) fn record_wait(&self, ms: f64) {
-        if !ms.is_finite() || ms < 0.0 {
-            return;
-        }
-        let mut state = self.state.lock();
-        state.queue_wait_ms = Some(ewma(state.queue_wait_ms, ms));
-    }
-
-    /// Current expected queue wait (`0.0` before any dispatch).
-    pub(crate) fn wait_estimate(&self) -> f64 {
-        self.state.lock().queue_wait_ms.unwrap_or(0.0)
+        self.exec_ms.lock().get(template).copied().unwrap_or(0.0)
     }
 }
 
@@ -99,18 +72,9 @@ mod tests {
         let blended = book.exec_estimate("QT1");
         assert!(blended > 100.0 && blended < 200.0, "EWMA blends: {blended}");
         assert_eq!(book.exec_estimate("QT2"), 0.0, "templates are independent");
-    }
-
-    #[test]
-    fn wait_estimate_tracks_and_rejects_degenerate_samples() {
-        let book = EstimateBook::default();
-        assert_eq!(book.wait_estimate(), 0.0);
-        book.record_wait(40.0);
-        assert_eq!(book.wait_estimate(), 40.0);
-        book.record_wait(f64::NAN);
-        book.record_wait(-5.0);
-        book.record_exec("QT1", f64::INFINITY);
-        assert_eq!(book.wait_estimate(), 40.0, "degenerate samples ignored");
-        assert_eq!(book.exec_estimate("QT1"), 0.0);
+        for degenerate in [f64::NAN, -5.0, f64::INFINITY] {
+            book.record_exec("QT2", degenerate);
+        }
+        assert_eq!(book.exec_estimate("QT2"), 0.0, "degenerate samples ignored");
     }
 }

@@ -166,7 +166,6 @@ impl AdmissionController {
         class: PriorityClass,
         now: SimTime,
     ) -> Result<u64, QccError> {
-        let weight = self.config.weight_of(template);
         let deadline_ms = match self.config.deadline_budget_ms() {
             Some(budget) => now.as_millis() + budget,
             None => f64::INFINITY,
@@ -177,7 +176,6 @@ impl AdmissionController {
             class,
             now,
             deadline_ms,
-            weight,
             self.config.max_queue_depth,
         ) {
             EnqueueOutcome::Queued(ticket, depth) => {
@@ -233,7 +231,6 @@ impl AdmissionController {
                 batch.shed.push(ticket);
                 continue;
             }
-            self.estimates.record_wait(waited);
             self.dispatched.fetch_add(1, Ordering::Relaxed);
             self.metrics.dispatched.inc(ticket.class.as_str());
             self.metrics.wait_ms.observe(waited);
@@ -288,13 +285,6 @@ impl AdmissionController {
     /// Current per-template execution-time estimate (`0.0` if unseen).
     pub fn exec_estimate(&self, template: &str) -> f64 {
         self.estimates.exec_estimate(template)
-    }
-
-    /// EWMA of realized queue waits over dispatched tickets — the
-    /// burst-drain signal (rising expected wait means the backlog is
-    /// outgrowing the token quota).
-    pub fn expected_wait_ms(&self) -> f64 {
-        self.estimates.wait_estimate()
     }
 
     /// Coordinator-side capacity update (between batches only). Returns
@@ -400,27 +390,6 @@ mod tests {
         assert_eq!(batch.admitted[1].class, PriorityClass::Normal);
         assert_eq!(batch.admitted[2].class, PriorityClass::Low);
         assert!(batch.shed.is_empty());
-    }
-
-    #[test]
-    fn weighted_fair_dequeue_favours_heavier_template() {
-        let mut config = AdmissionConfig::default();
-        config.template_weights.insert("QT2".into(), 2.0);
-        config.base_tokens = 3;
-        let ctl = controller(config);
-        // Interleave arrivals; QT2 (weight 2) accrues tags half as fast.
-        for _ in 0..3 {
-            enqueue_ok(&ctl, "QT1", PriorityClass::Normal, 0.0);
-            enqueue_ok(&ctl, "QT2", PriorityClass::Normal, 0.0);
-        }
-        let batch = ctl.dequeue_batch(SimTime::from_millis(1.0));
-        let qt2 = batch
-            .admitted
-            .iter()
-            .filter(|t| t.template == "QT2")
-            .count();
-        assert_eq!(batch.admitted.len(), 3, "quota bounds the round");
-        assert_eq!(qt2, 2, "weight-2 template gets 2 of 3 slots");
     }
 
     #[test]

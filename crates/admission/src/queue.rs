@@ -2,12 +2,13 @@
 //!
 //! Discipline: strict priority across [`PriorityClass`]es;
 //! earliest-deadline-first (EDF) across query templates *within* a class,
-//! with the weighted-fair finish tag as the tie-break so template fairness
+//! with the fair-queueing finish tag as the tie-break so template fairness
 //! survives whenever deadlines don't discriminate (equal arrivals, or
 //! deadlines disabled). Each subqueue is FIFO — open-loop drivers enqueue
 //! in arrival order, so per-template deadlines are monotone and the head
 //! is always the subqueue's earliest deadline. Each enqueue stamps a
-//! finish tag `max(class_virtual_time, last_tag_of_template) + 1/weight`,
+//! finish tag `max(class_virtual_time, last_tag_of_template) + 1` (every
+//! template has the same share),
 //! and dequeue picks the minimum `(deadline, tag, template)` head in the
 //! highest nonempty class. All state lives behind one mutex and every
 //! input is a `SimTime`, so the drain order is a pure function of the
@@ -108,7 +109,6 @@ impl ArrivalQueue {
     /// Enqueue `sql` under `(class, template)` with an absolute
     /// `deadline_ms`. A ticket (with a fresh sequence number) is minted
     /// either way so shed events stay journal-correlatable.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn enqueue(
         &self,
         sql: &str,
@@ -116,7 +116,6 @@ impl ArrivalQueue {
         class: PriorityClass,
         now: SimTime,
         deadline_ms: f64,
-        weight: f64,
         max_depth: usize,
     ) -> EnqueueOutcome {
         let mut state = self.state.lock();
@@ -138,7 +137,7 @@ impl ArrivalQueue {
             .templates
             .entry(template.to_string())
             .or_default();
-        let tag = class_state.virtual_time.max(sub.last_tag) + 1.0 / weight;
+        let tag = class_state.virtual_time.max(sub.last_tag) + 1.0;
         sub.last_tag = tag;
         sub.entries.push_back((ticket.clone(), tag));
         state.depth += 1;
@@ -205,7 +204,6 @@ mod tests {
             PriorityClass::Normal,
             SimTime::from_millis(at),
             deadline,
-            1.0,
             0,
         ) {
             EnqueueOutcome::Queued(t, _) => t.seq,
@@ -269,7 +267,7 @@ mod tests {
     fn equal_deadlines_fall_back_to_finish_tags() {
         let q = ArrivalQueue::default();
         // Same arrival instant, same budget: deadlines tie, so the WFQ
-        // finish tags (equal weights ⇒ template name order) decide.
+        // finish tags (equal shares ⇒ template name order) decide.
         let b = enqueue(&q, "QTb", 0.0, 200.0);
         let a = enqueue(&q, "QTa", 0.0, 200.0);
         assert_eq!(q.pop().map(|t| t.seq), Some(a), "tag tie-break by name");

@@ -88,25 +88,6 @@ impl Cost {
             cardinality: other.cardinality,
         }
     }
-
-    /// Relative difference of two totals: |a − b| / min(a, b). Used by the
-    /// load distributor's "within 20%" plan clustering test.
-    pub fn relative_diff(&self, other: &Cost) -> f64 {
-        let (a, b) = (self.total(), other.total());
-        if a.is_infinite() || b.is_infinite() {
-            return f64::INFINITY;
-        }
-        let lo = a.min(b);
-        if lo <= 0.0 {
-            if a == b {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            (a - b).abs() / lo
-        }
-    }
 }
 
 impl Add for Cost {
@@ -174,10 +155,6 @@ mod tests {
     fn infinite_cost_dominates() {
         assert!(Cost::INFINITE.is_infinite());
         assert!(Cost::INFINITE.calibrate(0.5).is_infinite());
-        assert_eq!(
-            Cost::new(1.0, 0.0, 0.0).relative_diff(&Cost::INFINITE),
-            f64::INFINITY
-        );
     }
 
     #[test]
@@ -196,21 +173,5 @@ mod tests {
         let seq = a.then(&b);
         assert!((seq.total() - 10.0).abs() < 1e-9);
         assert_eq!(seq.cardinality, 10.0);
-    }
-
-    #[test]
-    fn relative_diff_is_symmetric_and_banded() {
-        let a = Cost::fixed(100.0);
-        let b = Cost::fixed(115.0);
-        assert!((a.relative_diff(&b) - 0.15).abs() < 1e-12);
-        assert_eq!(a.relative_diff(&b), b.relative_diff(&a));
-        assert_eq!(a.relative_diff(&a), 0.0);
-    }
-
-    #[test]
-    fn relative_diff_zero_costs() {
-        let z = Cost::ZERO;
-        assert_eq!(z.relative_diff(&z), 0.0);
-        assert_eq!(z.relative_diff(&Cost::fixed(1.0)), f64::INFINITY);
     }
 }

@@ -32,6 +32,6 @@ pub use obs::{
 pub use rng::Pcg32;
 pub use row::{Column, Row, Schema};
 pub use scatter::{default_threads, scatter_indexed};
-pub use stats::{Ema, RunningStats, SlidingWindow};
+pub use stats::SlidingWindow;
 pub use time::{SimClock, SimDuration, SimTime, WallStopwatch};
 pub use value::{DataType, Value};

@@ -3,7 +3,6 @@
 use crate::error::{QccError, Result};
 use crate::value::{DataType, Value};
 use std::fmt;
-use std::sync::Arc;
 
 /// A named, typed column in a schema. The optional `table` qualifier carries
 /// the (nick)name the column was bound from, so that `t1.a` and `t2.a` stay
@@ -61,15 +60,11 @@ impl fmt::Display for Column {
     }
 }
 
-/// An ordered list of columns. Cheap to clone (shared behind `Arc` at call
-/// sites that pass schemas around a lot — see [`SchemaRef`]).
+/// An ordered list of columns.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     columns: Vec<Column>,
 }
-
-/// Shared schema handle used by the execution engines.
-pub type SchemaRef = Arc<Schema>;
 
 impl Schema {
     /// Create a schema from columns.

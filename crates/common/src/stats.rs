@@ -3,63 +3,7 @@
 //! The paper (§3.4) says QCC "maintains aggregated histories of the various
 //! dynamic values associated with the remote source access costs to compute
 //! and maintain running averages", and adjusts the calibration cycle from
-//! them. These are the history containers.
-
-/// Welford online mean/variance accumulator.
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl RunningStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add an observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Coefficient of variation (σ/μ); 0 when the mean is 0.
-    pub fn coeff_of_variation(&self) -> f64 {
-        if self.mean.abs() < f64::EPSILON {
-            0.0
-        } else {
-            self.std_dev() / self.mean.abs()
-        }
-    }
-}
+//! them. This is the history container.
 
 /// Fixed-capacity sliding window of recent observations.
 ///
@@ -71,7 +15,6 @@ pub struct SlidingWindow {
     buf: Vec<f64>,
     capacity: usize,
     next: usize,
-    filled: bool,
 }
 
 impl SlidingWindow {
@@ -83,7 +26,6 @@ impl SlidingWindow {
             buf: Vec::with_capacity(capacity),
             capacity,
             next: 0,
-            filled: false,
         }
     }
 
@@ -91,9 +33,6 @@ impl SlidingWindow {
     pub fn push(&mut self, x: f64) {
         if self.buf.len() < self.capacity {
             self.buf.push(x);
-            if self.buf.len() == self.capacity {
-                self.filled = true;
-            }
         } else {
             self.buf[self.next] = x;
             self.next = (self.next + 1) % self.capacity;
@@ -108,11 +47,6 @@ impl SlidingWindow {
     /// True when no observations are held.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// True once the window has wrapped at least once.
-    pub fn is_full(&self) -> bool {
-        self.filled
     }
 
     /// Mean of held observations (`None` when empty).
@@ -148,76 +82,12 @@ impl SlidingWindow {
     pub fn clear(&mut self) {
         self.buf.clear();
         self.next = 0;
-        self.filled = false;
-    }
-}
-
-/// Exponential moving average.
-#[derive(Debug, Clone)]
-pub struct Ema {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ema {
-    /// An EMA with smoothing factor `alpha` in `(0, 1]`; larger alpha reacts
-    /// faster. Panics on out-of-range alpha.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "alpha must be in (0, 1], got {alpha}"
-        );
-        Ema { alpha, value: None }
-    }
-
-    /// Feed an observation and return the updated average.
-    pub fn push(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average, if any observation has been seen.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Reset to the unseeded state.
-    pub fn reset(&mut self) {
-        self.value = None;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn running_stats_match_direct_computation() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut rs = RunningStats::new();
-        for &x in &data {
-            rs.push(x);
-        }
-        assert_eq!(rs.count(), 8);
-        assert!((rs.mean() - 5.0).abs() < 1e-12);
-        assert!((rs.variance() - 4.0).abs() < 1e-12);
-        assert!((rs.std_dev() - 2.0).abs() < 1e-12);
-        assert!((rs.coeff_of_variation() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_stats_empty_and_single() {
-        let mut rs = RunningStats::new();
-        assert_eq!(rs.mean(), 0.0);
-        assert_eq!(rs.variance(), 0.0);
-        rs.push(3.0);
-        assert_eq!(rs.mean(), 3.0);
-        assert_eq!(rs.variance(), 0.0);
-    }
 
     #[test]
     fn window_evicts_oldest() {
@@ -227,7 +97,6 @@ mod tests {
         }
         // 1.0 evicted; mean of {2,3,4} = 3.
         assert_eq!(w.mean(), Some(3.0));
-        assert!(w.is_full());
         assert_eq!(w.len(), 3);
     }
 
@@ -261,27 +130,5 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn window_zero_capacity_panics() {
         SlidingWindow::new(0);
-    }
-
-    #[test]
-    fn ema_seeds_with_first_value() {
-        let mut e = Ema::new(0.5);
-        assert_eq!(e.value(), None);
-        assert_eq!(e.push(10.0), 10.0);
-        assert_eq!(e.push(20.0), 15.0);
-        assert_eq!(e.push(20.0), 17.5);
-    }
-
-    #[test]
-    fn ema_alpha_one_tracks_exactly() {
-        let mut e = Ema::new(1.0);
-        e.push(1.0);
-        assert_eq!(e.push(42.0), 42.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ema_rejects_bad_alpha() {
-        Ema::new(0.0);
     }
 }

@@ -28,9 +28,6 @@ pub struct QccConfig {
     pub cost_band: f64,
     /// Load distribution mode.
     pub load_balance: LoadBalanceMode,
-    /// Minimum workload (calibrated cost × observed frequency) before a
-    /// query template is considered for round-robin distribution.
-    pub workload_threshold: f64,
     /// Base interval between availability-daemon probes (virtual ms).
     pub probe_interval_ms: f64,
     /// Bounds for the adaptive probe interval (§3.4).
@@ -38,12 +35,6 @@ pub struct QccConfig {
     /// Expected ping latency of a healthy unloaded server; the daemon
     /// seeds calibration factors from the ratio of measured to expected.
     pub expected_ping_ms: f64,
-    /// Re-calibration exploration: every Nth query of a template is
-    /// routed to the best *alternative* server so its factor stays fresh
-    /// (0 disables). Without this, a server the router abandons can never
-    /// clear its stale factor — §3.4's periodic re-calibration, realized
-    /// as lightweight in-band exploration.
-    pub exploration_interval: u64,
     /// Per-slot re-dispatch budget: how many times the federation
     /// re-dispatches one failed fragment slot before the query fails.
     /// Plumbed into `FederationConfig::retry_limit` by the scenario
@@ -59,11 +50,9 @@ impl Default for QccConfig {
             min_fragment_observations: 1,
             cost_band: 0.2,
             load_balance: LoadBalanceMode::Disabled,
-            workload_threshold: 0.0,
             probe_interval_ms: 1_000.0,
             probe_interval_bounds_ms: (100.0, 10_000.0),
             expected_ping_ms: 1.0,
-            exploration_interval: 8,
             retry_limit: 2,
         }
     }

@@ -6,9 +6,11 @@
 //!   plans executing on the *same set of servers* keep only the cheapest
 //!   (dominance elimination), (2) cluster the survivors whose calibrated
 //!   costs are within the band (20 %) of the cheapest, and (3) rotate the
-//!   cluster round-robin across repeated queries of the same template —
-//!   provided the template's workload (cost × frequency) exceeds the
-//!   threshold.
+//!   cluster round-robin across repeated queries of the same template.
+//!   The paper's §4.2 also gates rotation on a workload threshold (cost ×
+//!   frequency). Here the threshold is 0, and at 0 the gate can never
+//!   hold a template back: a positive cost times a frequency of at least
+//!   1 always exceeds it. So there is no gate.
 //! * **Fragment level** (§4.1): like the above, but a plan may only join
 //!   the cluster if every fragment runs the *identical* plan shape as in
 //!   the cheapest plan (only the server differs) — "exchangeable query
@@ -28,6 +30,13 @@ use std::sync::Arc;
 /// instead of one per statement served.
 const TEMPLATE_STATE_CAPACITY: usize = 4096;
 
+/// Re-calibration exploration: every `EXPLORATION_INTERVAL`-th query of a
+/// template in a period is routed to the best plan on a *different*
+/// server set, so a server the router abandons keeps producing fresh
+/// observations and its stale factor clears (§3.4's periodic
+/// re-calibration, realized as lightweight in-band exploration).
+const EXPLORATION_INTERVAL: u64 = 8;
+
 #[derive(Debug, Default)]
 struct TemplateState {
     /// Queries of this template seen so far in the current period.
@@ -41,8 +50,6 @@ struct TemplateState {
 pub struct LoadBalancer {
     mode: LoadBalanceMode,
     band: f64,
-    threshold: f64,
-    exploration_interval: u64,
     state: Mutex<FifoMap<Arc<str>, TemplateState>>,
     commits_total: CounterHandle,
     rotations_total: CounterHandle,
@@ -54,8 +61,6 @@ impl LoadBalancer {
         LoadBalancer {
             mode: config.load_balance,
             band: config.cost_band,
-            threshold: config.workload_threshold,
-            exploration_interval: config.exploration_interval,
             state: Mutex::new(FifoMap::new(TEMPLATE_STATE_CAPACITY)),
             commits_total: CounterHandle::default(),
             rotations_total: CounterHandle::default(),
@@ -123,15 +128,10 @@ impl LoadBalancer {
                 .unwrap_or((1, 0))
         };
 
-        // Re-calibration exploration: every Nth query of a template goes
-        // to the best plan on a *different* server set, so abandoned
-        // servers keep producing fresh observations and stale factors
-        // clear on their own (§3.4). Runs in every mode; in the rotating
-        // modes it simply adds one extra off-cluster sample per period.
-        if self.exploration_interval > 0
-            && frequency % self.exploration_interval == 0
-            && candidates.len() > 1
-        {
+        // Re-calibration exploration (§3.4). Runs in every mode; in the
+        // rotating modes it simply adds one extra off-cluster sample per
+        // period.
+        if frequency % EXPLORATION_INTERVAL == 0 && candidates.len() > 1 {
             if let Some(alt) = best_alternative(candidates, cheapest_idx) {
                 return (alt, NO_ROTATION);
             }
@@ -167,11 +167,6 @@ impl LoadBalancer {
         let cheapest = survivors[0];
         let cheapest_cost = candidates[cheapest].total_cost();
         if !cheapest_cost.is_finite() || cheapest_cost <= 0.0 {
-            return (cheapest, NO_ROTATION);
-        }
-
-        // Workload threshold: only rotate heavy templates.
-        if cheapest_cost * frequency as f64 <= self.threshold {
             return (cheapest, NO_ROTATION);
         }
 
@@ -301,17 +296,13 @@ mod tests {
         }
     }
 
-    fn balancer(mode: LoadBalanceMode, threshold: f64) -> LoadBalancer {
-        LoadBalancer::new(&QccConfig {
-            load_balance: mode,
-            workload_threshold: threshold,
-            ..QccConfig::default()
-        })
+    fn balancer(mode: LoadBalanceMode) -> LoadBalancer {
+        LoadBalancer::new(&QccConfig::with_load_balance(mode))
     }
 
     #[test]
     fn disabled_mode_always_cheapest() {
-        let lb = balancer(LoadBalanceMode::Disabled, 0.0);
+        let lb = balancer(LoadBalanceMode::Disabled);
         let cands = vec![
             candidate(&[("S1", 10.0, "p")], 0.0),
             candidate(&[("S2", 9.0, "p")], 0.0),
@@ -325,7 +316,7 @@ mod tests {
     fn paper_q6_scenario_global_level() {
         // §4.2: nine plans over {S1,S2,R1,R2}. Dominated plans (same server
         // set, higher cost) are eliminated; p5, p6, p8 survive and rotate.
-        let lb = balancer(LoadBalanceMode::GlobalLevel, 0.0);
+        let lb = balancer(LoadBalanceMode::GlobalLevel);
         let cands = vec![
             candidate(&[("S1", 50.0, "a"), ("S2", 50.0, "b")], 0.0), // p1 dominated by p5
             candidate(&[("S1", 48.0, "a2"), ("S2", 49.0, "b")], 0.0), // p2 dominated
@@ -352,7 +343,7 @@ mod tests {
 
     #[test]
     fn out_of_band_plans_excluded() {
-        let lb = balancer(LoadBalanceMode::GlobalLevel, 0.0);
+        let lb = balancer(LoadBalanceMode::GlobalLevel);
         let cands = vec![
             candidate(&[("S1", 100.0, "a")], 0.0),
             candidate(&[("S2", 125.0, "a")], 0.0), // 25% worse: out of 20% band
@@ -363,25 +354,8 @@ mod tests {
     }
 
     #[test]
-    fn threshold_gates_rotation() {
-        // cost 10 × frequency must exceed 35 → rotation starts at the 4th
-        // query of the template.
-        let lb = balancer(LoadBalanceMode::GlobalLevel, 35.0);
-        let cands = vec![
-            candidate(&[("S1", 10.0, "a")], 0.0),
-            candidate(&[("S2", 10.5, "a")], 0.0),
-        ];
-        let picks: Vec<usize> = (0..6).map(|_| lb.choose("q", &cands)).collect();
-        assert_eq!(picks[0], 0, "below threshold: cheapest");
-        assert_eq!(picks[1], 0);
-        assert_eq!(picks[2], 0);
-        let later: std::collections::BTreeSet<usize> = picks[3..].iter().copied().collect();
-        assert_eq!(later.len(), 2, "rotation engaged after threshold");
-    }
-
-    #[test]
     fn fragment_level_requires_identical_shapes() {
-        let lb = balancer(LoadBalanceMode::FragmentLevel, 0.0);
+        let lb = balancer(LoadBalanceMode::FragmentLevel);
         let cands = vec![
             candidate(&[("S1", 10.0, "idxscan(t.a = 5)")], 0.0),
             // Same cost band, same shape, different server: exchangeable.
@@ -396,7 +370,7 @@ mod tests {
 
     #[test]
     fn global_level_allows_shape_substitution() {
-        let lb = balancer(LoadBalanceMode::GlobalLevel, 0.0);
+        let lb = balancer(LoadBalanceMode::GlobalLevel);
         let cands = vec![
             candidate(&[("S1", 10.0, "idxscan(t.a = 5)")], 0.0),
             candidate(&[("S2", 10.2, "seqscan(t,pred)")], 0.0),
@@ -408,7 +382,7 @@ mod tests {
 
     #[test]
     fn templates_rotate_independently() {
-        let lb = balancer(LoadBalanceMode::GlobalLevel, 0.0);
+        let lb = balancer(LoadBalanceMode::GlobalLevel);
         let cands = vec![
             candidate(&[("S1", 10.0, "a")], 0.0),
             candidate(&[("S2", 10.0, "a")], 0.0),
@@ -420,7 +394,7 @@ mod tests {
 
     #[test]
     fn template_state_is_bounded_and_the_oldest_template_starts_over() {
-        let lb = balancer(LoadBalanceMode::GlobalLevel, 0.0);
+        let lb = balancer(LoadBalanceMode::GlobalLevel);
         let cands = vec![
             candidate(&[("S1", 10.0, "a")], 0.0),
             candidate(&[("S2", 10.0, "a")], 0.0),
@@ -436,21 +410,31 @@ mod tests {
 
     #[test]
     fn reset_period_clears_frequency() {
-        let lb = balancer(LoadBalanceMode::GlobalLevel, 15.0);
+        // Exploration fires on the EXPLORATION_INTERVAL-th query of a
+        // template's period; a reset restarts that count.
+        let lb = balancer(LoadBalanceMode::Disabled);
         let cands = vec![
             candidate(&[("S1", 10.0, "a")], 0.0),
-            candidate(&[("S2", 10.0, "a")], 0.0),
+            candidate(&[("S2", 12.0, "a")], 0.0),
         ];
-        lb.choose("q", &cands); // freq 1: 10 ≤ 15, no rotation
-        lb.choose("q", &cands); // freq 2: 20 > 15, rotation active
+        for _ in 1..EXPLORATION_INTERVAL {
+            assert_eq!(lb.choose("q", &cands), 0);
+        }
         lb.reset_period();
-        // Frequency reset: back below the threshold.
-        assert_eq!(lb.choose("q", &cands), 0);
+        // Without the reset the first of these would be the exploration.
+        for _ in 1..EXPLORATION_INTERVAL {
+            assert_eq!(lb.choose("q", &cands), 0, "count restarted at reset");
+        }
+        assert_eq!(
+            lb.choose("q", &cands),
+            1,
+            "the period's EXPLORATION_INTERVAL-th query explores"
+        );
     }
 
     #[test]
     fn peek_is_pure_until_commit() {
-        let lb = balancer(LoadBalanceMode::GlobalLevel, 0.0);
+        let lb = balancer(LoadBalanceMode::GlobalLevel);
         let cands = vec![
             candidate(&[("S1", 10.0, "a")], 0.0),
             candidate(&[("S2", 10.0, "a")], 0.0),
@@ -463,23 +447,13 @@ mod tests {
         assert_ne!(p2, p3, "commit advances the cursor");
     }
 
-    /// Like [`balancer`] but with in-band exploration disabled, so long
-    /// pick sequences exercise *only* the band/threshold logic.
-    fn balancer_no_exploration(mode: LoadBalanceMode, threshold: f64) -> LoadBalancer {
-        LoadBalancer::new(&QccConfig {
-            load_balance: mode,
-            workload_threshold: threshold,
-            exploration_interval: 0,
-            ..QccConfig::default()
-        })
-    }
-
     #[test]
     fn candidate_exactly_at_band_edge_is_included() {
         // The cluster filter drops a plan only when its relative distance
         // from the cheapest *exceeds* the band. At exactly 20% the plan is
-        // interchangeable; one hair past it is not.
-        let lb = balancer_no_exploration(LoadBalanceMode::GlobalLevel, 0.0);
+        // interchangeable; one hair past it is not. Six picks stay short
+        // of the first exploration.
+        let lb = balancer(LoadBalanceMode::GlobalLevel);
         let cands = vec![
             candidate(&[("S1", 100.0, "a")], 0.0),
             candidate(&[("S2", 120.0, "a")], 0.0), // exactly +20%: in band
@@ -502,33 +476,8 @@ mod tests {
     }
 
     #[test]
-    fn workload_exactly_at_threshold_does_not_rotate() {
-        // The threshold gate is `cost x frequency <= threshold → cheapest`:
-        // a template whose workload lands exactly ON the threshold is still
-        // considered light. Cost 10, threshold 30: queries 1–3 reach
-        // workloads 10, 20, 30 (all gated); the 4th reaches 40 and rotates.
-        let lb = balancer_no_exploration(LoadBalanceMode::GlobalLevel, 30.0);
-        let cands = vec![
-            candidate(&[("S1", 10.0, "a")], 0.0),
-            candidate(&[("S2", 10.0, "a")], 0.0),
-        ];
-        let picks: Vec<usize> = (0..7).map(|_| lb.choose("q", &cands)).collect();
-        assert_eq!(
-            &picks[..3],
-            &[0, 0, 0],
-            "workload at or below the threshold (incl. exactly at): cheapest"
-        );
-        let later: std::collections::BTreeSet<usize> = picks[3..].iter().copied().collect();
-        assert_eq!(
-            later,
-            [0usize, 1].into_iter().collect(),
-            "first workload strictly past the threshold starts rotation"
-        );
-    }
-
-    #[test]
     fn infinite_cheapest_short_circuits() {
-        let lb = balancer(LoadBalanceMode::GlobalLevel, 0.0);
+        let lb = balancer(LoadBalanceMode::GlobalLevel);
         let cands = vec![candidate(&[("S1", f64::INFINITY, "a")], 0.0)];
         assert_eq!(lb.choose("q", &cands), 0);
     }

@@ -52,20 +52,6 @@ impl AvailabilitySchedule {
             .map(|(start, _)| *start)
             .find(|start| *start > from && *start < until)
     }
-
-    /// The next time at or after `t` when the server is up (useful for
-    /// retry logic in tests and examples).
-    pub fn next_up(&self, t: SimTime) -> SimTime {
-        let w = self.windows.lock();
-        let mut cur = t;
-        // Windows are sorted; walk through any that cover `cur`.
-        for (from, until) in w.iter() {
-            if cur >= *from && cur < *until {
-                cur = *until;
-            }
-        }
-        cur
-    }
 }
 
 #[cfg(test)]
@@ -87,15 +73,6 @@ mod tests {
         assert!(!a.is_up(SimTime::from_millis(100.0)));
         assert!(!a.is_up(SimTime::from_millis(199.9)));
         assert!(a.is_up(SimTime::from_millis(200.0)));
-    }
-
-    #[test]
-    fn next_up_walks_adjacent_windows() {
-        let a = AvailabilitySchedule::always_up();
-        a.add_outage(SimTime::from_millis(100.0), SimTime::from_millis(200.0));
-        a.add_outage(SimTime::from_millis(200.0), SimTime::from_millis(300.0));
-        assert_eq!(a.next_up(SimTime::from_millis(150.0)).as_millis(), 300.0);
-        assert_eq!(a.next_up(SimTime::from_millis(50.0)).as_millis(), 50.0);
     }
 
     #[test]

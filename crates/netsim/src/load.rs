@@ -53,11 +53,6 @@ impl ServerLoad {
         (bg + inflight * self.per_query_load).clamp(0.0, MAX_UTILIZATION)
     }
 
-    /// Background utilization only (what a monitoring daemon would report).
-    pub fn background_level(&self, t: SimTime) -> f64 {
-        self.background.lock().level(t)
-    }
-
     /// Mark a query as started; returns a guard that decrements on drop.
     pub fn begin_query(&self) -> InflightGuard {
         *self.inflight.lock() += 1;

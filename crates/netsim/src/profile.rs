@@ -4,7 +4,7 @@
 //! type drives server background load and link congestion (where the level
 //! is interpreted as utilization of the bottleneck resource).
 
-use qcc_common::{Pcg32, SimTime};
+use qcc_common::SimTime;
 
 /// A deterministic function from virtual time to a level in `[0, 1]`.
 #[derive(Debug, Clone)]
@@ -14,27 +14,6 @@ pub enum LoadProfile {
     /// Piecewise-constant steps: `(from, level)` pairs, sorted by time.
     /// The level before the first step is 0.
     Steps(Vec<(SimTime, f64)>),
-    /// `base + amplitude · sin(2πt / period)`, clamped to `[0, 1]`.
-    Periodic {
-        /// Mean level.
-        base: f64,
-        /// Peak deviation.
-        amplitude: f64,
-        /// Period in virtual milliseconds.
-        period_ms: f64,
-    },
-    /// Seeded bounded random walk sampled on a fixed grid (linear
-    /// interpolation between grid points). Deterministic for a given seed.
-    RandomWalk {
-        /// RNG seed.
-        seed: u64,
-        /// Grid spacing in virtual milliseconds.
-        step_ms: f64,
-        /// Per-step maximum change.
-        volatility: f64,
-        /// Starting level.
-        start: f64,
-    },
 }
 
 impl LoadProfile {
@@ -53,44 +32,9 @@ impl LoadProfile {
                 }
                 level
             }
-            LoadProfile::Periodic {
-                base,
-                amplitude,
-                period_ms,
-            } => {
-                let phase = (t.as_millis() / period_ms.max(1e-9)) * std::f64::consts::TAU;
-                base + amplitude * phase.sin()
-            }
-            LoadProfile::RandomWalk {
-                seed,
-                step_ms,
-                volatility,
-                start,
-            } => {
-                // Walk the grid from zero; O(t/step) but deterministic and
-                // honest. Interpolate between the two surrounding points.
-                let step = step_ms.max(1e-9);
-                let idx = (t.as_millis() / step).floor() as u64;
-                let frac = (t.as_millis() / step).fract();
-                let a = walk_value(*seed, idx, *volatility, *start);
-                let b = walk_value(*seed, idx + 1, *volatility, *start);
-                a + (b - a) * frac
-            }
         };
         v.clamp(0.0, 1.0)
     }
-}
-
-/// Value of the random walk at grid point `idx` (recomputed from the seed;
-/// stateless, so all clones of a profile agree).
-fn walk_value(seed: u64, idx: u64, volatility: f64, start: f64) -> f64 {
-    let mut rng = Pcg32::seed_from(seed);
-    let mut v = start;
-    for _ in 0..idx.min(100_000) {
-        v += rng.range_f64(-volatility, volatility);
-        v = v.clamp(0.0, 1.0);
-    }
-    v
 }
 
 #[cfg(test)]
@@ -119,49 +63,5 @@ mod tests {
         assert_eq!(p.level(SimTime::from_millis(100.0)), 0.5);
         assert_eq!(p.level(SimTime::from_millis(150.0)), 0.5);
         assert_eq!(p.level(SimTime::from_millis(250.0)), 0.9);
-    }
-
-    #[test]
-    fn periodic_profile_oscillates() {
-        let p = LoadProfile::Periodic {
-            base: 0.5,
-            amplitude: 0.3,
-            period_ms: 1000.0,
-        };
-        let quarter = p.level(SimTime::from_millis(250.0));
-        let three_quarter = p.level(SimTime::from_millis(750.0));
-        assert!((quarter - 0.8).abs() < 1e-9);
-        assert!((three_quarter - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn random_walk_deterministic_and_bounded() {
-        let p = LoadProfile::RandomWalk {
-            seed: 42,
-            step_ms: 100.0,
-            volatility: 0.2,
-            start: 0.5,
-        };
-        for i in 0..50 {
-            let t = SimTime::from_millis(i as f64 * 37.0);
-            let a = p.level(t);
-            let b = p.level(t);
-            assert_eq!(a, b, "deterministic");
-            assert!((0.0..=1.0).contains(&a));
-        }
-    }
-
-    #[test]
-    fn random_walk_interpolates() {
-        let p = LoadProfile::RandomWalk {
-            seed: 7,
-            step_ms: 100.0,
-            volatility: 0.3,
-            start: 0.5,
-        };
-        let a = p.level(SimTime::from_millis(100.0));
-        let b = p.level(SimTime::from_millis(200.0));
-        let mid = p.level(SimTime::from_millis(150.0));
-        assert!((mid - (a + b) / 2.0).abs() < 1e-9);
     }
 }

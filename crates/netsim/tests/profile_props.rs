@@ -8,9 +8,9 @@ use qcc_common::{Pcg32, SimTime};
 use qcc_netsim::{slowdown, Link, LoadProfile};
 
 fn random_profile(rng: &mut Pcg32) -> LoadProfile {
-    match rng.range_u64(0, 4) {
+    match rng.range_u64(0, 2) {
         0 => LoadProfile::Constant(rng.range_f64(-1.0, 2.0)),
-        1 => {
+        _ => {
             let n = rng.range_u64(0, 6) as usize;
             let mut steps: Vec<(f64, f64)> = (0..n)
                 .map(|_| (rng.range_f64(0.0, 10_000.0), rng.range_f64(-0.5, 1.5)))
@@ -23,17 +23,6 @@ fn random_profile(rng: &mut Pcg32) -> LoadProfile {
                     .collect(),
             )
         }
-        2 => LoadProfile::Periodic {
-            base: rng.range_f64(0.0, 1.0),
-            amplitude: rng.range_f64(0.0, 1.0),
-            period_ms: rng.range_f64(1.0, 10_000.0),
-        },
-        _ => LoadProfile::RandomWalk {
-            seed: rng.next_u64(),
-            step_ms: rng.range_f64(1.0, 1_000.0),
-            volatility: rng.range_f64(0.0, 0.5),
-            start: rng.range_f64(0.0, 1.0),
-        },
     }
 }
 

@@ -308,14 +308,6 @@ impl TableRef {
         }
     }
 
-    /// A table reference with an alias.
-    pub fn aliased(name: impl Into<String>, alias: impl Into<String>) -> Self {
-        TableRef {
-            name: name.into(),
-            alias: Some(alias.into()),
-        }
-    }
-
     /// The name the table's columns are qualified with (alias if present).
     pub fn binding_name(&self) -> &str {
         self.alias.as_deref().unwrap_or(&self.name)
@@ -568,7 +560,10 @@ mod tests {
             alias: Some("total".into()),
         }];
         s.joins.push(JoinClause {
-            table: TableRef::aliased("b", "bb"),
+            table: TableRef {
+                name: "b".into(),
+                alias: Some("bb".into()),
+            },
             on: Expr::binary(BinaryOp::Eq, Expr::qcol("a", "id"), Expr::qcol("bb", "id")),
         });
         s.group_by = vec![Expr::qcol("a", "k")];
@@ -612,7 +607,11 @@ mod tests {
     #[test]
     fn binding_name_prefers_alias() {
         assert_eq!(TableRef::new("t").binding_name(), "t");
-        assert_eq!(TableRef::aliased("t", "x").binding_name(), "x");
+        let aliased = TableRef {
+            name: "t".into(),
+            alias: Some("x".into()),
+        };
+        assert_eq!(aliased.binding_name(), "x");
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl Catalog {
     }
 
     /// Mutable lookup.
-    pub fn entry_mut(&mut self, name: &str) -> Result<&mut CatalogEntry> {
+    fn entry_mut(&mut self, name: &str) -> Result<&mut CatalogEntry> {
         self.entries
             .get_mut(&*key(name))
             .ok_or_else(|| QccError::UnknownTable(name.to_owned()))
@@ -105,24 +105,6 @@ impl Catalog {
     /// All table names (lowercased), sorted.
     pub fn table_names(&self) -> Vec<&str> {
         self.entries.keys().map(String::as_str).collect()
-    }
-
-    /// Re-collect statistics for one table (after updates) and rebuild its
-    /// indexes so they reflect the new data.
-    pub fn analyze(&mut self, name: &str) -> Result<()> {
-        let entry = self.entry_mut(name)?;
-        entry.stats = TableStats::analyze(&entry.table);
-        let columns: Vec<String> = entry
-            .indexes
-            .iter()
-            .map(|i| i.column_name().to_owned())
-            .collect();
-        entry.indexes.clear();
-        for c in columns {
-            let idx = Index::build(&entry.table, &c)?;
-            entry.indexes.push(idx);
-        }
-        Ok(())
     }
 
     /// Derive the data-less twin of this catalog: same schemas, same
@@ -173,23 +155,6 @@ mod tests {
         assert!(c.contains("ORDERS"));
         assert_eq!(c.entry("orders").unwrap().stats.row_count, 50);
         assert!(matches!(c.entry("nope"), Err(QccError::UnknownTable(_))));
-    }
-
-    #[test]
-    fn create_index_and_rebuild_on_analyze() {
-        let mut c = catalog();
-        c.create_index("orders", "id").unwrap();
-        assert_eq!(c.entry("orders").unwrap().indexes.len(), 1);
-        // Mutate the data, re-analyze, index should reflect new rows.
-        c.entry_mut("orders")
-            .unwrap()
-            .table
-            .insert(Row::new(vec![Value::Int(999), Value::Float(0.0)]))
-            .unwrap();
-        c.analyze("orders").unwrap();
-        let e = c.entry("orders").unwrap();
-        assert_eq!(e.stats.row_count, 51);
-        assert_eq!(e.indexes[0].lookup_eq(&Value::Int(999)).len(), 1);
     }
 
     #[test]

@@ -78,11 +78,6 @@ impl Index {
         }
         out
     }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +125,6 @@ mod tests {
         let t = table();
         let idx = Index::build(&t, "grp").unwrap();
         assert!(idx.lookup_eq(&Value::Null).is_empty());
-        assert_eq!(idx.distinct_keys(), 10);
     }
 
     #[test]

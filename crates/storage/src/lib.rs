@@ -1,6 +1,7 @@
 //! In-memory storage layer for the simulated remote servers.
 //!
-//! Each remote server in the federation owns a [`Catalog`] of [`Table`]s.
+//! The remote servers of a world share one immutable [`Catalog`] of
+//! [`Table`]s (each holds an `Arc` of it).
 //! Tables carry [`stats::TableStats`] (row counts, per-column distinct
 //! values, min/max, equi-depth histograms) that the per-server optimizer
 //! uses for cardinality estimation, and optional secondary [`index::Index`]es
@@ -17,4 +18,4 @@ pub use catalog::Catalog;
 pub use datagen::{ColumnSpec, TableSpec};
 pub use index::Index;
 pub use stats::{ColumnQuickStats, ColumnStats, Histogram, TableStats};
-pub use table::{apply_update_batch, check_batches, Table, TableChunk};
+pub use table::{check_batches, Table, TableChunk};

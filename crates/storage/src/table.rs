@@ -150,15 +150,6 @@ impl Table {
         out
     }
 
-    /// Materialize the row at a global position.
-    pub fn row_at(&self, pos: usize) -> Option<Row> {
-        let (chunk, off) = self.locate(pos)?;
-        let chunk = &self.chunks[chunk];
-        Some(Row::new(
-            chunk.columns.iter().map(|c| c.value(off)).collect(),
-        ))
-    }
-
     /// Map a global row position to `(chunk index, offset within chunk)`.
     pub fn locate(&self, pos: usize) -> Option<(usize, usize)> {
         if pos >= self.row_count {
@@ -298,58 +289,6 @@ fn accepts(expected: DataType, got: DataType) -> bool {
     got == expected || (got, expected) == (DataType::Int, DataType::Float)
 }
 
-/// Simulated "update workload" hook: touching a fraction of a table's rows.
-/// Used by the experiments' heavy-update-load phases; the data itself is
-/// perturbed in place so that repeated runs stay realistic.
-pub fn apply_update_batch(table: &mut Table, fraction: f64, bump: i64) -> usize {
-    let n = ((table.row_count as f64) * fraction.clamp(0.0, 1.0)) as usize;
-    let int_cols: Vec<usize> = table
-        .schema
-        .columns()
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.ty == DataType::Int)
-        .map(|(i, _)| i)
-        .collect();
-    if int_cols.is_empty() {
-        return 0;
-    }
-    let mut dirty: Vec<(usize, usize)> = Vec::new();
-    for r in 0..n.min(table.row_count) {
-        let col = int_cols[r % int_cols.len()];
-        let Some((ci, off)) = table.locate(r) else {
-            break;
-        };
-        let vector = Arc::make_mut(&mut table.chunks[ci].columns[col]);
-        let bumped = match vector {
-            ColumnVector::Int { data, nulls } => {
-                if nulls[off] {
-                    false
-                } else {
-                    data[off] = data[off].wrapping_add(bump);
-                    true
-                }
-            }
-            ColumnVector::Mixed(vals) => {
-                if let Value::Int(v) = vals[off] {
-                    vals[off] = Value::Int(v.wrapping_add(bump));
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
-        };
-        if bumped && !dirty.contains(&(ci, col)) {
-            dirty.push((ci, col));
-        }
-    }
-    for (ci, col) in dirty {
-        table.chunks[ci].summaries[col] = table.chunks[ci].columns[col].summarize();
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,33 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn update_batch_touches_rows() {
-        let mut t = table();
-        for i in 0..10 {
-            t.insert(Row::new(vec![
-                Value::Int(i),
-                Value::from("x"),
-                Value::Float(0.0),
-            ]))
-            .unwrap();
-        }
-        let touched = apply_update_batch(&mut t, 0.5, 100);
-        assert_eq!(touched, 5);
-        assert_eq!(t.rows()[0].get(0), &Value::Int(100));
-        assert_eq!(
-            t.rows()[5].get(0),
-            &Value::Int(5),
-            "beyond fraction untouched"
-        );
-        // Zone maps follow the mutation.
-        assert_eq!(
-            t.chunks()[0].summaries()[0].max,
-            Some(Value::Int(104)),
-            "summary recomputed after update"
-        );
-    }
-
-    #[test]
     fn chunking_splits_at_batch_rows() {
         let mut t = Table::new("t", Schema::new(vec![Column::new("v", DataType::Int)]));
         for i in 0..(BATCH_ROWS as i64 + 5) {
@@ -458,7 +370,7 @@ mod tests {
         assert_eq!(t.chunks()[1].len(), 5);
         assert_eq!(t.locate(BATCH_ROWS + 2), Some((1, 2)));
         assert_eq!(
-            t.row_at(BATCH_ROWS + 2).unwrap().get(0).as_i64(),
+            t.rows()[BATCH_ROWS + 2].get(0).as_i64(),
             Some(BATCH_ROWS as i64 + 2)
         );
         assert_eq!(

@@ -145,6 +145,19 @@ pub enum Routing {
     QccBalanced(LoadBalanceMode),
 }
 
+/// The middleware a world is built around.
+enum Router {
+    /// A middleware that needs nothing from the world.
+    Plain(Arc<dyn Middleware>),
+    /// A QCC with this configuration, sharing the world's obs handle.
+    Qcc(QccConfig),
+}
+
+/// Every nickname resolves to every server.
+fn every_server(_table: &str, n: usize) -> std::ops::Range<usize> {
+    0..n
+}
+
 /// The assembled experiment world.
 pub struct Scenario {
     /// The remote servers, in id order (S1, S2, ...).
@@ -189,9 +202,9 @@ impl Scenario {
     }
 
     /// Build with a custom QCC configuration (ablations tune windows,
-    /// bands, thresholds and balancing modes through this).
+    /// bands and balancing modes through this).
     pub fn build_with_qcc(qcc_config: QccConfig, config: ScenarioConfig) -> Scenario {
-        Scenario::build_qcc_over(qcc_config, config, |_table, n| 0..n)
+        Scenario::assemble(Router::Qcc(qcc_config), config, every_server)
     }
 
     /// [`Scenario::build_with_qcc`] with the *nicknames* partitioned:
@@ -203,7 +216,7 @@ impl Scenario {
     /// coordinator-bound plan shapes the default world, where every
     /// server hosts every nickname, never produces.
     pub fn build_partitioned(qcc_config: QccConfig, config: ScenarioConfig) -> Scenario {
-        Scenario::build_qcc_over(qcc_config, config, |table, n| {
+        Scenario::assemble(Router::Qcc(qcc_config), config, |table, n| {
             if matches!(table, "big_a" | "big_b") {
                 0..n / 2
             } else {
@@ -212,56 +225,30 @@ impl Scenario {
         })
     }
 
-    /// A QCC-routed world of `n` servers whose nickname `table` resolves
-    /// to the servers at indices `hosts(table, n)`.
-    fn build_qcc_over(
-        qcc_config: QccConfig,
+    /// Build with explicit sizing.
+    pub fn build_with(routing: Routing, config: ScenarioConfig) -> Scenario {
+        let router = match routing {
+            Routing::Baseline => Router::Plain(Arc::new(PassthroughMiddleware::with_cache())),
+            Routing::Fixed1 => Router::Plain(Arc::new(FixedRoutingMiddleware::new(
+                crate::baselines::FIXED_ASSIGNMENT_1(),
+            ))),
+            Routing::Fixed2 => Router::Plain(Arc::new(FixedRoutingMiddleware::new(
+                crate::baselines::FIXED_ASSIGNMENT_2(),
+            ))),
+            Routing::Qcc => Router::Qcc(QccConfig::default()),
+            Routing::QccBalanced(mode) => Router::Qcc(QccConfig::with_load_balance(mode)),
+        };
+        Scenario::assemble(router, config, every_server)
+    }
+
+    /// The one world builder: servers over one shared table image, their
+    /// links and wrappers, and a federation around `router` whose nickname
+    /// `table` resolves to the servers at indices `hosts(table, n)`.
+    fn assemble(
+        router: Router,
         config: ScenarioConfig,
         hosts: fn(&str, usize) -> std::ops::Range<usize>,
     ) -> Scenario {
-        let threads = config.threads;
-        let replication_factor = config.replication_factor;
-        let stall_factor = config.stall_factor;
-        let obs = if config.obs_enabled {
-            Obs::new()
-        } else {
-            Obs::off()
-        };
-        let mut scenario = Scenario::build_with(Routing::Baseline, config);
-        let qcc = Qcc::with_obs(qcc_config, obs.clone());
-        // Rebuild the federation around the QCC middleware, reusing the
-        // already-built servers and wrappers.
-        let mut federation = Federation::new(
-            rebuild_nicknames(&scenario, hosts),
-            scenario.clock.clone(),
-            qcc.middleware(),
-            FederationConfig {
-                threads,
-                retry_limit: qcc.config.retry_limit,
-                stall_factor,
-                ..FederationConfig::default()
-            },
-        );
-        federation.set_obs(obs.clone());
-        for w in &scenario.wrappers {
-            federation.add_wrapper(Arc::clone(w));
-        }
-        // Rebuild the replica catalog too: the baseline build bound its
-        // catalog to the obs handle this build discards, and registration
-        // events must land in the live one.
-        scenario.catalog = build_replica_catalog(replication_factor, &scenario.servers, &obs);
-        if let Some(catalog) = &scenario.catalog {
-            federation.set_catalog(Arc::clone(catalog));
-            qcc.set_catalog(Arc::clone(catalog));
-        }
-        scenario.federation = federation;
-        scenario.qcc = Some(qcc);
-        scenario.obs = obs;
-        scenario
-    }
-
-    /// Build with explicit sizing.
-    pub fn build_with(routing: Routing, config: ScenarioConfig) -> Scenario {
         let specs = table_specs(&config);
 
         // One image per replica set: the tables are generated, analyzed
@@ -304,7 +291,7 @@ impl Scenario {
         let mut nicknames = NicknameCatalog::new();
         for spec in &specs {
             nicknames.define(&spec.name, spec.schema());
-            for s in &servers {
+            for s in &servers[hosts(&spec.name, servers.len())] {
                 nicknames
                     .add_source(&spec.name, s.id().clone(), &spec.name)
                     .expect("nickname defined above");
@@ -316,27 +303,14 @@ impl Scenario {
         } else {
             Obs::off()
         };
-        let (middleware, qcc): (Arc<dyn Middleware>, Option<Arc<Qcc>>) = match routing {
-            Routing::Baseline => (Arc::new(PassthroughMiddleware::with_cache()), None),
-            Routing::Fixed1 => (
-                Arc::new(FixedRoutingMiddleware::new(
-                    crate::baselines::FIXED_ASSIGNMENT_1(),
-                )),
-                None,
-            ),
-            Routing::Fixed2 => (
-                Arc::new(FixedRoutingMiddleware::new(
-                    crate::baselines::FIXED_ASSIGNMENT_2(),
-                )),
-                None,
-            ),
-            Routing::Qcc => {
-                let qcc = Qcc::with_obs(QccConfig::default(), obs.clone());
-                (qcc.middleware(), Some(qcc))
+        let (middleware, qcc, retry_limit): (Arc<dyn Middleware>, _, _) = match router {
+            Router::Plain(middleware) => {
+                (middleware, None, FederationConfig::default().retry_limit)
             }
-            Routing::QccBalanced(mode) => {
-                let qcc = Qcc::with_obs(QccConfig::with_load_balance(mode), obs.clone());
-                (qcc.middleware(), Some(qcc))
+            Router::Qcc(qcc_config) => {
+                let qcc = Qcc::with_obs(qcc_config, obs.clone());
+                let retry_limit = qcc.config.retry_limit;
+                (qcc.middleware(), Some(qcc), retry_limit)
             }
         };
 
@@ -346,6 +320,7 @@ impl Scenario {
             middleware,
             FederationConfig {
                 threads: config.threads,
+                retry_limit,
                 stall_factor: config.stall_factor,
                 ..FederationConfig::default()
             },
@@ -407,32 +382,6 @@ fn build_replica_catalog(
         catalog.register(s.id().clone(), 1.0 / s.profile().speed, SimTime::ZERO);
     }
     Some(Arc::new(catalog))
-}
-
-/// Re-derive the nickname catalog from an existing scenario's `n` servers,
-/// each table sourced from the servers at indices `hosts(table, n)`.
-fn rebuild_nicknames(
-    scenario: &Scenario,
-    hosts: fn(&str, usize) -> std::ops::Range<usize>,
-) -> NicknameCatalog {
-    let mut nicknames = NicknameCatalog::new();
-    for table in scenario.servers[0].engine().catalog().table_names() {
-        let schema = scenario.servers[0]
-            .engine()
-            .catalog()
-            .entry(table)
-            .expect("listed table exists")
-            .table
-            .schema()
-            .clone();
-        nicknames.define(table, schema);
-        for s in &scenario.servers[hosts(table, scenario.servers.len())] {
-            nicknames
-                .add_source(table, s.id().clone(), table)
-                .expect("nickname defined above");
-        }
-    }
-    nicknames
 }
 
 /// The sample tables: three large, one small, per the paper's size mix.

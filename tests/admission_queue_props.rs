@@ -7,12 +7,12 @@
 //!
 //! 1. **Strict priority never inverts** — whenever a ticket is dequeued,
 //!    no ticket of a strictly higher class is still waiting.
-//! 2. **WFQ never starves a nonempty template** — with every arrival
-//!    enqueued up front, the `k`-th service of template `t` happens within
-//!    the finish-tag bound `Σ_s min(len_s, ⌊k·w_s/w_t⌋ + 1)` positions of
-//!    the class drain; for equal weights this tightens to round-robin
-//!    (prefix service counts differ by at most one while all templates
-//!    still have backlog).
+//! 2. **WFQ never starves a nonempty template** — every template has the
+//!    same share, so with every arrival enqueued up front the `k`-th
+//!    service of template `t` happens within the finish-tag bound
+//!    `Σ_s min(len_s, k + 1)` positions of the class drain, and the drain
+//!    is round-robin (prefix service counts differ by at most one while
+//!    all templates still have backlog).
 //! 3. **Drain order is invariant under arrival-batch chunking** — the
 //!    concatenated admitted order is the same whether the queue is
 //!    drained one ticket, two, five, or sixteen tickets per round.
@@ -46,14 +46,13 @@ fn random_arrivals(rng: &mut Pcg32, templates: &[&str]) -> Vec<(String, Priority
         .collect()
 }
 
-fn controller(weights: BTreeMap<String, f64>) -> AdmissionController {
+fn controller() -> AdmissionController {
     AdmissionController::new(AdmissionConfig {
         // Disable the queue deadline and the depth bound: these tests are
         // about drain *order*, so nothing may be shed.
         queue_deadline_ms: 0.0,
         exec_deadline_ms: 0.0,
         max_queue_depth: 0,
-        template_weights: weights,
         ..AdmissionConfig::default()
     })
 }
@@ -62,10 +61,9 @@ fn controller(weights: BTreeMap<String, f64>) -> AdmissionController {
 /// round, returning `(seq, template, class)` in admitted order.
 fn drain_with_quota(
     arrivals: &[(String, PriorityClass)],
-    weights: &BTreeMap<String, f64>,
     quota: u32,
 ) -> Vec<(u64, String, PriorityClass)> {
-    let ctl = controller(weights.clone());
+    let ctl = controller();
     let t0 = SimTime::from_millis(0.0);
     // One synthetic server whose capacity *is* the dispatch quota.
     assert!(!ctl.set_capacity(&ServerId::new("s0"), quota, t0));
@@ -95,12 +93,11 @@ fn drain_with_quota(
 
 /// A controller with a finite deadline budget so EDF is active, but one
 /// large enough (1e6 ms) that nothing can shed during a drain.
-fn edf_controller(weights: BTreeMap<String, f64>) -> AdmissionController {
+fn edf_controller() -> AdmissionController {
     AdmissionController::new(AdmissionConfig {
         queue_deadline_ms: 1_000_000.0,
         exec_deadline_ms: 0.0,
         max_queue_depth: 0,
-        template_weights: weights,
         ..AdmissionConfig::default()
     })
 }
@@ -111,10 +108,9 @@ fn edf_controller(weights: BTreeMap<String, f64>) -> AdmissionController {
 /// deadline_ms)` in admitted order.
 fn drain_staggered_with_quota(
     arrivals: &[(String, PriorityClass)],
-    weights: &BTreeMap<String, f64>,
     quota: u32,
 ) -> Vec<(u64, String, PriorityClass, f64)> {
-    let ctl = edf_controller(weights.clone());
+    let ctl = edf_controller();
     assert!(!ctl.set_capacity(&ServerId::new("s0"), quota, SimTime::ZERO));
     for (i, (template, class)) in arrivals.iter().enumerate() {
         ctl.enqueue("SELECT 1", template, *class, SimTime::from_millis(i as f64))
@@ -141,7 +137,7 @@ fn strict_priority_never_inverts() {
     for seed in 0..20u64 {
         let mut rng = Pcg32::seed_from(0xAD31_5510 ^ seed);
         let arrivals = random_arrivals(&mut rng, &templates);
-        let drained = drain_with_quota(&arrivals, &BTreeMap::new(), 1);
+        let drained = drain_with_quota(&arrivals, 1);
         assert_eq!(drained.len(), arrivals.len());
         // With quota 1 each round pops exactly one ticket, so the drain
         // order is the pop order: track what is still queued and assert no
@@ -176,7 +172,7 @@ fn equal_weight_wfq_is_round_robin_within_a_class() {
             .into_iter()
             .map(|(t, _)| (t, PriorityClass::Normal))
             .collect();
-        let drained = drain_with_quota(&arrivals, &BTreeMap::new(), 1);
+        let drained = drain_with_quota(&arrivals, 1);
         let mut backlog: BTreeMap<&str, isize> = BTreeMap::new();
         for (t, _) in &arrivals {
             *backlog
@@ -211,10 +207,6 @@ fn weighted_wfq_never_starves_a_nonempty_template() {
     let templates = ["QT1", "QT2", "QT3", "QT4"];
     for seed in 0..20u64 {
         let mut rng = Pcg32::seed_from(0x57A2_7E00 ^ seed);
-        let mut weights = BTreeMap::new();
-        for t in &templates {
-            weights.insert((*t).to_string(), *rng.choose(&[1.0, 2.0, 4.0]));
-        }
         let arrivals: Vec<(String, PriorityClass)> = random_arrivals(&mut rng, &templates)
             .into_iter()
             .map(|(t, _)| (t, PriorityClass::Normal))
@@ -224,27 +216,23 @@ fn weighted_wfq_never_starves_a_nonempty_template() {
             *len.entry(templates.iter().find(|x| **x == *t).unwrap())
                 .or_insert(0) += 1;
         }
-        let drained = drain_with_quota(&arrivals, &weights, 1);
-        // Finish-tag bound: template t's k-th entry carries tag k/w_t, and
-        // a pop always serves a minimal tag, so before it is served at most
-        // ⌊k·w_s/w_t⌋ + 1 entries of each template s (capped by its backlog)
-        // can go first. Position is 1-based within the drain.
+        let drained = drain_with_quota(&arrivals, 1);
+        // Finish-tag bound: template t's k-th entry carries tag k, and a
+        // pop always serves a minimal tag, so before it is served at most
+        // k + 1 entries of each template s (capped by its backlog) can go
+        // first. Position is 1-based within the drain.
         let mut kth: BTreeMap<&str, usize> = BTreeMap::new();
         for (position, (_, template, _)) in drained.iter().enumerate() {
             let t = *templates.iter().find(|x| **x == *template).unwrap();
             let k = kth.entry(t).or_insert(0);
             *k += 1;
-            let w_t = weights[t];
             let bound: usize = templates
                 .iter()
-                .map(|s| {
-                    let allowed = ((*k as f64) * weights[*s] / w_t).floor() as usize + 1;
-                    allowed.min(len.get(s).copied().unwrap_or(0))
-                })
+                .map(|s| (*k + 1).min(len.get(s).copied().unwrap_or(0)))
                 .sum();
             assert!(
                 position + 1 <= bound,
-                "seed {seed}: service {k} of {t} (weight {w_t}) at position {} \
+                "seed {seed}: service {k} of {t} at position {} \
                  exceeds the no-starvation bound {bound}",
                 position + 1
             );
@@ -257,14 +245,10 @@ fn drain_order_is_invariant_under_quota_chunking() {
     let templates = ["QT1", "QT2", "QT3", "QT4", "QT5"];
     for seed in 0..20u64 {
         let mut rng = Pcg32::seed_from(0xC4_0B17 ^ seed);
-        let mut weights = BTreeMap::new();
-        for t in &templates {
-            weights.insert((*t).to_string(), *rng.choose(&[1.0, 2.0, 3.0]));
-        }
         let arrivals = random_arrivals(&mut rng, &templates);
-        let reference = drain_with_quota(&arrivals, &weights, 1);
+        let reference = drain_with_quota(&arrivals, 1);
         for quota in [2u32, 5, 16] {
-            let chunked = drain_with_quota(&arrivals, &weights, quota);
+            let chunked = drain_with_quota(&arrivals, quota);
             assert_eq!(
                 reference, chunked,
                 "seed {seed}: drain order changed under quota {quota}"
@@ -279,7 +263,7 @@ fn edf_never_dequeues_a_later_deadline_before_an_earlier_one_within_a_class() {
     for seed in 0..20u64 {
         let mut rng = Pcg32::seed_from(0xEDF0_0001 ^ seed);
         let arrivals = random_arrivals(&mut rng, &templates);
-        let drained = drain_staggered_with_quota(&arrivals, &BTreeMap::new(), 1);
+        let drained = drain_staggered_with_quota(&arrivals, 1);
         assert_eq!(drained.len(), arrivals.len());
         // Within each class the drain must be sorted by deadline: arrival
         // times are strictly increasing, so per-template FIFOs hold
@@ -303,16 +287,12 @@ fn equal_deadline_ties_follow_wfq_finish_tag_order() {
     let templates = ["QT1", "QT2", "QT3"];
     for seed in 0..20u64 {
         let mut rng = Pcg32::seed_from(0xEDF0_0002 ^ seed);
-        let mut weights = BTreeMap::new();
-        for t in &templates {
-            weights.insert((*t).to_string(), *rng.choose(&[1.0, 2.0, 4.0]));
-        }
         let arrivals = random_arrivals(&mut rng, &templates);
         // All enqueued at t=0: with the budget enabled every ticket gets
         // the *same* finite deadline, so EDF is pure tie-break territory
         // and the drain must match the deadline-free WFQ reference.
-        let reference = drain_with_quota(&arrivals, &weights, 1);
-        let ctl = edf_controller(weights.clone());
+        let reference = drain_with_quota(&arrivals, 1);
+        let ctl = edf_controller();
         assert!(!ctl.set_capacity(&ServerId::new("s0"), 1, SimTime::ZERO));
         for (template, class) in &arrivals {
             ctl.enqueue("SELECT 1", template, *class, SimTime::ZERO)
@@ -338,14 +318,10 @@ fn edf_drain_order_is_invariant_under_quota_chunking() {
     let templates = ["QT1", "QT2", "QT3", "QT4", "QT5"];
     for seed in 0..20u64 {
         let mut rng = Pcg32::seed_from(0xEDF0_0003 ^ seed);
-        let mut weights = BTreeMap::new();
-        for t in &templates {
-            weights.insert((*t).to_string(), *rng.choose(&[1.0, 2.0, 3.0]));
-        }
         let arrivals = random_arrivals(&mut rng, &templates);
-        let reference = drain_staggered_with_quota(&arrivals, &weights, 1);
+        let reference = drain_staggered_with_quota(&arrivals, 1);
         for quota in [2u32, 5, 16] {
-            let chunked = drain_staggered_with_quota(&arrivals, &weights, quota);
+            let chunked = drain_staggered_with_quota(&arrivals, quota);
             assert_eq!(
                 reference, chunked,
                 "seed {seed}: EDF drain order changed under quota {quota}"

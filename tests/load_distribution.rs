@@ -183,23 +183,6 @@ fn fragment_level_rotation_requires_identical_plans() {
 }
 
 #[test]
-fn workload_threshold_gates_rotation() {
-    // With an unreachable threshold, the balancer must behave exactly like
-    // the disabled mode: identical choice sequence, query by query.
-    let w = world();
-    let mut gated = QccConfig::with_load_balance(LoadBalanceMode::GlobalLevel);
-    gated.workload_threshold = f64::INFINITY; // never heavy enough
-    let (fed_gated, _) = federation(&w, gated);
-    let (fed_plain, _) = federation(&w, QccConfig::default());
-    let gated_sets = server_sets(&fed_gated, 8);
-    let plain_sets = server_sets(&fed_plain, 8);
-    assert_eq!(
-        gated_sets, plain_sets,
-        "below-threshold templates must route exactly like the disabled mode"
-    );
-}
-
-#[test]
 fn rotation_preserves_results() {
     let w = world();
     let (fed, _) = federation(
