@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local CI gate. Everything here runs offline — the workspace has no
-# registry dependencies (see DESIGN.md §5, "Dependencies").
+# registry dependencies (see DESIGN.md §1 "Dependencies").
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -12,33 +12,38 @@ trap 'rm -rf "$out"' EXIT
 echo "==> cargo build --release"
 cargo build --release --offline
 
+echo "==> cargo doc (every public item documented, every intra-doc link resolves)"
+RUSTDOCFLAGS="-D warnings -D missing_docs" cargo doc --no-deps --offline --workspace
+
 echo "==> boundaries: one engine reachable from library code, one Work ledger, one open-loop driver, one merge execution path"
 # The AST oracle lives in tests/support/naive.rs: no library source names it.
 if grep -rn 'naive::' crates/*/src; then
     echo "boundary: library code names the oracle" >&2
     exit 1
 fi
-# Every charge goes through the ledger (DESIGN.md §13).
+# Every charge goes through the ledger (DESIGN.md §2 "The Work ledger").
 if grep -rnE 'cpu_units[[:space:]]*[-+]=' crates/engine/src | grep -v '^crates/engine/src/work\.rs:'; then
     echo "boundary: cpu_units is charged outside crates/engine/src/work.rs" >&2
     exit 1
 fi
-# One string representation (DESIGN.md §13): only the column module names
-# the fields of ColumnVector::Str — the row-id table reads codes through
-# ColumnVector::str_codes — while a `{ .. }` type check is fine anywhere.
+# One string representation (DESIGN.md §10 "One string representation"):
+# only the column module names the fields of ColumnVector::Str — the
+# row-id table reads codes through ColumnVector::str_codes — while a
+# `{ .. }` type check is fine anywhere.
 if grep -rnE 'ColumnVector::Str[[:space:]]*\{[[:space:]]*([a-z_]|$)' crates src tests examples \
     | grep -v '^crates/common/src/column\.rs:'; then
     echo "boundary: a file other than crates/common/src/column.rs names the fields of ColumnVector::Str" >&2
     exit 1
 fi
-# One open-loop driver (DESIGN.md §10): only it takes rounds off the
-# admission queue and hands the federation their deadline budgets.
+# One open-loop driver (DESIGN.md §9 "Why open-loop"): only it takes
+# rounds off the admission queue and hands the federation their deadline
+# budgets.
 if grep -rnE 'dequeue_batch\(|submit_batch_with_budgets\(' crates/*/src \
     | grep -vE '^crates/(admission|federation)/src/|^crates/workload/src/openloop\.rs:'; then
     echo "boundary: a second open-loop driver outside crates/workload/src/openloop.rs" >&2
     exit 1
 fi
-# One merge execution path (DESIGN.md §16): hot and cold merges run the
+# One merge execution path (DESIGN.md §12): hot and cold merges run the
 # plan over the gathered batches (execute_over); the integrator's merge
 # neither executes through a catalog nor registers the batches as tables.
 if grep -nE 'execute_plan\(|register_virtual\(' crates/federation/src/federation/merge.rs; then

@@ -19,7 +19,7 @@
 //!    bounds each dequeue round's width, and the deadline-aware
 //!    [`AdmissionController::dispatch_slots`] plan releases tokens to the
 //!    most urgent tickets first.
-//! 3. **Shed-on-dispatch** ([`estimate`]) — tickets carry an absolute
+//! 3. **Shed-on-dispatch** (`estimate`) — tickets carry an absolute
 //!    arrival-relative deadline; at dispatch time a ticket is shed only
 //!    when `now + estimate > deadline` (per-template execution EWMA fed
 //!    back from completed queries), so transient bursts drain instead of

@@ -1,4 +1,4 @@
-//! Ablations of the QCC's design choices (DESIGN.md §5):
+//! Ablations of the QCC's design choices (DESIGN.md §8):
 //!
 //! 1. **Calibration window size** — measured as *adaptation lag*: how many
 //!    queries after a sudden load flip until routing leaves the loaded

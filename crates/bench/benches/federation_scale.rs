@@ -19,7 +19,7 @@
 //! candidate (a lower-cased name per lookup, a host list per intersection)
 //! show as hundreds of extra allocations at 250 servers; the slot-indexed
 //! catalog and the membership-test grouping make a fixed number per
-//! statement, whatever the fleet (DESIGN.md §14).
+//! statement, whatever the fleet (DESIGN.md §5).
 //!
 //! `QCC_FLEETS` (comma-separated server counts) overrides the default
 //! 50,100,250,500 sweep for smoke runs.

@@ -1,4 +1,4 @@
-//! The per-arrival query path, gated on counts (DESIGN.md §16).
+//! The per-arrival query path, gated on counts (DESIGN.md §3).
 //!
 //! Once a statement has been submitted, submitting it again must be
 //! costing, routing and executing only: no parse or decompose (a

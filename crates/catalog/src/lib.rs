@@ -36,7 +36,7 @@
 //! reads a clock — time is always injected by the caller.
 //!
 //! Cost: selection is one slot lookup per candidate and allocates nothing
-//! per candidate (DESIGN.md §14 "What a cold compile costs").
+//! per candidate (DESIGN.md §5 "What a cold compile costs").
 
 use parking_lot::Mutex;
 use qcc_common::{Obs, ServerId, SimTime};

@@ -27,7 +27,12 @@ pub enum QccError {
     ServerUnavailable(ServerId),
     /// A remote server failed the request in a (simulated) transient way;
     /// the paper's reliability factor is fed from these.
-    ServerFault { server: ServerId, message: String },
+    ServerFault {
+        /// The server that failed the request.
+        server: ServerId,
+        /// What the server reported.
+        message: String,
+    },
     /// The federation layer found no usable global plan (e.g. every source
     /// of a nickname is down).
     NoViablePlan(String),

@@ -8,7 +8,8 @@
 //! Eviction depends only on the order of inserts — never on which keys
 //! are read, nor on thread interleavings that re-touch existing keys — so
 //! a cache built on it evicts the same entries at any thread count as long
-//! as its inserts arrive in a deterministic order (DESIGN.md §8).
+//! as its inserts arrive in a deterministic order (DESIGN.md §3
+//! "Deferred inserts and bounded caches").
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};

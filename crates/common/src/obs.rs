@@ -24,8 +24,8 @@
 //! Determinism is the design constraint, not an afterthought. The layer
 //! holds no clock: every event timestamp is an explicit [`SimTime`]
 //! supplied by the caller, so journals advance in virtual time only.
-//! Under scatter-gather parallelism (DESIGN.md "Threading model") the
-//! rules are:
+//! Under scatter-gather parallelism (DESIGN.md §2 "Scatter-gather and
+//! QCC_THREADS") the rules are:
 //!
 //! * **Counters** are commutative (`u64` additions), so worker threads may
 //!   bump them directly — totals are thread-count independent.

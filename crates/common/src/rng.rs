@@ -2,7 +2,7 @@
 //!
 //! A self-contained PCG-XSH-RR 32 generator keeps every experiment
 //! bit-reproducible across platforms and independent of external crates'
-//! stream changes (see DESIGN.md §5 for the dependency justification).
+//! stream changes (see DESIGN.md §1 "Dependencies").
 
 /// PCG-XSH-RR 32-bit generator with 64-bit state.
 #[derive(Debug, Clone)]

@@ -7,7 +7,7 @@
 //! fans out — compile-time EXPLAIN round trips, fragment execution, the
 //! workload driver's query batches — goes through [`scatter_indexed`].
 //!
-//! Determinism contract (see DESIGN.md "Threading model"):
+//! Determinism contract (see DESIGN.md §2 "Scatter-gather and QCC_THREADS"):
 //!
 //! * workers receive the task **index** and must be pure functions of that
 //!   index plus state frozen before the scatter (shared-state writes are

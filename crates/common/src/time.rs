@@ -126,9 +126,10 @@ impl Div<f64> for SimDuration {
 /// # Coordinator-only advance contract
 ///
 /// Under scatter-gather parallelism (see `qcc_common::scatter` and
-/// DESIGN.md "Threading model"), **only the coordinating thread of a
-/// scatter unit may advance a shared clock**, and only *after* the gather
-/// barrier — by the maximum of the durations its workers reported.
+/// DESIGN.md §2 "Scatter-gather and QCC_THREADS"), **only the
+/// coordinating thread of a scatter unit may advance a shared clock**,
+/// and only *after* the gather barrier — by the maximum of the durations
+/// its workers reported.
 /// Workers never touch the shared timeline; a worker that needs a local
 /// timeline forks a private clock from the coordinator's snapshot with
 /// [`SimClock::at`]. This keeps virtual time a pure function of the

@@ -10,7 +10,7 @@
 //!   runtime response time (paper §2, items a–e). It keeps no log of its
 //!   own: estimate/observation pairs go straight into the calibration
 //!   windows, errors into the reliability rings, and the history of a run
-//!   is the `Obs` journal (DESIGN.md "Where the paper's records live").
+//!   is the `Obs` journal (DESIGN.md §13 "Where the paper's records live").
 //! * **Calibration** ([`calibration`]): per-server (and, with enough
 //!   observations, per-fragment-signature) calibration factors — the ratio
 //!   of average observed to average estimated cost — scale all future
@@ -149,8 +149,8 @@ impl Qcc {
     /// only, **between** batches: while a batch is in flight the
     /// federation gates against the frozen snapshot.
     ///
-    /// Token derivation (DESIGN.md §10): a down server contributes zero
-    /// tokens; an up server contributes `base_tokens` scaled down by its
+    /// Token derivation (DESIGN.md §9 "Tokens"): a down server contributes
+    /// zero tokens; an up server contributes `base_tokens` scaled down by its
     /// combined calibration × reliability slowdown, floored at one so a
     /// merely-slow server keeps draining. On a down *transition* the
     /// server's cached plans are invalidated — they were compiled under

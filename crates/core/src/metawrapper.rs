@@ -3,13 +3,14 @@
 //!
 //! Under scatter-gather parallelism the meta-wrapper is called from worker
 //! threads, so it follows the frozen-state/deferred-effects discipline
-//! (DESIGN.md "Threading model"): every *read* (reliability factors,
-//! calibration factors, plan-cache probes, load-balancer peeks) sees the
-//! state frozen at scatter time, and every *write* (calibration
-//! samples, reliability outcomes, cache inserts, balancer commits) is
-//! pushed into the caller's [`Deferred`] buffer and applied at the gather
-//! barrier in task order. Each observation defers exactly one closure —
-//! one lock acquisition sequence per observation, not per field. The two
+//! (DESIGN.md §2 "Scatter-gather and QCC_THREADS"): every *read*
+//! (reliability factors, calibration factors, plan-cache probes,
+//! load-balancer peeks) sees the state frozen at scatter time, and every
+//! *write* (calibration samples, reliability outcomes, cache inserts,
+//! balancer commits) is pushed into the caller's [`Deferred`] buffer and
+//! applied at the gather barrier in task order. Each observation defers
+//! exactly one closure — one lock acquisition sequence per observation,
+//! not per field. The two
 //! acknowledgements (`observe_fragment`, `observe_query`) are deferred by
 //! the federation itself and write directly.
 

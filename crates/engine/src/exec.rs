@@ -1,26 +1,26 @@
 //! Vectorized executor with CPU-work accounting.
 //!
-//! Operators consume and produce columnar [`Chunk`]s — `Arc`-shared column
+//! Operators consume and produce columnar `Chunk`s — `Arc`-shared column
 //! vectors plus a selection vector — instead of materializing a `Vec<Row>`
 //! at every plan node. Scans are zero-copy views of table storage, filters
 //! only narrow the selection, and zone maps (per-chunk min/max summaries)
 //! skip whole chunks that cannot match a pushed-down predicate. Hash join,
 //! hash aggregate and DISTINCT share one row-id hash table
-//! ([`crate::rowtable`]), and an operator that copies rows (join output,
+//! (`crate::rowtable`), and an operator that copies rows (join output,
 //! index-scan and sort gathers) copies only the columns its parent reads
-//! ([`required_columns`]). A hash aggregate straight over a hash join
-//! runs as one groupjoin ([`GroupJoin`]): the join's matches feed the
+//! (`required_columns`). A hash aggregate straight over a hash join
+//! runs as one groupjoin (`GroupJoin`): the join's matches feed the
 //! aggregate, and there is no join output.
 //!
 //! The per-row loops of the paper's join and aggregate do not branch on
 //! the data. An `Int` column against an `Int` literal writes every row id
 //! and advances past it by `!null & holds`. A dense or code join probe
 //! first writes each probe row with its chain's head, advancing only past
-//! a non-empty one, then walks those chains ([`RowTable::probe_chunk`]).
+//! a non-empty one, then walks those chains (`RowTable::probe_chunk`).
 //! `COUNT`, `SUM` and `AVG` keep typed per-group state — counts and
-//! [`NumericSum`]s — fed from `Int` / `Float` payloads in one loop per
+//! `NumericSum`s — fed from `Int` / `Float` payloads in one loop per
 //! aggregate and chunk, and `MIN` / `MAX` the position of each group's
-//! extreme input ([`AggState`]). A `DISTINCT` aggregate feeds its state
+//! extreme input (`AggState`). A `DISTINCT` aggregate feeds its state
 //! the first row of each (group, argument) pair, found through a row-id
 //! table.
 //!

@@ -6,7 +6,7 @@
 //! *unknown*; [`CompiledExpr::eval_predicate`] maps unknown to `false` (WHERE semantics).
 //!
 //! This module owns the expression tree; evaluating it is
-//! [`crate::vexpr`]'s job, and the `Row`-taking methods here are views
+//! `crate::vexpr`'s job, and the `Row`-taking methods here are views
 //! over that one evaluator.
 
 use crate::vexpr::{cell_truth, eval_cells, eval_predicate_cells};

@@ -63,7 +63,7 @@ pub struct PlannedQuery {
 }
 
 /// A relational engine bound to a shared, immutable catalog (DESIGN.md
-/// §13 "One image per replica set").
+/// §10 "One image per replica set").
 #[derive(Debug, Clone)]
 pub struct Engine {
     catalog: Arc<Catalog>,

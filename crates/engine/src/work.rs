@@ -6,7 +6,7 @@
 //! response time the meta-wrapper observes. Every table and figure rests
 //! on that number, so every formula that feeds it lives here, once.
 //!
-//! The executor ([`crate::exec`]) holds a [`Ledger`] and calls one method
+//! The executor ([`crate::exec`]) holds a `Ledger` and calls one method
 //! per accounting event. `f64` addition is order-sensitive, so the
 //! contract has two halves: the formulas (this file) and the executor's
 //! call order, which is normative. The `Work` constants of

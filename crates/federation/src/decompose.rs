@@ -100,7 +100,7 @@ pub enum MergeSpec {
 
 /// A decomposed federated query: a pure function of the statement text and
 /// the nickname catalog, which is why the integrator computes it once per
-/// text and shares it by `Arc` (its compiled template, DESIGN.md §16).
+/// text and shares it by `Arc` (its compiled template, DESIGN.md §3).
 #[derive(Debug, Clone)]
 pub struct DecomposedQuery {
     /// The original statement, fully qualified.

@@ -38,15 +38,15 @@ const II_SPEED: f64 = 1.0;
 pub struct FederationConfig {
     /// How many times one fragment slot is re-dispatched after a failure
     /// (refused on arrival, cut mid-stream, or cancelled as slow) before
-    /// the query fails (DESIGN.md §15). Each re-dispatch avoids every
+    /// the query fails (DESIGN.md §10). Each re-dispatch avoids every
     /// server that already failed the slot.
     pub retry_limit: usize,
     /// Worker-pool width for scatter-gather fan-out (compile-time EXPLAIN
     /// dispatch, fragment execution, `submit_batch`). Results are
     /// byte-identical for any value ≥ 1; this only trades wall-clock time
-    /// (see DESIGN.md "Threading model").
+    /// (see DESIGN.md §2 "Scatter-gather and QCC_THREADS").
     pub threads: usize,
-    /// Slow-cancel multiplier of the stall detector (DESIGN.md §15): a
+    /// Slow-cancel multiplier of the stall detector (DESIGN.md §10): a
     /// healthy stream still incomplete after `stall_factor ×` its
     /// calibrated estimate is cancelled and its *remainder* re-dispatched
     /// to a within-band replica at the cursor. `0.0` — the default — never
@@ -107,7 +107,7 @@ pub struct Federation {
     clock: SimClock,
     ii_load: ServerLoad,
     config: FederationConfig,
-    /// Compiled templates by exact SQL text (DESIGN.md §16). Probed on the
+    /// Compiled templates by exact SQL text (DESIGN.md §3). Probed on the
     /// query's own thread, inserted into through the `Deferred` buffers.
     templates: template::TemplateCache,
     /// Observability handle (disabled unless [`Federation::set_obs`] is

@@ -39,7 +39,7 @@ impl Run<'_> {
 
 impl Federation {
     /// Execute the fragments of a chosen global plan — the only fragment
-    /// executor (DESIGN.md §15). The scatter fans out cursor-0 streams for
+    /// executor (DESIGN.md §10). The scatter fans out cursor-0 streams for
     /// every fragment (and every hedge replica), all stamped with the
     /// shared `start` snapshot; the gather then resolves slots
     /// sequentially on the coordinator, advances the clock once by the

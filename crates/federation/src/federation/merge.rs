@@ -47,7 +47,7 @@ impl Federation {
                     slots.push((name.as_str(), &result.batches[..]));
                 }
                 // The merge is planned once per vector of gathered row
-                // counts (DESIGN.md §16): a vector the template has seen
+                // counts (DESIGN.md §12): a vector the template has seen
                 // runs the plan picked then, straight over the batches.
                 let gathered: Vec<u64> = slots
                     .iter()

@@ -1,4 +1,4 @@
-//! Compiled query templates (DESIGN.md §16): what the integrator keeps per
+//! Compiled query templates (DESIGN.md §3): what the integrator keeps per
 //! statement text so that an arrival of a statement it has seen before is
 //! costed, routed and merged without being parsed, decomposed or
 //! merge-planned again.

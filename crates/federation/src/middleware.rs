@@ -33,7 +33,7 @@ const FIRST_RESERVE: usize = 8;
 /// balancer commits) is pushed into a `Deferred` buffer; the coordinator
 /// applies the buffers **at the gather barrier, in task-index order**, so
 /// the sequence of shared-state mutations is identical for any thread
-/// count. See DESIGN.md "Threading model".
+/// count. See DESIGN.md §2 "Scatter-gather and QCC_THREADS".
 #[derive(Default)]
 pub struct Deferred {
     effects: Vec<Box<dyn FnOnce() + Send>>,

@@ -92,7 +92,10 @@ pub enum RemoteStreamStatus {
     /// The server went down mid-service at `at` (absolute virtual time):
     /// chunks produced strictly before `at` were delivered, the rest
     /// never left the server.
-    Interrupted { at: SimTime },
+    Interrupted {
+        /// The down-transition instant that cut the service.
+        at: SimTime,
+    },
 }
 
 /// The outcome of a resumable streamed execution (the cursor protocol).

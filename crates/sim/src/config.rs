@@ -130,7 +130,7 @@ pub struct SimConfig {
     /// classic mode.
     pub replication: usize,
     /// The federation's `stall_factor`, the stall detector's slow-cancel
-    /// multiplier (DESIGN.md §15). `0.0` (also the value replay lines
+    /// multiplier (DESIGN.md §10). `0.0` (also the value replay lines
     /// omit) never cancels a healthy stream for slowness; interrupted
     /// streams are rescued at any value.
     pub reroute: f64,

@@ -1,9 +1,10 @@
 //! The regression corpus: one shrunk replay line per checked-in file.
 //!
-//! Policy (see DESIGN.md §11): every failure the explorer finds is
-//! shrunk and appended here; corpus files are never edited by hand and
-//! never deleted while the invariant they pinned still exists. CI
-//! replays the whole corpus on every run, so a fixed bug stays fixed.
+//! Policy (see DESIGN.md §14 "Corpus policy"): every failure the
+//! explorer finds is shrunk and appended here; corpus files are never
+//! edited by hand and never deleted while the invariant they pinned still
+//! exists. CI replays the whole corpus on every run, so a fixed bug stays
+//! fixed.
 //!
 //! File format: `#`-prefixed comment lines (provenance: seed, date, the
 //! violated oracle), then exactly one `sim(...)` line.

@@ -37,7 +37,7 @@
 //!   across scatter-pool widths.
 //!
 //! On failure the harness shrinks the scenario to a minimal failing
-//! case ([`shrink`]) and emits a one-line `sim(...)` replay
+//! case ([`shrink()`]) and emits a one-line `sim(...)` replay
 //! ([`SimConfig::render`]) for the regression corpus ([`corpus`]).
 
 pub mod config;

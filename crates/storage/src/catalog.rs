@@ -12,7 +12,8 @@ use std::collections::BTreeMap;
 pub struct CatalogEntry {
     /// The data.
     pub table: Table,
-    /// Optimizer statistics (refreshed by [`Catalog::analyze`]).
+    /// Optimizer statistics (computed by [`TableStats::analyze`] when
+    /// [`Catalog::register`] adds the table).
     pub stats: TableStats,
     /// Secondary indexes.
     pub indexes: Vec<Index>,

@@ -9,7 +9,7 @@
 //! [`AdmissionController`] attached the backlog turns into bounded
 //! queueing plus shedding; without one every due arrival dispatches
 //! immediately and each server's inflight count (held via RAII
-//! [`qcc_netsim::InflightGuard`]s for the duration of the round) drives
+//! [`qcc_netsim::load::InflightGuard`]s for the duration of the round) drives
 //! utilization — and therefore response times — up round over round.
 //!
 //! There is one loop ([`run_open_loop`]; [`run_open_loop_with_daemon`]

@@ -62,7 +62,7 @@ pub struct ScenarioConfig {
     /// fragment set.
     pub replication_factor: usize,
     /// Handed to `FederationConfig::stall_factor`, the stall detector's
-    /// slow-cancel multiplier (DESIGN.md §15). 0.0 (the default) never
+    /// slow-cancel multiplier (DESIGN.md §10). 0.0 (the default) never
     /// cancels a healthy stream for slowness; interrupted streams are
     /// rescued at any value.
     pub stall_factor: f64,
@@ -253,7 +253,7 @@ impl Scenario {
 
         // One image per replica set: the tables are generated, analyzed
         // and indexed once, and every server holds an `Arc` of that one
-        // immutable catalog (DESIGN.md §13).
+        // immutable catalog (DESIGN.md §10 "One image per replica set").
         let mut image = Catalog::new();
         for spec in &specs {
             image.register(spec.generate(config.seed));
@@ -485,8 +485,9 @@ fn table_specs(config: &ScenarioConfig) -> Vec<TableSpec> {
 }
 
 /// Per-table / per-index contention each server suffers while its update
-/// workload runs (phase "Load" state). See DESIGN.md: these are the
-/// heterogeneity knobs that produce Figure 9's shapes.
+/// workload runs (phase "Load" state). See DESIGN.md §1 "Decisions the
+/// reproduction makes": these are the heterogeneity knobs that produce
+/// Figure 9's shapes.
 pub fn contention_for(server: &ServerId) -> BTreeMap<String, f64> {
     let mut m = BTreeMap::new();
     match server.as_str() {

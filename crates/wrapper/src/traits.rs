@@ -77,7 +77,10 @@ pub enum StreamOutcome {
     /// The source went down mid-stream at `at` (absolute virtual time).
     /// Chunks produced strictly before `at` were delivered; the caller
     /// may resume the remainder at `cursor + delivered` on a replica.
-    Interrupted { at: SimTime },
+    Interrupted {
+        /// The down-transition instant that cut the stream.
+        at: SimTime,
+    },
 }
 
 /// A resumable fragment result stream (the integrator-side view of the

@@ -56,7 +56,9 @@ pub struct CallSite {
     pub callee: String,
     /// Was this a method call (`.callee(`)?
     pub is_method: bool,
+    /// 1-based line of the callee name.
     pub line: u32,
+    /// 1-based column of the callee name.
     pub col: u32,
     /// Guards live when the call was made.
     pub held: Vec<HeldGuard>,
@@ -67,7 +69,9 @@ pub struct CallSite {
 pub struct LockAcq {
     /// Normalized lock identity.
     pub id: String,
+    /// 1-based line of the acquiring call.
     pub line: u32,
+    /// 1-based column of the acquiring call.
     pub col: u32,
     /// `let` binding holding the guard, if any (a bare `….lock()`
     /// expression is a transient acquisition: taken and released within
@@ -112,7 +116,9 @@ pub struct ClosureInfo {
 /// The per-file index.
 #[derive(Debug, Default)]
 pub struct FileIndex {
+    /// Every function body, in source order.
     pub fns: Vec<FnInfo>,
+    /// Every closure passed to `scatter_indexed` / `submit_batch`.
     pub scatter_closures: Vec<ClosureInfo>,
     /// `#[cfg(test)]` block spans as (start_line, end_line), inclusive.
     pub cfg_test_ranges: Vec<(u32, u32)>,

@@ -44,16 +44,22 @@ pub enum TokKind {
 /// column for ASCII code, which is all this workspace contains).
 #[derive(Debug, Clone, Copy)]
 pub struct Tok<'a> {
+    /// What kind of token this is.
     pub kind: TokKind,
+    /// The token's source text.
     pub text: &'a str,
+    /// 1-based line.
     pub line: u32,
+    /// 1-based column.
     pub col: u32,
 }
 
 impl<'a> Tok<'a> {
+    /// Is this the identifier `s`?
     pub fn is_ident(&self, s: &str) -> bool {
         self.kind == TokKind::Ident && self.text == s
     }
+    /// Is this the one-character punctuation `c`?
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct && self.text.len() == c.len_utf8() && self.text.starts_with(c)
     }

@@ -37,7 +37,7 @@
 //!
 //! Closures passed to `scatter_indexed`/`submit_batch` run on worker
 //! threads under the frozen-state/deferred-effects contract (DESIGN.md
-//! §8): they may read frozen shared state and write only through their
+//! §2): they may read frozen shared state and write only through their
 //! own locals (gathered by the coordinator) or a `Deferred` buffer.
 //! Structurally enforced: no `&mut` capture of non-local state, no
 //! order-sensitive obs emission (`event`/`span`/`gauge_set`/`observe` —

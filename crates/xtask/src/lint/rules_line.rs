@@ -1,5 +1,5 @@
 //! The token-local rules L1–L7, re-expressed on the lexer's token
-//! stream (see DESIGN.md §7 for the rule rationale).
+//! stream (see DESIGN.md §15 for the rule rationale).
 //!
 //! Compared to the v1 masked-line engine this changes two things:
 //! string/comment contents can never match (the token stream simply does

@@ -4,7 +4,7 @@
 //! Subcommands:
 //!
 //! * `lint [--json] [--rule Ln] [--budget-ms N] [PATH...]` — run the
-//!   qcc-lint rules (L1–L10, see `lint/` and DESIGN.md §7/§12) over
+//!   qcc-lint rules (L1–L10, see `lint/` and DESIGN.md §15) over
 //!   every tracked `.rs` file, or over the given files/directories only.
 //!   Exits nonzero if any unwaived violation is found. `--json` emits a
 //!   machine-readable summary on stdout instead of the human format;
@@ -15,7 +15,7 @@
 //!   fault-injection explorer (release profile), forwarding all
 //!   arguments. `cargo xtask sim --help` prints the explorer's own
 //!   usage; the common calls are `--seeds N`, `--seed S`,
-//!   `--replay 'sim(...)'`, and `--replay-corpus` (see DESIGN.md §11).
+//!   `--replay 'sim(...)'`, and `--replay-corpus` (see DESIGN.md §14).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -2,7 +2,7 @@
 //! mid-workload; the QCC detects it (failed fragments + daemon probes), pins
 //! its cost to infinity so no fragments route there, and re-admits it once
 //! probes see it back up. The whole story is replayed from the qcc-obs
-//! journal and metrics registry at the end (DESIGN.md §9).
+//! journal and metrics registry at the end (DESIGN.md §13).
 //!
 //! Run with: `cargo run --release --example failover_availability`
 

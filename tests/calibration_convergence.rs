@@ -116,7 +116,7 @@ fn factor_tracks_load_increase() {
         loaded > idle * 1.4,
         "factor should rise with load: idle {idle}, loaded {loaded}"
     );
-    // Stale-factor caveat (documented in DESIGN.md): once routing avoids
+    // Stale-factor caveat (DESIGN.md §8 "Calibration"): once routing avoids
     // `fast`, its factor cannot decay on its own — a re-calibration cycle
     // (reset + daemon probe) refreshes it, as the experiment driver does
     // at phase boundaries.
@@ -182,4 +182,40 @@ fn records_pair_estimates_with_observations() {
             .counter_value("explain_requests_total", &[("server", server)]);
         assert!(explains >= 1, "{server} was never asked to EXPLAIN");
     }
+}
+
+#[test]
+fn a_fragment_never_seen_is_costed_with_its_servers_factor() {
+    // Figure 5: a fragment with no runtime history gets the wrapper's raw
+    // estimate times its server's calibration factor — "instead of
+    // returning this estimated cost directly, MW calibrates the cost".
+    let w = world();
+    w.fast.load().set_background(LoadProfile::Constant(0.6));
+    for _ in 0..12 {
+        let _ = w.federation.submit(SQL).unwrap();
+    }
+    let fast = ServerId::new("fast");
+    let factor = w.qcc.calibration.server_factor(&fast);
+    assert!(
+        factor > 1.5,
+        "the loaded server has learned a factor: {factor}"
+    );
+
+    let new_sql = "SELECT id FROM t WHERE id < 10";
+    let (_, candidates) = w.federation.explain_global(new_sql).unwrap();
+    let mut costed = 0;
+    for fragment in candidates.iter().flat_map(|c| &c.fragments) {
+        if fragment.plan.server != fast {
+            continue;
+        }
+        let raw = fragment.plan.cost.expect("relational plans are costed");
+        assert_eq!(
+            fragment.effective_cost.total().to_bits(),
+            raw.calibrate(factor).total().to_bits(),
+            "never-seen fragment at {fast}: raw {} × factor {factor}",
+            raw.total()
+        );
+        costed += 1;
+    }
+    assert!(costed > 0, "no candidate fragment on {fast}");
 }

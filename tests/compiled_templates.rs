@@ -1,4 +1,4 @@
-//! Hot equals cold, without a switch (DESIGN.md §16).
+//! Hot equals cold, without a switch (DESIGN.md §3).
 //!
 //! The compiled-template cache is keyed by the exact SQL text, so a
 //! statement with extra trailing spaces always misses while parsing to the

@@ -1,8 +1,8 @@
 //! The scatter-gather layer's headline guarantee: **determinism under
 //! parallelism**. Routing decisions, calibration factors, the journal
 //! and result rows must be byte-identical for any worker-pool
-//! width — threads is purely a wall-clock knob (DESIGN.md "Threading
-//! model").
+//! width — threads is purely a wall-clock knob (DESIGN.md §2
+//! "Scatter-gather and QCC_THREADS").
 //!
 //! These are golden equivalence tests: the `threads = 1` run is the
 //! reference, and wider pools must reproduce it bit for bit (`f64`
