@@ -3,9 +3,18 @@
 //! The paper populated the DB2 sample schema "with randomly generated
 //! data", with small tables around 1 000 tuples and large tables around
 //! 100 000 (§5). These generators reproduce that setup deterministically.
+//!
+//! [`TableSpec::generate`] fills column chunks directly: [`BATCH_ROWS`]
+//! rows a chunk, each string column interned per chunk, the chunks then
+//! adopted whole. The random stream is drawn row-major (every column of
+//! row 0, then of row 1, ...), so the table is chunk for chunk the one
+//! that [`Table::insert`] of the same rows builds: same cells, dictionaries
+//! and zone maps.
 
 use crate::table::Table;
-use qcc_common::{Column, DataType, Pcg32, Row, Schema, Value};
+use qcc_common::{Column, ColumnBatch, ColumnVector, DataType, Pcg32, Schema, Value, BATCH_ROWS};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How to generate values for one column.
 #[derive(Debug, Clone)]
@@ -72,8 +81,16 @@ impl ColumnSpec {
         }
     }
 
-    fn generate(&self, row_idx: u64, rng: &mut Pcg32) -> Value {
-        match self {
+    /// Draw row `row_idx`'s value and append it to `column`; a string goes
+    /// through the chunk's `interned` map, as [`Table::insert`] puts it.
+    fn push_next(
+        &self,
+        row_idx: u64,
+        rng: &mut Pcg32,
+        column: &mut ColumnVector,
+        interned: &mut HashMap<Arc<str>, u32>,
+    ) {
+        let v = match self {
             ColumnSpec::Serial { .. } => Value::Int(row_idx as i64),
             ColumnSpec::IntUniform { lo, hi, .. } => Value::Int(rng.range_i64(*lo, *hi)),
             ColumnSpec::IntSkewed { n, .. } => {
@@ -87,9 +104,10 @@ impl ColumnSpec {
             ColumnSpec::FloatUniform { lo, hi, .. } => Value::Float(rng.range_f64(*lo, *hi)),
             ColumnSpec::StrPool { pool_size, .. } => {
                 let tag = rng.range_u64(0, (*pool_size).max(1));
-                Value::Str(format!("tag_{tag:06}"))
+                return column.push_interned(format!("tag_{tag:06}"), interned);
             }
-        }
+        };
+        column.push(v);
     }
 }
 
@@ -130,17 +148,33 @@ impl TableSpec {
     /// replicated tables must).
     pub fn generate(&self, seed: u64) -> Table {
         let mut rng = Pcg32::seed_from(seed);
-        let mut table = Table::new(self.name.clone(), self.schema());
-        for r in 0..self.rows {
-            let row = Row::new(
-                self.columns
-                    .iter()
-                    .map(|c| c.generate(r, &mut rng))
-                    .collect(),
-            );
-            table.insert(row).expect("generated row matches schema");
+        let mut chunks = Vec::with_capacity((self.rows as usize).div_ceil(BATCH_ROWS));
+        let mut start = 0;
+        while start < self.rows {
+            let end = self.rows.min(start + BATCH_ROWS as u64);
+            let mut columns: Vec<ColumnVector> = self
+                .columns
+                .iter()
+                .map(|c| {
+                    let mut v = ColumnVector::new_for(Some(c.data_type()));
+                    v.reserve((end - start) as usize);
+                    v
+                })
+                .collect();
+            let mut interned = vec![HashMap::new(); columns.len()];
+            for r in start..end {
+                for ((spec, column), interned) in
+                    self.columns.iter().zip(&mut columns).zip(&mut interned)
+                {
+                    spec.push_next(r, &mut rng, column, interned);
+                }
+            }
+            let columns = columns.into_iter().map(Arc::new).collect();
+            chunks.push(ColumnBatch::new(columns, (end - start) as usize));
+            start = end;
         }
-        table
+        Table::from_batches(self.name.clone(), self.schema(), chunks)
+            .expect("generated chunks match schema")
     }
 }
 
@@ -242,5 +276,69 @@ mod tests {
             .collect();
         assert!(distinct.len() <= 8);
         assert!(distinct.len() >= 6, "should see most of the pool");
+    }
+
+    /// The value the row-by-row path drew for `spec` at row `r`: the
+    /// reference [`generated_chunks_equal_row_by_row_inserts`] inserts.
+    fn draw(spec: &ColumnSpec, r: u64, rng: &mut Pcg32) -> Value {
+        match spec {
+            ColumnSpec::Serial { .. } => Value::Int(r as i64),
+            ColumnSpec::IntUniform { lo, hi, .. } => Value::Int(rng.range_i64(*lo, *hi)),
+            ColumnSpec::IntSkewed { n, .. } => {
+                let target = rng.next_f64() * ((*n as f64).ln() + 0.5772);
+                Value::Int((target.exp() - 1.0).clamp(0.0, (*n - 1) as f64) as i64)
+            }
+            ColumnSpec::FloatUniform { lo, hi, .. } => Value::Float(rng.range_f64(*lo, *hi)),
+            ColumnSpec::StrPool { pool_size, .. } => {
+                let tag = rng.range_u64(0, (*pool_size).max(1));
+                Value::Str(format!("tag_{tag:06}"))
+            }
+        }
+    }
+
+    /// `generate` builds, chunk for chunk, the table that `Table::insert`
+    /// of the same rows (drawn row-major) builds: the same cells, string
+    /// dictionaries (the entries in use and the room after them), zone
+    /// maps and row width. Two tables past a chunk boundary, one with a
+    /// 10-tag and one with a 5 000-tag string pool.
+    #[test]
+    fn generated_chunks_equal_row_by_row_inserts() {
+        let mut wide = spec();
+        wide.rows = 2 * BATCH_ROWS as u64 + 300;
+        wide.columns[3] = ColumnSpec::StrPool {
+            name: "cat".into(),
+            pool_size: 10,
+        };
+        let mut tags = wide.clone();
+        tags.columns[3] = ColumnSpec::StrPool {
+            name: "cat".into(),
+            pool_size: 5_000,
+        };
+        for spec in [wide, tags] {
+            let generated = spec.generate(11);
+            let mut rng = Pcg32::seed_from(11);
+            let mut reference = Table::new(spec.name.clone(), spec.schema());
+            for r in 0..spec.rows {
+                let row = spec.columns.iter().map(|c| draw(c, r, &mut rng)).collect();
+                reference.insert(qcc_common::Row::new(row)).unwrap();
+            }
+            assert_eq!(generated.chunks().len(), reference.chunks().len());
+            for (g, want) in generated.chunks().iter().zip(reference.chunks()) {
+                assert_eq!(g.len(), want.len());
+                for (gc, wc) in g.columns().iter().zip(want.columns()) {
+                    assert_eq!(format!("{gc:?}"), format!("{wc:?}"));
+                    let used = |c: &ColumnVector| c.str_codes().map(|(_, _, d)| d.to_vec());
+                    assert_eq!(used(gc), used(wc), "dictionary entries in use");
+                }
+                assert_eq!(
+                    format!("{:?}", g.summaries()),
+                    format!("{:?}", want.summaries())
+                );
+            }
+            assert_eq!(
+                generated.avg_row_width().to_bits(),
+                reference.avg_row_width().to_bits()
+            );
+        }
     }
 }

@@ -17,5 +17,5 @@ pub mod table;
 pub use catalog::Catalog;
 pub use datagen::{ColumnSpec, TableSpec};
 pub use index::Index;
-pub use stats::{ColumnQuickStats, ColumnStats, Histogram, TableStats};
+pub use stats::{ColumnStats, Histogram, TableStats};
 pub use table::{check_batches, Table, TableChunk};

@@ -6,7 +6,7 @@
 //! ("assuming that the original cost estimates are valid", §3.1).
 
 use crate::table::Table;
-use qcc_common::{CellRef, ColumnSummary, Value};
+use qcc_common::{ColumnSummary, ColumnVector, Value};
 use std::collections::HashSet;
 
 /// Number of buckets in the equi-depth histograms.
@@ -32,23 +32,27 @@ impl Histogram {
     /// Build an equi-depth histogram from (unsorted) numeric samples.
     /// Returns `None` when there are no non-null numeric values.
     pub fn build(mut values: Vec<f64>) -> Option<Histogram> {
-        if values.is_empty() {
+        values.sort_by(f64::total_cmp);
+        Histogram::from_sorted(values.len(), |i| values[i])
+    }
+
+    /// The histogram of `n` values whose `i`-th smallest (by
+    /// `f64::total_cmp`) is `at(i)`; `None` when `n` is 0.
+    fn from_sorted(n: usize, at: impl Fn(usize) -> f64) -> Option<Histogram> {
+        if n == 0 {
             return None;
         }
-        values.sort_by(f64::total_cmp);
-        let total = values.len() as f64;
-        let buckets = HISTOGRAM_BUCKETS.min(values.len());
+        let total = n as f64;
+        let buckets = HISTOGRAM_BUCKETS.min(n);
         let depth = total / buckets as f64;
-        let mut bounds = Vec::with_capacity(buckets);
-        for b in 1..=buckets {
-            let idx = ((b as f64 * depth).ceil() as usize - 1).min(values.len() - 1);
-            bounds.push(values[idx]);
-        }
+        let bounds = (1..=buckets)
+            .map(|b| at(((b as f64 * depth).ceil() as usize - 1).min(n - 1)))
+            .collect();
         Some(Histogram {
             bounds,
             depth,
-            min: values[0],
-            max: *values.last().expect("non-empty"),
+            min: at(0),
+            max: at(n - 1),
             total,
         })
     }
@@ -140,36 +144,30 @@ pub struct TableStats {
 impl TableStats {
     /// Collect statistics from a table (a full scan; fine for a simulator).
     ///
-    /// The scan is column-major over the table's chunks, visiting each
-    /// column's cells in row order — so distinct counts, null counts, and
-    /// histograms are identical to what the old row-major analyze produced.
+    /// Min, max and the NULL count merge the chunks' zone maps. A column
+    /// whose every chunk is an `Int` vector (or every chunk a `Float`
+    /// vector) is counted by one sort of its non-null payloads: distinct
+    /// values are runs of equal ones (`f64::total_cmp` equality for
+    /// floats, which is `Value`'s), and the histogram reads the sorted run
+    /// — an `Int` converted to `f64` after sorting, which keeps the order.
+    /// Any other column (strings, a mix of representations) hashes each
+    /// non-null cell as a `Value`. Both give what a `HashSet<Value>` of the
+    /// cells and a histogram of their `f64` views give.
     pub fn analyze(table: &Table) -> TableStats {
-        let ncols = table.schema().len();
-        let columns = (0..ncols)
+        let columns = (0..table.schema().len())
             .map(|i| {
-                let mut distinct: HashSet<Value> = HashSet::new();
-                let mut nulls = 0u64;
-                let mut numerics: Vec<f64> = Vec::new();
                 let mut summary = ColumnSummary::default();
                 for chunk in table.chunks() {
                     summary.merge(&chunk.summaries()[i]);
-                    let vector = &chunk.columns()[i];
-                    for r in 0..chunk.len() {
-                        let cell = vector.cell(r);
-                        if cell.is_null() {
-                            nulls += 1;
-                            continue;
-                        }
-                        distinct.insert(cell.to_value());
-                        if let Some(x) = cell.as_f64() {
-                            numerics.push(x);
-                        }
-                    }
                 }
+                let vectors: Vec<&ColumnVector> =
+                    table.chunks().iter().map(|c| &*c.columns()[i]).collect();
+                let (distinct, histogram) =
+                    typed_counts(&vectors).unwrap_or_else(|| value_counts(&vectors));
                 ColumnStats {
-                    distinct: distinct.len() as u64,
-                    null_count: nulls,
-                    histogram: Histogram::build(numerics),
+                    distinct,
+                    null_count: summary.null_count,
+                    histogram,
                     min: summary.min,
                     max: summary.max,
                 }
@@ -194,105 +192,87 @@ impl TableStats {
     }
 }
 
-/// Slots in the linear-counting bitmap used by
-/// [`ColumnQuickStats::collect`]'s distinct estimator.
-const LINEAR_COUNTING_SLOTS: usize = 4096;
+/// Distinct count and histogram of one column's non-null cells.
+type Counts = (u64, Option<Histogram>);
 
-/// Cheap per-column summary read straight off the columnar chunks, without
-/// materializing any `Value`s: zone-map min / max / null count plus a
-/// linear-counting distinct estimate (hash every non-null cell into a
-/// fixed bitmap and invert the fill rate). Groundwork for
-/// selectivity-estimation refinements that should not pay a full
-/// `ANALYZE`-style exact-distinct pass.
-#[derive(Debug, Clone)]
-pub struct ColumnQuickStats {
-    /// Smallest non-null value.
-    pub min: Option<Value>,
-    /// Largest non-null value.
-    pub max: Option<Value>,
-    /// Number of NULLs.
-    pub null_count: u64,
-    /// Estimated number of distinct non-null values (exact up to hash
-    /// collisions for cardinalities well below the bitmap size).
-    pub distinct_estimate: u64,
-}
-
-impl ColumnQuickStats {
-    /// Collect quick stats for column `col`, or `None` when the column
-    /// index is out of range.
-    pub fn collect(table: &Table, col: usize) -> Option<ColumnQuickStats> {
-        if col >= table.schema().len() {
-            return None;
+/// [`Counts`] by one sort of the non-null payloads, when every chunk is an
+/// `Int` vector or every chunk a `Float` vector; `None` otherwise.
+fn typed_counts(vectors: &[&ColumnVector]) -> Option<Counts> {
+    match vectors.first()? {
+        ColumnVector::Int { .. } => {
+            let mut ints = payloads(vectors, |v| match v {
+                ColumnVector::Int { data, nulls } => Some((data, nulls)),
+                _ => None,
+            })?;
+            ints.sort_unstable();
+            let distinct = runs(&ints, |a, b| a == b);
+            Some((
+                distinct,
+                Histogram::from_sorted(ints.len(), |i| ints[i] as f64),
+            ))
         }
-        let mut summary = ColumnSummary::default();
-        let mut slots = vec![false; LINEAR_COUNTING_SLOTS];
-        let mut non_null = 0u64;
-        for chunk in table.chunks() {
-            summary.merge(&chunk.summaries()[col]);
-            let vector = &chunk.columns()[col];
-            for r in 0..chunk.len() {
-                let cell = vector.cell(r);
-                if cell.is_null() {
-                    continue;
-                }
-                non_null += 1;
-                slots[(hash_cell(cell) % LINEAR_COUNTING_SLOTS as u64) as usize] = true;
-            }
+        ColumnVector::Float { .. } => {
+            let mut floats = payloads(vectors, |v| match v {
+                ColumnVector::Float { data, nulls } => Some((data, nulls)),
+                _ => None,
+            })?;
+            floats.sort_unstable_by(f64::total_cmp);
+            let distinct = runs(&floats, |a, b| a.total_cmp(b).is_eq());
+            Some((
+                distinct,
+                Histogram::from_sorted(floats.len(), |i| floats[i]),
+            ))
         }
-        let filled = slots.iter().filter(|b| **b).count();
-        let m = LINEAR_COUNTING_SLOTS as f64;
-        let zero = (LINEAR_COUNTING_SLOTS - filled).max(1) as f64;
-        // Linear counting: n ≈ m · ln(m / z), capped by the non-null count.
-        let estimate = (m * (m / zero).ln()).round() as u64;
-        Some(ColumnQuickStats {
-            min: summary.min,
-            max: summary.max,
-            null_count: summary.null_count,
-            distinct_estimate: estimate.min(non_null),
-        })
+        _ => None,
     }
 }
 
-/// FNV-1a over a type-tagged byte encoding of the cell. Mirrors the
-/// equivalence classes of `Value`'s `Hash` (integral floats hash like the
-/// equal integer) so `Int(3)` and `Float(3.0)` count as one distinct value.
-fn hash_cell(cell: CellRef<'_>) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    match cell {
-        CellRef::Null => eat(&[0]),
-        CellRef::Int(i) => {
-            eat(&[1]);
-            eat(&i.to_le_bytes());
-        }
-        CellRef::Float(f) => {
-            if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 {
-                eat(&[1]);
-                eat(&(f as i64).to_le_bytes());
-            } else {
-                eat(&[2]);
-                eat(&f.to_bits().to_le_bytes());
+/// The non-null payloads of every vector, if `slices` reads each one's
+/// payloads and null mask.
+fn payloads<'a, T: Copy + 'a>(
+    vectors: &[&'a ColumnVector],
+    slices: impl Fn(&'a ColumnVector) -> Option<(&'a Vec<T>, &'a Vec<bool>)>,
+) -> Option<Vec<T>> {
+    let mut out = Vec::new();
+    for v in vectors {
+        let (data, nulls) = slices(v)?;
+        out.extend(
+            data.iter()
+                .zip(nulls)
+                .filter(|(_, &null)| !null)
+                .map(|(&x, _)| x),
+        );
+    }
+    Some(out)
+}
+
+/// Runs of `eq` values in a sorted slice: its distinct count.
+fn runs<T>(sorted: &[T], eq: impl Fn(&T, &T) -> bool) -> u64 {
+    let breaks = sorted.windows(2).filter(|w| !eq(&w[0], &w[1])).count();
+    (breaks + usize::from(!sorted.is_empty())) as u64
+}
+
+/// [`Counts`] cell by cell: a `HashSet<Value>` of the non-null cells and a
+/// histogram of their numeric views.
+fn value_counts(vectors: &[&ColumnVector]) -> Counts {
+    let mut distinct: HashSet<Value> = HashSet::new();
+    let mut numerics: Vec<f64> = Vec::new();
+    for vector in vectors {
+        for r in 0..vector.len() {
+            let cell = vector.cell(r);
+            if !cell.is_null() {
+                distinct.insert(cell.to_value());
+                numerics.extend(cell.as_f64());
             }
         }
-        CellRef::Str(s) => {
-            eat(&[3]);
-            eat(s.as_bytes());
-        }
     }
-    h
+    (distinct.len() as u64, Histogram::build(numerics))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcc_common::{Column, DataType, Row, Schema};
+    use qcc_common::{Column, DataType, Row, Schema, BATCH_ROWS};
 
     fn int_table(values: &[i64]) -> Table {
         let mut t = Table::new("t", Schema::new(vec![Column::new("v", DataType::Int)]));
@@ -392,46 +372,158 @@ mod tests {
         assert_eq!(empty.columns[0].max, None);
     }
 
-    #[test]
-    fn quick_stats_min_max_nulls() {
-        let mut t = Table::new("t", Schema::new(vec![Column::new("v", DataType::Int)]));
-        for v in [5i64, 1, 9] {
-            t.insert(Row::new(vec![Value::Int(v)])).unwrap();
+    /// The statistics of column `i` cell by cell, as `analyze` once took
+    /// them for every column: a `HashSet<Value>` of the non-null cells, a
+    /// histogram of their numeric views, zone maps folded in row order.
+    fn value_reference(table: &Table, i: usize) -> ColumnStats {
+        let mut distinct = HashSet::new();
+        let mut numerics = Vec::new();
+        let mut summary = ColumnSummary::default();
+        let mut nulls = 0;
+        for row in table.rows() {
+            let v = row.get(i);
+            summary.observe(v);
+            if v.is_null() {
+                nulls += 1;
+            } else {
+                distinct.insert(v.clone());
+                numerics.extend(v.as_f64());
+            }
         }
-        t.insert(Row::new(vec![Value::Null])).unwrap();
-        let q = ColumnQuickStats::collect(&t, 0).unwrap();
-        assert_eq!(q.min, Some(Value::Int(1)));
-        assert_eq!(q.max, Some(Value::Int(9)));
-        assert_eq!(q.null_count, 1);
-        assert!(ColumnQuickStats::collect(&t, 1).is_none(), "out of range");
+        ColumnStats {
+            distinct: distinct.len() as u64,
+            null_count: nulls,
+            histogram: Histogram::build(numerics),
+            min: summary.min,
+            max: summary.max,
+        }
     }
 
-    #[test]
-    fn quick_stats_distinct_estimate_tracks_cardinality() {
-        // A serial column: estimate should land close to the true count.
-        let t = int_table(&(0..500).collect::<Vec<_>>());
-        let q = ColumnQuickStats::collect(&t, 0).unwrap();
-        let est = q.distinct_estimate as f64;
-        assert!(
-            (est - 500.0).abs() / 500.0 < 0.1,
-            "estimate {est} should be within 10% of 500"
+    /// Every field equal, floats bit for bit.
+    fn assert_same(got: &ColumnStats, want: &ColumnStats, what: &str) {
+        assert_eq!(got.distinct, want.distinct, "{what}: distinct");
+        assert_eq!(got.null_count, want.null_count, "{what}: nulls");
+        assert_eq!(
+            format!("{:?}", got.min),
+            format!("{:?}", want.min),
+            "{what}: min"
         );
-        // A constant column: exactly one distinct value.
-        let t = int_table(&vec![42; 1000]);
-        let q = ColumnQuickStats::collect(&t, 0).unwrap();
-        assert_eq!(q.distinct_estimate, 1);
-        // Empty column: zero.
-        let q = ColumnQuickStats::collect(&int_table(&[]), 0).unwrap();
-        assert_eq!(q.distinct_estimate, 0);
+        assert_eq!(
+            format!("{:?}", got.max),
+            format!("{:?}", want.max),
+            "{what}: max"
+        );
+        let bits = |h: &Option<Histogram>| {
+            h.as_ref().map(|h| {
+                let mut b: Vec<u64> = h.bounds.iter().map(|x| x.to_bits()).collect();
+                b.extend([h.depth, h.min, h.max, h.total].map(f64::to_bits));
+                b
+            })
+        };
+        assert_eq!(
+            bits(&got.histogram),
+            bits(&want.histogram),
+            "{what}: histogram"
+        );
     }
 
+    /// The one-sort path over `Int` and `Float` columns counts what the
+    /// `Value` path counts: NULLs, `-0.0` beside `0.0` (distinct under the
+    /// total order), NaNs of several payloads, and integers above 2^53
+    /// whose `f64` views collide; a FLOAT column an `Int` insert demoted
+    /// to `Mixed`, and one adopted as a `Float` chunk beside an `Int`
+    /// chunk (where `Int(3)` equals `Float(3.0)`), take the `Value` path.
     #[test]
-    fn quick_stats_merge_int_and_integral_float() {
-        // Int(3) and Float(3.0) are the same value in this type system.
-        let mut t = Table::new("t", Schema::new(vec![Column::new("v", DataType::Float)]));
-        t.insert(Row::new(vec![Value::Int(3)])).unwrap();
-        t.insert(Row::new(vec![Value::Float(3.0)])).unwrap();
-        let q = ColumnQuickStats::collect(&t, 0).unwrap();
-        assert_eq!(q.distinct_estimate, 1);
+    fn typed_analyze_equals_value_analyze() {
+        let big = 1i64 << 53;
+        let ints = [
+            Some(big),
+            Some(big + 1),
+            Some(big + 2),
+            None,
+            Some(-big - 1),
+            Some(-big),
+        ]
+        .into_iter()
+        .chain([Some(i64::MAX), Some(i64::MIN), Some(0), Some(-7), Some(-7)]);
+        let floats = [Some(0.0), Some(-0.0), Some(f64::NAN), None, Some(-f64::NAN)]
+            .into_iter()
+            .chain([
+                Some(f64::from_bits(0x7ff8_0000_0000_0001)),
+                Some(f64::INFINITY),
+            ])
+            .chain([Some(f64::NEG_INFINITY), Some(-0.0), Some(2.5), Some(2.5)]);
+        let schema = Schema::new(vec![
+            Column::new("i", DataType::Int),
+            Column::new("f", DataType::Float),
+            Column::new("demoted", DataType::Float),
+            Column::new("s", DataType::Str),
+        ]);
+        let mut t = Table::new("t", schema.clone());
+        let (ints, floats): (Vec<_>, Vec<_>) = (ints.collect(), floats.collect());
+        // Three chunks, the last partial; the demoting `Int` in the second.
+        for r in 0..2 * BATCH_ROWS + 100 {
+            let i = ints[r % ints.len()]
+                .map_or(Value::Null, |x| Value::Int(x.wrapping_add((r % 3) as i64)));
+            let f = floats[r % floats.len()].map_or(Value::Null, Value::Float);
+            let demoted = match r {
+                r if r == BATCH_ROWS + 5 => Value::Int(3),
+                r if r % 9 == 0 => Value::Null,
+                r => Value::Float((r % 50) as f64 / 2.0),
+            };
+            let s = if r % 4 == 0 {
+                Value::Null
+            } else {
+                Value::Str(format!("s{}", r % 30))
+            };
+            t.insert(Row::new(vec![i, f, demoted, s])).unwrap();
+        }
+        assert!(matches!(
+            &*t.chunks()[0].columns()[2],
+            ColumnVector::Float { .. }
+        ));
+        assert!(matches!(
+            &*t.chunks()[1].columns()[2],
+            ColumnVector::Mixed(_)
+        ));
+        let stats = TableStats::analyze(&t);
+        for (i, name) in ["int", "float", "demoted", "str"].iter().enumerate() {
+            assert_same(&stats.columns[i], &value_reference(&t, i), name);
+        }
+
+        // A FLOAT column adopted as a Float chunk and an Int chunk.
+        let float_schema = Schema::new(vec![Column::new("f", DataType::Float)]);
+        let chunk = |ty: DataType, vals: &[Value]| {
+            let mut t = Table::new("c", Schema::new(vec![Column::new("f", ty)]));
+            for v in vals {
+                t.insert(Row::new(vec![v.clone()])).unwrap();
+            }
+            t.chunks()[0].to_batch()
+        };
+        let batches = vec![
+            chunk(
+                DataType::Float,
+                &[Value::Float(3.0), Value::Float(-0.0), Value::Null],
+            ),
+            chunk(
+                DataType::Int,
+                &[Value::Int(3), Value::Int(0), Value::Int(4)],
+            ),
+        ];
+        let adopted = Table::from_batches("a", float_schema, batches).unwrap();
+        assert!(matches!(
+            &*adopted.chunks()[1].columns()[0],
+            ColumnVector::Int { .. }
+        ));
+        let stats = TableStats::analyze(&adopted);
+        assert_same(
+            &stats.columns[0],
+            &value_reference(&adopted, 0),
+            "float + int chunks",
+        );
+        assert_eq!(
+            stats.columns[0].distinct, 4,
+            "Int(3) is Float(3.0); Int(0) is not -0.0"
+        );
     }
 }

@@ -74,9 +74,10 @@ pub struct Table {
     /// Starting global row position of each chunk (parallel to `chunks`).
     starts: Vec<usize>,
     row_count: usize,
-    /// Per column of the last chunk, each string `insert` put there and its
+    /// Per column of the last chunk, each string of its dictionary and its
     /// code, so a chunk's dictionary holds each of its distinct strings
-    /// once. Cleared whenever another chunk becomes the last.
+    /// once. Cleared whenever another chunk becomes the last; the next
+    /// `insert` seeds it from that chunk's dictionaries.
     interned: Vec<HashMap<Arc<str>, u32>>,
 }
 
@@ -120,7 +121,8 @@ impl Table {
             len,
         });
         self.row_count += len;
-        // The maps index the dictionaries of the chunk before.
+        // The maps index the dictionaries of the chunk before; an insert
+        // into this one seeds them from its own.
         self.interned.clear();
     }
 
@@ -173,8 +175,11 @@ impl Table {
             self.chunks.push(TableChunk::empty(&self.schema));
             self.interned.clear();
         }
-        self.interned.resize_with(self.schema.len(), HashMap::new);
         if let Some(chunk) = self.chunks.last_mut() {
+            if self.interned.is_empty() {
+                let maps = chunk.columns.iter().map(|c| dictionary_map(c));
+                self.interned.extend(maps);
+            }
             for (i, v) in row.into_values().into_iter().enumerate() {
                 chunk.summaries[i].observe(&v);
                 let column = Arc::make_mut(&mut chunk.columns[i]);
@@ -240,6 +245,19 @@ impl Table {
         }
         Ok(())
     }
+}
+
+/// Each string of a `Str` vector's dictionary and its first code (empty
+/// for any other vector): what [`ColumnVector::push_interned`] needs to
+/// append to the vector without repeating an entry.
+fn dictionary_map(column: &ColumnVector) -> HashMap<Arc<str>, u32> {
+    let mut map = HashMap::new();
+    if let Some((_, _, dict)) = column.str_codes() {
+        for (code, s) in dict.iter().enumerate() {
+            map.entry(Arc::clone(s)).or_insert(code as u32);
+        }
+    }
+    map
 }
 
 /// Check column batches against the schema of `table`, as
@@ -415,6 +433,24 @@ mod tests {
             .collect();
         assert_eq!(adopted.rows(), want);
         assert_eq!(t.rows(), rows);
+    }
+
+    /// An insert into an adopted chunk finds the chunk's own entries: a
+    /// string already in its dictionary is not appended again.
+    #[test]
+    fn insert_after_adopting_reuses_dictionary_entries() {
+        let schema = Schema::new(vec![Column::new("s", DataType::Str)]);
+        let mut src = Table::new("src", schema.clone());
+        src.insert(Row::new(vec![Value::from("a")])).unwrap();
+        let mut t = Table::from_batches("t", schema, vec![src.chunks()[0].to_batch()]).unwrap();
+        for _ in 0..2 {
+            t.insert(Row::new(vec![Value::from("a")])).unwrap();
+        }
+        t.insert(Row::new(vec![Value::from("b")])).unwrap();
+        assert_eq!(t.chunks().len(), 1);
+        let (codes, _, dict) = t.chunks()[0].columns()[0].str_codes().unwrap();
+        assert_eq!(codes, [0, 0, 0, 1]);
+        assert_eq!(dict.len(), 2);
     }
 
     #[test]

@@ -250,20 +250,7 @@ impl Scenario {
         hosts: fn(&str, usize) -> std::ops::Range<usize>,
     ) -> Scenario {
         let specs = table_specs(&config);
-
-        // One image per replica set: the tables are generated, analyzed
-        // and indexed once, and every server holds an `Arc` of that one
-        // immutable catalog (DESIGN.md §10 "One image per replica set").
-        let mut image = Catalog::new();
-        for spec in &specs {
-            image.register(spec.generate(config.seed));
-        }
-        // Access paths the selective query types exploit.
-        image.create_index("big_a", "sel").expect("column exists");
-        image.create_index("big_a", "id").expect("column exists");
-        image.create_index("big_d", "sel").expect("column exists");
-        image.create_index("big_c", "flag").expect("column exists");
-        let image = Arc::new(image);
+        let image = Arc::new(table_image(&config));
 
         let clock = SimClock::new();
         let mut servers = Vec::new();
@@ -382,6 +369,23 @@ fn build_replica_catalog(
         catalog.register(s.id().clone(), 1.0 / s.profile().speed, SimTime::ZERO);
     }
     Some(Arc::new(catalog))
+}
+
+/// The one table image of a world built from `config`: the sample tables
+/// generated from its seed, analyzed, and indexed where the selective
+/// query types read them. Built once per world; every server holds an
+/// `Arc` of it (DESIGN.md §10 "One image per replica set").
+pub fn table_image(config: &ScenarioConfig) -> Catalog {
+    let mut image = Catalog::new();
+    for spec in &table_specs(config) {
+        image.register(spec.generate(config.seed));
+    }
+    // Access paths the selective query types exploit.
+    image.create_index("big_a", "sel").expect("column exists");
+    image.create_index("big_a", "id").expect("column exists");
+    image.create_index("big_d", "sel").expect("column exists");
+    image.create_index("big_c", "flag").expect("column exists");
+    image
 }
 
 /// The sample tables: three large, one small, per the paper's size mix.
