@@ -120,16 +120,31 @@ cargo test -q --offline --test stream_resume_prop
 echo "==> engine vs oracle property, and pinned digests of rows + bit-exact Work"
 cargo test -q --offline --test engine_vs_naive_prop
 
+echo "==> bench targets compile"
+cargo bench --no-run --offline -p qcc-bench
+
+echo "==> paper: every table and figure in one run; each line of an EXPERIMENTS.md text block is a line it prints"
+# Compared without trailing spaces: a table's empty last cells leave
+# them, and a Markdown editor strips them.
+cargo bench -q --offline -p qcc-bench --bench paper | sed 's/[[:space:]]*$//' > "$out"/paper.out
+awk '/^```text$/ { quoted = 1; next } /^```$/ { quoted = 0 } quoted' EXPERIMENTS.md \
+    | sed 's/[[:space:]]*$//' > "$out"/quoted.txt
+test -s "$out"/quoted.txt
+while IFS= read -r line; do
+    if ! grep -qxF -- "$line" "$out"/paper.out; then
+        echo "EXPERIMENTS.md quotes a line the paper bench does not print: '$line'" >&2
+        exit 1
+    fi
+done < "$out"/quoted.txt
+
+# Each gated bench ends in one verdict line and exits 1 on a violation, so
+# `set -e` with pipefail fails the step; the grep checks the verdict ran.
 echo "==> bench smoke: columnar_speedup (tiny scale; digest must equal its pin, hashing operators must not allocate per row)"
 QCC_LARGE_ROWS=2000 QCC_SMALL_ROWS=100 \
     cargo bench -q --offline -p qcc-bench --bench columnar_speedup \
     | tee "$out"/colspeed.out
-if grep -qE 'DIVERGED|unpinned' "$out"/colspeed.out; then
-    echo "columnar_speedup: virtual-time digest diverged from its pin, or has none at this scale" >&2
-    exit 1
-fi
-if grep -q "columnar allocations: VIOLATED" "$out"/colspeed.out; then
-    echo "columnar_speedup: a hashing operator allocates per row" >&2
+if grep -q unpinned "$out"/colspeed.out; then
+    echo "columnar_speedup: no digest is pinned at this scale" >&2
     exit 1
 fi
 grep -q "columnar allocations: OK" "$out"/colspeed.out
@@ -137,37 +152,21 @@ grep -q "columnar allocations: OK" "$out"/colspeed.out
 echo "==> bench smoke: admission_overload (default scale; admission-on must dominate)"
 cargo bench -q --offline -p qcc-bench --bench admission_overload \
     | tee "$out"/admission.out
-if grep -q "goodput dominance: VIOLATED" "$out"/admission.out; then
-    echo "admission_overload: admission-on lost to the unprotected baseline" >&2
-    exit 1
-fi
 grep -q "goodput dominance: OK" "$out"/admission.out
 
 echo "==> bench smoke: federation_scale (pruned fan-out within bound, winners identical, decompose + select_sources allocations flat in the fleet)"
 QCC_FLEETS=50,250 cargo bench -q --offline -p qcc-bench --bench federation_scale \
     | tee "$out"/fedscale.out
-if grep -q "scale pruning: VIOLATED" "$out"/fedscale.out; then
-    echo "federation_scale: source-selection pruning verdict violated" >&2
-    exit 1
-fi
 grep -q "scale pruning: OK" "$out"/fedscale.out
 
 echo "==> bench smoke: midquery_reroute (remainder re-dispatch recovers exact rows within 2x fault-free)"
 cargo bench -q --offline -p qcc-bench --bench midquery_reroute \
     | tee "$out"/reroute.out
-if grep -q "reroute recovery: VIOLATED" "$out"/reroute.out; then
-    echo "midquery_reroute: recovery verdict violated" >&2
-    exit 1
-fi
 grep -q "reroute recovery: OK" "$out"/reroute.out
 
 echo "==> bench smoke: query_path (a warm statement adds no parse, decompose, merge-cost EXPLAIN, merge plan or wrapper EXPLAIN; a warm merge and the paper world's image build stay within their allocation bounds)"
 cargo bench -q --offline -p qcc-bench --bench query_path \
     | tee "$out"/querypath.out
-if grep -q "query path: VIOLATED" "$out"/querypath.out; then
-    echo "query_path: a warm submit repeated compile work, or a warm submit or the image build exceeded its allocation bound" >&2
-    exit 1
-fi
 grep -q "query path: OK" "$out"/querypath.out
 
 echo "==> benchmark package: builds against the workspace, unit tests, four smoke workloads"

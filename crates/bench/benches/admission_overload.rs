@@ -12,7 +12,7 @@
 //! A machine-checkable verdict line (`goodput dominance: OK|VIOLATED`)
 //! asserts admission-on wins on *both* axes: goodput at least the
 //! unprotected pool's, p99 no worse than the deadline budget. `ci.sh`
-//! greps it.
+//! greps it, and a violation exits 1.
 //!
 //! Arrival count scales with `QCC_INSTANCES` (default 5 instances ->
 //! 1200 arrivals, enough for the unprotected tail to blow through the
@@ -21,7 +21,7 @@
 //! any `QCC_THREADS` (`tests/admission_determinism.rs`).
 
 use qcc_admission::{AdmissionConfig, AdmissionController};
-use qcc_bench::BenchScale;
+use qcc_bench::{BenchScale, Verdict};
 use qcc_common::WallStopwatch;
 use qcc_core::QccConfig;
 use qcc_workload::{
@@ -90,17 +90,15 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let on = run_admitted(&arrivals);
     let off = run_unprotected(&arrivals);
-    let verdict = {
-        let (on_good, off_good) = (on.0.goodput(budget), off.0.goodput(budget));
-        let on_p99 = on.0.response_percentile(99.0);
-        if on_good >= off_good && on_p99 <= budget {
-            format!("goodput dominance: OK (on {on_good} >= off {off_good}, p99 {on_p99:.2} <= {budget} ms)")
-        } else {
-            format!(
-                "goodput dominance: VIOLATED (on {on_good} vs off {off_good}, p99 {on_p99:.2} vs budget {budget} ms)"
-            )
-        }
-    };
+    let (on_good, off_good) = (on.0.goodput(budget), off.0.goodput(budget));
+    let on_p99 = on.0.response_percentile(99.0);
+    let mut verdict = Verdict::new("goodput dominance");
+    if on_good < off_good {
+        verdict.violate(format!("goodput: on {on_good} < off {off_good}"));
+    }
+    if on_p99 > budget {
+        verdict.violate(format!("p99: on {on_p99:.2} > budget {budget} ms"));
+    }
     for (name, (report, wall_ms)) in [("admission on", on), ("admission off", off)] {
         rows.push(vec![
             name.to_string(),
@@ -132,5 +130,7 @@ fn main() {
         ],
         &rows,
     );
-    println!("{verdict}");
+    verdict.finish(&format!(
+        "on {on_good} >= off {off_good}, p99 {on_p99:.2} <= {budget} ms"
+    ));
 }

@@ -31,14 +31,15 @@
 //! Wall times are informational (they move with the host). What is gated
 //! is a count: this binary wraps the system allocator in a counter, and
 //! the hashing operators — the nine workloads from `join+agg` down — must
-//! allocate per chunk and per group, not per row. The last line reads
-//! `columnar allocations: OK|VIOLATED`; `ci.sh` greps it. The virtual
-//! digest (`tests/support/digest.rs`: the `Work` bits and every result
-//! row, a float by its bits) is compared with the one pinned for the
-//! workload at `ci.sh`'s smoke scale (2 000 / 100 rows) and at the
-//! default scale (40 000 / 1 000), recorded while the row-at-a-time
-//! executor this bench once timed returned the same rows and `Work`; at
-//! any other scale it reads `unpinned`.
+//! allocate per chunk and per group, not per row. The virtual digest
+//! (`tests/support/digest.rs`: the `Work` bits and every result row, a
+//! float by its bits) is compared with the one pinned for the workload at
+//! `ci.sh`'s smoke scale (2 000 / 100 rows) and at the default scale
+//! (40 000 / 1 000), recorded while the row-at-a-time executor this bench
+//! once timed returned the same rows and `Work`; at any other scale it
+//! reads `unpinned`. A digest that differs from its pin, like a hashing
+//! workload over its allocation bound, violates the last line's verdict,
+//! `columnar allocations: OK|VIOLATED`, which `ci.sh` greps.
 //!
 //! Batch ms at the default scale, medians of six alternating runs of this
 //! binary built on the engine before and after dictionary-coded strings
@@ -64,7 +65,7 @@
 //! of three alternating runs, 2-vCPU Intel Xeon): `join+agg` 1.98 → 1.64,
 //! `QT2` 1.06 → 0.61, `QT4` 0.56 → 0.54, `QT3` 0.29 → 0.27.
 
-use qcc_bench::{counting, BenchScale, CountingAllocator};
+use qcc_bench::{counting, median, BenchScale, CountingAllocator, Verdict};
 use qcc_common::{ColumnBatch, WallStopwatch};
 use qcc_engine::{execute_batches, Engine};
 use qcc_storage::{Catalog, ColumnSpec, TableSpec};
@@ -239,11 +240,6 @@ fn build_catalog(large: u64, small: u64) -> Catalog {
     catalog
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 struct Outcome {
     rows_out: u64,
     batch_ms: f64,
@@ -400,14 +396,22 @@ fn main() {
     ];
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut allocations_ok = true;
+    let mut verdict = Verdict::new("columnar allocations");
     for (name, sql, gated, pins) in &workloads {
         let o = run_query(&engine, sql);
-        allocations_ok &= !gated || o.batch_allocs <= MAX_ALLOCS_PER_ROW;
+        if *gated && o.batch_allocs > MAX_ALLOCS_PER_ROW {
+            verdict.violate(format!(
+                "{name}: {:.3} allocations per base-table row, bound {MAX_ALLOCS_PER_ROW}",
+                o.batch_allocs
+            ));
+        }
         let digest = match (o.digest, pinned_scale) {
             (Some(got), Some(i)) if got == pins[i] => "identical",
             (Some(_), None) => "unpinned",
-            _ => "DIVERGED",
+            _ => {
+                verdict.violate(format!("{name}: virtual digest DIVERGED from its pin"));
+                "DIVERGED"
+            }
         };
         rows.push(vec![
             (*name).to_string(),
@@ -428,10 +432,9 @@ fn main() {
         ],
         &rows,
     );
-    println!(
-        "\ncolumnar allocations: {} (batch engine, join+agg / QT2 / QT4 / QT3 / agg / aggs / \
-         distinct / sparse join / str group: at most {MAX_ALLOCS_PER_ROW} heap allocations per \
-         base-table row read)",
-        if allocations_ok { "OK" } else { "VIOLATED" }
-    );
+    println!();
+    verdict.finish(&format!(
+        "batch engine, join+agg / QT2 / QT4 / QT3 / agg / aggs / distinct / sparse join / \
+         str group: at most {MAX_ALLOCS_PER_ROW} heap allocations per base-table row read"
+    ));
 }

@@ -12,7 +12,7 @@
 //! fan-out within the replication bound, fan-out reduced at least 5x at
 //! every fleet size of 25+ servers, winners byte-identical, and the heap
 //! allocations of `decompose` + `select_sources` not growing with the
-//! fleet — and `ci.sh` greps it.
+//! fleet — and `ci.sh` greps it; a violation exits 1.
 //!
 //! The fourth is a count, not a stopwatch: this binary wraps the system
 //! allocator in a counter. Source selection and grouping that allocate per
@@ -24,7 +24,7 @@
 //! `QCC_FLEETS` (comma-separated server counts) overrides the default
 //! 50,100,250,500 sweep for smoke runs.
 
-use qcc_bench::{counting, CountingAllocator};
+use qcc_bench::{counting, median, CountingAllocator, Verdict};
 use qcc_common::{FieldValue, WallStopwatch};
 use qcc_federation::decompose;
 use qcc_workload::{Routing, Scenario, ScenarioConfig};
@@ -101,15 +101,15 @@ fn measure(n: usize, pruned: bool) -> Measured {
     let mut winners = Vec::new();
     let mut select_allocs = Vec::new();
     for sql in SQLS {
-        let mut times: Vec<f64> = (0..3)
-            .map(|_| {
-                let sw = WallStopwatch::start();
-                scenario.federation.explain_global(sql).expect("compiles");
-                sw.elapsed_nanos() as f64 / 1e6
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        compile_ms += times[times.len() / 2];
+        compile_ms += median(
+            (0..3)
+                .map(|_| {
+                    let sw = WallStopwatch::start();
+                    scenario.federation.explain_global(sql).expect("compiles");
+                    sw.elapsed_nanos() as f64 / 1e6
+                })
+                .collect(),
+        );
         fanout += last_fanout(&scenario);
         let (_, candidates) = scenario.federation.explain_global(sql).expect("compiles");
         let best = candidates.first().expect("at least one candidate");
@@ -142,7 +142,7 @@ fn main() {
     );
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut violations: Vec<String> = Vec::new();
+    let mut verdict = Verdict::new("scale pruning");
     // (fleet size, allocation count per probe SQL) of every pruned run.
     let mut select_allocs: Vec<(usize, Vec<u64>)> = Vec::new();
     for &n in &fleets {
@@ -153,14 +153,14 @@ fn main() {
         // per fragment, so the total fragment count falls out of it.
         let fragments = ((off.fanout as usize) / n).max(1);
         if on.fanout as usize > BOUND * fragments {
-            violations.push(format!(
+            verdict.violate(format!(
                 "n={n}: pruned fan-out {} exceeds bound {BOUND} x {fragments} fragments",
                 on.fanout
             ));
         }
         let ratio = off.fanout as f64 / (on.fanout.max(1)) as f64;
         if n >= 25 && ratio < 5.0 {
-            violations.push(format!("n={n}: fan-out reduction {ratio:.1}x < 5x"));
+            verdict.violate(format!("n={n}: fan-out reduction {ratio:.1}x < 5x"));
         }
         let winners_match = on.winners.len() == off.winners.len()
             && on
@@ -169,7 +169,7 @@ fn main() {
                 .zip(&off.winners)
                 .all(|(a, b)| a.0 == b.0 && (a.1 - b.1).abs() < 1e-9);
         if !winners_match {
-            violations.push(format!("n={n}: chosen plan diverged under pruning"));
+            verdict.violate(format!("n={n}: chosen plan diverged under pruning"));
         }
         for (mode, m) in [("pruned", &on), ("full", &off)] {
             rows.push(vec![
@@ -199,7 +199,7 @@ fn main() {
     if let (Some((_, small)), Some((_, large))) = (select_allocs.first(), select_allocs.last()) {
         for ((sql, small), large) in SQLS.iter().zip(small).zip(large) {
             if *large > small + MAX_ALLOC_GROWTH {
-                violations.push(format!(
+                verdict.violate(format!(
                     "decompose + select_sources allocate with the fleet: {small} -> {large} \
                      (allowed +{MAX_ALLOC_GROWTH}) for {sql}"
                 ));
@@ -219,19 +219,9 @@ fn main() {
         ],
         &rows,
     );
-    if violations.is_empty() {
-        println!(
-            "scale pruning: OK (fan-out within bound {BOUND} per fragment, >=5x reduction, \
-             winners identical, decompose + select allocations flat across {} fleet sizes)",
-            fleets.len()
-        );
-    } else {
-        for v in &violations {
-            println!("  {v}");
-        }
-        println!(
-            "scale pruning: VIOLATED ({} check(s) failed)",
-            violations.len()
-        );
-    }
+    verdict.finish(&format!(
+        "fan-out within bound {BOUND} per fragment, >=5x reduction, winners identical, \
+         decompose + select allocations flat across {} fleet sizes",
+        fleets.len()
+    ));
 }

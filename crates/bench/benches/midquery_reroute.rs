@@ -11,8 +11,9 @@
 //! The machine-checkable verdict (`reroute recovery: OK|VIOLATED`)
 //! asserts the adaptive run really re-dispatched (`reroute_dispatch >=
 //! 1`), completed within 2x the fault-free latency, and returned the exact
-//! fault-free row count. `ci.sh` greps the verdict.
+//! fault-free row count. `ci.sh` greps the verdict; a violation exits 1.
 
+use qcc_bench::Verdict;
 use qcc_common::{FieldValue, SimTime};
 use qcc_core::QccConfig;
 use qcc_workload::scenario::{scale_server_specs, Scenario, ScenarioConfig};
@@ -92,22 +93,27 @@ fn main() {
             break;
         }
     }
+    let mut verdict = Verdict::new("reroute recovery");
     let Some((adaptive_rows, reroutes, adaptive_ms)) = adaptive else {
-        println!("reroute recovery: VIOLATED (no crash placement produced a reroute)");
-        std::process::exit(1);
+        verdict.violate("no crash placement produced a reroute".into());
+        return verdict.finish("");
     };
     println!("adaptive: {adaptive_ms:.3} ms ({adaptive_rows} rows, {reroutes} reroute(s))");
 
-    let exact = adaptive_rows == clean_out.rows.len();
-    let bounded = adaptive_ms <= 2.0 * clean_out.response_ms;
-    if exact && bounded {
-        println!(
-            "reroute recovery: OK (adaptive {adaptive_ms:.3} ms <= 2x fault-free {:.3} ms, \
-             exact rows)",
-            clean_out.response_ms
-        );
-    } else {
-        println!("reroute recovery: VIOLATED (exact_rows={exact} bounded={bounded})");
-        std::process::exit(1);
+    if adaptive_rows != clean_out.rows.len() {
+        verdict.violate(format!(
+            "adaptive returned {adaptive_rows} rows, fault-free {}",
+            clean_out.rows.len()
+        ));
     }
+    if adaptive_ms > 2.0 * clean_out.response_ms {
+        verdict.violate(format!(
+            "adaptive {adaptive_ms:.3} ms > 2x fault-free {:.3} ms",
+            clean_out.response_ms
+        ));
+    }
+    verdict.finish(&format!(
+        "adaptive {adaptive_ms:.3} ms <= 2x fault-free {:.3} ms, exact rows",
+        clean_out.response_ms
+    ));
 }

@@ -11,7 +11,7 @@
 //! observes the simulation, it never participates — so the table carries
 //! a determinism column.
 
-use qcc_bench::BenchScale;
+use qcc_bench::{median, BenchScale, WARMUP};
 use qcc_common::WallStopwatch;
 use qcc_workload::experiment::run_phases_on;
 use qcc_workload::{PhaseSchedule, Routing, Scenario, ScenarioConfig};
@@ -33,13 +33,7 @@ fn run_once(base: &ScenarioConfig, obs_enabled: bool) -> (f64, f64, usize, usize
     };
     let scale = BenchScale::from_env();
     let sw = WallStopwatch::start();
-    let result = run_phases_on(
-        &scenario,
-        Routing::Qcc,
-        &schedule,
-        scale.instances,
-        scale.warmup,
-    );
+    let result = run_phases_on(&scenario, Routing::Qcc, &schedule, scale.instances, WARMUP);
     let wall_ms = sw.elapsed_nanos() as f64 / 1e6;
     let series = scenario
         .obs
@@ -53,11 +47,6 @@ fn run_once(base: &ScenarioConfig, obs_enabled: bool) -> (f64, f64, usize, usize
         scenario.obs.journal_len(),
         series,
     )
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 fn main() {
@@ -115,13 +104,7 @@ fn main() {
     let schedule = PhaseSchedule {
         phases: PhaseSchedule::paper_table1().phases[..2].to_vec(),
     };
-    let result = run_phases_on(
-        &scenario,
-        Routing::Qcc,
-        &schedule,
-        scale.instances,
-        scale.warmup,
-    );
+    let result = run_phases_on(&scenario, Routing::Qcc, &schedule, scale.instances, WARMUP);
     if let Some(last) = result.phases.last() {
         qcc_bench::print_phase_metrics("final-phase metrics snapshot", last);
     }

@@ -12,7 +12,7 @@
 //!    on equal replicas: a 5% band with small cost jitter rotates less
 //!    than the 20% band; the spread across servers is the observable.
 
-use qcc_bench::{print_table, BenchScale};
+use qcc_bench::{print_table, BenchScale, WARMUP};
 use qcc_common::{Column, DataType, Row, Schema, ServerId, Value};
 use qcc_core::{LoadBalanceMode, Qcc, QccConfig};
 use qcc_federation::{Federation, FederationConfig, NicknameCatalog};
@@ -23,10 +23,10 @@ use qcc_workload::{run_phases_on, PhaseSchedule, QueryType, Routing, Scenario};
 use qcc_wrapper::RelationalWrapper;
 use std::sync::Arc;
 
-fn main() {
-    let scale = BenchScale::from_env();
-    ablation_window_size(&scale);
-    ablation_fragment_factors(&scale);
+/// Print the three ablation tables.
+pub fn run(scale: &BenchScale) {
+    ablation_window_size(scale);
+    ablation_fragment_factors(scale);
     ablation_cost_band();
 }
 
@@ -97,13 +97,7 @@ fn ablation_fragment_factors(scale: &BenchScale) {
             ..QccConfig::default()
         };
         let scenario = Scenario::build_with_qcc(config, scale.config.clone());
-        let result = run_phases_on(
-            &scenario,
-            Routing::Qcc,
-            &schedule,
-            scale.instances,
-            scale.warmup,
-        );
+        let result = run_phases_on(&scenario, Routing::Qcc, &schedule, scale.instances, WARMUP);
         let mut row = vec![label.to_string()];
         row.extend(result.phases.iter().map(|p| format!("{:.1}", p.avg_ms)));
         rows.push(row);

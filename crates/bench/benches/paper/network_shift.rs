@@ -1,7 +1,7 @@
-//! Supplementary harness: the "network aware" half of the paper's title.
+//! Supplementary: the "network aware" half of the paper's title.
 //!
 //! The paper folds network latency into the same calibration factor as
-//! server load (§3.1) and gives it no dedicated figure; this harness
+//! server load (§3.1) and gives it no dedicated figure; this module
 //! produces one. Two identical replicas — one near (2 ms RTT), one far
 //! (12 ms RTT) — serve a steady query stream while congestion on the near
 //! link steps up and back down. The series shows the response time the
@@ -82,7 +82,7 @@ fn build(with_qcc: bool) -> (Federation, Link, SimClock) {
     (fed, near_link, clock)
 }
 
-fn run(with_qcc: bool) -> Vec<(f64, String, f64)> {
+fn series(with_qcc: bool) -> Vec<(f64, String, f64)> {
     let (fed, _link, clock) = build(with_qcc);
     let mut series = Vec::new();
     for _ in 0..40 {
@@ -100,9 +100,10 @@ fn run(with_qcc: bool) -> Vec<(f64, String, f64)> {
     series
 }
 
-fn main() {
-    let baseline = run(false);
-    let qcc = run(true);
+/// Print the congestion-step series and its window averages.
+pub fn run() {
+    let baseline = series(false);
+    let qcc = series(true);
 
     let header = vec![
         "t (ms)".to_string(),

@@ -52,10 +52,11 @@
 //! the indexes' one position list per key.
 //!
 //! The verdict line (`query path: OK|VIOLATED`) rests on those counts
-//! alone and `ci.sh` greps it; the µs/submit column is printed for
-//! information and never gates (wall time on a shared host is noise).
+//! alone; `ci.sh` greps it, and a violation exits 1. The µs/submit column
+//! is printed for information and never gates (wall time on a shared host
+//! is noise).
 
-use qcc_bench::{counting, CountingAllocator};
+use qcc_bench::{counting, CountingAllocator, Verdict};
 use qcc_common::WallStopwatch;
 use qcc_core::QccConfig;
 use qcc_workload::scenario::{scale_server_specs, table_image};
@@ -173,7 +174,7 @@ struct Warm {
 
 /// One warm-up submit of `shape`, then `SUBMITS` counted ones. A
 /// decomposition or answer that differs from the shape's is a violation.
-fn run_warm(shape: &Shape, obs_enabled: bool, violations: &mut Vec<String>) -> Warm {
+fn run_warm(shape: &Shape, obs_enabled: bool, verdict: &mut Verdict) -> Warm {
     let scenario = world(shape.servers, obs_enabled);
     let fed = &scenario.federation;
     let (decomposed, _) = fed.explain_global(shape.sql).expect("shape compiles");
@@ -183,7 +184,7 @@ fn run_warm(shape: &Shape, obs_enabled: bool, violations: &mut Vec<String>) -> W
         .map(|f| f.candidate_servers.len())
         .collect();
     if replicas != vec![shape.replicas; shape.fragments] {
-        violations.push(format!(
+        verdict.violate(format!(
             "{}: expected {} fragment(s) with {} source(s) each, decomposed to {replicas:?}",
             shape.name, shape.fragments, shape.replicas
         ));
@@ -196,7 +197,7 @@ fn run_warm(shape: &Shape, obs_enabled: bool, violations: &mut Vec<String>) -> W
     });
     let us_per_submit = sw.elapsed_nanos() as f64 / 1e3 / SUBMITS as f64;
     if changed {
-        violations.push(format!(
+        verdict.violate(format!(
             "{} (obs {}): a warm submit changed the answer",
             shape.name,
             if obs_enabled { "on" } else { "off" }
@@ -220,7 +221,7 @@ fn main() {
          a warm statement must not be parsed, decomposed, merge-costed, merge-planned or \
          EXPLAINed again"
     );
-    let mut violations: Vec<String> = Vec::new();
+    let mut verdict = Verdict::new("query path");
     let paper = ScenarioConfig {
         large_rows: 40_000,
         small_rows: 1_000,
@@ -235,30 +236,30 @@ fn main() {
         paper.large_rows, paper.small_rows
     );
     if image_allocs > MAX_IMAGE_ALLOCS {
-        violations.push(format!(
+        verdict.violate(format!(
             "image build: {image_allocs} allocations, bound {MAX_IMAGE_ALLOCS}"
         ));
     }
     let mut rows: Vec<Vec<String>> = Vec::new();
     for shape in &SHAPES {
-        let on = run_warm(shape, true, &mut violations);
-        let off = run_warm(shape, false, &mut violations);
+        let on = run_warm(shape, true, &mut verdict);
+        let off = run_warm(shape, false, &mut verdict);
         if on.allocs_per_submit > shape.max_allocs {
-            violations.push(format!(
+            verdict.violate(format!(
                 "{}: {:.1} allocations per warm submit, bound {}",
                 shape.name, on.allocs_per_submit, shape.max_allocs
             ));
         }
         let obs_allocs = on.allocs_per_submit - off.allocs_per_submit;
         if obs_allocs > MAX_OBS_ALLOCS {
-            violations.push(format!(
+            verdict.violate(format!(
                 "{}: obs makes {obs_allocs:.1} allocations per warm submit, bound {MAX_OBS_ALLOCS}",
                 shape.name
             ));
         }
         for (name, n) in FROZEN.iter().zip(&on.added) {
             if *n > 0 {
-                violations.push(format!("{}: {name} grew by {n}", shape.name));
+                verdict.violate(format!("{}: {name} grew by {n}", shape.name));
             }
         }
         rows.push(vec![
@@ -288,20 +289,10 @@ fn main() {
         ],
         &rows,
     );
-    if violations.is_empty() {
-        println!(
-            "query path: OK (0 template misses, 0 merge-cost EXPLAINs, 0 merge plans, \
-             0 wrapper EXPLAINs over {SUBMITS} warm submits of each of {} shapes; \
-             every shape and the image build within their allocation bounds)",
-            SHAPES.len()
-        );
-    } else {
-        for v in &violations {
-            println!("  {v}");
-        }
-        println!(
-            "query path: VIOLATED ({} check(s) failed)",
-            violations.len()
-        );
-    }
+    verdict.finish(&format!(
+        "0 template misses, 0 merge-cost EXPLAINs, 0 merge plans, 0 wrapper EXPLAINs over \
+         {SUBMITS} warm submits of each of {} shapes; every shape and the image build within \
+         their allocation bounds",
+        SHAPES.len()
+    ));
 }

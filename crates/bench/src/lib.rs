@@ -1,16 +1,18 @@
-//! Shared plumbing for the figure/table regeneration harnesses.
+//! Shared plumbing for the benchmark harnesses.
 //!
-//! Every bench target in this crate regenerates one table or figure of
-//! the paper's §5 evaluation and prints the same rows/series the paper
-//! reports. Scale knobs come from the environment so `cargo bench` stays
-//! fast by default while full-fidelity runs remain one variable away:
+//! `paper` regenerates every table and figure of the paper's §5
+//! evaluation, the ablations and the network-awareness series, in the
+//! order EXPERIMENTS.md quotes them. Five other targets are gates
+//! (`columnar_speedup`, `admission_overload`, `federation_scale`,
+//! `midquery_reroute`, `query_path`): each ends in one [`Verdict`]. Scale
+//! knobs come from the environment so `cargo bench` stays fast by default
+//! while full-fidelity runs remain one variable away:
 //!
 //! * `QCC_LARGE_ROWS` — rows in the large tables (default 40 000; the
 //!   paper used ~100 000).
 //! * `QCC_SMALL_ROWS` — rows in the small table (default 1 000).
 //! * `QCC_INSTANCES` — query instances per type per phase (default 5; the
 //!   paper used 10).
-//! * `QCC_WARMUP` — unmeasured calibration rounds per phase (default 2).
 
 use qcc_workload::{ExperimentResult, ScenarioConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -23,9 +25,10 @@ pub struct BenchScale {
     pub config: ScenarioConfig,
     /// Instances per query type per phase.
     pub instances: u32,
-    /// Warm-up rounds per phase (QCC modes).
-    pub warmup: u32,
 }
+
+/// Unmeasured calibration rounds per phase of a QCC-routed run.
+pub const WARMUP: u32 = 2;
 
 impl BenchScale {
     /// Read the scale from the environment.
@@ -44,7 +47,6 @@ impl BenchScale {
         BenchScale {
             config,
             instances: get("QCC_INSTANCES", 5) as u32,
-            warmup: get("QCC_WARMUP", 2) as u32,
         }
     }
 }
@@ -87,9 +89,12 @@ pub fn print_gains(title: &str, run: &ExperimentResult, baseline: &ExperimentRes
         .collect();
     let gains = run.gain_over(baseline);
     let mean = run.mean_gain_over(baseline);
+    // A gain that rounds to zero prints `0.0`, whichever side of zero its
+    // float noise falls on.
+    let percent = |g: f64| format!("{:.1}", g * 100.0).replace("-0.0", "0.0");
     let mut row = vec!["gain %".to_string()];
-    row.extend(gains.iter().map(|g| format!("{:.1}", g * 100.0)));
-    row.push(format!("{:.1}", mean * 100.0));
+    row.extend(gains.iter().map(|&g| percent(g)));
+    row.push(percent(mean));
     let mut base_row = vec!["baseline ms".to_string()];
     base_row.extend(baseline.phases.iter().map(|p| format!("{:.1}", p.avg_ms)));
     base_row.push(String::new());
@@ -109,6 +114,54 @@ pub fn print_phase_metrics(title: &str, phase: &qcc_workload::PhaseResult) {
     println!("\n== {title} ==");
     for line in metrics.lines() {
         println!("  {line}");
+    }
+}
+
+/// The median of `xs` (the upper one of an even count).
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// How a gated bench ends: the checks it found violated, then one line
+/// `<name>: OK (<detail>)` or `<name>: VIOLATED (<n> check(s) failed)`
+/// that `ci.sh` greps. A violation exits the process with status 1.
+#[derive(Debug)]
+pub struct Verdict {
+    name: &'static str,
+    violations: Vec<String>,
+}
+
+impl Verdict {
+    /// A verdict named `name`, with nothing violated yet.
+    pub fn new(name: &'static str) -> Verdict {
+        Verdict {
+            name,
+            violations: Vec::new(),
+        }
+    }
+
+    /// Record one violated check.
+    pub fn violate(&mut self, violation: String) {
+        self.violations.push(violation);
+    }
+
+    /// Print the violations and the verdict line (`ok` is the detail of an
+    /// `OK` line); exit with status 1 if any check was violated.
+    pub fn finish(self, ok: &str) {
+        if self.violations.is_empty() {
+            println!("{}: OK ({ok})", self.name);
+            return;
+        }
+        for v in &self.violations {
+            println!("  {v}");
+        }
+        println!(
+            "{}: VIOLATED ({} check(s) failed)",
+            self.name,
+            self.violations.len()
+        );
+        std::process::exit(1);
     }
 }
 

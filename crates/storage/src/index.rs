@@ -72,11 +72,13 @@ impl Index {
     /// Row positions with `lo ≤/< col ≤/< hi` (bounds per [`Bound`]),
     /// in key order.
     pub fn lookup_range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<u32> {
-        // An empty range panics in BTreeMap::range; guard it.
+        // BTreeMap::range panics on an inverted range and on `(v, v)` with
+        // both ends excluded; both are empty.
         if let (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) =
             (&lo, &hi)
         {
-            if l > h {
+            let both_excluded = matches!((&lo, &hi), (Bound::Excluded(_), Bound::Excluded(_)));
+            if l > h || (l == h && both_excluded) {
                 return vec![];
             }
         }
@@ -241,11 +243,9 @@ mod tests {
         ends.push(Bound::Unbounded);
         for lo in &ends {
             for hi in &ends {
-                // `lookup_range` guards an inverted range but not `(v, v)`
-                // with both ends excluded, which `BTreeMap::range` rejects.
                 if let (Bound::Excluded(l), Bound::Excluded(h)) = (lo, hi) {
                     if l == h {
-                        continue;
+                        assert!(bulk.lookup_range(lo.as_ref(), hi.as_ref()).is_empty());
                     }
                 }
                 assert_eq!(

@@ -4,7 +4,9 @@
 //!   script contains, a `.rs` pin names a file that exists, and any other
 //!   pin names a `fn` declared in the workspace's sources.
 //! * Every oracle `sim::oracle::check_all` calls is named in it.
-//! * Every `--test X` and `--bench X` that `ci.sh` runs is named in it.
+//! * Every `--test X` that `ci.sh` runs is named in it, and every
+//!   `--bench X` is named with its flag (a bench name such as `paper` is
+//!   also a common word).
 //! * Every section reference to it anywhere in the repo — `DESIGN.md`,
 //!   then `§` and a section number, then optionally a quoted heading —
 //!   names a section that exists and a heading inside that section.
@@ -289,7 +291,11 @@ fn every_ci_test_and_bench_is_named() {
                 .chars()
                 .take_while(|&c| is_ident(c))
                 .collect();
-            if !names(&design, &name) {
+            let named = match flag {
+                "--bench " => names(&design, &format!("{flag}{name}")),
+                _ => names(&design, &name),
+            };
+            if !named {
                 missing.push(format!("{flag}{name}"));
             }
         }
