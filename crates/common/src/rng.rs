@@ -56,12 +56,12 @@ impl Pcg32 {
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
         let span = hi - lo;
-        // Multiply-shift rejection-free mapping; bias is negligible for the
-        // spans used in this workspace (≪ 2^32) but we debias anyway.
-        let threshold = span.wrapping_neg() % span;
+        // Debiased modulo: reject draws below `2^64 mod span`. That
+        // threshold is below `span`, so a draw of at least `span` is
+        // accepted without computing it.
         loop {
             let r = self.next_u64();
-            if r >= threshold {
+            if r >= span || r >= span.wrapping_neg() % span {
                 return lo + (r % span);
             }
         }
@@ -146,6 +146,34 @@ mod tests {
             seen[(v - 5) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all values in range should appear");
+    }
+
+    /// Taking `2^64 mod span` only for a draw below `span` accepts exactly
+    /// the draws the loop that takes it on every draw accepts: the same
+    /// values from the same stream, small spans and spans past 2^63 alike.
+    #[test]
+    fn range_u64_equals_threshold_on_every_draw() {
+        fn reference(rng: &mut Pcg32, lo: u64, hi: u64) -> u64 {
+            let span = hi - lo;
+            let threshold = span.wrapping_neg() % span;
+            loop {
+                let r = rng.next_u64();
+                if r >= threshold {
+                    return lo + (r % span);
+                }
+            }
+        }
+        for span in [1, 3, 10_000, (1 << 63) + 1, u64::MAX] {
+            for lo in [0, u64::MAX - span] {
+                let mut fast = Pcg32::seed_from(11);
+                let mut slow = fast.clone();
+                for draw in 0..2_000 {
+                    let expected = reference(&mut slow, lo, lo + span);
+                    assert_eq!(fast.range_u64(lo, lo + span), expected, "{span} #{draw}");
+                }
+                assert_eq!(fast.next_u64(), slow.next_u64(), "{span}: streams apart");
+            }
+        }
     }
 
     #[test]

@@ -437,7 +437,7 @@ impl<'a> Exec<'a> {
                 self.work.index_matches(positions.len());
                 let chunks = entry.table.chunks();
                 let mut picks: Vec<(u32, u32)> = Vec::with_capacity(positions.len());
-                for pos in positions {
+                for &pos in positions {
                     let (ci, pi) = entry.table.locate(pos as usize).ok_or_else(|| {
                         QccError::Execution(format!("index position {pos} out of range"))
                     })?;

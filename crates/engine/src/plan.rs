@@ -51,14 +51,13 @@ impl fmt::Display for IndexPredicate {
 }
 
 /// Probe the index on `table.column`: the positions of the rows `pred`
-/// selects, in index order. Shared by both executors, so an index scan
-/// reads the same rows in the same order whichever one runs it.
-pub(crate) fn index_positions(
-    entry: &CatalogEntry,
+/// selects, in index order, borrowed from the index.
+pub(crate) fn index_positions<'a>(
+    entry: &'a CatalogEntry,
     table: &str,
     column: &str,
     pred: &IndexPredicate,
-) -> Result<Vec<u32>> {
+) -> Result<&'a [u32]> {
     fn bound(b: &Option<(Value, bool)>) -> Bound<&Value> {
         match b {
             Some((v, true)) => Bound::Included(v),
@@ -72,7 +71,7 @@ pub(crate) fn index_positions(
         .find(|i| i.column_name().eq_ignore_ascii_case(column))
         .ok_or_else(|| QccError::Execution(format!("index on {table}.{column} disappeared")))?;
     Ok(match pred {
-        IndexPredicate::Eq(v) => index.lookup_eq(v).to_vec(),
+        IndexPredicate::Eq(v) => index.lookup_eq(v),
         IndexPredicate::Range { lo, hi } => index.lookup_range(bound(lo), bound(hi)),
     })
 }

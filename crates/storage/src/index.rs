@@ -1,27 +1,34 @@
 //! Secondary indexes over in-memory tables.
 //!
-//! A B-tree keyed on one column, mapping each key to the row positions that
-//! carry it. The per-server optimizer offers an index access path when a
-//! fragment has an equality or range predicate on an indexed column; this
-//! is what lets a highly selective query (the paper's QT3) remain cheap on
-//! a server even under heavy load.
+//! An index on one column holds its distinct non-NULL keys in one sorted
+//! array and the row positions that carry them in another, grouped by key,
+//! each group's start in an offset array. The per-server optimizer offers
+//! an index access path when a fragment has an equality or range predicate
+//! on an indexed column; this is what lets a highly selective query (the
+//! paper's QT3) remain cheap on a server even under heavy load.
 //!
-//! An index on a column whose every chunk is an `Int` vector is
-//! bulk-loaded: its `(key, position)` pairs sorted once, grouped, and the
-//! sorted groups collected into the map. Any other column inserts cell by
-//! cell. Either way a key's positions ascend, and lookups read the one map.
+//! The build sorts the column's `(key, position)` pairs once and lays the
+//! runs of equal keys out in order: typed `(i64, u32)` pairs when every
+//! chunk of the column is an `Int` vector, `(Value, u32)` pairs under a
+//! stable sort otherwise. Either way a key's positions ascend, and since
+//! the keys are sorted, a key range is one contiguous run of positions.
 
 use crate::table::Table;
 use qcc_common::{ColumnVector, QccError, Result, Value};
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 
 /// A single-column secondary index.
 #[derive(Debug, Clone)]
 pub struct Index {
     column: usize,
     column_name: String,
-    map: BTreeMap<Value, Vec<u32>>,
+    /// The distinct non-NULL keys, ascending under [`Value::total_cmp`].
+    keys: Vec<Value>,
+    /// `keys.len() + 1` entries: key `i`'s positions are
+    /// `positions[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// Row positions grouped by key, ascending within a key.
+    positions: Vec<u32>,
 }
 
 impl Index {
@@ -32,25 +39,36 @@ impl Index {
             return Err(QccError::Config("table too large to index".into()));
         }
         // NULLs are not indexed (SQL semantics: = never matches).
-        let map = int_map(table, column).unwrap_or_else(|| {
-            let mut map: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
-            let mut pos = 0u32;
-            for chunk in table.chunks() {
-                let vector = &chunk.columns()[column];
-                for r in 0..chunk.len() {
-                    let key = vector.value(r);
-                    if !key.is_null() {
-                        map.entry(key).or_default().push(pos);
-                    }
-                    pos += 1;
-                }
+        let (keys, offsets, positions) = match int_pairs(table, column) {
+            Some(mut pairs) => {
+                pairs.sort_unstable();
+                lay_out(pairs)
             }
-            map
-        });
+            None => {
+                let mut pairs: Vec<(Value, u32)> = Vec::with_capacity(table.row_count());
+                let mut pos = 0u32;
+                for chunk in table.chunks() {
+                    let vector = &chunk.columns()[column];
+                    for r in 0..chunk.len() {
+                        let key = vector.value(r);
+                        if !key.is_null() {
+                            pairs.push((key, pos));
+                        }
+                        pos += 1;
+                    }
+                }
+                // Stable: equal keys keep ascending positions, and each
+                // run's first key is the one stored.
+                pairs.sort_by(|a, b| a.0.cmp(&b.0));
+                lay_out(pairs)
+            }
+        };
         Ok(Index {
             column,
             column_name: column_name.to_owned(),
-            map,
+            keys,
+            offsets,
+            positions,
         })
     }
 
@@ -64,36 +82,42 @@ impl Index {
         &self.column_name
     }
 
-    /// Row positions with `col = key`.
+    /// Row positions with `col = key`, ascending.
     pub fn lookup_eq(&self, key: &Value) -> &[u32] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
+        match self.keys.binary_search(key) {
+            Ok(i) => self.run(i..i + 1),
+            Err(_) => &[],
+        }
     }
 
     /// Row positions with `lo ≤/< col ≤/< hi` (bounds per [`Bound`]),
-    /// in key order.
-    pub fn lookup_range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<u32> {
-        // BTreeMap::range panics on an inverted range and on `(v, v)` with
-        // both ends excluded; both are empty.
-        if let (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) =
-            (&lo, &hi)
-        {
-            let both_excluded = matches!((&lo, &hi), (Bound::Excluded(_), Bound::Excluded(_)));
-            if l > h || (l == h && both_excluded) {
-                return vec![];
-            }
+    /// in key order; empty when the bounds admit no key.
+    pub fn lookup_range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> &[u32] {
+        let start = match lo {
+            Bound::Included(l) => self.keys.partition_point(|k| k < l),
+            Bound::Excluded(l) => self.keys.partition_point(|k| k <= l),
+            Bound::Unbounded => 0,
+        };
+        let end = match hi {
+            Bound::Included(h) => self.keys.partition_point(|k| k <= h),
+            Bound::Excluded(h) => self.keys.partition_point(|k| k < h),
+            Bound::Unbounded => self.keys.len(),
+        };
+        if start >= end {
+            return &[];
         }
-        let mut out = Vec::new();
-        for positions in self.map.range::<Value, _>((lo, hi)).map(|(_, v)| v) {
-            out.extend_from_slice(positions);
-        }
-        out
+        self.run(start..end)
+    }
+
+    /// The positions of keys `keys.start..keys.end`.
+    fn run(&self, keys: Range<usize>) -> &[u32] {
+        &self.positions[self.offsets[keys.start] as usize..self.offsets[keys.end] as usize]
     }
 }
 
-/// The map of `column`'s non-NULL keys, bulk-loaded from its sorted
-/// `(key, position)` pairs, when every chunk of it is an `Int` vector;
-/// `None` otherwise.
-fn int_map(table: &Table, column: usize) -> Option<BTreeMap<Value, Vec<u32>>> {
+/// `column`'s non-NULL `(key, position)` pairs in position order, when
+/// every chunk of it is an `Int` vector; `None` otherwise.
+fn int_pairs(table: &Table, column: usize) -> Option<Vec<(i64, u32)>> {
     let mut pairs: Vec<(i64, u32)> = Vec::with_capacity(table.row_count());
     let mut pos = 0u32;
     for chunk in table.chunks() {
@@ -107,22 +131,40 @@ fn int_map(table: &Table, column: usize) -> Option<BTreeMap<Value, Vec<u32>>> {
             pos += 1;
         }
     }
-    pairs.sort_unstable();
-    Some(
-        pairs
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|group| {
-                let positions = group.iter().map(|&(_, p)| p).collect();
-                (Value::Int(group[0].0), positions)
-            })
-            .collect(),
-    )
+    Some(pairs)
+}
+
+/// The keys, offsets and positions of `pairs`, sorted by key: one key per
+/// run of equal keys (the run's first), the run's positions in order.
+/// Each array is allocated at its final length, since the index lives as
+/// long as the table image.
+fn lay_out<K: PartialEq>(pairs: Vec<(K, u32)>) -> (Vec<Value>, Vec<u32>, Vec<u32>)
+where
+    Value: From<K>,
+{
+    let runs = pairs.chunk_by(|a, b| a.0 == b.0).count();
+    let mut keys = Vec::with_capacity(runs);
+    let mut offsets = Vec::with_capacity(runs + 1);
+    let mut positions = Vec::with_capacity(pairs.len());
+    let mut pairs = pairs.into_iter().peekable();
+    while let Some((key, pos)) = pairs.next() {
+        offsets.push(positions.len() as u32);
+        positions.push(pos);
+        while let Some((_, pos)) = pairs.next_if(|(k, _)| *k == key) {
+            positions.push(pos);
+        }
+        keys.push(Value::from(key));
+    }
+    offsets.push(positions.len() as u32);
+    (keys, offsets, positions)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcc_common::{Column, DataType, Row, Schema};
+    use qcc_common::{Column, DataType, Row, Schema, BATCH_ROWS};
+    use std::collections::BTreeMap;
+    use std::ops::RangeBounds;
 
     fn table() -> Table {
         let mut t = Table::new(
@@ -196,64 +238,172 @@ mod tests {
         assert!(Index::build(&t, "nope").is_err());
     }
 
-    /// A bulk-loaded index answers every lookup as one built by inserting
-    /// cell by cell does: each key's positions ascending across chunks,
-    /// NULLs unindexed, ranges bounded, unbounded and inverted alike.
-    #[test]
-    fn bulk_loaded_index_equals_entry_built() {
-        let mut t = Table::new("t", Schema::new(vec![Column::new("k", DataType::Int)]));
-        let keys = [5i64, -3, 5, i64::MAX, 0, i64::MIN, 17, 5, -3];
-        for r in 0..2 * qcc_common::BATCH_ROWS + 77 {
-            let key = match r % 11 {
-                10 => Value::Null,
-                i => Value::Int(keys[i % keys.len()].wrapping_add((r % 4) as i64)),
-            };
-            t.insert(Row::new(vec![key])).unwrap();
+    /// A one-column table of `cells`, inserted row by row.
+    fn column_table(ty: DataType, cells: impl IntoIterator<Item = Value>) -> Table {
+        let mut t = Table::new("t", Schema::new(vec![Column::new("k", ty)]));
+        for cell in cells {
+            t.insert(Row::new(vec![cell])).unwrap();
         }
-        let bulk = Index::build(&t, "k").unwrap();
+        t
+    }
+
+    /// Checks the index on `t.k` against a `BTreeMap<Value, Vec<u32>>`
+    /// filled cell by cell (each key kept as first inserted): the flat
+    /// layout iterates as the map does, key representation included, and
+    /// `lookup_eq` / `lookup_range` answer every key, every `extra` probe
+    /// and NULL, and every pair of bounds built from them, as the map does.
+    fn assert_equals_map_reference(t: &Table, extra: &[Value]) {
+        let index = Index::build(t, "k").unwrap();
         let mut map: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
         for (pos, row) in t.rows().iter().enumerate() {
             if !row.get(0).is_null() {
                 map.entry(row.get(0).clone()).or_default().push(pos as u32);
             }
         }
-        let entry_built = Index {
-            column: 0,
-            column_name: "k".into(),
-            map,
-        };
-        assert!(bulk.lookup_eq(&Value::Null).is_empty());
-        let probes: Vec<Value> = entry_built
-            .map
+        let flat: Vec<String> = (0..index.keys.len())
+            .map(|i| format!("{:?} {:?}", index.keys[i], index.run(i..i + 1)))
+            .collect();
+        let reference: Vec<String> = map.iter().map(|(k, v)| format!("{k:?} {v:?}")).collect();
+        assert_eq!(flat, reference);
+        assert_eq!(index.offsets.len(), index.keys.len() + 1);
+        assert_eq!(index.offsets.last(), Some(&(index.positions.len() as u32)));
+
+        let probes: Vec<Value> = map
             .keys()
             .cloned()
-            .chain([
-                Value::Int(4),
-                Value::Int(1_000),
-                Value::Float(5.0),
-                Value::Null,
-            ])
+            .chain(extra.iter().cloned())
+            .chain([Value::Null])
             .collect();
         for key in &probes {
-            assert_eq!(bulk.lookup_eq(key), entry_built.lookup_eq(key), "{key:?}");
-            assert!(bulk.lookup_eq(key).windows(2).all(|w| w[0] < w[1]));
+            let expected = map.get(key).map(Vec::as_slice).unwrap_or(&[]);
+            assert_eq!(index.lookup_eq(key), expected, "{key:?}");
         }
         let bounds = |v: &Value| [Bound::Included(v.clone()), Bound::Excluded(v.clone())];
         let mut ends: Vec<Bound<Value>> = probes.iter().flat_map(bounds).collect();
         ends.push(Bound::Unbounded);
         for lo in &ends {
             for hi in &ends {
-                if let (Bound::Excluded(l), Bound::Excluded(h)) = (lo, hi) {
+                let range = (lo.as_ref(), hi.as_ref());
+                let expected: Vec<u32> = map
+                    .iter()
+                    .filter(|(k, _)| range.contains(k))
+                    .flat_map(|(_, v)| v.iter().copied())
+                    .collect();
+                let got = index.lookup_range(lo.as_ref(), hi.as_ref());
+                assert_eq!(got, expected, "{range:?}");
+                if let (Bound::Excluded(l), Bound::Excluded(h)) = range {
                     if l == h {
-                        assert!(bulk.lookup_range(lo.as_ref(), hi.as_ref()).is_empty());
+                        assert!(got.is_empty());
                     }
                 }
-                assert_eq!(
-                    bulk.lookup_range(lo.as_ref(), hi.as_ref()),
-                    entry_built.lookup_range(lo.as_ref(), hi.as_ref()),
-                    "{lo:?}..{hi:?}"
-                );
             }
         }
+    }
+
+    /// A bulk-loaded `Int` index answers every lookup as a map filled cell
+    /// by cell does: each key's positions ascending across chunks, NULLs
+    /// unindexed, ranges bounded, unbounded, inverted and `(v, v)` with
+    /// both ends excluded alike, and a `Float` probe equal to an integer
+    /// key finds it.
+    #[test]
+    fn bulk_loaded_index_equals_entry_built() {
+        let keys = [5i64, -3, 5, i64::MAX, 0, i64::MIN, 17, 5, -3];
+        let cells = (0..2 * BATCH_ROWS + 77).map(|r| match r % 11 {
+            10 => Value::Null,
+            i => Value::Int(keys[i % keys.len()].wrapping_add((r % 4) as i64)),
+        });
+        let t = column_table(DataType::Int, cells);
+        assert_equals_map_reference(
+            &t,
+            &[
+                Value::Int(4),
+                Value::Int(1_000),
+                Value::Float(5.0),
+                Value::Float(5.5),
+            ],
+        );
+        let index = Index::build(&t, "k").unwrap();
+        assert!(!index.lookup_eq(&Value::Float(5.0)).is_empty());
+        assert_eq!(
+            index.lookup_eq(&Value::Float(5.0)),
+            index.lookup_eq(&Value::Int(5))
+        );
+    }
+
+    /// A `Str` column's index equals the map reference.
+    #[test]
+    fn str_index_equals_entry_built() {
+        let cells = (0..2 * BATCH_ROWS + 40).map(|r| match r % 7 {
+            6 => Value::Null,
+            _ => Value::Str(format!("s{}", (r * 13) % 37)),
+        });
+        let t = column_table(DataType::Str, cells);
+        assert_equals_map_reference(&t, &[Value::Str("s".into()), Value::Str("t".into())]);
+    }
+
+    /// A `Float` column's index keeps `-0.0`, `0.0` and every NaN payload
+    /// apart, as `total_cmp` does, and equals the map reference.
+    #[test]
+    fn float_index_equals_entry_built() {
+        let floats = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            2.5,
+            -1.0,
+        ];
+        let cells = (0..BATCH_ROWS + 300).map(|r| match r % 10 {
+            9 => Value::Null,
+            i => Value::Float(floats[i]),
+        });
+        let t = column_table(DataType::Float, cells);
+        assert!(matches!(
+            &*t.chunks()[0].columns()[0],
+            ColumnVector::Float { .. }
+        ));
+        assert_equals_map_reference(&t, &[Value::Int(0), Value::Float(1.0)]);
+        let index = Index::build(&t, "k").unwrap();
+        assert_eq!(index.keys.len(), floats.len());
+    }
+
+    /// A column whose chunks mix `Int` and `Float` cells, `Int(k)` beside
+    /// an equal `Float(k)`, takes the stable `Value` sort: each run keeps
+    /// its first cell's representation and ascending positions.
+    #[test]
+    fn mixed_int_float_index_equals_entry_built() {
+        let cells = (0..2 * BATCH_ROWS + 60).map(|r| {
+            let k = ((r * 7) % 23) as i64;
+            match r % 5 {
+                0 => Value::Int(k),
+                1 => Value::Float(k as f64),
+                2 => Value::Float(k as f64 + 0.5),
+                3 if r % 2 == 0 => Value::Null,
+                _ => Value::Int(-k),
+            }
+        });
+        let t = column_table(DataType::Float, cells);
+        assert!(t
+            .chunks()
+            .iter()
+            .all(|c| matches!(&*c.columns()[0], ColumnVector::Mixed(_))));
+        assert_equals_map_reference(&t, &[Value::Int(100), Value::Float(-0.5)]);
+    }
+
+    /// An index on an empty table (as `Catalog::to_virtual` builds) answers
+    /// every lookup with nothing.
+    #[test]
+    fn empty_table_index_is_empty() {
+        let t = column_table(DataType::Int, []);
+        let index = Index::build(&t, "k").unwrap();
+        assert_eq!(index.offsets, [0]);
+        assert!(index.lookup_eq(&Value::Int(0)).is_empty());
+        assert!(index
+            .lookup_range(Bound::Unbounded, Bound::Unbounded)
+            .is_empty());
+        assert_equals_map_reference(&t, &[Value::Int(0)]);
     }
 }
