@@ -164,7 +164,7 @@ cargo bench -q --offline -p qcc-bench --bench midquery_reroute \
     | tee "$out"/reroute.out
 grep -q "reroute recovery: OK" "$out"/reroute.out
 
-echo "==> bench smoke: query_path (a warm statement adds no parse, decompose, merge-cost EXPLAIN, merge plan or wrapper EXPLAIN; a warm merge and the paper world's image build stay within their allocation bounds)"
+echo "==> bench smoke: query_path (a warm statement adds no parse, decompose, merge-cost EXPLAIN, merge plan or wrapper EXPLAIN; a warm merge, a cold 3-replica fan-out submit and the paper world's image build stay within their allocation bounds)"
 cargo bench -q --offline -p qcc-bench --bench query_path \
     | tee "$out"/querypath.out
 grep -q "query path: OK" "$out"/querypath.out

@@ -6,7 +6,9 @@
 //! (12 ms RTT) — serve a steady query stream while congestion on the near
 //! link steps up and back down. The series shows the response time the
 //! client sees and which replica served each window, under the baseline
-//! (no QCC) and under QCC routing.
+//! (no QCC) and under QCC routing. Both cache plans, as every baseline
+//! does (DESIGN.md §1 "Decisions the reproduction makes"), so the series
+//! compares routing alone.
 
 use qcc_bench::print_table;
 use qcc_common::{Column, DataType, Row, Schema, ServerId, SimDuration, SimTime, Value};
@@ -68,7 +70,7 @@ fn build(with_qcc: bool) -> (Federation, Link, SimClock) {
     let middleware: Arc<dyn Middleware> = if with_qcc {
         Qcc::new(QccConfig::default()).middleware()
     } else {
-        Arc::new(PassthroughMiddleware::default())
+        Arc::new(PassthroughMiddleware::with_cache())
     };
     let clock = SimClock::new();
     let mut fed = Federation::new(
@@ -105,34 +107,38 @@ pub fn run() {
     let baseline = series(false);
     let qcc = series(true);
 
-    let header = vec![
-        "t (ms)".to_string(),
-        "phase".to_string(),
-        "baseline server".to_string(),
-        "baseline ms".to_string(),
-        "qcc server".to_string(),
-        "qcc ms".to_string(),
-    ];
+    let header = [
+        "baseline t",
+        "phase",
+        "server",
+        "ms",
+        "qcc t",
+        "phase",
+        "server",
+        "ms",
+    ]
+    .map(String::from);
+    // Each routing runs on its own clock, so each half of a row carries
+    // its own submit time and phase.
+    let half = |(t, server, ms): &(f64, String, f64)| {
+        let phase = if *t < 1_000.0 {
+            "calm"
+        } else if *t < 3_000.0 {
+            "CONGESTED"
+        } else {
+            "calm again"
+        };
+        [
+            format!("{t:.0}"),
+            phase.to_string(),
+            server.clone(),
+            format!("{ms:.1}"),
+        ]
+    };
     let rows: Vec<Vec<String>> = baseline
         .iter()
         .zip(&qcc)
-        .map(|((t, bs, bms), (_, qs, qms))| {
-            let phase = if *t < 1_000.0 {
-                "calm"
-            } else if *t < 3_000.0 {
-                "CONGESTED"
-            } else {
-                "calm again"
-            };
-            vec![
-                format!("{t:.0}"),
-                phase.to_string(),
-                bs.clone(),
-                format!("{bms:.1}"),
-                qs.clone(),
-                format!("{qms:.1}"),
-            ]
-        })
+        .map(|(b, q)| half(b).into_iter().chain(half(q)).collect())
         .collect();
     print_table(
         "Supplementary — congestion step on the near link (baseline vs QCC routing)",

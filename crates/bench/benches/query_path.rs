@@ -52,6 +52,16 @@
 //! position list per key; 5 765 with each index three flat arrays (keys,
 //! offsets, positions).
 //!
+//! After the image, the bench counts heap allocations per *cold* submit
+//! on the 3-replica fan-out world: `COLD_SUBMITS` statements of that
+//! shape, each with new literals in both fragments, at one scatter
+//! thread. Each must EXPLAIN both fragments at all three replicas, or the
+//! row is a violation. The replicas hold one table image, and the engine
+//! they share plans each fragment once and hands the same answer to the
+//! other two (DESIGN.md §6 "One answer per replica set"): 2 038.9
+//! allocations per cold submit when every replica planned, estimated and
+//! signed its own copy, 1 458.9 with one answer per image.
+//!
 //! The verdict line (`query path: OK|VIOLATED`) rests on those counts
 //! alone; `ci.sh` greps it, and a violation exits 1. The µs/submit column
 //! is printed for information and never gates (wall time on a shared host
@@ -75,6 +85,14 @@ const MAX_OBS_ALLOCS: f64 = 2.0;
 
 /// Heap allocations building the paper world's table image may make.
 const MAX_IMAGE_ALLOCS: u64 = 6_000;
+
+/// Cold submits counted on the 3-replica fan-out world, each a statement
+/// no earlier submit used.
+const COLD_SUBMITS: usize = 200;
+
+/// Heap allocations a cold submit of the 3-replica fan-out shape may make
+/// on average.
+const MAX_COLD_ALLOCS: f64 = 1_500.0;
 
 /// Counters that must not move once a statement is warm.
 const FROZEN: [&str; 4] = [
@@ -216,6 +234,44 @@ fn run_warm(shape: &Shape, obs_enabled: bool, verdict: &mut Verdict) -> Warm {
     }
 }
 
+/// Variant `i` of the 3-replica fan-out statement: both fragments' literals
+/// are new, so each submit parses, decomposes, EXPLAINs every fragment at
+/// its three replicas, costs and plans a merge.
+fn cold_sql(i: usize) -> String {
+    format!(
+        "SELECT s.cat, COUNT(*) AS n, AVG(a.val) AS avg_val \
+         FROM big_a a JOIN small_s s ON a.grp = s.id \
+         WHERE s.bonus > {} AND a.sel > {} GROUP BY s.cat",
+        20.0 + i as f64 * 0.25,
+        100 + i
+    )
+}
+
+/// Heap allocations per cold submit of the 3-replica fan-out shape, after
+/// one cold warm-up submit. A submit that EXPLAINs fewer than every
+/// (fragment, replica) pair was not cold and is a violation.
+fn run_cold(verdict: &mut Verdict) -> f64 {
+    let shape = &SHAPES[3];
+    let scenario = world(shape.servers, true);
+    let fed = &scenario.federation;
+    let statements: Vec<String> = (0..=COLD_SUBMITS).map(cold_sql).collect();
+    fed.submit(&statements[0]).expect("cold warm-up submit");
+    let before = frozen_counts(&scenario)[3];
+    let ((), allocs) = counting(|| {
+        for sql in &statements[1..] {
+            fed.submit(sql).expect("cold submit");
+        }
+    });
+    let explains = frozen_counts(&scenario)[3] - before;
+    let expected = (COLD_SUBMITS * shape.fragments * shape.replicas) as u64;
+    if explains != expected {
+        verdict.violate(format!(
+            "cold submits: {explains} wrapper EXPLAINs, expected {expected}"
+        ));
+    }
+    allocs as f64 / COLD_SUBMITS as f64
+}
+
 fn main() {
     println!(
         "query path: {SUBMITS} submits per shape after one warm-up submit; \
@@ -239,6 +295,17 @@ fn main() {
     if image_allocs > MAX_IMAGE_ALLOCS {
         verdict.violate(format!(
             "image build: {image_allocs} allocations, bound {MAX_IMAGE_ALLOCS}"
+        ));
+    }
+    let cold_allocs = run_cold(&mut verdict);
+    println!(
+        "cold submits ({}, {COLD_SUBMITS} distinct statements): {cold_allocs:.1} allocations \
+         per submit (bound {MAX_COLD_ALLOCS})",
+        SHAPES[3].name
+    );
+    if cold_allocs > MAX_COLD_ALLOCS {
+        verdict.violate(format!(
+            "cold submits: {cold_allocs:.1} allocations per submit, bound {MAX_COLD_ALLOCS}"
         ));
     }
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -292,8 +359,8 @@ fn main() {
     );
     verdict.finish(&format!(
         "0 template misses, 0 merge-cost EXPLAINs, 0 merge plans, 0 wrapper EXPLAINs over \
-         {SUBMITS} warm submits of each of {} shapes; every shape and the image build within \
-         their allocation bounds",
+         {SUBMITS} warm submits of each of {} shapes; every shape, the cold fan-out submits \
+         and the image build within their allocation bounds",
         SHAPES.len()
     ));
 }

@@ -47,7 +47,7 @@ pub use plan::{AggSpec, IndexPredicate, PlanNode};
 pub use planner::plan_query;
 pub use work::Work;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use qcc_common::{ColumnBatch, Cost, Result, Row};
 use qcc_sql::SelectStmt;
@@ -62,20 +62,68 @@ pub struct PlannedQuery {
     pub cost: Cost,
 }
 
+/// One plan of an EXPLAIN answer in the form the replicas of one image
+/// share it: the tree behind an `Arc`, with its cost and shape signature.
+#[derive(Debug)]
+pub struct ExplainedPlan {
+    /// The physical plan, shared by every replica that answered with it.
+    pub plan: Arc<PlanNode>,
+    /// Estimated cost, before any per-server scaling.
+    pub cost: Cost,
+    /// [`PlanNode::signature`] of the plan.
+    pub signature: String,
+}
+
+/// The statement an engine last answered through
+/// [`Engine::explain_shared`], and that answer. One slot, not a map: the
+/// integrator asks every replica of a fragment in a row, so a repeat is
+/// the request just before it.
+#[derive(Debug, Default)]
+struct LastAnswer(Mutex<Option<(Box<str>, Arc<[ExplainedPlan]>)>>);
+
+impl LastAnswer {
+    /// The slot, locked. A panic while it was held left it whole (it is
+    /// written in one assignment), so poisoning is ignored.
+    fn lock(&self) -> MutexGuard<'_, Option<(Box<str>, Arc<[ExplainedPlan]>)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A relational engine bound to a shared, immutable catalog (DESIGN.md
 /// §10 "One image per replica set").
+///
+/// Clones share the catalog and one last-answer slot: the replicas of a
+/// table image are built from clones of one engine, so an EXPLAIN one of
+/// them answered is handed to the next without planning it again
+/// (DESIGN.md §6 "One answer per replica set"). [`Engine::new`] starts a
+/// fresh slot.
 #[derive(Debug, Clone)]
 pub struct Engine {
     catalog: Arc<Catalog>,
     cost_model: CostModel,
+    last: Arc<LastAnswer>,
+}
+
+impl From<Catalog> for Engine {
+    fn from(catalog: Catalog) -> Self {
+        Engine::new(catalog)
+    }
+}
+
+impl From<Arc<Catalog>> for Engine {
+    fn from(catalog: Arc<Catalog>) -> Self {
+        Engine::new(catalog)
+    }
 }
 
 impl Engine {
-    /// Create an engine over a catalog with the default cost model.
+    /// Create an engine over a catalog with the default cost model and a
+    /// last-answer slot of its own.
     pub fn new(catalog: impl Into<Arc<Catalog>>) -> Self {
         Engine {
             catalog: catalog.into(),
             cost_model: CostModel::default(),
+            last: Arc::default(),
         }
     }
 
@@ -107,6 +155,31 @@ impl Engine {
             .collect();
         out.sort_by(|a, b| a.cost.total().total_cmp(&b.cost.total()));
         Ok(out)
+    }
+
+    /// [`Engine::explain`], signed and shared: when `sql` is the text this
+    /// engine or a clone of it answered last, that answer is returned
+    /// again; otherwise the statement is planned, estimated and signed
+    /// once and becomes the last answer. Either way the plans equal a
+    /// fresh [`Engine::explain`]'s, in its order. A failed EXPLAIN is not
+    /// remembered.
+    pub fn explain_shared(&self, sql: &str) -> Result<Arc<[ExplainedPlan]>> {
+        if let Some((text, plans)) = &*self.last.lock() {
+            if **text == *sql {
+                return Ok(Arc::clone(plans));
+            }
+        }
+        let plans: Arc<[ExplainedPlan]> = self
+            .explain(sql)?
+            .into_iter()
+            .map(|p| ExplainedPlan {
+                signature: p.plan.signature(),
+                plan: Arc::new(p.plan),
+                cost: p.cost,
+            })
+            .collect();
+        *self.last.lock() = Some((sql.into(), Arc::clone(&plans)));
+        Ok(plans)
     }
 
     /// Execute a previously planned query against the real data.

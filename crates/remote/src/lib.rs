@@ -7,7 +7,8 @@
 //!   returning candidate plans with the server's *own* cost estimates.
 //!   Estimates assume an unloaded server: remote optimizers know nothing
 //!   about their current load, which is exactly the blind spot the QCC
-//!   compensates for.
+//!   compensates for. Replicas built from clones of one engine share the
+//!   answer one of them just computed; each scales only the costs.
 //! * [`RemoteServer::execute`] — run a plan for real and convert the CPU
 //!   work into a virtual service time: `work / speed × slowdown(ρ, s)`,
 //!   where `ρ` is current utilization and the sensitivity `s` includes

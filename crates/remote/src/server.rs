@@ -4,7 +4,6 @@ use parking_lot::Mutex;
 use qcc_common::{ColumnBatch, Cost, QccError, Result, Row, ServerId, SimDuration, SimTime};
 use qcc_engine::{Engine, PlanNode, Work};
 use qcc_netsim::{slowdown, AvailabilitySchedule, FaultSchedule, LoadProfile, ServerLoad};
-use qcc_storage::Catalog;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -37,8 +36,10 @@ impl ServerProfile {
 /// One candidate execution plan for a fragment, as reported by EXPLAIN.
 #[derive(Debug, Clone)]
 pub struct RemotePlan {
-    /// The executable plan (the paper's "execution descriptor").
-    pub descriptor: PlanNode,
+    /// The executable plan (the paper's "execution descriptor"), shared
+    /// with every replica of the server's table image that answered the
+    /// same EXPLAIN.
+    pub descriptor: Arc<PlanNode>,
     /// The server's own cost estimate (load-blind).
     pub cost: Cost,
     /// Canonical plan-shape signature (for interchangeability tests).
@@ -180,13 +181,15 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 impl RemoteServer {
-    /// Create a server over a catalog, initially idle and always up.
-    /// Replicas of one table image pass clones of one `Arc<Catalog>`.
-    pub fn new(profile: ServerProfile, catalog: impl Into<Arc<Catalog>>) -> Arc<Self> {
+    /// Create a server over an engine, or over a catalog (a `Catalog` or
+    /// an `Arc<Catalog>`, which gets an engine of its own), initially idle
+    /// and always up. Replicas of one table image pass clones of one
+    /// [`Engine`], so they share its catalog and its last EXPLAIN answer.
+    pub fn new(profile: ServerProfile, engine: impl Into<Engine>) -> Arc<Self> {
         let load = ServerLoad::new(LoadProfile::Constant(0.0), profile.per_query_load);
         Arc::new(RemoteServer {
             profile,
-            engine: Engine::new(catalog),
+            engine: engine.into(),
             load,
             availability: AvailabilitySchedule::always_up(),
             faults: FaultSchedule::none(),
@@ -245,18 +248,21 @@ impl RemoteServer {
     }
 
     /// EXPLAIN a fragment: candidate plans with load-blind cost estimates,
-    /// cheapest first. Fails when the server is down.
+    /// cheapest first. Fails when the server is down, whatever its engine
+    /// last answered. The plans come from [`Engine::explain_shared`], so a
+    /// replica asked the text another replica of its image was just asked
+    /// shares that answer's trees and scales only the costs.
     pub fn explain(&self, sql: &str, at: SimTime) -> Result<Vec<RemotePlan>> {
         self.check_up(at)?;
-        let plans = self.engine.explain(sql)?;
+        let plans = self.engine.explain_shared(sql)?;
         Ok(plans
-            .into_iter()
+            .iter()
             .map(|p| RemotePlan {
-                signature: p.plan.signature(),
+                descriptor: Arc::clone(&p.plan),
                 // Scale estimates by CPU speed: a faster server honestly
                 // reports lower expected times.
                 cost: p.cost.calibrate(1.0 / self.profile.speed),
-                descriptor: p.plan,
+                signature: p.signature.clone(),
             })
             .collect())
     }
@@ -477,7 +483,7 @@ impl std::fmt::Debug for RemoteServer {
 mod tests {
     use super::*;
     use qcc_common::{Column, DataType, Schema, Value};
-    use qcc_storage::Table;
+    use qcc_storage::{Catalog, Table};
 
     fn catalog(rows: i64) -> Catalog {
         let mut t = Table::new(
@@ -748,6 +754,99 @@ mod tests {
         let mut rows = cut.rows();
         rows.extend(rest.rows());
         assert_eq!(rows, full.rows());
+    }
+
+    /// A server of the given speed over a clone of `engine`.
+    fn replica(name: &str, speed: f64, engine: &Engine) -> Arc<RemoteServer> {
+        let mut profile = ServerProfile::new(ServerId::new(name));
+        profile.speed = speed;
+        RemoteServer::new(profile, engine.clone())
+    }
+
+    /// The bits of every field of a cost.
+    fn bits(c: Cost) -> [u64; 3] {
+        [c.first_tuple, c.next_tuple, c.cardinality].map(f64::to_bits)
+    }
+
+    /// `plans` are what a fresh EXPLAIN of `sql` on `engine` answers at a
+    /// server of `speed`: the same trees, signatures and scaled costs.
+    fn assert_fresh(plans: &[RemotePlan], engine: &Engine, sql: &str, speed: f64) {
+        let fresh = engine.explain(sql).unwrap();
+        assert_eq!(plans.len(), fresh.len(), "{sql}");
+        for (p, f) in plans.iter().zip(&fresh) {
+            assert_eq!(format!("{:?}", p.descriptor), format!("{:?}", f.plan));
+            assert_eq!(p.signature, f.plan.signature());
+            assert_eq!(bits(p.cost), bits(f.cost.calibrate(1.0 / speed)), "{sql}");
+        }
+    }
+
+    #[test]
+    fn replicas_of_one_engine_share_the_explain_answer() {
+        let mut c = catalog(10_000);
+        c.create_index("items", "v").unwrap();
+        let engine = Engine::new(c);
+        let (a, b) = (replica("A", 1.0, &engine), replica("B", 2.5, &engine));
+        let sql = "SELECT id FROM items WHERE v = 3";
+        let first = a.explain(sql, SimTime::ZERO).unwrap();
+        let second = b.explain(sql, SimTime::ZERO).unwrap();
+        assert!(first.len() >= 2, "an index plan and a scan");
+        for (x, y) in first.iter().zip(&second) {
+            assert!(Arc::ptr_eq(&x.descriptor, &y.descriptor));
+        }
+        assert_fresh(&first, &engine, sql, 1.0);
+        assert_fresh(&second, &engine, sql, 2.5);
+    }
+
+    #[test]
+    fn an_outage_refuses_while_the_slot_holds_the_text() {
+        let engine = Engine::new(catalog(100));
+        let (up, down) = (replica("up", 1.0, &engine), replica("down", 1.0, &engine));
+        down.availability()
+            .add_outage(SimTime::from_millis(10.0), SimTime::from_millis(20.0));
+        let sql = "SELECT COUNT(*) FROM items";
+        let at = SimTime::from_millis(15.0);
+        up.explain(sql, at).unwrap();
+        assert!(matches!(
+            down.explain(sql, at),
+            Err(QccError::ServerUnavailable(_))
+        ));
+        assert_fresh(
+            &down.explain(sql, SimTime::ZERO).unwrap(),
+            &engine,
+            sql,
+            1.0,
+        );
+    }
+
+    #[test]
+    fn engines_built_apart_never_share_a_slot() {
+        let image = Arc::new(catalog(100));
+        let (x, y) = (Engine::new(Arc::clone(&image)), Engine::new(image));
+        let sql = "SELECT * FROM items WHERE v > 2";
+        let (from_x, from_y) = (replica("X", 1.0, &x), replica("Y", 1.0, &y));
+        let px = from_x.explain(sql, SimTime::ZERO).unwrap();
+        let py = from_y.explain(sql, SimTime::ZERO).unwrap();
+        assert!(!Arc::ptr_eq(&px[0].descriptor, &py[0].descriptor));
+        let (s1, s2) = (server(1.0), server(1.0));
+        let p1 = s1.explain(sql, SimTime::ZERO).unwrap();
+        let p2 = s2.explain(sql, SimTime::ZERO).unwrap();
+        assert!(!Arc::ptr_eq(&p1[0].descriptor, &p2[0].descriptor));
+    }
+
+    #[test]
+    fn asking_a_then_b_then_a_answers_each() {
+        let engine = Engine::new(catalog(1_000));
+        let (r1, r2) = (replica("R1", 1.0, &engine), replica("R2", 3.0, &engine));
+        let a = "SELECT v, COUNT(*) AS n FROM items GROUP BY v";
+        let b = "SELECT id FROM items WHERE v < 2";
+        for (server, sql, speed) in [(&r1, a, 1.0), (&r2, b, 3.0), (&r1, a, 1.0), (&r2, a, 3.0)] {
+            assert_fresh(
+                &server.explain(sql, SimTime::ZERO).unwrap(),
+                &engine,
+                sql,
+                speed,
+            );
+        }
     }
 
     #[test]

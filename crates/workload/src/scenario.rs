@@ -19,6 +19,7 @@ use crate::baselines::FixedRoutingMiddleware;
 use qcc_catalog::ReplicaCatalog;
 use qcc_common::{Obs, Pcg32, ServerId, SimTime};
 use qcc_core::{LoadBalanceMode, Qcc, QccConfig};
+use qcc_engine::Engine;
 use qcc_federation::{
     Federation, FederationConfig, Middleware, NicknameCatalog, PassthroughMiddleware,
 };
@@ -250,7 +251,9 @@ impl Scenario {
         hosts: fn(&str, usize) -> std::ops::Range<usize>,
     ) -> Scenario {
         let specs = table_specs(&config);
-        let image = Arc::new(table_image(&config));
+        // One engine per image: every replica gets a clone, so replicas
+        // share the catalog and the engine's last EXPLAIN answer.
+        let engine = Engine::new(table_image(&config));
 
         let clock = SimClock::new();
         let mut servers = Vec::new();
@@ -263,7 +266,7 @@ impl Scenario {
                 base_sensitivity: *base_sensitivity,
                 per_query_load: 0.03,
             };
-            servers.push(RemoteServer::new(profile, Arc::clone(&image)));
+            servers.push(RemoteServer::new(profile, engine.clone()));
             network.add_link(
                 id,
                 Link::new(

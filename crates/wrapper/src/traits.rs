@@ -2,6 +2,7 @@
 
 use qcc_common::{ColumnBatch, Cost, QccError, Result, Row, ServerId, SimDuration, SimTime};
 use qcc_engine::PlanNode;
+use std::sync::Arc;
 
 /// The two wrapper families the paper distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,8 +22,9 @@ pub struct FragmentPlan {
     /// The fragment SQL this plan answers.
     pub sql: String,
     /// The execution descriptor (absent for file sources, which are
-    /// re-scanned wholesale).
-    pub descriptor: Option<PlanNode>,
+    /// re-scanned wholesale). Replicas of one table image that answered
+    /// one EXPLAIN share the tree.
+    pub descriptor: Option<Arc<PlanNode>>,
     /// The wrapper's cost estimate. `None` for file wrappers — the paper's
     /// file wrapper "returns file paths to II without estimated cost".
     pub cost: Option<Cost>,

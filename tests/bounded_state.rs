@@ -7,7 +7,9 @@
 //! load balancer's per-template state fill up and then turn over.
 //!
 //! A world's servers share one table image, so a built world grows by a
-//! server's own state, not by a copy of every table, per server added.
+//! server's own state, not by a copy of every table, per server added;
+//! and the replicas of that image share one EXPLAIN answer, so a full plan
+//! cache holds one plan tree per replica set, not one per replica.
 //!
 //! This binary wraps the system allocator in a live-byte counter, so the
 //! assertions are on bytes actually held, not on RSS.
@@ -49,6 +51,12 @@ const MAX_BYTES_PER_ADDED_SERVER: f64 = 4_096.0;
 /// never-repeating statements that fills it, the plan cache (4 096
 /// entries, three per statement here) and the template cache (128).
 const BALANCER_CAPACITY: usize = 4_096;
+
+/// Live heap a full plan cache may hold per entry on a world whose
+/// fragments are EXPLAINed at three replicas of one image. Measured:
+/// 3 424 B, the three entries of a fragment sharing one answer's trees;
+/// 8 419 B when each replica's entry owned its own copy of every tree.
+const MAX_PLAN_CACHE_BYTES_PER_ENTRY: f64 = 5_000.0;
 
 /// The system allocator, counting live bytes.
 struct Counting;
@@ -196,5 +204,45 @@ fn world_heap_is_one_image_not_one_per_server() {
     assert!(
         per_server <= MAX_BYTES_PER_ADDED_SERVER,
         "each server holds its own table image: {per_server:.0} B per added server"
+    );
+}
+
+/// A full plan cache holds one plan tree per replica set: the three
+/// entries of a fragment's three replicas share the tree their one EXPLAIN
+/// answer built, so clearing the cache frees well under half of what it
+/// freed when each replica's entry owned a copy. At one scatter thread
+/// the replicas are asked one after another; at more, two can miss the
+/// shared answer at once and each plan the fragment.
+#[test]
+fn a_full_plan_cache_holds_one_tree_per_replica_set() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let scenario = Scenario::build_partitioned(
+        QccConfig::default(),
+        ScenarioConfig {
+            obs_enabled: false,
+            threads: 1,
+            ..ScenarioConfig::scale(6)
+        },
+    );
+    let qcc = scenario.qcc.as_ref().expect("QCC routing");
+    let capacity = qcc.plan_cache.capacity();
+    for i in 0..capacity / 3 + 50 {
+        let sql = format!(
+            "SELECT a.grp, COUNT(*) AS n, SUM(b.qty) AS total \
+             FROM big_a a JOIN big_b b ON b.a_id = a.id \
+             WHERE a.sel > {i} AND b.qty < 90 GROUP BY a.grp ORDER BY a.grp"
+        );
+        scenario.federation.submit(&sql).expect("statement answers");
+    }
+    let entries = qcc.plan_cache.len();
+    assert_eq!(entries, capacity, "the cache is full");
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    qcc.plan_cache.clear();
+    let freed = before - LIVE_BYTES.load(Ordering::Relaxed);
+    let per_entry = freed as f64 / entries as f64;
+    println!("plan cache: {entries} entries, {per_entry:.0} B freed per entry");
+    assert!(
+        per_entry <= MAX_PLAN_CACHE_BYTES_PER_ENTRY,
+        "each replica's entry holds its own plan tree: {per_entry:.0} B per entry"
     );
 }
